@@ -197,7 +197,7 @@ func BenchmarkMachineStepBatched(b *testing.B) {
 // -engine fastforward. In short mode (the bench-regression gate's
 // configuration) it runs a 60×50 fabric; the full `make bench` sweep
 // runs the paper's 602×595 extent, the same shape
-// TestPaperScaleBiCGStab holds under 60 s in CI.
+// TestPaperScaleBiCGStab holds under 30 s in CI.
 func BenchmarkPaperScaleSolve(b *testing.B) {
 	nx, ny, nz := 602, 595, 4
 	if testing.Short() {

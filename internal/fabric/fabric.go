@@ -617,10 +617,19 @@ func (f *Fabric) Fingerprint() uint64 {
 }
 
 // Quiescent reports whether no words remain anywhere in the fabric
-// (router queues only; core receive buffers may still hold words).
+// (router queues only; core receive buffers may still hold words). A
+// router's occupancy mask already answers this for its entries — the
+// claim phase trusts it the same way — so only wide routers, which
+// have no mask, are walked entry by entry.
 func (f *Fabric) Quiescent() bool {
 	for i := range f.routers {
 		r := &f.routers[i]
+		if !r.wide {
+			if r.occ != 0 {
+				return false
+			}
+			continue
+		}
 		for j := range r.active {
 			if !r.active[j].q.empty() {
 				return false

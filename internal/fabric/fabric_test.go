@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -296,5 +297,104 @@ func TestRxDeliveryCallback(t *testing.T) {
 	}
 	if colors[3] != 3 || colors[1] != 5 || colors[2] != 5 {
 		t.Errorf("rx callback colors = %v, want color 3 at tile 3 and color 5 at tiles 1, 2", colors)
+	}
+}
+
+// quiescentByWalk is the reference for Quiescent: every configured
+// route entry's queue, router by router, ignoring the occupancy masks.
+func quiescentByWalk(f *Fabric) bool {
+	for i := range f.routers {
+		for j := range f.routers[i].active {
+			if !f.routers[i].active[j].q.empty() {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestQuiescentMatchesEntryWalk pins the occupancy-mask Quiescent
+// against the full entry walk through every way queue contents change
+// — Send, Step, Drain, RestoreState — on a fabric that has one router
+// with more than 64 entries (no mask: still walked).
+func TestQuiescentMatchesEntryWalk(t *testing.T) {
+	f := trafficFabric(6, 5, Sequential())
+	wideAt := Coord{2, 2}
+	for c := Color(5); c < MaxColors; c++ {
+		for _, in := range []Port{North, East, South, West} {
+			f.SetRoute(wideAt, in, c, Mask(Ramp))
+		}
+	}
+	f.SetRoute(wideAt, Ramp, 10, Mask(Ramp)) // loop-back: a way to put a word in the wide router
+	if r := &f.routers[f.Index(wideAt)]; !r.wide || len(r.active) <= 64 {
+		t.Fatalf("tile %v has %d entries, wide=%v; the test needs a wide router", wideAt, len(r.active), r.wide)
+	}
+	check := func(when string) {
+		t.Helper()
+		if got, want := f.Quiescent(), quiescentByWalk(f); got != want {
+			t.Fatalf("%s (cycle %d): Quiescent = %v, entry walk says %v", when, f.Cycle(), got, want)
+		}
+	}
+	check("fresh")
+
+	// The only word anywhere sits in the wide router.
+	if !f.Send(wideAt, WordF32(10, 1)) {
+		t.Fatal("send into the wide router failed")
+	}
+	check("word in the wide router")
+	if f.Quiescent() {
+		t.Fatal("Quiescent missed a word held by a wide router")
+	}
+	f.Step()
+	check("wide router delivered")
+	if !f.Quiescent() {
+		t.Fatal("fabric should be quiescent once the loop-back word reached its core")
+	}
+
+	rng := rand.New(rand.NewSource(11))
+	var mid *State
+	for cyc := 0; cyc < 60; cyc++ {
+		if cyc%7 == 0 {
+			f.Send(wideAt, WordF32(10, float32(cyc)))
+			check("after send")
+		}
+		driveCycle(f, rng)
+		f.Recv(wideAt, 10)
+		check("after step")
+		if cyc == 30 {
+			mid = f.CaptureState()
+		}
+	}
+	if f.Quiescent() {
+		t.Fatal("saturating traffic left the fabric quiescent; the test would prove nothing")
+	}
+	for drained := false; !drained; {
+		// Empty the sinks between bursts or the flows back up for good.
+		for i := 0; i < f.W*f.H; i++ {
+			for _, c := range []Color{0, 1, 2, 3, 4, 10} {
+				for ok := true; ok; {
+					_, ok = f.Recv(f.CoordOf(i), c)
+				}
+			}
+		}
+		_, drained = f.Drain(4)
+		check("draining")
+		if f.Cycle() > 10000 {
+			t.Fatal("fabric did not drain")
+		}
+	}
+	if err := f.RestoreState(mid); err != nil {
+		t.Fatal(err)
+	}
+	check("restored mid-traffic state")
+	if f.Quiescent() {
+		t.Fatal("restored mid-traffic state reads quiescent")
+	}
+	if err := f.RestoreState(New(Config{W: 6, H: 5}).CaptureState()); err != nil {
+		t.Fatal(err)
+	}
+	check("restored empty state")
+	if !f.Quiescent() {
+		t.Fatal("restored empty state is not quiescent")
 	}
 }

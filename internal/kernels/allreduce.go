@@ -40,6 +40,16 @@ type AllReduce struct {
 	queued    []bool
 	remaining int
 	start     int64 // fabric cycle at Begin, for Result's latency
+
+	perTile []float32 // Result's PerTile, reused by every reduction
+
+	// Row-phase fast-forward (skipRowPhase): the center-column tile
+	// indices, the absolute rotation counters handed to ApplyReplay
+	// (built on first use), and how many Runs jumped / stepped the row
+	// phase — tests assert there is no silent fall-back.
+	centerTiles          []int
+	ffRR                 []int64
+	rowSkips, rowStepped int
 }
 
 type arTile struct {
@@ -259,6 +269,12 @@ func NewAllReduce(m *wse.Machine, base fabric.Color) (*AllReduce, error) {
 	}
 	ar.pending = make([][]int32, len(f.ShardRanges()))
 	ar.queued = make([]bool, w*h)
+	ar.perTile = make([]float32, w*h)
+	for y := 0; y < h; y++ {
+		for _, cx := range ar.centerCols() {
+			ar.centerTiles = append(ar.centerTiles, y*w+cx)
+		}
+	}
 	// Any word landing at a tile's ramp on one of the six AllReduce
 	// colors (reduction operand, quad word, broadcast result) re-lists
 	// the tile; deliveries for other subsystems sharing the fabric are
@@ -281,6 +297,14 @@ func (ar *AllReduce) wakeTile(ti int) {
 	}
 }
 
+// clearPending empties every shard's pending list.
+func (ar *AllReduce) clearPending() {
+	for s := range ar.pending {
+		ar.pending[s] = ar.pending[s][:0]
+	}
+	clear(ar.queued)
+}
+
 func (ar *AllReduce) centerCols() []int {
 	if ar.cx0 == ar.cx1 {
 		return []int{ar.cx0}
@@ -298,7 +322,8 @@ func (ar *AllReduce) routeChain(at fabric.Coord, out fabric.Port, c fabric.Color
 	}
 }
 
-// Result carries the outcome of one AllReduce.
+// Result carries the outcome of one AllReduce. PerTile is a buffer the
+// AllReduce owns: valid until its next Run (or Result), copy it to keep it.
 type AllReduceResult struct {
 	Sum       float32
 	Cycles    int64 // until the last core received the result
@@ -315,11 +340,16 @@ type AllReduceResult struct {
 // rx-delivery wake. Tile state is tile-local and each tile touches only
 // its own ramp, so the stepping order — and therefore the engine choice
 // — does not change the simulated state.
+//
+// Under wse.EngineFastForward an eligible reduction does not step its
+// row phase at all (see skipRowPhase); the loop then starts at the Tick
+// that ends it. Everything after — every phase with arbitration
+// contention — is cycle-simulated under every engine.
 func (ar *AllReduce) Run(values []float32, maxCycles int64) (AllReduceResult, error) {
 	if err := ar.Begin(values); err != nil {
 		return AllReduceResult{}, err
 	}
-	for cyc := int64(0); cyc < maxCycles; cyc++ {
+	for cyc := ar.skipRowPhase(maxCycles); cyc < maxCycles; cyc++ {
 		if ar.Tick() {
 			return ar.Result(), nil
 		}
@@ -348,12 +378,7 @@ func (ar *AllReduce) Begin(values []float32) error {
 		t.result = 0
 	}
 	// Every tile has an injection to attempt on the first cycle.
-	for s := range ar.pending {
-		ar.pending[s] = ar.pending[s][:0]
-	}
-	for i := range ar.queued {
-		ar.queued[i] = false
-	}
+	ar.clearPending()
 	for i := range ar.tiles {
 		ar.wakeTile(i)
 	}
@@ -392,15 +417,123 @@ func (ar *AllReduce) Tick() bool {
 // true): the root sum, latency in cycles since Begin, and every tile's
 // broadcast copy.
 func (ar *AllReduce) Result() AllReduceResult {
-	res := AllReduceResult{
+	for i, t := range ar.tiles {
+		ar.perTile[i] = t.result
+	}
+	return AllReduceResult{
 		Sum:     ar.tiles[ar.cy0*ar.F.W+ar.cx0].result,
 		Cycles:  ar.F.Cycle() - ar.start,
-		PerTile: make([]float32, len(ar.tiles)),
+		PerTile: ar.perTile,
 	}
-	for i, t := range ar.tiles {
-		res.PerTile[i] = t.result
+}
+
+// skipRowPhase is the AllReduce's analytic path: called right after
+// Begin, it jumps an eligible reduction to the state cycle stepping
+// reaches just before the Tick that ends the row phase, and returns how
+// many Tick/Step rounds of Run's loop that stood in for (0: not
+// eligible, nothing touched).
+//
+// On an even-width fabric the row phase is a shift register. Every
+// non-center tile injects its word at Tick 0, the words of a row
+// half march toward their center column one hop per cycle, and each
+// router holds at most one blue word at a time — its own on cycle 1,
+// then its upstream neighbours' in turn — so no output is ever
+// contended, no queue ever fills, and nothing depends on a rotation
+// counter. With L = cx0 tiles on each side, the word from distance d
+// lands in the center tile's receive buffer on cycle d+1 and is
+// absorbed by Tick d+1; the last one on cycle L+1. Hence, L+1 cycles
+// after Begin:
+//
+//   - each center tile holds its own value plus its side's values added
+//     nearest first, as float32 adds in that order;
+//   - the word from distance d moved d+1 times (d hops and the ramp
+//     delivery): H rows × 2 sides × (L(L+1)/2 + L) moves in all;
+//   - the router at distance d ≥ 1 was visited L−d+2 times (its own
+//     word, the L−d words from further out, and one empty visit that
+//     cools it, no later than cycle L+1), a center router L times (the
+//     words, on cycles 2…L+1) plus one empty visit on cycle 1 if it was
+//     hot at Begin — non-center routers are hot on cycle 1 either way;
+//   - exactly the center routers are hot; no word is left in any queue.
+//
+// An odd width has a single center column fed from both sides, whose
+// ramp arbitration makes the arrival order rotation-dependent; like
+// every later phase (column on odd H, the 4:1 quad, the broadcast) it
+// is cycle-simulated. The gate also rejects any start the derivation
+// does not cover. Bit- and cycle-identity with sequential stepping is
+// pinned by TestAllReduceRowSkipExact.
+func (ar *AllReduce) skipRowPhase(maxCycles int64) int64 {
+	if !ar.rowSkipEligible(maxCycles) {
+		ar.rowStepped++
+		return 0
 	}
-	return res
+	ar.rowSkips++
+	f := ar.F
+	w, h, l := f.W, f.H, ar.cx0
+
+	if ar.ffRR == nil {
+		ar.ffRR = make([]int64, w*h)
+	}
+	rr := ar.ffRR
+	for y := 0; y < h; y++ {
+		row := ar.tiles[y*w : (y+1)*w]
+		left, right := row[ar.cx0], row[ar.cx1]
+		for d := 1; d <= l; d++ {
+			a, b := row[ar.cx0-d], row[ar.cx1+d]
+			left.acc += a.val
+			right.acc += b.val
+			a.sentRow, b.sentRow = true, true
+			visits := int64(l - d + 2)
+			rr[y*w+ar.cx0-d] = f.RR(y*w+ar.cx0-d) + visits
+			rr[y*w+ar.cx1+d] = f.RR(y*w+ar.cx1+d) + visits
+		}
+		left.rowGot, right.rowGot = left.rowExpect, right.rowExpect
+		rr[y*w+ar.cx0] = f.RR(y*w+ar.cx0) + int64(l)
+		rr[y*w+ar.cx1] = f.RR(y*w+ar.cx1) + int64(l)
+	}
+	for _, ti := range f.HotTiles() {
+		if x := ti % w; x == ar.cx0 || x == ar.cx1 {
+			rr[ti]++
+		}
+	}
+	f.ApplyReplay(int64(l)+1, int64(h)*2*int64(l*(l+1)/2+l), rr, ar.centerTiles)
+
+	// Only the center tiles, woken by their last blue word, have
+	// anything to do at the Tick the loop resumes with: it ends their
+	// row phase and sends them into the column or quad phase.
+	ar.clearPending()
+	for _, ti := range ar.centerTiles {
+		ar.wakeTile(ti)
+	}
+	return int64(l) + 1
+}
+
+// rowSkipEligible is skipRowPhase's gate: the fast-forward engine, an
+// even fabric width with a row phase to skip, the default queue depths
+// the derivation was checked against (the same rule as stencilc's
+// Program3D fast-forward), a cycle budget the jump stays inside, no
+// word in any router queue, and none left in a receive buffer this
+// reduction would pop before the row phase ends.
+func (ar *AllReduce) rowSkipEligible(maxCycles int64) bool {
+	cfg := ar.M.Cfg
+	if !ar.M.FastForwardEnabled() || ar.F.W < 4 || ar.F.W%2 != 0 ||
+		(cfg.QueueDepth > 0 && cfg.QueueDepth != 4) || (cfg.RxDepth > 0 && cfg.RxDepth != 4) ||
+		int64(ar.cx0)+1 >= maxCycles || !ar.F.Quiescent() {
+		return false
+	}
+	for _, t := range ar.tiles {
+		at := fabric.Coord{X: t.x, Y: t.y}
+		if ar.F.RxLen(at, ar.red) > 0 {
+			return false
+		}
+		if t.isRowCtr {
+			for c := ar.blue; c < ar.red; c++ {
+				if ar.F.RxLen(at, c) > 0 {
+					return false
+				}
+			}
+		}
+	}
+	return true
 }
 
 // tileActionable reports whether the tile can make progress without a

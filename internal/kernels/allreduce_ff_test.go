@@ -1,0 +1,282 @@
+package kernels
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/fabric"
+	"repro/internal/wse"
+)
+
+// arHotColor is a color the AllReduce (colors 0–5 in these tests) does
+// not use, for the loop-back routes that leave chosen routers hot.
+const arHotColor fabric.Color = 20
+
+// heatRouters leaves the router of every tile in at hot on a quiescent
+// fabric: a word sent down a ramp→ramp loop-back route is delivered on
+// the first Drain cycle, and the router stays marked until a later
+// cycle visits it with nothing to move — the state a preceding phase's
+// last deliveries leave behind.
+func heatRouters(t *testing.T, m *wse.Machine, at []fabric.Coord) {
+	t.Helper()
+	for _, c := range at {
+		m.Fab.SetRoute(c, fabric.Ramp, arHotColor, fabric.Mask(fabric.Ramp))
+		if !m.Fab.Send(c, fabric.WordF32(arHotColor, 1)) {
+			t.Fatalf("loop-back send at %v failed", c)
+		}
+	}
+	if _, ok := m.Fab.Drain(16); !ok {
+		t.Fatal("loop-back words did not drain")
+	}
+	hot := map[int]bool{}
+	for _, ti := range m.Fab.HotTiles() {
+		hot[ti] = true
+	}
+	for _, c := range at {
+		if !hot[m.Fab.Index(c)] {
+			t.Fatalf("router %v is not hot after its loop-back delivery", c)
+		}
+	}
+}
+
+// arPair is a sequential and a fast-forward machine of one shape with
+// an AllReduce each, driven with identical inputs.
+type arPair struct {
+	seq, ff     *wse.Machine
+	arSeq, arFF *AllReduce
+}
+
+func newARPair(t *testing.T, w, h int, tweak func(*wse.Config)) *arPair {
+	t.Helper()
+	build := func(e wse.Engine) (*wse.Machine, *AllReduce) {
+		cfg := wse.CS1(w, h)
+		cfg.Engine = e
+		if tweak != nil {
+			tweak(&cfg)
+		}
+		m := wse.New(cfg)
+		t.Cleanup(m.Close)
+		ar, err := NewAllReduce(m, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, ar
+	}
+	p := &arPair{}
+	p.seq, p.arSeq = build(wse.EngineSequential)
+	p.ff, p.arFF = build(wse.EngineFastForward)
+	return p
+}
+
+// run performs one reduction of vals on both machines and fails on any
+// observable difference: sum, latency, every tile's broadcast copy, and
+// the complete machine fingerprint (fabric cycle and move counters,
+// every rotation counter, every queue and receive buffer).
+func (p *arPair) run(t *testing.T, vals []float32, when string) {
+	t.Helper()
+	rs, err := p.arSeq.Run(vals, 1<<20)
+	if err != nil {
+		t.Fatalf("%s: sequential: %v", when, err)
+	}
+	rf, err := p.arFF.Run(vals, 1<<20)
+	if err != nil {
+		t.Fatalf("%s: fast-forward: %v", when, err)
+	}
+	if rs.Sum != rf.Sum || rs.Cycles != rf.Cycles {
+		t.Fatalf("%s: seq sum %v in %d cycles, ff sum %v in %d cycles", when, rs.Sum, rs.Cycles, rf.Sum, rf.Cycles)
+	}
+	for i := range rs.PerTile {
+		if rs.PerTile[i] != rf.PerTile[i] {
+			t.Fatalf("%s: tile %d holds %v under seq, %v under ff", when, i, rs.PerTile[i], rf.PerTile[i])
+		}
+	}
+	if a, b := p.seq.Fingerprint(), p.ff.Fingerprint(); a != b {
+		t.Fatalf("%s: machine fingerprints diverge: seq %#x, ff %#x (moves %d vs %d)",
+			when, a, b, p.seq.Fab.Moves(), p.ff.Fab.Moves())
+	}
+	// Hot marks are not hashed, but the next phase's rotation counters
+	// depend on them.
+	if a, b := p.seq.Fab.HotCount(), p.ff.Fab.HotCount(); a != b {
+		t.Fatalf("%s: hot sets diverge: seq %d tiles, ff %d", when, a, b)
+	}
+}
+
+func arValues(n int, seed int64) []float32 {
+	rng := rand.New(rand.NewSource(seed))
+	vals := make([]float32, n)
+	for i := range vals {
+		// Wide dynamic range, so a wrong summation order changes bits.
+		vals[i] = float32(rng.NormFloat64() * float64(int(1)<<uint(rng.Intn(12))))
+	}
+	return vals
+}
+
+// TestAllReduceRowSkipExact pins the fast-forward engine's closed-form
+// row phase against sequential cycle stepping: every observable of the
+// reduction and the machine fingerprint, after one and after three
+// back-to-back reductions, from a cold fabric and from starts with
+// leftover-hot routers in a center column, outside it, and both. The
+// even-width shapes must take the jump on every reduction and the
+// others never — a silent fall-back would make this test vacuous, a
+// jump on an uncovered shape would make it fail.
+func TestAllReduceRowSkipExact(t *testing.T) {
+	shapes := []struct {
+		w, h int
+		skip bool
+	}{
+		{102, 95, true}, {8, 7, true}, {12, 9, true}, {4, 4, true}, {4, 3, true}, {6, 2, true},
+		{10, 8, true}, {16, 5, true}, {4, 1, true}, {30, 31, true},
+		{5, 4, false}, {7, 5, false}, {2, 6, false},
+	}
+	for _, sh := range shapes {
+		w, h := sh.w, sh.h
+		cx0, cx1 := (w-1)/2, w/2
+		starts := []struct {
+			name string
+			hot  []fabric.Coord
+		}{
+			{"cold", nil},
+			{"hot-center", []fabric.Coord{{X: cx0, Y: 0}, {X: cx1, Y: h - 1}}},
+			{"hot-outside", []fabric.Coord{{X: 0, Y: h / 2}, {X: w - 1, Y: 0}}},
+			{"hot-both", []fabric.Coord{{X: cx1, Y: h / 2}, {X: cx0, Y: h - 1}, {X: 0, Y: 0}, {X: w - 1, Y: h - 1}}},
+		}
+		for _, st := range starts {
+			t.Run(fmt.Sprintf("%dx%d/%s", w, h, st.name), func(t *testing.T) {
+				p := newARPair(t, w, h, nil)
+				heatRouters(t, p.seq, st.hot)
+				heatRouters(t, p.ff, st.hot)
+				for rep := 0; rep < 3; rep++ {
+					p.run(t, arValues(w*h, int64(w*1000+h*10+rep)), fmt.Sprintf("reduction %d", rep+1))
+				}
+				wantSkips := 0
+				if sh.skip {
+					wantSkips = 3
+				}
+				if p.arFF.rowSkips != wantSkips || p.arFF.rowStepped != 3-wantSkips {
+					t.Errorf("fast-forward machine: %d row phases jumped, %d stepped; want %d and %d",
+						p.arFF.rowSkips, p.arFF.rowStepped, wantSkips, 3-wantSkips)
+				}
+				if p.arSeq.rowSkips != 0 {
+					t.Errorf("sequential machine jumped %d row phases", p.arSeq.rowSkips)
+				}
+			})
+		}
+	}
+}
+
+// TestAllReduceRowSkipGate walks the gate's rejections: each start the
+// closed form does not cover must fall back to the stepping loop — and
+// still agree with sequential stepping bit for bit — while the jump
+// comes back as soon as the condition clears.
+func TestAllReduceRowSkipGate(t *testing.T) {
+	const w, h = 8, 5
+	vals := arValues(w*h, 5)
+
+	t.Run("engines", func(t *testing.T) {
+		for _, e := range []wse.Engine{wse.EngineSequential, wse.EngineSharded, wse.EngineBatched} {
+			cfg := wse.CS1(w, h)
+			cfg.Engine = e
+			if e == wse.EngineSharded {
+				cfg.Workers = 3
+			}
+			m := wse.New(cfg)
+			defer m.Close()
+			ar, err := NewAllReduce(m, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ar.Run(vals, 1<<20); err != nil {
+				t.Fatal(err)
+			}
+			if ar.rowSkips != 0 || ar.rowStepped != 1 {
+				t.Errorf("%v: %d row phases jumped, %d stepped; only fast-forward may jump", e, ar.rowSkips, ar.rowStepped)
+			}
+		}
+	})
+
+	t.Run("queue-depth", func(t *testing.T) {
+		for _, tweak := range []func(*wse.Config){
+			func(c *wse.Config) { c.QueueDepth = 2 },
+			func(c *wse.Config) { c.RxDepth = 8 },
+		} {
+			p := newARPair(t, w, h, tweak)
+			p.run(t, vals, "non-default depth")
+			if p.arFF.rowSkips != 0 {
+				t.Errorf("jumped the row phase on non-default queue depths %+v", p.ff.Cfg)
+			}
+		}
+	})
+
+	t.Run("non-quiescent", func(t *testing.T) {
+		// A word still crossing the fabric on another color when the
+		// reduction begins: step it, then jump again once it has landed.
+		p := newARPair(t, w, h, nil)
+		for _, m := range []*wse.Machine{p.seq, p.ff} {
+			m.Fab.SetRoute(fabric.Coord{X: 0, Y: 0}, fabric.Ramp, arHotColor, fabric.Mask(fabric.East))
+			for x := 1; x < w-1; x++ {
+				m.Fab.SetRoute(fabric.Coord{X: x, Y: 0}, fabric.West, arHotColor, fabric.Mask(fabric.East))
+			}
+			m.Fab.SetRoute(fabric.Coord{X: w - 1, Y: 0}, fabric.West, arHotColor, fabric.Mask(fabric.Ramp))
+			m.Fab.Send(fabric.Coord{X: 0, Y: 0}, fabric.WordF32(arHotColor, 3))
+		}
+		p.run(t, vals, "word in flight")
+		if p.arFF.rowSkips != 0 || p.arFF.rowStepped != 1 {
+			t.Errorf("word in flight: %d jumped, %d stepped; want a fall-back", p.arFF.rowSkips, p.arFF.rowStepped)
+		}
+		p.run(t, vals, "word landed")
+		if p.arFF.rowSkips != 1 {
+			t.Errorf("quiescent again: %d jumped; want the jump back", p.arFF.rowSkips)
+		}
+	})
+
+	t.Run("stale-rx", func(t *testing.T) {
+		// An abandoned reduction (Begin and a few cycles, never finished)
+		// leaves AllReduce words behind in receive buffers once the
+		// fabric drains; the next Run must not jump over them.
+		p := newARPair(t, w, h, nil)
+		for _, ar := range []*AllReduce{p.arSeq, p.arFF} {
+			if err := ar.Begin(vals); err != nil {
+				t.Fatal(err)
+			}
+			ar.Tick()
+			if _, ok := ar.F.Drain(64); !ok {
+				t.Fatal("abandoned reduction did not drain")
+			}
+		}
+		if !p.ff.Fab.Quiescent() {
+			t.Fatal("fabric not quiescent")
+		}
+		if p.arFF.rowSkipEligible(1 << 20) {
+			t.Error("gate accepts a start with blue words waiting at the center columns")
+		}
+	})
+
+	t.Run("budget", func(t *testing.T) {
+		// A cycle budget that ends inside the row phase: same error as
+		// stepping, no jump past the budget.
+		p := newARPair(t, w, h, nil)
+		_, errSeq := p.arSeq.Run(vals, 3)
+		_, errFF := p.arFF.Run(vals, 3)
+		if errSeq == nil || errFF == nil {
+			t.Fatalf("a 3-cycle budget must fail: seq %v, ff %v", errSeq, errFF)
+		}
+		if p.arFF.rowSkips != 0 {
+			t.Error("jumped past the cycle budget")
+		}
+		if a, b := p.seq.Fingerprint(), p.ff.Fingerprint(); a != b {
+			t.Errorf("fingerprints diverge after the over-budget runs: seq %#x, ff %#x", a, b)
+		}
+		// A budget that ends after the row phase but before the result:
+		// the jump fires and the run gives up on the same cycle.
+		p = newARPair(t, w, h, nil)
+		_, errSeq = p.arSeq.Run(vals, 6)
+		_, errFF = p.arFF.Run(vals, 6)
+		if errSeq == nil || errFF == nil || p.arFF.rowSkips != 1 {
+			t.Fatalf("a 6-cycle budget must jump and then fail: seq %v, ff %v, %d jumped", errSeq, errFF, p.arFF.rowSkips)
+		}
+		if a, b := p.seq.Fingerprint(), p.ff.Fingerprint(); a != b {
+			t.Errorf("fingerprints diverge after the 6-cycle runs: seq %#x, ff %#x", a, b)
+		}
+	})
+}

@@ -11,11 +11,12 @@
 // wrong answer.
 //
 // The fast-forward engine steps through the batched path here — its
-// analytic phase jumps only fire inside Program3D.Run, which the
-// lockstep harness deliberately bypasses by arming programs and
-// stepping cycle by cycle. The jump itself is differentially tested at
-// its only observable boundary (RunEndState): same results, same total
-// cycles, same fingerprint as a sequential Run.
+// analytic phase jumps only fire inside Program3D.Run and
+// kernels.AllReduce.Run, which the lockstep harness deliberately
+// bypasses by arming programs (Begin, for the AllReduce) and stepping
+// cycle by cycle. The jumps themselves are differentially tested at
+// their only observable boundary (RunEndState): same results, same
+// total cycles, same fingerprint as a sequential Run.
 package difftest
 
 import (

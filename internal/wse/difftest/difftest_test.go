@@ -143,10 +143,16 @@ func TestLockstepHeat(t *testing.T) {
 }
 
 // TestRunEndState pins the fast-forward engine at the only boundary
-// where it is observable: a Program3D.Run that takes the analytic jump
-// must land on exactly the state the sequential engine reaches by
-// cycle simulation — same cycle count, same result bits, same
-// partials, same machine fingerprint.
+// where it is observable: a Program3D.Run or AllReduce.Run that takes
+// an analytic jump must land on exactly the state the sequential engine
+// reaches by cycle simulation — same cycle count, same result bits,
+// same partials, same machine fingerprint. Each case applies the
+// program and reduces a value per tile, twice, as a solve alternates
+// them: the exchange replay is seeded by the rotation counters and hot
+// set the AllReduce's row-phase jump wrote, and the other way round.
+// The odd-width wafers keep the AllReduce on its stepping path; the
+// even × odd ones (the shape of the paper's 602×595) jump the row phase
+// and then cycle-simulate a column phase with arbitration contention.
 func TestRunEndState(t *testing.T) {
 	cases := []struct {
 		name string
@@ -156,6 +162,15 @@ func TestRunEndState(t *testing.T) {
 		{"spec7", stencilc.Spec7Point(), stencil.Mesh{NX: 6, NY: 5, NZ: 6}},
 		{"seismic25", stencilc.SpecSeismic25(), stencil.Mesh{NX: 6, NY: 4, NZ: 8}},
 		{"heat", stencilc.SpecHeat3D(), stencil.Mesh{NX: 5, NY: 4, NZ: 6}},
+		{"spec7-even-odd", stencilc.Spec7Point(), stencil.Mesh{NX: 12, NY: 9, NZ: 6}},
+		{"heat-even-odd", stencilc.SpecHeat3D(), stencil.Mesh{NX: 8, NY: 7, NZ: 6}},
+	}
+	type endState struct {
+		cycles []int64 // program, allreduce, program, allreduce
+		sums   []float32
+		res    []fp16.Float16
+		part   []float32
+		fp     uint64
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -165,41 +180,65 @@ func TestRunEndState(t *testing.T) {
 			}
 			op := stencil.NewOpStarHalf(norm)
 			src := halfVec(tc.mesh.N(), 47)
-			run := func(e wse.Engine) (int64, []fp16.Float16, []float32, uint64) {
+			run := func(e wse.Engine) endState {
 				m := wse.New(config(tc.mesh.NX, tc.mesh.NY, e))
 				defer m.Close()
 				p, err := stencilc.Compile3D(m, tc.spec, op, 0, 0, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
-				loadIterate(p, src)
-				cycles, err := p.Run(1 << 20)
+				ar, err := kernels.NewAllReduce(m, stencilc.NumExchangeColors)
 				if err != nil {
 					t.Fatal(err)
 				}
-				res := make([]fp16.Float16, 0, tc.mesh.N())
+				var st endState
+				vals := make([]float32, p.Tiles())
+				for round := 0; round < 2; round++ {
+					loadIterate(p, src)
+					cycles, err := p.Run(1 << 20)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := range vals {
+						vals[i] = float32(p.Result(i)[0].Float64()) * float32(i%7+1)
+					}
+					red, err := ar.Run(vals, 1<<20)
+					if err != nil {
+						t.Fatal(err)
+					}
+					st.cycles = append(st.cycles, cycles, red.Cycles)
+					st.sums = append(st.sums, red.Sum)
+				}
 				for i := 0; i < p.Tiles(); i++ {
-					res = append(res, p.Result(i)...)
+					st.res = append(st.res, p.Result(i)...)
 				}
-				return cycles, res, append([]float32(nil), p.Partials()...), m.Fingerprint()
+				st.part = append(st.part, p.Partials()...)
+				st.fp = m.Fingerprint()
+				return st
 			}
-			seqCyc, seqRes, seqPart, seqFP := run(wse.EngineSequential)
-			ffCyc, ffRes, ffPart, ffFP := run(wse.EngineFastForward)
-			if seqCyc != ffCyc {
-				t.Errorf("cycles diverge: seq %d, ff %d", seqCyc, ffCyc)
-			}
-			for i := range seqRes {
-				if seqRes[i] != ffRes[i] {
-					t.Fatalf("result[%d] bits diverge: seq %#04x, ff %#04x", i, uint16(seqRes[i]), uint16(ffRes[i]))
+			seq, ff := run(wse.EngineSequential), run(wse.EngineFastForward)
+			for i := range seq.cycles {
+				if seq.cycles[i] != ff.cycles[i] {
+					t.Errorf("phase %d cycles diverge: seq %d, ff %d", i, seq.cycles[i], ff.cycles[i])
 				}
 			}
-			for i := range seqPart {
-				if seqPart[i] != ffPart[i] {
-					t.Errorf("partial[%d] diverges: seq %v, ff %v", i, seqPart[i], ffPart[i])
+			for i := range seq.sums {
+				if seq.sums[i] != ff.sums[i] {
+					t.Errorf("allreduce %d sum diverges: seq %v, ff %v", i, seq.sums[i], ff.sums[i])
 				}
 			}
-			if seqFP != ffFP {
-				t.Errorf("fingerprints diverge: seq %#x, ff %#x", seqFP, ffFP)
+			for i := range seq.res {
+				if seq.res[i] != ff.res[i] {
+					t.Fatalf("result[%d] bits diverge: seq %#04x, ff %#04x", i, uint16(seq.res[i]), uint16(ff.res[i]))
+				}
+			}
+			for i := range seq.part {
+				if seq.part[i] != ff.part[i] {
+					t.Errorf("partial[%d] diverges: seq %v, ff %v", i, seq.part[i], ff.part[i])
+				}
+			}
+			if seq.fp != ff.fp {
+				t.Errorf("fingerprints diverge: seq %#x, ff %#x", seq.fp, ff.fp)
 			}
 		})
 	}

@@ -35,7 +35,8 @@ const (
 	// statically-timed phases: compute phases whose cycle count is
 	// exactly predictable advance memory through the same element
 	// loops and jump the cycle counter, cycle-simulating only phase
-	// boundaries. See ff.go and stencilc.Program3D.
+	// boundaries. See ff.go, stencilc.Program3D and (for the
+	// AllReduce's contention-free row phase) kernels.AllReduce.Run.
 	EngineFastForward
 )
 
