@@ -10,7 +10,7 @@ SHELL := /bin/bash
 # paper-table benches cheap, 3 iterations per measurement, 6 repetitions
 # so benchgate can take a stable median.
 BENCH_FLAGS := -short -run '^$$' -bench . -benchtime 3x -count 6
-GATE := 'Benchmark(FabricStep|MachineStep|SpMV2DMachine|StencilApply|Cavity2DWSEIteration|MultiWaferIteration|Snapshot|ServiceSolve|PaperScaleSolve)'
+GATE := 'Benchmark(FabricStep|MachineStep|MemOpStep|FP16|SpMV2DMachine|StencilApply|Cavity2DWSEIteration|MultiWaferIteration|Snapshot|ServiceSolve|PaperScaleSolve)'
 
 .PHONY: build test race check lint bench bench-baseline bench-gate fuzz profile
 
@@ -60,6 +60,7 @@ bench-gate:
 
 fuzz:
 	$(GO) test ./internal/fp16 -run '^$$' -fuzz FuzzFloat16RoundTrip -fuzztime 30s
+	$(GO) test ./internal/fp16 -run '^$$' -fuzz FuzzArithMatchesReference -fuzztime 30s
 	$(GO) test ./internal/fabric -run '^$$' -fuzz FuzzRouterDelivery -fuzztime 60s
 	$(GO) test ./internal/wse -run '^$$' -fuzz FuzzMachineEquivalence -fuzztime 60s
 	$(GO) test ./internal/wse -run '^$$' -fuzz FuzzSnapshotRoundTrip -fuzztime 30s

@@ -191,6 +191,108 @@ func BenchmarkMachineStepBatched(b *testing.B) {
 	}
 }
 
+// BenchmarkFP16 measures the software fp16 datapath every simulated
+// element passes through, one sub-benchmark per primitive over
+// 1024-element slices, reported as ns/elem. Add and Mul are the float32
+// route, FMA and FromFloat64 the float64 one, Float32 the inlined
+// decode, MixedFMAC the inner-product fold. One iteration is 256 passes
+// over the slices, so the gate's three-iteration samples time
+// milliseconds, not a cold first pass.
+func BenchmarkFP16(b *testing.B) {
+	const n, passes = 1024, 256
+	x, y, z := make([]fp16.Float16, n), make([]fp16.Float16, n), make([]fp16.Float16, n)
+	f64 := make([]float64, n)
+	for i := range x {
+		f64[i] = float64(i%23-11) / 28
+		x[i] = fp16.FromFloat64(f64[i])
+		y[i] = fp16.FromFloat64(float64(i%7) * 0.125)
+	}
+	var acc float32
+	for _, op := range []struct {
+		name string
+		run  func()
+	}{
+		{"Add", func() {
+			for i := range z {
+				z[i] = fp16.Add(x[i], y[i])
+			}
+		}},
+		{"Mul", func() {
+			for i := range z {
+				z[i] = fp16.Mul(x[i], y[i])
+			}
+		}},
+		{"FMA", func() {
+			for i := range z {
+				z[i] = fp16.FMA(x[i], y[i], z[i])
+			}
+		}},
+		{"MixedFMAC", func() { acc = fp16.DotMixed(x, y) }},
+		{"FromFloat64", func() {
+			for i := range z {
+				z[i] = fp16.FromFloat64(f64[i])
+			}
+		}},
+		{"Float32", func() {
+			for i := range x {
+				acc += x[i].Float32()
+			}
+		}},
+	} {
+		b.Run(op.name, func(b *testing.B) {
+			for i := 0; i < b.N*passes; i++ {
+				op.run()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(n*passes), "ns/elem")
+		})
+	}
+	benchSink = acc
+}
+
+var benchSink float32
+
+// BenchmarkMemOpStep measures MemOp.Step, the element path under every
+// engine, on the two operand shapes that choose its path: Vec1D
+// (contiguous — the slice kernel) and the same 1024 words described as
+// a 32×32 Mat2D (the descriptor walk), at the cycle engines' 4 lanes
+// per step and at fast-forward's whole-vector step. ns/op is 64
+// 1024-element multiply-accumulates.
+func BenchmarkMemOpStep(b *testing.B) {
+	const rows, n, passes = 32, 32 * 32, 64
+	mach := wse.New(wse.CS1(1, 1))
+	defer mach.Close()
+	tl := mach.Tiles[0]
+	base := tl.Arena.MustAlloc("v", 3*n)
+	for k := 0; k < 3*n; k++ {
+		tl.Arena.Set(base+k, fp16.FromFloat64(float64(k%7)*0.125))
+	}
+	shapes := []struct {
+		name string
+		desc func(base int) tensor.Descriptor
+	}{
+		{"Vec1D", func(base int) tensor.Descriptor { return tensor.Vec1D(base, n) }},
+		{"Mat2D", func(base int) tensor.Descriptor { return tensor.Mat2D(base, rows, n/rows, n/rows) }},
+	}
+	for _, sh := range shapes {
+		for _, lanes := range []int{4, 1 << 30} {
+			name := "lanes4"
+			if lanes > 4 {
+				name = "lanesAll"
+			}
+			b.Run(sh.name+"/"+name, func(b *testing.B) {
+				op := &wse.MemOp{Kind: wse.OpMulAcc, Arena: tl.Arena,
+					Dst: sh.desc(base), A: sh.desc(base + n), B: sh.desc(base + 2*n)}
+				for i := 0; i < b.N*passes; i++ {
+					op.Reset()
+					for !op.Done() {
+						op.Step(tl.Core, lanes)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkPaperScaleSolve measures the solve the hybrid fast-forward
 // engine makes interactive: a 2-iteration BiCGStab on the 7-point heat
 // system through the public core.SolveStar facade, wafer backend,

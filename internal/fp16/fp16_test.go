@@ -264,14 +264,16 @@ func TestMixedFMAC(t *testing.T) {
 		xs[i] = FromFloat64(1.0 / 64)
 	}
 	ones := make([]Float16, len(xs))
-	Fill(ones, One)
+	for i := range ones {
+		ones[i] = One
+	}
 	mixed := DotMixed(xs, ones)
 	if math.Abs(float64(mixed)-64) > 1e-3 {
 		t.Errorf("mixed dot of 4096 * 1/64 = %g, want 64", mixed)
 	}
-	half := DotHalf(xs, ones)
-	if math.Abs(half.Float64()-64) < 1e-6 {
-		t.Log("note: fp16 accumulation happened to be exact here")
+	// Resuming a fold from its accumulator is the same fold.
+	if split := DotMixedAcc(DotMixed(xs[:1000], ones[:1000]), xs[1000:], ones[1000:]); split != mixed {
+		t.Errorf("DotMixedAcc resumed at 1000 = %g, one pass %g", split, mixed)
 	}
 }
 
@@ -358,18 +360,6 @@ func TestSliceConversions(t *testing.T) {
 	for i := range h {
 		if h[i] != h2[i] {
 			t.Errorf("float32 slice round-trip [%d]", i)
-		}
-	}
-}
-
-func TestAxpySlice(t *testing.T) {
-	x := FromFloat64Slice([]float64{1, 2, 3, 4})
-	y := FromFloat64Slice([]float64{10, 20, 30, 40})
-	Axpy(FromFloat64(2), x, y)
-	want := []float64{12, 24, 36, 48}
-	for i := range y {
-		if y[i].Float64() != want[i] {
-			t.Errorf("Axpy[%d] = %v, want %g", i, y[i], want[i])
 		}
 	}
 }

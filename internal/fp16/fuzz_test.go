@@ -103,3 +103,51 @@ func FuzzFloat16RoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzArithMatchesReference fuzzes the operations the exhaustive test
+// cannot enumerate — three-operand FMA, Div, Sqrt, the float32
+// accumulate of MixedFMAC, and FromFloat64 over the whole float64 range
+// — against the reference implementations in reference_test.go. x, y, z
+// are fp16 bit patterns; f is a float64 bit pattern, whose low half also
+// serves as MixedFMAC's float32 accumulator.
+func FuzzArithMatchesReference(f *testing.F) {
+	// FuzzFloat16RoundTrip's rounding-tie and overflow-threshold values,
+	// as the float64 input and, encoded, as operands.
+	for _, s := range []uint32{
+		0x00000000, 0x80000000, 0x3F800000, 0x7F800000, 0x7FC00000,
+		0x477FE000, // 65504, fp16 max
+		0x477FF000, // 65520, the overflow threshold (a tie)
+		0x38800000, // 2^-14, smallest normal
+		0x33800000, // 2^-24, smallest subnormal
+		0x33000000, // 2^-25, ties to even at zero
+		0x387FC000, // largest subnormal
+		0x387FE000, // halfway from it to the smallest normal
+		math.Float32bits(0.1),
+	} {
+		v := math.Float32frombits(s)
+		h := FromFloat32(v).Bits()
+		f.Add(h, uint16(0x3C00), uint16(0x0001), math.Float64bits(float64(v)))
+		f.Add(h, h, h^0x8000, math.Float64bits(float64(v))+1) // just past the tie
+		f.Add(uint16(0x7BFF), uint16(0x3C01), h, math.Float64bits(float64(v))-1)
+	}
+	f.Fuzz(func(t *testing.T, xb, yb, zb uint16, fb uint64) {
+		x, y, z := Float16(xb), Float16(yb), Float16(zb)
+		if got, want := FMA(x, y, z), refFMA(x, y, z); got != want {
+			t.Errorf("FMA(%#04x, %#04x, %#04x) = %#04x, reference %#04x", xb, yb, zb, got.Bits(), want.Bits())
+		}
+		if got, want := Div(x, y), refDiv(x, y); got != want {
+			t.Errorf("Div(%#04x, %#04x) = %#04x, reference %#04x", xb, yb, got.Bits(), want.Bits())
+		}
+		if got, want := Sqrt(z), refSqrt(z); got != want {
+			t.Errorf("Sqrt(%#04x) = %#04x, reference %#04x", zb, got.Bits(), want.Bits())
+		}
+		checkEncode64(t, fb)
+		// A NaN accumulator meeting a NaN product leaves the payload to
+		// the compiler's operand order (see checkPair); any NaN will do.
+		acc := math.Float32frombits(uint32(fb))
+		got, want := MixedFMAC(acc, x, y), refMixedFMAC(acc, x, y)
+		if math.Float32bits(got) != math.Float32bits(want) && !(got != got && want != want) {
+			t.Errorf("MixedFMAC(%#08x, %#04x, %#04x) = %#08x, reference %#08x", uint32(fb), xb, yb, math.Float32bits(got), math.Float32bits(want))
+		}
+	})
+}

@@ -42,51 +42,16 @@ func ToFloat32Slice(src []Float16) []float32 {
 
 // DotMixed computes the inner product of x and y with the CS-1 hardware
 // semantics: exact fp16×fp16 products accumulated sequentially in float32.
-func DotMixed(x, y []Float16) float32 {
-	var acc float32
+func DotMixed(x, y []Float16) float32 { return DotMixedAcc(0, x, y) }
+
+// DotMixedAcc continues a DotMixed fold from acc: the simulated
+// inner-product instruction consumes its operands a few elements per
+// cycle, and the sum depends on the order, so a partial fold must resume
+// from the running accumulator rather than add two partial sums.
+func DotMixedAcc(acc float32, x, y []Float16) float32 {
+	y = y[:len(x)]
 	for i := range x {
 		acc = MixedFMAC(acc, x[i], y[i])
 	}
 	return acc
-}
-
-// DotHalf computes the inner product entirely in fp16: products and
-// accumulation both round to fp16 at every step. It exists so the benches
-// can quantify what the mixed accumulate buys (a Figure 9 ablation).
-func DotHalf(x, y []Float16) Float16 {
-	acc := Zero
-	for i := range x {
-		acc = FMA(x[i], y[i], acc)
-	}
-	return acc
-}
-
-// Axpy computes y[i] = y[i] + a*x[i] in fp16 with a single rounding per
-// element (fused multiply-accumulate), the semantics of the CS-1 SIMD-4
-// AXPY instruction.
-func Axpy(a Float16, x, y []Float16) {
-	for i := range x {
-		y[i] = FMA(a, x[i], y[i])
-	}
-}
-
-// MulEl computes dst[i] = a[i] * b[i] in fp16.
-func MulEl(dst, a, b []Float16) {
-	for i := range dst {
-		dst[i] = Mul(a[i], b[i])
-	}
-}
-
-// AddEl computes dst[i] = a[i] + b[i] in fp16.
-func AddEl(dst, a, b []Float16) {
-	for i := range dst {
-		dst[i] = Add(a[i], b[i])
-	}
-}
-
-// Fill sets every element of dst to v.
-func Fill(dst []Float16, v Float16) {
-	for i := range dst {
-		dst[i] = v
-	}
 }

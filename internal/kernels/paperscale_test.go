@@ -15,7 +15,9 @@ import (
 // extent under the given engine, and returns everything the
 // paper-scale test pins: the solution bits, the solver stats, and the
 // machine's final architectural fingerprint — plus how many of the
-// solve's AllReduces jumped their row phase and how many stepped it.
+// solve's AllReduces jumped their row phase and how many stepped it. It
+// logs how the element steps split between the slice path and the
+// descriptor walk (wse.Machine.ElementSteps).
 func paperScaleSolve(t testing.TB, nx, ny, nz int, eng wse.Engine) (x []fp16.Float16, st WSEStats, fp uint64, rowSkips, rowStepped int) {
 	t.Helper()
 	m := wse.New(wse.Config{FabricW: nx, FabricH: ny, Engine: eng})
@@ -35,6 +37,8 @@ func paperScaleSolve(t testing.TB, nx, ny, nz int, eng wse.Engine) (x []fp16.Flo
 	if err != nil {
 		t.Fatal(err)
 	}
+	sliced, walked := m.ElementSteps()
+	t.Logf("%d×%d %s: element steps: %d slice, %d walk", nx, ny, m.EngineName(), sliced, walked)
 	return x, st, m.Fingerprint(), s.eng.ar.rowSkips, s.eng.ar.rowStepped
 }
 

@@ -4,6 +4,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/fp16"
 	"repro/internal/perfmodel"
+	"repro/internal/wse"
 )
 
 // This file is Program3D's fast-forward path, the exchange half of the
@@ -228,61 +229,35 @@ func (p *Program3D) tryFastForward(maxCycles int64) (int64, bool) {
 	return res.Cycles, true
 }
 
-// ffCompute evaluates tile st's compute task on the host: the same
-// element loops, in armTile's instruction order and each instruction's
-// ascending element order, with the same fp16 roundings — bit-identical
-// to the simulated datapath by construction.
+// ffCompute evaluates tile st's compute task on the host: armTile's
+// instruction sequence, operand for operand, handed to the same element
+// kernel the simulated datapath runs (wse.MemOpKind.Apply) — so it is
+// bit-identical by construction, with no instruction allocated.
 func (p *Program3D) ffCompute(st *tile3D, i int) {
 	z := p.Mesh.NZ
 	a := st.tile.Arena
 	u := a.Slice(st.offU, z)
 	v := a.Slice(st.offV, z)
-	for j := range u {
-		u[j] = fp16.Zero
-	}
-	if z > 1 {
-		zm := a.Slice(st.offZ[zmIdx][0], z)
-		zp := a.Slice(st.offZ[zpIdx][0], z)
-		for j := 0; j < z-1; j++ { // u[z] = zm[z] * v[z-1]
-			u[1+j] = fp16.Mul(zm[1+j], v[j])
+	clear(u)
+	for k := 1; k <= p.Spec.Widths[2] && k < z; k++ {
+		zm := a.Slice(st.offZ[zmIdx][k-1], z)
+		zp := a.Slice(st.offZ[zpIdx][k-1], z)
+		first := wse.OpMulAcc
+		if k == 1 {
+			first = wse.OpMul // u[z] = zm[z] * v[z-1] opens the sum
 		}
-		for j := 0; j < z-1; j++ { // u[z] += zp[z] * v[z+1]
-			u[j] = fp16.Add(u[j], fp16.Mul(zp[j], v[1+j]))
-		}
-	}
-	for k := 2; k <= p.Spec.Widths[2]; k++ {
-		if z <= k {
-			continue
-		}
-		zmk := a.Slice(st.offZ[zmIdx][k-1], z)
-		zpk := a.Slice(st.offZ[zpIdx][k-1], z)
-		for j := 0; j < z-k; j++ { // u[z] += zm_k[z] * v[z-k]
-			u[k+j] = fp16.Add(u[k+j], fp16.Mul(zmk[k+j], v[j]))
-		}
-		for j := 0; j < z-k; j++ { // u[z] += zp_k[z] * v[z+k]
-			u[j] = fp16.Add(u[j], fp16.Mul(zpk[j], v[k+j]))
-		}
+		first.Apply(0, u[k:], zm[k:], v[:z-k])          // u[z] += zm_k[z] * v[z-k]
+		wse.OpMulAcc.Apply(0, u[:z-k], zp[:z-k], v[k:]) // u[z] += zp_k[z] * v[z+k]
 	}
 	for d := HaloDir(0); d < NumHaloDirs; d++ {
 		for k := 1; k <= p.Spec.Widths[axisOf(d)]; k++ {
-			if !p.inMesh(st, d, k) {
-				continue
-			}
-			cc := a.Slice(st.offC[d][k-1], z)
-			hh := a.Slice(st.offH[d][k-1], z)
-			for j := 0; j < z; j++ { // u += c_{d,k} * halo_{d,k}
-				u[j] = fp16.Add(u[j], fp16.Mul(cc[j], hh[j]))
+			if p.inMesh(st, d, k) { // u += c_{d,k} * halo_{d,k}
+				wse.OpMulAcc.Apply(0, u, a.Slice(st.offC[d][k-1], z), a.Slice(st.offH[d][k-1], z))
 			}
 		}
 	}
-	for j := 0; j < z; j++ { // u += v (unit main diagonal)
-		u[j] = fp16.Add(u[j], v[j])
-	}
+	wse.OpAdd.Apply(0, u, u, v) // u += v (unit main diagonal)
 	if st.dotTask != nil {
-		var acc float32
-		for j := 0; j < z; j++ {
-			acc = fp16.MixedFMAC(acc, u[j], u[j])
-		}
-		p.partials[i] = acc
+		p.partials[i] = fp16.DotMixed(u, u)
 	}
 }

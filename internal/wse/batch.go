@@ -1,7 +1,5 @@
 package wse
 
-import "repro/internal/fp16"
-
 // This file is the batched core-stepping engine (EngineBatched): one
 // decoded instruction executed across every core that is about to do
 // the same thing this cycle.
@@ -13,20 +11,20 @@ import "repro/internal/fp16"
 // odometer — per core per cycle. The batched engine instead classifies
 // each runnable core by the instruction shape it will execute this
 // cycle (classify), groups equal shapes into classes, and runs each
-// class with the operation decoded once and a tight elementwise loop
-// per core (execClass).
+// class with the cycle's element count decided once and each member's
+// elements run through the instruction's own slice step (execClass).
 //
 // Exactness contract: classification happens every cycle against the
 // core's live state, and classification IS the divergence check — a
 // core with pending rx words, live threads, a non-contiguous or
 // length-mismatched operand, or any instruction outside the batchable
 // set simply fails eligibility and takes the scalar step() for that
-// cycle. The batched execution itself performs the same element
-// operations in the same order with the same roundings as MemOp.Step /
-// DotMixed.Step, updates the same descriptors, counters and scheduler
-// state, and retires tasks through the same logic — so the machine
-// state after every cycle is bit-identical to the sequential engine's,
-// which the difftest package and FuzzMachineEquivalence enforce.
+// cycle. The batched execution calls the very slice step MemOp.Step /
+// DotMixed.Step take for contiguous operands, updates the same counters
+// and scheduler state, and retires tasks through the same logic — so
+// the machine state after every cycle is bit-identical to the
+// sequential engine's, which the difftest package and
+// FuzzMachineEquivalence enforce.
 //
 // Determinism note: within one cycle cores only touch their own tile
 // (batchable instructions never reach the fabric), so executing class
@@ -78,16 +76,6 @@ func (bs *batchState) class(k classKey) *batchClass {
 	cl.key = k
 	cl.cores = cl.cores[:0]
 	return cl
-}
-
-// memOpUsesB reports whether the kind reads the B operand (see
-// MemOp.Step).
-func memOpUsesB(k MemOpKind) bool {
-	switch k {
-	case OpMul, OpAdd, OpFMA, OpMulAcc:
-		return true
-	}
-	return false
 }
 
 // stepShardBatched is the batched counterpart of stepShard: classify
@@ -168,7 +156,7 @@ func (m *Machine) classify(c *Core) (classKey, bool) {
 		if rem <= 0 || !op.Dst.Contig() || !op.A.Contig() || op.A.Len()-op.A.Advanced() != rem {
 			return k, false
 		}
-		if memOpUsesB(op.Kind) && (!op.B.Contig() || op.B.Len()-op.B.Advanced() != rem) {
+		if op.Kind.readsB() && (!op.B.Contig() || op.B.Len()-op.B.Advanced() != rem) {
 			return k, false
 		}
 		return classKey{kind: op.Kind, rem: rem}, true
@@ -188,93 +176,26 @@ func (m *Machine) classify(c *Core) (classKey, bool) {
 }
 
 // execClass runs one cycle of every core in the class: the per-cycle
-// element count is decided once from the key, and each member executes
-// the same tight loop — same element order, same roundings, same
-// counter updates as the scalar interpreter.
+// element count is decided once from the key, and each member runs that
+// many elements through the slice step of its own instruction (classify
+// established the operands are contiguous) — the same code, counters and
+// retirement as the scalar interpreter.
 func (m *Machine) execClass(cl *batchClass) {
+	n, per := m.Cfg.SIMDWidth, 1 // elements this cycle, lanes per element
 	if cl.key.dot {
-		e := m.Cfg.SIMDWidth / 2
-		if e > cl.key.rem {
-			e = cl.key.rem
-		}
-		for _, c := range cl.cores {
-			t := c.current
-			op := t.Instrs[t.pc].(*DotMixed)
-			a := op.Arena.Slice(op.A.Pos(), e)
-			b := op.Arena.Slice(op.B.Pos(), e)
-			acc := op.acc
-			for j := 0; j < e; j++ {
-				acc = fp16.MixedFMAC(acc, a[j], b[j])
-			}
-			op.acc = acc
-			op.began = true
-			op.A.SkipContig(e)
-			op.B.SkipContig(e)
-			c.busyCycles++
-			c.lanesUsed += int64(2 * e)
-			if e == cl.key.rem {
-				if op.Out != nil {
-					*op.Out = op.acc
-				}
-				m.retireCurrent(c)
-			}
-		}
-		return
+		n, per = n/2, 2
 	}
-	n := m.Cfg.SIMDWidth
-	if n > cl.key.rem {
-		n = cl.key.rem
-	}
-	usesB := memOpUsesB(cl.key.kind)
+	n = min(n, cl.key.rem)
 	for _, c := range cl.cores {
-		t := c.current
-		op := t.Instrs[t.pc].(*MemOp)
-		// Slices view live arena memory, so overlapping operands (the
-		// FIFO-draining accumulate-in-place patterns) behave exactly as
-		// the scalar element loop: element j is fully read and written
-		// before element j+1.
-		d := op.Arena.Slice(op.Dst.Pos(), n)
-		a := op.Arena.Slice(op.A.Pos(), n)
-		var b []fp16.Float16
-		if usesB {
-			b = op.Arena.Slice(op.B.Pos(), n)
+		switch op := c.current.Instrs[c.current.pc].(type) {
+		case *MemOp:
+			op.stepContig(n)
+		case *DotMixed:
+			op.stepContig(n)
 		}
-		switch cl.key.kind {
-		case OpMul:
-			for j := 0; j < n; j++ {
-				d[j] = fp16.Mul(a[j], b[j])
-			}
-		case OpAdd:
-			for j := 0; j < n; j++ {
-				d[j] = fp16.Add(a[j], b[j])
-			}
-		case OpAxpy:
-			for j := 0; j < n; j++ {
-				d[j] = fp16.FMA(op.S, a[j], d[j])
-			}
-		case OpCopy:
-			copy(d, a)
-		case OpFMA:
-			for j := 0; j < n; j++ {
-				d[j] = fp16.FMA(op.S, a[j], b[j])
-			}
-		case OpXPAY:
-			for j := 0; j < n; j++ {
-				d[j] = fp16.FMA(op.S, d[j], a[j])
-			}
-		case OpMulAcc:
-			for j := 0; j < n; j++ {
-				d[j] = fp16.Add(d[j], fp16.Mul(a[j], b[j]))
-			}
-		}
-		op.started = true
-		op.Dst.SkipContig(n)
-		op.A.SkipContig(n)
-		if usesB {
-			op.B.SkipContig(n)
-		}
+		c.sliceSteps++
 		c.busyCycles++
-		c.lanesUsed += int64(n)
+		c.lanesUsed += int64(per * n)
 		if n == cl.key.rem {
 			m.retireCurrent(c)
 		}

@@ -120,6 +120,12 @@ type Core struct {
 	// engine, which stepped (and counted) every core every cycle.
 	busyCycles int64
 	lanesUsed  int64
+
+	// sliceSteps and walkSteps count the MemOp/DotMixed steps that took
+	// the contiguous slice path and the descriptor walk. Host-side
+	// observation only (not architectural state, not in the fingerprint):
+	// tests assert them so a lost fast path fails instead of slowing down.
+	sliceSteps, walkSteps int64
 }
 
 func newCore(m *Machine, t *Tile) *Core {

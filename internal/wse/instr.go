@@ -90,9 +90,105 @@ func (m *MemOp) Reset() {
 // Done implements Instr.
 func (m *MemOp) Done() bool { return m.started && m.Dst.Done() }
 
-// Step implements Instr.
+// readsB reports whether the kind reads the B operand.
+func (k MemOpKind) readsB() bool {
+	switch k {
+	case OpMul, OpAdd, OpFMA, OpMulAcc:
+		return true
+	}
+	return false
+}
+
+// Apply executes the operation over len(d) elements of contiguous
+// operands, in ascending element order with one full read-compute-write
+// per element — the order the descriptor walk has, so operands that
+// overlap in live arena memory (the accumulate-in-place patterns, a
+// destination shifted against its source) behave identically. It is the
+// one element kernel of the simulator: MemOp.Step, the batched engine
+// and stencilc's fast-forward compute all land here. b is ignored by the
+// kinds that do not read it, s by those without a scalar.
+func (k MemOpKind) Apply(s fp16.Float16, d, a, b []fp16.Float16) {
+	a = a[:len(d)]
+	if k.readsB() {
+		b = b[:len(d)]
+	}
+	switch k {
+	case OpMul:
+		for j := range d {
+			d[j] = fp16.Mul(a[j], b[j])
+		}
+	case OpAdd:
+		for j := range d {
+			d[j] = fp16.Add(a[j], b[j])
+		}
+	case OpAxpy:
+		for j := range d {
+			d[j] = fp16.FMA(s, a[j], d[j])
+		}
+	case OpCopy:
+		// Not copy(): memmove semantics differ from the element order
+		// when d overlaps a from above.
+		for j := range d {
+			d[j] = a[j]
+		}
+	case OpFMA:
+		for j := range d {
+			d[j] = fp16.FMA(s, a[j], b[j])
+		}
+	case OpXPAY:
+		for j := range d {
+			d[j] = fp16.FMA(s, d[j], a[j])
+		}
+	case OpMulAcc:
+		// Two roundings (multiply, then accumulate), matching the 2D
+		// block-halo kernel's functional reference (kernels.SpMV2D), whose
+		// scatter is Mul followed by Add — the bit-identity contract
+		// between the wafer program and the host kernel depends on this
+		// order.
+		for j := range d {
+			d[j] = fp16.Add(d[j], fp16.Mul(a[j], b[j]))
+		}
+	}
+}
+
+// contigLeft reports whether d's next n elements are one ascending run
+// of arena words.
+func contigLeft(d *tensor.Descriptor, n int) bool {
+	return d.Contig() && d.Len()-d.Advanced() >= n
+}
+
+// contig reports whether the next n elements of every operand the kind
+// reads can be addressed as slices. Dst is known to have n left.
+func (m *MemOp) contig(n int) bool {
+	return m.Dst.Contig() && contigLeft(&m.A, n) && (!m.Kind.readsB() || contigLeft(&m.B, n))
+}
+
+// stepContig executes the next n elements through Apply and advances
+// the descriptors as n walked elements would; contig(n) must hold.
+func (m *MemOp) stepContig(n int) {
+	var b []fp16.Float16
+	if m.Kind.readsB() {
+		b = m.Arena.Slice(m.B.Pos(), n)
+		m.B.SkipContig(n)
+	}
+	m.Kind.Apply(m.S, m.Arena.Slice(m.Dst.Pos(), n), m.Arena.Slice(m.A.Pos(), n), b)
+	m.started = true
+	m.Dst.SkipContig(n)
+	m.A.SkipContig(n)
+}
+
+// Step implements Instr. The operand shape picks the path: contiguous
+// operands (Vec1D — every operand the compiled kernels emit) run the
+// cycle's elements as one slice loop; anything strided, multi-dimensional
+// or short takes the descriptor walk, one address generation per element.
+// Both leave arena, descriptors and return value identical.
 func (m *MemOp) Step(c *Core, lanes int) int {
 	m.started = true
+	if n := min(lanes, m.Dst.Len()-m.Dst.Advanced()); n > 0 && m.contig(n) {
+		m.stepContig(n)
+		c.sliceSteps++
+		return n
+	}
 	used := 0
 	for used < lanes && !m.Dst.Done() {
 		di := m.Dst.Next()
@@ -109,15 +205,13 @@ func (m *MemOp) Step(c *Core, lanes int) int {
 			m.Arena.Set(di, fp16.FMA(m.S, m.Arena.At(m.A.Next()), m.Arena.At(m.B.Next())))
 		case OpXPAY:
 			m.Arena.Set(di, fp16.FMA(m.S, m.Arena.At(di), m.Arena.At(m.A.Next())))
-		case OpMulAcc:
-			// Two roundings (multiply, then accumulate), matching the
-			// 2D block-halo kernel's functional reference
-			// (kernels.SpMV2D), whose scatter is Mul followed by Add —
-			// the bit-identity contract between the wafer program and
-			// the host kernel depends on this order.
+		case OpMulAcc: // see Apply
 			m.Arena.Set(di, fp16.Add(m.Arena.At(di), fp16.Mul(m.Arena.At(m.A.Next()), m.Arena.At(m.B.Next()))))
 		}
 		used++
+	}
+	if used > 0 {
+		c.walkSteps++
 	}
 	return used
 }
@@ -316,13 +410,33 @@ func (d *DotMixed) Reset() {
 // Done implements Instr.
 func (d *DotMixed) Done() bool { return d.began && d.A.Done() }
 
-// Step implements Instr.
+// stepContig folds the next e elements of contiguous operands into the
+// accumulator and publishes the result once the vector is exhausted.
+func (d *DotMixed) stepContig(e int) {
+	d.acc = fp16.DotMixedAcc(d.acc, d.Arena.Slice(d.A.Pos(), e), d.Arena.Slice(d.B.Pos(), e))
+	d.began = true
+	d.A.SkipContig(e)
+	d.B.SkipContig(e)
+	if d.A.Done() && d.Out != nil {
+		*d.Out = d.acc
+	}
+}
+
+// Step implements Instr, with MemOp.Step's choice of path.
 func (d *DotMixed) Step(c *Core, lanes int) int {
 	d.began = true
+	if e := min(lanes/2, d.A.Len()-d.A.Advanced()); e > 0 && d.A.Contig() && contigLeft(&d.B, e) {
+		d.stepContig(e)
+		c.sliceSteps++
+		return 2 * e
+	}
 	used := 0
 	for used+2 <= lanes && !d.A.Done() {
 		d.acc = fp16.MixedFMAC(d.acc, d.Arena.At(d.A.Next()), d.Arena.At(d.B.Next()))
 		used += 2
+	}
+	if used > 0 {
+		c.walkSteps++
 	}
 	if d.A.Done() && d.Out != nil {
 		*d.Out = d.acc

@@ -367,3 +367,16 @@ func (m *Machine) Fingerprint() uint64 {
 func (m *Machine) AllIdle() bool {
 	return !m.anyRunnable() && m.Fab.Quiescent()
 }
+
+// ElementSteps returns how many MemOp and DotMixed steps, summed over
+// the cores, ran as a slice loop over contiguous operands and how many
+// took the per-element descriptor walk — host-side diagnostics, so that
+// a kernel whose operands stopped being contiguous shows up as a count
+// and not only as a slower run.
+func (m *Machine) ElementSteps() (slice, walk int64) {
+	for _, tl := range m.Tiles {
+		slice += tl.Core.sliceSteps
+		walk += tl.Core.walkSteps
+	}
+	return slice, walk
+}
