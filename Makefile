@@ -10,7 +10,7 @@ SHELL := /bin/bash
 # paper-table benches cheap, 3 iterations per measurement, 6 repetitions
 # so benchgate can take a stable median.
 BENCH_FLAGS := -short -run '^$$' -bench . -benchtime 3x -count 6
-GATE := 'Benchmark(FabricStep|MachineStep|MemOpStep|FP16|SpMV2DMachine|StencilApply|Cavity2DWSEIteration|MultiWaferIteration|Snapshot|ServiceSolve|PaperScaleSolve)'
+GATE := 'Benchmark(FabricStep|MachineStep|MemOpStep|FP16|SpMV2DMachine|StencilApply|ExchangeReplay|Cavity2DWSEIteration|MultiWaferIteration|Snapshot|ServiceSolve|PaperScaleSolve)'
 
 .PHONY: build test race check lint bench bench-baseline bench-gate fuzz profile
 
@@ -66,6 +66,7 @@ fuzz:
 	$(GO) test ./internal/wse -run '^$$' -fuzz FuzzSnapshotRoundTrip -fuzztime 30s
 	$(GO) test ./internal/kernels -run '^$$' -fuzz FuzzSpMV2DEquivalence -fuzztime 60s
 	$(GO) test ./internal/stencilc -run '^$$' -fuzz FuzzStencilcEquivalence -fuzztime 60s
+	$(GO) test ./internal/perfmodel -run '^$$' -fuzz FuzzExchangeReplay -fuzztime 30s
 
 # CPU + heap profile of the machine-step hot path (saturated 128×128,
 # sequential engine) — the workflow that found wse.Core.step dominating

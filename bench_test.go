@@ -326,6 +326,69 @@ func BenchmarkPaperScaleSolve(b *testing.B) {
 	})
 }
 
+// BenchmarkExchangeReplay measures perfmodel.ExchangeReplay.Run alone,
+// in the context a solve gives it: the replay stencilc built from the
+// live route layout (the compiled 7-point program's exchange colors plus
+// an AllReduce tree's entries as dead rotation slots), seeded with the
+// rotation counters and hot set one application and one reduction left
+// behind. 32×32×128 is the star_deep_ff workload's shape (long rounds,
+// a long compute task to jump), 602×595×4 the paper wafer (358k tiles,
+// short rounds); short mode swaps the latter for 60×50×4 as
+// BenchmarkPaperScaleSolve does. Replayed and jumped cycles per Run are
+// deterministic and ride along as exact metrics: a lost jump shows
+// there, not just in ns/op.
+func BenchmarkExchangeReplay(b *testing.B) {
+	shapes := []stencil.Mesh{{NX: 32, NY: 32, NZ: 128}, {NX: 602, NY: 595, NZ: 4}}
+	if testing.Short() {
+		shapes[1] = stencil.Mesh{NX: 60, NY: 50, NZ: 4}
+	}
+	for _, mesh := range shapes {
+		b.Run(fmt.Sprintf("%dx%dx%d", mesh.NX, mesh.NY, mesh.NZ), func(b *testing.B) {
+			m := wse.New(wse.Config{FabricW: mesh.NX, FabricH: mesh.NY, Engine: wse.EngineFastForward})
+			defer m.Close()
+			norm, _ := stencil.Heat3D(mesh, 0.1, stencil.Dirichlet).Normalize()
+			p, err := stencilc.Compile3D(m, stencilc.Spec7Point(), stencil.NewOpStarHalf(norm), 0, 0, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ar, err := kernels.NewAllReduce(m, stencilc.NumExchangeColors)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < p.Tiles(); i++ {
+				col := p.Iterate(i)
+				for z := range col {
+					col[z] = fp16.FromFloat64(float64((i+z)%23-11) / 28)
+				}
+			}
+			// As a solve alternates them; the first application is
+			// cycle-simulated (the freshly built machine is not idle yet).
+			for round := 0; round < 2; round++ {
+				if _, err := p.Run(1 << 22); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := ar.Run(make([]float32, p.Tiles()), 1<<22); err != nil {
+					b.Fatal(err)
+				}
+			}
+			rep := p.ExchangeReplay()
+			if rep == nil {
+				b.Fatal("the program did not fast-forward")
+			}
+			hot := m.Fab.HotTiles()
+			_, cycles0, jumped0 := rep.Stats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rep.Run(m.Fab.RR, hot)
+			}
+			_, cycles, jumped := rep.Stats()
+			b.ReportMetric(float64(cycles-cycles0)/float64(b.N), "sim-cycles/op")
+			b.ReportMetric(float64(jumped-jumped0)/float64(b.N), "jumped-cycles/op")
+		})
+	}
+}
+
 // BenchmarkMachineStepIdle measures a machine cycle on a fully
 // quiescent fabric — no tasks, no threads, no in-flight words. With
 // event-driven core scheduling this is the "idle tiles are free" path:

@@ -125,7 +125,7 @@ func main() {
 		input     = flag.String("input", "", "go test -bench output to parse (required)")
 		write     = flag.String("write", "", "write a fresh baseline JSON to this path and exit")
 		baseline  = flag.String("baseline", "", "committed baseline JSON to gate against")
-		gate      = flag.String("gate", "Benchmark(FabricStep|MachineStep|MemOpStep|FP16|SpMV2DMachine|StencilApply|Cavity2DWSEIteration|MultiWaferIteration|Snapshot|ServiceSolve|PaperScaleSolve)", "regexp of benchmark names the gate applies to")
+		gate      = flag.String("gate", "Benchmark(FabricStep|MachineStep|MemOpStep|FP16|SpMV2DMachine|StencilApply|ExchangeReplay|Cavity2DWSEIteration|MultiWaferIteration|Snapshot|ServiceSolve|PaperScaleSolve)", "regexp of benchmark names the gate applies to")
 		threshold = flag.Float64("threshold", 15, "max allowed geomean slowdown, percent")
 		out       = flag.String("out", "", "also write the new run's summary JSON here (artifact upload)")
 	)

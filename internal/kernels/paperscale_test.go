@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"flag"
 	"testing"
 	"time"
 
@@ -10,15 +11,25 @@ import (
 	"repro/internal/wse"
 )
 
+// paperScaleBudget turns on the wall-clock budget of
+// TestPaperScaleBiCGStab's 602×595 leg. Off by default: inside a plain
+// `go test ./...` the test shares the machine with whatever else runs
+// and asserts only what is deterministic; CI's paper-scale step, which
+// runs it alone, passes the flag.
+var paperScaleBudget = flag.Bool("paperscale.budget", false,
+	"fail TestPaperScaleBiCGStab when the 602x595 solve takes 30 s or more")
+
 // paperScaleSolve builds the 3-D heat operator on an nx×ny×nz mesh,
 // runs a two-iteration BiCGStab solve on a wafer of the matching fabric
 // extent under the given engine, and returns everything the
 // paper-scale test pins: the solution bits, the solver stats, and the
 // machine's final architectural fingerprint — plus how many of the
-// solve's AllReduces jumped their row phase and how many stepped it. It
-// logs how the element steps split between the slice path and the
-// descriptor walk (wse.Machine.ElementSteps).
-func paperScaleSolve(t testing.TB, nx, ny, nz int, eng wse.Engine) (x []fp16.Float16, st WSEStats, fp uint64, rowSkips, rowStepped int) {
+// solve's AllReduces jumped their row phase and how many stepped it, and
+// the exchange replay's own account (Run calls, cycles replayed, cycles
+// jumped; zero under an engine that does not fast-forward). It logs how
+// the element steps split between the slice path and the descriptor walk
+// (wse.Machine.ElementSteps).
+func paperScaleSolve(t testing.TB, nx, ny, nz int, eng wse.Engine) (x []fp16.Float16, st WSEStats, fp uint64, rowSkips, rowStepped int, replay [3]int64) {
 	t.Helper()
 	m := wse.New(wse.Config{FabricW: nx, FabricH: ny, Engine: eng})
 	defer m.Close()
@@ -39,7 +50,10 @@ func paperScaleSolve(t testing.TB, nx, ny, nz int, eng wse.Engine) (x []fp16.Flo
 	}
 	sliced, walked := m.ElementSteps()
 	t.Logf("%d×%d %s: element steps: %d slice, %d walk", nx, ny, m.EngineName(), sliced, walked)
-	return x, st, m.Fingerprint(), s.eng.ar.rowSkips, s.eng.ar.rowStepped
+	if r := s.prog.ExchangeReplay(); r != nil {
+		replay[0], replay[1], replay[2] = r.Stats()
+	}
+	return x, st, m.Fingerprint(), s.eng.ar.rowSkips, s.eng.ar.rowStepped, replay
 }
 
 // TestPaperScaleBiCGStab runs the paper's headline configuration — a
@@ -48,10 +62,16 @@ func paperScaleSolve(t testing.TB, nx, ny, nz int, eng wse.Engine) (x []fp16.Flo
 // suite, under the hybrid fast-forward engine (wse.EngineFastForward:
 // statically-timed compute phases replayed by the perfmodel, memory
 // advanced bit-exactly on the host, the AllReduce's contention-free row
-// phase applied in closed form and the rest of it cycle-simulated). The
-// wall-time bound is the point: the same solve under pure cycle
+// phase applied in closed form and the rest of it cycle-simulated). That
+// it finishes in seconds is the point: the same solve under pure cycle
 // simulation takes tens of minutes, which is why paper-scale runs used
-// to live only in perfmodel extrapolations.
+// to live only in perfmodel extrapolations. What keeps it in seconds is
+// asserted by count — every AllReduce jumped its row phase, every SpMV
+// went through the exchange replay, and the replay jumped the cycles it
+// should — plus the pinned fingerprint and cycle account; the elapsed
+// time is always logged and is held to its 30 s budget only under
+// -paperscale.budget (CI's paper-scale step), never inside a shared
+// `go test ./...`.
 //
 // The fast-forward engine's contract is bit- and cycle-identity with
 // sequential stepping. That is pinned here on two smaller wafers where
@@ -76,8 +96,8 @@ func TestPaperScaleBiCGStab(t *testing.T) {
 	// Equivalence legs: fast-forward vs sequential.
 	for _, dims := range [][2]int{{60, 50}, {60, 51}} {
 		nx, ny := dims[0], dims[1]
-		xSeq, stSeq, fpSeq, seqSkips, _ := paperScaleSolve(t, nx, ny, 4, wse.EngineSequential)
-		xFF, stFF, fpFF, ffSkips, ffStepped := paperScaleSolve(t, nx, ny, 4, wse.EngineFastForward)
+		xSeq, stSeq, fpSeq, seqSkips, _, _ := paperScaleSolve(t, nx, ny, 4, wse.EngineSequential)
+		xFF, stFF, fpFF, ffSkips, ffStepped, _ := paperScaleSolve(t, nx, ny, 4, wse.EngineFastForward)
 		if len(xSeq) != len(xFF) {
 			t.Fatalf("%d×%d: solution lengths differ: seq %d, ff %d", nx, ny, len(xSeq), len(xFF))
 		}
@@ -113,19 +133,31 @@ func TestPaperScaleBiCGStab(t *testing.T) {
 			nx, ny, stFF.History, stFF.Cycles, fpFF, ffSkips, ffStepped)
 	}
 
-	// Paper-scale leg: the full wafer, fast-forward engine, with the
-	// wall-time budget that makes it a CI test rather than an overnight
-	// job. The bound is ~1.5× the measured time on the 2-vCPU sandbox
-	// (20 s); losing the AllReduce row-phase jump alone costs ~23 s, so
-	// a trip here is a lost fast path or a regression in the fabric
-	// simulation, not noise.
+	// Paper-scale leg: the full wafer, fast-forward engine. A lost fast
+	// path fails here by count: losing the AllReduce row-phase jump
+	// shows in rowStepped, a program that falls back to cycle simulation
+	// in the replay's Run count, a replay that steps through its compute
+	// tasks in its jumped cycles.
 	start := time.Now()
-	x, st, fp, rowSkips, rowStepped := paperScaleSolve(t, 602, 595, 4, wse.EngineFastForward)
+	x, st, fp, rowSkips, rowStepped, replay := paperScaleSolve(t, 602, 595, 4, wse.EngineFastForward)
 	elapsed := time.Since(start)
 	t.Logf("602×595 solve: %v  iters=%d cycles=%+v setup=%d hist=%v x0=%#04x fp=%#x allreduce row phases jumped=%d stepped=%d",
 		elapsed, st.Iterations, st.Cycles, st.SetupCycles, st.History, uint16(x[0]), fp, rowSkips, rowStepped)
+	t.Logf("602×595 exchange replay: %d runs, %d cycles replayed, %d of them jumped", replay[0], replay[1], replay[2])
 	if rowSkips == 0 || rowStepped != 0 {
 		t.Errorf("AllReduce row phases: %d jumped, %d stepped; every reduction of the 602-wide wafer must jump", rowSkips, rowStepped)
+	}
+	// Four SpMVs (two per iteration) of 17 cycles each; at Z = 4 the
+	// replay jumps the two in which no router is hot and every tile
+	// sleeps in its compute task.
+	if want := [3]int64{4, 4 * 17, 4 * 2}; replay != want {
+		t.Errorf("exchange replay runs/cycles/jumped = %v, want %v", replay, want)
+	}
+	if want := (PhaseCycles{SpMV: 68, Dot: 16, AllReduce: 11976, Axpy: 12}); st.Cycles != want || st.SetupCycles != 1499 {
+		t.Errorf("cycles %+v setup %d, want %+v setup 1499", st.Cycles, st.SetupCycles, want)
+	}
+	if fp != 0x209738842d82bf46 {
+		t.Errorf("machine fingerprint %#x, want 0x209738842d82bf46", fp)
 	}
 
 	if st.Iterations != 2 || len(st.History) != 2 {
@@ -136,10 +168,8 @@ func TestPaperScaleBiCGStab(t *testing.T) {
 			t.Errorf("residual history[%d] = %v, want a positive finite value", i, h)
 		}
 	}
-	if st.Cycles.SpMV <= 0 || st.Cycles.Dot <= 0 || st.Cycles.AllReduce <= 0 || st.Cycles.Axpy <= 0 {
-		t.Errorf("every phase must accumulate cycles: %+v", st.Cycles)
-	}
-	if elapsed >= 30*time.Second {
+	// ~2× the measured time on the 2-vCPU sandbox (12–16 s).
+	if *paperScaleBudget && elapsed >= 30*time.Second {
 		t.Errorf("paper-scale solve took %v, budget is <30s", elapsed)
 	}
 }

@@ -1,29 +1,27 @@
 package perfmodel
 
+import "fmt"
+
 // This file models the cycle cost of one application of the programs the
 // stencil compiler (internal/stencilc) emits: the 3D Z-column relay
 // program (Program3D) and the 2D block-halo program (Program2D). Unlike
 // the coarse per-iteration coefficients of SimModel, these entries are
-// *exact*: the exchange phases of the compiled programs bottleneck on
-// microarchitectural details — the one-word-per-cycle ramp in each
-// direction, the router's per-output-link round-robin arbitration, the
-// depth-4 hardware queues, the depth-8 stream buffers, the SIMD-4
-// datapath shared by the receive threads — and no closed form survives
-// all of them (the measured cost is not even symmetric in x and y,
-// because the send threads drain in slot order). So the model replays
-// the schedule at word granularity: a handful of occupancy counters per
-// tile, no simulated memory, no arithmetic, no data. It is calibrated
-// against nothing — it is pinned bit-exactly to the cycle simulator
-// across shapes, widths and engines by TestStencilApplyModelExact, the
-// same contract HaloSpMVCycles carries for the width-1 kernel.
+// *exact*, and they are thin clients of the one word-granular engine in
+// replay.go: each builds the stage lists its program would run and the
+// route-entry layout RouteExchange would configure on a fresh fabric
+// (no foreign entries, rotation counters at zero, nothing hot), replays
+// one application with ExchangeReplay, and reports its cycle count.
+// TestStencilApplyModelExact pins them bit-exactly to the cycle
+// simulator across shapes, widths and engines, the same contract
+// HaloSpMVCycles carries for the width-1 kernel.
 //
-// Cost: O(W·H·cycles) counter updates. Completion times depend on a
-// tile's clamped distance to each fabric edge (timing influence travels
-// at most one hop per relay round plus a few cycles of queue
-// backpressure), so fabrics larger than a dependency horizon are
-// reduced to it before replay — that is what makes the entries usable
-// at paper scale, where the cycle simulator itself is the expensive
-// thing being modelled. The reduction is pinned by the same test.
+// Cost: O(W·H·active cycles) counter updates. Completion times depend on
+// a tile's clamped distance to each fabric edge (timing influence
+// travels at most one hop per relay round plus a few cycles of queue
+// backpressure), so fabrics larger than a dependency horizon are reduced
+// to it before replay — that is what makes the entries usable at paper
+// scale, where the cycle simulator itself is the expensive thing being
+// modelled. The reduction is pinned by the same test.
 
 // StencilApply3D describes one application of a stencil-compiled 3D
 // column-halo program on a W×H fabric holding the full W×H×Z mesh (the
@@ -45,22 +43,27 @@ type StencilApply2D struct {
 	SumSq   bool
 }
 
-// Cycles returns the exact simulated cycle count of one application.
+// Cycles returns the exact simulated cycle count of one application. It
+// panics on Z < 1, a column no program can be compiled for.
 func (s StencilApply3D) Cycles() int64 {
-	r := s.Widths[0]
-	if s.Widths[1] > r {
-		r = s.Widths[1]
+	if s.Z < 1 {
+		panic(fmt.Sprintf("perfmodel: StencilApply3D with Z = %d, want Z >= 1", s.Z))
 	}
+	r := max(s.Widths[0], s.Widths[1])
 	w, h := saClamp(s.W, r), saClamp(s.H, r)
-	return saRun(w, h, func(x, y int) []saStage {
+	return saRun(w, h, func(x, y int) []ReplayStage {
 		return saStages3D(x, y, w, h, s.Z, s.Widths, s.SumSq)
 	})
 }
 
-// Cycles returns the exact simulated cycle count of one application.
+// Cycles returns the exact simulated cycle count of one application. It
+// panics on B < 2, a block too small to hold a halo transfer.
 func (s StencilApply2D) Cycles() int64 {
+	if s.B < 2 {
+		panic(fmt.Sprintf("perfmodel: StencilApply2D with B = %d, want B >= 2", s.B))
+	}
 	w, h := saClamp(s.W, 1), saClamp(s.H, 1)
-	return saRun(w, h, func(x, y int) []saStage {
+	return saRun(w, h, func(x, y int) []ReplayStage {
 		return saStages2D(x, y, w, h, s.B, s.Points, s.SumSq)
 	})
 }
@@ -79,336 +82,37 @@ func saClamp(n, rounds int) int {
 	return n
 }
 
-// ------------------------------------------------------------- replay
-
-// Directional exchange colors, matching stencilc's assignment: the name
-// is the direction of travel.
-const (
-	saEast = iota
-	saWest
-	saSouth
-	saNorth
-)
-
-// Router ports, matching the fabric package's order.
-const (
-	saPortN = iota
-	saPortE
-	saPortS
-	saPortW
-	saPortRamp
-)
-
-// Hardware depths, matching fabric.Config defaults and the programs'
-// stream-buffer allocation.
-const (
-	saQueueDepth = 4 // router input queue, words
-	saRxDepth    = 4 // core receive buffer, words
-	saBufElems   = 8 // stream buffer, fp16 elements (4 words)
-	saLanes      = 4 // SIMD datapath lanes
-)
-
-// saQ is a hardware queue: only occupancy matters for timing.
-type saQ struct{ size, cap int }
-
-// saEntry is one configured (input queue → output port) route of a
-// router, in the arbitration scan order RouteExchange produces.
-type saEntry struct {
-	q, dst  *saQ
-	port    int
-	dstTile int // router tile to re-mark hot on push; -1 for a core rx delivery
+// saRun replays one application on a fresh w×h fabric: no foreign route
+// entries, rotation counters at zero, nothing hot.
+func saRun(w, h int, stages func(x, y int) []ReplayStage) int64 {
+	r := NewExchangeReplay(w, h, func(ti int) ReplayTileSpec {
+		x, y := ti%w, ti/w
+		return ReplayTileSpec{Entries: saEntries(x, y, w, h), Stages: stages(x, y)}
+	})
+	return r.Run(func(int) int64 { return 0 }, nil).Cycles
 }
 
-// saTx and saRx are one round's send and receive legs, in thread slot
-// order (the order that decides ramp priority and lane sharing).
-type saTx struct{ color, rem int }
-type saRx struct{ color, rem int }
-
-// saStage is one step of a tile's program: a task of `task` datapath
-// cycles, or (task < 0) an exchange round.
-type saStage struct {
-	task int
-	tx   []saTx
-	rx   []saRx
+// saEntries returns a tile's route entries in RouteExchange's
+// configuration order: the tile above and to the left are visited first
+// (their neighbour-side calls land before this tile's own ramp entries),
+// the tile to the right and below after.
+func saEntries(x, y, w, h int) []ReplayEntry {
+	var entries []ReplayEntry
+	add := func(on bool, kind ReplayEntryKind, color uint8) {
+		if on {
+			entries = append(entries, ReplayEntry{Kind: kind, Color: color})
+		}
+	}
+	add(y > 0, ReplayDeliver, saSouth)
+	add(x > 0, ReplayDeliver, saEast)
+	add(x < w-1, ReplayInject, saEast)
+	add(x > 0, ReplayInject, saWest)
+	add(y < h-1, ReplayInject, saSouth)
+	add(y > 0, ReplayInject, saNorth)
+	add(x < w-1, ReplayDeliver, saWest)
+	add(y < h-1, ReplayDeliver, saNorth)
+	return entries
 }
-
-type saTile struct {
-	// Router state.
-	entries []saEntry
-	rr      int
-	hot     bool
-	ramp    [4]saQ // ramp input queues, by injected color
-	link    [4]saQ // link input queues, by arriving color
-	rx      [4]saQ // core receive buffers, by color
-	subbed  [4]bool
-	bufE    [4]int // stream-buffer occupancy, elements, by color
-
-	// Program state.
-	stages []saStage
-	cur    int
-	start  int64 // first cycle the current stage may execute
-	done   bool
-}
-
-type saModel struct {
-	w, h    int
-	tiles   []*saTile
-	hotList []int
-	pops    []*saQ
-	pushes  []saPush
-	still   []int
-}
-
-type saPush struct {
-	q    *saQ
-	tile int
-}
-
-func saRun(w, h int, build func(x, y int) []saStage) int64 {
-	m := &saModel{w: w, h: h, tiles: make([]*saTile, w*h)}
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			t := &saTile{}
-			for c := 0; c < 4; c++ {
-				t.ramp[c].cap = saQueueDepth
-				t.link[c].cap = saQueueDepth
-				t.rx[c].cap = saRxDepth
-			}
-			t.subbed[saEast] = x > 0
-			t.subbed[saWest] = x < w-1
-			t.subbed[saSouth] = y > 0
-			t.subbed[saNorth] = y < h-1
-			t.stages = build(x, y)
-			t.cur = -1
-			m.tiles[y*w+x] = t
-		}
-	}
-	// Route entries in RouteExchange's configuration order: the tile
-	// above and to the left are visited first (their neighbour-side
-	// calls land before this tile's own ramp entries), the tile to the
-	// right and below after.
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			t := m.tiles[y*w+x]
-			add := func(q, dst *saQ, port, dstTile int) {
-				t.entries = append(t.entries, saEntry{q: q, dst: dst, port: port, dstTile: dstTile})
-			}
-			if y > 0 {
-				add(&t.link[saSouth], &t.rx[saSouth], saPortRamp, -1)
-			}
-			if x > 0 {
-				add(&t.link[saEast], &t.rx[saEast], saPortRamp, -1)
-			}
-			if x < w-1 {
-				nb := m.tiles[y*w+x+1]
-				add(&t.ramp[saEast], &nb.link[saEast], saPortE, y*w+x+1)
-			}
-			if x > 0 {
-				nb := m.tiles[y*w+x-1]
-				add(&t.ramp[saWest], &nb.link[saWest], saPortW, y*w+x-1)
-			}
-			if y < h-1 {
-				nb := m.tiles[(y+1)*w+x]
-				add(&t.ramp[saSouth], &nb.link[saSouth], saPortS, (y+1)*w+x)
-			}
-			if y > 0 {
-				nb := m.tiles[(y-1)*w+x]
-				add(&t.ramp[saNorth], &nb.link[saNorth], saPortN, (y-1)*w+x)
-			}
-			if x < w-1 {
-				add(&t.link[saWest], &t.rx[saWest], saPortRamp, -1)
-			}
-			if y < h-1 {
-				add(&t.link[saNorth], &t.rx[saNorth], saPortRamp, -1)
-			}
-		}
-	}
-	for _, t := range m.tiles {
-		m.advance(t, 0)
-	}
-	// One application is bounded well under words·depth· diameter; the
-	// guard only trips on a model bug.
-	guard := int64(1) << 40
-	for cycle := int64(1); cycle <= guard; cycle++ {
-		for _, t := range m.tiles {
-			m.stepTile(t, cycle)
-		}
-		m.fabricStep()
-		alldone := true
-		for _, t := range m.tiles {
-			if !t.done {
-				alldone = false
-				break
-			}
-		}
-		if alldone {
-			return cycle
-		}
-	}
-	panic("perfmodel: stencil apply replay did not terminate")
-}
-
-// advance moves a tile to its next non-empty stage (or completion); the
-// stage first executes the cycle after the one that retired it, exactly
-// the task-activation and thread-launch latency of the core scheduler.
-func (m *saModel) advance(t *saTile, cycle int64) {
-	for {
-		t.cur++
-		if t.cur >= len(t.stages) {
-			t.done = true
-			return
-		}
-		st := &t.stages[t.cur]
-		if st.task < 0 && len(st.tx) == 0 && len(st.rx) == 0 {
-			continue // empty relay round: skipped for free, as in launchRound
-		}
-		break
-	}
-	t.start = cycle + 1
-}
-
-// stepTile replays one core cycle: deliver arriving words to stream
-// buffers (one word per color, only into a buffer with space), then run
-// the current stage — a task burns one datapath cycle; a round offers
-// the ramp to its send threads in slot order (one word per cycle
-// crosses) and shares the four lanes among its receive threads.
-func (m *saModel) stepTile(t *saTile, cycle int64) {
-	for c := 0; c < 4; c++ {
-		if t.subbed[c] && t.rx[c].size > 0 && t.bufE[c] <= saBufElems-2 {
-			t.rx[c].size--
-			t.bufE[c] += 2
-		}
-	}
-	if t.done || cycle < t.start {
-		return
-	}
-	st := &t.stages[t.cur]
-	if st.task >= 0 {
-		st.task--
-		if st.task == 0 {
-			m.advance(t, cycle)
-		}
-		return
-	}
-	sent := false
-	for i := range st.tx {
-		tx := &st.tx[i]
-		if tx.rem > 0 && !sent && t.ramp[tx.color].size < t.ramp[tx.color].cap {
-			t.ramp[tx.color].size++
-			m.markHot(t)
-			tx.rem--
-			sent = true
-		}
-	}
-	lanes := saLanes
-	for i := range st.rx {
-		rx := &st.rx[i]
-		if rx.rem > 0 && lanes > 0 {
-			take := rx.rem
-			if t.bufE[rx.color] < take {
-				take = t.bufE[rx.color]
-			}
-			if lanes < take {
-				take = lanes
-			}
-			rx.rem -= take
-			t.bufE[rx.color] -= take
-			lanes -= take
-		}
-	}
-	for i := range st.tx {
-		if st.tx[i].rem > 0 {
-			return
-		}
-	}
-	for i := range st.rx {
-		if st.rx[i].rem > 0 {
-			return
-		}
-	}
-	m.advance(t, cycle)
-}
-
-func (m *saModel) markHot(t *saTile) {
-	if !t.hot {
-		t.hot = true
-		for i, tt := range m.tiles {
-			if tt == t {
-				m.hotList = append(m.hotList, i)
-				return
-			}
-		}
-	}
-}
-
-func (m *saModel) markHotIdx(ti int) {
-	t := m.tiles[ti]
-	if !t.hot {
-		t.hot = true
-		m.hotList = append(m.hotList, ti)
-	}
-}
-
-// fabricStep replays one router cycle: every hot router walks its route
-// entries from its arbitration rotation, claiming one word per output
-// link against pre-cycle occupancies; claims commit together, so a word
-// moves at most one hop per cycle.
-func (m *saModel) fabricStep() {
-	cur := m.hotList
-	m.hotList = m.hotList[:0:0]
-	m.pops = m.pops[:0]
-	m.pushes = m.pushes[:0]
-	m.still = m.still[:0]
-	for _, ti := range cur {
-		t := m.tiles[ti]
-		t.hot = false
-		n := len(t.entries)
-		if n == 0 {
-			continue
-		}
-		var claimed uint8
-		hasWords := false
-		idx := t.rr % n
-		for k := 0; k < n; k++ {
-			en := &t.entries[idx]
-			idx++
-			if idx == n {
-				idx = 0
-			}
-			if en.q.size == 0 {
-				continue
-			}
-			hasWords = true
-			if claimed&(1<<en.port) != 0 {
-				continue
-			}
-			if en.dst.size == en.dst.cap {
-				continue
-			}
-			claimed |= 1 << en.port
-			m.pops = append(m.pops, en.q)
-			m.pushes = append(m.pushes, saPush{q: en.dst, tile: en.dstTile})
-		}
-		t.rr++
-		if hasWords {
-			m.still = append(m.still, ti)
-		}
-	}
-	for _, q := range m.pops {
-		q.size--
-	}
-	for _, p := range m.pushes {
-		p.q.size++
-		if p.tile >= 0 {
-			m.markHotIdx(p.tile)
-		}
-	}
-	for _, ti := range m.still {
-		m.markHotIdx(ti)
-	}
-}
-
-// ------------------------------------------------------------- stages
 
 func saCeil4(n int) int { return (n + 3) / 4 }
 
@@ -431,23 +135,22 @@ func saAxis(d int) int {
 // relay rounds (each active direction sends Z/2 words and stores Z
 // elements), then the compute task in OpStarHalf.Apply's instruction
 // order, then the optional fused Σy² dot.
-func saStages3D(x, y, w, h, z int, widths [3]int, sumsq bool) []saStage {
+func saStages3D(x, y, w, h, z int, widths [3]int, sumsq bool) []ReplayStage {
 	rounds := widths[0]
 	if widths[1] > rounds {
 		rounds = widths[1]
 	}
 	nb := [4]bool{x < w-1, x > 0, y < h-1, y > 0}
-	var stages []saStage
+	var stages []ReplayStage
 	for r := 1; r <= rounds; r++ {
-		var st saStage
-		st.task = -1
+		st := ReplayStage{Task: -1}
 		for d := 0; d < 4; d++ {
 			if nb[d] && r <= widths[saAxis(d)] {
-				st.tx = append(st.tx, saTx{color: saHaloOut[d], rem: z / 2})
-				st.rx = append(st.rx, saRx{color: saHaloIn[d], rem: z})
+				st.Tx = append(st.Tx, ReplayTx{Color: saHaloOut[d], Words: z / 2})
+				st.Rx = append(st.Rx, ReplayRx{Color: saHaloIn[d], Elems: z})
 			}
 		}
-		if len(st.tx) > 0 {
+		if len(st.Tx) > 0 {
 			stages = append(stages, st)
 		}
 	}
@@ -469,9 +172,9 @@ func saStages3D(x, y, w, h, z int, widths [3]int, sumsq bool) []saStage {
 		}
 	}
 	compute += saCeil4(z) // the unit-diagonal add
-	stages = append(stages, saStage{task: compute})
+	stages = append(stages, ReplayStage{Task: compute})
 	if sumsq {
-		stages = append(stages, saStage{task: (z + 1) / 2})
+		stages = append(stages, ReplayStage{Task: (z + 1) / 2})
 	}
 	return stages
 }
@@ -480,44 +183,42 @@ func saStages3D(x, y, w, h, z int, widths [3]int, sumsq bool) []saStage {
 // task (one block FMAC per stencil point), the ±x halo-column round
 // (B+2 elements per transfer), the ±y row round (B elements), and the
 // optional fused Σy² dot.
-func saStages2D(x, y, w, h, b, points int, sumsq bool) []saStage {
-	stages := []saStage{{task: points * saCeil4(b*b)}}
-	var xr saStage
-	xr.task = -1
+func saStages2D(x, y, w, h, b, points int, sumsq bool) []ReplayStage {
+	stages := []ReplayStage{{Task: points * saCeil4(b*b)}}
+	xr := ReplayStage{Task: -1}
 	if x > 0 {
-		xr.tx = append(xr.tx, saTx{color: saWest, rem: (b + 2) / 2})
+		xr.Tx = append(xr.Tx, ReplayTx{Color: saWest, Words: (b + 2) / 2})
 	}
 	if x < w-1 {
-		xr.tx = append(xr.tx, saTx{color: saEast, rem: (b + 2) / 2})
+		xr.Tx = append(xr.Tx, ReplayTx{Color: saEast, Words: (b + 2) / 2})
 	}
 	if x > 0 {
-		xr.rx = append(xr.rx, saRx{color: saEast, rem: b + 2})
+		xr.Rx = append(xr.Rx, ReplayRx{Color: saEast, Elems: b + 2})
 	}
 	if x < w-1 {
-		xr.rx = append(xr.rx, saRx{color: saWest, rem: b + 2})
+		xr.Rx = append(xr.Rx, ReplayRx{Color: saWest, Elems: b + 2})
 	}
-	if len(xr.tx)+len(xr.rx) > 0 {
+	if len(xr.Tx)+len(xr.Rx) > 0 {
 		stages = append(stages, xr)
 	}
-	var yr saStage
-	yr.task = -1
+	yr := ReplayStage{Task: -1}
 	if y > 0 {
-		yr.tx = append(yr.tx, saTx{color: saNorth, rem: b / 2})
+		yr.Tx = append(yr.Tx, ReplayTx{Color: saNorth, Words: b / 2})
 	}
 	if y < h-1 {
-		yr.tx = append(yr.tx, saTx{color: saSouth, rem: b / 2})
+		yr.Tx = append(yr.Tx, ReplayTx{Color: saSouth, Words: b / 2})
 	}
 	if y > 0 {
-		yr.rx = append(yr.rx, saRx{color: saSouth, rem: b})
+		yr.Rx = append(yr.Rx, ReplayRx{Color: saSouth, Elems: b})
 	}
 	if y < h-1 {
-		yr.rx = append(yr.rx, saRx{color: saNorth, rem: b})
+		yr.Rx = append(yr.Rx, ReplayRx{Color: saNorth, Elems: b})
 	}
-	if len(yr.tx)+len(yr.rx) > 0 {
+	if len(yr.Tx)+len(yr.Rx) > 0 {
 		stages = append(stages, yr)
 	}
 	if sumsq {
-		stages = append(stages, saStage{task: (b*b + 1) / 2})
+		stages = append(stages, ReplayStage{Task: (b*b + 1) / 2})
 	}
 	return stages
 }

@@ -169,6 +169,16 @@ func (p *Program3D) buildFF() *ff3d {
 	return f
 }
 
+// ExchangeReplay returns the counter replay built for this machine's
+// live route layout, or nil before the first fast-forwarded Run built
+// it. Benchmarks time it in isolation; tests read its Stats.
+func (p *Program3D) ExchangeReplay() *perfmodel.ExchangeReplay {
+	if p.ff == nil {
+		return nil
+	}
+	return p.ff.replay
+}
+
 // tryFastForward attempts one application without cycle simulation.
 // It must be called instead of Arm (not after — arming launches
 // threads); on false the caller falls back to the ordinary path. The

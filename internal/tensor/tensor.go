@@ -31,8 +31,14 @@ type Descriptor struct {
 	Shape  [MaxDims]int // extent per dimension; unused dims have extent 1
 	Stride [MaxDims]int // element stride per dimension
 
-	// iteration state
-	idx [MaxDims]int
+	// len caches Len() for descriptors built by the constructors below,
+	// so the per-element Next → Done → Len chain does not multiply four
+	// extents; 0 (a literal) means compute on demand.
+	len int
+
+	// iteration state (idx is narrow so the cached length does not grow
+	// the struct: every instruction embeds two or three descriptors)
+	idx [MaxDims]int32
 	off int
 	n   int // elements emitted
 }
@@ -44,7 +50,7 @@ func Vec1D(base, n int) Descriptor {
 		Base:   base,
 		Shape:  [MaxDims]int{1, 1, 1, n},
 		Stride: [MaxDims]int{0, 0, 0, 1},
-	}
+	}.withLen()
 }
 
 // Strided returns a descriptor over n elements with a fixed stride.
@@ -53,7 +59,7 @@ func Strided(base, n, stride int) Descriptor {
 		Base:   base,
 		Shape:  [MaxDims]int{1, 1, 1, n},
 		Stride: [MaxDims]int{0, 0, 0, stride},
-	}
+	}.withLen()
 }
 
 // Mat2D returns a descriptor over a rows×cols subtensor embedded in a
@@ -64,11 +70,19 @@ func Mat2D(base, rows, cols, rowStride int) Descriptor {
 		Base:   base,
 		Shape:  [MaxDims]int{1, 1, rows, cols},
 		Stride: [MaxDims]int{0, 0, rowStride, 1},
-	}
+	}.withLen()
+}
+
+func (d Descriptor) withLen() Descriptor {
+	d.len = d.Len()
+	return d
 }
 
 // Len returns the total number of elements the descriptor traverses.
 func (d *Descriptor) Len() int {
+	if d.len != 0 {
+		return d.len
+	}
 	n := 1
 	for _, s := range d.Shape {
 		if s > 1 {
@@ -80,7 +94,7 @@ func (d *Descriptor) Len() int {
 
 // Reset rewinds the descriptor to its initial position.
 func (d *Descriptor) Reset() {
-	d.idx = [MaxDims]int{}
+	d.idx = [MaxDims]int32{}
 	d.off = 0
 	d.n = 0
 }
@@ -108,10 +122,10 @@ func (d *Descriptor) Next() int {
 	for dim := MaxDims - 1; dim >= 0; dim-- {
 		d.idx[dim]++
 		d.off += d.Stride[dim]
-		if d.idx[dim] < d.Shape[dim] {
+		if int(d.idx[dim]) < d.Shape[dim] {
 			return pos
 		}
-		d.off -= d.idx[dim] * d.Stride[dim]
+		d.off -= int(d.idx[dim]) * d.Stride[dim]
 		d.idx[dim] = 0
 	}
 	return pos
@@ -143,7 +157,7 @@ func (d *Descriptor) SkipContig(k int) {
 		d.idx[3] = 0
 		d.off = 0
 	} else {
-		d.idx[3] += k
+		d.idx[3] += int32(k)
 		d.off += k
 	}
 }

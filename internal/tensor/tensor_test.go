@@ -297,3 +297,19 @@ func TestFIFOQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestConstructorLenMatchesLiteral pins the length the constructors
+// cache to what a literal of the same shape computes on demand,
+// degenerate extents included (an extent below 2 counts as 1).
+func TestConstructorLenMatchesLiteral(t *testing.T) {
+	for _, d := range []Descriptor{
+		Vec1D(3, 0), Vec1D(3, 1), Vec1D(3, 17), Strided(0, 5, 3), Strided(0, 1, 0),
+		Mat2D(2, 4, 6, 10), Mat2D(2, 1, 6, 10), Mat2D(2, 4, 0, 10),
+	} {
+		lit := Descriptor{Base: d.Base, Shape: d.Shape, Stride: d.Stride}
+		if d.Len() != lit.Len() || len(d.Offsets()) != len(lit.Offsets()) {
+			t.Errorf("shape %v: constructor Len %d / %d offsets, literal Len %d / %d offsets",
+				d.Shape, d.Len(), len(d.Offsets()), lit.Len(), len(lit.Offsets()))
+		}
+	}
+}
