@@ -12,7 +12,7 @@ SHELL := /bin/bash
 BENCH_FLAGS := -short -run '^$$' -bench . -benchtime 3x -count 6
 GATE := 'Benchmark(FabricStep|MachineStep|MemOpStep|FP16|SpMV2DMachine|StencilApply|ExchangeReplay|Cavity2DWSEIteration|MultiWaferIteration|Snapshot|ServiceSolve|PaperScaleSolve)'
 
-.PHONY: build test race check lint bench bench-baseline bench-gate fuzz profile
+.PHONY: build test race check lint loc bench bench-baseline bench-gate fuzz profile
 
 build:
 	$(GO) build ./...
@@ -39,6 +39,12 @@ lint:
 			echo "missing package comment: internal/$$p"; fail=1; \
 		fi; \
 	done; exit $$fail
+
+# Non-test, non-generated .go lines per package under internal/ and
+# cmd/, total last: run it at the parent and at HEAD and "N lines gone"
+# is a diff of two commands (scripts/loc.sh takes a checkout path).
+loc:
+	@bash scripts/loc.sh
 
 bench:
 	$(GO) test $(BENCH_FLAGS) . | tee bench.txt

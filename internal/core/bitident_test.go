@@ -12,6 +12,7 @@ import (
 	"repro/internal/multiwafer"
 	"repro/internal/solver"
 	"repro/internal/stencil"
+	"repro/internal/stencilc"
 	"repro/internal/wse"
 )
 
@@ -72,7 +73,7 @@ func TestAllBackendsBitIdentical(t *testing.T) {
 		cfg := wse.CS1(m.NX, m.NY)
 		cfg.Workers = workers
 		mach := wse.New(cfg)
-		w, err := kernels.NewBiCGStabWSEHalo(mach, h)
+		w, err := kernels.NewBiCGStabStarWSE(mach, stencilc.Spec7Point(), stencil.HalfFromOp7(h))
 		if err != nil {
 			mach.Close()
 			t.Fatal(err)

@@ -59,6 +59,15 @@ type Result struct {
 	Telemetry Telemetry
 }
 
+// NewResult assembles a Result from a backend's solve outcome and its
+// telemetry — the one place the two are copied in, for every backend
+// here and for the service's warm-machine solves. TrueResidual is the
+// caller's to fill: it needs the operator.
+func NewResult(x []float64, st solver.Stats, tel Telemetry) Result {
+	return Result{X: x, Iterations: st.Iterations, Converged: st.Converged,
+		Breakdown: st.Breakdown, History: st.History, Telemetry: tel}
+}
+
 // Solve runs BiCGStab on the selected backend. It validates o first;
 // invalid options fail with a *OptionError before any work happens.
 func Solve(p Problem, o Options) (Result, error) {
@@ -116,12 +125,7 @@ func SolveContext(ctx context.Context, p Problem, o Options) (Result, error) {
 		if err != nil {
 			return res, err
 		}
-		res.X = xv.Float64()
-		res.Iterations = st.Iterations
-		res.Converged = st.Converged
-		res.Breakdown = st.Breakdown
-		res.History = st.History
-		res.Telemetry = Telemetry{Backend: Local.String(), Precision: o.Local.Precision.String()}
+		res = NewResult(xv.Float64(), st, Telemetry{Backend: Local.String(), Precision: o.Local.Precision.String()})
 
 	case Wafer:
 		m := norm.M
@@ -141,12 +145,7 @@ func SolveContext(ctx context.Context, p Problem, o Options) (Result, error) {
 		if err != nil {
 			return res, err
 		}
-		res.X = fp16.ToFloat64Slice(x16)
-		res.Iterations = st.Iterations
-		res.Converged = st.Converged
-		res.Breakdown = st.Breakdown
-		res.History = st.History
-		res.Telemetry = TelemetryFromWSE(st)
+		res = NewResult(fp16.ToFloat64Slice(x16), st.SolverStats(true), TelemetryFromWSE(st))
 
 	case MultiWafer:
 		grid := o.MultiWafer.Grid
@@ -161,16 +160,8 @@ func SolveContext(ctx context.Context, p Problem, o Options) (Result, error) {
 		if err != nil {
 			return res, err
 		}
-		res.X = x
-		res.Iterations = st.Iterations
-		res.Converged = st.Converged
-		res.Breakdown = st.Breakdown
-		res.History = st.History
-		if mw, ok := be.Stats(); ok {
-			res.Telemetry = TelemetryFromMultiWafer(mw)
-		} else {
-			res.Telemetry = Telemetry{Backend: MultiWafer.String(), Simulated: true}
-		}
+		mw, _ := be.Stats() // the solve just completed, so they are there
+		res = NewResult(x, st, TelemetryFromMultiWafer(mw))
 
 	case Cluster:
 		ranks := o.Cluster.Ranks

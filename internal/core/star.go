@@ -69,8 +69,7 @@ func SolveStarContext(ctx context.Context, p StarProblem, o Options) (Result, er
 		if err != nil {
 			return res, err
 		}
-		res.fromSolverStats(x, st)
-		res.Telemetry = Telemetry{Backend: Local.String(), Precision: F64.String()}
+		res = NewResult(x, st, Telemetry{Backend: Local.String(), Precision: F64.String()})
 
 	case Wafer:
 		m := norm.M
@@ -84,8 +83,7 @@ func SolveStarContext(ctx context.Context, p StarProblem, o Options) (Result, er
 		if err != nil {
 			return res, err
 		}
-		res.fromSolverStats(x, st)
-		res.Telemetry = TelemetryFromWSE(be.LastStats)
+		res = NewResult(x, st, TelemetryFromWSE(be.LastStats))
 
 	default:
 		return res, &OptionError{"Backend", fmt.Sprintf(
@@ -93,16 +91,6 @@ func SolveStarContext(ctx context.Context, p StarProblem, o Options) (Result, er
 	}
 	res.TrueResidual = norm.ResidualNorm(res.X, sb) / stencil.Norm2(sb)
 	return res, nil
-}
-
-// fromSolverStats fills the solve outcome fields from a backend's
-// solver.Stats.
-func (r *Result) fromSolverStats(x []float64, st solver.Stats) {
-	r.X = x
-	r.Iterations = st.Iterations
-	r.Converged = st.Converged
-	r.Breakdown = st.Breakdown
-	r.History = st.History
 }
 
 // ---------------------------------------------------------------------
@@ -208,15 +196,12 @@ func RunHeat2D(ctx context.Context, m stencil.Mesh2D, lambda float64, u0 []float
 		if err != nil {
 			return out, fmt.Errorf("core: heat step %d: %w", s+1, err)
 		}
-		var res Result
-		res.fromSolverStats(x, st)
+		tel := Telemetry{Backend: Local.String(), Precision: F64.String()}
 		if wafer != nil {
-			res.Telemetry = TelemetryFromWSE(wafer.LastStats)
-		} else {
-			res.Telemetry = Telemetry{Backend: Local.String(), Precision: F64.String()}
+			tel = TelemetryFromWSE(wafer.LastStats)
 		}
 		u = x
-		out = append(out, HeatStep{U: u, Energy: sumSq(u), Solve: res})
+		out = append(out, HeatStep{U: u, Energy: sumSq(u), Solve: NewResult(x, st, tel)})
 	}
 	return out, nil
 }

@@ -5,27 +5,12 @@ import (
 	"repro/internal/multiwafer"
 )
 
-// Phases breaks a simulated cycle account into the paper's kernel
-// classes plus the multi-wafer coupling costs. The single-wafer backend
-// leaves EdgeIO and Combine at zero; the host backends leave everything
-// at zero (no cycle simulation runs there).
-type Phases struct {
-	SpMV      int64 `json:"spmv"`
-	EdgeIO    int64 `json:"edge_io,omitempty"`
-	Dot       int64 `json:"dot"`
-	AllReduce int64 `json:"allreduce"`
-	Combine   int64 `json:"combine,omitempty"`
-	Axpy      int64 `json:"axpy"`
-}
-
-// Total returns the cycle sum across all phases.
-func (p Phases) Total() int64 {
-	return p.SpMV + p.EdgeIO + p.Dot + p.AllReduce + p.Combine + p.Axpy
-}
-
-// Communication returns the cycles spent off the local tile datapaths:
-// the on-wafer reduction plus everything that crossed a wafer edge.
-func (p Phases) Communication() int64 { return p.EdgeIO + p.AllReduce + p.Combine }
+// Phases is the simulated cycle account — the paper's kernel classes
+// plus the multi-wafer coupling costs — exactly as the solve loop keeps
+// it (kernels.PhaseCycles carries the wire names). The single-wafer
+// backend leaves EdgeIO and Combine at zero; the host backends leave
+// everything at zero (no cycle simulation runs there).
+type Phases = kernels.PhaseCycles
 
 // Telemetry is the uniformly serializable instrumentation of a solve.
 // Every backend populates it — clients switch on Simulated (or just
@@ -55,45 +40,32 @@ type Telemetry struct {
 	// SetupCycles is the one-time ‖b‖² dot + reduction before the first
 	// iteration.
 	SetupCycles int64 `json:"setup_cycles,omitempty"`
-	// MaxARDrift is the single-wafer engine's largest observed
-	// |fabric AllReduce − exact sum| as a fraction of the paper's
-	// AllReduce error-model bound (see kernels.WSEStats.MaxARDrift).
+	// MaxARDrift is the largest observed |fabric AllReduce − exact sum|
+	// on any wafer, as a fraction of the paper's AllReduce error-model
+	// bound (see kernels.WSEStats.MaxARDrift).
 	MaxARDrift float64 `json:"max_allreduce_drift,omitempty"`
 }
 
-func phasesFromWSE(c kernels.PhaseCycles) Phases {
-	return Phases{SpMV: c.SpMV, Dot: c.Dot, AllReduce: c.AllReduce, Axpy: c.Axpy}
-}
-
-func phasesFromMultiWafer(c multiwafer.PhaseCycles) Phases {
-	return Phases{SpMV: c.SpMV, EdgeIO: c.EdgeIO, Dot: c.Dot,
-		AllReduce: c.AllReduce, Combine: c.Combine, Axpy: c.Axpy}
-}
-
-// TelemetryFromWSE converts a single-wafer solve's stats into the
-// uniform Telemetry shape. Exported for the service layer, which runs
-// warm-machine solves outside Solve but reports the same telemetry.
-func TelemetryFromWSE(st kernels.WSEStats) Telemetry {
+// telemetryFrom is the one constructor of a simulated solve's
+// Telemetry: the solve loop's account, verbatim, under the backend's
+// name.
+func telemetryFrom(b Backend, st kernels.WSEStats) Telemetry {
 	return Telemetry{
-		Backend:      Wafer.String(),
+		Backend:      b.String(),
 		Simulated:    true,
-		Wafers:       1,
-		Cycles:       phasesFromWSE(st.Cycles),
-		PerIteration: phasesFromWSE(st.PerIteration),
+		Wafers:       st.Wafers,
+		Cycles:       st.Cycles,
+		PerIteration: st.PerIteration,
 		SetupCycles:  st.SetupCycles,
 		MaxARDrift:   st.MaxARDrift,
 	}
 }
 
+// TelemetryFromWSE converts a single-wafer solve's stats into the
+// uniform Telemetry shape. Exported for the service layer, which runs
+// warm-machine solves outside Solve but reports the same telemetry.
+func TelemetryFromWSE(st kernels.WSEStats) Telemetry { return telemetryFrom(Wafer, st) }
+
 // TelemetryFromMultiWafer is TelemetryFromWSE for the multi-wafer
 // cluster's stats.
-func TelemetryFromMultiWafer(st multiwafer.Stats) Telemetry {
-	return Telemetry{
-		Backend:      MultiWafer.String(),
-		Simulated:    true,
-		Wafers:       st.Wafers,
-		Cycles:       phasesFromMultiWafer(st.Cycles),
-		PerIteration: phasesFromMultiWafer(st.PerIteration),
-		SetupCycles:  st.SetupCycles,
-	}
-}
+func TelemetryFromMultiWafer(st multiwafer.Stats) Telemetry { return telemetryFrom(MultiWafer, st) }

@@ -5,37 +5,74 @@ import (
 	"fmt"
 
 	"repro/internal/fp16"
+	"repro/internal/solver"
 	"repro/internal/stencil"
 	"repro/internal/wse"
 )
 
-// PhaseCycles breaks one BiCGStab iteration's cycle count into the
-// paper's kernel classes.
+// PhaseCycles is the one cycle account, from the solve loop to the
+// service's JSON: one BiCGStab iteration's cycles broken into the
+// paper's kernel classes plus the two inter-wafer costs. Simulated
+// phases (SpMV, Dot, AllReduce, Axpy) charge the maximum over the
+// substrate's machines — they run in lockstep and the slowest gates the
+// phase; EdgeIO and Combine are the multi-wafer interconnect model's
+// seconds converted to cycles at the wafer clock, and stay zero on one
+// wafer.
 type PhaseCycles struct {
-	SpMV      int64 // two applications
-	Dot       int64 // four local mixed-precision dots
-	AllReduce int64 // four blocking scalar reductions
-	Axpy      int64 // six AXPY-class vector updates
+	SpMV      int64 `json:"spmv"`              // two applications
+	EdgeIO    int64 `json:"edge_io,omitempty"` // inter-wafer halo transfers feeding those SpMVs
+	Dot       int64 `json:"dot"`               // four local mixed-precision dots
+	AllReduce int64 `json:"allreduce"`         // four blocking on-wafer scalar reductions
+	Combine   int64 `json:"combine,omitempty"` // four host-side exact combines + scalar re-broadcast
+	Axpy      int64 `json:"axpy"`              // six AXPY-class vector updates
 }
 
-// Total returns the iteration's cycles.
-func (p PhaseCycles) Total() int64 { return p.SpMV + p.Dot + p.AllReduce + p.Axpy }
+// Total returns the cycle sum across all phases.
+func (p PhaseCycles) Total() int64 {
+	return p.SpMV + p.EdgeIO + p.Dot + p.AllReduce + p.Combine + p.Axpy
+}
+
+// Communication returns the cycles spent off the local tile datapaths:
+// the on-wafer reduction plus everything that crossed a wafer edge.
+func (p PhaseCycles) Communication() int64 { return p.EdgeIO + p.AllReduce + p.Combine }
+
+// Add accumulates q into p (the backend adapters' cumulative counters).
+func (p *PhaseCycles) Add(q PhaseCycles) {
+	p.SpMV += q.SpMV
+	p.EdgeIO += q.EdgeIO
+	p.Dot += q.Dot
+	p.AllReduce += q.AllReduce
+	p.Combine += q.Combine
+	p.Axpy += q.Axpy
+}
+
+// dividedBy returns the per-iteration mean of an account accumulated
+// over it iterations.
+func (p PhaseCycles) dividedBy(it int64) PhaseCycles {
+	return PhaseCycles{SpMV: p.SpMV / it, EdgeIO: p.EdgeIO / it, Dot: p.Dot / it,
+		AllReduce: p.AllReduce / it, Combine: p.Combine / it, Axpy: p.Axpy / it}
+}
 
 // BiCGStabWSE runs the paper's solver on the simulated wafer: the mesh's
 // X×Y extent is mapped across the fabric, each tile holds the Z-columns
 // of the six matrix diagonals and the solver vectors in fp16, dots use
 // the mixed-precision inner-product instruction with partials combined by
 // the Figure 6 AllReduce at 32 bits, and every vector update runs as a
-// SIMD tensor instruction. The Algorithm 1 control flow lives in the
-// shared wseBiCG engine (wsebicg.go), which the 2D block-halo solver
-// (BiCGStab2DWSE) reuses with a different SpMV and tile layout.
+// SIMD tensor instruction. The SpMV is the paper's Listing 1 FIFO
+// pipeline (SpMV3D); the Algorithm 1 control flow lives in the shared
+// BiCGStabEngine (wsebicg.go), which every other wafer solver reuses
+// with a different SpMV and tile layout. The deterministic
+// halo-exchange rendering of the same 7-point operator is the star
+// solver at stencilc.Spec7Point (BiCGStabStarWSE over
+// stencil.HalfFromOp7) — bit-identical to the host, rank-parallel and
+// multi-wafer backends, where this pipeline's accumulation order is
+// timing-dependent.
 type BiCGStabWSE struct {
 	M    *wse.Machine
 	Mesh stencil.Mesh
 
-	spmv *SpMV3D     // Listing 1 FIFO pipeline (default)
-	halo *SpMV3DHalo // deterministic halo-exchange SpMV (NewBiCGStabWSEHalo)
-	eng  *wseBiCG
+	spmv *SpMV3D
+	eng  *BiCGStabEngine
 }
 
 // NewBiCGStabWSE builds the solver for a unit-diagonal operator whose
@@ -46,35 +83,20 @@ func NewBiCGStabWSE(m *wse.Machine, op *stencil.Op7Half) (*BiCGStabWSE, error) {
 		return nil, err
 	}
 	b := &BiCGStabWSE{M: m, Mesh: op.M, spmv: spmv}
-	b.eng, err = newWSEBiCG(m, op.M.NZ, NumStencilColors, b.runSpMV)
+	b.eng, err = newWSEBiCG(m, op.M.NZ, NumStencilColors, b.runSpMV, columnIndex(m, op.M))
 	if err != nil {
 		return nil, err
 	}
 	return b, nil
 }
 
-// NewBiCGStabWSEHalo builds the solver with the halo-exchange SpMV
-// (SpMV3DHalo) instead of the Listing 1 FIFO pipeline. The halo SpMV
-// applies the stencil in stencil.Op7Half.Apply's exact rounding order,
-// so — combined with the exactly rounded dots — this variant's residual
-// history is bit-identical to the host mixed-precision solver, the
-// rank-parallel cluster solver and the multi-wafer backend on the same
-// problem. On a full-mesh single wafer every in-mesh neighbour is
-// on-fabric and off-mesh halos stay zero, so no host-side halo exchange
-// is needed. The Listing 1 pipeline remains the paper's default
-// (core.BackendWafer); this variant exists for cross-backend
-// bit-comparison and byte-stable checkpoints.
-func NewBiCGStabWSEHalo(m *wse.Machine, op *stencil.Op7Half) (*BiCGStabWSE, error) {
-	halo, err := NewSpMV3DHalo(m, op, 0, 0, 0)
-	if err != nil {
-		return nil, err
+// columnIndex is the Substrate.Index of a one-machine Z-column layout
+// (the 3D mappings): tile (x, y) holds mesh column (x, y), element z.
+func columnIndex(m *wse.Machine, mesh stencil.Mesh) func(part, tile, elem int) int {
+	return func(_, tile, elem int) int {
+		c := m.Tiles[tile].Coord
+		return mesh.Index(c.X, c.Y, elem)
 	}
-	b := &BiCGStabWSE{M: m, Mesh: op.M, halo: halo}
-	b.eng, err = newWSEBiCG(m, op.M.NZ, NumStencil2DColors, b.runSpMVHalo)
-	if err != nil {
-		return nil, err
-	}
-	return b, nil
 }
 
 // LoadCoeff swaps the stencil operator of a built solver without
@@ -88,22 +110,16 @@ func (b *BiCGStabWSE) LoadCoeff(op *stencil.Op7Half) error {
 	if op.M != b.Mesh {
 		return fmt.Errorf("kernels: operator mesh %v does not match solver mesh %v", op.M, b.Mesh)
 	}
-	if b.halo != nil {
-		b.halo.LoadCoeff(op)
-		return nil
-	}
 	return b.spmv.LoadCoeff(op)
 }
 
 // Pristine drains the machine to idle (program construction leaves a
 // few cores spuriously queued) and captures its just-built
 // architectural state. Rewinding to that capture with Reset before each
-// solve makes every solve start from the cold-machine state, so even
-// the Listing 1 FIFO pipeline — whose accumulation order is
+// solve makes every solve start from the cold-machine state, so the
+// Listing 1 FIFO pipeline — whose accumulation order is
 // timing-dependent and therefore sensitive to leftover counters from a
-// previous solve — reproduces a fresh machine's bits exactly. The halo
-// variant's fixed program order does not need this, but the capture is
-// valid for both.
+// previous solve — reproduces a fresh machine's bits exactly.
 func (b *BiCGStabWSE) Pristine() (*wse.Snapshot, error) {
 	if _, err := b.M.RunUntil(b.M.AllIdle, 1<<20); err != nil {
 		return nil, fmt.Errorf("kernels: draining machine for pristine capture: %w", err)
@@ -114,30 +130,48 @@ func (b *BiCGStabWSE) Pristine() (*wse.Snapshot, error) {
 // Reset rewinds the machine to a Pristine capture (see Pristine).
 func (b *BiCGStabWSE) Reset(s *wse.Snapshot) error { return b.M.Restore(s) }
 
-// WSEStats reports a wafer solve.
+// WSEStats reports a wafer solve, on one machine or a grid of them.
 type WSEStats struct {
+	// Wafers is the number of machines the substrate ran on.
+	Wafers     int
 	Iterations int
 	Converged  bool
 	Breakdown  string
 	// History is the per-iteration relative residual ‖r‖₂/‖b‖₂, diagnosed
-	// in float64 from the fp16 recurrence residual.
+	// in float64 from the fp16 recurrence residual in canonical global
+	// order — bit-identical across wafer counts and engines.
 	History []float64
 	// Cycles accumulates per-phase cycle counts across all iterations.
-	// The setup ‖b‖² dot is excluded (see SetupCycles), matching the
-	// multi-wafer backend's accounting.
+	// The setup ‖b‖² dot is excluded (see SetupCycles).
 	Cycles PhaseCycles
 	// PerIteration is the mean cycle breakdown per iteration.
 	PerIteration PhaseCycles
-	// SetupCycles is the one-time ‖b‖² dot + AllReduce before the first
-	// iteration, kept out of Cycles/PerIteration so per-iteration numbers
-	// match the paper's steady-state model.
+	// SetupCycles is the one-time ‖b‖² dot + AllReduce (+ combine) before
+	// the first iteration, kept out of Cycles/PerIteration so
+	// per-iteration numbers match the paper's steady-state model.
 	SetupCycles int64
 	// MaxARDrift is the largest observed |fabric AllReduce − exact sum|
 	// across all dots, as a fraction of the paper's AllReduce error-model
 	// bound (≤ 1 means every fabric reduction stayed within model). The
+	// cross-check runs per wafer on every substrate — each machine's
+	// tree-order value against the exact sum of that machine's own
+	// partials — and a reduction beyond the bound fails the solve. The
 	// solver consumes the exact sum; this measures what tree-order
 	// summation would have perturbed.
 	MaxARDrift float64
+}
+
+// SolverStats is the solve outcome in the shape the solver.Backend*
+// seams return; the residual history is attached only on request.
+func (st WSEStats) SolverStats(recordHistory bool) solver.Stats {
+	out := solver.Stats{Iterations: st.Iterations, Converged: st.Converged, Breakdown: st.Breakdown}
+	if n := len(st.History); n > 0 {
+		out.FinalResidual = st.History[n-1]
+	}
+	if recordHistory {
+		out.History = st.History
+	}
+	return out
 }
 
 // WSEOptions controls the wafer solve.
@@ -172,14 +206,7 @@ type WSEOptions struct {
 // Solve runs BiCGStab for the right-hand side b (mesh-indexed, fp16) with
 // a zero initial guess and returns the solution with solve statistics.
 func (w *BiCGStabWSE) Solve(bvec []fp16.Float16, opts WSEOptions) ([]fp16.Float16, WSEStats, error) {
-	m := w.Mesh
-	if len(bvec) != m.N() {
-		return nil, WSEStats{}, fmt.Errorf("kernels: rhs length %d, want %d", len(bvec), m.N())
-	}
-	return w.eng.solve(bvec, func(tile, elem int) int {
-		c := w.M.Tiles[tile].Coord
-		return m.Index(c.X, c.Y, elem)
-	}, opts)
+	return w.eng.Solve(bvec, opts)
 }
 
 // runSpMV copies src into the SpMV iterate, applies the operator on the
@@ -203,25 +230,6 @@ func (w *BiCGStabWSE) runSpMV(src, dst []int, acc *int64) error {
 		for zz := 0; zz < z; zz++ {
 			t.Arena.Set(dst[i]+zz, t.Arena.At(st.offU+1+zz))
 		}
-	}
-	return nil
-}
-
-// runSpMVHalo is runSpMV for the halo-exchange pipeline. Mesh-boundary
-// halos are never written and stay zero, which is exactly the stencil's
-// boundary condition on a full-mesh wafer.
-func (w *BiCGStabWSE) runSpMVHalo(src, dst []int, acc *int64) error {
-	z := w.Mesh.NZ
-	for i, t := range w.M.Tiles {
-		copy(w.halo.Iterate(i), t.Arena.Slice(src[i], z))
-	}
-	cycles, err := w.halo.Run(int64(z)*1000 + 1<<20)
-	if err != nil {
-		return err
-	}
-	*acc += cycles
-	for i, t := range w.M.Tiles {
-		copy(t.Arena.Slice(dst[i], z), w.halo.Result(i))
 	}
 	return nil
 }

@@ -2,7 +2,6 @@ package kernels
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/fp16"
 	"repro/internal/solver"
@@ -15,14 +14,14 @@ import (
 // coefficient diagonals for it, and b²-element solver vectors; the SpMV
 // is the two-round halo-exchange program (SpMV2DMachine), and the
 // Algorithm 1 control flow — mixed-precision dots, Figure 6 AllReduces,
-// SIMD vector updates — is the shared wseBiCG engine.
+// SIMD vector updates — is the shared BiCGStabEngine.
 type BiCGStab2DWSE struct {
 	M    *wse.Machine
 	Mesh stencil.Mesh2D
 	B    int
 
 	spmv *SpMV2DMachine
-	eng  *wseBiCG
+	eng  *BiCGStabEngine
 }
 
 // NewBiCGStab2DWSE builds the solver for a unit-centre 9-point operator
@@ -34,7 +33,7 @@ func NewBiCGStab2DWSE(m *wse.Machine, op *stencil.Op9, b int) (*BiCGStab2DWSE, e
 		return nil, err
 	}
 	s := &BiCGStab2DWSE{M: m, Mesh: op.M, B: b, spmv: spmv}
-	s.eng, err = newWSEBiCG(m, b*b, NumStencil2DColors, s.runSpMV)
+	s.eng, err = newWSEBiCG(m, b*b, NumStencil2DColors, s.runSpMV, s.index)
 	if err != nil {
 		return nil, err
 	}
@@ -45,9 +44,9 @@ func NewBiCGStab2DWSE(m *wse.Machine, op *stencil.Op9, b int) (*BiCGStab2DWSE, e
 // loop re-assembles the pressure system every iteration).
 func (s *BiCGStab2DWSE) LoadCoeff(op *stencil.Op9) { s.spmv.LoadCoeff(op) }
 
-// index maps (tile, element) to the mesh-global vector position: block
-// row-major within the tile's b×b block.
-func (s *BiCGStab2DWSE) index(tile, elem int) int {
+// index maps (tile, element) of the one machine to the mesh-global
+// vector position: block row-major within the tile's b×b block.
+func (s *BiCGStab2DWSE) index(_, tile, elem int) int {
 	c := s.M.Tiles[tile].Coord
 	b := s.B
 	return s.Mesh.Index(c.X*b+elem%b, c.Y*b+elem/b)
@@ -56,10 +55,7 @@ func (s *BiCGStab2DWSE) index(tile, elem int) int {
 // Solve runs BiCGStab for the right-hand side b (mesh row-major, fp16)
 // with a zero initial guess.
 func (s *BiCGStab2DWSE) Solve(bvec []fp16.Float16, opts WSEOptions) ([]fp16.Float16, WSEStats, error) {
-	if len(bvec) != s.Mesh.N() {
-		return nil, WSEStats{}, fmt.Errorf("kernels: rhs length %d, want %d", len(bvec), s.Mesh.N())
-	}
-	return s.eng.solve(bvec, s.index, opts)
+	return s.eng.Solve(bvec, opts)
 }
 
 // runSpMV copies src into the SpMV iterate blocks, runs the two-round
@@ -97,23 +93,15 @@ func (s *BiCGStab2DWSE) runSpMV(src, dst []int, acc *int64) error {
 // subsequent calls reload coefficients and reuse routing, memory layout
 // and tasks. The caller owns the machine and must Close it when done.
 //
-// The right-hand side is pre-scaled by a power of two so its magnitude
-// sits near one — exact in both float64 and fp16, so it changes no
-// mantissa bits — keeping the fp16-stored iterate clear of the subnormal
-// range for the small mass-imbalance values SIMPLE produces; the
-// solution is unscaled on the way out.
+// The right-hand side is pre-scaled by a power of two (waferSeam), which
+// keeps the fp16-stored iterate clear of the subnormal range for the
+// small mass-imbalance values SIMPLE produces.
 type Wafer2DBackend struct {
 	mach *wse.Machine
 	b    int
 	prog *BiCGStab2DWSE
 
-	// Cumulative instrumentation across solves, for cycles/meshpoint
-	// reporting.
-	Solves     int
-	Iterations int
-	Cycles     PhaseCycles
-	// LastStats is the raw wafer statistics of the most recent solve.
-	LastStats WSEStats
+	waferSeam
 }
 
 // NewWafer2DBackend wraps mach as a 2D solve backend with b×b blocks.
@@ -121,20 +109,8 @@ func NewWafer2DBackend(mach *wse.Machine, b int) *Wafer2DBackend {
 	return &Wafer2DBackend{mach: mach, b: b}
 }
 
-// Name implements solver.Backend2D.
-func (w *Wafer2DBackend) Name() string { return "wse" }
-
-// Machine returns the underlying simulated machine (fingerprinting in
-// equivalence tests).
-func (w *Wafer2DBackend) Machine() *wse.Machine { return w.mach }
-
 // Solve2D implements solver.Backend2D.
 func (w *Wafer2DBackend) Solve2D(op *stencil.Op9, b, x0 []float64, opts solver.Options) ([]float64, solver.Stats, error) {
-	for i, v := range x0 {
-		if v != 0 {
-			return nil, solver.Stats{}, fmt.Errorf("kernels: wafer 2D solve requires a zero initial guess (x0[%d] = %g)", i, v)
-		}
-	}
 	if w.prog == nil {
 		prog, err := NewBiCGStab2DWSE(w.mach, op, w.b)
 		if err != nil {
@@ -147,50 +123,5 @@ func (w *Wafer2DBackend) Solve2D(op *stencil.Op9, b, x0 []float64, opts solver.O
 		}
 		w.prog.LoadCoeff(op)
 	}
-
-	amax := 0.0
-	for _, v := range b {
-		amax = math.Max(amax, math.Abs(v))
-	}
-	if amax == 0 {
-		return nil, solver.Stats{}, solver.ErrZeroRHS
-	}
-	_, exp := math.Frexp(amax) // amax·2^−exp ∈ [0.5, 1)
-	scaled := make([]fp16.Float16, len(b))
-	for i, v := range b {
-		scaled[i] = fp16.FromFloat64(math.Ldexp(v, -exp))
-	}
-
-	x16, st, err := w.prog.Solve(scaled, WSEOptions{
-		Ctx:     opts.Ctx,
-		MaxIter: opts.MaxIter, Tol: opts.Tol,
-		CheckpointEvery: opts.CheckpointEvery, Checkpoint: opts.Checkpoint, Resume: opts.Resume,
-	})
-	if err != nil {
-		return nil, solver.Stats{}, err
-	}
-	w.Solves++
-	w.Iterations += st.Iterations
-	w.Cycles.SpMV += st.Cycles.SpMV
-	w.Cycles.Dot += st.Cycles.Dot
-	w.Cycles.AllReduce += st.Cycles.AllReduce
-	w.Cycles.Axpy += st.Cycles.Axpy
-	w.LastStats = st
-
-	out := make([]float64, len(x16))
-	for i, v := range x16 {
-		out[i] = math.Ldexp(v.Float64(), exp)
-	}
-	stats := solver.Stats{
-		Iterations: st.Iterations,
-		Converged:  st.Converged,
-		Breakdown:  st.Breakdown,
-	}
-	if n := len(st.History); n > 0 {
-		stats.FinalResidual = st.History[n-1]
-	}
-	if opts.RecordHistory {
-		stats.History = st.History
-	}
-	return out, stats, nil
+	return w.solve(w.prog.Solve, b, x0, opts)
 }

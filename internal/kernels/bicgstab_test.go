@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/fp16"
 	"repro/internal/solver"
 	"repro/internal/stencil"
@@ -154,4 +155,74 @@ func TestBiCGStabWSEMemoryAtPaperScale(t *testing.T) {
 	}
 	t.Logf("tile memory at Z=1536: %d bytes of %d", used, 48*1024)
 	_ = w
+}
+
+// TestExactCombineMatchesExactSum cross-checks the engine's two-level
+// dot on a hand-built two-machine substrate against
+// cluster.ExactSum32 directly: (b, b) must equal the exactly rounded
+// sum of the per-tile DotMixed partials computed on the host in global
+// order, whatever the cut — and each dot is charged the substrate's
+// combine cycles once.
+func TestExactCombineMatchesExactSum(t *testing.T) {
+	m := stencil.Mesh{NX: 4, NY: 4, NZ: 8}
+	b := testRHS(m, 13)
+	// Host image of the per-tile partials, in global order.
+	var partials []float32
+	for gy := 0; gy < m.NY; gy++ {
+		for gx := 0; gx < m.NX; gx++ {
+			var acc float32
+			for z := 0; z < m.NZ; z++ {
+				v := b[m.Index(gx, gy, z)]
+				acc = fp16.MixedFMAC(acc, v, v)
+			}
+			partials = append(partials, acc)
+		}
+	}
+	want := cluster.ExactSum32(partials)
+
+	// Two 2×4 machines side by side in x; the operator is the identity
+	// (dst = src), which is all a dot needs from the SpMV.
+	machines := []*wse.Machine{wse.New(wse.CS1(2, 4)), wse.New(wse.CS1(2, 4))}
+	for _, mach := range machines {
+		defer mach.Close()
+	}
+	var order [][2]int32
+	for gy := 0; gy < m.NY; gy++ {
+		for gx := 0; gx < m.NX; gx++ {
+			order = append(order, [2]int32{int32(gx / 2), int32(gy*2 + gx%2)})
+		}
+	}
+	const combine = 17
+	eng, err := NewBiCGStabEngine(Substrate{
+		Machines: machines, PerTile: m.NZ,
+		SpMV: func(src, dst [][]int, _ *PhaseCycles) error {
+			for p, mach := range machines {
+				for i, tile := range mach.Tiles {
+					copy(tile.Arena.Slice(dst[p][i], m.NZ), tile.Arena.Slice(src[p][i], m.NZ))
+				}
+			}
+			return nil
+		},
+		Index:         func(part, tile, elem int) int { return m.Index(part*2+tile%2, tile/2, elem) },
+		Order:         order,
+		CombineCycles: combine,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One iteration loads r0 = b (and breaks down at once: A = I).
+	if _, st, err := eng.Solve(b, WSEOptions{MaxIter: 1}); err != nil || st.Wafers != 2 {
+		t.Fatalf("solve: Wafers = %d, err = %v", st.Wafers, err)
+	}
+	var acc PhaseCycles
+	got, err := eng.dot(&acc, vecR0, vecR0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("two-level dot = %.17g, host exact sum = %.17g", got, want)
+	}
+	if acc.Combine != combine || acc.Dot == 0 || acc.AllReduce == 0 {
+		t.Errorf("dot charged %+v, want combine %d and positive dot/allreduce", acc, combine)
+	}
 }

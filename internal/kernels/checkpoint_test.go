@@ -36,10 +36,10 @@ func TestCheckpointResume(t *testing.T) {
 
 	engines := []struct {
 		name string
-		mk   func(mach *wse.Machine) (*BiCGStabWSE, error)
+		mk   func(mach *wse.Machine) (wseSolver, error)
 	}{
-		{"listing1", func(mach *wse.Machine) (*BiCGStabWSE, error) { return NewBiCGStabWSE(mach, h) }},
-		{"halo", func(mach *wse.Machine) (*BiCGStabWSE, error) { return NewBiCGStabWSEHalo(mach, h) }},
+		{"listing1", func(mach *wse.Machine) (wseSolver, error) { return NewBiCGStabWSE(mach, h) }},
+		{"halo", func(mach *wse.Machine) (wseSolver, error) { return newHaloSolver(mach, h) }},
 	}
 	newMach := func(e wse.Engine) *wse.Machine {
 		cfg := wse.CS1(m.NX, m.NY)

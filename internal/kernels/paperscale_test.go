@@ -53,7 +53,7 @@ func paperScaleSolve(t testing.TB, nx, ny, nz int, eng wse.Engine) (x []fp16.Flo
 	if r := s.prog.ExchangeReplay(); r != nil {
 		replay[0], replay[1], replay[2] = r.Stats()
 	}
-	return x, st, m.Fingerprint(), s.eng.ar.rowSkips, s.eng.ar.rowStepped, replay
+	return x, st, m.Fingerprint(), s.eng.parts[0].ar.rowSkips, s.eng.parts[0].ar.rowStepped, replay
 }
 
 // TestPaperScaleBiCGStab runs the paper's headline configuration — a

@@ -2,7 +2,6 @@ package kernels
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/fp16"
 	"repro/internal/solver"
@@ -17,17 +16,19 @@ import (
 // per-axis widths up to stencilc.MaxWidth — the 25-point seismic
 // stencil, the 7-point heat step, and everything between — and the
 // Algorithm 1 control flow (mixed-precision dots, Figure 6 AllReduces,
-// SIMD vector updates) is the shared wseBiCG engine. At widths {1,1,1}
-// the compiled program is instruction-identical to the halo-exchange
-// SpMV, so this solver reproduces BiCGStabWSE's halo pipeline bit for
-// bit (pinned by TestStarSolverMatchesHalo).
+// SIMD vector updates) is the shared BiCGStabEngine. At
+// stencilc.Spec7Point over stencil.HalfFromOp7 it is the deterministic
+// halo-exchange rendering of the 7-point solve — the same program each
+// multiwafer part runs — whose residual history is bit-identical to the
+// host mixed-precision solver, the rank-parallel cluster solver and the
+// multi-wafer backend (core.TestAllBackendsBitIdentical).
 type BiCGStabStarWSE struct {
 	M    *wse.Machine
 	Mesh stencil.Mesh
 	Spec stencilc.Spec
 
 	prog *stencilc.Program3D
-	eng  *wseBiCG
+	eng  *BiCGStabEngine
 }
 
 // NewBiCGStabStarWSE builds the solver for a unit-diagonal star
@@ -46,7 +47,12 @@ func NewBiCGStabStarWSE(m *wse.Machine, spec stencilc.Spec, op *stencil.OpStarHa
 		return nil, err
 	}
 	s := &BiCGStabStarWSE{M: m, Mesh: op.M, Spec: spec, prog: prog}
-	s.eng, err = newWSEBiCG(m, op.M.NZ, NumStencil2DColors, s.runSpMV)
+	machines := []*wse.Machine{m}
+	s.eng, err = NewBiCGStabEngine(Substrate{
+		Machines: machines, PerTile: op.M.NZ, ARBase: NumStencil2DColors,
+		SpMV:  ColumnSpMV(machines, []ColumnProgram{prog}, op.M.NZ, nil),
+		Index: columnIndex(m, op.M),
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -54,40 +60,64 @@ func NewBiCGStabStarWSE(m *wse.Machine, spec stencilc.Spec, op *stencil.OpStarHa
 }
 
 // LoadCoeff swaps in a new operator on the same mesh and widths;
-// routing, memory layout and task structure are reused.
-func (s *BiCGStabStarWSE) LoadCoeff(op *stencil.OpStarHalf) { s.prog.LoadCoeff(op) }
+// routing, memory layout and task structure are reused. An operator
+// for another mesh or stencil is refused with the program untouched.
+func (s *BiCGStabStarWSE) LoadCoeff(op *stencil.OpStarHalf) error {
+	if op.M != s.Mesh || op.W != s.Spec.Widths {
+		return fmt.Errorf("kernels: star solver built for mesh %v widths %v, got %v widths %v",
+			s.Mesh, s.Spec.Widths, op.M, op.W)
+	}
+	s.prog.LoadCoeff(op)
+	return nil
+}
 
 // Solve runs BiCGStab for the right-hand side b (mesh-indexed, fp16)
 // with a zero initial guess.
 func (s *BiCGStabStarWSE) Solve(bvec []fp16.Float16, opts WSEOptions) ([]fp16.Float16, WSEStats, error) {
-	m := s.Mesh
-	if len(bvec) != m.N() {
-		return nil, WSEStats{}, fmt.Errorf("kernels: rhs length %d, want %d", len(bvec), m.N())
-	}
-	return s.eng.solve(bvec, func(tile, elem int) int {
-		c := s.M.Tiles[tile].Coord
-		return m.Index(c.X, c.Y, elem)
-	}, opts)
+	return s.eng.Solve(bvec, opts)
 }
 
-// runSpMV copies src into the program's iterate columns, runs the
-// relay-exchange application, and copies the result columns to dst. The
-// copies model descriptor re-aliasing and are free; the SpMV cycles are
-// measured.
-func (s *BiCGStabStarWSE) runSpMV(src, dst []int, acc *int64) error {
-	z := s.Mesh.NZ
-	for i, t := range s.M.Tiles {
-		copy(s.prog.Iterate(i), t.Arena.Slice(src[i], z))
+// ColumnProgram is a per-machine SpMV program of the 3D Z-column
+// mapping with host-visible iterate and result columns: a
+// stencilc.Program3D, or the SpMV3DHalo wrapper multiwafer builds.
+type ColumnProgram interface {
+	Iterate(i int) []fp16.Float16
+	Result(i int) []fp16.Float16
+	Run(maxCycles int64) (int64, error)
+}
+
+// ColumnSpMV returns the Substrate.SpMV over one ColumnProgram per
+// machine: copy src into every program's iterate columns, let exchange
+// (nil on one machine) ship the halos that cross a machine edge and
+// return their edge-I/O cycles, run every program — the slowest is
+// charged — and copy the result columns to dst. The copies model
+// descriptor re-aliasing and are free.
+func ColumnSpMV(machines []*wse.Machine, progs []ColumnProgram, z int, exchange func() int64) func(src, dst [][]int, acc *PhaseCycles) error {
+	return func(src, dst [][]int, acc *PhaseCycles) error {
+		for p, m := range machines {
+			for i, t := range m.Tiles {
+				copy(progs[p].Iterate(i), t.Arena.Slice(src[p][i], z))
+			}
+		}
+		if exchange != nil {
+			acc.EdgeIO += exchange()
+		}
+		var cycles int64
+		for _, prog := range progs {
+			c, err := prog.Run(int64(z)*1000 + 1<<20)
+			if err != nil {
+				return err
+			}
+			cycles = max(cycles, c)
+		}
+		acc.SpMV += cycles
+		for p, m := range machines {
+			for i, t := range m.Tiles {
+				copy(t.Arena.Slice(dst[p][i], z), progs[p].Result(i))
+			}
+		}
+		return nil
 	}
-	cycles, err := s.prog.Run(int64(z)*1000 + 1<<20)
-	if err != nil {
-		return err
-	}
-	*acc += cycles
-	for i, t := range s.M.Tiles {
-		copy(t.Arena.Slice(dst[i], z), s.prog.Result(i))
-	}
-	return nil
 }
 
 // ---------------------------------------------------------------------
@@ -102,21 +132,14 @@ func (s *BiCGStabStarWSE) runSpMV(src, dst []int, acc *int64) error {
 // time step on one warm machine. The caller owns the machine and must
 // Close it when done.
 //
-// The right-hand side is pre-scaled by a power of two so its magnitude
-// sits near one — exact in both float64 and fp16 — and the solution is
-// unscaled on the way out, exactly as the 2D wafer backend does.
+// The right-hand side is pre-scaled by a power of two (waferSeam),
+// exactly as the 2D wafer backend does.
 type WaferStarBackend struct {
 	mach *wse.Machine
 	spec stencilc.Spec
 	prog *BiCGStabStarWSE
 
-	// Cumulative instrumentation across solves, for cycles/meshpoint
-	// reporting.
-	Solves     int
-	Iterations int
-	Cycles     PhaseCycles
-	// LastStats is the raw wafer statistics of the most recent solve.
-	LastStats WSEStats
+	waferSeam
 }
 
 // NewWaferStarBackend wraps mach as a star solve backend for spec.
@@ -124,20 +147,8 @@ func NewWaferStarBackend(mach *wse.Machine, spec stencilc.Spec) *WaferStarBacken
 	return &WaferStarBackend{mach: mach, spec: spec}
 }
 
-// Name implements solver.BackendStar.
-func (w *WaferStarBackend) Name() string { return "wse" }
-
-// Machine returns the underlying simulated machine (fingerprinting in
-// equivalence tests).
-func (w *WaferStarBackend) Machine() *wse.Machine { return w.mach }
-
 // SolveStar implements solver.BackendStar.
 func (w *WaferStarBackend) SolveStar(op *stencil.OpStar, b, x0 []float64, opts solver.Options) ([]float64, solver.Stats, error) {
-	for i, v := range x0 {
-		if v != 0 {
-			return nil, solver.Stats{}, fmt.Errorf("kernels: wafer star solve requires a zero initial guess (x0[%d] = %g)", i, v)
-		}
-	}
 	// Reject non-lowerable specs before building the fp16 half operator:
 	// the host references assert Dirichlet, and the caller deserves the
 	// compiler's *UnsupportedError rather than that panic.
@@ -150,56 +161,8 @@ func (w *WaferStarBackend) SolveStar(op *stencil.OpStar, b, x0 []float64, opts s
 			return nil, solver.Stats{}, err
 		}
 		w.prog = prog
-	} else {
-		if op.M != w.prog.Mesh {
-			return nil, solver.Stats{}, fmt.Errorf("kernels: wafer star backend built for mesh %v, got %v", w.prog.Mesh, op.M)
-		}
-		w.prog.LoadCoeff(stencil.NewOpStarHalf(op))
-	}
-
-	amax := 0.0
-	for _, v := range b {
-		amax = math.Max(amax, math.Abs(v))
-	}
-	if amax == 0 {
-		return nil, solver.Stats{}, solver.ErrZeroRHS
-	}
-	_, exp := math.Frexp(amax) // amax·2^−exp ∈ [0.5, 1)
-	scaled := make([]fp16.Float16, len(b))
-	for i, v := range b {
-		scaled[i] = fp16.FromFloat64(math.Ldexp(v, -exp))
-	}
-
-	x16, st, err := w.prog.Solve(scaled, WSEOptions{
-		Ctx:     opts.Ctx,
-		MaxIter: opts.MaxIter, Tol: opts.Tol,
-		CheckpointEvery: opts.CheckpointEvery, Checkpoint: opts.Checkpoint, Resume: opts.Resume,
-	})
-	if err != nil {
+	} else if err := w.prog.LoadCoeff(stencil.NewOpStarHalf(op)); err != nil {
 		return nil, solver.Stats{}, err
 	}
-	w.Solves++
-	w.Iterations += st.Iterations
-	w.Cycles.SpMV += st.Cycles.SpMV
-	w.Cycles.Dot += st.Cycles.Dot
-	w.Cycles.AllReduce += st.Cycles.AllReduce
-	w.Cycles.Axpy += st.Cycles.Axpy
-	w.LastStats = st
-
-	out := make([]float64, len(x16))
-	for i, v := range x16 {
-		out[i] = math.Ldexp(v.Float64(), exp)
-	}
-	stats := solver.Stats{
-		Iterations: st.Iterations,
-		Converged:  st.Converged,
-		Breakdown:  st.Breakdown,
-	}
-	if n := len(st.History); n > 0 {
-		stats.FinalResidual = st.History[n-1]
-	}
-	if opts.RecordHistory {
-		stats.History = st.History
-	}
-	return out, stats, nil
+	return w.solve(w.prog.Solve, b, x0, opts)
 }

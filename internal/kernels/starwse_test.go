@@ -12,11 +12,25 @@ import (
 	"repro/internal/wse"
 )
 
+// wseSolver is what the solver tests drive: any of the package's wafer
+// BiCGStab solvers.
+type wseSolver interface {
+	Solve([]fp16.Float16, WSEOptions) ([]fp16.Float16, WSEStats, error)
+}
+
+// newHaloSolver builds the deterministic halo-exchange rendering of the
+// 7-point solve: the star solver at the 7-point spec.
+func newHaloSolver(m *wse.Machine, op *stencil.Op7Half) (*BiCGStabStarWSE, error) {
+	return NewBiCGStabStarWSE(m, stencilc.Spec7Point(), stencil.HalfFromOp7(op))
+}
+
 // TestStarSolverMatchesHalo pins the star solver as a strict
-// generalization: at widths {1,1,1} the stencil-compiled relay program
-// is the halo-exchange SpMV, so the whole solve — solution bits,
-// residual history, per-phase cycles, machine fingerprint — must match
-// BiCGStabWSEHalo exactly.
+// generalization: at widths {1,1,1} it is the 7-point halo solve, by
+// either route to its operator — the fp16 7-point operator widened
+// (stencil.HalfFromOp7, what the multiwafer parts and the halo tests
+// load) or the float64 star operator narrowed (stencil.NewOpStarHalf,
+// what core.SolveStar loads). The whole solve — solution bits, residual
+// history, per-phase cycles, machine fingerprint — must match exactly.
 func TestStarSolverMatchesHalo(t *testing.T) {
 	m := stencil.Mesh{NX: 6, NY: 5, NZ: 8}
 	op := stencil.RandomDiagDominant(m, 1.6, rand.New(rand.NewSource(3)))
@@ -30,7 +44,7 @@ func TestStarSolverMatchesHalo(t *testing.T) {
 
 	mh := wse.New(wse.CS1(m.NX, m.NY))
 	defer mh.Close()
-	halo, err := NewBiCGStabWSEHalo(mh, stencil.NewOp7Half(norm))
+	halo, err := newHaloSolver(mh, stencil.NewOp7Half(norm))
 	if err != nil {
 		t.Fatal(err)
 	}

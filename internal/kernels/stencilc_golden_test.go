@@ -205,7 +205,7 @@ func TestBiCGStabWSEHaloGolden(t *testing.T) {
 	norm, _ := op.Normalize()
 	mach := wse.New(wse.CS1(4, 3))
 	defer mach.Close()
-	s, err := NewBiCGStabWSEHalo(mach, stencil.NewOp7Half(norm))
+	s, err := newHaloSolver(mach, stencil.NewOp7Half(norm))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 // machine cache rests on: a solver that already ran one solve, handed a
 // new operator via LoadCoeff, produces exactly the bits a freshly built
 // machine produces — for both the Listing 1 FIFO pipeline and the
-// halo-exchange variant.
+// halo-exchange variant (the star solver at the 7-point spec).
 func TestWarmSolverReuseBitIdentical(t *testing.T) {
 	m := stencil.Mesh{NX: 4, NY: 4, NZ: 8}
 	opA := stencil.NewOp7Half(normalized(t, stencil.Poisson(m, 1)))
@@ -22,24 +22,41 @@ func TestWarmSolverReuseBitIdentical(t *testing.T) {
 	bvec := testRHS(m, 11)
 	const iters = 4
 
-	type build func(*wse.Machine, *stencil.Op7Half) (*BiCGStabWSE, error)
+	// build returns the solver and its warm-reuse step: what the caller
+	// does between solves to swap in a new operator.
+	type build func(*wse.Machine, *stencil.Op7Half) (wseSolver, func(*stencil.Op7Half) error, error)
 	for _, tc := range []struct {
 		name  string
 		build build
+	}{
 		// The Listing 1 pipeline's FIFO accumulation order is
 		// timing-dependent, so warm reuse must rewind the machine to its
-		// pristine capture between solves; the halo variant's fixed
-		// program order is reuse-stable without it.
-		reset bool
-	}{
-		{"listing1", NewBiCGStabWSE, true},
-		{"halo", NewBiCGStabWSEHalo, false},
+		// pristine capture between solves.
+		{"listing1", func(m *wse.Machine, op *stencil.Op7Half) (wseSolver, func(*stencil.Op7Half) error, error) {
+			sv, err := NewBiCGStabWSE(m, op)
+			if err != nil {
+				return nil, nil, err
+			}
+			pristine, err := sv.Pristine()
+			return sv, func(op *stencil.Op7Half) error {
+				if err := sv.Reset(pristine); err != nil {
+					return err
+				}
+				return sv.LoadCoeff(op)
+			}, err
+		}},
+		// The halo variant's fixed program order is reuse-stable with
+		// LoadCoeff alone.
+		{"halo", func(m *wse.Machine, op *stencil.Op7Half) (wseSolver, func(*stencil.Op7Half) error, error) {
+			sv, err := newHaloSolver(m, op)
+			return sv, func(op *stencil.Op7Half) error { return sv.LoadCoeff(stencil.HalfFromOp7(op)) }, err
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// Reference: a cold machine built directly for opB.
 			cold := wse.New(wse.CS1(m.NX, m.NY))
 			defer cold.Close()
-			ws, err := tc.build(cold, opB)
+			ws, _, err := tc.build(cold, opB)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -51,23 +68,14 @@ func TestWarmSolverReuseBitIdentical(t *testing.T) {
 			// Warm path: build for opA, run a solve, swap to opB, run again.
 			warm := wse.New(wse.CS1(m.NX, m.NY))
 			defer warm.Close()
-			wsWarm, err := tc.build(warm, opA)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pristine, err := wsWarm.Pristine()
+			wsWarm, reload, err := tc.build(warm, opA)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if _, _, err := wsWarm.Solve(bvec, WSEOptions{MaxIter: 2}); err != nil {
 				t.Fatal(err)
 			}
-			if tc.reset {
-				if err := wsWarm.Reset(pristine); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := wsWarm.LoadCoeff(opB); err != nil {
+			if err := reload(opB); err != nil {
 				t.Fatal(err)
 			}
 			gotX, gotSt, err := wsWarm.Solve(bvec, WSEOptions{MaxIter: iters})
@@ -92,7 +100,7 @@ func TestWarmSolverReuseBitIdentical(t *testing.T) {
 
 			// A mesh mismatch must be refused, not corrupt the program.
 			wrong := stencil.NewOp7Half(normalized(t, stencil.Poisson(stencil.Mesh{NX: 4, NY: 4, NZ: 10}, 1)))
-			if err := wsWarm.LoadCoeff(wrong); err == nil {
+			if err := reload(wrong); err == nil {
 				t.Fatal("LoadCoeff accepted an operator for a different mesh")
 			}
 		})

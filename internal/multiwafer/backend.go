@@ -69,16 +69,5 @@ func (b *Backend) Solve3D(op *stencil.Op7, bvec, x0 []float64, opts solver.Optio
 	b.mu.Lock()
 	b.last = &st
 	b.mu.Unlock()
-	out := solver.Stats{
-		Iterations: st.Iterations,
-		Converged:  st.Converged,
-		Breakdown:  st.Breakdown,
-	}
-	if len(st.History) > 0 {
-		out.FinalResidual = st.History[len(st.History)-1]
-	}
-	if opts.RecordHistory {
-		out.History = st.History
-	}
-	return fp16.ToFloat64Slice(x16), out, nil
+	return fp16.ToFloat64Slice(x16), st.SolverStats(opts.RecordHistory), nil
 }

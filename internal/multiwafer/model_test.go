@@ -46,7 +46,7 @@ func TestModelMatchesSimulator(t *testing.T) {
 			t.Fatalf("%v grid %v: expected %d clean iterations, got %+v", tc, tc.grid, iters, st)
 		}
 		m := model.MultiWaferIterationCycles(tc.nx, tc.ny, tc.nz, tc.grid.W, tc.grid.H, 1.1e9, io)
-		want := PhaseCycles{
+		want := kernels.PhaseCycles{
 			SpMV:      iters * int64(m.SpMV),
 			EdgeIO:    iters * int64(m.EdgeIO),
 			Dot:       iters * int64(m.Dot),

@@ -7,20 +7,27 @@
 // A W×H wafer grid block-partitions the mesh's X×Y extent (the Z
 // columns stay tile-local, as in the paper's 3D mapping); each wafer
 // simulates its sub-extent with the halo-resident SpMV
-// (kernels.SpMV3DHalo). Three kinds of coupling cross wafer edges, all
-// through a host-side interconnect model that charges latency plus
-// bytes over the per-edge bandwidth and converts to cycles at the wafer
-// clock:
+// (kernels.SpMV3DHalo). The package holds no solve loop: a Cluster is
+// the kernels.Substrate of one kernels.BiCGStabEngine — the same
+// Algorithm 1 recurrence, exact combine and cycle account every
+// single-wafer solver runs — and supplies what is particular to a grid.
+// Three kinds of coupling cross wafer edges, all through a host-side
+// interconnect model that charges latency plus bytes over the per-edge
+// bandwidth and converts to cycles at the wafer clock:
 //
-//   - halo exchange: before each SpMV, boundary iterate columns are
-//     copied bit-verbatim into the neighbouring wafer's halo storage;
-//   - dot reduction, level two: each wafer reduces its per-tile
+//   - halo exchange (exchangeHalos, the SpMV hook's edge-I/O step):
+//     before each SpMV, boundary iterate columns are copied bit-verbatim
+//     into the neighbouring wafer's halo storage;
+//   - dot reduction, level two: the engine reduces each wafer's per-tile
 //     mixed-precision dot partials with the on-wafer Figure 6 AllReduce
-//     (cycle-simulated), and the host then combines the partials of all
-//     wafers into one exactly rounded float64 (cluster.ExactSum32 — the
-//     same wide-accumulator machinery as the goroutine-rank backend);
-//   - the scalar result is re-broadcast, charged as two scalar hops per
-//     grid axis.
+//     (cycle-simulated, cross-checked per wafer) and combines the
+//     partials of all wafers into one exactly rounded float64
+//     (cluster.ExactSum32 — the same wide-accumulator machinery as the
+//     goroutine-rank backend) in the canonical global (y, x) order this
+//     package supplies;
+//   - the scalar result is re-broadcast, charged with the combine as
+//     two scalar hops per grid axis (combineCycles, the substrate's
+//     per-dot charge).
 //
 // # Determinism contract
 //
@@ -31,12 +38,11 @@
 // exactly rounded sums of per-tile partials (order-invariant), and all
 // host-side diagnostics accumulate in canonical global mesh order. The
 // package tests pin 1/2/4-wafer runs and both engines to the same
-// histories. The single-wafer solver now consumes the same exactly
-// rounded combine (its on-fabric AllReduce is cycle-accounted and
-// cross-checked, but not consumed), so a 1×1 multiwafer solve is
-// bit-identical to kernels.NewBiCGStabWSEHalo — and to the host
-// chunked-mixed and rank-parallel backends; internal/core's
-// TestAllBackendsBitIdentical pins all four.
+// histories. A 1×1 cluster is the one-part substrate the single-wafer
+// star solver at stencilc.Spec7Point also is, so the two return the
+// same account field for field (TestOneWaferClusterIsTheStarSolver) —
+// and the same bits as the host chunked-mixed and rank-parallel
+// backends; internal/core's TestAllBackendsBitIdentical pins all four.
 package multiwafer
 
 import (
@@ -136,35 +142,24 @@ func (c Config) withDefaults() Config {
 // AllReduce colors, on every wafer's fabric.
 const arBase = fabric.Color(kernels.NumStencil2DColors)
 
-// wafer is one machine plus its programs and per-tile solver storage.
+// wafer is one machine plus its halo-resident SpMV program.
 type wafer struct {
 	wx, wy   int // grid position
 	x0, y0   int // global tile coordinate of fabric (0,0)
 	w, h     int // fabric extent
 	mach     *wse.Machine
 	spmv     *kernels.SpMV3DHalo
-	ar       *kernels.AllReduce
 	neighbor [kernels.NumHaloDirs]*wafer // adjacent wafers, nil at the grid edge
-	// Per-tile arena offsets of the seven solver vectors.
-	offX, offR0, offR, offP, offS, offQ, offY []int
-	partial                                   []float32 // per-tile dot partials
-	phaseTask                                 []*wse.Task
-	phaseDone                                 []bool
 }
 
-// tiles returns the wafer's tile count.
-func (w *wafer) tiles() int { return w.w * w.h }
-
-// Cluster is a grid of cycle-simulated wafers solving one system.
+// Cluster is a grid of cycle-simulated wafers solving one system: the
+// substrate of one kernels.BiCGStabEngine.
 type Cluster struct {
 	Cfg  Config
 	Mesh stencil.Mesh
 
 	wafers []*wafer
-	// order lists (wafer, tile) pairs in canonical global mesh order —
-	// the summation order of every host-side reduction, so diagnostics
-	// cannot depend on the decomposition.
-	order [][2]int32
+	eng    *kernels.BiCGStabEngine
 }
 
 // New builds a cluster for the normalized operator op. The mesh's X and
@@ -203,13 +198,6 @@ func New(cfg Config, op *stencil.Op7Half) (*Cluster, error) {
 			if err != nil {
 				return nil, fmt.Errorf("multiwafer: wafer (%d,%d): %v", wx, wy, err)
 			}
-			wf.ar, err = kernels.NewAllReduce(wf.mach, arBase)
-			if err != nil {
-				return nil, fmt.Errorf("multiwafer: wafer (%d,%d): %v", wx, wy, err)
-			}
-			if err := c.allocSolver(wf, m.NZ); err != nil {
-				return nil, err
-			}
 			c.wafers = append(c.wafers, wf)
 			x0 += xs[wx]
 		}
@@ -230,16 +218,44 @@ func New(cfg Config, op *stencil.Op7Half) (*Cluster, error) {
 		wf.neighbor[kernels.HaloYM] = at(wf.wx, wf.wy-1)
 	}
 
-	// Canonical reduction order: global (y, x) row-major.
-	c.order = make([][2]int32, 0, m.NX*m.NY)
-	for gy := 0; gy < m.NY; gy++ {
-		for gx := 0; gx < m.NX; gx++ {
-			wi, ti := c.locate(gx, gy)
-			c.order = append(c.order, [2]int32{int32(wi), int32(ti)})
-		}
+	var err error
+	if c.eng, err = kernels.NewBiCGStabEngine(c.substrate()); err != nil {
+		return nil, fmt.Errorf("multiwafer: %v", err)
 	}
 	ok = true
 	return c, nil
+}
+
+// substrate describes the grid to the shared solve loop: the wafers'
+// machines as parts, the halo-resident SpMV with the host's inter-wafer
+// halo exchange charged as edge I/O, the Z-column layout of the global
+// mesh, the canonical global (y, x) row-major order of every host-side
+// reduction — so no diagnostic can depend on the decomposition — and
+// the per-dot combine charge.
+func (c *Cluster) substrate() kernels.Substrate {
+	m := c.Mesh
+	machines := make([]*wse.Machine, len(c.wafers))
+	progs := make([]kernels.ColumnProgram, len(c.wafers))
+	for i, wf := range c.wafers {
+		machines[i], progs[i] = wf.mach, wf.spmv
+	}
+	order := make([][2]int32, 0, m.NX*m.NY)
+	for gy := 0; gy < m.NY; gy++ {
+		for gx := 0; gx < m.NX; gx++ {
+			wi, ti := c.locate(gx, gy)
+			order = append(order, [2]int32{int32(wi), int32(ti)})
+		}
+	}
+	return kernels.Substrate{
+		Machines: machines, PerTile: m.NZ, ARBase: arBase,
+		SpMV: kernels.ColumnSpMV(machines, progs, m.NZ, c.exchangeHalos),
+		Index: func(part, tile, elem int) int {
+			gx, gy := c.wafers[part].spmv.GlobalCoord(tile)
+			return m.Index(gx, gy, elem)
+		},
+		Order:         order,
+		CombineCycles: c.combineCycles(),
+	}
 }
 
 // LoadCoeff swaps the cluster's stencil operator without rebuilding the
@@ -268,47 +284,6 @@ func (c *Cluster) locate(gx, gy int) (wi, ti int) {
 		}
 	}
 	panic(fmt.Sprintf("multiwafer: no wafer owns column (%d,%d)", gx, gy))
-}
-
-// allocSolver allocates the seven per-tile solver vectors and the
-// reusable phase task on every tile of wf.
-func (c *Cluster) allocSolver(wf *wafer, z int) error {
-	n := wf.tiles()
-	wf.offX = make([]int, n)
-	wf.offR0 = make([]int, n)
-	wf.offR = make([]int, n)
-	wf.offP = make([]int, n)
-	wf.offS = make([]int, n)
-	wf.offQ = make([]int, n)
-	wf.offY = make([]int, n)
-	wf.partial = make([]float32, n)
-	wf.phaseTask = make([]*wse.Task, n)
-	wf.phaseDone = make([]bool, n)
-	for i, t := range wf.mach.Tiles {
-		var err error
-		alloc := func(name string, off *[]int) {
-			if err != nil {
-				return
-			}
-			(*off)[i], err = t.Arena.Alloc(name, z)
-		}
-		alloc("x", &wf.offX)
-		alloc("r0", &wf.offR0)
-		alloc("r", &wf.offR)
-		alloc("p", &wf.offP)
-		alloc("s", &wf.offS)
-		alloc("q", &wf.offQ)
-		alloc("y", &wf.offY)
-		if err != nil {
-			return fmt.Errorf("multiwafer: wafer (%d,%d) tile %v: %v", wf.wx, wf.wy, t.Coord, err)
-		}
-		i := i
-		task := &wse.Task{Name: "phase"}
-		task.OnComplete = func(cc *wse.Core) { wf.phaseDone[i] = true }
-		t.Core.AddTask(task)
-		wf.phaseTask[i] = task
-	}
-	return nil
 }
 
 // Wafers returns the wafer count.

@@ -8,11 +8,12 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/fp16"
 	"repro/internal/kernels"
 	"repro/internal/solver"
 	"repro/internal/stencil"
+	"repro/internal/stencilc"
+	"repro/internal/wse"
 )
 
 // testProblem builds a normalized momentum-like system with a random
@@ -228,44 +229,148 @@ func TestBackendStatsConcurrent(t *testing.T) {
 	}
 }
 
-// TestExactCombineMatchesExactSum cross-checks the two-level dot
-// against cluster.ExactSum32 directly: the solve's bnorm² must equal
-// the exactly rounded sum of per-tile DotMixed partials computed on the
-// host.
-func TestExactCombineMatchesExactSum(t *testing.T) {
-	h, _, b, _ := testProblem(t, 4, 4, 8, 13)
-	m := h.M
-	// Host image of the per-tile partials, in global order.
-	var parts []float32
-	for gy := 0; gy < m.NY; gy++ {
-		for gx := 0; gx < m.NX; gx++ {
-			var acc float32
-			for z := 0; z < m.NZ; z++ {
-				v := b[m.Index(gx, gy, z)]
-				acc = fp16.MixedFMAC(acc, v, v)
+// TestOneWaferClusterIsTheStarSolver pins the merge: a 1×1 cluster and
+// the single-machine star solver at the 7-point spec are the same
+// engine over the same program, so they return the same account field
+// for field — not merely the same bits of x and History — under the
+// sequential and the sharded engine. (At the parent the two were
+// separate loops with separate stats types; the cluster reported no
+// MaxARDrift at all.)
+func TestOneWaferClusterIsTheStarSolver(t *testing.T) {
+	h, _, b, _ := testProblem(t, 6, 5, 8, 23)
+	opts := kernels.WSEOptions{MaxIter: 5}
+	for _, workers := range []int{1, 4} {
+		cfg := wse.CS1(h.M.NX, h.M.NY)
+		cfg.Workers = workers
+		mach := wse.New(cfg)
+		star, err := kernels.NewBiCGStabStarWSE(mach, stencilc.Spec7Point(), stencil.HalfFromOp7(h))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantX, want, err := star.Solve(b, opts)
+		mach.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		c, err := New(Config{Grid: Topology{1, 1}, Workers: workers}, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotX, got, err := c.Solve(b, opts)
+		c.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		if got.Wafers != 1 || want.Wafers != 1 {
+			t.Errorf("workers %d: Wafers = %d (cluster), %d (star), want 1 and 1", workers, got.Wafers, want.Wafers)
+		}
+		if got.Iterations != want.Iterations || got.Converged != want.Converged || got.Breakdown != want.Breakdown {
+			t.Errorf("workers %d: outcome %d/%v/%q, star solver %d/%v/%q", workers,
+				got.Iterations, got.Converged, got.Breakdown, want.Iterations, want.Converged, want.Breakdown)
+		}
+		if got.Cycles != want.Cycles || got.PerIteration != want.PerIteration || got.SetupCycles != want.SetupCycles {
+			t.Errorf("workers %d: account\n  cluster %+v / %+v / setup %d\n  star    %+v / %+v / setup %d", workers,
+				got.Cycles, got.PerIteration, got.SetupCycles, want.Cycles, want.PerIteration, want.SetupCycles)
+		}
+		if got.MaxARDrift != want.MaxARDrift {
+			t.Errorf("workers %d: MaxARDrift %g, star solver %g", workers, got.MaxARDrift, want.MaxARDrift)
+		}
+		if len(got.History) != len(want.History) || len(want.History) != opts.MaxIter {
+			t.Fatalf("workers %d: %d history entries, star solver %d, want %d", workers, len(got.History), len(want.History), opts.MaxIter)
+		}
+		for i := range want.History {
+			if math.Float64bits(got.History[i]) != math.Float64bits(want.History[i]) {
+				t.Fatalf("workers %d: history[%d] = %.17g, star solver %.17g", workers, i, got.History[i], want.History[i])
 			}
-			parts = append(parts, acc)
+		}
+		for i := range wantX {
+			if gotX[i] != wantX[i] {
+				t.Fatalf("workers %d: x[%d] = %04x, star solver %04x", workers, i, gotX[i].Bits(), wantX[i].Bits())
+			}
 		}
 	}
-	want := cluster.ExactSum32(parts)
+}
 
-	c, err := New(Config{Grid: Topology{2, 2}}, h)
+// TestAllReduceCrossCheckPerWafer pins that the fabric-vs-exact
+// AllReduce cross-check runs on every wafer of a grid: over a solve on
+// 2×1 wafers of 8×8 tiles each the tree-order float32 sums do differ
+// from the exact ones, so the reported drift is positive — and within
+// the paper's error model, or the solve would have failed.
+func TestAllReduceCrossCheckPerWafer(t *testing.T) {
+	h, _, b, _ := testProblem(t, 16, 8, 8, 5)
+	_, st := solveOn(t, Topology{2, 1}, 1, h, b, 4)
+	if st.Wafers != 2 {
+		t.Errorf("Wafers = %d, want 2", st.Wafers)
+	}
+	if st.MaxARDrift <= 0 || st.MaxARDrift > 1 {
+		t.Errorf("MaxARDrift = %g on a 2×1 grid, want in (0, 1]", st.MaxARDrift)
+	}
+}
+
+// TestSolveCheckpointOptions pins what Solve does with the checkpoint
+// options it used to ignore: a 1×1 cluster is one machine and honours
+// them (checkpoint, then resume to the uninterrupted solve's bits); a
+// larger grid refuses every one of them instead of silently running a
+// fresh solve.
+func TestSolveCheckpointOptions(t *testing.T) {
+	h, _, b, _ := testProblem(t, 4, 4, 8, 19)
+	const iters = 6
+	refX, ref := solveOn(t, Topology{1, 1}, 1, h, b, iters)
+
+	var blob []byte
+	c, err := New(Config{Grid: Topology{1, 1}}, h)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, _, err := c.Solve(b, kernels.WSEOptions{MaxIter: 1}); err != nil {
+	if _, _, err := c.Solve(b, kernels.WSEOptions{MaxIter: iters, CheckpointEvery: 3,
+		Checkpoint: func(p []byte) error { blob = append([]byte(nil), p...); return nil }}); err != nil {
 		t.Fatal(err)
 	}
-	// Recompute through the cluster's own reduction path.
-	var cycles PhaseCycles
-	// Reload r0 = b (Solve left r0 in place; dot it directly).
-	got, err := c.dot(&cycles, func(wf *wafer) ([]int, []int) { return wf.offR0, wf.offR0 })
+	if blob == nil {
+		t.Fatal("1×1 cluster cut no checkpoint")
+	}
+	x, st, err := c.Solve(b, kernels.WSEOptions{MaxIter: iters, Resume: blob})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want {
-		t.Errorf("two-level dot = %.17g, host exact sum = %.17g", got, want)
+	if st.Cycles != ref.Cycles || len(st.History) != len(ref.History) {
+		t.Fatalf("resumed solve: %+v with %d history entries, uninterrupted %+v with %d",
+			st.Cycles, len(st.History), ref.Cycles, len(ref.History))
+	}
+	for i := range ref.History {
+		if st.History[i] != ref.History[i] {
+			t.Fatalf("resumed history[%d] = %.17g, uninterrupted %.17g", i, st.History[i], ref.History[i])
+		}
+	}
+	for i := range refX {
+		if x[i] != refX[i] {
+			t.Fatalf("resumed x[%d] = %04x, uninterrupted %04x", i, x[i].Bits(), refX[i].Bits())
+		}
+	}
+
+	c2, err := New(Config{Grid: Topology{2, 1}}, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	for _, tc := range []struct {
+		name string
+		opts kernels.WSEOptions
+	}{
+		{"resume", kernels.WSEOptions{MaxIter: iters, Resume: blob}},
+		{"checkpoint", kernels.WSEOptions{MaxIter: iters, Checkpoint: func([]byte) error { return nil }}},
+		{"every", kernels.WSEOptions{MaxIter: iters, CheckpointEvery: 3}},
+	} {
+		if _, _, err := c2.Solve(b, tc.opts); err == nil {
+			t.Errorf("2×1 grid accepted the %s option", tc.name)
+		}
+	}
+	// The refusal leaves the cluster usable.
+	if _, _, err := c2.Solve(b, kernels.WSEOptions{MaxIter: 2}); err != nil {
+		t.Errorf("solve after a refused one: %v", err)
 	}
 }
 

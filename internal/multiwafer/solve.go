@@ -1,312 +1,42 @@
 package multiwafer
 
 import (
-	"fmt"
 	"math"
 
-	"repro/internal/cluster"
 	"repro/internal/fp16"
 	"repro/internal/kernels"
-	"repro/internal/tensor"
-	"repro/internal/wse"
 )
 
-// PhaseCycles breaks one iteration's cycle account into the kernel
-// classes of the single-wafer solver plus the two inter-wafer costs.
-// Simulated phases (SpMV, Dot, AllReduce, Axpy) charge the maximum over
-// wafers — the wafers run in lockstep and the slowest gates the phase;
-// EdgeIO and Combine convert the interconnect model's seconds to cycles
-// at the wafer clock.
-type PhaseCycles struct {
-	SpMV      int64 // two halo-resident SpMV applications
-	EdgeIO    int64 // inter-wafer halo transfers feeding those SpMVs
-	Dot       int64 // four local mixed-precision dots
-	AllReduce int64 // four on-wafer (level one) reductions
-	Combine   int64 // four host-side exact combines + scalar re-broadcast
-	Axpy      int64 // six AXPY-class vector updates
-}
-
-// Total returns the cycle sum.
-func (p PhaseCycles) Total() int64 {
-	return p.SpMV + p.EdgeIO + p.Dot + p.AllReduce + p.Combine + p.Axpy
-}
-
-// Communication returns the cycles spent off the local tile datapaths:
-// on-wafer reduction plus everything that crossed a wafer edge.
-func (p PhaseCycles) Communication() int64 { return p.EdgeIO + p.AllReduce + p.Combine }
-
-// Stats reports a multiwafer solve.
-type Stats struct {
-	Wafers     int
-	Iterations int
-	Converged  bool
-	Breakdown  string
-	// History is the per-iteration relative residual ‖r‖₂/‖b‖₂, diagnosed
-	// in float64 in canonical global mesh order — bit-identical across
-	// wafer counts and engines.
-	History []float64
-	// Cycles accumulates the per-phase account across all iterations;
-	// PerIteration is the mean per iteration. The setup ‖b‖² dot is
-	// excluded (see SetupCycles), as in the single-wafer engine.
-	Cycles       PhaseCycles
-	PerIteration PhaseCycles
-	// SetupCycles is the one-time ‖b‖² dot + reduction before the first
-	// iteration, kept out of Cycles/PerIteration so per-iteration
-	// numbers match the paper's steady-state model.
-	SetupCycles int64
-}
-
-// Seconds converts a cycle count to wall clock at the wafer clock rate.
-func (c *Cluster) Seconds(cycles int64) float64 {
-	return float64(cycles) / c.wafers[0].mach.Cfg.ClockHz
-}
-
-// clockHz returns the (shared) wafer clock.
-func (c *Cluster) clockHz() float64 { return c.wafers[0].mach.Cfg.ClockHz }
+// Stats reports a multiwafer solve: the one solve account of
+// kernels.BiCGStabEngine, with Wafers the grid's wafer count and
+// EdgeIO/Combine the interconnect model's share of the cycles.
+type Stats = kernels.WSEStats
 
 // secondsToCycles converts interconnect seconds to wafer cycles,
 // rounding up (a partial cycle still blocks the next phase).
 func (c *Cluster) secondsToCycles(sec float64) int64 {
-	return int64(math.Ceil(sec * c.clockHz()))
+	return int64(math.Ceil(sec * c.wafers[0].mach.Cfg.ClockHz))
 }
 
 // Solve runs BiCGStab for the mesh-indexed right-hand side bvec with a
 // zero initial guess, returning the solution, statistics, and the
-// residual history the determinism contract covers.
+// residual history the determinism contract covers. The recurrence is
+// kernels.BiCGStabEngine's; the cluster is its substrate (see
+// substrate). Checkpoint/resume options are honoured on a 1×1 grid and
+// refused on a larger one.
 func (c *Cluster) Solve(bvec []fp16.Float16, opts kernels.WSEOptions) ([]fp16.Float16, Stats, error) {
-	m := c.Mesh
-	if len(bvec) != m.N() {
-		return nil, Stats{}, fmt.Errorf("multiwafer: rhs length %d, want %d", len(bvec), m.N())
-	}
-	if opts.MaxIter <= 0 {
-		opts.MaxIter = 100
-	}
-	z := m.NZ
-	st := Stats{Wafers: c.Wafers()}
-
-	// Initialize: x = 0, r = r0 = p = b.
-	for _, wf := range c.wafers {
-		for i, t := range wf.mach.Tiles {
-			a := t.Arena
-			gx, gy := wf.spmv.GlobalCoord(i)
-			for e := 0; e < z; e++ {
-				v := bvec[m.Index(gx, gy, e)]
-				a.Set(wf.offX[i]+e, fp16.Zero)
-				a.Set(wf.offR0[i]+e, v)
-				a.Set(wf.offR[i]+e, v)
-				a.Set(wf.offP[i]+e, v)
-			}
-		}
-	}
-
-	// ‖b‖² is setup: accounted separately, outside the per-iteration
-	// cycle model (as in the single-wafer engine).
-	var setup PhaseCycles
-	bb, err := c.dot(&setup, func(wf *wafer) ([]int, []int) { return wf.offR0, wf.offR0 })
-	if err != nil {
-		return nil, st, err
-	}
-	st.SetupCycles = setup.Total()
-	bnorm := math.Sqrt(bb)
-	if bnorm == 0 {
-		return nil, st, fmt.Errorf("multiwafer: zero right-hand side")
-	}
-	rho := bb // (r0, r0)
-
-	finish := func() ([]fp16.Float16, Stats, error) {
-		if st.Iterations > 0 {
-			it := int64(st.Iterations)
-			st.PerIteration = PhaseCycles{
-				SpMV: st.Cycles.SpMV / it, EdgeIO: st.Cycles.EdgeIO / it,
-				Dot: st.Cycles.Dot / it, AllReduce: st.Cycles.AllReduce / it,
-				Combine: st.Cycles.Combine / it, Axpy: st.Cycles.Axpy / it,
-			}
-		}
-		out := make([]fp16.Float16, len(bvec))
-		for _, wf := range c.wafers {
-			for i, t := range wf.mach.Tiles {
-				gx, gy := wf.spmv.GlobalCoord(i)
-				for e := 0; e < z; e++ {
-					out[m.Index(gx, gy, e)] = t.Arena.At(wf.offX[i] + e)
-				}
-			}
-		}
-		return out, st, nil
-	}
-
-	for it := 0; it < opts.MaxIter; it++ {
-		// Cancellation unwinds here, between iterations, while every
-		// wafer is idle — the cluster stays reusable (Solve re-inits all
-		// solver vectors on entry).
-		if opts.Ctx != nil {
-			if err := opts.Ctx.Err(); err != nil {
-				return nil, st, fmt.Errorf("multiwafer: solve canceled: %w", err)
-			}
-		}
-		st.Iterations = it + 1
-
-		// s := A p
-		if err := c.spmv(&st.Cycles, func(wf *wafer) ([]int, []int) { return wf.offP, wf.offS }); err != nil {
-			return nil, st, err
-		}
-		// α := (r0, r) / (r0, s)
-		r0s, err := c.dot(&st.Cycles, func(wf *wafer) ([]int, []int) { return wf.offR0, wf.offS })
-		if err != nil {
-			return nil, st, err
-		}
-		if r0s == 0 {
-			st.Breakdown = "r0·Ap = 0"
-			return finish()
-		}
-		alpha := rho / r0s
-
-		// q := r − α s
-		c.runAxpy(&st.Cycles, func(wf *wafer, i int) wse.Instr {
-			return &wse.MemOp{Kind: wse.OpFMA, Arena: wf.mach.Tiles[i].Arena, S: fp16.FromFloat64(-alpha),
-				Dst: tensor.Vec1D(wf.offQ[i], z), A: tensor.Vec1D(wf.offS[i], z), B: tensor.Vec1D(wf.offR[i], z)}
-		})
-
-		// y := A q
-		if err := c.spmv(&st.Cycles, func(wf *wafer) ([]int, []int) { return wf.offQ, wf.offY }); err != nil {
-			return nil, st, err
-		}
-		// ω := (q, y) / (y, y)
-		qy, err := c.dot(&st.Cycles, func(wf *wafer) ([]int, []int) { return wf.offQ, wf.offY })
-		if err != nil {
-			return nil, st, err
-		}
-		yy, err := c.dot(&st.Cycles, func(wf *wafer) ([]int, []int) { return wf.offY, wf.offY })
-		if err != nil {
-			return nil, st, err
-		}
-		if yy == 0 {
-			c.runAxpy(&st.Cycles, func(wf *wafer, i int) wse.Instr {
-				return &wse.MemOp{Kind: wse.OpAxpy, Arena: wf.mach.Tiles[i].Arena, S: fp16.FromFloat64(alpha),
-					Dst: tensor.Vec1D(wf.offX[i], z), A: tensor.Vec1D(wf.offP[i], z)}
-			})
-			st.Breakdown = "y·y = 0"
-			return finish()
-		}
-		omega := qy / yy
-
-		// x := x + α p + ω q
-		c.runAxpy(&st.Cycles, func(wf *wafer, i int) wse.Instr {
-			return &wse.MemOp{Kind: wse.OpAxpy, Arena: wf.mach.Tiles[i].Arena, S: fp16.FromFloat64(alpha),
-				Dst: tensor.Vec1D(wf.offX[i], z), A: tensor.Vec1D(wf.offP[i], z)}
-		})
-		c.runAxpy(&st.Cycles, func(wf *wafer, i int) wse.Instr {
-			return &wse.MemOp{Kind: wse.OpAxpy, Arena: wf.mach.Tiles[i].Arena, S: fp16.FromFloat64(omega),
-				Dst: tensor.Vec1D(wf.offX[i], z), A: tensor.Vec1D(wf.offQ[i], z)}
-		})
-		// r := q − ω y
-		c.runAxpy(&st.Cycles, func(wf *wafer, i int) wse.Instr {
-			return &wse.MemOp{Kind: wse.OpFMA, Arena: wf.mach.Tiles[i].Arena, S: fp16.FromFloat64(-omega),
-				Dst: tensor.Vec1D(wf.offR[i], z), A: tensor.Vec1D(wf.offY[i], z), B: tensor.Vec1D(wf.offQ[i], z)}
-		})
-
-		rel := c.residualNorm() / bnorm
-		st.History = append(st.History, rel)
-		if opts.Progress != nil {
-			opts.Progress(len(st.History), rel)
-		}
-		if opts.Tol > 0 && rel <= opts.Tol {
-			st.Converged = true
-			return finish()
-		}
-
-		// β := (α/ω) (r0, r_new)/(r0, r_old)
-		rr, err := c.dot(&st.Cycles, func(wf *wafer) ([]int, []int) { return wf.offR0, wf.offR })
-		if err != nil {
-			return nil, st, err
-		}
-		if rho == 0 || omega == 0 {
-			st.Breakdown = "rho or omega = 0"
-			return finish()
-		}
-		beta := (alpha / omega) * (rr / rho)
-		rho = rr
-
-		// p := r + β (p − ω s)
-		c.runAxpy(&st.Cycles, func(wf *wafer, i int) wse.Instr {
-			return &wse.MemOp{Kind: wse.OpAxpy, Arena: wf.mach.Tiles[i].Arena, S: fp16.FromFloat64(-omega),
-				Dst: tensor.Vec1D(wf.offP[i], z), A: tensor.Vec1D(wf.offS[i], z)}
-		})
-		c.runAxpy(&st.Cycles, func(wf *wafer, i int) wse.Instr {
-			return &wse.MemOp{Kind: wse.OpXPAY, Arena: wf.mach.Tiles[i].Arena, S: fp16.FromFloat64(beta),
-				Dst: tensor.Vec1D(wf.offP[i], z), A: tensor.Vec1D(wf.offR[i], z)}
-		})
-	}
-	st.Converged = opts.Tol > 0 && len(st.History) > 0 && st.History[len(st.History)-1] <= opts.Tol
-	return finish()
+	return c.eng.Solve(bvec, opts)
 }
 
-// runPhase runs one instruction per tile on wafer wf and returns the
-// simulated cycles until all complete.
-func (c *Cluster) runPhase(wf *wafer, build func(i int) wse.Instr) int64 {
-	for i, t := range wf.mach.Tiles {
-		wf.phaseDone[i] = false
-		wf.phaseTask[i].Instrs = []wse.Instr{build(i)}
-		t.Core.Activate(wf.phaseTask[i])
+// combineCycles is the level-two cost of one dot: the host's exactly
+// rounded combine of every wafer's partials and the scalar's
+// re-broadcast, charged as two scalar edge-I/O hops per grid axis step.
+func (c *Cluster) combineCycles() int64 {
+	if c.Wafers() == 1 {
+		return 0
 	}
-	cycles, err := wf.mach.RunUntil(func() bool {
-		for _, d := range wf.phaseDone {
-			if !d {
-				return false
-			}
-		}
-		return true
-	}, 1<<24)
-	if err != nil {
-		panic(err) // local instructions cannot wedge; a failure is a simulator bug
-	}
-	return cycles
-}
-
-// runAxpy runs one AXPY-class phase on every wafer, charging the
-// slowest wafer's cycles.
-func (c *Cluster) runAxpy(acc *PhaseCycles, build func(wf *wafer, i int) wse.Instr) {
-	var maxCyc int64
-	for _, wf := range c.wafers {
-		wf := wf
-		cyc := c.runPhase(wf, func(i int) wse.Instr { return build(wf, i) })
-		if cyc > maxCyc {
-			maxCyc = cyc
-		}
-	}
-	acc.Axpy += maxCyc
-}
-
-// spmv applies the operator: per wafer, the source vector is re-aliased
-// into the SpMV iterate (free, as in the single-wafer solver), the host
-// ships inter-wafer halo columns bit-verbatim and charges the edge-I/O
-// model, and each wafer cycle-simulates its halo-resident application.
-func (c *Cluster) spmv(acc *PhaseCycles, sel func(wf *wafer) (src, dst []int)) error {
-	z := c.Mesh.NZ
-	for _, wf := range c.wafers {
-		src, _ := sel(wf)
-		for i := range wf.mach.Tiles {
-			copy(wf.spmv.Iterate(i), wf.mach.Tiles[i].Arena.Slice(src[i], z))
-		}
-	}
-	acc.EdgeIO += c.exchangeHalos()
-	var maxCyc int64
-	for _, wf := range c.wafers {
-		cyc, err := wf.spmv.Run(int64(z)*1000 + 1<<20)
-		if err != nil {
-			return err
-		}
-		if cyc > maxCyc {
-			maxCyc = cyc
-		}
-	}
-	acc.SpMV += maxCyc
-	for _, wf := range c.wafers {
-		_, dst := sel(wf)
-		for i := range wf.mach.Tiles {
-			copy(wf.mach.Tiles[i].Arena.Slice(dst[i], z), wf.spmv.Result(i))
-		}
-	}
-	return nil
+	hops := c.Cfg.Grid.W + c.Cfg.Grid.H - 2
+	return c.secondsToCycles(2 * c.Cfg.Interconnect.TransferSeconds(4) * float64(hops))
 }
 
 // exchangeHalos copies boundary iterate columns between adjacent
@@ -364,74 +94,4 @@ func (c *Cluster) copyFace(wf, nb *wafer, d kernels.HaloDir) int {
 		count++
 	}
 	return count
-}
-
-// dot runs the two-level reduction: per-tile mixed-precision dots
-// (level zero, simulated), the on-wafer Figure 6 AllReduce over each
-// wafer's partials (level one, simulated), then the host's exactly
-// rounded combine of every tile's partial in canonical global order
-// (level two, charged as scalar edge-I/O hops). The returned value is
-// the level-two result — independent of the decomposition, which is
-// what keeps residual histories bit-identical across wafer counts.
-func (c *Cluster) dot(acc *PhaseCycles, sel func(wf *wafer) (a, b []int)) (float64, error) {
-	z := c.Mesh.NZ
-	var maxDot int64
-	for _, wf := range c.wafers {
-		wf := wf
-		a, b := sel(wf)
-		cyc := c.runPhase(wf, func(i int) wse.Instr {
-			wf.partial[i] = 0
-			return &wse.DotMixed{
-				A: tensor.Vec1D(a[i], z), B: tensor.Vec1D(b[i], z),
-				Arena: wf.mach.Tiles[i].Arena, Out: &wf.partial[i],
-			}
-		})
-		if cyc > maxDot {
-			maxDot = cyc
-		}
-	}
-	acc.Dot += maxDot
-
-	var maxAR int64
-	for _, wf := range c.wafers {
-		res, err := wf.ar.Run(wf.partial, 1<<20)
-		if err != nil {
-			return 0, err
-		}
-		// res.Sum — the level-one on-wafer float32 value — is diagnostic
-		// only; the solve consumes the exact level-two combine below.
-		if res.Cycles > maxAR {
-			maxAR = res.Cycles
-		}
-	}
-	acc.AllReduce += maxAR
-
-	vals := make([]float32, len(c.order))
-	for k, wt := range c.order {
-		vals[k] = c.wafers[wt[0]].partial[wt[1]]
-	}
-	if c.Wafers() > 1 {
-		hops := c.Cfg.Grid.W + c.Cfg.Grid.H - 2
-		sec := 2 * c.Cfg.Interconnect.TransferSeconds(4) * float64(hops)
-		acc.Combine += c.secondsToCycles(sec)
-	}
-	return cluster.ExactSum32(vals), nil
-}
-
-// residualNorm computes ‖r‖₂ in float64, accumulating in canonical
-// global mesh order (diagnostic; decomposition-invariant).
-func (c *Cluster) residualNorm() float64 {
-	z := c.Mesh.NZ
-	var s float64
-	for _, wt := range c.order {
-		wf := c.wafers[wt[0]]
-		i := int(wt[1])
-		a := wf.mach.Tiles[i].Arena
-		off := wf.offR[i]
-		for e := 0; e < z; e++ {
-			v := a.At(off + e).Float64()
-			s += v * v
-		}
-	}
-	return math.Sqrt(s)
 }

@@ -91,12 +91,7 @@ func (s *Server) runSolve(ctx context.Context, p core.Problem, o core.Options, h
 		if err != nil {
 			return res, err
 		}
-		res.X = fp16.ToFloat64Slice(x16)
-		res.Iterations = st.Iterations
-		res.Converged = st.Converged
-		res.Breakdown = st.Breakdown
-		res.History = st.History
-		res.Telemetry = core.TelemetryFromWSE(st)
+		res = core.NewResult(fp16.ToFloat64Slice(x16), st.SolverStats(true), core.TelemetryFromWSE(st))
 
 	case core.MultiWafer:
 		grid := o.MultiWafer.Grid
@@ -124,12 +119,7 @@ func (s *Server) runSolve(ctx context.Context, p core.Problem, o core.Options, h
 		if err != nil {
 			return res, err
 		}
-		res.X = fp16.ToFloat64Slice(x16)
-		res.Iterations = st.Iterations
-		res.Converged = st.Converged
-		res.Breakdown = st.Breakdown
-		res.History = st.History
-		res.Telemetry = core.TelemetryFromMultiWafer(st)
+		res = core.NewResult(fp16.ToFloat64Slice(x16), st.SolverStats(true), core.TelemetryFromMultiWafer(st))
 	}
 	res.TrueResidual = norm.ResidualNorm(res.X, sb) / stencil.Norm2(sb)
 	return res, nil
@@ -168,12 +158,7 @@ func (s *Server) runFallback(ctx context.Context, p core.Problem, o core.Options
 			h.progress(i+1, rel)
 		}
 	}
-	res.X = x
-	res.Iterations = st.Iterations
-	res.Converged = st.Converged
-	res.Breakdown = st.Breakdown
-	res.History = st.History
-	res.Telemetry = core.Telemetry{Backend: core.Local.String(), Precision: "mixed-chunked"}
+	res = core.NewResult(x, st, core.Telemetry{Backend: core.Local.String(), Precision: "mixed-chunked"})
 	res.TrueResidual = norm.ResidualNorm(res.X, sb) / stencil.Norm2(sb)
 	return res, nil
 }

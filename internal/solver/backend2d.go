@@ -1,10 +1,6 @@
 package solver
 
-import (
-	"fmt"
-
-	"repro/internal/stencil"
-)
+import "repro/internal/stencil"
 
 // Backend2D solves A·x = b for a unit-centre 9-point operator on a 2D
 // mesh — the pluggable substrate behind the 2D SIMPLE solver
@@ -33,26 +29,8 @@ func (HostBackend2D) Name() string { return "host" }
 // Solve2D implements Backend2D with the generic BiCGStab over a float64
 // 9-point operator.
 func (HostBackend2D) Solve2D(op *stencil.Op9, b, x0 []float64, opts Options) ([]float64, Stats, error) {
-	if err := opts.RejectCheckpoint("host"); err != nil {
-		return nil, Stats{}, err
-	}
 	ctx := NewF64()
-	a := ctx.NewOperator2D(op)
-	n := op.M.N()
-	if len(b) != n || len(x0) != n {
-		return nil, Stats{}, fmt.Errorf("solver: system size mismatch: mesh %d, b %d, x0 %d", n, len(b), len(x0))
-	}
-	bv := ctx.NewVector(n)
-	xv := ctx.NewVector(n)
-	for i := range b {
-		bv.Set(i, b[i])
-		xv.Set(i, x0[i])
-	}
-	st, err := BiCGStab(ctx, a, bv, xv, opts)
-	if err != nil {
-		return nil, st, err
-	}
-	return xv.Float64(), st, nil
+	return hostSolve("host", ctx, ctx.NewOperator2D(op), op.M.N(), b, x0, opts)
 }
 
 // NewOperator2D adapts a unit-centre 9-point operator to this context.

@@ -41,18 +41,25 @@ func (h HostBackend3D) Name() string {
 
 // Solve3D implements Backend3D with the generic BiCGStab.
 func (h HostBackend3D) Solve3D(op *stencil.Op7, b, x0 []float64, opts Options) ([]float64, Stats, error) {
-	if err := opts.RejectCheckpoint(h.Name()); err != nil {
-		return nil, Stats{}, err
-	}
 	ctx := h.Context
 	if ctx == nil {
 		ctx = NewF64()
 	}
-	n := op.M.N()
+	return hostSolve(h.Name(), ctx, ctx.NewOperator(op), op.M.N(), b, x0, opts)
+}
+
+// hostSolve is the body the three host backends share: refuse
+// checkpoint requests, check the system size, fill the context's
+// vectors, run the generic BiCGStab and widen the solution to float64.
+// They differ only in the Operator a they construct over the n-point
+// mesh.
+func hostSolve(name string, ctx Context, a Operator, n int, b, x0 []float64, opts Options) ([]float64, Stats, error) {
+	if err := opts.RejectCheckpoint(name); err != nil {
+		return nil, Stats{}, err
+	}
 	if len(b) != n || len(x0) != n {
 		return nil, Stats{}, fmt.Errorf("solver: system size mismatch: mesh %d, b %d, x0 %d", n, len(b), len(x0))
 	}
-	a := ctx.NewOperator(op)
 	bv := ctx.NewVector(n)
 	xv := ctx.NewVector(n)
 	for i := range b {

@@ -1,10 +1,6 @@
 package solver
 
-import (
-	"fmt"
-
-	"repro/internal/stencil"
-)
+import "repro/internal/stencil"
 
 // BackendStar solves A·x = b for a unit-diagonal star operator of
 // arbitrary per-axis widths on a 3D mesh — the seam the wide-stencil
@@ -33,26 +29,8 @@ func (HostBackendStar) Name() string { return "host" }
 // SolveStar implements BackendStar with the generic BiCGStab over a
 // float64 star operator.
 func (HostBackendStar) SolveStar(op *stencil.OpStar, b, x0 []float64, opts Options) ([]float64, Stats, error) {
-	if err := opts.RejectCheckpoint("host"); err != nil {
-		return nil, Stats{}, err
-	}
 	ctx := NewF64()
-	a := ctx.NewOperatorStar(op)
-	n := op.M.N()
-	if len(b) != n || len(x0) != n {
-		return nil, Stats{}, fmt.Errorf("solver: system size mismatch: mesh %d, b %d, x0 %d", n, len(b), len(x0))
-	}
-	bv := ctx.NewVector(n)
-	xv := ctx.NewVector(n)
-	for i := range b {
-		bv.Set(i, b[i])
-		xv.Set(i, x0[i])
-	}
-	st, err := BiCGStab(ctx, a, bv, xv, opts)
-	if err != nil {
-		return nil, st, err
-	}
-	return xv.Float64(), st, nil
+	return hostSolve("host", ctx, ctx.NewOperatorStar(op), op.M.N(), b, x0, opts)
 }
 
 // NewOperatorStar adapts a unit-diagonal star operator to this context.
