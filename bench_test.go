@@ -565,7 +565,7 @@ func BenchmarkCavity2DWSEIteration(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			be := c.Pressure.(*kernels.Wafer2DBackend)
+			be := c.Pressure.(*kernels.WaferBackend)
 			b.ReportMetric(float64(be.Cycles.Total())/float64(be.Solves), "sim-cycles/pressure-solve")
 		})
 	}

@@ -63,7 +63,7 @@ func main() {
 	}
 
 	c := mfix.NewCavity2D(*n, *re)
-	var wafer *kernels.Wafer2DBackend
+	var wafer *kernels.WaferBackend
 	switch *backend {
 	case "host":
 	case "wse":
@@ -76,10 +76,10 @@ func main() {
 		cfg := wse.CS1(*n / *block, *n / *block)
 		cfg.Workers = *workers
 		mach := wse.New(cfg)
+		wafer = kernels.NewWafer2DBackend(mach, *block)
 		// Close releases the sharded engine's worker pool; without it a
 		// long-lived host would park pool goroutines until GC.
-		defer mach.Close()
-		wafer = kernels.NewWafer2DBackend(mach, *block)
+		defer wafer.Close()
 		c.Pressure = wafer
 		fmt.Printf("pressure solve on simulated %d×%d fabric (%s engine), %d×%d blocks\n",
 			cfg.FabricW, cfg.FabricH, mach.Fab.StepperName(), *block, *block)

@@ -324,8 +324,10 @@ func sumSq(v []float64) float64 {
 
 // attachCheckpoint wires the -checkpoint/-resume flags into a solve's
 // wafer options (write-then-rename, so a crash mid-write leaves the
-// previous checkpoint intact).
-func attachCheckpoint(opts *core.Options, ckptPath string, ckptEvery int, resumePath string) {
+// previous checkpoint intact) and returns the count of checkpoints
+// written, which the solve advances.
+func attachCheckpoint(opts *core.Options, ckptPath string, ckptEvery int, resumePath string) *int {
+	written := new(int)
 	if ckptPath != "" {
 		opts.Wafer.CheckpointEvery = ckptEvery
 		opts.Wafer.Checkpoint = func(blob []byte) error {
@@ -333,7 +335,11 @@ func attachCheckpoint(opts *core.Options, ckptPath string, ckptEvery int, resume
 			if err := os.WriteFile(tmp, blob, 0o644); err != nil {
 				return err
 			}
-			return os.Rename(tmp, ckptPath)
+			if err := os.Rename(tmp, ckptPath); err != nil {
+				return err
+			}
+			*written++
+			return nil
 		}
 	}
 	if resumePath != "" {
@@ -344,6 +350,7 @@ func attachCheckpoint(opts *core.Options, ckptPath string, ckptEvery int, resume
 		opts.Wafer.Resume = blob
 		fmt.Printf("resuming from %s (%d bytes)\n", resumePath, len(blob))
 	}
+	return written
 }
 
 func runBiCGStab(nx, ny, nz, iters int, tol float64, problem, wafersFlag string, workers int, engine, ckptPath string, ckptEvery int, resumePath string) {
@@ -378,31 +385,7 @@ func runBiCGStab(nx, ny, nz, iters int, tol float64, problem, wafersFlag string,
 		opts.Wafer = core.WaferOptions{}
 		opts.MultiWafer = core.MultiWaferOptions{Grid: grid, Workers: workers}
 	}
-	written := 0
-	if ckptPath != "" {
-		opts.Wafer.CheckpointEvery = ckptEvery
-		opts.Wafer.Checkpoint = func(blob []byte) error {
-			// Write-then-rename, so a crash mid-write leaves the previous
-			// checkpoint intact.
-			tmp := ckptPath + ".tmp"
-			if err := os.WriteFile(tmp, blob, 0o644); err != nil {
-				return err
-			}
-			if err := os.Rename(tmp, ckptPath); err != nil {
-				return err
-			}
-			written++
-			return nil
-		}
-	}
-	if resumePath != "" {
-		blob, err := os.ReadFile(resumePath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		opts.Wafer.Resume = blob
-		fmt.Printf("resuming from %s (%d bytes)\n", resumePath, len(blob))
-	}
+	written := attachCheckpoint(&opts, ckptPath, ckptEvery, resumePath)
 	// One validator for every entry point: the daemon and all the CLIs
 	// route bad combinations (e.g. -checkpoint with -wafers) through
 	// core.Options.Validate instead of ad-hoc flag checks.
@@ -413,8 +396,8 @@ func runBiCGStab(nx, ny, nz, iters int, tol float64, problem, wafersFlag string,
 	if err != nil {
 		log.Fatal(err)
 	}
-	if written > 0 {
-		fmt.Printf("wrote %d checkpoint(s) to %s\n", written, ckptPath)
+	if *written > 0 {
+		fmt.Printf("wrote %d checkpoint(s) to %s\n", *written, ckptPath)
 	}
 
 	if opts.Backend == core.MultiWafer {

@@ -42,9 +42,8 @@ func main() {
 	// 16² mesh in 2×2 blocks on an 8×8 fabric, every pressure-correction
 	// BiCGStab iteration cycle-stepped through the 2D block-halo SpMV.
 	// cmd/cavity -backend=wse runs the same path at the 128×128 fabric.
-	mach := wse.New(wse.CS1(8, 8))
-	defer mach.Close() // release the engine before the projection prints
-	wafer := kernels.NewWafer2DBackend(mach, 2)
+	wafer := kernels.NewWafer2DBackend(wse.New(wse.CS1(8, 8)), 2)
+	defer wafer.Close() // release the engine's worker pool
 	c2 := mfix.NewCavity2D(16, 100)
 	c2.Pressure = wafer
 	res2, err := c2.Run(10)

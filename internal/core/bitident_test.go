@@ -49,8 +49,8 @@ func TestAllBackendsBitIdentical(t *testing.T) {
 	var runs []run
 
 	// Host, chunked-mixed: per-NZ-column float32 partials, exact combine.
-	hx, hst, err := solver.HostBackend3D{Context: solver.NewMixedChunked(m.NZ)}.
-		Solve3D(norm, sb, zeros, solver.Options{MaxIter: iters, RecordHistory: true})
+	hx, hst, err := solver.Host{Context: solver.NewMixedChunked(m.NZ)}.
+		Solve(norm, sb, zeros, solver.Options{MaxIter: iters, RecordHistory: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestAllBackendsBitIdentical(t *testing.T) {
 	// Multi-wafer cluster, one and two wafers.
 	for _, g := range []multiwafer.Topology{{W: 1, H: 1}, {W: 2, H: 1}} {
 		be := &multiwafer.Backend{Grid: g}
-		x, st, err := be.Solve3D(norm, sb, zeros, solver.Options{MaxIter: iters, RecordHistory: true})
+		x, st, err := be.Solve(norm, sb, zeros, solver.Options{MaxIter: iters, RecordHistory: true})
 		if err != nil {
 			t.Fatal(err)
 		}

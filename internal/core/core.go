@@ -9,6 +9,12 @@
 //   - MultiWafer: a grid of cycle-simulated wafers coupled by the
 //     edge-I/O interconnect model.
 //
+// Every solve is one pipeline over one seam: NewBackend picks a
+// solver.Backend from Options and the operator's type, and SolveOn
+// normalizes, scales, solves, and assembles the Result — Solve,
+// SolveStar, the heat steppers and the wsesimd daemon (which keeps the
+// simulated backends warm between jobs) all run exactly that.
+//
 // Options carries the backend selection plus per-backend config
 // sections, validated in one place by Options.Validate; Result carries
 // the solution plus a uniformly serializable Telemetry — the same
@@ -19,9 +25,9 @@ package core
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/fp16"
 	"repro/internal/kernels"
 	"repro/internal/multiwafer"
 	"repro/internal/solver"
@@ -59,26 +65,17 @@ type Result struct {
 	Telemetry Telemetry
 }
 
-// NewResult assembles a Result from a backend's solve outcome and its
-// telemetry — the one place the two are copied in, for every backend
-// here and for the service's warm-machine solves. TrueResidual is the
-// caller's to fill: it needs the operator.
-func NewResult(x []float64, st solver.Stats, tel Telemetry) Result {
-	return Result{X: x, Iterations: st.Iterations, Converged: st.Converged,
-		Breakdown: st.Breakdown, History: st.History, Telemetry: tel}
-}
-
 // Solve runs BiCGStab on the selected backend. It validates o first;
 // invalid options fail with a *OptionError before any work happens.
 func Solve(p Problem, o Options) (Result, error) {
 	return SolveContext(nil, p, o)
 }
 
-// waferConfig builds the single-wafer machine configuration from
-// validated options: the CS-1 hardware shape at the given fabric
-// extent, plus the simulation-throughput knobs (sharding workers, or
-// an explicit core-stepping engine).
-func waferConfig(o Options, w, h int) wse.Config {
+// newWafer builds the single-wafer machine from validated options: the
+// CS-1 hardware shape at the given fabric extent, plus the
+// simulation-throughput knobs (sharding workers, or an explicit
+// core-stepping engine).
+func newWafer(o Options, w, h int) *wse.Machine {
 	cfg := wse.CS1(w, h)
 	cfg.Workers = o.Wafer.Workers
 	if o.Wafer.Engine != "" {
@@ -90,7 +87,7 @@ func waferConfig(o Options, w, h int) wse.Config {
 		}
 		cfg.Engine = e
 	}
-	return cfg
+	return wse.New(cfg)
 }
 
 // SolveContext is Solve with cooperative cancellation: every backend
@@ -100,84 +97,130 @@ func waferConfig(o Options, w, h int) wse.Config {
 // context.DeadlineExceeded classifies the outcome. A nil ctx means no
 // cancellation, identical to Solve.
 func SolveContext(ctx context.Context, p Problem, o Options) (Result, error) {
-	var res Result
-	if err := o.Validate(); err != nil {
-		return res, err
+	return solveOnce(ctx, p.Op, p.B, o)
+}
+
+// solveOnce is a one-shot solve: a backend built for this system, one
+// run of the pipeline, the backend released.
+func solveOnce(ctx context.Context, a stencil.Operator, b []float64, o Options) (Result, error) {
+	be, err := NewBackend(o, a)
+	if err != nil {
+		return Result{}, err
 	}
+	defer release(be)
+	return SolveOn(ctx, be, a, b, o, nil)
+}
+
+// release closes a backend that holds machines; the host ones hold
+// nothing.
+func release(be solver.Backend) {
+	if c, ok := be.(interface{ Close() }); ok {
+		c.Close()
+	}
+}
+
+// NewBackend picks the execution backend for one kind of system from
+// o.Backend and the operator's type: the host solver in the selected
+// precision, a single-wafer adapter (Listing 1 for the 7-point
+// operator, a stencil-compiled program for a star) on a machine of the
+// mesh's X×Y extent, the multi-wafer grid, or the rank-parallel
+// cluster. It validates o first. The simulated backends build their
+// machines on the first Solve and hold them until Close — a caller that
+// keeps one warm (the daemon's cache) feeds it any number of systems on
+// the same mesh through SolveOn. The 2D 9-point wafer program needs a
+// block size no Options field carries; RunHeat2D builds that backend
+// itself.
+func NewBackend(o Options, a stencil.Operator) (solver.Backend, error) {
+	if err := o.Validate(); err != nil {
+		return nil, err
+	}
+	_, is7 := a.(*stencil.Op7)
+	switch o.Backend {
+	case Local:
+		if !is7 && o.Local.Precision != F64 {
+			return nil, &OptionError{"Local.Precision", fmt.Sprintf(
+				"%T systems run in fp64 on the host (got %s); use the wafer backend for the mixed-precision path", a, o.Local.Precision)}
+		}
+		return solver.Host{Context: o.Local.Precision.context()}, nil
+	case Wafer:
+		switch a := a.(type) {
+		case *stencil.Op7:
+			return kernels.NewWafer3DBackend(newWafer(o, a.M.NX, a.M.NY)), nil
+		case *stencil.OpStar:
+			return kernels.NewWaferStarBackend(newWafer(o, a.M.NX, a.M.NY), starSpec(a)), nil
+		}
+	case MultiWafer:
+		if is7 {
+			grid := o.MultiWafer.Grid
+			if grid.W == 0 {
+				grid = multiwafer.Topology{W: 1, H: 1}
+			}
+			return &multiwafer.Backend{Grid: grid, Workers: o.MultiWafer.Workers}, nil
+		}
+	case Cluster:
+		if is7 {
+			ranks := o.Cluster.Ranks
+			if ranks == 0 {
+				ranks = 8
+			}
+			return clusterBackend{ranks: ranks}, nil
+		}
+	}
+	return nil, &OptionError{"Backend", fmt.Sprintf("the %s backend does not run %T systems", o.Backend, a)}
+}
+
+// clusterBackend puts the rank-parallel Joule-style solve behind the
+// seam. It lives here, not in internal/cluster, because internal/solver
+// imports that package for ExactSum32.
+type clusterBackend struct{ ranks int }
+
+func (c clusterBackend) Name() string { return fmt.Sprintf("cluster/r%d", c.ranks) }
+
+func (c clusterBackend) Solve(a stencil.Operator, b, x0 []float64, opts solver.Options) ([]float64, solver.Stats, error) {
+	op, ok := a.(*stencil.Op7)
+	if !ok {
+		return nil, solver.Stats{}, fmt.Errorf("core: %s backend cannot run a %T system", c.Name(), a)
+	}
+	if err := solver.CheckSystem(a, b, x0); err != nil {
+		return nil, solver.Stats{}, err
+	}
+	x, hist, err := cluster.ParallelBiCGStabContext(opts.Ctx, op, b, c.ranks, opts.MaxIter, opts.Tol)
+	return x, solver.Stats{Iterations: len(hist), History: hist,
+		Converged: opts.Tol > 0 && len(hist) > 0 && hist[len(hist)-1] <= opts.Tol}, err
+}
+
+// solverOptions maps validated options to the seam's: the iteration
+// budget (0 means 200), the tolerance, the history every Result
+// carries, and the wafer section's checkpoint/resume fields.
+func (o Options) solverOptions() solver.Options {
 	if o.MaxIter == 0 {
 		o.MaxIter = 200
 	}
-	norm, diag := p.Op.Normalize()
-	sb := stencil.ScaleRHS(p.B, diag)
-	switch o.Backend {
-	case Local:
-		actx := o.Local.Precision.context()
-		a := actx.NewOperator(norm)
-		bv := actx.NewVector(len(sb))
-		for i, v := range sb {
-			bv.Set(i, v)
-		}
-		xv := actx.NewVector(len(sb))
-		st, err := solver.BiCGStab(actx, a, bv, xv, solver.Options{
-			Ctx:     ctx,
-			MaxIter: o.MaxIter, Tol: o.Tol, RecordHistory: true,
-		})
-		if err != nil {
-			return res, err
-		}
-		res = NewResult(xv.Float64(), st, Telemetry{Backend: Local.String(), Precision: o.Local.Precision.String()})
+	return solver.Options{MaxIter: o.MaxIter, Tol: o.Tol, RecordHistory: true,
+		CheckpointEvery: o.Wafer.CheckpointEvery, Checkpoint: o.Wafer.Checkpoint, Resume: o.Wafer.Resume}
+}
 
-	case Wafer:
-		m := norm.M
-		mach := wse.New(waferConfig(o, m.NX, m.NY))
-		defer mach.Close()
-		w, err := kernels.NewBiCGStabWSE(mach, stencil.NewOp7Half(norm))
-		if err != nil {
-			return res, err
-		}
-		x16, st, err := w.Solve(fp16.FromFloat64Slice(sb), kernels.WSEOptions{
-			Ctx:     ctx,
-			MaxIter: o.MaxIter, Tol: o.Tol,
-			CheckpointEvery: o.Wafer.CheckpointEvery,
-			Checkpoint:      o.Wafer.Checkpoint,
-			Resume:          o.Wafer.Resume,
-		})
-		if err != nil {
-			return res, err
-		}
-		res = NewResult(fp16.ToFloat64Slice(x16), st.SolverStats(true), TelemetryFromWSE(st))
-
-	case MultiWafer:
-		grid := o.MultiWafer.Grid
-		if grid.W == 0 {
-			grid = multiwafer.Topology{W: 1, H: 1}
-		}
-		be := &multiwafer.Backend{Grid: grid, Workers: o.MultiWafer.Workers}
-		x, st, err := be.Solve3D(norm, sb, make([]float64, len(sb)), solver.Options{
-			Ctx:     ctx,
-			MaxIter: o.MaxIter, Tol: o.Tol, RecordHistory: true,
-		})
-		if err != nil {
-			return res, err
-		}
-		mw, _ := be.Stats() // the solve just completed, so they are there
-		res = NewResult(x, st, TelemetryFromMultiWafer(mw))
-
-	case Cluster:
-		ranks := o.Cluster.Ranks
-		if ranks == 0 {
-			ranks = 8
-		}
-		x, hist, err := cluster.ParallelBiCGStabContext(ctx, norm, sb, ranks, o.MaxIter, o.Tol)
-		if err != nil {
-			return res, err
-		}
-		res.X = x
-		res.History = hist
-		res.Iterations = len(hist)
-		res.Converged = o.Tol > 0 && len(hist) > 0 && hist[len(hist)-1] <= o.Tol
-		res.Telemetry = Telemetry{Backend: Cluster.String(), Ranks: ranks}
+// SolveOn is the one solve pipeline — every entry point of this package
+// and every job of the daemon runs it: normalize the operator, scale
+// the right-hand side, solve from a zero guess on be, assemble the
+// Result with the backend's telemetry, and diagnose the true residual
+// in float64. be is NewBackend(o, a)'s, fresh or kept warm by the
+// caller, which also releases it. progress, if non-nil, observes every
+// iteration (solver.Options.Progress).
+func SolveOn(ctx context.Context, be solver.Backend, a stencil.Operator, b []float64, o Options,
+	progress func(iter int, rel float64)) (Result, error) {
+	if err := o.Validate(); err != nil {
+		return Result{}, err
 	}
-	res.TrueResidual = norm.ResidualNorm(res.X, sb) / stencil.Norm2(sb)
-	return res, nil
+	norm, diag := a.Normalized()
+	sb := stencil.ScaleRHS(b, diag)
+	sopts := o.solverOptions()
+	sopts.Ctx, sopts.Progress = ctx, progress
+	x, st, err := be.Solve(norm, sb, make([]float64, len(sb)), sopts)
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{X: x, Iterations: st.Iterations, Converged: st.Converged, Breakdown: st.Breakdown,
+		History: st.History, Telemetry: telemetryOf(be),
+		TrueResidual: stencil.ResidualNorm(norm, x, sb) / stencil.Norm2(sb)}, nil
 }

@@ -36,14 +36,8 @@ func Table1Report() string {
 			b64 := make([]float64, m.N())
 			op.Apply(b64, xe)
 			sb := stencil.ScaleRHS(b64, diag)
-			a := ctx.NewOperator(norm)
-			bv := ctx.NewVector(m.N())
-			for i, v := range sb {
-				bv.Set(i, v)
-			}
-			xv := ctx.NewVector(m.N())
 			ctx.Counters().Reset()
-			if _, err := solver.BiCGStab(ctx, a, bv, xv, solver.Options{MaxIter: iters}); err != nil {
+			if _, _, err := (solver.Host{Context: ctx}).Solve(norm, sb, make([]float64, m.N()), solver.Options{MaxIter: iters}); err != nil {
 				panic(err)
 			}
 			return *ctx.Counters()
@@ -319,13 +313,7 @@ func Fig9Experiment(nx, ny, nz, iters int) []Fig9Series {
 	bn := stencil.Norm2(sb)
 
 	run := func(ctx solver.Context, name string) Fig9Series {
-		a := ctx.NewOperator(norm)
-		bv := ctx.NewVector(m.N())
-		for i, v := range sb {
-			bv.Set(i, v)
-		}
-		xv := ctx.NewVector(m.N())
-		st, err := solver.BiCGStab(ctx, a, bv, xv, solver.Options{
+		_, st, err := solver.Host{Context: ctx}.Solve(norm, sb, make([]float64, m.N()), solver.Options{
 			MaxIter: iters, Tol: 0,
 			TrueResidual: func(v solver.Vector) float64 {
 				return norm.ResidualNorm(v.Float64(), sb) / bn

@@ -68,8 +68,8 @@ const (
 	Cluster
 	// MultiWafer runs the mixed-precision solve across a grid of
 	// cycle-simulated wafers coupled through the edge-I/O interconnect
-	// model (internal/multiwafer), routed through the solver.Backend3D
-	// seam. Residual histories are bit-identical across wafer grids.
+	// model (internal/multiwafer). Residual histories are bit-identical
+	// across wafer grids.
 	MultiWafer
 )
 

@@ -88,8 +88,16 @@ func TestCheckpointRejectionShared(t *testing.T) {
 			t.Fatalf("%s: rejection text drifted: %v", name, err)
 		}
 	}
-	_, _, err := solver.HostBackend3D{}.Solve3D(norm, sb, zeros, opts)
+	_, _, err := solver.Host{}.Solve(norm, sb, zeros, opts)
 	check("host3d", err)
-	_, _, err = (&multiwafer.Backend{Grid: multiwafer.Topology{W: 1, H: 1}}).Solve3D(norm, sb, zeros, opts)
+	_, _, err = (&multiwafer.Backend{Grid: multiwafer.Topology{W: 1, H: 1}}).Solve(norm, sb, zeros, opts)
 	check("multiwafer", err)
+
+	// The heat steppers run many solves, so they refuse a checkpoint
+	// request themselves instead of restarting every step from one blob.
+	wafer := Options{Backend: Wafer, MaxIter: 2, Wafer: WaferOptions{Resume: opts.Resume}}
+	_, err = RunHeat2D(nil, stencil.Mesh2D{NX: 4, NY: 4}, 0.5, make([]float64, 16), 1, 2, wafer)
+	check("heat2d", err)
+	_, err = RunHeat3D(nil, stencil.Mesh{NX: 2, NY: 2, NZ: 4}, 0.5, stencil.Dirichlet, make([]float64, 16), 1, wafer)
+	check("heat3d", err)
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/solver"
 	"repro/internal/stencil"
 	"repro/internal/stencilc"
-	"repro/internal/wse"
 )
 
 // StarProblem is a linear system from a star-stencil discretization of
@@ -45,52 +44,7 @@ func SolveStar(p StarProblem, o Options) (Result, error) {
 // SolveStarContext is SolveStar with cooperative cancellation, with the
 // same contract as SolveContext.
 func SolveStarContext(ctx context.Context, p StarProblem, o Options) (Result, error) {
-	var res Result
-	if err := o.Validate(); err != nil {
-		return res, err
-	}
-	if o.MaxIter == 0 {
-		o.MaxIter = 200
-	}
-	norm, diag := p.Op.Normalize()
-	sb := stencil.ScaleRHS(p.B, diag)
-	zero := make([]float64, len(sb))
-	sopts := solver.Options{
-		Ctx:     ctx,
-		MaxIter: o.MaxIter, Tol: o.Tol, RecordHistory: true,
-	}
-	switch o.Backend {
-	case Local:
-		if o.Local.Precision != F64 {
-			return res, &OptionError{"Local.Precision", fmt.Sprintf(
-				"star solves run in fp64 on the host (got %s); use the wafer backend for the mixed-precision path", o.Local.Precision)}
-		}
-		x, st, err := solver.HostBackendStar{}.SolveStar(norm, sb, zero, sopts)
-		if err != nil {
-			return res, err
-		}
-		res = NewResult(x, st, Telemetry{Backend: Local.String(), Precision: F64.String()})
-
-	case Wafer:
-		m := norm.M
-		mach := wse.New(waferConfig(o, m.NX, m.NY))
-		defer mach.Close()
-		be := kernels.NewWaferStarBackend(mach, starSpec(norm))
-		sopts.CheckpointEvery = o.Wafer.CheckpointEvery
-		sopts.Checkpoint = o.Wafer.Checkpoint
-		sopts.Resume = o.Wafer.Resume
-		x, st, err := be.SolveStar(norm, sb, zero, sopts)
-		if err != nil {
-			return res, err
-		}
-		res = NewResult(x, st, TelemetryFromWSE(be.LastStats))
-
-	default:
-		return res, &OptionError{"Backend", fmt.Sprintf(
-			"star solves run on the local (fp64) and wafer backends, not %s", o.Backend)}
-	}
-	res.TrueResidual = norm.ResidualNorm(res.X, sb) / stencil.Norm2(sb)
-	return res, nil
+	return solveOnce(ctx, p.Op, p.B, o)
 }
 
 // ---------------------------------------------------------------------
@@ -108,100 +62,73 @@ type HeatStep struct {
 }
 
 // RunHeat3D advances the 3D heat equation `steps` backward-Euler steps
-// from u0: each step solves (I + λ·L)·u' = u through SolveStar on the
+// from u0: each step solves (I + λ·L)·u' = u as a star system on the
 // selected backend, where λ = α·Δt/h² is the diffusion number. The
-// wafer path rebuilds the machine per step at these demo scales; the
-// solves themselves reuse nothing across steps, so every step's history
-// is independently reproducible.
+// backend is built once and kept warm across steps — a warm solve
+// returns a cold one's bits (TestBackendSeamContract), so every step's
+// history is independently reproducible.
 func RunHeat3D(ctx context.Context, m stencil.Mesh, lambda float64, boundary stencil.Boundary, u0 []float64, steps int, o Options) ([]HeatStep, error) {
-	if len(u0) != m.N() {
-		return nil, fmt.Errorf("core: initial field length %d, want %d", len(u0), m.N())
-	}
-	if steps <= 0 {
-		return nil, fmt.Errorf("core: heat stepping needs steps > 0, got %d", steps)
-	}
-	if lambda <= 0 {
-		return nil, fmt.Errorf("core: heat stepping needs a positive diffusion number, got %g", lambda)
-	}
 	op := stencil.Heat3D(m, lambda, boundary)
-	u := append([]float64(nil), u0...)
-	out := make([]HeatStep, 0, steps)
-	for s := 0; s < steps; s++ {
-		res, err := SolveStarContext(ctx, StarProblem{Op: op, B: u}, o)
-		if err != nil {
-			return out, fmt.Errorf("core: heat step %d: %w", s+1, err)
-		}
-		u = res.X
-		out = append(out, HeatStep{U: u, Energy: sumSq(u), Solve: res})
-	}
-	return out, nil
+	return runHeat(ctx, op, lambda, u0, steps, o, func() (solver.Backend, error) { return NewBackend(o, op) })
 }
 
-// RunHeat2D is RunHeat3D on a 2D mesh through the Backend2D seam: the
-// host float64 solver, or — when o.Backend is Wafer — the 2D block-halo
-// wafer program with block² meshpoints per tile (the mesh must tile
-// into block×block; the machine is built once and kept warm across
-// steps). The 9-point heat step has zero corner coefficients, so the
-// wafer program is exactly the 5-point star spec's schedule.
+// RunHeat2D is RunHeat3D on a 2D mesh: the host float64 solver, or —
+// when o.Backend is Wafer — the 2D block-halo wafer program with block²
+// meshpoints per tile (the mesh must tile into block×block). The
+// 9-point heat step has zero corner coefficients, so the wafer program
+// is exactly the 5-point star spec's schedule.
 func RunHeat2D(ctx context.Context, m stencil.Mesh2D, lambda float64, u0 []float64, steps, block int, o Options) ([]HeatStep, error) {
-	if len(u0) != m.N() {
-		return nil, fmt.Errorf("core: initial field length %d, want %d", len(u0), m.N())
-	}
-	if steps <= 0 {
-		return nil, fmt.Errorf("core: heat stepping needs steps > 0, got %d", steps)
-	}
-	if lambda <= 0 {
-		return nil, fmt.Errorf("core: heat stepping needs a positive diffusion number, got %g", lambda)
-	}
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
-	if o.MaxIter == 0 {
-		o.MaxIter = 200
-	}
-	var be solver.Backend2D
-	var wafer *kernels.Wafer2DBackend
-	switch o.Backend {
-	case Local:
-		if o.Local.Precision != F64 {
-			return nil, &OptionError{"Local.Precision", fmt.Sprintf(
-				"2D heat steps run in fp64 on the host (got %s); use the wafer backend for the mixed-precision path", o.Local.Precision)}
+	op := stencil.Heat2D(m, lambda)
+	return runHeat(ctx, op, lambda, u0, steps, o, func() (solver.Backend, error) {
+		if o.Backend != Wafer {
+			return NewBackend(o, op)
 		}
-		be = solver.HostBackend2D{}
-	case Wafer:
+		if err := o.Validate(); err != nil {
+			return nil, err
+		}
 		if block <= 0 || block%2 != 0 {
 			return nil, fmt.Errorf("core: wafer heat stepping needs an even positive block size, got %d", block)
 		}
 		if m.NX%block != 0 || m.NY%block != 0 {
 			return nil, fmt.Errorf("core: mesh %d×%d does not tile into %d×%d blocks", m.NX, m.NY, block, block)
 		}
-		mach := wse.New(waferConfig(o, m.NX/block, m.NY/block))
-		defer mach.Close()
-		wafer = kernels.NewWafer2DBackend(mach, block)
-		be = wafer
-	default:
-		return nil, &OptionError{"Backend", fmt.Sprintf(
-			"2D heat steps run on the local (fp64) and wafer backends, not %s", o.Backend)}
+		return kernels.NewWafer2DBackend(newWafer(o, m.NX/block, m.NY/block), block), nil
+	})
+}
+
+// runHeat is the stepper both heat runners share: one backend, one run
+// of the solve pipeline per step. Checkpoint options are refused: a run
+// is many solves, so a Resume blob would restart every step from the
+// same checkpoint and a Checkpoint callback could not tell the steps
+// apart.
+func runHeat(ctx context.Context, op stencil.Operator, lambda float64, u0 []float64, steps int, o Options,
+	build func() (solver.Backend, error)) ([]HeatStep, error) {
+	if len(u0) != op.N() {
+		return nil, fmt.Errorf("core: initial field length %d, want %d", len(u0), op.N())
 	}
-	norm, diag := stencil.Heat2D(m, lambda).Normalize9()
+	if steps <= 0 {
+		return nil, fmt.Errorf("core: heat stepping needs steps > 0, got %d", steps)
+	}
+	if lambda <= 0 {
+		return nil, fmt.Errorf("core: heat stepping needs a positive diffusion number, got %g", lambda)
+	}
+	if err := o.solverOptions().RejectCheckpoint("heat stepping"); err != nil {
+		return nil, err
+	}
+	be, err := build()
+	if err != nil {
+		return nil, err
+	}
+	defer release(be)
 	u := append([]float64(nil), u0...)
-	zero := make([]float64, len(u))
 	out := make([]HeatStep, 0, steps)
 	for s := 0; s < steps; s++ {
-		sb := stencil.ScaleRHS(u, diag)
-		x, st, err := be.Solve2D(norm, sb, zero, solver.Options{
-			Ctx:     ctx,
-			MaxIter: o.MaxIter, Tol: o.Tol, RecordHistory: true,
-		})
+		res, err := SolveOn(ctx, be, op, u, o, nil)
 		if err != nil {
 			return out, fmt.Errorf("core: heat step %d: %w", s+1, err)
 		}
-		tel := Telemetry{Backend: Local.String(), Precision: F64.String()}
-		if wafer != nil {
-			tel = TelemetryFromWSE(wafer.LastStats)
-		}
-		u = x
-		out = append(out, HeatStep{U: u, Energy: sumSq(u), Solve: NewResult(x, st, tel)})
+		u = res.X
+		out = append(out, HeatStep{U: u, Energy: sumSq(u), Solve: res})
 	}
 	return out, nil
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/fp16"
 	"repro/internal/stencil"
 	"repro/internal/stencilc"
 )
@@ -121,6 +122,14 @@ func TestRunHeat2D(t *testing.T) {
 				t.Fatalf("%s: step %d energy %g did not decay from %g", o.Backend, i+1, s.Energy, prev)
 			}
 			prev = s.Energy
+			// Every step carries the float64 ‖b − Ax‖/‖b‖ (it used to
+			// report a perfect 0): real, and within fp16 rounding of
+			// the recurrence residual the solve stopped on.
+			tr, last := s.Solve.TrueResidual, s.Solve.History[len(s.Solve.History)-1]
+			t.Logf("%s step %d: true residual %.3e, recurrence %.3e", o.Backend, i+1, tr, last)
+			if !(tr > 0) || math.IsInf(tr, 0) || math.Abs(tr-last) > 2*fp16.Epsilon {
+				t.Fatalf("%s: step %d true residual %g, last history entry %g", o.Backend, i+1, tr, last)
+			}
 		}
 		if o.Backend == Wafer && !steps[len(steps)-1].Solve.Telemetry.Simulated {
 			t.Fatal("wafer heat telemetry not marked simulated")

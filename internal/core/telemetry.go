@@ -3,6 +3,7 @@ package core
 import (
 	"repro/internal/kernels"
 	"repro/internal/multiwafer"
+	"repro/internal/solver"
 )
 
 // Phases is the simulated cycle account — the paper's kernel classes
@@ -61,9 +62,27 @@ func telemetryFrom(b Backend, st kernels.WSEStats) Telemetry {
 	}
 }
 
+// telemetryOf reads a backend's instrumentation after a solve: the
+// simulated backends expose the solve loop's account (LastStats), the
+// host ones are described by what they are.
+func telemetryOf(be solver.Backend) Telemetry {
+	switch be := be.(type) {
+	case *multiwafer.Backend:
+		return TelemetryFromMultiWafer(be.LastStats())
+	case interface{ LastStats() kernels.WSEStats }:
+		return TelemetryFromWSE(be.LastStats())
+	case clusterBackend:
+		return Telemetry{Backend: Cluster.String(), Ranks: be.ranks}
+	case solver.Host:
+		if be.Context != nil {
+			return Telemetry{Backend: Local.String(), Precision: be.Context.Name()}
+		}
+	}
+	return Telemetry{Backend: Local.String(), Precision: F64.String()}
+}
+
 // TelemetryFromWSE converts a single-wafer solve's stats into the
-// uniform Telemetry shape. Exported for the service layer, which runs
-// warm-machine solves outside Solve but reports the same telemetry.
+// uniform Telemetry shape.
 func TelemetryFromWSE(st kernels.WSEStats) Telemetry { return telemetryFrom(Wafer, st) }
 
 // TelemetryFromMultiWafer is TelemetryFromWSE for the multi-wafer

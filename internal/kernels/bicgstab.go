@@ -1,7 +1,6 @@
 package kernels
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/fp16"
@@ -161,8 +160,8 @@ type WSEStats struct {
 	MaxARDrift float64
 }
 
-// SolverStats is the solve outcome in the shape the solver.Backend*
-// seams return; the residual history is attached only on request.
+// SolverStats is the solve outcome in the shape the solver.Backend
+// seam returns; the residual history is attached only on request.
 func (st WSEStats) SolverStats(recordHistory bool) solver.Stats {
 	out := solver.Stats{Iterations: st.Iterations, Converged: st.Converged, Breakdown: st.Breakdown}
 	if n := len(st.History); n > 0 {
@@ -174,34 +173,12 @@ func (st WSEStats) SolverStats(recordHistory bool) solver.Stats {
 	return out
 }
 
-// WSEOptions controls the wafer solve.
-type WSEOptions struct {
-	// Ctx, if non-nil, is polled at the top of every iteration for
-	// cooperative cancellation. Cancellation unwinds between iterations,
-	// when the fabric is idle, so the machine stays in a consistent
-	// (resettable, snapshottable) state. The returned error wraps
-	// Ctx.Err().
-	Ctx context.Context
-
-	MaxIter int
-	// Tol stops when ‖r‖/‖b‖ falls below it; 0 runs MaxIter iterations.
-	Tol float64
-	// CheckpointEvery > 0 with a non-nil Checkpoint cuts an encoded
-	// WSECheckpoint at the top of every CheckpointEvery-th iteration and
-	// passes it to the callback; a callback error aborts the solve.
-	CheckpointEvery int
-	Checkpoint      func([]byte) error
-	// Resume, if non-nil, is an encoded WSECheckpoint: the solve restores
-	// the machine snapshot and continues from the captured iteration,
-	// bit-identically to the uninterrupted solve. The right-hand side
-	// must be the one the checkpointed solve was started with.
-	Resume []byte
-	// Progress, if non-nil, is called after every iteration with the
-	// 1-based iteration number and the relative residual just appended
-	// to History. It is purely observational (the service layer streams
-	// it to clients) and must not mutate solver state.
-	Progress func(iter int, rel float64)
-}
+// WSEOptions controls the wafer solve: the one options struct of the
+// solver seam, read directly by the solve loop (no field is copied on
+// the way in). Of its fields the loop ignores RecordHistory —
+// WSEStats.History is always kept — and TrueResidual, which needs a
+// host-resident iterate; MaxIter 0 means 100.
+type WSEOptions = solver.Options
 
 // Solve runs BiCGStab for the right-hand side b (mesh-indexed, fp16) with
 // a zero initial guess and returns the solution with solve statistics.
@@ -239,4 +216,39 @@ func (w *BiCGStabWSE) runSpMV(src, dst []int, acc *int64) error {
 func SolutionResidual(op *stencil.Op7, x []fp16.Float16, b []float64) float64 {
 	xf := fp16.ToFloat64Slice(x)
 	return op.ResidualNorm(xf, b) / stencil.Norm2(b)
+}
+
+// NewWafer3DBackend wraps mach as the solver.Backend of the Listing 1
+// pipeline for 7-point systems on a mesh whose X×Y extent equals the
+// fabric. Building the program also captures the machine's pristine
+// state, and every later Solve rewinds to it before loading its
+// coefficients: the pipeline's FIFO accumulation order is
+// timing-dependent, and a warm solve must reproduce a cold machine's
+// bits (TestWarmSolverReuseBitIdentical). The right-hand side is
+// converted to fp16 unscaled.
+func NewWafer3DBackend(mach *wse.Machine) *WaferBackend {
+	var prog *BiCGStabWSE
+	var pristine *wse.Snapshot
+	return &WaferBackend{mach: mach, load: func(a stencil.Operator) (_ SolveFunc, err error) {
+		op, ok := a.(*stencil.Op7)
+		if !ok {
+			return nil, errCannotLower(a, "Listing 1")
+		}
+		half := stencil.NewOp7Half(op)
+		if prog != nil {
+			if err = prog.Reset(pristine); err == nil {
+				err = prog.LoadCoeff(half)
+			}
+			return prog.Solve, err
+		}
+		fresh, err := NewBiCGStabWSE(mach, half)
+		if err != nil {
+			return nil, err
+		}
+		if pristine, err = fresh.Pristine(); err != nil {
+			return nil, err
+		}
+		prog = fresh
+		return prog.Solve, nil
+	}}
 }

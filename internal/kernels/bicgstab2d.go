@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/fp16"
-	"repro/internal/solver"
 	"repro/internal/stencil"
 	"repro/internal/wse"
 )
@@ -83,45 +82,28 @@ func (s *BiCGStab2DWSE) runSpMV(src, dst []int, acc *int64) error {
 	return nil
 }
 
-// ---------------------------------------------------------------------
-// solver.Backend2D adapter
-
-// Wafer2DBackend executes 2D linear solves on a cycle-simulated wafer:
-// the pressure-correction backend of the cavity-on-wafer experiment.
-// The first Solve2D call fixes the mesh (which must tile the machine's
-// fabric with the configured block size) and builds the wafer program;
-// subsequent calls reload coefficients and reuse routing, memory layout
-// and tasks. The caller owns the machine and must Close it when done.
-//
-// The right-hand side is pre-scaled by a power of two (waferSeam), which
-// keeps the fp16-stored iterate clear of the subnormal range for the
-// small mass-imbalance values SIMPLE produces.
-type Wafer2DBackend struct {
-	mach *wse.Machine
-	b    int
-	prog *BiCGStab2DWSE
-
-	waferSeam
-}
-
-// NewWafer2DBackend wraps mach as a 2D solve backend with b×b blocks.
-func NewWafer2DBackend(mach *wse.Machine, b int) *Wafer2DBackend {
-	return &Wafer2DBackend{mach: mach, b: b}
-}
-
-// Solve2D implements solver.Backend2D.
-func (w *Wafer2DBackend) Solve2D(op *stencil.Op9, b, x0 []float64, opts solver.Options) ([]float64, solver.Stats, error) {
-	if w.prog == nil {
-		prog, err := NewBiCGStab2DWSE(w.mach, op, w.b)
-		if err != nil {
-			return nil, solver.Stats{}, err
+// NewWafer2DBackend wraps mach as the solver.Backend of the 2D
+// block-halo program with b×b blocks — the pressure-correction backend
+// of the cavity-on-wafer experiment. The mesh must tile the machine's
+// fabric with that block size. The right-hand side is pre-scaled by a
+// power of two (SolveFloat64), which keeps the fp16-stored iterate clear
+// of the subnormal range for the small mass-imbalance values SIMPLE
+// produces.
+func NewWafer2DBackend(mach *wse.Machine, b int) *WaferBackend {
+	var prog *BiCGStab2DWSE
+	return &WaferBackend{mach: mach, prescale: true, load: func(a stencil.Operator) (_ SolveFunc, err error) {
+		op, ok := a.(*stencil.Op9)
+		if !ok {
+			return nil, errCannotLower(a, "2D block-halo")
 		}
-		w.prog = prog
-	} else {
-		if op.M != w.prog.Mesh {
-			return nil, solver.Stats{}, fmt.Errorf("kernels: wafer 2D backend built for mesh %v, got %v", w.prog.Mesh, op.M)
+		if prog != nil {
+			if op.M != prog.Mesh {
+				return nil, fmt.Errorf("kernels: wafer 2D backend built for mesh %v, got %v", prog.Mesh, op.M)
+			}
+			prog.LoadCoeff(op)
+		} else if prog, err = NewBiCGStab2DWSE(mach, op, b); err != nil {
+			return nil, err
 		}
-		w.prog.LoadCoeff(op)
-	}
-	return w.solve(w.prog.Solve, b, x0, opts)
+		return prog.Solve, nil
+	}}
 }

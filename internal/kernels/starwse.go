@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/fp16"
-	"repro/internal/solver"
 	"repro/internal/stencil"
 	"repro/internal/stencilc"
 	"repro/internal/wse"
@@ -120,49 +119,31 @@ func ColumnSpMV(machines []*wse.Machine, progs []ColumnProgram, z int, exchange 
 	}
 }
 
-// ---------------------------------------------------------------------
-// solver.BackendStar adapter
-
-// WaferStarBackend executes star-stencil linear solves on a
-// cycle-simulated wafer through the stencil compiler. The first
-// SolveStar call fixes the mesh (whose X×Y extent must equal the
-// machine's fabric) and builds the wafer program; subsequent calls on
-// the same mesh and widths reload coefficients and reuse routing,
-// memory layout and tasks — the implicit heat stepper solves every
-// time step on one warm machine. The caller owns the machine and must
-// Close it when done.
-//
-// The right-hand side is pre-scaled by a power of two (waferSeam),
-// exactly as the 2D wafer backend does.
-type WaferStarBackend struct {
-	mach *wse.Machine
-	spec stencilc.Spec
-	prog *BiCGStabStarWSE
-
-	waferSeam
-}
-
-// NewWaferStarBackend wraps mach as a star solve backend for spec.
-func NewWaferStarBackend(mach *wse.Machine, spec stencilc.Spec) *WaferStarBackend {
-	return &WaferStarBackend{mach: mach, spec: spec}
-}
-
-// SolveStar implements solver.BackendStar.
-func (w *WaferStarBackend) SolveStar(op *stencil.OpStar, b, x0 []float64, opts solver.Options) ([]float64, solver.Stats, error) {
-	// Reject non-lowerable specs before building the fp16 half operator:
-	// the host references assert Dirichlet, and the caller deserves the
-	// compiler's *UnsupportedError rather than that panic.
-	if err := w.spec.Lowerable(); err != nil {
-		return nil, solver.Stats{}, err
-	}
-	if w.prog == nil {
-		prog, err := NewBiCGStabStarWSE(w.mach, w.spec, stencil.NewOpStarHalf(op))
-		if err != nil {
-			return nil, solver.Stats{}, err
+// NewWaferStarBackend wraps mach as the solver.Backend of the
+// stencil-compiled program for spec: star systems on a mesh whose X×Y
+// extent equals the fabric. The compiled program's fixed order is
+// reuse-stable with LoadCoeff alone. The right-hand side is pre-scaled
+// by a power of two (SolveFloat64), exactly as the 2D backend does.
+func NewWaferStarBackend(mach *wse.Machine, spec stencilc.Spec) *WaferBackend {
+	var prog *BiCGStabStarWSE
+	return &WaferBackend{mach: mach, prescale: true, load: func(a stencil.Operator) (_ SolveFunc, err error) {
+		op, ok := a.(*stencil.OpStar)
+		if !ok {
+			return nil, errCannotLower(a, "star")
 		}
-		w.prog = prog
-	} else if err := w.prog.LoadCoeff(stencil.NewOpStarHalf(op)); err != nil {
-		return nil, solver.Stats{}, err
-	}
-	return w.solve(w.prog.Solve, b, x0, opts)
+		// Reject non-lowerable specs before building the fp16 half
+		// operator: the host references assert Dirichlet, and the caller
+		// deserves the compiler's *UnsupportedError rather than that panic.
+		if err := spec.Lowerable(); err != nil {
+			return nil, err
+		}
+		half := stencil.NewOpStarHalf(op)
+		if prog != nil {
+			return prog.Solve, prog.LoadCoeff(half)
+		}
+		if prog, err = NewBiCGStabStarWSE(mach, spec, half); err != nil {
+			return nil, err
+		}
+		return prog.Solve, nil
+	}}
 }

@@ -86,7 +86,7 @@ func TestStarSolverMatchesHalo(t *testing.T) {
 }
 
 // TestWaferStarBackendSeismic solves the 25-point seismic system on the
-// wafer and on the float64 host through the BackendStar seam: both must
+// wafer and on the float64 host through the solver.Backend seam: both must
 // converge and agree to mixed-precision accuracy, and the warm second
 // solve on the same backend must reproduce the first bit for bit.
 func TestWaferStarBackendSeismic(t *testing.T) {
@@ -103,7 +103,7 @@ func TestWaferStarBackendSeismic(t *testing.T) {
 	zero := make([]float64, m.N())
 	opts := solver.Options{MaxIter: 40, Tol: 1e-3, RecordHistory: true}
 
-	xhost, sthost, err := solver.HostBackendStar{}.SolveStar(norm, sb, zero, opts)
+	xhost, sthost, err := solver.Host{}.Solve(norm, sb, zero, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestWaferStarBackendSeismic(t *testing.T) {
 	mach := wse.New(wse.CS1(m.NX, m.NY))
 	defer mach.Close()
 	be := NewWaferStarBackend(mach, stencilc.SpecSeismic25())
-	xw, stw, err := be.SolveStar(norm, sb, zero, opts)
+	xw, stw, err := be.Solve(norm, sb, zero, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestWaferStarBackendSeismic(t *testing.T) {
 	}
 
 	// Warm reuse: identical problem, identical bits.
-	xw2, stw2, err := be.SolveStar(norm, sb, zero, opts)
+	xw2, stw2, err := be.Solve(norm, sb, zero, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,6 +145,17 @@ func TestWaferStarBackendSeismic(t *testing.T) {
 	}
 	if be.Solves != 2 {
 		t.Fatalf("Solves = %d, want 2", be.Solves)
+	}
+
+	// The seam checks the system's size before touching the machine: a
+	// short or nil x0 is refused, and the backend stays warm.
+	for _, short := range [][]float64{nil, zero[:len(zero)-1]} {
+		if _, _, err := be.Solve(norm, sb, short, opts); err == nil {
+			t.Fatalf("x0 of length %d accepted for a system of %d", len(short), len(sb))
+		}
+	}
+	if be.Solves != 2 {
+		t.Fatalf("a refused solve was counted: Solves = %d", be.Solves)
 	}
 }
 

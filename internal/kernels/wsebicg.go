@@ -213,7 +213,7 @@ func (w *BiCGStabEngine) Solve(bvec []fp16.Float16, opts WSEOptions) ([]fp16.Flo
 	)
 	w.maxDrift = 0
 
-	if len(w.parts) > 1 && (opts.CheckpointEvery > 0 || opts.Checkpoint != nil || opts.Resume != nil) {
+	if len(w.parts) > 1 && opts.CheckpointRequested() {
 		return nil, st, fmt.Errorf("kernels: a %d-machine substrate does not support checkpoint/resume (one machine only)", len(w.parts))
 	}
 	if opts.Resume != nil {
@@ -288,10 +288,8 @@ func (w *BiCGStabEngine) Solve(bvec []fp16.Float16, opts WSEOptions) ([]fp16.Flo
 		// Cancellation unwinds here, between iterations: every fabric is
 		// idle and every solver vector is consistent, so the caller may
 		// reset, snapshot, or reuse the machines.
-		if opts.Ctx != nil {
-			if err := opts.Ctx.Err(); err != nil {
-				return nil, st, fmt.Errorf("kernels: solve canceled: %w", err)
-			}
+		if err := opts.CtxErr(); err != nil {
+			return nil, st, err
 		}
 		if opts.Checkpoint != nil && opts.CheckpointEvery > 0 &&
 			it > startIt && it%opts.CheckpointEvery == 0 {

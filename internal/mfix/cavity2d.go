@@ -12,10 +12,10 @@ import (
 // algorithm on a staggered MAC grid: u on x-faces, v on y-faces,
 // pressure at cell centres. It is the 3D Cavity's 2D counterpart, with
 // one structural difference: every linear solve goes through a
-// pluggable solver.Backend2D, so the pressure-correction system — the
+// pluggable solver.Backend, so the pressure-correction system — the
 // dominant solve, 20 BiCGStab iterations per SIMPLE sweep in the
 // paper's budget — can execute on the cycle-simulated wafer through the
-// §IV-2 block-halo mapping (kernels.Wafer2DBackend) while the momentum
+// §IV-2 block-halo mapping (kernels.NewWafer2DBackend) while the momentum
 // systems (whose (n−1)×n meshes do not tile the fabric) stay on the
 // host backend. Convection is first-order upwind, the scheme Table II
 // budgets; solver limits default to the paper's 5 momentum / 20
@@ -34,8 +34,8 @@ type Cavity2D struct {
 
 	// Momentum and Pressure select the linear-solve backends; both
 	// default to the in-process float64 host backend.
-	Momentum solver.Backend2D
-	Pressure solver.Backend2D
+	Momentum solver.Backend
+	Pressure solver.Backend
 
 	// RecordPressureHistory appends each pressure solve's residual
 	// history to PressureResiduals (cross-backend and cross-engine
@@ -60,7 +60,7 @@ func NewCavity2D(n int, re float64) *Cavity2D {
 		N: n, Re: re,
 		AlphaU: 0.7, AlphaP: 0.3,
 		MomentumIters: 5, PressureIters: 20,
-		Momentum: solver.HostBackend2D{}, Pressure: solver.HostBackend2D{},
+		Momentum: solver.Host{}, Pressure: solver.Host{},
 		h: 1 / float64(n), mu: 1 / re,
 	}
 	for a := 0; a < 2; a++ {
@@ -331,13 +331,9 @@ func (c *Cavity2D) pressureCorrection() (float64, error) {
 
 // solve normalizes the system and hands it to the backend for a bounded
 // iteration count, as the paper limits the inner solves.
-func (c *Cavity2D) solve(be solver.Backend2D, op *stencil.Op9, b, x0 []float64, iters int) ([]float64, solver.Stats, error) {
+func (c *Cavity2D) solve(be solver.Backend, op *stencil.Op9, b, x0 []float64, iters int) ([]float64, solver.Stats, error) {
 	norm, diag := op.Normalize9()
-	sb := make([]float64, len(b))
-	for i := range b {
-		sb[i] = b[i] / diag[i]
-	}
-	sol, stats, err := be.Solve2D(norm, sb, x0, solver.Options{
+	sol, stats, err := be.Solve(norm, stencil.ScaleRHS(b, diag), x0, solver.Options{
 		MaxIter: iters, Tol: 1e-12, RecordHistory: c.RecordPressureHistory,
 	})
 	if err != nil {

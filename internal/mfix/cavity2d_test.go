@@ -99,7 +99,7 @@ func TestCavity2DWaferBackendTracksHost(t *testing.T) {
 	if rw[iters-1].Mass > rw[0].Mass/3 {
 		t.Errorf("wafer-backend mass imbalance did not drop: %g -> %g", rw[0].Mass, rw[iters-1].Mass)
 	}
-	be := cw.Pressure.(*kernels.Wafer2DBackend)
+	be := cw.Pressure.(*kernels.WaferBackend)
 	if be.Solves != iters || be.Iterations != iters*cw.PressureIters {
 		t.Errorf("instrumentation: %d solves / %d iterations, want %d / %d",
 			be.Solves, be.Iterations, iters, iters*cw.PressureIters)

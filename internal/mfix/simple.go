@@ -331,26 +331,15 @@ func (c *Cavity) pressureCorrection() (float64, error) {
 	return maxImb, nil
 }
 
-// solveSystem normalizes and runs BiCGStab for a bounded iteration count,
-// as the paper limits the inner solves.
+// solveSystem normalizes and runs BiCGStab on the float64 host backend
+// for a bounded iteration count, as the paper limits the inner solves.
 func (c *Cavity) solveSystem(op *stencil.Op7, b, x0 []float64, iters int) ([]float64, error) {
 	norm, diag := op.Normalize()
-	sb := stencil.ScaleRHS(b, diag)
-	ctx := solver.NewF64()
-	a := ctx.NewOperator(norm)
-	bv := ctx.NewVector(len(sb))
-	xv := ctx.NewVector(len(sb))
-	for i := range sb {
-		bv.Set(i, sb[i])
-		xv.Set(i, x0[i])
+	x, _, err := solver.Host{}.Solve(norm, stencil.ScaleRHS(b, diag), x0, solver.Options{MaxIter: iters, Tol: 1e-12})
+	if err == solver.ErrZeroRHS {
+		return x0, nil
 	}
-	if _, err := solver.BiCGStab(ctx, a, bv, xv, solver.Options{MaxIter: iters, Tol: 1e-12}); err != nil {
-		if err == solver.ErrZeroRHS {
-			return x0, nil
-		}
-		return nil, err
-	}
-	return xv.Float64(), nil
+	return x, err
 }
 
 // MassResidual recomputes the current ∞-norm mass imbalance.

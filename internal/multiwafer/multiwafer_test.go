@@ -139,31 +139,31 @@ func TestCycleAccounting(t *testing.T) {
 	}
 }
 
-// TestBackendSeam runs the same problem through solver.Backend3D on the
+// TestBackendSeam runs the same problem through solver.Backend on the
 // host and the wafer cluster: both must converge, and the multiwafer
-// backend must expose the solve's cycle account via Stats.
+// backend must expose the solve's cycle account via LastStats.
 func TestBackendSeam(t *testing.T) {
 	_, norm, _, sb := testProblem(t, 4, 4, 8, 11)
 	x0 := make([]float64, len(sb))
 	opts := solver.Options{MaxIter: 20, Tol: 1e-3, RecordHistory: true}
 
-	hx, hst, err := solver.HostBackend3D{}.Solve3D(norm, sb, x0, opts)
+	hx, hst, err := solver.Host{}.Solve(norm, sb, x0, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	be := &Backend{Grid: Topology{2, 1}}
-	if _, ok := be.Stats(); ok {
-		t.Error("Stats reported a solve before any ran")
+	if st := be.LastStats(); st.Iterations != 0 {
+		t.Error("LastStats reported a solve before any ran")
 	}
-	wx, wst, err := be.Solve3D(norm, sb, x0, opts)
+	wx, wst, err := be.Solve(norm, sb, x0, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !hst.Converged {
 		t.Errorf("host backend did not converge: %+v", hst)
 	}
-	mwStats, ok := be.Stats()
-	if !ok || len(wst.History) == 0 || mwStats.Cycles.Total() == 0 {
+	mwStats := be.LastStats()
+	if len(wst.History) == 0 || mwStats.Cycles.Total() == 0 {
 		t.Errorf("multiwafer stats not populated: %+v / %+v", wst, mwStats)
 	}
 	hr := norm.ResidualNorm(hx, sb) / stencil.Norm2(sb)
@@ -176,19 +176,29 @@ func TestBackendSeam(t *testing.T) {
 	}
 
 	// Guard rails.
-	if _, _, err := be.Solve3D(norm, sb, []float64{1}, opts); err == nil {
+	if _, _, err := be.Solve(norm, sb, []float64{1}, opts); err == nil {
 		t.Error("nonzero x0 accepted")
 	}
+	nonzero := make([]float64, len(sb))
+	nonzero[3] = 1
+	if _, _, err := be.Solve(norm, sb, nonzero, opts); err == nil {
+		t.Error("full-length nonzero x0 accepted")
+	}
+	for _, short := range [][]float64{nil, x0[:len(x0)-1]} {
+		if _, _, err := be.Solve(norm, sb, short, opts); err == nil {
+			t.Errorf("x0 of length %d accepted for a system of %d", len(short), len(sb))
+		}
+	}
 	raw := stencil.Poisson(stencil.Mesh{NX: 4, NY: 4, NZ: 8}, 1)
-	if _, _, err := be.Solve3D(raw, sb, x0, opts); err == nil {
+	if _, _, err := be.Solve(raw, sb, x0, opts); err == nil {
 		t.Error("non-normalized operator accepted")
 	}
-	if _, _, err := be.Solve3D(norm, sb, x0, solver.Options{MaxIter: 2, Resume: []byte{1}}); err == nil {
+	if _, _, err := be.Solve(norm, sb, x0, solver.Options{MaxIter: 2, Resume: []byte{1}}); err == nil {
 		t.Error("checkpoint/resume options accepted (single-wafer only)")
 	}
 }
 
-// TestBackendStatsConcurrent hammers Stats while two Solve3D calls run
+// TestBackendStatsConcurrent hammers LastStats while two Solve calls run
 // on the same Backend: the mutex-guarded accessor must stay race-free
 // (the old exported LastStats pointer field was not) — this test exists
 // to fail under -race if that regresses.
@@ -205,8 +215,8 @@ func TestBackendStatsConcurrent(t *testing.T) {
 			case <-done:
 				return
 			default:
-				if st, ok := be.Stats(); ok && st.Iterations == 0 {
-					t.Error("Stats returned a populated-but-empty account")
+				if st := be.LastStats(); st.Wafers != 0 && st.Iterations == 0 {
+					t.Error("LastStats returned a populated-but-empty account")
 					return
 				}
 			}
@@ -217,15 +227,15 @@ func TestBackendStatsConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, _, err := be.Solve3D(norm, sb, x0, opts); err != nil {
+			if _, _, err := be.Solve(norm, sb, x0, opts); err != nil {
 				t.Error(err)
 			}
 		}()
 	}
 	wg.Wait()
 	close(done)
-	if st, ok := be.Stats(); !ok || st.Iterations == 0 {
-		t.Errorf("Stats not populated after concurrent solves: %+v (ok=%v)", st, ok)
+	if st := be.LastStats(); st.Iterations == 0 {
+		t.Errorf("LastStats not populated after concurrent solves: %+v", st)
 	}
 }
 

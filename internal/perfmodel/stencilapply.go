@@ -25,7 +25,7 @@ import "fmt"
 
 // StencilApply3D describes one application of a stencil-compiled 3D
 // column-halo program on a W×H fabric holding the full W×H×Z mesh (the
-// single-wafer configuration kernels.WaferStarBackend builds).
+// single-wafer configuration kernels.NewWaferStarBackend builds).
 type StencilApply3D struct {
 	W, H, Z int
 	Widths  [3]int

@@ -5,54 +5,39 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/kernels"
 	"repro/internal/multiwafer"
-	"repro/internal/stencil"
-	"repro/internal/wse"
+	"repro/internal/solver"
 )
 
 // machineKey identifies a reusable simulated machine: everything that
 // is baked into the built program — fabric shape, Z depth, stepping
-// engine, wafer grid — but not the coefficients (swapped per job with
-// LoadCoeff) or the right-hand side (re-initialized by every Solve).
+// engine, wafer grid — but not the coefficients (reloaded by every
+// Solve) or the right-hand side (re-initialized by every Solve).
 type machineKey struct {
 	backend             core.Backend // Wafer or MultiWafer
 	nx, ny, nz, workers int
 	grid                multiwafer.Topology // multiwafer only
 }
 
-// warmMachine is one pooled machine. Exactly one of wafer/cluster is
-// set. For the single-wafer solver, pristine is the just-built machine
-// capture: the Listing 1 FIFO pipeline's accumulation order is
-// timing-dependent, so every checkout rewinds to it before loading the
-// job's coefficients — bit-identical to a cold build (pinned by
-// kernels.TestWarmSolverReuseBitIdentical). The multiwafer cluster's
-// fixed program order is reuse-stable with LoadCoeff alone.
-type warmMachine struct {
-	key      machineKey
-	mach     *wse.Machine
-	wafer    *kernels.BiCGStabWSE
-	pristine *wse.Snapshot
-	cluster  *multiwafer.Cluster
-}
-
-func (w *warmMachine) close() {
-	if w.mach != nil {
-		w.mach.Close()
-	}
-	if w.cluster != nil {
-		w.cluster.Close()
-	}
+// warmBackend is one pooled simulated backend: a solver.Backend that
+// holds its built machines between solves and releases them on Close
+// (kernels.WaferBackend, multiwafer.Backend). What a warm solve must
+// do to reproduce a cold machine's bits — the Listing 1 pipeline
+// rewinds to its pristine capture, the cluster only reloads
+// coefficients — is the backend's own business.
+type warmBackend interface {
+	solver.Backend
+	Close()
 }
 
 // machineCache pools warm machines across jobs. Building a machine —
 // routing tables, task programs, memory layout — dominates small-job
 // latency; a cache hit reduces per-job setup to a snapshot restore plus
 // a coefficient rewrite. Checked-out machines are not tracked: the
-// caller must return them with put (or close them on build errors).
+// caller must return them with put.
 type machineCache struct {
 	mu      sync.Mutex
-	idle    map[machineKey][]*warmMachine
+	idle    map[machineKey][]warmBackend
 	idleN   int
 	maxIdle int
 	closed  bool
@@ -64,59 +49,36 @@ func newMachineCache(maxIdle int) *machineCache {
 	if maxIdle <= 0 {
 		maxIdle = 8
 	}
-	return &machineCache{idle: make(map[machineKey][]*warmMachine), maxIdle: maxIdle}
+	return &machineCache{idle: make(map[machineKey][]warmBackend), maxIdle: maxIdle}
 }
 
-// checkout returns an idle machine for the key and prepares it for the
-// operator: single-wafer machines rewind to their pristine capture,
-// then both kinds load the job's coefficients. Returns nil on a miss —
-// the caller builds cold and puts the machine back afterwards.
-func (c *machineCache) checkout(key machineKey, op *stencil.Op7Half) (*warmMachine, error) {
+// checkout pops an idle backend for the key (a hit), or returns nil (a
+// miss) — the caller builds cold and puts the backend back afterwards.
+func (c *machineCache) checkout(key machineKey) warmBackend {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	list := c.idle[key]
-	var w *warmMachine
-	if n := len(list); n > 0 {
-		w = list[n-1]
-		c.idle[key] = list[:n-1]
-		c.idleN--
-	}
-	c.mu.Unlock()
-	if w == nil {
+	n := len(list)
+	if n == 0 {
 		c.misses.Add(1)
-		return nil, nil
+		return nil
 	}
-	if w.wafer != nil {
-		if err := w.wafer.Reset(w.pristine); err != nil {
-			w.close()
-			return nil, err
-		}
-		if err := w.wafer.LoadCoeff(op); err != nil {
-			w.close()
-			return nil, err
-		}
-	} else {
-		if err := w.cluster.LoadCoeff(op); err != nil {
-			w.close()
-			return nil, err
-		}
-	}
+	c.idle[key] = list[:n-1]
+	c.idleN--
 	c.hits.Add(1)
-	return w, nil
+	return list[n-1]
 }
 
-// put returns a machine to the pool, closing it instead if the pool is
+// put returns a backend to the pool, closing it instead if the pool is
 // full or the cache is closed.
-func (c *machineCache) put(w *warmMachine) {
-	if w == nil {
-		return
-	}
+func (c *machineCache) put(key machineKey, w warmBackend) {
 	c.mu.Lock()
 	if c.closed || c.idleN >= c.maxIdle {
 		c.mu.Unlock()
-		w.close()
+		w.Close()
 		return
 	}
-	c.idle[w.key] = append(c.idle[w.key], w)
+	c.idle[key] = append(c.idle[key], w)
 	c.idleN++
 	c.mu.Unlock()
 }
@@ -132,12 +94,12 @@ func (c *machineCache) close() {
 	c.mu.Lock()
 	c.closed = true
 	lists := c.idle
-	c.idle = make(map[machineKey][]*warmMachine)
+	c.idle = make(map[machineKey][]warmBackend)
 	c.idleN = 0
 	c.mu.Unlock()
 	for _, list := range lists {
 		for _, w := range list {
-			w.close()
+			w.Close()
 		}
 	}
 }

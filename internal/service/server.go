@@ -579,9 +579,9 @@ func (s *Server) solveAttempt(ctx context.Context, j *job, spec JobSpec, attempt
 	if err != nil {
 		return core.Result{}, false, err
 	}
-	h := solveHooks{progress: j.addPoint}
+	progress := j.addPoint
 	if s.testIterHook != nil {
-		h.progress = func(iter int, rel float64) {
+		progress = func(iter int, rel float64) {
 			j.addPoint(iter, rel)
 			s.testIterHook(j, iter)
 		}
@@ -591,7 +591,7 @@ func (s *Server) solveAttempt(ctx context.Context, j *job, spec JobSpec, attempt
 	// fallback jobs keep completing while the backend stays broken.
 	if !s.breaker.allow(spec.Backend) {
 		if spec.AllowFallback {
-			res, err := s.runFallback(ctx, p, o, h)
+			res, err := s.runFallback(ctx, p, o, progress)
 			return res, true, err
 		}
 		return core.Result{}, false, errBreakerOpen
@@ -602,8 +602,8 @@ func (s *Server) solveAttempt(ctx context.Context, j *job, spec JobSpec, attempt
 		}
 	}
 	if o.Backend == core.Wafer && s.spool.enabled() {
-		h.checkpointEvery = s.cfg.SuspendEvery
-		h.checkpoint = func(blob []byte) error {
+		o.Wafer.CheckpointEvery = s.cfg.SuspendEvery
+		o.Wafer.Checkpoint = func(blob []byte) error {
 			if !s.draining.Load() {
 				return nil
 			}
@@ -612,9 +612,9 @@ func (s *Server) solveAttempt(ctx context.Context, j *job, spec JobSpec, attempt
 			}
 			return errSuspended
 		}
-		h.resume = s.spool.readCkpt(j.id)
+		o.Wafer.Resume = s.spool.readCkpt(j.id)
 	}
-	res, err = s.runSolve(ctx, p, o, h)
+	res, err = s.runSolve(ctx, p, o, progress)
 	return res, false, err
 }
 

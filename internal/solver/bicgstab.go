@@ -7,7 +7,9 @@ import (
 	"math"
 )
 
-// Options controls a Krylov solve.
+// Options controls a Krylov solve on any Backend — the one options
+// struct from core's pipeline down to the wafer solve loop
+// (kernels.WSEOptions is this type).
 type Options struct {
 	// Ctx, if non-nil, is polled at iteration boundaries for cooperative
 	// cancellation. A canceled solve returns an error wrapping
@@ -22,18 +24,30 @@ type Options struct {
 	// ‖r‖/‖b‖ (diagnosed in float64). Tol <= 0 disables early exit, which
 	// Figure 9 uses to run a fixed number of iterations.
 	Tol float64
-	// RecordHistory stores the relative residual after every iteration.
+	// RecordHistory stores the relative residual after every iteration
+	// in Stats.History. (The wafer solve loop always keeps its
+	// WSEStats.History; the flag decides whether a Backend hands it on.)
 	RecordHistory bool
 	// TrueResidual, if non-nil, is called after each iteration with the
 	// current iterate to record an externally computed residual (for
-	// example, in full float64 against the original operator).
+	// example, in full float64 against the original operator). Host
+	// contexts only: the wafer iterate lives in tile memory.
 	TrueResidual func(x Vector) float64
-	// CheckpointEvery, Checkpoint and Resume thread solver-level
-	// checkpoint/resume through to backends that support it — the wafer
-	// backends, which snapshot the simulated machine (see
-	// kernels.WSEOptions). Backends without a restorable substrate
-	// (the host contexts, the multi-wafer cluster) reject a non-nil
-	// Resume or Checkpoint rather than silently ignoring it.
+	// Progress, if non-nil, is called after every iteration with the
+	// 1-based iteration number and the relative residual just recorded.
+	// It is purely observational (the service layer streams it to
+	// clients) and must not mutate solver state.
+	Progress func(iter int, rel float64)
+	// CheckpointEvery > 0 with a non-nil Checkpoint cuts an encoded
+	// kernels.WSECheckpoint (machine snapshot plus recurrence scalars) at
+	// the top of every CheckpointEvery-th iteration and passes it to the
+	// callback; a callback error aborts the solve. Resume, if non-nil, is
+	// such a blob: the solve restores the snapshot and continues from the
+	// captured iteration, bit-identically to the uninterrupted solve (the
+	// right-hand side must be the one the checkpointed solve started
+	// with). Only a one-machine wafer substrate can be restored; every
+	// other backend rejects these three (RejectCheckpoint) rather than
+	// silently ignoring them.
 	CheckpointEvery int
 	Checkpoint      func([]byte) error
 	Resume          []byte
@@ -142,6 +156,9 @@ func BiCGStab(ctx Context, a Operator, b, x Vector, opts Options) (Stats, error)
 		}
 		if opts.TrueResidual != nil {
 			st.TrueHistory = append(st.TrueHistory, opts.TrueResidual(x))
+		}
+		if opts.Progress != nil {
+			opts.Progress(st.Iterations, rel)
 		}
 	}
 
@@ -273,6 +290,9 @@ func CG(ctx Context, a Operator, b, x Vector, opts Options) (Stats, error) {
 		}
 		if opts.TrueResidual != nil {
 			st.TrueHistory = append(st.TrueHistory, opts.TrueResidual(x))
+		}
+		if opts.Progress != nil {
+			opts.Progress(st.Iterations, rel)
 		}
 		if opts.Tol > 0 && rel <= opts.Tol {
 			st.Converged = true

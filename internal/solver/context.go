@@ -108,8 +108,7 @@ type Vector interface {
 
 // Operator applies a unit-diagonal stencil in context precision. The
 // solvers only ever apply it — mesh geometry stays with the caller — so
-// both 7-point 3D operators and 9-point 2D operators (NewOperator2D)
-// fit behind it.
+// every stencil shape fits behind it (F64.OperatorOf).
 type Operator interface {
 	Apply(dst, src Vector)
 }
@@ -141,9 +140,14 @@ func (f *F64) Counters() *Counters { return &f.c }
 func (f *F64) NewVector(n int) Vector { return &f64Vec{d: make([]float64, n), ctx: f} }
 
 // NewOperator implements Context.
-func (f *F64) NewOperator(o *stencil.Op7) Operator {
-	requireUnitDiagonal(o)
-	return &f64Op{op: o, ctx: f}
+func (f *F64) NewOperator(o *stencil.Op7) Operator { return f.OperatorOf(o) }
+
+// OperatorOf adapts a unit-diagonal operator of any shape to this
+// context: float64 needs no image of the coefficients, only the
+// operator's own Apply.
+func (f *F64) OperatorOf(a stencil.Operator) Operator {
+	requireUnitDiagonal(a)
+	return &f64Op{op: a, ctx: f}
 }
 
 type f64Vec struct {
@@ -205,13 +209,19 @@ func (v *f64Vec) count(n int) {
 }
 
 type f64Op struct {
-	op  *stencil.Op7
+	op  stencil.Operator
 	ctx *F64
 }
 
+// Apply books the padded-kernel cost of the SpMV: one multiply-add per
+// off-diagonal point of every meshpoint (the unit diagonal costs no
+// multiply).
 func (o *f64Op) Apply(dst, src Vector) {
 	o.op.Apply(dst.(*f64Vec).d, src.(*f64Vec).d)
-	countMatvec(&o.ctx.c, o.op.M.N(), false)
+	ops := int64(o.op.OffDiagonals()) * int64(o.op.N())
+	c := &o.ctx.c.ByKind[KindMatvec]
+	c.SPMul += ops
+	c.SPAdd += ops
 }
 
 // countMatvec books the padded-kernel cost of one unit-diagonal 7-point
@@ -228,7 +238,7 @@ func countMatvec(c *Counters, n int, half bool) {
 	}
 }
 
-func requireUnitDiagonal(o *stencil.Op7) {
+func requireUnitDiagonal(o stencil.Operator) {
 	if !o.IsUnitDiagonal() {
 		panic("solver: operator must be diagonally preconditioned (unit diagonal); call Normalize first")
 	}

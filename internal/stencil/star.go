@@ -1,10 +1,6 @@
 package stencil
 
-import (
-	"math"
-
-	"repro/internal/fp16"
-)
+import "repro/internal/fp16"
 
 // OpStar is a general 3D star-stencil operator: the centre plus
 // axis-aligned neighbours out to per-axis widths W. It generalizes Op7
@@ -146,16 +142,16 @@ func (o *OpStar) IsUnitDiagonal() bool {
 }
 
 // ResidualNorm returns ‖b − A·x‖₂.
-func (o *OpStar) ResidualNorm(x, b []float64) float64 {
-	ax := make([]float64, len(x))
-	o.Apply(ax, x)
-	var s float64
-	for i := range ax {
-		d := b[i] - ax[i]
-		s += d * d
-	}
-	return math.Sqrt(s)
-}
+func (o *OpStar) ResidualNorm(x, b []float64) float64 { return ResidualNorm(o, x, b) }
+
+// N implements Operator.
+func (o *OpStar) N() int { return o.M.N() }
+
+// OffDiagonals implements Operator: 2(Wx+Wy+Wz) axis neighbours.
+func (o *OpStar) OffDiagonals() int { return 2 * (o.W[0] + o.W[1] + o.W[2]) }
+
+// Normalized implements Operator.
+func (o *OpStar) Normalized() (Operator, []float64) { return o.Normalize() }
 
 // OpStarHalf is the fp16 image of a unit-diagonal star operator —
 // what a wafer tile stores. Its Apply is the functional reference the

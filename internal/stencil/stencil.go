@@ -62,6 +62,35 @@ func NewOp7(m Mesh) *Op7 {
 	}
 }
 
+// Operator is what a solve needs of a stencil operator, whatever its
+// shape: *Op7, *Op9 and *OpStar implement it, and solver.Backend takes
+// one, so a backend sees every stencil through the same four questions.
+type Operator interface {
+	// N is the number of meshpoints (the system size).
+	N() int
+	// Apply computes dst = A·src in float64.
+	Apply(dst, src []float64)
+	// IsUnitDiagonal reports whether the operator is diagonally
+	// preconditioned — what every solver and wafer kernel requires.
+	IsUnitDiagonal() bool
+	// OffDiagonals is the number of off-diagonal stencil points: the
+	// multiply-adds one meshpoint costs under a unit diagonal.
+	OffDiagonals() int
+	// Normalized returns the row-scaled operator D⁻¹A, whose diagonal is
+	// all ones, and the original diagonal (apply it to the right-hand
+	// side with ScaleRHS).
+	Normalized() (Operator, []float64)
+}
+
+// N implements Operator.
+func (o *Op7) N() int { return o.M.N() }
+
+// OffDiagonals implements Operator: the six face neighbours.
+func (o *Op7) OffDiagonals() int { return 6 }
+
+// Normalized implements Operator.
+func (o *Op7) Normalized() (Operator, []float64) { return o.Normalize() }
+
 // Apply computes dst = A·src in float64, the reference arithmetic for all
 // correctness tests. Out-of-mesh neighbours contribute zero.
 func (o *Op7) Apply(dst, src []float64) {
@@ -218,9 +247,9 @@ func RandomDiagDominant(m Mesh, dom float64, rng *rand.Rand) *Op7 {
 }
 
 // ResidualNorm returns ‖b − A·x‖₂ computed in float64.
-func (o *Op7) ResidualNorm(x, b []float64) float64 {
+func ResidualNorm(a Operator, x, b []float64) float64 {
 	ax := make([]float64, len(x))
-	o.Apply(ax, x)
+	a.Apply(ax, x)
 	var s float64
 	for i := range b {
 		d := b[i] - ax[i]
@@ -228,6 +257,9 @@ func (o *Op7) ResidualNorm(x, b []float64) float64 {
 	}
 	return math.Sqrt(s)
 }
+
+// ResidualNorm returns ‖b − A·x‖₂ computed in float64.
+func (o *Op7) ResidualNorm(x, b []float64) float64 { return ResidualNorm(o, x, b) }
 
 // Norm2 is the Euclidean norm in float64.
 func Norm2(v []float64) float64 {

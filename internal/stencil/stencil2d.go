@@ -44,6 +44,26 @@ func NewOp9(m Mesh2D) *Op9 {
 	return o
 }
 
+// N implements Operator.
+func (o *Op9) N() int { return o.M.N() }
+
+// OffDiagonals implements Operator: the eight ring neighbours.
+func (o *Op9) OffDiagonals() int { return 8 }
+
+// Normalized implements Operator.
+func (o *Op9) Normalized() (Operator, []float64) { return o.Normalize9() }
+
+// IsUnitDiagonal reports whether every centre coefficient is exactly 1,
+// the postcondition of Normalize9.
+func (o *Op9) IsUnitDiagonal() bool {
+	for _, c := range o.C[4] {
+		if c != 1 {
+			return false
+		}
+	}
+	return true
+}
+
 // Apply computes dst = A·src in float64.
 func (o *Op9) Apply(dst, src []float64) {
 	m := o.M
