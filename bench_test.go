@@ -843,11 +843,18 @@ func BenchmarkFigure1_MachineBalance(b *testing.B) {
 }
 
 // BenchmarkSpMV3D_WaferKernel measures the cycle-level Listing 1 SpMV
-// itself: simulated cycles per z-element (the performance model's 3.0
-// coefficient) and host-side simulation throughput.
+// itself at the repository benchmark's deep_z shape (16×16×256; 8×8×64
+// under -short, which the regression gate runs): simulated cycles per
+// z-element (the performance model's 3.0 coefficient), host nanoseconds
+// per tile-cycle — what one core step plus its share of the fabric step
+// costs — and the Instr.Step calls per tile-cycle that found nothing to
+// do (wse.Machine.IssueStats; sends count, they never take lanes).
 func BenchmarkSpMV3D_WaferKernel(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
-	m := stencil.Mesh{NX: 8, NY: 8, NZ: 64}
+	m := stencil.Mesh{NX: 16, NY: 16, NZ: 256}
+	if testing.Short() {
+		m = stencil.Mesh{NX: 8, NY: 8, NZ: 64}
+	}
 	norm, _ := stencil.RandomDiagDominant(m, 1.5, rng).Normalize()
 	h := stencil.NewOp7Half(norm)
 	mach := wse.New(wse.CS1(m.NX, m.NY))
@@ -860,6 +867,7 @@ func BenchmarkSpMV3D_WaferKernel(b *testing.B) {
 		v[i] = fp16.FromFloat64(rng.Float64())
 	}
 	var cycles int64
+	idle0 := mach.IssueStats().IdleCalls
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.LoadVector(v)
@@ -869,7 +877,10 @@ func BenchmarkSpMV3D_WaferKernel(b *testing.B) {
 		}
 		cycles = c
 	}
+	tileCycles := float64(b.N) * float64(cycles) * float64(m.NX*m.NY)
 	b.ReportMetric(float64(cycles)/float64(m.NZ), "sim-cycles/z-elem")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/tileCycles, "ns/tile-cycle")
+	b.ReportMetric(float64(mach.IssueStats().IdleCalls-idle0)/tileCycles, "idle-calls/tile-cycle")
 }
 
 // BenchmarkAblation_AllReduceVsTree compares the paper's row/column

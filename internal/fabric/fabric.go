@@ -201,12 +201,14 @@ func (q *queue) pop() uint32 {
 // routeEntry is one configured (input port, color) of a router. Entries
 // are kept in first-configured order: the arbitration rotation walks
 // this list, so the order is part of the simulated state. Each entry
-// caches its input queue pointer and — for the single-output,
-// non-multicast common case — the resolved destination, so the claim
-// phase's fast path touches no coordinate math and no (port,color)
-// table lookups. Resolution is lazy (first cycle the entry is claimed)
-// because the destination queue may not exist yet while routes are
-// still being configured; routes are static once stepping begins.
+// caches its input queue pointer and its resolved destinations, so the
+// claim phase touches no coordinate math and no (port,color) table
+// lookups: a single-output entry holds its one destination inline, a
+// multicast entry the index of its fan-out in its shard's slab
+// (Fabric.fans), keeping this struct at 32 bytes. Resolution is
+// lazy (first cycle the entry is claimed) because the destination
+// queues may not exist yet while routes are still being configured;
+// routes are static once stepping begins.
 type routeEntry struct {
 	q   *queue // input queue for (in, c) at this tile
 	dst *queue // resolved destination queue (single-output only)
@@ -220,13 +222,32 @@ type routeEntry struct {
 	c        Color
 	sport    Port // the single output port; valid when single
 	single   bool // exactly one output port: the fast-path case
+	// fan is 1 + the index of the entry's resolved fan-out in its shard's
+	// slab, Fabric.fans[shard] (multicast only); 0 means not resolved yet.
+	fan int32
 }
 
 func (en *routeEntry) setOuts(outs PortMask) {
 	en.outs = outs
 	en.single = bits.OnesCount8(uint8(outs)) == 1
 	en.sport = Port(bits.TrailingZeros8(uint8(outs)))
-	en.dst = nil // force re-resolution
+	en.dst, en.fan = nil, 0 // force re-resolution
+}
+
+// fanDest is one resolved destination of a multicast entry: the queue,
+// the tile to re-mark hot (or the rxTile encoding of a core delivery)
+// and the engine shard that commits the push.
+type fanDest struct {
+	q     *queue
+	tile  int32
+	shard uint16
+}
+
+// fanout is a multicast entry's resolved destination list, in ascending
+// port order — the order the claim phase stages its pushes in.
+type fanout struct {
+	n   int
+	dst [NumPorts]fanDest
 }
 
 // router holds the claim-phase-hot state of one tile's router. The
@@ -311,6 +332,10 @@ type Fabric struct {
 	// arenas[s] backs the queue storage of every tile in shard s; only
 	// shard s allocates from it during stepping.
 	arenas []shardArena
+	// fans[s] holds the resolved fan-outs of shard s's multicast entries
+	// (routeEntry.fan indexes it), appended by shard s's claim phase in
+	// first-claim order so a cycle's multicast claims walk one slab.
+	fans [][]fanout
 
 	stepper Stepper
 }
@@ -436,6 +461,9 @@ func (f *Fabric) SetRoute(at Coord, in Port, c Color, outs PortMask) {
 	}
 	for i := range r.active {
 		if r.active[i].in == in && r.active[i].c == c {
+			if r.active[i].fan != 0 {
+				f.dropFanouts()
+			}
 			r.active[i].setOuts(outs)
 			return
 		}
@@ -463,30 +491,74 @@ func (f *Fabric) SetRoute(at Coord, in Port, c Color, outs PortMask) {
 	r.rrIdx = int32(r.rr % int64(len(r.active)))
 }
 
-// resolveSingle fills en's cached destination for the single-output
-// fast path: the core rx queue for a ramp delivery, or the neighbouring
-// router's input queue for a link hop. Called once per entry, from the
-// claim phase of the shard that owns the tile.
-func (f *Fabric) resolveSingle(ti int, en *routeEntry) *queue {
-	if en.sport == Ramp {
-		en.dst, en.dstTile, en.dstShard = f.rxQueue(ti, en.c), rxTile(ti, en.c), f.shardOf[ti]
-		return en.dst
+// dest resolves where a word of color c leaving tile ti through port p
+// lands: the core rx queue for the ramp, or the neighbouring router's
+// input queue for a link hop, with the tile to re-mark (or the rxTile
+// encoding of a core delivery) and the shard that commits the push. A
+// route that leads nowhere panics here, the first time a word takes it.
+func (f *Fabric) dest(ti int, p Port, c Color) fanDest {
+	if p == Ramp {
+		return fanDest{f.rxQueue(ti, c), rxTile(ti, c), f.shardOf[ti]}
 	}
 	at := f.CoordOf(ti)
-	dx, dy := en.sport.Delta()
+	dx, dy := p.Delta()
 	nb := Coord{at.X + dx, at.Y + dy}
 	if !f.In(nb) {
 		// Configured route off the fabric edge: drop target. The paper's
 		// patterns never do this; flag loudly.
-		panic(fmt.Sprintf("fabric: route off edge at %v port %v", at, en.sport))
+		panic(fmt.Sprintf("fabric: route off edge at %v port %v", at, p))
 	}
 	nbi := f.Index(nb)
-	nq := f.tables[nbi].queues[en.sport.Opposite()][en.c]
+	nq := f.tables[nbi].queues[p.Opposite()][c]
 	if nq == nil {
-		panic(fmt.Sprintf("fabric: no route configured at %v for arrivals on (%v,%d)", nb, en.sport.Opposite(), en.c))
+		panic(fmt.Sprintf("fabric: no route configured at %v for arrivals on (%v,%d)", nb, p.Opposite(), c))
 	}
-	en.dst, en.dstTile, en.dstShard = nq, int32(nbi), f.shardOf[nbi]
-	return nq
+	return fanDest{nq, int32(nbi), f.shardOf[nbi]}
+}
+
+// resolveSingle fills en's cached destination for the single-output
+// fast path. Called once per entry, from the claim phase of the shard
+// that owns the tile.
+func (f *Fabric) resolveSingle(ti int, en *routeEntry) *queue {
+	d := f.dest(ti, en.sport, en.c)
+	en.dst, en.dstTile, en.dstShard = d.q, d.tile, d.shard
+	return d.q
+}
+
+// resolveFanout builds en's fan-out — every configured output port's
+// destination, in ascending port order — and caches it in the shard's
+// slab. Called once per multicast entry, from the claim phase of the
+// shard that owns the tile.
+func (f *Fabric) resolveFanout(ti int, en *routeEntry) *fanout {
+	if en.outs == 0 {
+		panic(fmt.Sprintf("fabric: word on unrouted (%v,%d) at %v", en.in, en.c, f.CoordOf(ti)))
+	}
+	var fo fanout
+	for p := Port(0); p < NumPorts; p++ {
+		if en.outs.Has(p) {
+			fo.dst[fo.n] = f.dest(ti, p, en.c)
+			fo.n++
+		}
+	}
+	sh := f.shardOf[ti]
+	f.fans[sh] = append(f.fans[sh], fo)
+	en.fan = int32(len(f.fans[sh]))
+	return &f.fans[sh][en.fan-1]
+}
+
+// dropFanouts forgets every resolved fan-out, so that rerouting an entry
+// that was already claimed (routes are meant to be static once stepping
+// begins; nothing in the repository does this) cannot leave a stale slot
+// behind. Each entry re-resolves on its next claim.
+func (f *Fabric) dropFanouts() {
+	for i := range f.routers {
+		for j := range f.routers[i].active {
+			f.routers[i].active[j].fan = 0
+		}
+	}
+	for s := range f.fans {
+		f.fans[s] = f.fans[s][:0]
+	}
 }
 
 // Route returns the configured output mask for (in, color) at tile at.
@@ -532,6 +604,26 @@ func (f *Fabric) RxLen(at Coord, c Color) int {
 	}
 	return q.len()
 }
+
+// RxQueue is a core's handle on one of its tile's receive buffers: the
+// per-tile actor that owns a subscribed color resolves the handle once
+// (RxQueueOf) and then pops arriving words without the coordinate and
+// table lookups Recv pays per call. Like Recv, it may only be used by
+// the shard that owns the tile while the fabric is mid-Step.
+type RxQueue queue
+
+// Len returns the number of words waiting.
+func (q *RxQueue) Len() int { return int(q.size) }
+
+// Pop removes and returns the oldest word's payload; the queue must not
+// be empty.
+func (q *RxQueue) Pop() uint32 { return (*queue)(q).pop() }
+
+// RxQueueOf returns the handle on tile's receive buffer for color c, or
+// nil while no word has ever been delivered there (the buffer is created
+// by the first delivery). Once non-nil the handle stays valid for the
+// fabric's lifetime, across RestoreState.
+func (f *Fabric) RxQueueOf(tile int, c Color) *RxQueue { return (*RxQueue)(f.rx[tile][c]) }
 
 func (f *Fabric) rxQueue(tile int, c Color) *queue {
 	if f.rx[tile][c] == nil {

@@ -142,6 +142,7 @@ func (e *engine) bind(f *Fabric) {
 	e.sh = make([]shardState, n)
 	f.shardOf = make([]uint16, tiles)
 	f.arenas = make([]shardArena, n)
+	f.fans = make([][]fanout, n)
 	for s := 0; s < n; s++ {
 		e.sh[s].pushes = make([][]stagedPush, n)
 		for ti := e.bounds[s]; ti < e.bounds[s+1]; ti++ {
@@ -234,7 +235,8 @@ func (e *engine) runShards(fn func(lo, hi int)) {
 // The common case — a route with exactly one output port — takes a fast
 // path with no coordinate math and no port scanning: the route entry
 // caches the destination queue, so a claim is an occupancy compare plus
-// two appends. Multicast routes fall back to the generic path.
+// two appends. Multicast routes cache their whole fan-out the same way
+// (claimMulticast).
 func (e *engine) claim(s int) {
 	f := e.f
 	st := &e.sh[s]
@@ -304,7 +306,7 @@ func (e *engine) claim(s int) {
 }
 
 // claimEntry claims the head word of one non-empty route entry: the
-// cached single-output fast path, or the generic multicast path.
+// cached single-output fast path, or the cached multicast fan-out.
 func (e *engine) claimEntry(s, ti int, en *routeEntry, outClaimed *PortMask) {
 	if en.single {
 		p := en.sport
@@ -329,71 +331,35 @@ func (e *engine) claimEntry(s, ti int, en *routeEntry, outClaimed *PortMask) {
 	e.claimMulticast(s, ti, en, outClaimed)
 }
 
-// claimMulticast is the generic claim path: all-or-nothing fanout of
-// the head word to every configured output port — every target link
-// must be free and every destination queue must have space.
+// claimMulticast claims an entry that fans out to several ports, all or
+// nothing: every target link must be free and every destination queue
+// must have space. The destinations were resolved on the entry's first
+// claim (resolveFanout), so this is one mask test, one fullness compare
+// per destination and one append per destination, staged in ascending
+// port order.
 func (e *engine) claimMulticast(s, ti int, en *routeEntry, outClaimed *PortMask) {
-	f := e.f
-	st := &e.sh[s]
-	at := f.CoordOf(ti)
-	outs := en.outs
-	if outs == 0 {
-		panic(fmt.Sprintf("fabric: word on unrouted (%v,%d) at %v", en.in, en.c, at))
+	var fo *fanout
+	if en.fan != 0 {
+		fo = &e.f.fans[s][en.fan-1]
+	} else {
+		fo = e.f.resolveFanout(ti, en)
 	}
-	var dst [NumPorts]*queue
-	var dtile [NumPorts]int32
-	ok := true
-	for p := Port(0); p < NumPorts && ok; p++ {
-		if !outs.Has(p) {
-			continue
-		}
-		if outClaimed.Has(p) {
-			ok = false
-			break
-		}
-		if p == Ramp {
-			rq := f.rxQueue(ti, en.c)
-			if rq.full() {
-				ok = false
-				continue
-			}
-			dst[p], dtile[p] = rq, rxTile(ti, en.c)
-			continue
-		}
-		dx, dy := p.Delta()
-		nb := Coord{at.X + dx, at.Y + dy}
-		if !f.In(nb) {
-			// Configured route off the fabric edge: drop target. The
-			// paper's patterns never do this; flag loudly.
-			panic(fmt.Sprintf("fabric: route off edge at %v port %v", at, p))
-		}
-		nbi := f.Index(nb)
-		nq := f.tables[nbi].queues[p.Opposite()][en.c]
-		if nq == nil {
-			panic(fmt.Sprintf("fabric: no route configured at %v for arrivals on (%v,%d)", nb, p.Opposite(), en.c))
-		}
-		if nq.full() {
-			ok = false
-			continue
-		}
-		dst[p], dtile[p] = nq, int32(nbi)
-	}
-	if !ok {
+	if *outClaimed&en.outs != 0 {
 		return
 	}
+	dsts := fo.dst[:fo.n]
+	for i := range dsts {
+		if q := dsts[i].q; q.size == int32(len(q.buf)) {
+			return // a destination is full; the word waits
+		}
+	}
+	*outClaimed |= en.outs
+	st := &e.sh[s]
 	bits := en.q.peek()
 	st.pops = append(st.pops, en.q)
-	for p := Port(0); p < NumPorts; p++ {
-		if !outs.Has(p) {
-			continue
-		}
-		*outClaimed |= 1 << p
-		if p == Ramp {
-			st.pushes[s] = append(st.pushes[s], stagedPush{q: dst[p], tile: dtile[p], bits: bits})
-		} else {
-			sh := f.shardOf[dtile[p]]
-			st.pushes[sh] = append(st.pushes[sh], stagedPush{q: dst[p], tile: dtile[p], bits: bits})
-		}
+	for i := range dsts {
+		d := &dsts[i]
+		st.pushes[d.shard] = append(st.pushes[d.shard], stagedPush{q: d.q, tile: d.tile, bits: bits})
 	}
 }
 

@@ -54,18 +54,34 @@ type spmvTile struct {
 	offU                       int // result, length Z+2 (u[0], u[Z+1] scratch)
 	offZero                    int // one zero word for boundary streams
 
-	fifos [5]*tensor.FIFO // xp, xm, yp, ym, zp
+	fifos [5]tensor.FIFO // xp, xm, yp, ym, zp
 
 	bufs [4]*wse.StreamBuf // neighbour streams
 	zpBf *wse.StreamBuf    // looped-back local stream, zp consumer
 	cBf  *wse.StreamBuf    // looped-back local stream, diagonal consumer
 
-	spmvTask *wse.Task
-	sumTask  *wse.Task
-	// Completion tree (Listing 1): xdone, ydone, cdone, xydone, xycdone.
+	// The tasks, in registration order: sumtask, the completion tree of
+	// Listing 1 (xdone, ydone, cdone, xydone, xycdone), spmv. The named
+	// pointers below point into the array.
+	tasks                                [7]wse.Task
+	spmvTask                             *wse.Task
+	sumTask                              *wse.Task
 	xdone, ydone, cdone, xydone, xycdone *wse.Task
 
-	sumAdds [5]*wse.FIFOAdd
+	// The instructions of one application, built once by buildTasks and
+	// rewound by armTile: the broadcast send, the zm initialization, the
+	// five multiplier threads, the diagonal add, the six consumers'
+	// completion triggers, and sumtask's five FIFO adds.
+	send    wse.SendMem
+	zmOp    wse.MemOp
+	mul     [5]wse.MulToFIFO
+	diag    wse.StreamAdd
+	trig    [6]func(*wse.Core) // mul[0..4], diag
+	sumAdds [5]wse.FIFOAdd
+	zeros   [4]tensor.Descriptor // boundary streams: Z reads of one zero word
+	// The two tasks' instruction lists: sumtask's adds, spmv's zmOp.
+	sumInstrs  [5]wse.Instr
+	spmvInstrs [1]wse.Instr
 
 	done bool
 }
@@ -141,7 +157,7 @@ func NewSpMV3D(mach *wse.Machine, op *stencil.Op7Half) (*SpMV3D, error) {
 				return nil, fmt.Errorf("kernels: tile (%d,%d): %v", x, y, err)
 			}
 			for k := 0; k < 5; k++ {
-				st.fifos[k] = tensor.NewFIFO(fifoBase+k*FIFODepth, FIFODepth)
+				st.fifos[k] = *tensor.NewFIFO(fifoBase+k*FIFODepth, FIFODepth)
 			}
 
 			// Stream buffers and color subscriptions.
@@ -222,21 +238,38 @@ func portToward(dx, dy int) fabric.Port {
 	}
 }
 
-// buildTasks registers the task structure of Listing 1 on the tile's core.
+// buildTasks registers the task structure of Listing 1 on the tile's
+// core and builds the instructions, closures and instruction lists of an
+// application once; armTile only rewinds them.
 func (p *SpMV3D) buildTasks(st *spmvTile) {
+	z := p.Mesh.NZ
+	a := st.tile.Arena
 	core := st.tile.Core
 
-	// Summation task: five FIFO-draining adds, higher priority "to avoid
-	// a race condition with the synchronization task tree".
-	st.sumTask = core.AddTask(&wse.Task{Name: "sumtask", Priority: true})
+	add := func(i int, t wse.Task) *wse.Task {
+		st.tasks[i] = t
+		return core.AddTask(&st.tasks[i])
+	}
+
+	// Summation task: five FIFO-draining adds aliasing u, higher priority
+	// "to avoid a race condition with the synchronization task tree".
+	// Accumulator bases follow the listing: xp/xm/yp/ym at u+1, zp at u+2.
+	st.sumTask = add(0, wse.Task{Name: "sumtask", Priority: true, Instrs: st.sumInstrs[:]})
+	accBase := [5]int{st.offU + 1, st.offU + 1, st.offU + 1, st.offU + 1, st.offU + 2}
+	activateSum := func() { core.Activate(st.sumTask) }
+	for k := range st.sumAdds {
+		st.sumAdds[k] = wse.FIFOAdd{FIFO: &st.fifos[k], Acc: tensor.Vec1D(accBase[k], z), Arena: a, Total: z}
+		st.sumInstrs[k] = &st.sumAdds[k]
+		st.fifos[k].OnPush = activateSum
+	}
 
 	// Completion tree. All tree tasks start blocked (sched_block in the
 	// listing); each re-blocks itself when it fires.
-	st.xdone = core.AddTask(&wse.Task{Name: "xdone"})
-	st.ydone = core.AddTask(&wse.Task{Name: "ydone"})
-	st.cdone = core.AddTask(&wse.Task{Name: "cdone"})
-	st.xydone = core.AddTask(&wse.Task{Name: "xydone"})
-	st.xycdone = core.AddTask(&wse.Task{Name: "xycdone"})
+	st.xdone = add(1, wse.Task{Name: "xdone"})
+	st.ydone = add(2, wse.Task{Name: "ydone"})
+	st.cdone = add(3, wse.Task{Name: "cdone"})
+	st.xydone = add(4, wse.Task{Name: "xydone"})
+	st.xycdone = add(5, wse.Task{Name: "xycdone"})
 	for _, t := range []*wse.Task{st.xdone, st.ydone, st.cdone, st.xydone, st.xycdone} {
 		core.Block(t)
 	}
@@ -249,105 +282,87 @@ func (p *SpMV3D) buildTasks(st *spmvTile) {
 	// The spmv task body: the zm initialization runs synchronously in the
 	// main thread ("completes before any subsequent lines are executed"),
 	// then the six consumer threads launch.
-	st.spmvTask = core.AddTask(&wse.Task{Name: "spmv"})
-}
-
-// armTile prepares one application: zeroes u, wires fresh instruction
-// state, and activates the spmv task.
-func (p *SpMV3D) armTile(st *spmvTile) {
-	z := p.Mesh.NZ
-	a := st.tile.Arena
-	core := st.tile.Core
-	for i := 0; i < z+2; i++ {
-		a.Set(st.offU+i, fp16.Zero)
-	}
-	a.Set(st.offV+z, fp16.Zero)  // iterate pad
-	a.Set(st.offZero, fp16.Zero) // boundary stream source
-
-	// Launch the broadcast thread (thread slot 5: c_tx[] = v1[]).
-	core.LaunchThread(5, "c_tx", &wse.SendMem{
-		Color: BroadcastColor(st.x, st.y),
-		Src:   tensor.Vec1D(st.offV, z),
-		Arena: a,
-		Total: z,
-	}, nil)
-
-	// sumtask: five FIFO adds aliasing u. Accumulator bases follow the
-	// listing: xp/xm/yp/ym at u+1, zp at u+2.
-	accBase := [5]int{st.offU + 1, st.offU + 1, st.offU + 1, st.offU + 1, st.offU + 2}
-	instrs := make([]wse.Instr, 5)
-	for k := 0; k < 5; k++ {
-		h := &wse.FIFOAdd{FIFO: st.fifos[k], Acc: tensor.Vec1D(accBase[k], z), Arena: a, Total: z}
-		st.sumAdds[k] = h
-		instrs[k] = h
-		st.fifos[k].OnPush = func() { core.Activate(st.sumTask) }
-	}
-	st.sumTask.Instrs = instrs
-
-	// spmv task: zm initialization, then thread launches.
-	zmOp := &wse.MemOp{
+	st.zmOp = wse.MemOp{
 		Kind:  wse.OpMul,
 		Arena: a,
 		Dst:   tensor.Vec1D(st.offU, z+1),
 		A:     tensor.Vec1D(st.offV, z+1),
 		B:     tensor.Vec1D(st.offZM, z+1),
 	}
-	st.spmvTask.Instrs = []wse.Instr{zmOp}
-	st.spmvTask.OnComplete = func(c *wse.Core) { p.launchConsumers(st) }
-	st.done = false
-	core.Activate(st.spmvTask)
-}
+	st.spmvInstrs[0] = &st.zmOp
+	st.spmvTask = add(6, wse.Task{
+		Name:       "spmv",
+		Instrs:     st.spmvInstrs[:],
+		OnComplete: func(*wse.Core) { p.launchConsumers(st) },
+	})
 
-// launchConsumers starts the five multiplier threads and the diagonal add
-// thread (threads 0–4 and 6 of the listing). Boundary tiles without a
-// neighbour in some direction multiply a zero stream from memory instead,
-// the zero-padding idiom of the listing.
-func (p *SpMV3D) launchConsumers(st *spmvTile) {
-	z := p.Mesh.NZ
-	a := st.tile.Arena
-	core := st.tile.Core
+	// The broadcast thread (c_tx[] = v1[]).
+	st.send = wse.SendMem{Color: BroadcastColor(st.x, st.y), Src: tensor.Vec1D(st.offV, z), Arena: a, Total: z}
 
-	coeff := [4]int{dirXP: st.offXP, dirXM: st.offXM, dirYP: st.offYP, dirYM: st.offYM}
-	trig := [4]func(c *wse.Core){
+	// The five multiplier threads. Boundary tiles without a neighbour in
+	// some direction multiply a zero stream from memory instead, the
+	// zero-padding idiom of the listing: a zero-stride descriptor over
+	// one zero word.
+	coeff := [5]int{dirXP: st.offXP, dirXM: st.offXM, dirYP: st.offYP, dirYM: st.offYM, 4: st.offZP}
+	for d := range st.mul {
+		var src wse.ElemSource
+		switch {
+		case d == 4: // zp, from the looped-back local stream
+			src = wse.StreamSource{B: st.zpBf}
+		case st.bufs[d] != nil:
+			src = wse.StreamSource{B: st.bufs[d]}
+		default:
+			st.zeros[d] = tensor.Strided(st.offZero, z, 0)
+			src = wse.MemSource{A: a, D: &st.zeros[d]}
+		}
+		st.mul[d] = wse.MulToFIFO{Src: src, Coeff: tensor.Vec1D(coeff[d], z), FIFO: &st.fifos[d], Arena: a, Total: z}
+	}
+	// The main diagonal, no multiply (c_acc[] = c_acc[] + c_rx[]).
+	st.diag = wse.StreamAdd{Src: wse.StreamSource{B: st.cBf}, Acc: tensor.Vec1D(st.offU+1, z), Arena: a, Total: z}
+	st.trig = [6]func(*wse.Core){
 		dirXP: func(c *wse.Core) { c.Activate(st.xdone) },
 		dirXM: func(c *wse.Core) { c.Unblock(st.xdone) },
 		dirYP: func(c *wse.Core) { c.Activate(st.ydone) },
 		dirYM: func(c *wse.Core) { c.Unblock(st.ydone) },
+		4:     func(c *wse.Core) { c.Activate(st.cdone) },
+		5:     func(c *wse.Core) { c.Unblock(st.cdone) },
 	}
-	names := [4]string{"xp_rx", "xm_rx", "yp_rx", "ym_rx"}
-	for d := 0; d < 4; d++ {
-		var src wse.ElemSource
-		if st.bufs[d] != nil {
-			src = wse.StreamSource{B: st.bufs[d]}
-		} else {
-			// Zero-stride descriptor over one zero word: the padded
-			// boundary stream.
-			zd := tensor.Strided(st.offZero, z, 0)
-			src = wse.MemSource{A: a, D: &zd}
-		}
-		core.LaunchThread(d, names[d], &wse.MulToFIFO{
-			Src:   src,
-			Coeff: tensor.Vec1D(coeff[d], z),
-			FIFO:  st.fifos[d],
-			Arena: a,
-			Total: z,
-		}, trig[d])
+}
+
+// armTile prepares one application: zeroes u, rewinds the instructions,
+// launches the broadcast thread and activates the spmv task.
+func (p *SpMV3D) armTile(st *spmvTile) {
+	z := p.Mesh.NZ
+	a := st.tile.Arena
+	core := st.tile.Core
+	clear(a.Slice(st.offU, z+2))
+	a.Set(st.offV+z, fp16.Zero)  // iterate pad
+	a.Set(st.offZero, fp16.Zero) // boundary stream source
+
+	st.send.Reset()
+	st.zmOp.Reset()
+	for k := range st.mul {
+		st.mul[k].Reset()
+		st.sumAdds[k].Reset()
 	}
-	// Thread 4: zp from the looped-back local stream.
-	core.LaunchThread(4, "zp_rx", &wse.MulToFIFO{
-		Src:   wse.StreamSource{B: st.zpBf},
-		Coeff: tensor.Vec1D(st.offZP, z),
-		FIFO:  st.fifos[4],
-		Arena: a,
-		Total: z,
-	}, func(c *wse.Core) { c.Activate(st.cdone) })
-	// Thread 6: main diagonal, no multiply (c_acc[] = c_acc[] + c_rx[]).
-	core.LaunchThread(6, "c_rx", &wse.StreamAdd{
-		Src:   wse.StreamSource{B: st.cBf},
-		Acc:   tensor.Vec1D(st.offU+1, z),
-		Arena: a,
-		Total: z,
-	}, func(c *wse.Core) { c.Unblock(st.cdone) })
+	st.diag.Reset()
+
+	// Thread slot 5: c_tx[] = v1[].
+	core.LaunchThread(5, "c_tx", &st.send, nil)
+	st.done = false
+	core.Activate(st.spmvTask)
+}
+
+var mulNames = [5]string{"xp_rx", "xm_rx", "yp_rx", "ym_rx", "zp_rx"}
+
+// launchConsumers starts the five multiplier threads and the diagonal add
+// thread (threads 0–4 and 6 of the listing).
+func (p *SpMV3D) launchConsumers(st *spmvTile) {
+	core := st.tile.Core
+	for d := range st.mul {
+		core.LaunchThread(d, mulNames[d], &st.mul[d], st.trig[d])
+	}
+	core.LaunchThread(6, "c_rx", &st.diag, st.trig[5])
 }
 
 // LoadVector scatters the global iterate v (mesh-indexed) into the tiles.
@@ -385,8 +400,8 @@ func (p *SpMV3D) Run(maxCycles int64) (int64, error) {
 			if !st.done {
 				return false
 			}
-			for _, h := range st.sumAdds {
-				if !h.Complete() {
+			for k := range st.sumAdds {
+				if !st.sumAdds[k].Complete() {
 					return false
 				}
 			}

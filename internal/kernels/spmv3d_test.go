@@ -203,3 +203,41 @@ func TestSpMV3DCycleScaling(t *testing.T) {
 		t.Errorf("cycles(Z=128)/cycles(Z=32) = %.2f, want ~4 (linear in Z)", ratio)
 	}
 }
+
+// TestSpMV3DIssueCounters holds one 16×16×256 Listing 1 application (the
+// benchmark's deep_z shape) to what its core steps did, so that a step
+// that went back to polling fails as a count and not only as a slower
+// run. The same application under the core step before PR 20 made
+// 249,535 core steps, 1,827,061 Instr.Step calls — 1,231,933 of them
+// calls of lane-consuming instructions that found nothing to do — and
+// 1,013,732 Fab.Recv probes for 155,648 words.
+func TestSpMV3DIssueCounters(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	m := stencil.Mesh{NX: 16, NY: 16, NZ: 256}
+	norm, _ := stencil.RandomDiagDominant(m, 1.5, rng).Normalize()
+	cfg := wse.CS1(m.NX, m.NY)
+	cfg.Engine = wse.EngineSequential // the batched engines bypass Core.step for some cycles
+	mach := wse.New(cfg)
+	p, err := NewSpMV3D(mach, stencil.NewOp7Half(norm))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.LoadVector(randomHalfVector(m.N(), rng))
+	if _, err := p.Run(1 << 22); err != nil {
+		t.Fatal(err)
+	}
+	const parentLaneIdle = 1231933
+	s := mach.IssueStats()
+	t.Logf("%+v", s)
+	if s.CoreSteps != 249535 || s.RxWords != 155648 {
+		t.Errorf("core steps %d, rx words %d: want 249535, 155648 (the simulated run itself changed)", s.CoreSteps, s.RxWords)
+	}
+	// Every look at a receive buffer either yields a word or finds its
+	// subscribers full; none finds the buffer empty.
+	if s.RxProbes != s.RxWords+s.RxStalls {
+		t.Errorf("rx probes %d != rx words %d + subscriber-full retries %d", s.RxProbes, s.RxWords, s.RxStalls)
+	}
+	if laneIdle := s.IdleCalls - s.ZeroLaneCalls; laneIdle > parentLaneIdle/2 {
+		t.Errorf("idle calls of lane-consuming instructions: %d, more than half the polling step's %d", laneIdle, parentLaneIdle)
+	}
+}

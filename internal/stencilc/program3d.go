@@ -75,6 +75,21 @@ type tile3D struct {
 	round   int       // current exchange round, 1-based
 	exLeft  int       // outstanding threads of the current round
 	done    bool
+
+	// The instructions of one application, built by the first armTile
+	// (a program that is only ever fast-forwarded never pays for them)
+	// and rewound by every later one: the compute body, the fused dot,
+	// and each relay round's send/store pair per direction.
+	ops    []wse.MemOp
+	dot    wse.DotMixed
+	xfer   []haloXfer // [(round-1)*NumHaloDirs + dir]
+	exDone func(*wse.Core)
+}
+
+// haloXfer is one direction's thread pair of one relay round.
+type haloXfer struct {
+	send  wse.SendMem
+	store wse.StreamStore
 }
 
 // latName maps a halo direction to its coefficient-column name stem.
@@ -290,15 +305,35 @@ func (p *Program3D) inMesh(st *tile3D, d HaloDir, dist int) bool {
 	return gx >= 0 && gx < p.Mesh.NX && gy >= 0 && gy < p.Mesh.NY
 }
 
-// armTile prepares one application: zeroes the result column, builds the
-// fixed-order compute task, and launches the first exchange round.
+// armTile prepares one application: zeroes the result column, rewinds
+// (on first use, builds) the instructions, and launches the first
+// exchange round.
 func (p *Program3D) armTile(st *tile3D) {
+	clear(st.tile.Arena.Slice(st.offU, p.Mesh.NZ))
+	st.done = false
+	if st.ops == nil {
+		p.buildInstrs(st)
+	}
+	for i := range st.ops {
+		st.ops[i].Reset()
+	}
+	for i := range st.xfer {
+		st.xfer[i].send.Reset()
+		st.xfer[i].store.Reset()
+	}
+	if st.dotTask != nil {
+		p.partials[st.y*p.M.Cfg.FabricW+st.x] = 0
+		st.dot.Reset()
+	}
+	st.round = 0
+	p.launchRound(st, st.tile.Core)
+}
+
+// buildInstrs builds tile st's instructions once: the fixed-order
+// compute task body, the fused dot and the relay rounds' thread pairs.
+func (p *Program3D) buildInstrs(st *tile3D) {
 	z := p.Mesh.NZ
 	a := st.tile.Arena
-	for i := 0; i < z; i++ {
-		a.Set(st.offU+i, fp16.Zero)
-	}
-	st.done = false
 
 	// Compute task body, in stencil.OpStarHalf.Apply's exact order. The
 	// z-direction terms come from the tile's own column (shifted
@@ -307,71 +342,79 @@ func (p *Program3D) armTile(st *tile3D) {
 	// boundary, mirroring the reference's per-point conditionals (which
 	// are uniform along a Z-column).
 	wz := p.Spec.Widths[2]
-	instrs := make([]wse.Instr, 0, 2*wz+2*(p.Spec.Widths[0]+p.Spec.Widths[1])+1)
+	ops := make([]wse.MemOp, 0, 2*wz+2*(p.Spec.Widths[0]+p.Spec.Widths[1])+1)
+	emit := func(kind wse.MemOpKind, dst, x, y, n int) {
+		ops = append(ops, wse.MemOp{Kind: kind, Arena: a,
+			Dst: tensor.Vec1D(dst, n), A: tensor.Vec1D(x, n), B: tensor.Vec1D(y, n)})
+	}
 	if z > 1 {
-		instrs = append(instrs, &wse.MemOp{ // u[z] = zm[z] * v[z-1]
-			Kind: wse.OpMul, Arena: a,
-			Dst: tensor.Vec1D(st.offU+1, z-1),
-			A:   tensor.Vec1D(st.offZ[zmIdx][0]+1, z-1),
-			B:   tensor.Vec1D(st.offV, z-1),
-		})
-		instrs = append(instrs, &wse.MemOp{ // u[z] += zp[z] * v[z+1]
-			Kind: wse.OpMulAcc, Arena: a,
-			Dst: tensor.Vec1D(st.offU, z-1),
-			A:   tensor.Vec1D(st.offZ[zpIdx][0], z-1),
-			B:   tensor.Vec1D(st.offV+1, z-1),
-		})
+		emit(wse.OpMul, st.offU+1, st.offZ[zmIdx][0]+1, st.offV, z-1)  // u[z] = zm[z] * v[z-1]
+		emit(wse.OpMulAcc, st.offU, st.offZ[zpIdx][0], st.offV+1, z-1) // u[z] += zp[z] * v[z+1]
 	}
 	for k := 2; k <= wz; k++ {
 		if z <= k {
 			continue
 		}
-		instrs = append(instrs, &wse.MemOp{ // u[z] += zm_k[z] * v[z-k]
-			Kind: wse.OpMulAcc, Arena: a,
-			Dst: tensor.Vec1D(st.offU+k, z-k),
-			A:   tensor.Vec1D(st.offZ[zmIdx][k-1]+k, z-k),
-			B:   tensor.Vec1D(st.offV, z-k),
-		})
-		instrs = append(instrs, &wse.MemOp{ // u[z] += zp_k[z] * v[z+k]
-			Kind: wse.OpMulAcc, Arena: a,
-			Dst: tensor.Vec1D(st.offU, z-k),
-			A:   tensor.Vec1D(st.offZ[zpIdx][k-1], z-k),
-			B:   tensor.Vec1D(st.offV+k, z-k),
-		})
+		emit(wse.OpMulAcc, st.offU+k, st.offZ[zmIdx][k-1]+k, st.offV, z-k) // u[z] += zm_k[z] * v[z-k]
+		emit(wse.OpMulAcc, st.offU, st.offZ[zpIdx][k-1], st.offV+k, z-k)   // u[z] += zp_k[z] * v[z+k]
 	}
 	for d := HaloDir(0); d < NumHaloDirs; d++ {
 		for k := 1; k <= p.Spec.Widths[axisOf(d)]; k++ {
-			if !p.inMesh(st, d, k) {
-				continue
+			if p.inMesh(st, d, k) {
+				emit(wse.OpMulAcc, st.offU, st.offC[d][k-1], st.offH[d][k-1], z) // u += c_{d,k} * halo_{d,k}
 			}
-			instrs = append(instrs, &wse.MemOp{ // u += c_{d,k} * halo_{d,k}
-				Kind: wse.OpMulAcc, Arena: a,
-				Dst: tensor.Vec1D(st.offU, z),
-				A:   tensor.Vec1D(st.offC[d][k-1], z),
-				B:   tensor.Vec1D(st.offH[d][k-1], z),
-			})
 		}
 	}
-	instrs = append(instrs, &wse.MemOp{ // u += v (unit main diagonal)
-		Kind: wse.OpAdd, Arena: a,
-		Dst: tensor.Vec1D(st.offU, z),
-		A:   tensor.Vec1D(st.offU, z),
-		B:   tensor.Vec1D(st.offV, z),
-	})
-	st.compute.Instrs = instrs
+	emit(wse.OpAdd, st.offU, st.offU, st.offV, z) // u += v (unit main diagonal)
+	st.ops = ops
+	st.compute.Instrs = make([]wse.Instr, len(ops))
+	for i := range ops {
+		st.compute.Instrs[i] = &ops[i]
+	}
 	if st.dotTask != nil {
-		i := st.y*p.M.Cfg.FabricW + st.x
-		p.partials[i] = 0
-		st.dotTask.Instrs = []wse.Instr{&wse.DotMixed{
+		st.dot = wse.DotMixed{
 			A:     tensor.Vec1D(st.offU, z),
 			B:     tensor.Vec1D(st.offU, z),
 			Arena: a,
-			Out:   &p.partials[i],
-		}}
+			Out:   &p.partials[st.y*p.M.Cfg.FabricW+st.x],
+		}
+		st.dotTask.Instrs = []wse.Instr{&st.dot}
 	}
 
-	st.round = 0
-	p.launchRound(st, st.tile.Core)
+	// Round r, direction d sends the column the d-neighbour needs for
+	// distance r — the tile's own iterate in round 1, the distance-(r−1)
+	// halo from the opposite side after that — and stores the incoming
+	// column into halo (d, r).
+	st.xfer = make([]haloXfer, p.rounds*int(NumHaloDirs))
+	for r := 1; r <= p.rounds; r++ {
+		for d := HaloDir(0); d < NumHaloDirs; d++ {
+			if !p.roundActive(st, d, r) {
+				continue
+			}
+			src := st.offV
+			if r > 1 {
+				src = st.offH[opposite(d)][r-2]
+			}
+			st.xfer[(r-1)*int(NumHaloDirs)+int(d)] = haloXfer{
+				send: wse.SendMem{
+					Color: p.base + fabric.Color(haloOut[d]),
+					Src:   tensor.Vec1D(src, z),
+					Arena: a, Total: z,
+				},
+				store: wse.StreamStore{
+					Src:   wse.StreamSource{B: st.from[d]},
+					Dst:   tensor.Vec1D(st.offH[d][r-1], z),
+					Arena: a, Total: z,
+				},
+			}
+		}
+	}
+	st.exDone = func(c *wse.Core) {
+		st.exLeft--
+		if st.exLeft == 0 {
+			p.launchRound(st, c)
+		}
+	}
 }
 
 // roundActive reports whether direction d participates in relay round r
@@ -386,15 +429,10 @@ func (p *Program3D) roundActive(st *tile3D, d HaloDir, r int) bool {
 
 // launchRound advances tile st to its next non-empty exchange round and
 // launches its threads, or activates the compute task once all rounds
-// are done. Round r, direction d sends the column the d-neighbour needs
-// for distance r — the tile's own iterate in round 1, the distance-(r−1)
-// halo from the opposite side after that — and stores the incoming
-// column into halo (d, r). Slots 0–3 send, 4–7 store, reused each round
-// (a round only starts after the previous round's threads all
-// completed, so the slots are free).
+// are done. Slots 0–3 send, 4–7 store, reused each round (a round only
+// starts after the previous round's threads all completed, so the slots
+// are free).
 func (p *Program3D) launchRound(st *tile3D, core *wse.Core) {
-	z := p.Mesh.NZ
-	a := st.tile.Arena
 	for {
 		st.round++
 		if st.round > p.rounds {
@@ -411,30 +449,13 @@ func (p *Program3D) launchRound(st *tile3D, core *wse.Core) {
 		if st.exLeft == 0 {
 			continue // nothing to move this round (narrow axis or edge tile)
 		}
-		onDone := func(c *wse.Core) {
-			st.exLeft--
-			if st.exLeft == 0 {
-				p.launchRound(st, c)
-			}
-		}
 		for d := HaloDir(0); d < NumHaloDirs; d++ {
 			if !p.roundActive(st, d, r) {
 				continue
 			}
-			src := st.offV
-			if r > 1 {
-				src = st.offH[opposite(d)][r-2]
-			}
-			core.LaunchThread(int(d), "halo_tx", &wse.SendMem{
-				Color: p.base + fabric.Color(haloOut[d]),
-				Src:   tensor.Vec1D(src, z),
-				Arena: a, Total: z,
-			}, onDone)
-			core.LaunchThread(int(NumHaloDirs+d), "halo_rx", &wse.StreamStore{
-				Src:   wse.StreamSource{B: st.from[d]},
-				Dst:   tensor.Vec1D(st.offH[d][r-1], z),
-				Arena: a, Total: z,
-			}, onDone)
+			x := &st.xfer[(r-1)*int(NumHaloDirs)+int(d)]
+			core.LaunchThread(int(d), "halo_tx", &x.send, st.exDone)
+			core.LaunchThread(int(NumHaloDirs+d), "halo_rx", &x.store, st.exDone)
 		}
 		return
 	}

@@ -98,14 +98,21 @@ func (f *FIFO) Len() int { return f.count }
 // Full reports whether a push would block.
 func (f *FIFO) Full() bool { return f.count == f.capWords }
 
+// Space returns how many more elements fit before a push would block.
+func (f *FIFO) Space() int { return f.capWords - f.count }
+
 // Push appends v, returning false if the FIFO is full (the pushing thread
-// stalls). A successful push fires the OnPush activation.
+// stalls). A successful push fires the OnPush activation. The ring
+// indices wrap by compare, not modulo: push and pop run once per
+// streamed element of every SpMV.
 func (f *FIFO) Push(ar *Arena, v fp16.Float16) bool {
-	if f.Full() {
+	if f.count == f.capWords {
 		return false
 	}
-	ar.Set(f.baseOff+f.tail, v)
-	f.tail = (f.tail + 1) % f.capWords
+	ar.mem[f.baseOff+f.tail] = v
+	if f.tail++; f.tail == f.capWords {
+		f.tail = 0
+	}
 	f.count++
 	if f.OnPush != nil {
 		f.OnPush()
@@ -118,8 +125,10 @@ func (f *FIFO) Pop(ar *Arena) (v fp16.Float16, ok bool) {
 	if f.count == 0 {
 		return 0, false
 	}
-	v = ar.At(f.baseOff + f.head)
-	f.head = (f.head + 1) % f.capWords
+	v = ar.mem[f.baseOff+f.head]
+	if f.head++; f.head == f.capWords {
+		f.head = 0
+	}
 	f.count--
 	return v, true
 }

@@ -31,10 +31,10 @@ type Descriptor struct {
 	Shape  [MaxDims]int // extent per dimension; unused dims have extent 1
 	Stride [MaxDims]int // element stride per dimension
 
-	// len caches Len() for descriptors built by the constructors below,
-	// so the per-element Next → Done → Len chain does not multiply four
-	// extents; 0 (a literal) means compute on demand.
-	len int
+	// len1 caches Len()+1 for descriptors built by the constructors
+	// below, so the per-element Next → Done → Len chain does not multiply
+	// four extents; 0 (a literal) means compute on demand.
+	len1 int
 
 	// iteration state (idx is narrow so the cached length does not grow
 	// the struct: every instruction embeds two or three descriptors)
@@ -44,7 +44,9 @@ type Descriptor struct {
 }
 
 // Vec1D returns a descriptor for a contiguous run of n elements at base,
-// the common case in the SpMV listing.
+// the common case in the SpMV listing. Like every constructor it panics
+// on a negative extent; a zero extent is an empty operand (Len 0, Done
+// at once).
 func Vec1D(base, n int) Descriptor {
 	return Descriptor{
 		Base:   base,
@@ -74,20 +76,26 @@ func Mat2D(base, rows, cols, rowStride int) Descriptor {
 }
 
 func (d Descriptor) withLen() Descriptor {
-	d.len = d.Len()
+	for _, s := range d.Shape {
+		if s < 0 {
+			panic(fmt.Sprintf("tensor: negative extent in shape %v", d.Shape))
+		}
+	}
+	d.len1 = d.Len() + 1
 	return d
 }
 
-// Len returns the total number of elements the descriptor traverses.
+// Len returns the total number of elements the descriptor traverses:
+// the product of the four extents, so a zero extent anywhere makes the
+// operand empty. (A literal's negative extent counts as zero; the
+// constructors reject it.)
 func (d *Descriptor) Len() int {
-	if d.len != 0 {
-		return d.len
+	if d.len1 != 0 {
+		return d.len1 - 1
 	}
 	n := 1
 	for _, s := range d.Shape {
-		if s > 1 {
-			n *= s
-		}
+		n *= max(s, 0)
 	}
 	return n
 }

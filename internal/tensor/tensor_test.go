@@ -300,7 +300,7 @@ func TestFIFOQuick(t *testing.T) {
 
 // TestConstructorLenMatchesLiteral pins the length the constructors
 // cache to what a literal of the same shape computes on demand,
-// degenerate extents included (an extent below 2 counts as 1).
+// degenerate extents included (a zero extent is an empty operand).
 func TestConstructorLenMatchesLiteral(t *testing.T) {
 	for _, d := range []Descriptor{
 		Vec1D(3, 0), Vec1D(3, 1), Vec1D(3, 17), Strided(0, 5, 3), Strided(0, 1, 0),
@@ -311,5 +311,48 @@ func TestConstructorLenMatchesLiteral(t *testing.T) {
 			t.Errorf("shape %v: constructor Len %d / %d offsets, literal Len %d / %d offsets",
 				d.Shape, d.Len(), len(d.Offsets()), lit.Len(), len(lit.Offsets()))
 		}
+	}
+}
+
+// TestZeroExtent pins the empty operand: a zero extent anywhere gives
+// Len 0 and Done at once — an instruction that sizes its loop as
+// min(lanes, left, ...) must not read one element of it — and a
+// negative extent is a construction bug.
+func TestZeroExtent(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		d    Descriptor
+		want int
+	}{
+		{"Vec1D(5,0)", Vec1D(5, 0), 0},
+		{"Vec1D(5,1)", Vec1D(5, 1), 1},
+		{"Strided(0,0,3)", Strided(0, 0, 3), 0},
+		{"Mat2D(0,0,4,4)", Mat2D(0, 0, 4, 4), 0},
+		{"Mat2D(0,4,0,4)", Mat2D(0, 4, 0, 4), 0},
+		{"Mat2D(0,1,4,4)", Mat2D(0, 1, 4, 4), 4},
+		{"literal {1,1,0,4}", Descriptor{Shape: [MaxDims]int{1, 1, 0, 4}, Stride: [MaxDims]int{0, 0, 4, 1}}, 0},
+		{"literal {1,1,1,3}", Descriptor{Shape: [MaxDims]int{1, 1, 1, 3}, Stride: [MaxDims]int{0, 0, 0, 1}}, 3},
+	} {
+		d := tc.d
+		if d.Len() != tc.want || d.Done() != (tc.want == 0) || len(d.Offsets()) != tc.want {
+			t.Errorf("%s: Len %d, Done %v, %d offsets; want %d elements", tc.name, d.Len(), d.Done(), len(d.Offsets()), tc.want)
+		}
+		if tc.want == 0 && d.Contig() {
+			d.SkipContig(0) // a no-op, not a panic
+		}
+	}
+	for name, build := range map[string]func(){
+		"Vec1D":   func() { Vec1D(0, -1) },
+		"Strided": func() { Strided(0, -2, 1) },
+		"Mat2D":   func() { Mat2D(0, 2, -1, 4) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s with a negative extent did not panic", name)
+				}
+			}()
+			build()
+		}()
 	}
 }

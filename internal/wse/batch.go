@@ -7,8 +7,8 @@ package wse
 // The wafer interior of the compiled stencil kernels is thousands of
 // tiles at the same pc of the same task running the same MemOp/DotMixed
 // over same-length contiguous operands. The scalar interpreter pays the
-// full dispatch — worklist, rx scan, task pick, interface call, tensor
-// odometer — per core per cycle. The batched engine instead classifies
+// full dispatch — worklist, task pick, interface call, tensor odometer —
+// per core per cycle. The batched engine instead classifies
 // each runnable core by the instruction shape it will execute this
 // cycle (classify), groups equal shapes into classes, and runs each
 // class with the cycle's element count decided once and each member's
@@ -121,16 +121,10 @@ func (m *Machine) stepShardBatched(s int) {
 func (m *Machine) classify(c *Core) (classKey, bool) {
 	var k classKey
 	// Pending rx words mean deliveries (or full-subscriber stalls) that
-	// only the scalar path models; rxArmed caches "all subscribed
-	// receive queues proven empty" so steady-state compute phases skip
-	// the scan.
-	if len(c.subColors) > 0 && c.rxArmed {
-		for _, col := range c.subColors {
-			if m.Fab.RxLen(c.tile.Coord, col) > 0 {
-				return k, false
-			}
-		}
-		c.rxArmed = false
+	// only the scalar path models; the core's pending mask is zero
+	// throughout steady-state compute phases.
+	if !c.RxQuiet() {
+		return k, false
 	}
 	if c.nthreads > 0 {
 		return k, false

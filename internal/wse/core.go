@@ -2,6 +2,7 @@ package wse
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/fabric"
 	"repro/internal/fp16"
@@ -42,12 +43,134 @@ type Task struct {
 	core *Core
 }
 
-// Thread is a background thread slot running one asynchronous vector
+// thread is a background thread slot running one asynchronous vector
 // instruction.
 type thread struct {
 	instr  Instr
 	onDone func(c *Core)
 	name   string
+}
+
+// threadTable is a core's nine thread slots and the issue list gathered
+// from them. It is allocated on the core's first LaunchThread — the
+// compute-only cores of a wafer never pay for it — and the slots are
+// stored by value, so launching a thread allocates nothing.
+type threadTable struct {
+	slots [MaxThreads]thread
+	// live has bit s set while slots[s] runs an instruction.
+	live uint16
+	// check has bit s set while slot s's Done must be looked at by the
+	// next retire scan that reaches it: the thread was launched since, or
+	// its instruction was called this cycle. always is the slots running
+	// a FIFOAdd, whose Done is looked at every cycle (see unitKind).
+	check, always uint16
+	// stale marks that live changed since units was gathered; step
+	// regathers at the start of its issue phase, exactly where the
+	// every-cycle scan used to read the slots.
+	stale bool
+	// units[0] is reserved for the running task's current instruction;
+	// units[1:1+n] are the live threads' instructions in slot order.
+	units [MaxThreads + 1]issueUnit
+	n     int
+}
+
+// issueUnit is one entry of a core's issue list: an instruction, how
+// the issue loop may treat it (see unitKind), the stream buffer it
+// drains if it is a stream consumer, and its thread slot (noSlot for
+// the running task's instruction).
+type issueUnit struct {
+	in   Instr
+	src  *StreamBuf
+	kind unitKind
+	slot uint8
+}
+
+const noSlot = 15 // a bit of threadTable.check no thread slot uses
+
+// unitKind classifies an instruction for the calls a step may leave
+// out. Each elides only what provably changes nothing and returns 0:
+//
+//   - lane cut-off: once a pass has no lanes left, a lane-consuming
+//     instruction offered zero lanes does nothing (MemOp and DotMixed
+//     only once their first call has set started/began);
+//   - dry stream: a MulToFIFO, StreamAdd or StreamStore whose stream
+//     buffer is empty does nothing — the arriving word, not a poll,
+//     is what makes it runnable again;
+//   - progress gate: in the second pass, a lane-consuming instruction
+//     already called this cycle is limited by its stream, FIFO or
+//     extent, not by lanes (had it taken all it was offered, no lanes
+//     would be left for a second pass), so calling it again can only
+//     differ if some unit has moved data since;
+//   - retire: the retire scan looks only at threads called this cycle
+//     or launched since the last scan, because Done of a MemOp,
+//     DotMixed, SendMem, MulToFIFO, StreamAdd or StreamStore changes
+//     only inside its own Step. A FIFOAdd thread's Done follows a FIFO
+//     anything may pop, so it is looked at every cycle.
+//
+// Zero-lane instructions (sends) and every type unitOf does not know
+// are always called (so their Done is always looked at too), and any
+// call of an unknown type counts as progress. A new Instr type is
+// therefore correct by default; to be skipped it must be added to
+// unitOf and guarantee what the rules above rely on: Step with the same
+// operand state returns the same result without side effects, and Done
+// reads nothing another unit writes.
+type unitKind uint8
+
+// The order matters: kinds up to kindSend never take lanes, kinds from
+// kindFIFOAdd on do.
+const (
+	kindOther   unitKind = iota // unknown type or ScalarSend: always called, always "progress"
+	kindSend                    // SendMem: always called, touches nothing a lane-consumer reads
+	kindFIFOAdd                 // lane-consuming; Done follows the FIFO, which other units fill
+	kindStream                  // MulToFIFO, StreamAdd, StreamStore
+	kindMemOp                   // MemOp: skippable once started
+	kindDot                     // DotMixed: skippable once began
+)
+
+// unitOf classifies in for the issue list.
+func unitOf(in Instr, slot uint8) issueUnit {
+	u := issueUnit{in: in, slot: slot}
+	switch op := in.(type) {
+	case *SendMem:
+		u.kind = kindSend
+	case *FIFOAdd:
+		u.kind = kindFIFOAdd
+	case *MulToFIFO:
+		u.kind, u.src = kindStream, streamOf(op.Src)
+	case *StreamAdd:
+		u.kind, u.src = kindStream, streamOf(op.Src)
+	case *StreamStore:
+		u.kind, u.src = kindStream, streamOf(op.Src)
+	case *MemOp:
+		u.kind = kindMemOp
+	case *DotMixed:
+		u.kind = kindDot
+	}
+	return u
+}
+
+// idleAtZeroLanes reports whether calling u with no lanes is a no-op.
+func (u *issueUnit) idleAtZeroLanes() bool {
+	switch u.kind {
+	case kindFIFOAdd, kindStream:
+		return true
+	case kindMemOp:
+		return u.in.(*MemOp).started
+	case kindDot:
+		return u.in.(*DotMixed).began
+	}
+	return false
+}
+
+// rxSub is one subscribed fabric color of a core: the stream buffers it
+// feeds and the handle on the tile's receive buffer for it.
+type rxSub struct {
+	col fabric.Color
+	// q is resolved lazily, the first time the color is found pending
+	// after a delivery created the buffer (as the fabric resolves its
+	// route destinations); nil until then.
+	q    *fabric.RxQueue
+	bufs []*StreamBuf
 }
 
 // Core is the execution engine of one tile.
@@ -61,6 +184,10 @@ type thread struct {
 // wake from the fabric). Idle tiles therefore cost nothing per cycle,
 // which is what makes the paper's bursty programs — and the full
 // 602×595 wafer — cheap to cycle-simulate between communication phases.
+// The same edges reach inside a step: the rx-delivery wake marks which
+// subscribed color has words (rxPending), and LaunchThread/retire keep
+// the issue list, so a stepped core neither probes empty receive
+// buffers nor scans empty thread slots.
 type Core struct {
 	m     *Machine
 	tile  *Tile
@@ -68,30 +195,36 @@ type Core struct {
 
 	tasks   []*Task
 	current *Task
+	// ready is false only while no task is activated and unblocked: set
+	// by the edges that can make one so (AddTask, Activate, Unblock,
+	// Restore), cleared by a pick that finds none, so an idle scheduler
+	// is not rescanned every cycle.
+	ready bool
 
-	threads  [MaxThreads]*thread
+	thr      *threadTable // nil until the first LaunchThread
 	nthreads int
 
 	// rx stream fanout: a fabric color's arriving words are distributed to
 	// every subscribed stream buffer; a word is consumed from the fabric
 	// receive queue only when all subscribers can accept it (hardware
 	// delivers arriving data directly to the functional units consuming
-	// the stream). The table is a dense color-indexed array — allocated
-	// lazily so the 358k mostly-unsubscribed cores of a wafer stay small —
-	// walked via subColors, the active-color list in registration order.
-	// (The pre-worklist engine ranged over a map here, which was only
-	// deterministic because no buffer subscribes to two colors; the dense
-	// array is deterministic by construction, and branch-lean.)
-	subs      *[fabric.MaxColors][]*StreamBuf
-	subColors []fabric.Color
-	// subMask is the bitmask form of subColors, used by the machine's
+	// the stream). subs lists the subscribed colors in registration
+	// order, which is the delivery order within a cycle.
+	subs []rxSub
+	// subMask is the set of subscribed colors, used by the machine's
 	// rx-delivery wake to drop deliveries on colors this core does not
-	// consume (other subsystems' traffic to the same ramp).
+	// consume (other subsystems' traffic to the same ramp); subPos maps
+	// a subscribed color to its position in subs.
 	subMask uint32
-
-	// scratch is the persistent datapath-unit list reused by step, so
-	// the hot path allocates nothing per cycle.
-	scratch []Instr
+	subPos  [fabric.MaxColors]uint8
+	// rxPending has bit i set while subs[i]'s receive buffer may hold
+	// words: set by the rx-delivery wake, by Subscribe and by snapshot
+	// restore (conservatively — words may already be waiting), cleared
+	// on the pop that empties the buffer or on finding it empty (a host
+	// Recv may have taken the word). A clear bit proves the buffer
+	// empty, so step, runnable, RxQuiet and the batched classifier look
+	// only at set bits. Host-side bookkeeping, never architectural state.
+	rxPending uint32
 
 	// queued marks membership in the shard worklist (set by wake,
 	// cleared by the machine when the core steps without runnable work).
@@ -104,15 +237,6 @@ type Core struct {
 	ffMark bool
 
 	sentThisCycle bool
-
-	// rxArmed marks that words may be pending at the ramp for a
-	// subscribed color: set on every rx delivery (and conservatively at
-	// construction, subscription and snapshot restore), cleared by the
-	// batched engine once a full scan finds every subscribed receive
-	// queue empty. It lets the classifier skip the per-color RxLen scan
-	// in steady-state compute phases; purely a host-side cache, never
-	// part of architectural state.
-	rxArmed bool
 
 	// Stats. Idle cycles are skipped entirely, so the denominators in
 	// Utilization come from the machine cycle counter, not a per-core
@@ -129,7 +253,7 @@ type Core struct {
 }
 
 func newCore(m *Machine, t *Tile) *Core {
-	return &Core{m: m, tile: t, rxArmed: true}
+	return &Core{m: m, tile: t}
 }
 
 // wake puts the core on its shard's runnable worklist. Idempotent and
@@ -148,6 +272,7 @@ func (c *Core) AddTask(t *Task) *Task {
 	t.core = c
 	c.tasks = append(c.tasks, t)
 	if t.activated && !t.blocked {
+		c.ready = true
 		c.wake()
 	}
 	return t
@@ -159,6 +284,7 @@ func (c *Core) AddTask(t *Task) *Task {
 func (c *Core) Activate(t *Task) {
 	t.activated = true
 	if !t.blocked {
+		c.ready = true
 		c.wake()
 	}
 }
@@ -170,6 +296,7 @@ func (c *Core) Block(t *Task) { t.blocked = true }
 func (c *Core) Unblock(t *Task) {
 	t.blocked = false
 	if t.activated {
+		c.ready = true
 		c.wake()
 	}
 }
@@ -181,10 +308,18 @@ func (c *Core) LaunchThread(slot int, name string, instr Instr, onDone func(*Cor
 	if slot < 0 || slot >= MaxThreads {
 		panic(fmt.Sprintf("wse: thread slot %d out of range", slot))
 	}
-	if c.threads[slot] != nil {
-		panic(fmt.Sprintf("wse: thread slot %d (%s) already running %s", slot, name, c.threads[slot].name))
+	tt := c.thr
+	if tt == nil {
+		tt = new(threadTable)
+		c.thr = tt
 	}
-	c.threads[slot] = &thread{instr: instr, onDone: onDone, name: name}
+	if tt.live&(1<<slot) != 0 {
+		panic(fmt.Sprintf("wse: thread slot %d (%s) already running %s", slot, name, tt.slots[slot].name))
+	}
+	tt.slots[slot] = thread{instr: instr, onDone: onDone, name: name}
+	tt.live |= 1 << slot
+	tt.check |= 1 << slot
+	tt.stale = true
 	c.nthreads++
 	c.wake()
 }
@@ -192,17 +327,54 @@ func (c *Core) LaunchThread(slot int, name string, instr Instr, onDone func(*Cor
 // Subscribe attaches a stream buffer to a fabric color. All subscribers
 // of a color receive every arriving word.
 func (c *Core) Subscribe(col fabric.Color, b *StreamBuf) {
-	if c.subs == nil {
-		c.subs = new([fabric.MaxColors][]*StreamBuf)
-	}
-	if len(c.subs[col]) == 0 {
-		c.subColors = append(c.subColors, col)
+	if c.subMask&(1<<col) == 0 {
 		c.subMask |= 1 << col
+		c.subPos[col] = uint8(len(c.subs))
+		c.subs = append(c.subs, rxSub{col: col})
 	}
-	c.subs[col] = append(c.subs[col], b)
+	i := c.subPos[col]
+	c.subs[i].bufs = append(c.subs[i].bufs, b)
 	// Words may already be waiting at the ramp for this color.
-	c.rxArmed = true
+	c.rxPending |= 1 << i
 	c.wake()
+}
+
+// rxArrived is the rx-delivery edge: a word was committed into the
+// receive buffer of subscribed color col.
+func (c *Core) rxArrived(col fabric.Color) {
+	c.rxPending |= 1 << c.subPos[col]
+	c.wake()
+}
+
+// rxWaiting returns subs[i]'s receive buffer if it holds words, resolving
+// the handle on first use; otherwise it clears the pending bit and
+// returns nil. A step passes its tally, which counts every look at a
+// buffer that exists as a probe.
+func (c *Core) rxWaiting(i int, st *IssueStats) *fabric.RxQueue {
+	s := &c.subs[i]
+	if s.q == nil {
+		s.q = c.m.Fab.RxQueueOf(c.tile.index, s.col)
+	}
+	if s.q != nil {
+		if st != nil {
+			st.RxProbes++
+		}
+		if s.q.Len() > 0 {
+			return s.q
+		}
+	}
+	c.rxPending &^= 1 << i
+	return nil
+}
+
+// accepting reports whether every subscriber of s has room for a word.
+func (s *rxSub) accepting() bool {
+	for _, b := range s.bufs {
+		if b.full() {
+			return false
+		}
+	}
+	return true
 }
 
 // Send injects one word into the fabric; at most one send per cycle
@@ -234,23 +406,12 @@ func (c *Core) runnable() bool {
 // runnableSlow is the task/rx half of the runnable check; the cheap
 // half above inlines into the stepping hot path.
 func (c *Core) runnableSlow() bool {
-	for _, t := range c.tasks {
-		if t.activated && !t.blocked {
-			return true
-		}
+	if c.pick() != nil {
+		return true
 	}
-	for _, col := range c.subColors {
-		if c.m.Fab.RxLen(c.tile.Coord, col) == 0 {
-			continue
-		}
-		deliverable := true
-		for _, b := range c.subs[col] {
-			if b.full() {
-				deliverable = false
-				break
-			}
-		}
-		if deliverable {
+	for pend := c.rxPending; pend != 0; pend &= pend - 1 {
+		i := bits.TrailingZeros32(pend)
+		if c.rxWaiting(i, nil) != nil && c.subs[i].accepting() {
 			return true
 		}
 	}
@@ -276,26 +437,31 @@ func (c *Core) Utilization() (busyFrac, lanesPerCycle float64) {
 // core (nothing to deliver, no task to pick, no unit to issue).
 func (c *Core) step() {
 	c.sentThisCycle = false
+	st := &c.m.issue[c.shard].IssueStats
+	st.CoreSteps++
 
 	// 1. Distribute arriving fabric words to stream subscribers: one word
-	// per color per cycle, only if every subscriber has space.
-	for _, col := range c.subColors {
-		bufs := c.subs[col]
-		ok := true
-		for _, b := range bufs {
-			if b.full() {
-				ok = false
-				break
-			}
-		}
-		if !ok {
+	// per color per cycle, in registration order, only if every subscriber
+	// has space. Only colors marked pending are looked at.
+	for pend := c.rxPending; pend != 0; pend &= pend - 1 {
+		i := bits.TrailingZeros32(pend)
+		q := c.rxWaiting(i, st)
+		if q == nil {
 			continue
 		}
-		if w, got := c.m.Fab.Recv(c.tile.Coord, col); got {
-			lo, hi := w.UnpackF16()
-			for _, b := range bufs {
-				b.push(lo, hi)
-			}
+		s := &c.subs[i]
+		if !s.accepting() {
+			st.RxStalls++
+			continue
+		}
+		w := fabric.Word{Color: s.col, Bits: q.Pop()}
+		st.RxWords++
+		if q.Len() == 0 {
+			c.rxPending &^= 1 << i
+		}
+		lo, hi := w.UnpackF16()
+		for _, b := range s.bufs {
+			b.push(lo, hi)
 		}
 	}
 
@@ -308,46 +474,32 @@ func (c *Core) step() {
 			c.current.pc = 0
 		}
 	}
+	cur := c.currentInstr()
 
 	// 3. Share datapath lanes round-robin among the running task's current
 	// instruction and all threads.
-	lanes := c.m.Cfg.SIMDWidth
-	if c.scratch == nil {
-		c.scratch = make([]Instr, 0, MaxThreads+1)
-	}
-	units := c.scratch[:0]
-	if c.current != nil && c.current.pc < len(c.current.Instrs) {
-		units = append(units, c.current.Instrs[c.current.pc])
-	}
-	if c.nthreads > 0 {
-		// &c.threads: ranging the array by value would copy all nine
-		// slots every cycle.
-		for _, th := range &c.threads {
-			if th != nil {
-				units = append(units, th.instr)
-			}
+	var (
+		units []issueUnit
+		solo  [1]issueUnit
+	)
+	if tt := c.thr; tt != nil {
+		if tt.stale {
+			tt.gather()
 		}
-	}
-	used := 0
-	for pass := 0; pass < 2 && len(units) > 0; pass++ {
-		// Zero-lane instructions (sends) still progress when the datapath
-		// is saturated; a second pass lets units take leftover lanes.
-		for _, u := range units {
-			give := lanes
-			if give < 0 {
-				give = 0
-			}
-			n := u.Step(c, give)
-			lanes -= n
-			used += n
+		units = tt.units[1 : 1+tt.n]
+		if cur != nil {
+			tt.units[0] = unitOf(cur, noSlot)
+			units = tt.units[:1+tt.n]
 		}
-		if lanes <= 0 {
-			break
-		}
+	} else if cur != nil {
+		solo[0] = unitOf(cur, noSlot)
+		units = solo[:]
 	}
-	if used > 0 {
-		c.busyCycles++
-		c.lanesUsed += int64(used)
+	if len(units) > 0 {
+		called := c.issue(units, st)
+		if c.thr != nil {
+			c.thr.check |= called
+		}
 	}
 
 	// 4. Retire completed work.
@@ -365,21 +517,115 @@ func (c *Core) step() {
 		}
 	}
 	if c.nthreads > 0 {
-		for i, th := range &c.threads {
-			if th != nil && th.instr.Done() {
-				c.threads[i] = nil
+		tt := c.thr
+		for rest := tt.live & (tt.check | tt.always); rest != 0; {
+			s := bits.TrailingZeros16(rest)
+			tt.check &^= 1 << s
+			if th := &tt.slots[s]; th.instr.Done() {
+				onDone := th.onDone
+				*th = thread{}
+				tt.live &^= 1 << s
+				tt.always &^= 1 << s
+				tt.stale = true
 				c.nthreads--
-				if th.onDone != nil {
-					th.onDone(c)
+				if onDone != nil {
+					onDone(c)
 				}
 			}
+			// A handler may have launched threads: like a walk over the
+			// slots themselves, go on with whatever is live above s.
+			rest = tt.live & (tt.check | tt.always) &^ (1<<(s+1) - 1)
 		}
 	}
+}
+
+// currentInstr returns the running task's current instruction, or nil.
+func (c *Core) currentInstr() Instr {
+	if t := c.current; t != nil && t.pc < len(t.Instrs) {
+		return t.Instrs[t.pc]
+	}
+	return nil
+}
+
+// gather rebuilds the thread part of the issue list from the live slots.
+func (tt *threadTable) gather() {
+	tt.n, tt.always = 0, 0
+	for rest := tt.live; rest != 0; rest &= rest - 1 {
+		s := bits.TrailingZeros16(rest)
+		u := unitOf(tt.slots[s].instr, uint8(s))
+		if u.kind == kindFIFOAdd {
+			tt.always |= 1 << s
+		}
+		tt.n++
+		tt.units[tt.n] = u
+	}
+	tt.stale = false
+}
+
+// issue is the datapath half of a step: up to two passes over the units,
+// the second handing out the lanes the first left over. Zero-lane
+// instructions (sends) progress even when the datapath is saturated.
+// See unitKind for the calls the two passes leave out. It returns the
+// slots (as threadTable.check bits) of the units it called.
+func (c *Core) issue(units []issueUnit, st *IssueStats) (called uint16) {
+	lanes := c.m.Cfg.SIMDWidth
+	used := 0
+	// progress counts the calls so far this cycle that may have changed
+	// what another unit would see; seen[i] is its value after unit i's
+	// latest call.
+	var (
+		progress uint8
+		seen     [MaxThreads + 1]uint8
+	)
+	for pass := 0; pass < 2; pass++ {
+		for i := range units {
+			u := &units[i]
+			give := max(lanes, 0)
+			if u.kind >= kindFIFOAdd {
+				switch {
+				case u.src != nil && u.src.size == 0:
+					continue
+				case give == 0:
+					if u.idleAtZeroLanes() {
+						continue
+					}
+				case pass == 1 && seen[i] == progress:
+					continue // called in the first pass (it was neither dry nor out of lanes), nothing moved since
+				}
+			}
+			n := u.in.Step(c, give)
+			called |= 1 << u.slot
+			st.InstrCalls++
+			if n == 0 {
+				st.IdleCalls++
+			}
+			if u.kind <= kindSend {
+				st.ZeroLaneCalls++
+			}
+			if n > 0 || u.kind == kindOther {
+				progress++
+			}
+			seen[i] = progress
+			lanes -= n
+			used += n
+		}
+		if lanes <= 0 {
+			break
+		}
+	}
+	if used > 0 {
+		c.busyCycles++
+		c.lanesUsed += int64(used)
+	}
+	return called
 }
 
 // pick selects the next task: priority tasks first, then registration
 // order.
 func (c *Core) pick() *Task {
+	if !c.ready {
+		return nil
+	}
 	var fallback *Task
 	for _, t := range c.tasks {
 		if !t.activated || t.blocked {
@@ -392,6 +638,7 @@ func (c *Core) pick() *Task {
 			fallback = t
 		}
 	}
+	c.ready = fallback != nil
 	return fallback
 }
 
@@ -402,12 +649,21 @@ func (c *Core) pick() *Task {
 type StreamBuf struct {
 	buf        []fp16.Float16
 	head, size int
+	// small backs buf for the usual shallow buffer, so that building one
+	// is a single allocation (every tile of a stencil program has several).
+	small [8]fp16.Float16
 }
 
 // NewStreamBuf returns a buffer with capacity for depth words (2·depth
 // elements).
 func NewStreamBuf(depthWords int) *StreamBuf {
-	return &StreamBuf{buf: make([]fp16.Float16, 2*depthWords)}
+	b := new(StreamBuf)
+	if n := 2 * depthWords; n <= len(b.small) {
+		b.buf = b.small[:n:n]
+	} else {
+		b.buf = make([]fp16.Float16, n)
+	}
+	return b
 }
 
 func (b *StreamBuf) full() bool { return len(b.buf)-b.size < 2 }
@@ -415,16 +671,26 @@ func (b *StreamBuf) full() bool { return len(b.buf)-b.size < 2 }
 // Len returns the buffered element count.
 func (b *StreamBuf) Len() int { return b.size }
 
+// push and pop wrap by compare, not modulo: they run once per streamed
+// element.
 func (b *StreamBuf) push(lo, hi fp16.Float16) {
-	b.buf[(b.head+b.size)%len(b.buf)] = lo
-	b.size++
-	b.buf[(b.head+b.size)%len(b.buf)] = hi
-	b.size++
+	i := b.head + b.size
+	if i >= len(b.buf) {
+		i -= len(b.buf)
+	}
+	b.buf[i] = lo
+	if i++; i == len(b.buf) {
+		i = 0
+	}
+	b.buf[i] = hi
+	b.size += 2
 }
 
 func (b *StreamBuf) pop() fp16.Float16 {
 	v := b.buf[b.head]
-	b.head = (b.head + 1) % len(b.buf)
+	if b.head++; b.head == len(b.buf) {
+		b.head = 0
+	}
 	b.size--
 	return v
 }

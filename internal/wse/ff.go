@@ -1,6 +1,9 @@
 package wse
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // This file is the task half of the hybrid fast-forward engine
 // (EngineFastForward): when a phase consists purely of per-core
@@ -214,8 +217,10 @@ func (m *Machine) FastForwardTasks(tasks []*Task) (int64, bool) {
 // pending deliveries still has architecturally visible work to do, so
 // no fast-forward path may skip it.
 func (c *Core) RxQuiet() bool {
-	for _, col := range c.subColors {
-		if c.m.Fab.RxLen(c.tile.Coord, col) > 0 {
+	// A set pending bit is only a maybe (Subscribe and Restore set it
+	// without looking); rxWaiting settles it and clears the stale ones.
+	for pend := c.rxPending; pend != 0; pend &= pend - 1 {
+		if c.rxWaiting(bits.TrailingZeros32(pend), nil) != nil {
 			return false
 		}
 	}

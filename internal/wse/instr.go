@@ -16,12 +16,18 @@ import (
 //
 // Scheduling contract (the event-driven worklist engine relies on it):
 // an instruction runs only while its core is stepped, and a not-yet-Done
-// instruction keeps the core on the runnable worklist — a stalled Step
-// (used = 0, e.g. a backpressured send or a dry stream) is retried every
-// cycle, exactly as the polling engine did. Step must touch only its own
-// core and tile (Send/Recv on c, the tile arena, FIFOs and stream
-// buffers of that tile); scheduling calls into other cores would race
-// with their shard's worklist under the sharded engine.
+// instruction keeps the core on the runnable worklist. A type the core
+// does not know is called every cycle (twice while lanes are left over,
+// as the polling engine did) and its Done is read every cycle; the
+// instructions of this file are additionally left uncalled in the cycles
+// where a call provably does nothing — no lanes on offer, an empty stream
+// buffer, nothing moved since the last call — see unitKind in core.go
+// for the rules and what a type must guarantee to join them. The source
+// of a streaming thread's instruction is read when the thread is
+// launched and must not be swapped while it runs. Step must touch
+// only its own core and tile (Send/Recv on c, the tile arena, FIFOs and
+// stream buffers of that tile); scheduling calls into other cores would
+// race with their shard's worklist under the sharded engine.
 type Instr interface {
 	Step(c *Core, lanes int) (used int)
 	Done() bool
@@ -51,6 +57,45 @@ func (s MemSource) avail() int {
 	return s.D.Len() - s.D.Advanced()
 }
 func (s MemSource) take() fp16.Float16 { return s.A.At(s.D.Next()) }
+
+// resetSource rewinds a memory source; a stream has nothing to rewind.
+func resetSource(src ElemSource) {
+	if m, ok := src.(MemSource); ok {
+		m.D.Reset()
+	}
+}
+
+// streamOf returns the stream buffer behind src, or nil for a memory
+// source: the streaming instructions pop a fabric stream through the
+// concrete ring instead of two interface calls per element.
+func streamOf(src ElemSource) *StreamBuf {
+	if s, ok := src.(StreamSource); ok {
+		return s.B
+	}
+	return nil
+}
+
+// takeFrom pops the next element from b, the stream behind src if it has
+// one (streamOf), and through src otherwise.
+func takeFrom(b *StreamBuf, src ElemSource) fp16.Float16 {
+	if b != nil {
+		return b.pop()
+	}
+	return src.take()
+}
+
+// operand returns the next n elements of d as a slice of live arena
+// memory and advances d past them, or nil (d untouched) when they are
+// not one ascending run — then the caller walks d with Next, which also
+// keeps Next's panic for an operand shorter than the instruction.
+func operand(a *tensor.Arena, d *tensor.Descriptor, n int) []fp16.Float16 {
+	if !contigLeft(d, n) {
+		return nil
+	}
+	s := a.Slice(d.Pos(), n)
+	d.SkipContig(n)
+	return s
+}
 
 // --------------------------------------------------------------- MemOp
 
@@ -234,19 +279,36 @@ type MulToFIFO struct {
 // Done implements Instr.
 func (m *MulToFIFO) Done() bool { return m.done >= m.Total }
 
-// Step implements Instr.
+// Reset rewinds the instruction (and a memory source's descriptor) for
+// reuse. The FIFO and a stream source are left as they are.
+func (m *MulToFIFO) Reset() {
+	m.Coeff.Reset()
+	resetSource(m.Src)
+	m.done = 0
+}
+
+// Step implements Instr. The cycle's element count is decided once —
+// lanes, elements left, stream occupancy and FIFO space bound it — and
+// the elements then run in order, each one read, multiplied and pushed
+// before the next is read, as the per-element loop did.
 func (m *MulToFIFO) Step(c *Core, lanes int) int {
-	used := 0
-	for used < lanes && m.done < m.Total && m.Src.avail() > 0 && !m.FIFO.Full() {
-		v := m.Src.take()
-		p := fp16.Mul(m.Arena.At(m.Coeff.Next()), v)
-		if !m.FIFO.Push(m.Arena, p) {
-			panic("wse: FIFO push failed after Full check")
-		}
-		m.done++
-		used++
+	n := min(lanes, m.Total-m.done, m.Src.avail(), m.FIFO.Space())
+	if n <= 0 {
+		return 0
 	}
-	return used
+	b, coeff := streamOf(m.Src), operand(m.Arena, &m.Coeff, n)
+	for i := 0; i < n; i++ {
+		v := takeFrom(b, m.Src)
+		var k fp16.Float16
+		if coeff != nil {
+			k = coeff[i]
+		} else {
+			k = m.Arena.At(m.Coeff.Next())
+		}
+		m.FIFO.Push(m.Arena, fp16.Mul(k, v))
+	}
+	m.done += n
+	return n
 }
 
 // --------------------------------------------------------------- StreamAdd
@@ -265,16 +327,30 @@ type StreamAdd struct {
 // Done implements Instr.
 func (s *StreamAdd) Done() bool { return s.done >= s.Total }
 
-// Step implements Instr.
+// Reset rewinds the instruction for reuse, as MulToFIFO.Reset does.
+func (s *StreamAdd) Reset() {
+	s.Acc.Reset()
+	resetSource(s.Src)
+	s.done = 0
+}
+
+// Step implements Instr, with MulToFIFO.Step's shape.
 func (s *StreamAdd) Step(c *Core, lanes int) int {
-	used := 0
-	for used < lanes && s.done < s.Total && s.Src.avail() > 0 {
-		p := s.Acc.Next()
-		s.Arena.Set(p, fp16.Add(s.Arena.At(p), s.Src.take()))
-		s.done++
-		used++
+	n := min(lanes, s.Total-s.done, s.Src.avail())
+	if n <= 0 {
+		return 0
 	}
-	return used
+	b, acc := streamOf(s.Src), operand(s.Arena, &s.Acc, n)
+	for i := 0; i < n; i++ {
+		if acc != nil {
+			acc[i] = fp16.Add(acc[i], takeFrom(b, s.Src))
+		} else {
+			p := s.Acc.Next()
+			s.Arena.Set(p, fp16.Add(s.Arena.At(p), takeFrom(b, s.Src)))
+		}
+	}
+	s.done += n
+	return n
 }
 
 // --------------------------------------------------------------- StreamStore
@@ -296,15 +372,30 @@ type StreamStore struct {
 // Done implements Instr.
 func (s *StreamStore) Done() bool { return s.done >= s.Total }
 
-// Step implements Instr.
+// Reset rewinds the instruction for reuse, as MulToFIFO.Reset does.
+func (s *StreamStore) Reset() {
+	s.Dst.Reset()
+	resetSource(s.Src)
+	s.done = 0
+}
+
+// Step implements Instr, with MulToFIFO.Step's shape.
 func (s *StreamStore) Step(c *Core, lanes int) int {
-	used := 0
-	for used < lanes && s.done < s.Total && s.Src.avail() > 0 {
-		s.Arena.Set(s.Dst.Next(), s.Src.take())
-		s.done++
-		used++
+	n := min(lanes, s.Total-s.done, s.Src.avail())
+	if n <= 0 {
+		return 0
 	}
-	return used
+	b, dst := streamOf(s.Src), operand(s.Arena, &s.Dst, n)
+	for i := 0; i < n; i++ {
+		if dst != nil {
+			dst[i] = takeFrom(b, s.Src)
+		} else {
+			p := s.Dst.Next()
+			s.Arena.Set(p, takeFrom(b, s.Src))
+		}
+	}
+	s.done += n
+	return n
 }
 
 // --------------------------------------------------------------- FIFOAdd
@@ -329,17 +420,30 @@ func (f *FIFOAdd) Done() bool { return f.FIFO.Len() == 0 || f.added >= f.Total }
 // Complete reports whether all Total elements have been accumulated.
 func (f *FIFOAdd) Complete() bool { return f.added >= f.Total }
 
-// Step implements Instr.
+// Reset rewinds the accumulator for reuse; the FIFO is left as it is.
+func (f *FIFOAdd) Reset() {
+	f.Acc.Reset()
+	f.added = 0
+}
+
+// Step implements Instr, with MulToFIFO.Step's shape.
 func (f *FIFOAdd) Step(c *Core, lanes int) int {
-	used := 0
-	for used < lanes && f.added < f.Total && f.FIFO.Len() > 0 {
-		v, _ := f.FIFO.Pop(f.Arena)
-		p := f.Acc.Next()
-		f.Arena.Set(p, fp16.Add(f.Arena.At(p), v))
-		f.added++
-		used++
+	n := min(lanes, f.Total-f.added, f.FIFO.Len())
+	if n <= 0 {
+		return 0
 	}
-	return used
+	acc := operand(f.Arena, &f.Acc, n)
+	for i := 0; i < n; i++ {
+		v, _ := f.FIFO.Pop(f.Arena)
+		if acc != nil {
+			acc[i] = fp16.Add(acc[i], v)
+		} else {
+			p := f.Acc.Next()
+			f.Arena.Set(p, fp16.Add(f.Arena.At(p), v))
+		}
+	}
+	f.added += n
+	return n
 }
 
 // --------------------------------------------------------------- SendMem
@@ -361,6 +465,13 @@ type SendMem struct {
 
 // Done implements Instr.
 func (s *SendMem) Done() bool { return s.sent >= s.Total && !s.pending }
+
+// Reset rewinds the instruction for reuse, dropping a word it had packed
+// but not yet sent.
+func (s *SendMem) Reset() {
+	s.Src.Reset()
+	s.sent, s.pending = 0, false
+}
 
 // Step implements Instr.
 func (s *SendMem) Step(c *Core, lanes int) int {

@@ -98,6 +98,8 @@ type Tile struct {
 	Coord fabric.Coord
 	Arena *tensor.Arena
 	Core  *Core
+
+	index int // fabric tile index of Coord
 }
 
 // Machine is a simulated wafer.
@@ -140,6 +142,35 @@ type Machine struct {
 	// batch is the per-shard class-grouping scratch of the batched
 	// engine, allocated once; see batch.go.
 	batch []batchState
+
+	// issue[s] is shard s's tally of what its cores' steps did; see
+	// IssueStats.
+	issue []shardIssue
+}
+
+// shardIssue pads one shard's tally to its own cache lines, since shards
+// step concurrently under the sharded engine.
+type shardIssue struct {
+	IssueStats
+	_ [72]byte
+}
+
+// IssueStats counts what the scalar core interpreter did, summed over
+// the cores: how many core steps ran, how many Instr.Step calls they
+// made and how many of those found nothing to do, and how the receive
+// side went. Host-side observation only — not architectural state, not
+// in the fingerprint — kept so that a core step that went back to
+// polling shows up as a count and not only as a slower run. (The batched
+// engine's class execution and the fast-forward paths bypass Core.step
+// and are not counted.)
+type IssueStats struct {
+	CoreSteps     int64 // Core.step invocations
+	InstrCalls    int64 // Instr.Step calls
+	IdleCalls     int64 // ... that returned 0
+	ZeroLaneCalls int64 // ... of instructions that never take lanes (sends, unknown types)
+	RxProbes      int64 // pending receive buffers examined
+	RxWords       int64 // ... that yielded a word to the subscribers
+	RxStalls      int64 // ... whose word waited for a full subscriber
 }
 
 // New builds a machine.
@@ -161,6 +192,7 @@ func New(cfg Config) *Machine {
 	}
 	ranges := m.Fab.ShardRanges()
 	m.runnable = make([][]*Core, len(ranges))
+	m.issue = make([]shardIssue, len(ranges))
 	m.loShard = make(map[int]int, len(ranges))
 	for s, r := range ranges {
 		m.loShard[r[0]] = s
@@ -171,6 +203,7 @@ func New(cfg Config) *Machine {
 		t := &Tile{
 			Coord: at,
 			Arena: tensor.NewArena(cfg.MemPerTile),
+			index: i,
 		}
 		t.Core = newCore(m, t)
 		t.Core.shard = m.Fab.ShardOf(i)
@@ -193,8 +226,7 @@ func New(cfg Config) *Machine {
 	// idle machine and fast-forward eligibility would be lost.
 	m.Fab.OnRxDelivery(func(tile int, col fabric.Color) {
 		if c := m.Tiles[tile].Core; c.subMask&(1<<col) != 0 {
-			c.rxArmed = true
-			c.wake()
+			c.rxArrived(col)
 		}
 	})
 	return m
@@ -317,7 +349,7 @@ func (m *Machine) Fingerprint() uint64 {
 	for i, tl := range m.Tiles {
 		c := tl.Core
 		if c.current == nil && c.nthreads == 0 && len(c.tasks) == 0 &&
-			len(c.subColors) == 0 && c.busyCycles == 0 {
+			len(c.subs) == 0 && c.busyCycles == 0 {
 			continue // never-programmed core: all-default state
 		}
 		mix(uint64(i))
@@ -335,17 +367,15 @@ func (m *Machine) Fingerprint() uint64 {
 			mix(b | uint64(t.pc)<<4)
 		}
 		thmask := uint64(0)
-		for s, th := range &c.threads {
-			if th != nil {
-				thmask |= 1 << s
-			}
+		if c.thr != nil {
+			thmask = uint64(c.thr.live)
 		}
 		if c.sentThisCycle {
 			thmask |= 1 << MaxThreads
 		}
 		mix(thmask)
-		for _, col := range c.subColors {
-			for _, b := range c.subs[col] {
+		for si := range c.subs {
+			for _, b := range c.subs[si].bufs {
 				mix(uint64(b.size))
 				for k := 0; k < b.size; k++ {
 					mix(uint64(b.buf[(b.head+k)%len(b.buf)].Bits()))
@@ -379,4 +409,21 @@ func (m *Machine) ElementSteps() (slice, walk int64) {
 		walk += tl.Core.walkSteps
 	}
 	return slice, walk
+}
+
+// IssueStats returns the interpreter tallies summed over the shards; see
+// the type.
+func (m *Machine) IssueStats() IssueStats {
+	var t IssueStats
+	for i := range m.issue {
+		s := &m.issue[i].IssueStats
+		t.CoreSteps += s.CoreSteps
+		t.InstrCalls += s.InstrCalls
+		t.IdleCalls += s.IdleCalls
+		t.ZeroLaneCalls += s.ZeroLaneCalls
+		t.RxProbes += s.RxProbes
+		t.RxWords += s.RxWords
+		t.RxStalls += s.RxStalls
+	}
+	return t
 }

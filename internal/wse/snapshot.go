@@ -104,8 +104,15 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 		}
 		cs.Sent = c.sentThisCycle
 		cs.Busy, cs.Lanes = c.busyCycles, c.lanesUsed
-		for _, col := range c.subColors {
-			for _, b := range c.subs[col] {
+		nb := 0
+		for si := range c.subs {
+			nb += len(c.subs[si].bufs)
+		}
+		if nb > 0 {
+			cs.Streams = make([][]uint16, 0, nb)
+		}
+		for si := range c.subs {
+			for _, b := range c.subs[si].bufs {
 				el := make([]uint16, b.size)
 				for k := 0; k < b.size; k++ {
 					el[k] = b.buf[(b.head+k)%len(b.buf)].Bits()
@@ -145,8 +152,8 @@ func (m *Machine) Restore(s *Snapshot) error {
 				tl.Coord, len(c.tasks), len(cs.Tasks))
 		}
 		nb := 0
-		for _, col := range c.subColors {
-			for _, b := range c.subs[col] {
+		for si := range c.subs {
+			for _, b := range c.subs[si].bufs {
 				if nb >= len(cs.Streams) {
 					return fmt.Errorf("wse: tile %v has more stream buffers than the snapshot (program mismatch)", tl.Coord)
 				}
@@ -179,15 +186,17 @@ func (m *Machine) Restore(s *Snapshot) error {
 			t.running = ts.Flags&4 != 0
 			t.pc = int(ts.PC)
 		}
+		c.ready = len(c.tasks) > 0
 		c.sentThisCycle = cs.Sent
 		c.busyCycles, c.lanesUsed = cs.Busy, cs.Lanes
 		// The restored fabric may hold rx words the captured machine had
-		// not delivered yet; re-arm conservatively (rxArmed is a
-		// host-side cache, not architectural state).
-		c.rxArmed = true
+		// not delivered yet: mark every subscribed color pending (the
+		// mask is a host-side cache, not architectural state; the
+		// runnable() pass below clears the bits of empty buffers).
+		c.rxPending = 1<<len(c.subs) - 1
 		nb := 0
-		for _, col := range c.subColors {
-			for _, b := range c.subs[col] {
+		for si := range c.subs {
+			for _, b := range c.subs[si].bufs {
 				el := cs.Streams[nb]
 				nb++
 				b.head, b.size = 0, len(el)
