@@ -400,7 +400,8 @@ func BenchmarkMachineStepIdle(b *testing.B) {
 }
 
 // BenchmarkSpMV2DMachine measures one application of the wafer-resident
-// 2D block-halo SpMV (the §IV-2 mapping under cycle simulation): host
+// 2D block-halo SpMV (the §IV-2 mapping under cycle simulation, the
+// compiled stencilc.Spec9Point program BiCGStab2DWSE runs): host
 // time per application plus the simulated cycle count. Sub-names are
 // size/engine, matching the bench-regression gate's naming convention
 // (no trailing -<digits>; see benchMachineStep).
@@ -423,7 +424,7 @@ func BenchmarkSpMV2DMachine(b *testing.B) {
 				cfg.Workers = workers
 				mach := wse.New(cfg)
 				defer mach.Close()
-				p, err := kernels.NewSpMV2DMachine(mach, norm, tc.blk)
+				p, err := stencilc.Compile2D(mach, stencilc.Spec9Point(), norm, tc.blk, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -734,17 +735,18 @@ func BenchmarkFigure8_ClusterScaling600(b *testing.B) {
 
 func benchScaling(b *testing.B, mesh stencil.Mesh) {
 	cfg := cluster.Joule()
-	// Measured part: a real 8-rank goroutine solve of a reduced mesh.
+	// Measured part: a real 8-rank solve of a reduced mesh on the Cluster
+	// backend.
 	m := stencil.Mesh{NX: 16, NY: 16, NZ: 16}
-	norm, _ := stencil.ConvectionDiffusion(m, 0.2, [3]float64{1, -0.3, 0.2}, 0.25).Normalize()
-	rhs := make([]float64, m.N())
+	p := core.Problem{Op: stencil.ConvectionDiffusion(m, 0.2, [3]float64{1, -0.3, 0.2}, 0.25), B: make([]float64, m.N())}
 	rng := rand.New(rand.NewSource(4))
-	for i := range rhs {
-		rhs[i] = rng.NormFloat64()
+	for i := range p.B {
+		p.B[i] = rng.NormFloat64()
 	}
+	opts := core.Options{Backend: core.Cluster, Cluster: core.ClusterOptions{Ranks: 8}, MaxIter: 10}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := cluster.ParallelBiCGStab(norm, rhs, 8, 10, 0); err != nil {
+		if _, err := core.Solve(p, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -900,37 +902,6 @@ func BenchmarkAblation_AllReduceVsTree(b *testing.B) {
 	b.ReportMetric(rowcol, "rowcol-cycles")
 	b.ReportMetric(tree, "tree-cycles-ideal")
 	b.ReportMetric(tree/rowcol, "tree/rowcol")
-}
-
-// BenchmarkAblation_FusedReductions quantifies the communication-hiding
-// variant the paper declined (§IV-3): fusing the two ω reductions into
-// one AllReduce wave. Runs the sequential fused solver (bit-identical
-// numerics) and reports the modelled headline saving.
-func BenchmarkAblation_FusedReductions(b *testing.B) {
-	m := stencil.Mesh{NX: 8, NY: 8, NZ: 16}
-	op := stencil.RandomDiagDominant(m, 1.5, rand.New(rand.NewSource(6)))
-	norm, diag := op.Normalize()
-	xe := make([]float64, m.N())
-	for i := range xe {
-		xe[i] = float64(i % 3)
-	}
-	rhs := make([]float64, m.N())
-	op.Apply(rhs, xe)
-	sb := stencil.ScaleRHS(rhs, diag)
-	ctx := solver.NewF64()
-	a := ctx.NewOperator(norm)
-	bv := ctx.NewVector(m.N())
-	for i, v := range sb {
-		bv.Set(i, v)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		xv := ctx.NewVector(m.N())
-		if _, err := solver.BiCGStabFused(ctx, a, bv, xv, solver.Options{MaxIter: 10}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(100*perfmodel.ReductionHidingSavings(perfmodel.PaperModel()), "headline-saving-%")
 }
 
 // BenchmarkAblation_ZSweep evaluates the paper's "effect of changing

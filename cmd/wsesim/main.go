@@ -54,8 +54,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"math/rand"
@@ -71,111 +73,205 @@ import (
 // clock is the CS-1 fabric clock used to extrapolate wall time.
 const clock = 1.1e9
 
-// fatalUsage reports a flag-validation error with the usage text and a
-// non-zero exit, so bad invocations fail loudly instead of panicking
-// somewhere inside the simulator.
-func fatalUsage(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "wsesim: "+format+"\n", args...)
-	flag.Usage()
-	os.Exit(2)
+// config is one validated invocation: the flag values plus what
+// parseFlags derived from them.
+type config struct {
+	kernel         string
+	nx, ny, nz     int
+	iters          int
+	tol            float64
+	problem        string
+	shift, lambda  float64
+	steps, block   int
+	boundaryName   string
+	boundary       stencil.Boundary
+	host           bool
+	wafers, engine string
+	workers        int
+	ckptPath       string
+	ckptEvery      int
+	resumePath     string
+
+	// opts is the solve's validated core.Options, checkpoint writer
+	// attached; a -resume blob is read when the solve starts.
+	opts core.Options
+	// written counts the checkpoints the solve wrote.
+	written *int
 }
 
-func main() {
-	kernel := flag.String("kernel", "bicgstab", "workload: bicgstab|seismic25|heat|heat2d")
-	nx := flag.Int("nx", 8, "mesh width (fabric width; heat2d: mesh points)")
-	ny := flag.Int("ny", 8, "mesh height (fabric height; heat2d: mesh points)")
-	nz := flag.Int("nz", 64, "Z points per tile (even; 3D kernels only)")
-	iters := flag.Int("iters", 20, "max BiCGStab iterations (per step for heat kernels)")
-	tol := flag.Float64("tol", 1e-3, "relative residual tolerance")
-	problem := flag.String("problem", "momentum", "bicgstab coefficients: poisson|momentum|random")
-	shift := flag.Float64("shift", 0.08, "seismic25: implicit shift s = (v·Δt/h)²")
-	lambda := flag.Float64("lambda", 0.2, "heat kernels: diffusion number λ = α·Δt/h²")
-	steps := flag.Int("steps", 3, "heat kernels: backward-Euler time steps")
-	boundary := flag.String("boundary", "dirichlet", "heat: dirichlet|periodic (periodic is host-only)")
-	block := flag.Int("block", 2, "heat2d: mesh points per tile edge (even; mesh must tile)")
-	host := flag.Bool("host", false, "run the host float64 reference backend instead of the simulated wafer (not bicgstab)")
-	wafers := flag.String("wafers", "",
+// flagSet declares wsesim's flags over c.
+func flagSet(c *config) *flag.FlagSet {
+	fs := flag.NewFlagSet("wsesim", flag.ContinueOnError)
+	fs.StringVar(&c.kernel, "kernel", "bicgstab", "workload: bicgstab|seismic25|heat|heat2d")
+	fs.IntVar(&c.nx, "nx", 8, "mesh width (fabric width; heat2d: mesh points)")
+	fs.IntVar(&c.ny, "ny", 8, "mesh height (fabric height; heat2d: mesh points)")
+	fs.IntVar(&c.nz, "nz", 64, "Z points per tile (even; 3D kernels only)")
+	fs.IntVar(&c.iters, "iters", 20, "max BiCGStab iterations (per step for heat kernels)")
+	fs.Float64Var(&c.tol, "tol", 1e-3, "relative residual tolerance")
+	fs.StringVar(&c.problem, "problem", "momentum", "bicgstab coefficients: poisson|momentum|random")
+	fs.Float64Var(&c.shift, "shift", 0.08, "seismic25: implicit shift s = (v·Δt/h)²")
+	fs.Float64Var(&c.lambda, "lambda", 0.2, "heat kernels: diffusion number λ = α·Δt/h²")
+	fs.IntVar(&c.steps, "steps", 3, "heat kernels: backward-Euler time steps")
+	fs.StringVar(&c.boundaryName, "boundary", "dirichlet", "heat: dirichlet|periodic (periodic is host-only)")
+	fs.IntVar(&c.block, "block", 2, "heat2d: mesh points per tile edge (even; mesh must tile)")
+	fs.BoolVar(&c.host, "host", false, "run the host float64 reference backend instead of the simulated wafer (not bicgstab)")
+	fs.StringVar(&c.wafers, "wafers", "",
 		"wafer grid WxH: run the multiwafer cluster backend instead of a single wafer (e.g. 2x1; bicgstab only)")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0),
+	fs.IntVar(&c.workers, "workers", runtime.GOMAXPROCS(0),
 		"simulation worker goroutines (>1 shards each fabric on a persistent pool; results are bit-identical)")
-	engine := flag.String("engine", "",
+	fs.StringVar(&c.engine, "engine", "",
 		"core-stepping engine: seq|sharded|batched|fastforward (empty = automatic; every engine is bit- and cycle-identical — this is a host-throughput knob, single-wafer only)")
-	ckptPath := flag.String("checkpoint", "",
+	fs.StringVar(&c.ckptPath, "checkpoint", "",
 		"write a crash-recovery checkpoint to this file every -checkpoint-every iterations (single-wafer solves)")
-	ckptEvery := flag.Int("checkpoint-every", 10, "iterations between checkpoints when -checkpoint is set")
-	resumePath := flag.String("resume", "",
+	fs.IntVar(&c.ckptEvery, "checkpoint-every", 10, "iterations between checkpoints when -checkpoint is set")
+	fs.StringVar(&c.resumePath, "resume", "",
 		"resume a single-wafer solve from this checkpoint file (same mesh/problem flags as the checkpointed run)")
-	flag.Parse()
+	return fs
+}
 
-	if *nx <= 0 || *ny <= 0 {
-		fatalUsage("mesh dimensions must be positive (got %dx%d)", *nx, *ny)
+// parseFlags parses and validates one command line, so a bad
+// invocation fails before anything is built instead of panicking
+// somewhere inside the simulator. It does no I/O and prints nothing:
+// main reports the error with the usage text (flag.ErrHelp for -h).
+func parseFlags(args []string) (config, error) {
+	var c config
+	fs := flagSet(&c)
+	fs.SetOutput(io.Discard)
+	if err := fs.Parse(args); err != nil {
+		return c, err
 	}
-	if *iters <= 0 {
-		fatalUsage("-iters must be positive; got %d", *iters)
+	if c.nx <= 0 || c.ny <= 0 {
+		return c, fmt.Errorf("mesh dimensions must be positive (got %dx%d)", c.nx, c.ny)
 	}
-	if *kernel != "bicgstab" && *wafers != "" {
-		fatalUsage("-wafers runs only the bicgstab kernel; got -kernel %s", *kernel)
+	if c.iters <= 0 {
+		return c, fmt.Errorf("-iters must be positive; got %d", c.iters)
 	}
-	if *kernel == "bicgstab" && *host {
-		fatalUsage("-host applies to the stencil-compiled kernels; bicgstab always simulates")
+	if c.kernel != "bicgstab" && c.wafers != "" {
+		return c, fmt.Errorf("-wafers runs only the bicgstab kernel; got -kernel %s", c.kernel)
 	}
-	if *engine != "" {
-		if *wafers != "" || *host {
-			fatalUsage("-engine selects the single-wafer core-stepping engine; it does not apply to -wafers or -host runs")
+	if c.kernel == "bicgstab" && c.host {
+		return c, errors.New("-host applies to the stencil-compiled kernels; bicgstab always simulates")
+	}
+	if c.engine != "" {
+		if c.wafers != "" || c.host {
+			return c, errors.New("-engine selects the single-wafer core-stepping engine; it does not apply to -wafers or -host runs")
 		}
 		// An explicit engine and the sharded worker pool are mutually
 		// exclusive; when -workers was left at its default, defer to the
 		// engine rather than rejecting the combination.
 		workersSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "workers" {
-				workersSet = true
-			}
-		})
+		fs.Visit(func(f *flag.Flag) { workersSet = workersSet || f.Name == "workers" })
 		if !workersSet {
-			*workers = 1
+			c.workers = 1
 		}
 	}
 
-	switch *kernel {
+	heat := c.kernel == "heat" || c.kernel == "heat2d"
+	switch c.kernel {
 	case "bicgstab":
-		runBiCGStab(*nx, *ny, *nz, *iters, *tol, *problem, *wafers, *workers, *engine, *ckptPath, *ckptEvery, *resumePath)
+		if err := core.CheckProblemName(c.problem); err != nil {
+			return c, fmt.Errorf("-problem: %v", err)
+		}
 	case "seismic25":
-		runSeismic(*nx, *ny, *nz, *iters, *tol, *shift, *host, *workers, *engine, *ckptPath, *ckptEvery, *resumePath)
+		if c.shift <= 0 {
+			return c, fmt.Errorf("-shift must be positive; got %g", c.shift)
+		}
 	case "heat":
-		if *ckptPath != "" || *resumePath != "" {
-			fatalUsage("heat stepping re-solves per step and does not checkpoint")
+		var err error
+		if c.boundary, err = stencil.ParseBoundary(c.boundaryName); err != nil {
+			return c, fmt.Errorf("-boundary: %v", err)
 		}
-		runHeat3D(*nx, *ny, *nz, *iters, *tol, *lambda, *steps, *boundary, *host, *workers, *engine)
+		if c.boundary == stencil.Periodic && !c.host {
+			return c, errors.New("-boundary periodic runs on the host only (the wafer lowering is Dirichlet); add -host")
+		}
 	case "heat2d":
-		if *ckptPath != "" || *resumePath != "" {
-			fatalUsage("heat stepping re-solves per step and does not checkpoint")
+		if !c.host {
+			if c.block <= 0 || c.block%2 != 0 {
+				return c, fmt.Errorf("-block must be even and positive; got %d", c.block)
+			}
+			if c.nx%c.block != 0 || c.ny%c.block != 0 {
+				return c, fmt.Errorf("mesh %d×%d does not tile into %d×%d blocks", c.nx, c.ny, c.block, c.block)
+			}
 		}
-		runHeat2D(*nx, *ny, *iters, *tol, *lambda, *steps, *block, *host, *workers, *engine)
 	default:
-		fatalUsage("unknown -kernel %q (want bicgstab, seismic25, heat or heat2d)", *kernel)
+		return c, fmt.Errorf("unknown -kernel %q (want bicgstab, seismic25, heat or heat2d)", c.kernel)
 	}
+	if c.kernel != "heat2d" {
+		if c.nz <= 0 {
+			return c, fmt.Errorf("-nz must be positive; got %d", c.nz)
+		}
+		if c.nz%2 != 0 {
+			return c, fmt.Errorf("-nz must be even (fp16 words stream in pairs); got %d", c.nz)
+		}
+	}
+	if heat {
+		if c.ckptPath != "" || c.resumePath != "" {
+			return c, errors.New("heat stepping re-solves per step and does not checkpoint")
+		}
+		if c.lambda <= 0 {
+			return c, fmt.Errorf("-lambda must be positive; got %g", c.lambda)
+		}
+		if c.steps <= 0 {
+			return c, fmt.Errorf("-steps must be positive; got %d", c.steps)
+		}
+	}
+
+	c.opts = core.Options{Backend: core.Wafer, MaxIter: c.iters, Tol: c.tol,
+		Wafer: core.WaferOptions{Workers: c.workers, Engine: c.engine}}
+	switch {
+	case c.host:
+		c.opts.Backend = core.Local
+		c.opts.Wafer = core.WaferOptions{}
+	case c.wafers != "":
+		grid, err := multiwafer.ParseTopology(c.wafers)
+		if err != nil {
+			return c, fmt.Errorf("bad -wafers: %v", err)
+		}
+		c.opts.Backend = core.MultiWafer
+		c.opts.Wafer = core.WaferOptions{}
+		c.opts.MultiWafer = core.MultiWaferOptions{Grid: grid, Workers: c.workers}
+	}
+	c.written = attachCheckpoint(&c.opts, c.ckptPath, c.ckptEvery)
+	// One validator for every entry point: the daemon and all the CLIs
+	// route bad combinations (e.g. -checkpoint with -wafers) through
+	// core.Options.Validate instead of ad-hoc flag checks.
+	if err := c.opts.Validate(); err != nil {
+		return c, err
+	}
+	return c, nil
 }
 
-// check3D validates the shared 3D mesh flags.
-func check3D(nz int) {
-	if nz <= 0 {
-		fatalUsage("-nz must be positive; got %d", nz)
+func main() {
+	c, err := parseFlags(os.Args[1:])
+	if err != nil {
+		fs := flagSet(new(config))
+		if errors.Is(err, flag.ErrHelp) {
+			fs.SetOutput(os.Stdout)
+			fs.Usage()
+			return
+		}
+		fmt.Fprintf(os.Stderr, "wsesim: %v\n", err)
+		fs.Usage()
+		os.Exit(2)
 	}
-	if nz%2 != 0 {
-		fatalUsage("-nz must be even (fp16 words stream in pairs); got %d", nz)
+	if c.resumePath != "" {
+		blob, err := os.ReadFile(c.resumePath)
+		if err != nil {
+			log.Fatal(err)
+		}
+		c.opts.Wafer.Resume = blob
+		fmt.Printf("resuming from %s (%d bytes)\n", c.resumePath, len(blob))
 	}
-}
-
-// starOptions assembles core.Options for a stencil-compiled solve.
-func starOptions(iters int, tol float64, host bool, workers int, engine string) core.Options {
-	o := core.Options{Backend: core.Wafer, MaxIter: iters, Tol: tol,
-		Wafer: core.WaferOptions{Workers: workers, Engine: engine}}
-	if host {
-		o.Backend = core.Local
-		o.Wafer = core.WaferOptions{}
+	switch c.kernel {
+	case "bicgstab":
+		runBiCGStab(c)
+	case "seismic25":
+		runSeismic(c)
+	case "heat":
+		runHeat3D(c)
+	case "heat2d":
+		runHeat2D(c)
 	}
-	return o
 }
 
 // reportSolve prints the shared outcome lines of a star solve.
@@ -190,27 +286,21 @@ func reportSolve(res core.Result) {
 	}
 }
 
-func runSeismic(nx, ny, nz, iters int, tol, shift float64, host bool, workers int, engine, ckptPath string, ckptEvery int, resumePath string) {
-	check3D(nz)
-	if shift <= 0 {
-		fatalUsage("-shift must be positive; got %g", shift)
-	}
-	m := stencil.Mesh{NX: nx, NY: ny, NZ: nz}
-	op := stencil.Seismic25(m, shift)
+func runSeismic(c config) {
+	m := stencil.Mesh{NX: c.nx, NY: c.ny, NZ: c.nz}
+	op := stencil.Seismic25(m, c.shift)
 	xe := make([]float64, m.N())
 	rng := rand.New(rand.NewSource(7))
 	for i := range xe {
 		xe[i] = rng.Float64()
 	}
 	p, _ := core.NewStarProblem(op, xe)
-	opts := starOptions(iters, tol, host, workers, engine)
-	attachCheckpoint(&opts, ckptPath, ckptEvery, resumePath)
-	res, err := core.SolveStar(p, opts)
+	res, err := core.SolveStar(p, c.opts)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("mesh %v on %d×%d fabric (25-point seismic stencil, s=%g, %s backend)\n",
-		m, nx, ny, shift, res.Telemetry.Backend)
+		m, c.nx, c.ny, c.shift, res.Telemetry.Backend)
 	reportSolve(res)
 	maxErr := 0.0
 	for i := range xe {
@@ -218,72 +308,41 @@ func runSeismic(nx, ny, nz, iters int, tol, shift float64, host bool, workers in
 	}
 	fmt.Printf("max |x − x_exact|: %.3e\n", maxErr)
 	fmt.Printf("model SpMV apply: %d cycles (exact halo-relay replay)\n",
-		perfmodel.StencilApply3D{W: nx, H: ny, Z: nz, Widths: op.W}.Cycles())
+		perfmodel.StencilApply3D{W: c.nx, H: c.ny, Z: c.nz, Widths: op.W}.Cycles())
 }
 
-func runHeat3D(nx, ny, nz, iters int, tol, lambda float64, steps int, boundary string, host bool, workers int, engine string) {
-	check3D(nz)
-	var bnd stencil.Boundary
-	switch boundary {
-	case "dirichlet":
-		bnd = stencil.Dirichlet
-	case "periodic":
-		bnd = stencil.Periodic
-	default:
-		fatalUsage("unknown -boundary %q (want dirichlet or periodic)", boundary)
-	}
-	if lambda <= 0 {
-		fatalUsage("-lambda must be positive; got %g", lambda)
-	}
-	if steps <= 0 {
-		fatalUsage("-steps must be positive; got %d", steps)
-	}
-	m := stencil.Mesh{NX: nx, NY: ny, NZ: nz}
+func runHeat3D(c config) {
+	m := stencil.Mesh{NX: c.nx, NY: c.ny, NZ: c.nz}
 	u0 := randomField(m.N())
-	opts := starOptions(iters, tol, host, workers, engine)
-	out, err := core.RunHeat3D(nil, m, lambda, bnd, u0, steps, opts)
+	out, err := core.RunHeat3D(nil, m, c.lambda, c.boundary, u0, c.steps, c.opts)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("mesh %v on %d×%d fabric (3D heat, λ=%g, %s, %s backend)\n",
-		m, nx, ny, lambda, boundary, out[0].Solve.Telemetry.Backend)
+		m, c.nx, c.ny, c.lambda, c.boundary, out[0].Solve.Telemetry.Backend)
 	reportSteps(out, sumSq(u0))
-	if !host {
+	if !c.host {
 		fmt.Printf("model SpMV apply: %d cycles (exact halo-relay replay)\n",
-			perfmodel.StencilApply3D{W: nx, H: ny, Z: nz, Widths: [3]int{1, 1, 1}}.Cycles())
+			perfmodel.StencilApply3D{W: c.nx, H: c.ny, Z: c.nz, Widths: [3]int{1, 1, 1}}.Cycles())
 	}
 }
 
-func runHeat2D(nx, ny, iters int, tol, lambda float64, steps, block int, host bool, workers int, engine string) {
-	if lambda <= 0 {
-		fatalUsage("-lambda must be positive; got %g", lambda)
-	}
-	if steps <= 0 {
-		fatalUsage("-steps must be positive; got %d", steps)
-	}
-	if !host {
-		if block <= 0 || block%2 != 0 {
-			fatalUsage("-block must be even and positive; got %d", block)
-		}
-		if nx%block != 0 || ny%block != 0 {
-			fatalUsage("mesh %d×%d does not tile into %d×%d blocks", nx, ny, block, block)
-		}
-	}
+func runHeat2D(c config) {
+	nx, ny, block := c.nx, c.ny, c.block
 	m := stencil.Mesh2D{NX: nx, NY: ny}
 	u0 := randomField(m.N())
-	opts := starOptions(iters, tol, host, workers, engine)
-	out, err := core.RunHeat2D(nil, m, lambda, u0, steps, block, opts)
+	out, err := core.RunHeat2D(nil, m, c.lambda, u0, c.steps, block, c.opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if host {
-		fmt.Printf("mesh %d×%d (2D heat, λ=%g, local backend)\n", nx, ny, lambda)
+	if c.host {
+		fmt.Printf("mesh %d×%d (2D heat, λ=%g, local backend)\n", nx, ny, c.lambda)
 	} else {
 		fmt.Printf("mesh %d×%d on %d×%d fabric, %d×%d blocks (2D heat, λ=%g)\n",
-			nx, ny, nx/block, ny/block, block, block, lambda)
+			nx, ny, nx/block, ny/block, block, block, c.lambda)
 	}
 	reportSteps(out, sumSq(u0))
-	if !host {
+	if !c.host {
 		fmt.Printf("model SpMV apply: %d cycles (exact block-halo replay)\n",
 			perfmodel.StencilApply2D{W: nx / block, H: ny / block, B: block, Points: 5}.Cycles())
 	}
@@ -322,11 +381,11 @@ func sumSq(v []float64) float64 {
 	return s
 }
 
-// attachCheckpoint wires the -checkpoint/-resume flags into a solve's
-// wafer options (write-then-rename, so a crash mid-write leaves the
-// previous checkpoint intact) and returns the count of checkpoints
-// written, which the solve advances.
-func attachCheckpoint(opts *core.Options, ckptPath string, ckptEvery int, resumePath string) *int {
+// attachCheckpoint wires the -checkpoint flags into a solve's wafer
+// options (write-then-rename, so a crash mid-write leaves the previous
+// checkpoint intact) and returns the count of checkpoints written,
+// which the solve advances.
+func attachCheckpoint(opts *core.Options, ckptPath string, ckptEvery int) *int {
 	written := new(int)
 	if ckptPath != "" {
 		opts.Wafer.CheckpointEvery = ckptEvery
@@ -342,71 +401,38 @@ func attachCheckpoint(opts *core.Options, ckptPath string, ckptEvery int, resume
 			return nil
 		}
 	}
-	if resumePath != "" {
-		blob, err := os.ReadFile(resumePath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		opts.Wafer.Resume = blob
-		fmt.Printf("resuming from %s (%d bytes)\n", resumePath, len(blob))
-	}
 	return written
 }
 
-func runBiCGStab(nx, ny, nz, iters int, tol float64, problem, wafersFlag string, workers int, engine, ckptPath string, ckptEvery int, resumePath string) {
-	check3D(nz)
-	m := stencil.Mesh{NX: nx, NY: ny, NZ: nz}
-	var op *stencil.Op7
-	switch problem {
-	case "poisson":
-		op = stencil.Poisson(m, 1)
-	case "random":
-		op = stencil.RandomDiagDominant(m, 1.5, rand.New(rand.NewSource(1)))
-	case "momentum":
-		op = stencil.MomentumLike(m, 0.02, [3]float64{1, 0.2, -0.1}, 0.1, 1, 0.1)
-	default:
-		fatalUsage("unknown -problem %q (want poisson, momentum or random)", problem)
-	}
-	xe := make([]float64, m.N())
-	rng := rand.New(rand.NewSource(7))
-	for i := range xe {
-		xe[i] = rng.Float64()
-	}
-	p, _ := core.NewProblem(op, xe)
+// bicgstabProblem is the system the bicgstab kernel solves — the one a
+// daemon job with the same problem name and mesh (and no seed) does.
+func bicgstabProblem(c config) (core.Problem, error) {
+	return core.GenerateProblem(c.problem, stencil.Mesh{NX: c.nx, NY: c.ny, NZ: c.nz}, core.DefaultSeed)
+}
 
-	opts := core.Options{Backend: core.Wafer, MaxIter: iters, Tol: tol,
-		Wafer: core.WaferOptions{Workers: workers, Engine: engine}}
-	if wafersFlag != "" {
-		grid, err := multiwafer.ParseTopology(wafersFlag)
-		if err != nil {
-			fatalUsage("bad -wafers: %v", err)
-		}
-		opts.Backend = core.MultiWafer
-		opts.Wafer = core.WaferOptions{}
-		opts.MultiWafer = core.MultiWaferOptions{Grid: grid, Workers: workers}
+func runBiCGStab(c config) {
+	nx, ny, nz := c.nx, c.ny, c.nz
+	m := stencil.Mesh{NX: nx, NY: ny, NZ: nz}
+	p, err := bicgstabProblem(c)
+	if err != nil {
+		log.Fatal(err)
 	}
-	written := attachCheckpoint(&opts, ckptPath, ckptEvery, resumePath)
-	// One validator for every entry point: the daemon and all the CLIs
-	// route bad combinations (e.g. -checkpoint with -wafers) through
-	// core.Options.Validate instead of ad-hoc flag checks.
-	if err := opts.Validate(); err != nil {
-		fatalUsage("%v", err)
-	}
+	opts := c.opts
 	res, err := core.Solve(p, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *written > 0 {
-		fmt.Printf("wrote %d checkpoint(s) to %s\n", *written, ckptPath)
+	if *c.written > 0 {
+		fmt.Printf("wrote %d checkpoint(s) to %s\n", *c.written, c.ckptPath)
 	}
 
 	if opts.Backend == core.MultiWafer {
 		grid := opts.MultiWafer.Grid
 		fmt.Printf("mesh %v on a %s wafer grid (%d wafers, ~%d×%d fabric each; %s problem)\n",
 			m, grid, grid.Wafers(),
-			(nx+grid.W-1)/grid.W, (ny+grid.H-1)/grid.H, problem)
+			(nx+grid.W-1)/grid.W, (ny+grid.H-1)/grid.H, c.problem)
 	} else {
-		fmt.Printf("mesh %v on %d×%d fabric (%s problem)\n", m, nx, ny, problem)
+		fmt.Printf("mesh %v on %d×%d fabric (%s problem)\n", m, nx, ny, c.problem)
 	}
 	fmt.Printf("iterations: %d  converged: %v  true residual: %.3e\n",
 		res.Iterations, res.Converged, res.TrueResidual)

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/stencil"
 )
@@ -37,23 +38,21 @@ func main() {
 	fmt.Printf("CS-1 measured 28.1 µs/iteration => %.0f× the 16K-core cluster (paper: ~214×)\n\n",
 		cfg.IterationTime(cluster.Fig8Mesh, 16384).Total()/28.1e-6)
 
-	// Functional check: the goroutine-per-rank solve is partition
-	// invariant.
+	// Functional check: the Cluster backend (the host solver on
+	// goroutine-ranks, solver.Parallel) is partition invariant.
 	m := stencil.Mesh{NX: 16, NY: 16, NZ: 16}
 	rng := rand.New(rand.NewSource(2))
-	norm, diag := stencil.ConvectionDiffusion(m, 0.2, [3]float64{1, -0.3, 0.2}, 0.25).Normalize()
-	b := make([]float64, m.N())
-	for i := range b {
-		b[i] = rng.NormFloat64()
+	p := core.Problem{Op: stencil.ConvectionDiffusion(m, 0.2, [3]float64{1, -0.3, 0.2}, 0.25), B: make([]float64, m.N())}
+	for i := range p.B {
+		p.B[i] = rng.NormFloat64()
 	}
-	_ = diag
 	for _, ranks := range []int{1, 8, 64} {
-		x, hist, err := cluster.ParallelBiCGStab(norm, b, ranks, 30, 1e-8)
+		res, err := core.Solve(p, core.Options{Backend: core.Cluster, Cluster: core.ClusterOptions{Ranks: ranks}, MaxIter: 30, Tol: 1e-8})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("ranks=%2d: %2d iterations, final residual %.2e, x[0]=%.12f\n",
-			ranks, len(hist), hist[len(hist)-1], x[0])
+			ranks, res.Iterations, res.History[len(res.History)-1], res.X[0])
 	}
 
 	// Host-side scaling of the cycle simulator itself: step a saturated

@@ -3,12 +3,6 @@
 // Omni-Path) running the BiCGStab solve inside MFIX in 64-bit arithmetic.
 // It provides two things:
 //
-//   - a *functional* distributed-memory execution: the mesh is block
-//     decomposed over P ranks, each rank a goroutine, with halo exchange
-//     and ordered allreduce over channels standing in for MPI. It proves
-//     the solver is partition-invariant and exercises the communication
-//     structure whose costs the timing model charges for.
-//
 //   - a *timing model* for strong scaling (Figures 7 and 8): per-rank
 //     memory-bandwidth-bound SpMV sweeps, per-message halo latency, and a
 //     collective/jitter term that grows with rank count. The constants
@@ -16,6 +10,13 @@
 //     1,024 cores and ~6 ms at 16,384 cores on the 600³ mesh — and then
 //     reproduce the published *shape*: the 370³ mesh stops strong-scaling
 //     beyond 8K cores, and the CS-1 outruns the 16K-core cluster by ~214×.
+//
+//   - the *exact reduction* that makes any decomposed solve partition
+//     invariant (ExactAcc, ExactSum32) and the decomposition helpers
+//     (Decompose3D, SplitExtent). The functional rank-parallel solve
+//     itself is not here: it is the one host BiCGStab over
+//     solver.Parallel, which merges one ExactAcc per goroutine-rank —
+//     this package holds no recurrence and does not import solver.
 package cluster
 
 import (

@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -24,6 +25,29 @@ func TestDecompose3D(t *testing.T) {
 	if pz > 2 {
 		t.Errorf("thin axis over-decomposed: %d×%d×%d", px, py, pz)
 	}
+}
+
+// rankSolve runs the rank-parallel float64 solve this package's Joule
+// model times — core's Cluster backend: the host BiCGStab over
+// solver.Parallel(solver.NewF64Exact(), ranks), which cuts the mesh's
+// columns with SplitExtent. The tests below are contract 2 (results
+// independent of rank count and goroutine schedule) on dividing meshes;
+// internal/solver's TestParallelRankSweep covers the non-dividing ones.
+func rankSolve(t *testing.T, norm *stencil.Op7, b []float64, ranks, maxIter int, tol float64) ([]float64, []float64) {
+	t.Helper()
+	ctx, err := solver.Parallel(solver.NewF64Exact(), ranks)
+	if err != nil {
+		t.Fatalf("ranks=%d: %v", ranks, err)
+	}
+	x, st, err := solver.Host{Context: ctx}.Solve(norm, b, make([]float64, len(b)),
+		solver.Options{MaxIter: maxIter, Tol: tol, RecordHistory: true})
+	if err != nil {
+		t.Fatalf("ranks=%d: %v", ranks, err)
+	}
+	if len(st.History) == 0 {
+		t.Fatalf("ranks=%d: empty residual history", ranks)
+	}
+	return x, st.History
 }
 
 func TestParallelMatchesSequential(t *testing.T) {
@@ -53,10 +77,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 
 	for _, ranks := range []int{1, 2, 4, 8} {
-		x, hist, err := cluster.ParallelBiCGStab(norm, sb, ranks, 40, 1e-10)
-		if err != nil {
-			t.Fatalf("ranks=%d: %v", ranks, err)
-		}
+		x, hist := rankSolve(t, norm, sb, ranks, 40, 1e-10)
 		if res := norm.ResidualNorm(x, sb); res > 1e-8*stencil.Norm2(sb) {
 			t.Errorf("ranks=%d: residual %g", ranks, res)
 		}
@@ -80,7 +101,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 func TestParallelDeterministic(t *testing.T) {
-	// The ordered allreduce makes runs bit-reproducible regardless of
+	// The exact combine makes runs bit-reproducible regardless of
 	// goroutine scheduling.
 	m := stencil.Mesh{NX: 8, NY: 8, NZ: 8}
 	rng := rand.New(rand.NewSource(3))
@@ -89,14 +110,8 @@ func TestParallelDeterministic(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	x1, h1, err := cluster.ParallelBiCGStab(norm, b, 8, 15, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x2, h2, err := cluster.ParallelBiCGStab(norm, b, 8, 15, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	x1, h1 := rankSolve(t, norm, b, 8, 15, 0)
+	x2, h2 := rankSolve(t, norm, b, 8, 15, 0)
 	for i := range x1 {
 		if x1[i] != x2[i] {
 			t.Fatalf("x[%d] differs across runs: %g vs %g", i, x1[i], x2[i])
@@ -106,6 +121,62 @@ func TestParallelDeterministic(t *testing.T) {
 		if h1[i] != h2[i] {
 			t.Fatalf("history[%d] differs: %g vs %g", i, h1[i], h2[i])
 		}
+	}
+}
+
+// TestParallelBiCGStabRankSweep is the determinism contract of the
+// exact combine: the rank-parallel solve must produce bit-identical
+// residual histories and solutions at every rank count. Run under
+// -race this also proves the ranks' column ranges disjoint.
+func TestParallelBiCGStabRankSweep(t *testing.T) {
+	m := stencil.Mesh{NX: 8, NY: 8, NZ: 8}
+	norm, _ := stencil.ConvectionDiffusion(m, 0.2, [3]float64{1, -0.3, 0.2}, 0.25).Normalize()
+	rng := rand.New(rand.NewSource(17))
+	b := make([]float64, m.N())
+	for i := range b {
+		b[i] = rng.NormFloat64()
+	}
+	refX, refHist := rankSolve(t, norm, b, 1, 25, 0)
+	for _, ranks := range []int{2, 4, 8} {
+		x, hist := rankSolve(t, norm, b, ranks, 25, 0)
+		if len(hist) != len(refHist) {
+			t.Fatalf("ranks=%d: %d residuals, ranks=1 has %d", ranks, len(hist), len(refHist))
+		}
+		for i := range refHist {
+			if hist[i] != refHist[i] {
+				t.Errorf("ranks=%d: residual %d = %.17g, ranks=1 has %.17g", ranks, i, hist[i], refHist[i])
+			}
+		}
+		for i := range refX {
+			if x[i] != refX[i] {
+				t.Fatalf("ranks=%d: x[%d] = %.17g, ranks=1 has %.17g", ranks, i, x[i], refX[i])
+			}
+		}
+	}
+}
+
+// TestParallelBiCGStabRepeatDeterministic re-runs the same decomposition
+// several times: goroutine scheduling varies, results must not.
+func TestParallelBiCGStabRepeatDeterministic(t *testing.T) {
+	m := stencil.Mesh{NX: 8, NY: 8, NZ: 8}
+	norm, _ := stencil.ConvectionDiffusion(m, 0.15, [3]float64{0.7, 0.1, -0.4}, 0.3).Normalize()
+	rng := rand.New(rand.NewSource(23))
+	b := make([]float64, m.N())
+	for i := range b {
+		b[i] = rng.NormFloat64()
+	}
+	for _, ranks := range []int{4, 8} {
+		t.Run(fmt.Sprintf("ranks=%d", ranks), func(t *testing.T) {
+			_, ref := rankSolve(t, norm, b, ranks, 15, 0)
+			for rep := 0; rep < 3; rep++ {
+				_, hist := rankSolve(t, norm, b, ranks, 15, 0)
+				for i := range ref {
+					if hist[i] != ref[i] {
+						t.Fatalf("rep %d: residual %d = %.17g, first run had %.17g", rep, i, hist[i], ref[i])
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/fp16"
 	"repro/internal/kernels"
 	"repro/internal/multiwafer"
@@ -17,11 +16,11 @@ import (
 )
 
 // TestAllBackendsBitIdentical is the cross-backend determinism golden:
-// the host chunked-mixed context, the rank-parallel mixed SPMD solver
-// (several rank counts), the single-wafer halo solver (sequential and
-// sharded engines) and the multi-wafer backend (1×1 and 2×1) must
-// produce bit-identical residual histories AND solutions on a shared
-// problem. This is what the exact-combine fix buys: every backend
+// the host chunked-mixed context, the same context rank-parallel under
+// solver.Parallel (several rank counts), the single-wafer halo solver
+// (sequential and sharded engines) and the multi-wafer backend (1×1 and
+// 2×1) must produce bit-identical residual histories AND solutions on a
+// shared problem. This is what the exact-combine fix buys: every backend
 // performs the same fp16 element operations in the same order and sums
 // the same per-tile-column float32 dot partials with one rounding.
 func TestAllBackendsBitIdentical(t *testing.T) {
@@ -59,13 +58,18 @@ func TestAllBackendsBitIdentical(t *testing.T) {
 	}
 	runs = append(runs, run{"host/" + solver.NewMixedChunked(m.NZ).Name(), hst.History, hx})
 
-	// Rank-parallel mixed SPMD, several rank counts.
+	// The same context on goroutine-ranks, several rank counts (5 does
+	// not divide the 16 columns).
 	for _, ranks := range []int{1, 2, 5} {
-		x16, hist, err := cluster.ParallelBiCGStabMixed(h, b16, ranks, iters, 0)
+		ctx, err := solver.Parallel(solver.NewMixedChunked(m.NZ), ranks)
 		if err != nil {
 			t.Fatal(err)
 		}
-		runs = append(runs, run{fmt.Sprintf("cluster/mixed/r%d", ranks), hist, fp16.ToFloat64Slice(x16)})
+		x, st, err := solver.Host{Context: ctx}.Solve(norm, sb, zeros, solver.Options{MaxIter: iters, RecordHistory: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, run{"host/" + ctx.Name(), st.History, x})
 	}
 
 	// Single-wafer halo solver, sequential and sharded engines.

@@ -5,7 +5,8 @@
 //     (float64, float32, or the CS-1's mixed fp16/fp32);
 //   - Wafer: the cycle-level CS-1 simulator (fabric + cores + kernels),
 //     returning per-phase cycle counts alongside the solution;
-//   - Cluster: the rank-parallel (goroutines-as-MPI) Joule-style solve;
+//   - Cluster: the rank-parallel Joule-style solve — the host solver in
+//     exact-dot float64 on goroutine-ranks (solver.Parallel);
 //   - MultiWafer: a grid of cycle-simulated wafers coupled by the
 //     edge-I/O interconnect model.
 //
@@ -26,8 +27,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/rand"
 
-	"repro/internal/cluster"
 	"repro/internal/kernels"
 	"repro/internal/multiwafer"
 	"repro/internal/solver"
@@ -47,6 +48,47 @@ func NewProblem(op *stencil.Op7, xexact []float64) (Problem, []float64) {
 	b := make([]float64, op.M.N())
 	op.Apply(b, xexact)
 	return Problem{Op: op, B: b}, xexact
+}
+
+// generators are the named 7-point model operators every entry point
+// offers (wsesim -problem, the daemon's JobSpec.Problem).
+var generators = map[string]func(stencil.Mesh) *stencil.Op7{
+	"poisson": func(m stencil.Mesh) *stencil.Op7 { return stencil.Poisson(m, 1) },
+	"momentum": func(m stencil.Mesh) *stencil.Op7 {
+		return stencil.MomentumLike(m, 0.02, [3]float64{1, 0.2, -0.1}, 0.1, 1, 0.1)
+	},
+	"random": func(m stencil.Mesh) *stencil.Op7 {
+		return stencil.RandomDiagDominant(m, 1.5, rand.New(rand.NewSource(1)))
+	},
+}
+
+// DefaultSeed is the exact-solution seed of an entry point that was
+// given none: wsesim's bicgstab kernel, a JobSpec with seed 0.
+const DefaultSeed = 7
+
+// CheckProblemName reports whether GenerateProblem knows name.
+func CheckProblemName(name string) error {
+	if generators[name] == nil {
+		return fmt.Errorf("unknown problem %q (want poisson, momentum or random)", name)
+	}
+	return nil
+}
+
+// GenerateProblem builds the named model system on m: the operator,
+// an exact solution drawn uniformly from [0, 1) by seed, and b = A·x.
+// The CLI and the daemon both call it, so a job and a wsesim run with
+// the same name, mesh and seed solve bit-equal systems.
+func GenerateProblem(name string, m stencil.Mesh, seed int64) (Problem, error) {
+	if err := CheckProblemName(name); err != nil {
+		return Problem{}, err
+	}
+	xe := make([]float64, m.N())
+	rng := rand.New(rand.NewSource(seed))
+	for i := range xe {
+		xe[i] = rng.Float64()
+	}
+	p, _ := NewProblem(generators[name](m), xe)
+	return p, nil
 }
 
 // Result reports a solve.
@@ -124,12 +166,13 @@ func release(be solver.Backend) {
 // precision, a single-wafer adapter (Listing 1 for the 7-point
 // operator, a stencil-compiled program for a star) on a machine of the
 // mesh's X×Y extent, the multi-wafer grid, or the rank-parallel
-// cluster. It validates o first. The simulated backends build their
-// machines on the first Solve and hold them until Close — a caller that
-// keeps one warm (the daemon's cache) feeds it any number of systems on
-// the same mesh through SolveOn. The 2D 9-point wafer program needs a
-// block size no Options field carries; RunHeat2D builds that backend
-// itself.
+// cluster (the host solver over solver.Parallel; 0 ranks means 8, or
+// one per column on a mesh with fewer). It validates o first. The
+// simulated backends build their machines on the first Solve and hold
+// them until Close — a caller that keeps one warm (the daemon's cache)
+// feeds it any number of systems on the same mesh through SolveOn. The
+// 2D 9-point wafer program needs a block size no Options field carries;
+// RunHeat2D builds that backend itself.
 func NewBackend(o Options, a stencil.Operator) (solver.Backend, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
@@ -158,35 +201,22 @@ func NewBackend(o Options, a stencil.Operator) (solver.Backend, error) {
 			return &multiwafer.Backend{Grid: grid, Workers: o.MultiWafer.Workers}, nil
 		}
 	case Cluster:
-		if is7 {
+		if a, ok := a.(*stencil.Op7); ok {
 			ranks := o.Cluster.Ranks
 			if ranks == 0 {
-				ranks = 8
+				ranks = min(8, a.M.NX*a.M.NY)
 			}
-			return clusterBackend{ranks: ranks}, nil
+			ctx, err := solver.Parallel(solver.NewF64Exact(), ranks)
+			if err == nil {
+				err = ctx.CheckMesh(a.M)
+			}
+			if err != nil {
+				return nil, &OptionError{"Cluster.Ranks", err.Error()}
+			}
+			return solver.Host{Context: ctx}, nil
 		}
 	}
 	return nil, &OptionError{"Backend", fmt.Sprintf("the %s backend does not run %T systems", o.Backend, a)}
-}
-
-// clusterBackend puts the rank-parallel Joule-style solve behind the
-// seam. It lives here, not in internal/cluster, because internal/solver
-// imports that package for ExactSum32.
-type clusterBackend struct{ ranks int }
-
-func (c clusterBackend) Name() string { return fmt.Sprintf("cluster/r%d", c.ranks) }
-
-func (c clusterBackend) Solve(a stencil.Operator, b, x0 []float64, opts solver.Options) ([]float64, solver.Stats, error) {
-	op, ok := a.(*stencil.Op7)
-	if !ok {
-		return nil, solver.Stats{}, fmt.Errorf("core: %s backend cannot run a %T system", c.Name(), a)
-	}
-	if err := solver.CheckSystem(a, b, x0); err != nil {
-		return nil, solver.Stats{}, err
-	}
-	x, hist, err := cluster.ParallelBiCGStabContext(opts.Ctx, op, b, c.ranks, opts.MaxIter, opts.Tol)
-	return x, solver.Stats{Iterations: len(hist), History: hist,
-		Converged: opts.Tol > 0 && len(hist) > 0 && hist[len(hist)-1] <= opts.Tol}, err
 }
 
 // solverOptions maps validated options to the seam's: the iteration

@@ -43,7 +43,9 @@ type Telemetry struct {
 	SetupCycles int64 `json:"setup_cycles,omitempty"`
 	// MaxARDrift is the largest observed |fabric AllReduce − exact sum|
 	// on any wafer, as a fraction of the paper's AllReduce error-model
-	// bound (see kernels.WSEStats.MaxARDrift).
+	// bound (see kernels.WSEStats.MaxARDrift). A diagnostic of the
+	// machine's history, not of the job: a warm machine may report a
+	// different value than a cold one for bit-equal X, History and cycles.
 	MaxARDrift float64 `json:"max_allreduce_drift,omitempty"`
 }
 
@@ -71,9 +73,10 @@ func telemetryOf(be solver.Backend) Telemetry {
 		return TelemetryFromMultiWafer(be.LastStats())
 	case interface{ LastStats() kernels.WSEStats }:
 		return TelemetryFromWSE(be.LastStats())
-	case clusterBackend:
-		return Telemetry{Backend: Cluster.String(), Ranks: be.ranks}
 	case solver.Host:
+		if p, ok := be.Context.(*solver.ParallelContext); ok {
+			return Telemetry{Backend: Cluster.String(), Ranks: p.Ranks()}
+		}
 		if be.Context != nil {
 			return Telemetry{Backend: Local.String(), Precision: be.Context.Name()}
 		}

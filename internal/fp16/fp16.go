@@ -212,12 +212,6 @@ func (x Float16) IsFinite() bool { return uint16(x)&expMask != expMask }
 // IsZero reports whether x is +0 or -0.
 func (x Float16) IsZero() bool { return uint16(x)&^signMask == 0 }
 
-// IsSubnormal reports whether x is subnormal (nonzero with a zero exponent
-// field).
-func (x Float16) IsSubnormal() bool {
-	return uint16(x)&expMask == 0 && uint16(x)&fracMask != 0
-}
-
 // Signbit reports whether x is negative or negative zero.
 func (x Float16) Signbit() bool { return uint16(x)&signMask != 0 }
 
@@ -270,9 +264,6 @@ func MixedFMAC(acc float32, x, y Float16) float32 {
 
 // Less reports whether x < y under IEEE ordering (NaN compares false).
 func Less(x, y Float16) bool { return x.Float32() < y.Float32() }
-
-// Eq reports whether x == y under IEEE equality (+0 == -0, NaN != NaN).
-func Eq(x, y Float16) bool { return x.Float32() == y.Float32() }
 
 // Min returns the smaller of x and y; if either is NaN it returns NaN.
 func Min(x, y Float16) Float16 {

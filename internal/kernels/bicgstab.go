@@ -156,7 +156,11 @@ type WSEStats struct {
 	// tree-order value against the exact sum of that machine's own
 	// partials — and a reduction beyond the bound fails the solve. The
 	// solver consumes the exact sum; this measures what tree-order
-	// summation would have perturbed.
+	// summation would have perturbed. It is a per-machine-history
+	// diagnostic, outside the warm ≡ cold contract: a backend that keeps
+	// router arbitration rotation across solves (star, 2D, multiwafer)
+	// can report a different drift warm than cold (0.0906 vs 0.0780 in
+	// PR 18's finding) while x, History and every cycle count are equal.
 	MaxARDrift float64
 }
 

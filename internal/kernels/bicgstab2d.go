@@ -5,21 +5,24 @@ import (
 
 	"repro/internal/fp16"
 	"repro/internal/stencil"
+	"repro/internal/stencilc"
 	"repro/internal/wse"
 )
 
 // BiCGStab2DWSE runs BiCGStab on the simulated wafer over the 2D
 // block-halo mapping: each tile owns a b×b block of the mesh, the nine
 // coefficient diagonals for it, and b²-element solver vectors; the SpMV
-// is the two-round halo-exchange program (SpMV2DMachine), and the
-// Algorithm 1 control flow — mixed-precision dots, Figure 6 AllReduces,
+// is the two-round halo-exchange program of the paper's §IV-2 mapping
+// (the 9-point box spec compiled by stencilc: a stencilc.Program2D, the
+// cycle-simulated form of the dataflow SpMV2D renders functionally),
+// and the Algorithm 1 control flow — mixed-precision dots, Figure 6 AllReduces,
 // SIMD vector updates — is the shared BiCGStabEngine.
 type BiCGStab2DWSE struct {
 	M    *wse.Machine
 	Mesh stencil.Mesh2D
 	B    int
 
-	spmv *SpMV2DMachine
+	spmv *stencilc.Program2D
 	eng  *BiCGStabEngine
 }
 
@@ -27,12 +30,12 @@ type BiCGStab2DWSE struct {
 // whose mesh tiles the machine fabric with b×b blocks. The exchange uses
 // colors 0–3 and the AllReduce colors 4–9.
 func NewBiCGStab2DWSE(m *wse.Machine, op *stencil.Op9, b int) (*BiCGStab2DWSE, error) {
-	spmv, err := NewSpMV2DMachineColors(m, op, b, 0)
+	spmv, err := stencilc.Compile2D(m, stencilc.Spec9Point(), op, b, 0)
 	if err != nil {
 		return nil, err
 	}
 	s := &BiCGStab2DWSE{M: m, Mesh: op.M, B: b, spmv: spmv}
-	s.eng, err = newWSEBiCG(m, b*b, NumStencil2DColors, s.runSpMV, s.index)
+	s.eng, err = newWSEBiCG(m, b*b, stencilc.NumExchangeColors, s.runSpMV, s.index)
 	if err != nil {
 		return nil, err
 	}
@@ -64,7 +67,7 @@ func (s *BiCGStab2DWSE) Solve(bvec []fp16.Float16, opts WSEOptions) ([]fp16.Floa
 func (s *BiCGStab2DWSE) runSpMV(src, dst []int, acc *int64) error {
 	b := s.B
 	for i, t := range s.M.Tiles {
-		off := s.spmv.prog.IterateOff(i)
+		off := s.spmv.IterateOff(i)
 		for e := 0; e < b*b; e++ {
 			t.Arena.Set(off+e, t.Arena.At(src[i]+e))
 		}
@@ -76,7 +79,7 @@ func (s *BiCGStab2DWSE) runSpMV(src, dst []int, acc *int64) error {
 	*acc += cycles
 	for i, t := range s.M.Tiles {
 		for e := 0; e < b*b; e++ {
-			t.Arena.Set(dst[i]+e, t.Arena.At(s.spmv.prog.InteriorIndex(i, e)))
+			t.Arena.Set(dst[i]+e, t.Arena.At(s.spmv.InteriorIndex(i, e)))
 		}
 	}
 	return nil

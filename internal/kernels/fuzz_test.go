@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/fp16"
 	"repro/internal/stencil"
+	"repro/internal/stencilc"
 	"repro/internal/wse"
 )
 
@@ -35,11 +36,11 @@ func FuzzSpMV2DEquivalence(f *testing.F) {
 		norm, _ := stencil.Random9(m, 1.3, rng).Normalize9()
 		src := randomHalfVector(m.N(), rng)
 
-		build := func(wk int) (*wse.Machine, *SpMV2DMachine) {
+		build := func(wk int) (*wse.Machine, *stencilc.Program2D) {
 			cfg := wse.CS1(tx, ty)
 			cfg.Workers = wk
 			mach := wse.New(cfg)
-			prog, err := NewSpMV2DMachine(mach, norm, b)
+			prog, err := stencilc.Compile2D(mach, stencilc.Spec9Point(), norm, b, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/fp16"
 	"repro/internal/stencil"
+	"repro/internal/stencilc"
 	"repro/internal/wse"
 )
 
@@ -26,7 +27,7 @@ func TestSpMV2DMachineMatchesFunctional(t *testing.T) {
 			t.Fatal(err)
 		}
 		mach := wse.New(wse.CS1(tc.tx, tc.ty))
-		prog, err := NewSpMV2DMachine(mach, norm, tc.b)
+		prog, err := stencilc.Compile2D(mach, stencilc.Spec9Point(), norm, tc.b, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +66,7 @@ func TestSpMV2DMachineRepeatedApplications(t *testing.T) {
 	normB, _ := stencil.Random9(m, 1.6, rng).Normalize9()
 	mach := wse.New(wse.CS1(4, 4))
 	defer mach.Close()
-	prog, err := NewSpMV2DMachine(mach, normA, 2)
+	prog, err := stencilc.Compile2D(mach, stencilc.Spec9Point(), normA, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +107,11 @@ func TestSpMV2DMachineShardedIdentical(t *testing.T) {
 	mseq, msh := shardedMachines(3, 2, 4)
 	defer mseq.Close()
 	defer msh.Close()
-	pa, err := NewSpMV2DMachine(mseq, norm, 4)
+	pa, err := stencilc.Compile2D(mseq, stencilc.Spec9Point(), norm, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, err := NewSpMV2DMachine(msh, norm, 4)
+	pb, err := stencilc.Compile2D(msh, stencilc.Spec9Point(), norm, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

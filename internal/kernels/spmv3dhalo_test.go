@@ -6,12 +6,13 @@ import (
 
 	"repro/internal/fp16"
 	"repro/internal/stencil"
+	"repro/internal/stencilc"
 	"repro/internal/wse"
 )
 
 // newHaloProgram builds a machine covering the whole mesh plus the
 // reference operator.
-func newHaloProgram(t *testing.T, nx, ny, nz int, seed int64) (*SpMV3DHalo, *stencil.Op7Half, *rand.Rand) {
+func newHaloProgram(t *testing.T, nx, ny, nz int, seed int64) (*stencilc.Program3D, *stencil.Op7Half, *rand.Rand) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	m := stencil.Mesh{NX: nx, NY: ny, NZ: nz}
@@ -20,14 +21,14 @@ func newHaloProgram(t *testing.T, nx, ny, nz int, seed int64) (*SpMV3DHalo, *ste
 	h := stencil.NewOp7Half(norm)
 	mach := wse.New(wse.CS1(nx, ny))
 	t.Cleanup(mach.Close)
-	p, err := NewSpMV3DHalo(mach, h, 0, 0, 0)
+	p, err := stencilc.Compile3D(mach, stencilc.Spec7Point(), stencil.HalfFromOp7(h), 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return p, h, rng
 }
 
-func loadHaloIterate(p *SpMV3DHalo, v []fp16.Float16) {
+func loadHaloIterate(p *stencilc.Program3D, v []fp16.Float16) {
 	m := p.Mesh
 	for i := 0; i < p.Tiles(); i++ {
 		gx, gy := p.GlobalCoord(i)
@@ -38,7 +39,7 @@ func loadHaloIterate(p *SpMV3DHalo, v []fp16.Float16) {
 	}
 }
 
-func gatherHaloResult(p *SpMV3DHalo, out []fp16.Float16) {
+func gatherHaloResult(p *stencilc.Program3D, out []fp16.Float16) {
 	m := p.Mesh
 	for i := 0; i < p.Tiles(); i++ {
 		gx, gy := p.GlobalCoord(i)
@@ -94,11 +95,11 @@ func TestSpMV3DHaloSplitBitwise(t *testing.T) {
 	right := wse.New(wse.CS1(3, 4))
 	defer left.Close()
 	defer right.Close()
-	pl, err := NewSpMV3DHalo(left, h, 0, 0, 0)
+	pl, err := stencilc.Compile3D(left, stencilc.Spec7Point(), stencil.HalfFromOp7(h), 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := NewSpMV3DHalo(right, h, 3, 0, 0)
+	pr, err := stencilc.Compile3D(right, stencilc.Spec7Point(), stencil.HalfFromOp7(h), 3, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,8 +112,8 @@ func TestSpMV3DHaloSplitBitwise(t *testing.T) {
 	for y := 0; y < 4; y++ {
 		li := y*3 + 2 // left tile (2, y) needs the +x halo from right tile (0, y)
 		ri := y * 3
-		copy(pl.Halo(li, HaloXP), pr.Iterate(ri))
-		copy(pr.Halo(ri, HaloXM), pl.Iterate(li))
+		copy(pl.Halo(li, stencilc.HaloXP, 1), pr.Iterate(ri))
+		copy(pr.Halo(ri, stencilc.HaloXM, 1), pl.Iterate(li))
 	}
 	if _, err := pl.Run(1 << 20); err != nil {
 		t.Fatal(err)
@@ -169,7 +170,7 @@ func TestSpMV3DHaloEngineEquivalence(t *testing.T) {
 		cfg.Workers = workers
 		mach := wse.New(cfg)
 		defer mach.Close()
-		p, err := NewSpMV3DHalo(mach, h, 0, 0, 0)
+		p, err := stencilc.Compile3D(mach, stencilc.Spec7Point(), stencil.HalfFromOp7(h), 0, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,14 +201,14 @@ func TestSpMV3DHaloRejects(t *testing.T) {
 	norm, _ := stencil.Poisson(m, 1).Normalize()
 	mach := wse.New(wse.CS1(4, 4))
 	defer mach.Close()
-	if _, err := NewSpMV3DHalo(mach, stencil.NewOp7Half(norm), 0, 0, 0); err == nil {
+	if _, err := stencilc.Compile3D(mach, stencilc.Spec7Point(), stencil.HalfFromOp7(stencil.NewOp7Half(norm)), 0, 0, 0); err == nil {
 		t.Error("odd Z should be rejected")
 	}
 	m2 := stencil.Mesh{NX: 4, NY: 4, NZ: 6}
 	norm2, _ := stencil.Poisson(m2, 1).Normalize()
 	mach2 := wse.New(wse.CS1(4, 4))
 	defer mach2.Close()
-	if _, err := NewSpMV3DHalo(mach2, stencil.NewOp7Half(norm2), 1, 0, 0); err == nil {
+	if _, err := stencilc.Compile3D(mach2, stencilc.Spec7Point(), stencil.HalfFromOp7(stencil.NewOp7Half(norm2)), 1, 0, 0); err == nil {
 		t.Error("fabric exceeding the mesh should be rejected")
 	}
 }

@@ -48,7 +48,7 @@ func NewBiCGStabStarWSE(m *wse.Machine, spec stencilc.Spec, op *stencil.OpStarHa
 	s := &BiCGStabStarWSE{M: m, Mesh: op.M, Spec: spec, prog: prog}
 	machines := []*wse.Machine{m}
 	s.eng, err = NewBiCGStabEngine(Substrate{
-		Machines: machines, PerTile: op.M.NZ, ARBase: NumStencil2DColors,
+		Machines: machines, PerTile: op.M.NZ, ARBase: stencilc.NumExchangeColors,
 		SpMV:  ColumnSpMV(machines, []ColumnProgram{prog}, op.M.NZ, nil),
 		Index: columnIndex(m, op.M),
 	})
@@ -77,8 +77,9 @@ func (s *BiCGStabStarWSE) Solve(bvec []fp16.Float16, opts WSEOptions) ([]fp16.Fl
 }
 
 // ColumnProgram is a per-machine SpMV program of the 3D Z-column
-// mapping with host-visible iterate and result columns: a
-// stencilc.Program3D, or the SpMV3DHalo wrapper multiwafer builds.
+// mapping with host-visible iterate and result columns — what
+// ColumnSpMV needs of a stencilc.Program3D (one here, one per wafer in
+// multiwafer).
 type ColumnProgram interface {
 	Iterate(i int) []fp16.Float16
 	Result(i int) []fp16.Float16

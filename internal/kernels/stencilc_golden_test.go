@@ -7,14 +7,17 @@ import (
 
 	"repro/internal/fp16"
 	"repro/internal/stencil"
+	"repro/internal/stencilc"
 	"repro/internal/wse"
 )
 
 // These goldens pin the wafer programs' observable behaviour — results,
 // residual histories, cycle counts and machine fingerprints — to the
 // values the hand-written SpMV2DMachine / SpMV3DHalo generators
-// produced before they became wrappers over the stencilc compiler. The
-// refactor contract is bit-identity: the compiler must emit the same
+// produced before the stencilc compiler replaced them (the solvers now
+// hold stencilc.Program2D / Program3D directly; the tests keep the old
+// generators' names because their constants are the old generators').
+// The refactor contract is bit-identity: the compiler must emit the same
 // routes, memory layout, instruction sequence and thread schedule, so
 // every constant below must survive it unchanged. If one of these
 // fails after an intentional program change, the change is not a
@@ -72,7 +75,7 @@ func TestSpMV2DMachineGolden(t *testing.T) {
 	op, _ := stencil.Random9(m, 1.5, rand.New(rand.NewSource(3))).Normalize9()
 	mach := wse.New(wse.CS1(4, 3))
 	defer mach.Close()
-	p, err := NewSpMV2DMachine(mach, op, 2)
+	p, err := stencilc.Compile2D(mach, stencilc.Spec9Point(), op, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,15 +121,15 @@ func TestSpMV3DHaloGolden(t *testing.T) {
 	half := stencil.NewOp7Half(norm)
 	mach := wse.New(wse.CS1(4, 3))
 	defer mach.Close()
-	p, err := NewSpMV3DHalo(mach, half, 1, 1, 0)
+	p, err := stencilc.Compile3D(mach, stencilc.Spec7Point(), stencil.HalfFromOp7(half), 1, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(17))
 	for i := 0; i < p.Tiles(); i++ {
 		copy(p.Iterate(i), randomHalf(m.NZ, rng))
-		for d := HaloDir(0); d < NumHaloDirs; d++ {
-			copy(p.Halo(i, d), randomHalf(m.NZ, rng))
+		for d := stencilc.HaloDir(0); d < stencilc.NumHaloDirs; d++ {
+			copy(p.Halo(i, d, 1), randomHalf(m.NZ, rng))
 		}
 	}
 	cycles, err := p.Run(1 << 20)

@@ -6,8 +6,9 @@
 //
 // A W×H wafer grid block-partitions the mesh's X×Y extent (the Z
 // columns stay tile-local, as in the paper's 3D mapping); each wafer
-// simulates its sub-extent with the halo-resident SpMV
-// (kernels.SpMV3DHalo). The package holds no solve loop: a Cluster is
+// simulates its sub-extent with the halo-resident SpMV (the 7-point
+// star spec compiled by stencilc: a stencilc.Program3D at the wafer's
+// tile offset). The package holds no solve loop: a Cluster is
 // the kernels.Substrate of one kernels.BiCGStabEngine — the same
 // Algorithm 1 recurrence, exact combine and cycle account every
 // single-wafer solver runs — and supplies what is particular to a grid.
@@ -22,9 +23,9 @@
 //     mixed-precision dot partials with the on-wafer Figure 6 AllReduce
 //     (cycle-simulated, cross-checked per wafer) and combines the
 //     partials of all wafers into one exactly rounded float64
-//     (cluster.ExactSum32 — the same wide-accumulator machinery as the
-//     goroutine-rank backend) in the canonical global (y, x) order this
-//     package supplies;
+//     (cluster.ExactSum32 — the wide accumulator solver.Parallel's
+//     goroutine-ranks merge too) in the canonical global (y, x) order
+//     this package supplies;
 //   - the scalar result is re-broadcast, charged with the combine as
 //     two scalar hops per grid axis (combineCycles, the substrate's
 //     per-dot charge).
@@ -33,7 +34,7 @@
 //
 // Residual histories and solutions are bit-identical across wafer
 // counts and simulation engines. Per-tile arithmetic is a fixed
-// instruction sequence (the SpMV3DHalo contract), halos move
+// instruction sequence (the stencilc.Program3D contract), halos move
 // bit-verbatim whether by fabric stream or host edge copy, dots are
 // exactly rounded sums of per-tile partials (order-invariant), and all
 // host-side diagnostics accumulate in canonical global mesh order. The
@@ -41,8 +42,9 @@
 // histories. A 1×1 cluster is the one-part substrate the single-wafer
 // star solver at stencilc.Spec7Point also is, so the two return the
 // same account field for field (TestOneWaferClusterIsTheStarSolver) —
-// and the same bits as the host chunked-mixed and rank-parallel
-// backends; internal/core's TestAllBackendsBitIdentical pins all four.
+// and the same bits as the host chunked-mixed context, sequential or
+// rank-parallel (solver.Parallel); internal/core's
+// TestAllBackendsBitIdentical pins all four.
 package multiwafer
 
 import (
@@ -54,6 +56,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/kernels"
 	"repro/internal/stencil"
+	"repro/internal/stencilc"
 	"repro/internal/wse"
 )
 
@@ -140,7 +143,7 @@ func (c Config) withDefaults() Config {
 
 // Colors: the four directional halo-exchange colors, then the six
 // AllReduce colors, on every wafer's fabric.
-const arBase = fabric.Color(kernels.NumStencil2DColors)
+const arBase = fabric.Color(stencilc.NumExchangeColors)
 
 // wafer is one machine plus its halo-resident SpMV program.
 type wafer struct {
@@ -148,8 +151,8 @@ type wafer struct {
 	x0, y0   int // global tile coordinate of fabric (0,0)
 	w, h     int // fabric extent
 	mach     *wse.Machine
-	spmv     *kernels.SpMV3DHalo
-	neighbor [kernels.NumHaloDirs]*wafer // adjacent wafers, nil at the grid edge
+	spmv     *stencilc.Program3D
+	neighbor [stencilc.NumHaloDirs]*wafer // adjacent wafers, nil at the grid edge
 }
 
 // Cluster is a grid of cycle-simulated wafers solving one system: the
@@ -178,6 +181,7 @@ func New(cfg Config, op *stencil.Op7Half) (*Cluster, error) {
 	ys := cluster.SplitExtent(m.NY, cfg.Grid.H)
 
 	c := &Cluster{Cfg: cfg, Mesh: m}
+	star := stencil.HalfFromOp7(op)
 	ok := false
 	defer func() {
 		if !ok {
@@ -194,7 +198,7 @@ func New(cfg Config, op *stencil.Op7Half) (*Cluster, error) {
 			mcfg.Workers = cfg.Workers
 			wf.mach = wse.New(mcfg)
 			var err error
-			wf.spmv, err = kernels.NewSpMV3DHalo(wf.mach, op, x0, y0, 0)
+			wf.spmv, err = stencilc.Compile3D(wf.mach, stencilc.Spec7Point(), star, x0, y0, 0)
 			if err != nil {
 				return nil, fmt.Errorf("multiwafer: wafer (%d,%d): %v", wx, wy, err)
 			}
@@ -212,10 +216,10 @@ func New(cfg Config, op *stencil.Op7Half) (*Cluster, error) {
 		return c.wafers[wy*cfg.Grid.W+wx]
 	}
 	for _, wf := range c.wafers {
-		wf.neighbor[kernels.HaloXP] = at(wf.wx+1, wf.wy)
-		wf.neighbor[kernels.HaloXM] = at(wf.wx-1, wf.wy)
-		wf.neighbor[kernels.HaloYP] = at(wf.wx, wf.wy+1)
-		wf.neighbor[kernels.HaloYM] = at(wf.wx, wf.wy-1)
+		wf.neighbor[stencilc.HaloXP] = at(wf.wx+1, wf.wy)
+		wf.neighbor[stencilc.HaloXM] = at(wf.wx-1, wf.wy)
+		wf.neighbor[stencilc.HaloYP] = at(wf.wx, wf.wy+1)
+		wf.neighbor[stencilc.HaloYM] = at(wf.wx, wf.wy-1)
 	}
 
 	var err error
@@ -269,8 +273,9 @@ func (c *Cluster) LoadCoeff(op *stencil.Op7Half) error {
 	if op.M != c.Mesh {
 		return fmt.Errorf("multiwafer: operator mesh %v does not match cluster mesh %v", op.M, c.Mesh)
 	}
+	star := stencil.HalfFromOp7(op)
 	for _, wf := range c.wafers {
-		wf.spmv.LoadCoeff(op)
+		wf.spmv.LoadCoeff(star)
 	}
 	return nil
 }

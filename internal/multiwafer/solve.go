@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/fp16"
 	"repro/internal/kernels"
+	"repro/internal/stencilc"
 )
 
 // Stats reports a multiwafer solve: the one solve account of
@@ -49,7 +50,7 @@ func (c *Cluster) exchangeHalos() int64 {
 	var worst float64
 	for _, wf := range c.wafers {
 		var waferSec float64
-		for d := kernels.HaloDir(0); d < kernels.NumHaloDirs; d++ {
+		for d := stencilc.HaloDir(0); d < stencilc.NumHaloDirs; d++ {
 			nb := wf.neighbor[d]
 			if nb == nil {
 				continue
@@ -72,25 +73,25 @@ func (c *Cluster) exchangeHalos() int64 {
 
 // copyFace fills wf's halo columns along direction d from neighbour
 // wafer nb's boundary iterate columns, returning the column count.
-func (c *Cluster) copyFace(wf, nb *wafer, d kernels.HaloDir) int {
+func (c *Cluster) copyFace(wf, nb *wafer, d stencilc.HaloDir) int {
 	count := 0
 	for i := range wf.mach.Tiles {
 		gx, gy := wf.spmv.GlobalCoord(i)
 		switch d {
-		case kernels.HaloXP:
+		case stencilc.HaloXP:
 			gx++
-		case kernels.HaloXM:
+		case stencilc.HaloXM:
 			gx--
-		case kernels.HaloYP:
+		case stencilc.HaloYP:
 			gy++
-		case kernels.HaloYM:
+		case stencilc.HaloYM:
 			gy--
 		}
 		if gx < nb.x0 || gx >= nb.x0+nb.w || gy < nb.y0 || gy >= nb.y0+nb.h {
 			continue // not a boundary tile for this face
 		}
 		ti := (gy-nb.y0)*nb.w + (gx - nb.x0)
-		copy(wf.spmv.Halo(i, d), nb.spmv.Iterate(ti))
+		copy(wf.spmv.Halo(i, d, 1), nb.spmv.Iterate(ti))
 		count++
 	}
 	return count

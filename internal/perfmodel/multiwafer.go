@@ -29,7 +29,7 @@ func (io EdgeIO) TransferSeconds(bytes int) float64 {
 }
 
 // HaloSpMVCycles models one application of the halo-resident 3D SpMV
-// (kernels.SpMV3DHalo) on a w×h wafer holding part of a meshX×meshY
+// (stencilc.Spec7Point's Program3D) on a w×h wafer holding part of a meshX×meshY
 // (×z) mesh. The busiest tile pays its halo-column sends serialized
 // through the one-word-per-cycle ramp — (sx+sy)·z/2 cycles for sx+sy
 // on-fabric neighbour directions, two fp16 per word — then its compute
@@ -137,11 +137,6 @@ func (m IterModel) MultiWaferIterationCycles(x, y, z, gw, gh int, clockHz float6
 		Axpy:      6 * math.Ceil(float64(z)/4),
 		Eta:       m.Eta,
 	}
-}
-
-// MultiWaferIterationSeconds is the modelled wall-clock per iteration.
-func (m IterModel) MultiWaferIterationSeconds(x, y, z, gw, gh int, clockHz float64, io EdgeIO) float64 {
-	return m.MultiWaferIterationCycles(x, y, z, gw, gh, clockHz, io).Total() / clockHz
 }
 
 // MultiWaferPoint is one row of a wafer-count scaling study. For a

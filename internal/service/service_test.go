@@ -335,7 +335,10 @@ func TestServiceRetry(t *testing.T) {
 }
 
 // TestServiceStream reads the NDJSON residual stream of a finished job:
-// one line per history entry, then the terminal state line.
+// one line per history entry, then the terminal state line — for a
+// simulated backend and for the cluster backend, whose host BiCGStab
+// under solver.Parallel reports progress like any host solve (the SPMD
+// solve it replaced streamed nothing).
 func TestServiceStream(t *testing.T) {
 	s, err := New(Config{Workers: 1})
 	if err != nil {
@@ -350,44 +353,50 @@ func TestServiceStream(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	spec := JobSpec{Problem: "momentum", NX: 4, NY: 4, NZ: 8, Backend: "wafer", MaxIter: 4}
-	v, err := s.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + v.ID + "/stream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-
-	var progress int
-	var sawFinal bool
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		var line map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			t.Fatalf("bad stream line %q: %v", sc.Text(), err)
-		}
-		if _, ok := line["iter"]; ok {
-			progress++
-		}
-		if st, ok := line["state"]; ok {
-			sawFinal = true
-			if st != string(StateDone) {
-				t.Fatalf("stream ended in state %v", st)
+	for _, spec := range []JobSpec{
+		{Problem: "momentum", NX: 4, NY: 4, NZ: 8, Backend: "wafer", MaxIter: 4},
+		{Problem: "momentum", NX: 4, NY: 4, NZ: 8, Backend: "cluster", Ranks: 3, MaxIter: 4},
+	} {
+		t.Run(spec.Backend, func(t *testing.T) {
+			v, err := s.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	direct := directSolve(t, spec)
-	if progress != len(direct.History) {
-		t.Errorf("streamed %d progress lines, solve has %d history entries", progress, len(direct.History))
-	}
-	if !sawFinal {
-		t.Error("stream ended without a terminal state line")
+			resp, err := http.Get(ts.URL + "/v1/jobs/" + v.ID + "/stream")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+
+			var progress int
+			var sawFinal bool
+			sc := bufio.NewScanner(resp.Body)
+			for sc.Scan() {
+				var line map[string]any
+				if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+					t.Fatalf("bad stream line %q: %v", sc.Text(), err)
+				}
+				if _, ok := line["iter"]; ok {
+					progress++
+				}
+				if st, ok := line["state"]; ok {
+					sawFinal = true
+					if st != string(StateDone) {
+						t.Fatalf("stream ended in state %v", st)
+					}
+				}
+			}
+			if err := sc.Err(); err != nil {
+				t.Fatal(err)
+			}
+			direct := directSolve(t, spec)
+			if progress != len(direct.History) || progress != spec.MaxIter {
+				t.Errorf("streamed %d progress lines, solve has %d history entries, want %d", progress, len(direct.History), spec.MaxIter)
+			}
+			if !sawFinal {
+				t.Error("stream ended without a terminal state line")
+			}
+		})
 	}
 }
 

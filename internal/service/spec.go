@@ -2,7 +2,6 @@ package service
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/core"
 	"repro/internal/multiwafer"
@@ -15,8 +14,9 @@ import (
 // spooled spec after a crash and produce bit-identical results — the
 // durability story needs no problem-data serialization.
 //
-// Problem generators match cmd/wsesim's, so `wsesim -problem momentum`
-// and a {"problem":"momentum"} job solve the same system.
+// The problem generator is cmd/wsesim's (core.GenerateProblem), so
+// `wsesim -problem momentum` and a {"problem":"momentum"} job solve the
+// same system.
 type JobSpec struct {
 	// Problem selects the operator generator: "poisson", "momentum" or
 	// "random". Empty means "momentum" (wsesim's default).
@@ -24,8 +24,8 @@ type JobSpec struct {
 	NX      int    `json:"nx"`
 	NY      int    `json:"ny"`
 	NZ      int    `json:"nz"`
-	// Seed drives the synthetic exact solution x (b = A·x); 0 means 7,
-	// the seed every CLI uses.
+	// Seed drives the synthetic exact solution x (b = A·x); 0 means
+	// core.DefaultSeed, the seed every CLI uses.
 	Seed int64 `json:"seed,omitempty"`
 
 	// Backend is "local", "wafer", "cluster" or "multiwafer". Empty
@@ -90,7 +90,7 @@ func (s JobSpec) withDefaults() JobSpec {
 		s.Backend = "wafer"
 	}
 	if s.Seed == 0 {
-		s.Seed = 7
+		s.Seed = core.DefaultSeed
 	}
 	return s
 }
@@ -111,10 +111,8 @@ func (s JobSpec) Options() (core.Options, error) {
 	if n := s.NX * s.NY * s.NZ; n > maxMeshCells {
 		return core.Options{}, &SpecError{"nx", fmt.Sprintf("mesh has %d cells; the service caps jobs at %d (one full wafer at depth 128)", n, maxMeshCells)}
 	}
-	switch s.Problem {
-	case "poisson", "momentum", "random":
-	default:
-		return core.Options{}, &SpecError{"problem", fmt.Sprintf("unknown problem %q (want poisson, momentum or random)", s.Problem)}
+	if err := core.CheckProblemName(s.Problem); err != nil {
+		return core.Options{}, &SpecError{"problem", err.Error()}
 	}
 	if s.Precision != "" && be != core.Local {
 		return core.Options{}, &SpecError{"precision", "only the local backend selects a precision (wafer arithmetic is always mixed fp16/fp32)"}
@@ -176,27 +174,15 @@ func (s JobSpec) Validate() error {
 	return err
 }
 
-// BuildProblem materializes the spec's linear system, exactly as
-// cmd/wsesim does: generate the operator, synthesize an exact solution
-// from the seed, and form b = A·x.
+// BuildProblem materializes the spec's linear system (defaults filled
+// in) with the generator cmd/wsesim uses, core.GenerateProblem: the
+// named operator, an exact solution synthesized from the seed, and
+// b = A·x.
 func (s JobSpec) BuildProblem() (core.Problem, error) {
-	m := stencil.Mesh{NX: s.NX, NY: s.NY, NZ: s.NZ}
-	var op *stencil.Op7
-	switch s.Problem {
-	case "poisson":
-		op = stencil.Poisson(m, 1)
-	case "random":
-		op = stencil.RandomDiagDominant(m, 1.5, rand.New(rand.NewSource(1)))
-	case "momentum":
-		op = stencil.MomentumLike(m, 0.02, [3]float64{1, 0.2, -0.1}, 0.1, 1, 0.1)
-	default:
-		return core.Problem{}, &SpecError{"problem", fmt.Sprintf("unknown problem %q", s.Problem)}
+	s = s.withDefaults()
+	p, err := core.GenerateProblem(s.Problem, stencil.Mesh{NX: s.NX, NY: s.NY, NZ: s.NZ}, s.Seed)
+	if err != nil {
+		return core.Problem{}, &SpecError{"problem", err.Error()}
 	}
-	xe := make([]float64, m.N())
-	rng := rand.New(rand.NewSource(s.Seed))
-	for i := range xe {
-		xe[i] = rng.Float64()
-	}
-	p, _ := core.NewProblem(op, xe)
 	return p, nil
 }

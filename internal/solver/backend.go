@@ -31,7 +31,9 @@ type Backend interface {
 // Host is the in-process reference backend over a precision context;
 // the zero value solves in float64. F64 runs every operator kind, the
 // narrower contexts (which store their own image of the coefficients)
-// the 7-point operator only.
+// and Parallel (which cuts the mesh by columns) the 7-point operator
+// only. Over Parallel(NewF64Exact(), ranks) it is core's Cluster
+// backend, the rank-parallel Joule-style solve.
 type Host struct {
 	// Context selects the arithmetic; nil means NewF64().
 	Context Context
@@ -61,6 +63,11 @@ func (h Host) Solve(a stencil.Operator, b, x0 []float64, opts Options) ([]float6
 	if f, ok := ctx.(*F64); ok {
 		op = f.OperatorOf(a)
 	} else if o7, ok := a.(*stencil.Op7); ok {
+		if p, ok := ctx.(*ParallelContext); ok {
+			if err := p.CheckMesh(o7.M); err != nil {
+				return nil, Stats{}, err
+			}
+		}
 		op = ctx.NewOperator(o7)
 	} else {
 		return nil, Stats{}, fmt.Errorf("solver: %s backend runs 7-point operators only, got %T", h.Name(), a)

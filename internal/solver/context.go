@@ -8,6 +8,12 @@
 //   - Mixed: fp16 storage and vector arithmetic with float32 dot-product
 //     accumulation, the CS-1 configuration ("Mixed sp/hp").
 //
+// Two variants make a context's dots exactly rounded sums — NewF64Exact
+// and NewMixedChunked — and Parallel runs such a context on
+// goroutine-ranks without the rank count reaching any result: the
+// rank-parallel Joule-style solve is that wrapper under this package's
+// one BiCGStab, not another recurrence.
+//
 // Every vector operation is attributed to a kernel kind (matvec, dot,
 // axpy), which regenerates Table I's operations-per-meshpoint accounting.
 package solver
@@ -125,13 +131,31 @@ type Context interface {
 // ---------------------------------------------------------------- float64
 
 // F64 is the double-precision context.
-type F64 struct{ c Counters }
+type F64 struct {
+	c Counters
+	// acc != nil selects the exact dots of NewF64Exact.
+	acc *cluster.ExactAcc
+}
 
 // NewF64 returns a double-precision context.
 func NewF64() *F64 { return &F64{} }
 
+// NewF64Exact returns the double-precision context whose every dot is
+// the exactly rounded sum of its correctly rounded elementwise products
+// (cluster.ExactAcc) and whose residual norm is √(r·r) with that dot —
+// the arithmetic of the rank-parallel Joule-style solve. Such a dot
+// cannot depend on how the vector was cut into ranges, which is what
+// lets Parallel split it across goroutine-ranks; everything else is
+// F64's elementwise arithmetic.
+func NewF64Exact() *F64 { return &F64{acc: cluster.NewExactAcc()} }
+
 // Name implements Context.
-func (f *F64) Name() string { return "fp64" }
+func (f *F64) Name() string {
+	if f.acc != nil {
+		return "fp64/exact"
+	}
+	return "fp64"
+}
 
 // Counters implements Context.
 func (f *F64) Counters() *Counters { return &f.c }
@@ -190,16 +214,50 @@ func (v *f64Vec) XPAY(a float64, x Vector) {
 }
 
 func (v *f64Vec) Dot(x Vector) float64 {
+	v.countDot()
+	if v.ctx.acc != nil {
+		return v.exactDot(x)
+	}
 	xd := x.(*f64Vec).d
 	var s float64
 	for i := range v.d {
 		s += v.d[i] * xd[i]
 	}
-	n := int64(len(v.d))
-	c := &v.ctx.c.ByKind[v.ctx.c.kind]
-	c.SPMul += n
-	c.SPAdd += n
 	return s
+}
+
+// The three methods below are what Parallel needs of a vector
+// (rangeVec): a view of an element range, the dot's exact partial, and
+// the dot's accounting apart from its arithmetic.
+
+func (v *f64Vec) slice(lo, hi int, ctx Context) Vector {
+	return &f64Vec{d: v.d[lo:hi], ctx: ctx.(*F64)}
+}
+
+func (v *f64Vec) dotExact(x Vector, acc *cluster.ExactAcc) {
+	xd := x.(*f64Vec).d
+	for i := range v.d {
+		acc.Add(v.d[i] * xd[i])
+	}
+}
+
+func (v *f64Vec) countDot() { v.count(len(v.d)) }
+
+// norm2 is Norm2's hook: the exact context reports √(v·v) with its own
+// dot, unaccounted like every residual diagnostic.
+func (v *f64Vec) norm2() (float64, bool) {
+	if v.ctx.acc == nil {
+		return 0, false
+	}
+	return math.Sqrt(v.exactDot(v)), true
+}
+
+// exactDot is the exact context's sequential dot, unaccounted.
+func (v *f64Vec) exactDot(x Vector) float64 {
+	acc := v.ctx.acc
+	acc.Reset()
+	v.dotExact(x, acc)
+	return acc.Float64()
 }
 
 func (v *f64Vec) count(n int) {
@@ -403,11 +461,12 @@ func NewMixed() *Mixed { return &Mixed{} }
 // NewMixedChunked returns the mixed-precision context with chunked
 // dots: each chunk of chunk elements accumulates in float32 with the
 // mixed FMAC — exactly one wafer tile's local dot when chunk is the
-// per-tile vector length — and the chunk partials are combined by
-// cluster.ExactSum32. With chunk equal to the wafer mapping's per-tile
-// length (NZ for the 3D mapping), this context's BiCGStab produces
-// residual histories bit-identical to the single-wafer (halo),
-// rank-parallel and multi-wafer backends.
+// per-tile vector length — and the chunk partials are summed exactly
+// and rounded once (cluster.ExactAcc, the sum ExactSum32 computes).
+// With chunk equal to the wafer mapping's per-tile length (NZ for the
+// 3D mapping), this context's BiCGStab produces residual histories
+// bit-identical to the single-wafer (halo) and multi-wafer backends,
+// and to itself under Parallel at any rank count.
 func NewMixedChunked(chunk int) *Mixed {
 	if chunk <= 0 {
 		panic("solver: NewMixedChunked needs chunk > 0")
@@ -479,31 +538,44 @@ func (v *mixedVec) XPAY(a float64, x Vector) {
 // chunk elements and the float32 partials are combined exactly — the
 // wafer backends' per-tile-dot + exact-combine semantics.
 func (v *mixedVec) Dot(x Vector) float64 {
-	xd := x.(*mixedVec).d
-	n := int64(len(v.d))
-	c := &v.ctx.c.ByKind[v.ctx.c.kind]
-	c.HPMul += n // 16-bit multiplies
-	c.SPAdd += n // 32-bit accumulation
-	if ch := v.ctx.chunk; ch > 0 {
-		partials := make([]float32, 0, (len(v.d)+ch-1)/ch)
-		for base := 0; base < len(v.d); base += ch {
-			end := base + ch
-			if end > len(v.d) {
-				end = len(v.d)
-			}
-			var acc float32
-			for i := base; i < end; i++ {
-				acc = fp16.MixedFMAC(acc, v.d[i], xd[i])
-			}
-			partials = append(partials, acc)
-		}
-		return cluster.ExactSum32(partials)
+	v.countDot()
+	if v.ctx.chunk > 0 {
+		acc := cluster.NewExactAcc()
+		v.dotExact(x, acc)
+		return acc.Float64()
 	}
+	xd := x.(*mixedVec).d
 	var acc float32
 	for i := range v.d {
 		acc = fp16.MixedFMAC(acc, v.d[i], xd[i])
 	}
 	return float64(acc)
+}
+
+// slice, dotExact and countDot implement rangeVec (see f64Vec). A
+// range that starts on a chunk boundary produces the chunk partials the
+// whole vector's dot does.
+
+func (v *mixedVec) slice(lo, hi int, ctx Context) Vector {
+	return &mixedVec{d: v.d[lo:hi], ctx: ctx.(*Mixed)}
+}
+
+func (v *mixedVec) dotExact(x Vector, acc *cluster.ExactAcc) {
+	xd, ch := x.(*mixedVec).d, v.ctx.chunk
+	for base := 0; base < len(v.d); base += ch {
+		var part float32
+		for i := base; i < min(base+ch, len(v.d)); i++ {
+			part = fp16.MixedFMAC(part, v.d[i], xd[i])
+		}
+		acc.Add(float64(part))
+	}
+}
+
+func (v *mixedVec) countDot() {
+	n := int64(len(v.d))
+	c := &v.ctx.c.ByKind[v.ctx.c.kind]
+	c.HPMul += n // 16-bit multiplies
+	c.SPAdd += n // 32-bit accumulation
 }
 
 func (v *mixedVec) count(n int) {
@@ -523,8 +595,15 @@ func (o *mixedOp) Apply(dst, src Vector) {
 }
 
 // Norm2 returns the Euclidean norm of a context vector, computed in
-// float64 for diagnostics.
+// float64 for diagnostics — the residual norm of every solve history.
+// A vector may supply its own through the norm2 hook (NewF64Exact's is
+// √(v·v) with the exactly rounded dot).
 func Norm2(v Vector) float64 {
+	if h, ok := v.(interface{ norm2() (float64, bool) }); ok {
+		if n, ok := h.norm2(); ok {
+			return n
+		}
+	}
 	var s float64
 	for i := 0; i < v.Len(); i++ {
 		x := v.At(i)

@@ -34,35 +34,38 @@ func NewOp7Half(o *Op7) *Op7Half {
 // diagonal. The accumulation order is fixed (zm, zp, xp, xm, yp, ym, c);
 // the wafer's order is nondeterministic, so cross-checks use error bounds,
 // not bit equality.
-func (o *Op7Half) Apply(dst, src []fp16.Float16) {
+func (o *Op7Half) Apply(dst, src []fp16.Float16) { o.ApplyColumns(dst, src, 0, o.M.NX*o.M.NY) }
+
+// ApplyColumns is Apply restricted to the Z-columns [c0, c1) in mesh
+// order, as Op7.ApplyColumns.
+func (o *Op7Half) ApplyColumns(dst, src []fp16.Float16, c0, c1 int) {
 	m := o.M
 	nz := m.NZ
-	for y := 0; y < m.NY; y++ {
-		for x := 0; x < m.NX; x++ {
-			base := (y*m.NX + x) * nz
-			for z := 0; z < nz; z++ {
-				i := base + z
-				s := fp16.Zero
-				if z > 0 {
-					s = fp16.Mul(o.ZM[i], src[i-1])
-				}
-				if z+1 < nz {
-					s = fp16.Add(s, fp16.Mul(o.ZP[i], src[i+1]))
-				}
-				if x+1 < m.NX {
-					s = fp16.Add(s, fp16.Mul(o.XP[i], src[i+nz]))
-				}
-				if x > 0 {
-					s = fp16.Add(s, fp16.Mul(o.XM[i], src[i-nz]))
-				}
-				if y+1 < m.NY {
-					s = fp16.Add(s, fp16.Mul(o.YP[i], src[i+m.NX*nz]))
-				}
-				if y > 0 {
-					s = fp16.Add(s, fp16.Mul(o.YM[i], src[i-m.NX*nz]))
-				}
-				dst[i] = fp16.Add(s, src[i]) // unit main diagonal
+	for c := c0; c < c1; c++ {
+		x, y := c%m.NX, c/m.NX
+		base := c * nz
+		for z := 0; z < nz; z++ {
+			i := base + z
+			s := fp16.Zero
+			if z > 0 {
+				s = fp16.Mul(o.ZM[i], src[i-1])
 			}
+			if z+1 < nz {
+				s = fp16.Add(s, fp16.Mul(o.ZP[i], src[i+1]))
+			}
+			if x+1 < m.NX {
+				s = fp16.Add(s, fp16.Mul(o.XP[i], src[i+nz]))
+			}
+			if x > 0 {
+				s = fp16.Add(s, fp16.Mul(o.XM[i], src[i-nz]))
+			}
+			if y+1 < m.NY {
+				s = fp16.Add(s, fp16.Mul(o.YP[i], src[i+m.NX*nz]))
+			}
+			if y > 0 {
+				s = fp16.Add(s, fp16.Mul(o.YM[i], src[i-m.NX*nz]))
+			}
+			dst[i] = fp16.Add(s, src[i]) // unit main diagonal
 		}
 	}
 }

@@ -93,35 +93,40 @@ func (o *Op7) Normalized() (Operator, []float64) { return o.Normalize() }
 
 // Apply computes dst = A·src in float64, the reference arithmetic for all
 // correctness tests. Out-of-mesh neighbours contribute zero.
-func (o *Op7) Apply(dst, src []float64) {
+func (o *Op7) Apply(dst, src []float64) { o.ApplyColumns(dst, src, 0, o.M.NX*o.M.NY) }
+
+// ApplyColumns is Apply restricted to the Z-columns [c0, c1) in mesh
+// order (column c is x = c mod NX, y = c / NX): it writes those columns
+// of dst and reads src wherever the stencil reaches, so disjoint ranges
+// may run concurrently (solver.Parallel).
+func (o *Op7) ApplyColumns(dst, src []float64, c0, c1 int) {
 	m := o.M
 	nz := m.NZ
-	for y := 0; y < m.NY; y++ {
-		for x := 0; x < m.NX; x++ {
-			base := (y*m.NX + x) * nz
-			for z := 0; z < nz; z++ {
-				i := base + z
-				s := o.D[i] * src[i]
-				if x+1 < m.NX {
-					s += o.XP[i] * src[i+nz]
-				}
-				if x > 0 {
-					s += o.XM[i] * src[i-nz]
-				}
-				if y+1 < m.NY {
-					s += o.YP[i] * src[i+m.NX*nz]
-				}
-				if y > 0 {
-					s += o.YM[i] * src[i-m.NX*nz]
-				}
-				if z+1 < nz {
-					s += o.ZP[i] * src[i+1]
-				}
-				if z > 0 {
-					s += o.ZM[i] * src[i-1]
-				}
-				dst[i] = s
+	for c := c0; c < c1; c++ {
+		x, y := c%m.NX, c/m.NX
+		base := c * nz
+		for z := 0; z < nz; z++ {
+			i := base + z
+			s := o.D[i] * src[i]
+			if x+1 < m.NX {
+				s += o.XP[i] * src[i+nz]
 			}
+			if x > 0 {
+				s += o.XM[i] * src[i-nz]
+			}
+			if y+1 < m.NY {
+				s += o.YP[i] * src[i+m.NX*nz]
+			}
+			if y > 0 {
+				s += o.YM[i] * src[i-m.NX*nz]
+			}
+			if z+1 < nz {
+				s += o.ZP[i] * src[i+1]
+			}
+			if z > 0 {
+				s += o.ZM[i] * src[i-1]
+			}
+			dst[i] = s
 		}
 	}
 }

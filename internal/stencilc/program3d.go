@@ -42,8 +42,8 @@ import (
 // equal to OpStarHalf.Apply on the global mesh — independent of how the
 // mesh is cut into wafers and of the simulation engine. At W = {1,1,1}
 // the emitted program is exactly the hand-written 7-point kernel this
-// compiler replaced (kernels.SpMV3DHalo wraps it; golden tests pin the
-// bit-identity).
+// compiler replaced (internal/kernels' stencilc goldens pin the
+// bit-identity); the star and multiwafer solvers hold it directly.
 type Program3D struct {
 	M      *wse.Machine
 	Mesh   stencil.Mesh // the global mesh

@@ -140,7 +140,7 @@ type Spec struct {
 // Named specs for the kernels the repository ships.
 
 // Spec9Point is the 2D 9-point box stencil — the block-halo SpMV of the
-// paper's §IV-2 sketch (kernels.SpMV2DMachine).
+// paper's §IV-2 sketch (kernels.BiCGStab2DWSE's SpMV).
 func Spec9Point() Spec { return Spec{Dim: 2, Points: Box, Widths: [3]int{1, 1, 0}} }
 
 // Spec5Point is the 2D 5-point star stencil — the heat-equation step's
@@ -148,7 +148,7 @@ func Spec9Point() Spec { return Spec{Dim: 2, Points: Box, Widths: [3]int{1, 1, 0
 func Spec5Point() Spec { return Spec{Dim: 2, Points: Star, Widths: [3]int{1, 1, 0}} }
 
 // Spec7Point is the 3D 7-point star stencil — the halo-resident SpMV
-// the multiwafer backend composes (kernels.SpMV3DHalo).
+// the star solver runs and the multiwafer backend composes.
 func Spec7Point() Spec { return Spec{Dim: 3, Points: Star, Widths: [3]int{1, 1, 1}} }
 
 // SpecSeismic25 is the 25-point width-4 star of the high-order seismic

@@ -2,75 +2,6 @@ package tensor
 
 import "repro/internal/fp16"
 
-// Descriptor-driven vector operations. These are the functional semantics
-// of the CS-1 vector instructions the SpMV listing launches: each processes
-// elements in order, one rounding per element, and leaves the destination
-// descriptor advanced — exactly the property the paper relies on when five
-// FIFO-draining adds all alias the same output vector u.
-
-// MulInto computes dst[i] = a[i] * b[i] elementwise over the descriptors,
-// which must have equal lengths.
-func MulInto(ar *Arena, dst, a, b Descriptor) {
-	dst.Reset()
-	a.Reset()
-	b.Reset()
-	for !dst.Done() {
-		ar.Set(dst.Next(), fp16.Mul(ar.At(a.Next()), ar.At(b.Next())))
-	}
-}
-
-// AddInto computes dst[i] = a[i] + b[i] elementwise.
-func AddInto(ar *Arena, dst, a, b Descriptor) {
-	dst.Reset()
-	a.Reset()
-	b.Reset()
-	for !dst.Done() {
-		ar.Set(dst.Next(), fp16.Add(ar.At(a.Next()), ar.At(b.Next())))
-	}
-}
-
-// AccumulateInto computes dst[i] += src[i] elementwise.
-func AccumulateInto(ar *Arena, dst, src Descriptor) {
-	dst.Reset()
-	src.Reset()
-	for !dst.Done() {
-		p := dst.Next()
-		ar.Set(p, fp16.Add(ar.At(p), ar.At(src.Next())))
-	}
-}
-
-// AxpyInto computes dst[i] = dst[i] + s*src[i] with one rounding per
-// element (the SIMD-4 FMAC semantics).
-func AxpyInto(ar *Arena, s fp16.Float16, dst, src Descriptor) {
-	dst.Reset()
-	src.Reset()
-	for !dst.Done() {
-		p := dst.Next()
-		ar.Set(p, fp16.FMA(s, ar.At(src.Next()), ar.At(p)))
-	}
-}
-
-// CopyInto copies src to dst elementwise.
-func CopyInto(ar *Arena, dst, src Descriptor) {
-	dst.Reset()
-	src.Reset()
-	for !dst.Done() {
-		ar.Set(dst.Next(), ar.At(src.Next()))
-	}
-}
-
-// DotMixedDesc computes the mixed-precision inner product of two
-// descriptor operands: exact fp16 products, float32 accumulation.
-func DotMixedDesc(ar *Arena, a, b Descriptor) float32 {
-	a.Reset()
-	b.Reset()
-	var acc float32
-	for !a.Done() {
-		acc = fp16.MixedFMAC(acc, ar.At(a.Next()), ar.At(b.Next()))
-	}
-	return acc
-}
-
 // FIFO is the software model of a CS-1 hardware-managed in-memory FIFO: a
 // circular buffer over an arena region with head/tail registers maintained
 // by the hardware, able to activate a task whenever data is pushed. The

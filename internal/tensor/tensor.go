@@ -191,13 +191,6 @@ type Arena struct {
 	mem    []fp16.Float16
 	budget int // bytes
 	used   int // bytes
-	names  []allocation
-}
-
-type allocation struct {
-	name  string
-	base  int
-	words int
 }
 
 // BytesPerWord is the storage size of one fp16 element.
@@ -219,7 +212,6 @@ func (a *Arena) Alloc(name string, words int) (int, error) {
 	base := len(a.mem)
 	a.mem = append(a.mem, make([]fp16.Float16, words)...)
 	a.used += bytes
-	a.names = append(a.names, allocation{name, base, words})
 	return base, nil
 }
 
@@ -248,12 +240,3 @@ func (a *Arena) Set(i int, v fp16.Float16) { a.mem[i] = v }
 // Slice returns the live storage for [base, base+n); writes are visible to
 // the arena. Kernels use this for bulk initialization.
 func (a *Arena) Slice(base, n int) []fp16.Float16 { return a.mem[base : base+n] }
-
-// Allocations returns a snapshot of (name, words) pairs for reporting.
-func (a *Arena) Allocations() []string {
-	out := make([]string, len(a.names))
-	for i, al := range a.names {
-		out[i] = fmt.Sprintf("%s[%d]", al.name, al.words)
-	}
-	return out
-}

@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -122,57 +121,6 @@ func TestArenaSliceAliasing(t *testing.T) {
 	}
 }
 
-func TestOpsAgainstReference(t *testing.T) {
-	a := NewArena(1 << 16)
-	n := 64
-	xb := a.MustAlloc("x", n)
-	yb := a.MustAlloc("y", n)
-	db := a.MustAlloc("d", n)
-	for i := 0; i < n; i++ {
-		a.Set(xb+i, fp16.FromFloat64(float64(i)*0.25-3))
-		a.Set(yb+i, fp16.FromFloat64(float64(i%5)+0.5))
-	}
-	x, y, d := Vec1D(xb, n), Vec1D(yb, n), Vec1D(db, n)
-
-	MulInto(a, d, x, y)
-	for i := 0; i < n; i++ {
-		want := fp16.Mul(a.At(xb+i), a.At(yb+i))
-		if a.At(db+i) != want {
-			t.Fatalf("MulInto[%d] = %v, want %v", i, a.At(db+i), want)
-		}
-	}
-
-	AddInto(a, d, x, y)
-	for i := 0; i < n; i++ {
-		want := fp16.Add(a.At(xb+i), a.At(yb+i))
-		if a.At(db+i) != want {
-			t.Fatalf("AddInto[%d]", i)
-		}
-	}
-
-	CopyInto(a, d, x)
-	s := fp16.FromFloat64(1.5)
-	AxpyInto(a, s, d, y)
-	for i := 0; i < n; i++ {
-		want := fp16.FMA(s, a.At(yb+i), a.At(xb+i))
-		if a.At(db+i) != want {
-			t.Fatalf("AxpyInto[%d] = %v, want %v", i, a.At(db+i), want)
-		}
-	}
-
-	got := DotMixedDesc(a, x, y)
-	var ref float32
-	for i := 0; i < n; i++ {
-		ref = fp16.MixedFMAC(ref, a.At(xb+i), a.At(yb+i))
-	}
-	if got != ref {
-		t.Errorf("DotMixedDesc = %g, want %g", got, ref)
-	}
-	if math.Abs(float64(got)) < 1e-9 {
-		t.Error("dot product suspiciously zero")
-	}
-}
-
 func TestShiftedDescriptorsForZStencil(t *testing.T) {
 	// The SpMV listing's zp/zm accumulators alias u shifted by one:
 	// zp_acc base u+2, zm_acc base u+0, center u+1. Verify shift algebra:
@@ -192,16 +140,17 @@ func TestShiftedDescriptorsForZStencil(t *testing.T) {
 	}
 	// u[0..z+1] zero; zm pass: u[k] += v0[k]*zm[k] with zm_acc base u+0
 	// over Z+1 elements; zp pass: u[k+2] += v[k]*zp[k].
-	zmAcc := Vec1D(ub, z+1)
-	v0 := Vec1D(vb, z+1)
-	zmA := Vec1D(zmb, z+1)
-	MulInto(a, zmAcc, v0, zmA)
-	zpAcc := Vec1D(ub+2, z)
-	v1 := Vec1D(vb, z)
-	zpA := Vec1D(zpb, z)
-	prod := a.MustAlloc("tmp", z)
-	MulInto(a, Vec1D(prod, z), v1, zpA)
-	AccumulateInto(a, zpAcc, Vec1D(prod, z))
+	// The two passes as descriptor walks, one rounding per element (the
+	// instruction forms are wse.MemOp's; this test is about the shifts).
+	zmAcc, v0, zmA := Vec1D(ub, z+1), Vec1D(vb, z+1), Vec1D(zmb, z+1)
+	for !zmAcc.Done() {
+		a.Set(zmAcc.Next(), fp16.Mul(a.At(v0.Next()), a.At(zmA.Next())))
+	}
+	zpAcc, v1, zpA := Vec1D(ub+2, z), Vec1D(vb, z), Vec1D(zpb, z)
+	for !zpAcc.Done() {
+		p := zpAcc.Next()
+		a.Set(p, fp16.Add(a.At(p), fp16.Mul(a.At(v1.Next()), a.At(zpA.Next()))))
+	}
 
 	// Interior result u[k+1] (k = 0..z-1) should be 3*v[k+1] + 2*v[k-1]
 	// where out-of-range v is zero.

@@ -1,8 +1,6 @@
 package wse
 
 import (
-	"math"
-
 	"repro/internal/fabric"
 	"repro/internal/fp16"
 	"repro/internal/tensor"
@@ -578,9 +576,3 @@ func (s *ScalarSend) Step(c *Core, lanes int) int {
 	}
 	return 0
 }
-
-// --------------------------------------------------------------- helpers
-
-// Float32FromBits mirrors math.Float32frombits for kernel code that
-// manipulates raw words.
-func Float32FromBits(b uint32) float32 { return math.Float32frombits(b) }
