@@ -799,25 +799,22 @@ func BenchmarkTable2_SimpleCycles(b *testing.B) {
 	b.ReportMetric(joule/mid, "speedup-vs-16K-Joule(paper>200)")
 }
 
-// Benchmark2D_SpMVEfficiency runs the 2D block-halo SpMV and reports the
-// measured redundant-work overhead against the analytic model (paper:
+// Benchmark2D_SpMVEfficiency runs the 2D block-halo SpMV's functional
+// reference and reports the analytic redundant-work overhead (paper:
 // < 20% at 8×8 blocks, max block 38×38).
 func Benchmark2D_SpMVEfficiency(b *testing.B) {
 	m := stencil.Mesh2D{NX: 64, NY: 64}
 	norm, _ := stencil.Poisson9(m, 1).Normalize9()
-	p, err := kernels.NewSpMV2D(norm, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
 	src := make([]fp16.Float16, m.N())
 	for i := range src {
 		src[i] = fp16.FromFloat64(float64(i%13) / 13)
 	}
-	dst := make([]fp16.Float16, m.N())
 	b.SetBytes(int64(m.N() * 2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Apply(dst, src)
+		if _, err := stencilc.Reference2D(stencilc.Spec9Point(), norm, 8, src); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.StopTimer()
 	b.ReportMetric(100*perfmodel.Overhead2D(8), "model-overhead-%(b=8)")

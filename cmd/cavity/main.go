@@ -20,8 +20,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -30,69 +32,107 @@ import (
 	"repro/internal/wse"
 )
 
-// fatalUsage reports a flag-validation error with the usage text and a
-// non-zero exit.
-func fatalUsage(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "cavity: "+format+"\n", args...)
-	flag.Usage()
-	os.Exit(2)
+// config is one validated invocation.
+type config struct {
+	dim, n  int
+	re      float64
+	iters   int
+	backend string
+	block   int
+	workers int
+}
+
+// flagSet declares cavity's flags over c.
+func flagSet(c *config) *flag.FlagSet {
+	fs := flag.NewFlagSet("cavity", flag.ContinueOnError)
+	fs.IntVar(&c.dim, "dim", 2, "cavity dimensionality: 2 (wafer-capable) or 3 (host only)")
+	fs.IntVar(&c.n, "n", 16, "cells per side")
+	fs.Float64Var(&c.re, "re", 100, "Reynolds number")
+	fs.IntVar(&c.iters, "iters", 40, "SIMPLE iterations")
+	fs.StringVar(&c.backend, "backend", "host", "pressure-solve backend: host | wse (2D only)")
+	fs.IntVar(&c.block, "block", 2, "wse backend: block edge b; the fabric is (n/b)² tiles")
+	fs.IntVar(&c.workers, "workers", 1, "wse backend: simulation engine workers (>1 shards the fabric)")
+	return fs
+}
+
+// parseFlags parses and validates one command line, so a bad
+// invocation fails before anything is built. It does no I/O and prints
+// nothing: main reports the error with the usage text (flag.ErrHelp for
+// -h).
+func parseFlags(args []string) (config, error) {
+	var c config
+	fs := flagSet(&c)
+	fs.SetOutput(io.Discard)
+	if err := fs.Parse(args); err != nil {
+		return c, err
+	}
+	if c.n <= 0 || c.iters <= 0 {
+		return c, fmt.Errorf("-n and -iters must be positive (got n=%d, iters=%d)", c.n, c.iters)
+	}
+	switch c.dim {
+	case 3:
+		if c.backend != "host" {
+			return c, fmt.Errorf("the 3D cavity has no %q backend; the wafer path is the 2D block-halo mapping", c.backend)
+		}
+	case 2:
+		switch c.backend {
+		case "host":
+		case "wse":
+			if c.block <= 0 {
+				return c, fmt.Errorf("-block must be positive; got %d", c.block)
+			}
+			if c.n%c.block != 0 {
+				return c, fmt.Errorf("n=%d does not tile into %d×%d blocks", c.n, c.block, c.block)
+			}
+		default:
+			return c, fmt.Errorf("unknown backend %q", c.backend)
+		}
+	default:
+		return c, fmt.Errorf("unsupported -dim=%d", c.dim)
+	}
+	return c, nil
 }
 
 func main() {
-	dim := flag.Int("dim", 2, "cavity dimensionality: 2 (wafer-capable) or 3 (host only)")
-	n := flag.Int("n", 16, "cells per side")
-	re := flag.Float64("re", 100, "Reynolds number")
-	iters := flag.Int("iters", 40, "SIMPLE iterations")
-	backend := flag.String("backend", "host", "pressure-solve backend: host | wse (2D only)")
-	block := flag.Int("block", 2, "wse backend: block edge b; the fabric is (n/b)² tiles")
-	workers := flag.Int("workers", 1, "wse backend: simulation engine workers (>1 shards the fabric)")
-	flag.Parse()
-
-	if *n <= 0 || *iters <= 0 {
-		fatalUsage("-n and -iters must be positive (got n=%d, iters=%d)", *n, *iters)
-	}
-	if *dim == 3 {
-		if *backend != "host" {
-			fatalUsage("the 3D cavity has no %q backend; the wafer path is the 2D block-halo mapping", *backend)
+	cfg, err := parseFlags(os.Args[1:])
+	if err != nil {
+		fs := flagSet(new(config))
+		if errors.Is(err, flag.ErrHelp) {
+			fs.SetOutput(os.Stdout)
+			fs.Usage()
+			return
 		}
-		run3D(*n, *re, *iters)
+		fmt.Fprintf(os.Stderr, "cavity: %v\n", err)
+		fs.Usage()
+		os.Exit(2)
+	}
+	n, iters := cfg.n, cfg.iters
+	if cfg.dim == 3 {
+		run3D(n, cfg.re, iters)
 		return
 	}
-	if *dim != 2 {
-		fatalUsage("unsupported -dim=%d", *dim)
-	}
 
-	c := mfix.NewCavity2D(*n, *re)
+	c := mfix.NewCavity2D(n, cfg.re)
 	var wafer *kernels.WaferBackend
-	switch *backend {
-	case "host":
-	case "wse":
-		if *block <= 0 {
-			fatalUsage("-block must be positive; got %d", *block)
-		}
-		if *n%*block != 0 {
-			fatalUsage("n=%d does not tile into %d×%d blocks", *n, *block, *block)
-		}
-		cfg := wse.CS1(*n / *block, *n / *block)
-		cfg.Workers = *workers
-		mach := wse.New(cfg)
-		wafer = kernels.NewWafer2DBackend(mach, *block)
+	if cfg.backend == "wse" {
+		mcfg := wse.CS1(n/cfg.block, n/cfg.block)
+		mcfg.Workers = cfg.workers
+		mach := wse.New(mcfg)
+		wafer = kernels.NewWafer2DBackend(mach, cfg.block)
 		// Close releases the sharded engine's worker pool; without it a
 		// long-lived host would park pool goroutines until GC.
 		defer wafer.Close()
 		c.Pressure = wafer
 		fmt.Printf("pressure solve on simulated %d×%d fabric (%s engine), %d×%d blocks\n",
-			cfg.FabricW, cfg.FabricH, mach.Fab.StepperName(), *block, *block)
-	default:
-		fatalUsage("unknown backend %q", *backend)
+			mcfg.FabricW, mcfg.FabricH, mach.Fab.StepperName(), cfg.block, cfg.block)
 	}
 
-	res, err := c.Run(*iters)
+	res, err := c.Run(iters)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("lid-driven cavity %d², Re=%g, %d SIMPLE iterations, pressure backend %s\n",
-		*n, *re, *iters, c.Pressure.Name())
+		n, cfg.re, iters, c.Pressure.Name())
 	for i, r := range res {
 		if i%5 == 0 || i == len(res)-1 {
 			fmt.Printf("  iter %3d: mass %.3e  momentum-change %.3e\n", i+1, r.Mass, r.Momentum)
@@ -105,13 +145,13 @@ func main() {
 			wafer.Cycles.Total(), wafer.Cycles.SpMV, wafer.Cycles.Dot,
 			wafer.Cycles.AllReduce, wafer.Cycles.Axpy)
 		if wafer.Iterations > 0 {
-			perPt := float64(wafer.Cycles.Total()) / float64(wafer.Iterations) / float64(*n**n)
+			perPt := float64(wafer.Cycles.Total()) / float64(wafer.Iterations) / float64(n*n)
 			fmt.Printf("  %.3f cycles/meshpoint per solver iteration\n", perPt)
 		}
 	}
 	fmt.Println("centreline u-velocity (bottom -> lid):")
 	for j, u := range c.CenterlineU() {
-		y := (float64(j) + 0.5) / float64(*n)
+		y := (float64(j) + 0.5) / float64(n)
 		fmt.Printf("  y=%.3f  u=%+.4f\n", y, u)
 	}
 }

@@ -19,7 +19,8 @@ import (
 // TestBackendSeamContract runs every backend through the one
 // solver.Backend seam and pins the contract core's pipeline and the
 // daemon's warm cache rest on: (a) an operator kind the backend has no
-// program for is refused with an error and leaves it usable; (b) a warm
+// program for — and, once a wafer program is built, its own kind on
+// another mesh — is refused with an error and leaves it usable; (b) a warm
 // backend handed new coefficients returns what a cold build returns,
 // bit for bit — solution, history and, where machines are simulated,
 // the WSEStats account; (c) Close releases every simulation pool.
@@ -44,6 +45,9 @@ func TestBackendSeamContract(t *testing.T) {
 	b7 := norm7(stencil.MomentumLike(m, 0.02, [3]float64{1, 0.2, -0.1}, 0.1, 1, 0.1))
 	a9 := norm9(stencil.Poisson9(m2, 1))
 	b9 := norm9(stencil.Random9(m2, 1.5, rand.New(rand.NewSource(3))))
+	// The same fabrics, other meshes: a deeper column, wider blocks.
+	deep7 := norm7(stencil.Poisson(stencil.Mesh{NX: m.NX, NY: m.NY, NZ: m.NZ + 2}, 1))
+	wide9 := norm9(stencil.Poisson9(stencil.Mesh2D{NX: 2 * m2.NX, NY: 2 * m2.NY}, 1))
 
 	machine := func(w, h int) *wse.Machine {
 		cfg := wse.CS1(w, h)
@@ -55,19 +59,20 @@ func TestBackendSeamContract(t *testing.T) {
 		build func() solver.Backend
 		a, b  stencil.Operator // two systems on one mesh
 		wrong stencil.Operator // a kind the backend cannot run; nil if none
+		other stencil.Operator // the backend's kind on a mesh its built program does not hold; nil if any mesh is served
 		// rewinds: every Solve starts from the cold machine state.
 		rewinds bool
 	}{
-		{"host/fp64", func() solver.Backend { return solver.Host{} }, a7, b7, nil, false},
-		{"host/mixed-chunked", func() solver.Backend { return solver.Host{Context: solver.NewMixedChunked(m.NZ)} }, a7, b7, a9, false},
-		{"wafer/listing1", func() solver.Backend { return kernels.NewWafer3DBackend(machine(m.NX, m.NY)) }, a7, b7, a9, true},
+		{"host/fp64", func() solver.Backend { return solver.Host{} }, a7, b7, nil, nil, false},
+		{"host/mixed-chunked", func() solver.Backend { return solver.Host{Context: solver.NewMixedChunked(m.NZ)} }, a7, b7, a9, nil, false},
+		{"wafer/listing1", func() solver.Backend { return kernels.NewWafer3DBackend(machine(m.NX, m.NY)) }, a7, b7, a9, deep7, true},
 		{"wafer/star", func() solver.Backend {
 			return kernels.NewWaferStarBackend(machine(m.NX, m.NY), stencilc.Spec7Point())
-		}, stencil.FromOp7(a7), stencil.FromOp7(b7), a7, false},
-		{"wafer/2d", func() solver.Backend { return kernels.NewWafer2DBackend(machine(m2.NX/2, m2.NY/2), 2) }, a9, b9, a7, false},
+		}, stencil.FromOp7(a7), stencil.FromOp7(b7), a7, stencil.FromOp7(deep7), false},
+		{"wafer/2d", func() solver.Backend { return kernels.NewWafer2DBackend(machine(m2.NX/2, m2.NY/2), 2) }, a9, b9, a7, wide9, false},
 		{"multiwafer/2x1", func() solver.Backend {
 			return &multiwafer.Backend{Grid: multiwafer.Topology{W: 2, H: 1}, Workers: 4}
-		}, a7, b7, a9, false},
+		}, a7, b7, a9, deep7, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
@@ -114,9 +119,16 @@ func TestBackendSeamContract(t *testing.T) {
 
 			warm := tc.build()
 			got := [2]outcome{0: solve(warm, tc.a)}
-			if tc.wrong != nil {
-				if _, _, err := warm.Solve(tc.wrong, make([]float64, tc.wrong.N()), make([]float64, tc.wrong.N()), opts); err == nil {
-					t.Fatalf("%T system accepted", tc.wrong)
+			for _, bad := range []stencil.Operator{tc.wrong, tc.other} {
+				if bad == nil {
+					continue
+				}
+				ones := make([]float64, bad.N())
+				for i := range ones {
+					ones[i] = 1
+				}
+				if _, _, err := warm.Solve(bad, ones, make([]float64, bad.N()), opts); err == nil {
+					t.Fatalf("%T system on mesh of %d points accepted", bad, bad.N())
 				}
 			}
 			got[1] = solve(warm, tc.b)

@@ -509,14 +509,11 @@ func (ar *AllReduce) skipRowPhase(maxCycles int64) int64 {
 
 // rowSkipEligible is skipRowPhase's gate: the fast-forward engine, an
 // even fabric width with a row phase to skip, the default queue depths
-// the derivation was checked against (the same rule as stencilc's
-// Program3D fast-forward), a cycle budget the jump stays inside, no
-// word in any router queue, and none left in a receive buffer this
-// reduction would pop before the row phase ends.
+// the derivation was checked against, a cycle budget the jump stays
+// inside, no word in any router queue, and none left in a receive
+// buffer this reduction would pop before the row phase ends.
 func (ar *AllReduce) rowSkipEligible(maxCycles int64) bool {
-	cfg := ar.M.Cfg
-	if !ar.M.FastForwardEnabled() || ar.F.W < 4 || ar.F.W%2 != 0 ||
-		(cfg.QueueDepth > 0 && cfg.QueueDepth != 4) || (cfg.RxDepth > 0 && cfg.RxDepth != 4) ||
+	if !ar.M.FastForwardEnabled() || ar.F.W < 4 || ar.F.W%2 != 0 || !ar.M.Cfg.DefaultQueueDepths() ||
 		int64(ar.cx0)+1 >= maxCycles || !ar.F.Quiescent() {
 		return false
 	}

@@ -82,7 +82,12 @@ func NewBiCGStabWSE(m *wse.Machine, op *stencil.Op7Half) (*BiCGStabWSE, error) {
 		return nil, err
 	}
 	b := &BiCGStabWSE{M: m, Mesh: op.M, spmv: spmv}
-	b.eng, err = newWSEBiCG(m, op.M.NZ, NumStencilColors, b.runSpMV, columnIndex(m, op.M))
+	machines := []*wse.Machine{m}
+	b.eng, err = NewBiCGStabEngine(Substrate{
+		Machines: machines, PerTile: op.M.NZ, ARBase: NumStencilColors,
+		SpMV:  ProgramSpMV(machines, []TileProgram{spmv}, op.M.NZ, nil),
+		Index: columnIndex(m, op.M),
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -105,12 +110,7 @@ func columnIndex(m *wse.Machine, mesh stencil.Mesh) func(part, tile, elem int) i
 // so a warm solver serves an arbitrary sequence of solves — build once,
 // LoadCoeff per job, the service layer's machine-cache contract. The
 // new operator's mesh must match the one the solver was built for.
-func (b *BiCGStabWSE) LoadCoeff(op *stencil.Op7Half) error {
-	if op.M != b.Mesh {
-		return fmt.Errorf("kernels: operator mesh %v does not match solver mesh %v", op.M, b.Mesh)
-	}
-	return b.spmv.LoadCoeff(op)
-}
+func (b *BiCGStabWSE) LoadCoeff(op *stencil.Op7Half) error { return b.spmv.LoadCoeff(op) }
 
 // Pristine drains the machine to idle (program construction leaves a
 // few cores spuriously queued) and captures its just-built
@@ -188,31 +188,6 @@ type WSEOptions = solver.Options
 // a zero initial guess and returns the solution with solve statistics.
 func (w *BiCGStabWSE) Solve(bvec []fp16.Float16, opts WSEOptions) ([]fp16.Float16, WSEStats, error) {
 	return w.eng.Solve(bvec, opts)
-}
-
-// runSpMV copies src into the SpMV iterate, applies the operator on the
-// wafer, and copies the result to dst. The copies model descriptor
-// re-aliasing and are free; the SpMV cycles are measured.
-func (w *BiCGStabWSE) runSpMV(src, dst []int, acc *int64) error {
-	z := w.Mesh.NZ
-	for i, t := range w.M.Tiles {
-		st := w.spmv.tiles[i]
-		for zz := 0; zz < z; zz++ {
-			t.Arena.Set(st.offV+zz, t.Arena.At(src[i]+zz))
-		}
-	}
-	cycles, err := w.spmv.Run(int64(z)*1000 + 100000)
-	if err != nil {
-		return err
-	}
-	*acc += cycles
-	for i, t := range w.M.Tiles {
-		st := w.spmv.tiles[i]
-		for zz := 0; zz < z; zz++ {
-			t.Arena.Set(dst[i]+zz, t.Arena.At(st.offU+1+zz))
-		}
-	}
-	return nil
 }
 
 // SolutionResidual recomputes ‖b − A x‖/‖b‖ in float64 against the

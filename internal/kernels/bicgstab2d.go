@@ -1,8 +1,6 @@
 package kernels
 
 import (
-	"fmt"
-
 	"repro/internal/fp16"
 	"repro/internal/stencil"
 	"repro/internal/stencilc"
@@ -14,9 +12,10 @@ import (
 // coefficient diagonals for it, and b²-element solver vectors; the SpMV
 // is the two-round halo-exchange program of the paper's §IV-2 mapping
 // (the 9-point box spec compiled by stencilc: a stencilc.Program2D, the
-// cycle-simulated form of the dataflow SpMV2D renders functionally),
-// and the Algorithm 1 control flow — mixed-precision dots, Figure 6 AllReduces,
-// SIMD vector updates — is the shared BiCGStabEngine.
+// cycle-simulated form of the dataflow stencilc.Reference2D replays on
+// the host), and the Algorithm 1 control flow — mixed-precision dots,
+// Figure 6 AllReduces, SIMD vector updates — is the shared
+// BiCGStabEngine.
 type BiCGStab2DWSE struct {
 	M    *wse.Machine
 	Mesh stencil.Mesh2D
@@ -35,7 +34,12 @@ func NewBiCGStab2DWSE(m *wse.Machine, op *stencil.Op9, b int) (*BiCGStab2DWSE, e
 		return nil, err
 	}
 	s := &BiCGStab2DWSE{M: m, Mesh: op.M, B: b, spmv: spmv}
-	s.eng, err = newWSEBiCG(m, b*b, stencilc.NumExchangeColors, s.runSpMV, s.index)
+	machines := []*wse.Machine{m}
+	s.eng, err = NewBiCGStabEngine(Substrate{
+		Machines: machines, PerTile: b * b, ARBase: stencilc.NumExchangeColors,
+		SpMV:  ProgramSpMV(machines, []TileProgram{spmv}, b*b, nil),
+		Index: s.index,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -43,8 +47,9 @@ func NewBiCGStab2DWSE(m *wse.Machine, op *stencil.Op9, b int) (*BiCGStab2DWSE, e
 }
 
 // LoadCoeff swaps in a new operator on the same mesh (the SIMPLE outer
-// loop re-assembles the pressure system every iteration).
-func (s *BiCGStab2DWSE) LoadCoeff(op *stencil.Op9) { s.spmv.LoadCoeff(op) }
+// loop re-assembles the pressure system every iteration); any other is
+// refused with the program untouched.
+func (s *BiCGStab2DWSE) LoadCoeff(op *stencil.Op9) error { return s.spmv.LoadCoeff(op) }
 
 // index maps (tile, element) of the one machine to the mesh-global
 // vector position: block row-major within the tile's b×b block.
@@ -58,31 +63,6 @@ func (s *BiCGStab2DWSE) index(_, tile, elem int) int {
 // with a zero initial guess.
 func (s *BiCGStab2DWSE) Solve(bvec []fp16.Float16, opts WSEOptions) ([]fp16.Float16, WSEStats, error) {
 	return s.eng.Solve(bvec, opts)
-}
-
-// runSpMV copies src into the SpMV iterate blocks, runs the two-round
-// halo-exchange application, and copies the extended-region interiors to
-// dst. The copies model descriptor re-aliasing and are free; the SpMV
-// cycles are measured.
-func (s *BiCGStab2DWSE) runSpMV(src, dst []int, acc *int64) error {
-	b := s.B
-	for i, t := range s.M.Tiles {
-		off := s.spmv.IterateOff(i)
-		for e := 0; e < b*b; e++ {
-			t.Arena.Set(off+e, t.Arena.At(src[i]+e))
-		}
-	}
-	cycles, err := s.spmv.Run(int64(b*b)*1000 + 100000)
-	if err != nil {
-		return err
-	}
-	*acc += cycles
-	for i, t := range s.M.Tiles {
-		for e := 0; e < b*b; e++ {
-			t.Arena.Set(dst[i]+e, t.Arena.At(s.spmv.InteriorIndex(i, e)))
-		}
-	}
-	return nil
 }
 
 // NewWafer2DBackend wraps mach as the solver.Backend of the 2D
@@ -100,11 +80,9 @@ func NewWafer2DBackend(mach *wse.Machine, b int) *WaferBackend {
 			return nil, errCannotLower(a, "2D block-halo")
 		}
 		if prog != nil {
-			if op.M != prog.Mesh {
-				return nil, fmt.Errorf("kernels: wafer 2D backend built for mesh %v, got %v", prog.Mesh, op.M)
-			}
-			prog.LoadCoeff(op)
-		} else if prog, err = NewBiCGStab2DWSE(mach, op, b); err != nil {
+			return prog.Solve, prog.LoadCoeff(op)
+		}
+		if prog, err = NewBiCGStab2DWSE(mach, op, b); err != nil {
 			return nil, err
 		}
 		return prog.Solve, nil

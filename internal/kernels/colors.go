@@ -1,12 +1,14 @@
 // Package kernels implements the paper's wafer programs on the simulated
 // CS-1: the 3D 7-point SpMV of Listing 1/Figure 4 with the tessellation
 // routing of Figure 5, the scalar AllReduce of Figure 6, the AXPY and
-// mixed-precision dot kernels, the functional 2D 9-point block-halo
-// SpMV mapping, and the shared BiCGStab driver that composes them with
-// the stencil compiler's programs (internal/stencilc: the halo-resident
-// 3D SpMV the star and multiwafer solvers run, the cycle-simulated 2D
-// block-halo SpMV). See docs/ARCHITECTURE.md for each kernel's
-// determinism class and the color-assignment map.
+// mixed-precision dot kernels, and the shared BiCGStab driver that
+// composes them with the stencil compiler's programs (internal/stencilc:
+// the halo-resident 3D SpMV the star and multiwafer solvers run, the
+// cycle-simulated 2D block-halo SpMV and its functional reference).
+// Every SpMV program reaches the driver through one adapter,
+// ProgramSpMV over the three-method TileProgram. See
+// docs/ARCHITECTURE.md for each kernel's determinism class and the
+// color-assignment map.
 package kernels
 
 import "repro/internal/fabric"

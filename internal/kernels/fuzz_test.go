@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/fp16"
 	"repro/internal/stencil"
 	"repro/internal/stencilc"
 	"repro/internal/wse"
@@ -17,8 +16,8 @@ import (
 // the complete per-cycle Machine.Fingerprint must match every cycle,
 // the results must be bitwise equal, and both machines must agree the
 // program drained. It also cross-checks the machine result against the
-// functional SpMV2D.Apply, whose rounding order the wafer program
-// reproduces exactly. Seed corpus in testdata/fuzz/FuzzSpMV2DEquivalence;
+// functional reference stencilc.Reference2D, whose rounding order the
+// wafer program reproduces exactly. Seed corpus in testdata/fuzz/FuzzSpMV2DEquivalence;
 // CI runs this in fuzz-smoke.
 func FuzzSpMV2DEquivalence(f *testing.F) {
 	f.Add(int64(1), uint64(0x0202), uint64(0))
@@ -73,12 +72,7 @@ func FuzzSpMV2DEquivalence(f *testing.F) {
 		}
 
 		ra, rb := pseq.Result(), pshd.Result()
-		fn, err := NewSpMV2D(norm, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refDst := make([]fp16.Float16, m.N())
-		fn.Apply(refDst, src)
+		refDst := apply2D(t, norm, b, src)
 		for i := range ra {
 			if ra[i] != rb[i] {
 				t.Fatalf("result element %d differs across engines: %v vs %v", i, ra[i], rb[i])

@@ -6,12 +6,35 @@ import (
 	"testing"
 
 	"repro/internal/fp16"
+	"repro/internal/perfmodel"
 	"repro/internal/stencil"
+	"repro/internal/stencilc"
 )
 
-func ref9(op *stencil.Op9, src []fp16.Float16, coeff *[9][]fp16.Float16) []float64 {
+// These tests hold the block-halo dataflow's one functional reference,
+// stencilc.Reference2D, to the operator it claims to apply: against a
+// float64 Op9 evaluation, on the Poisson stencil, for linearity, and on
+// its refusals. The compiled program is pinned to Reference2D bit for
+// bit (TestSpMV2DMachine*, FuzzSpMV2DEquivalence, stencilc's
+// equivalence tests).
+
+// apply2D is Reference2D on the 9-point box spec.
+func apply2D(t *testing.T, op *stencil.Op9, b int, src []fp16.Float16) []fp16.Float16 {
+	t.Helper()
+	dst, err := stencilc.Reference2D(stencilc.Spec9Point(), op, b, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
+
+func ref9(op *stencil.Op9, src []fp16.Float16) []float64 {
 	// Reference: float64 apply of the fp16-rounded operator on the
 	// fp16-rounded input.
+	var coeff [9][]fp16.Float16
+	for k := range coeff {
+		coeff[k] = fp16.FromFloat64Slice(op.C[k])
+	}
 	m := op.M
 	out := make([]float64, m.N())
 	for y := 0; y < m.NY; y++ {
@@ -38,14 +61,9 @@ func TestSpMV2DMatchesReference(t *testing.T) {
 		m := stencil.Mesh2D{NX: tc.nx, NY: tc.ny}
 		op := stencil.Random9(m, 1.3, rng)
 		norm, _ := op.Normalize9()
-		p, err := NewSpMV2D(norm, tc.b)
-		if err != nil {
-			t.Fatal(err)
-		}
 		src := randomHalfVector(m.N(), rng)
-		dst := make([]fp16.Float16, m.N())
-		p.Apply(dst, src)
-		want := ref9(norm, src, &p.coeff)
+		dst := apply2D(t, norm, tc.b, src)
+		want := ref9(norm, src)
 		for i := range want {
 			// 9 terms, each |coeff| <= ~1, |src| <= 1: bound ~ 10ε·Σ|terms|.
 			tol := 10 * fp16.Epsilon * 10
@@ -60,18 +78,13 @@ func TestSpMV2DMatchesReference(t *testing.T) {
 func TestSpMV2DPoisson9(t *testing.T) {
 	m := stencil.Mesh2D{NX: 16, NY: 16}
 	norm, _ := stencil.Poisson9(m, 1).Normalize9()
-	p, err := NewSpMV2D(norm, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// A constant vector: interior rows of the normalized 9-point Laplacian
 	// sum to zero, so interior results vanish to fp16 accuracy.
 	src := make([]fp16.Float16, m.N())
 	for i := range src {
 		src[i] = fp16.One
 	}
-	dst := make([]fp16.Float16, m.N())
-	p.Apply(dst, src)
+	dst := apply2D(t, norm, 4, src)
 	i := m.Index(8, 8)
 	if v := math.Abs(dst[i].Float64()); v > 0.01 {
 		t.Errorf("interior Laplacian of constant = %g, want ~0", v)
@@ -84,31 +97,24 @@ func TestSpMV2DPoisson9(t *testing.T) {
 
 func TestSpMV2DHaloAddCount(t *testing.T) {
 	// The redundant-work accounting that drives the overhead model:
-	// (b+2) adds per interior x-interface side, b per y-interface side.
-	m := stencil.Mesh2D{NX: 12, NY: 8}
-	norm, _ := stencil.Poisson9(m, 1).Normalize9()
-	b := 4
-	p, err := NewSpMV2D(norm, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := randomHalfVector(m.N(), rand.New(rand.NewSource(2)))
-	dst := make([]fp16.Float16, m.N())
-	p.Apply(dst, src)
-	tx, ty := 3, 2
-	want := int64(2*(tx-1)*ty*(b+2) + 2*tx*(ty-1)*b)
-	if p.HaloAdds != want {
-		t.Errorf("HaloAdds = %d, want %d", p.HaloAdds, want)
+	// (b+2) adds per interior x-interface side, b per y-interface side —
+	// read off the stage lists the compiled program's cycle model replays
+	// (a 12×8 mesh in 4×4 blocks).
+	tx, ty, b := 3, 2, 4
+	want := 2*(tx-1)*ty*(b+2) + 2*tx*(ty-1)*b
+	if got := (perfmodel.StencilApply2D{W: tx, H: ty, B: b, Points: 9}).HaloAdds(); got != want {
+		t.Errorf("HaloAdds = %d, want %d", got, want)
 	}
 }
 
 func TestSpMV2DRejectsBadBlocking(t *testing.T) {
 	m := stencil.Mesh2D{NX: 10, NY: 10}
 	norm, _ := stencil.Poisson9(m, 1).Normalize9()
-	if _, err := NewSpMV2D(norm, 3); err == nil {
+	src := make([]fp16.Float16, m.N())
+	if _, err := stencilc.Reference2D(stencilc.Spec9Point(), norm, 3, src); err == nil {
 		t.Error("non-dividing block size should be rejected")
 	}
-	if _, err := NewSpMV2D(stencil.Poisson9(m, 1), 5); err == nil {
+	if _, err := stencilc.Reference2D(stencilc.Spec9Point(), stencil.Poisson9(m, 1), 5, src); err == nil {
 		t.Error("non-normalized operator should be rejected")
 	}
 }
@@ -118,22 +124,13 @@ func TestSpMV2DLinearity(t *testing.T) {
 	m := stencil.Mesh2D{NX: 8, NY: 8}
 	rng := rand.New(rand.NewSource(7))
 	norm, _ := stencil.Random9(m, 1.5, rng).Normalize9()
-	p, err := NewSpMV2D(norm, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	u := randomHalfVector(m.N(), rng)
 	v := randomHalfVector(m.N(), rng)
 	sum := make([]fp16.Float16, m.N())
 	for i := range sum {
 		sum[i] = fp16.Add(u[i], v[i])
 	}
-	au := make([]fp16.Float16, m.N())
-	av := make([]fp16.Float16, m.N())
-	asum := make([]fp16.Float16, m.N())
-	p.Apply(au, u)
-	p.Apply(av, v)
-	p.Apply(asum, sum)
+	au, av, asum := apply2D(t, norm, 4, u), apply2D(t, norm, 4, v), apply2D(t, norm, 4, sum)
 	for i := range sum {
 		want := au[i].Float64() + av[i].Float64()
 		if d := math.Abs(asum[i].Float64() - want); d > 0.05 {

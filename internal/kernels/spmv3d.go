@@ -365,13 +365,23 @@ func (p *SpMV3D) launchConsumers(st *spmvTile) {
 	core.LaunchThread(6, "c_rx", &st.diag, st.trig[5])
 }
 
+// Iterate returns tile i's live iterate column (Z elements of arena
+// storage; the pad element after it belongs to the program).
+func (p *SpMV3D) Iterate(i int) []fp16.Float16 {
+	return p.tiles[i].tile.Arena.Slice(p.tiles[i].offV, p.Mesh.NZ)
+}
+
+// CopyResult copies tile i's result column (u[1..Z] of the listing) to
+// dst.
+func (p *SpMV3D) CopyResult(i int, dst []fp16.Float16) {
+	copy(dst, p.tiles[i].tile.Arena.Slice(p.tiles[i].offU+1, p.Mesh.NZ))
+}
+
 // LoadVector scatters the global iterate v (mesh-indexed) into the tiles.
 func (p *SpMV3D) LoadVector(v []fp16.Float16) {
 	m := p.Mesh
-	for _, st := range p.tiles {
-		for z := 0; z < m.NZ; z++ {
-			st.tile.Arena.Set(st.offV+z, v[m.Index(st.x, st.y, z)])
-		}
+	for i, st := range p.tiles {
+		copy(p.Iterate(i), v[m.Index(st.x, st.y, 0):])
 	}
 }
 
@@ -379,10 +389,8 @@ func (p *SpMV3D) LoadVector(v []fp16.Float16) {
 func (p *SpMV3D) Result() []fp16.Float16 {
 	m := p.Mesh
 	out := make([]fp16.Float16, m.N())
-	for _, st := range p.tiles {
-		for z := 0; z < m.NZ; z++ {
-			out[m.Index(st.x, st.y, z)] = st.tile.Arena.At(st.offU + 1 + z)
-		}
+	for i, st := range p.tiles {
+		p.CopyResult(i, out[m.Index(st.x, st.y, 0):][:m.NZ])
 	}
 	return out
 }

@@ -49,7 +49,7 @@ func NewBiCGStabStarWSE(m *wse.Machine, spec stencilc.Spec, op *stencil.OpStarHa
 	machines := []*wse.Machine{m}
 	s.eng, err = NewBiCGStabEngine(Substrate{
 		Machines: machines, PerTile: op.M.NZ, ARBase: stencilc.NumExchangeColors,
-		SpMV:  ColumnSpMV(machines, []ColumnProgram{prog}, op.M.NZ, nil),
+		SpMV:  ProgramSpMV(machines, []TileProgram{prog}, op.M.NZ, nil),
 		Index: columnIndex(m, op.M),
 	})
 	if err != nil {
@@ -61,63 +61,12 @@ func NewBiCGStabStarWSE(m *wse.Machine, spec stencilc.Spec, op *stencil.OpStarHa
 // LoadCoeff swaps in a new operator on the same mesh and widths;
 // routing, memory layout and task structure are reused. An operator
 // for another mesh or stencil is refused with the program untouched.
-func (s *BiCGStabStarWSE) LoadCoeff(op *stencil.OpStarHalf) error {
-	if op.M != s.Mesh || op.W != s.Spec.Widths {
-		return fmt.Errorf("kernels: star solver built for mesh %v widths %v, got %v widths %v",
-			s.Mesh, s.Spec.Widths, op.M, op.W)
-	}
-	s.prog.LoadCoeff(op)
-	return nil
-}
+func (s *BiCGStabStarWSE) LoadCoeff(op *stencil.OpStarHalf) error { return s.prog.LoadCoeff(op) }
 
 // Solve runs BiCGStab for the right-hand side b (mesh-indexed, fp16)
 // with a zero initial guess.
 func (s *BiCGStabStarWSE) Solve(bvec []fp16.Float16, opts WSEOptions) ([]fp16.Float16, WSEStats, error) {
 	return s.eng.Solve(bvec, opts)
-}
-
-// ColumnProgram is a per-machine SpMV program of the 3D Z-column
-// mapping with host-visible iterate and result columns — what
-// ColumnSpMV needs of a stencilc.Program3D (one here, one per wafer in
-// multiwafer).
-type ColumnProgram interface {
-	Iterate(i int) []fp16.Float16
-	Result(i int) []fp16.Float16
-	Run(maxCycles int64) (int64, error)
-}
-
-// ColumnSpMV returns the Substrate.SpMV over one ColumnProgram per
-// machine: copy src into every program's iterate columns, let exchange
-// (nil on one machine) ship the halos that cross a machine edge and
-// return their edge-I/O cycles, run every program — the slowest is
-// charged — and copy the result columns to dst. The copies model
-// descriptor re-aliasing and are free.
-func ColumnSpMV(machines []*wse.Machine, progs []ColumnProgram, z int, exchange func() int64) func(src, dst [][]int, acc *PhaseCycles) error {
-	return func(src, dst [][]int, acc *PhaseCycles) error {
-		for p, m := range machines {
-			for i, t := range m.Tiles {
-				copy(progs[p].Iterate(i), t.Arena.Slice(src[p][i], z))
-			}
-		}
-		if exchange != nil {
-			acc.EdgeIO += exchange()
-		}
-		var cycles int64
-		for _, prog := range progs {
-			c, err := prog.Run(int64(z)*1000 + 1<<20)
-			if err != nil {
-				return err
-			}
-			cycles = max(cycles, c)
-		}
-		acc.SpMV += cycles
-		for p, m := range machines {
-			for i, t := range m.Tiles {
-				copy(t.Arena.Slice(dst[p][i], z), progs[p].Result(i))
-			}
-		}
-		return nil
-	}
 }
 
 // NewWaferStarBackend wraps mach as the solver.Backend of the

@@ -14,7 +14,10 @@ import (
 // machine cache rests on: a solver that already ran one solve, handed a
 // new operator via LoadCoeff, produces exactly the bits a freshly built
 // machine produces — for both the Listing 1 FIFO pipeline and the
-// halo-exchange variant (the star solver at the 7-point spec).
+// halo-exchange variant (the star solver at the 7-point spec) — and that
+// an operator LoadCoeff refuses (another mesh; for the halo variant also
+// other widths) is an error that leaves the solver serving the next
+// reload to the same bits.
 func TestWarmSolverReuseBitIdentical(t *testing.T) {
 	m := stencil.Mesh{NX: 4, NY: 4, NZ: 8}
 	opA := stencil.NewOp7Half(normalized(t, stencil.Poisson(m, 1)))
@@ -49,7 +52,16 @@ func TestWarmSolverReuseBitIdentical(t *testing.T) {
 		// LoadCoeff alone.
 		{"halo", func(m *wse.Machine, op *stencil.Op7Half) (wseSolver, func(*stencil.Op7Half) error, error) {
 			sv, err := newHaloSolver(m, op)
-			return sv, func(op *stencil.Op7Half) error { return sv.LoadCoeff(stencil.HalfFromOp7(op)) }, err
+			return sv, func(op *stencil.Op7Half) error {
+				wide := stencil.NewOpStar(op.M, [3]int{2, 1, 1})
+				for i := range wide.C {
+					wide.C[i] = 1
+				}
+				if err := sv.LoadCoeff(stencil.NewOpStarHalf(wide)); err == nil {
+					t.Error("LoadCoeff accepted an operator of other widths")
+				}
+				return sv.LoadCoeff(stencil.HalfFromOp7(op))
+			}, err
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -78,31 +90,38 @@ func TestWarmSolverReuseBitIdentical(t *testing.T) {
 			if err := reload(opB); err != nil {
 				t.Fatal(err)
 			}
-			gotX, gotSt, err := wsWarm.Solve(bvec, WSEOptions{MaxIter: iters})
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			if len(gotSt.History) != len(refSt.History) {
-				t.Fatalf("warm solve: %d history entries, cold has %d", len(gotSt.History), len(refSt.History))
-			}
-			for i := range refSt.History {
-				if math.Float64bits(gotSt.History[i]) != math.Float64bits(refSt.History[i]) {
-					t.Fatalf("history[%d] = %.17g after reuse, cold machine has %.17g",
-						i, gotSt.History[i], refSt.History[i])
+			solveAsCold := func(when string) {
+				t.Helper()
+				gotX, gotSt, err := wsWarm.Solve(bvec, WSEOptions{MaxIter: iters})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(gotSt.History) != len(refSt.History) {
+					t.Fatalf("%s: %d history entries, cold has %d", when, len(gotSt.History), len(refSt.History))
+				}
+				for i := range refSt.History {
+					if math.Float64bits(gotSt.History[i]) != math.Float64bits(refSt.History[i]) {
+						t.Fatalf("%s: history[%d] = %.17g, cold machine has %.17g",
+							when, i, gotSt.History[i], refSt.History[i])
+					}
+				}
+				for i := range refX {
+					if gotX[i] != refX[i] {
+						t.Fatalf("%s: x[%d] = %v, cold machine has %v", when, i, gotX[i], refX[i])
+					}
 				}
 			}
-			for i := range refX {
-				if gotX[i] != refX[i] {
-					t.Fatalf("x[%d] = %v after reuse, cold machine has %v", i, gotX[i], refX[i])
-				}
-			}
+			solveAsCold("after reuse")
 
 			// A mesh mismatch must be refused, not corrupt the program.
 			wrong := stencil.NewOp7Half(normalized(t, stencil.Poisson(stencil.Mesh{NX: 4, NY: 4, NZ: 10}, 1)))
 			if err := reload(wrong); err == nil {
 				t.Fatal("LoadCoeff accepted an operator for a different mesh")
 			}
+			if err := reload(opB); err != nil {
+				t.Fatal(err)
+			}
+			solveAsCold("after a refused reload")
 		})
 	}
 }

@@ -178,20 +178,6 @@ func NewBiCGStabEngine(sub Substrate) (*BiCGStabEngine, error) {
 	return w, nil
 }
 
-// newWSEBiCG is the one-machine substrate: tiles in fabric row-major
-// order, the AllReduce on the six colors from arBase, and an SpMV that
-// charges only PhaseCycles.SpMV.
-func newWSEBiCG(m *wse.Machine, perTile int, arBase fabric.Color,
-	spmv func(src, dst []int, acc *int64) error, index func(part, tile, elem int) int) (*BiCGStabEngine, error) {
-	return NewBiCGStabEngine(Substrate{
-		Machines: []*wse.Machine{m}, PerTile: perTile, ARBase: arBase,
-		SpMV: func(src, dst [][]int, acc *PhaseCycles) error {
-			return spmv(src[0], dst[0], &acc.SpMV)
-		},
-		Index: index,
-	})
-}
-
 // Solve runs BiCGStab for the right-hand side bvec (indexed by
 // Substrate.Index) with a zero initial guess. Checkpoint and resume
 // are a one-part facility — a checkpoint packages one machine snapshot

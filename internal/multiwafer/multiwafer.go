@@ -239,7 +239,7 @@ func New(cfg Config, op *stencil.Op7Half) (*Cluster, error) {
 func (c *Cluster) substrate() kernels.Substrate {
 	m := c.Mesh
 	machines := make([]*wse.Machine, len(c.wafers))
-	progs := make([]kernels.ColumnProgram, len(c.wafers))
+	progs := make([]kernels.TileProgram, len(c.wafers))
 	for i, wf := range c.wafers {
 		machines[i], progs[i] = wf.mach, wf.spmv
 	}
@@ -252,7 +252,7 @@ func (c *Cluster) substrate() kernels.Substrate {
 	}
 	return kernels.Substrate{
 		Machines: machines, PerTile: m.NZ, ARBase: arBase,
-		SpMV: kernels.ColumnSpMV(machines, progs, m.NZ, c.exchangeHalos),
+		SpMV: kernels.ProgramSpMV(machines, progs, m.NZ, c.exchangeHalos),
 		Index: func(part, tile, elem int) int {
 			gx, gy := c.wafers[part].spmv.GlobalCoord(tile)
 			return m.Index(gx, gy, elem)
@@ -275,7 +275,9 @@ func (c *Cluster) LoadCoeff(op *stencil.Op7Half) error {
 	}
 	star := stencil.HalfFromOp7(op)
 	for _, wf := range c.wafers {
-		wf.spmv.LoadCoeff(star)
+		if err := wf.spmv.LoadCoeff(star); err != nil {
+			return err
+		}
 	}
 	return nil
 }

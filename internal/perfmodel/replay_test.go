@@ -411,9 +411,9 @@ func genCase(rng *rand.Rand) xrCase {
 	c.specs = make([]ReplayTileSpec, n)
 	for ti := range c.specs {
 		x, y := ti%c.w, ti/c.w
-		stages := saStages3D(x, y, c.w, c.h, z, widths, sumsq)
+		stages := StencilApply3D{W: c.w, H: c.h, Z: z, Widths: widths, SumSq: sumsq}.Stages(x, y)
 		if prog2D {
-			stages = saStages2D(x, y, c.w, c.h, b, points, sumsq)
+			stages = StencilApply2D{W: c.w, H: c.h, B: b, Points: points, SumSq: sumsq}.Stages(x, y)
 		}
 		if jitter {
 			out := []ReplayStage{{Task: 1 + rng.Intn(12)}}

@@ -50,10 +50,8 @@ func (s StencilApply3D) Cycles() int64 {
 		panic(fmt.Sprintf("perfmodel: StencilApply3D with Z = %d, want Z >= 1", s.Z))
 	}
 	r := max(s.Widths[0], s.Widths[1])
-	w, h := saClamp(s.W, r), saClamp(s.H, r)
-	return saRun(w, h, func(x, y int) []ReplayStage {
-		return saStages3D(x, y, w, h, s.Z, s.Widths, s.SumSq)
-	})
+	s.W, s.H = saClamp(s.W, r), saClamp(s.H, r)
+	return saRun(s.W, s.H, s.Stages)
 }
 
 // Cycles returns the exact simulated cycle count of one application. It
@@ -62,10 +60,26 @@ func (s StencilApply2D) Cycles() int64 {
 	if s.B < 2 {
 		panic(fmt.Sprintf("perfmodel: StencilApply2D with B = %d, want B >= 2", s.B))
 	}
-	w, h := saClamp(s.W, 1), saClamp(s.H, 1)
-	return saRun(w, h, func(x, y int) []ReplayStage {
-		return saStages2D(x, y, w, h, s.B, s.Points, s.SumSq)
-	})
+	s.W, s.H = saClamp(s.W, 1), saClamp(s.H, 1)
+	return saRun(s.W, s.H, s.Stages)
+}
+
+// HaloAdds returns the halo-sum additions of one application — every
+// element a tile folds in from a neighbour's output halo, the redundant
+// work Overhead2D models: (B+2) per x-interface side and B per
+// y-interface side, read off the stage lists.
+func (s StencilApply2D) HaloAdds() int {
+	adds := 0
+	for y := 0; y < s.H; y++ {
+		for x := 0; x < s.W; x++ {
+			for _, sg := range s.Stages(x, y) {
+				for _, rx := range sg.Rx {
+					adds += rx.Elems
+				}
+			}
+		}
+	}
+	return adds
 }
 
 // saClamp reduces a fabric extent to the dependency horizon for a
@@ -131,15 +145,13 @@ func saAxis(d int) int {
 	return 1
 }
 
-// saStages3D builds the stage list of one Program3D tile: max(Wx,Wy)
-// relay rounds (each active direction sends Z/2 words and stores Z
-// elements), then the compute task in OpStarHalf.Apply's instruction
-// order, then the optional fused Σy² dot.
-func saStages3D(x, y, w, h, z int, widths [3]int, sumsq bool) []ReplayStage {
-	rounds := widths[0]
-	if widths[1] > rounds {
-		rounds = widths[1]
-	}
+// Stages returns the stage list of the Program3D tile at fabric (x, y):
+// max(Wx,Wy) relay rounds (each active direction sends Z/2 words and
+// stores Z elements), then the compute task in OpStarHalf.Apply's
+// instruction order, then the optional fused Σy² dot.
+func (s StencilApply3D) Stages(x, y int) []ReplayStage {
+	w, h, z, widths := s.W, s.H, s.Z, s.Widths
+	rounds := max(widths[0], widths[1])
 	nb := [4]bool{x < w-1, x > 0, y < h-1, y > 0}
 	var stages []ReplayStage
 	for r := 1; r <= rounds; r++ {
@@ -173,18 +185,19 @@ func saStages3D(x, y, w, h, z int, widths [3]int, sumsq bool) []ReplayStage {
 	}
 	compute += saCeil4(z) // the unit-diagonal add
 	stages = append(stages, ReplayStage{Task: compute})
-	if sumsq {
+	if s.SumSq {
 		stages = append(stages, ReplayStage{Task: (z + 1) / 2})
 	}
 	return stages
 }
 
-// saStages2D builds the stage list of one Program2D tile: the scatter
-// task (one block FMAC per stencil point), the ±x halo-column round
-// (B+2 elements per transfer), the ±y row round (B elements), and the
-// optional fused Σy² dot.
-func saStages2D(x, y, w, h, b, points int, sumsq bool) []ReplayStage {
-	stages := []ReplayStage{{Task: points * saCeil4(b*b)}}
+// Stages returns the stage list of the Program2D tile at fabric (x, y):
+// the scatter task (one block FMAC per stencil point), the ±x
+// halo-column round (B+2 elements per transfer), the ±y row round (B
+// elements), and the optional fused Σy² dot.
+func (s StencilApply2D) Stages(x, y int) []ReplayStage {
+	w, h, b := s.W, s.H, s.B
+	stages := []ReplayStage{{Task: s.Points * saCeil4(b*b)}}
 	xr := ReplayStage{Task: -1}
 	if x > 0 {
 		xr.Tx = append(xr.Tx, ReplayTx{Color: saWest, Words: (b + 2) / 2})
@@ -217,7 +230,7 @@ func saStages2D(x, y, w, h, b, points int, sumsq bool) []ReplayStage {
 	if len(yr.Tx)+len(yr.Rx) > 0 {
 		stages = append(stages, yr)
 	}
-	if sumsq {
+	if s.SumSq {
 		stages = append(stages, ReplayStage{Task: (b*b + 1) / 2})
 	}
 	return stages

@@ -73,20 +73,50 @@ func TestProgram2DSumSq(t *testing.T) {
 	checkProgram2D(t, SpecHeat2D(), op, 4, 2, 1, 47)
 }
 
-// TestProgram2DStarRejectsCorners pins the star LoadCoeff guard: a
-// 9-point operator with a nonzero corner diagonal cannot silently lose
-// terms under the 5-point spec.
+// TestProgram2DStarRejectsCorners pins the LoadCoeff guards: a 9-point
+// operator with a nonzero corner diagonal cannot silently lose terms
+// under the 5-point spec, and neither it, a non-unit centre nor another
+// mesh is an error that costs the program — a refused reload leaves the
+// loaded operator in place, bit for bit.
 func TestProgram2DStarRejectsCorners(t *testing.T) {
 	m := stencil.Mesh2D{NX: 4, NY: 4}
-	op, _ := stencil.Random9(m, 1.4, rand.New(rand.NewSource(3))).Normalize9()
+	box, _ := stencil.Random9(m, 1.4, rand.New(rand.NewSource(3))).Normalize9()
+	star, _ := stencil.Heat2D(m, 0.15).Normalize9()
+	other, _ := stencil.Heat2D(stencil.Mesh2D{NX: 4, NY: 6}, 0.15).Normalize9()
+
 	mach := wse.New(wse.CS1(2, 2))
 	defer mach.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Compile2D(star, full box operator) did not panic")
+	if _, err := Compile2D(mach, Spec5Point(), box, 2, 0); err == nil {
+		t.Fatal("Compile2D(star, full box operator) returned no error")
+	}
+
+	mach = wse.New(wse.CS1(2, 2))
+	defer mach.Close()
+	p, err := Compile2D(mach, Spec5Point(), star, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string]*stencil.Op9{
+		"corner diagonals": box, "non-unit centre": stencil.Heat2D(m, 0.15), "another mesh": other,
+	} {
+		if err := p.LoadCoeff(bad); err == nil {
+			t.Errorf("LoadCoeff(%s) returned no error", name)
 		}
-	}()
-	_, _ = Compile2D(mach, Spec5Point(), op, 2, 0)
+	}
+	src := randomHalfVec(m.N(), rand.New(rand.NewSource(5)))
+	p.LoadVector(src)
+	if _, err := p.Run(1 << 20); err != nil {
+		t.Fatal(err)
+	}
+	want, err := Reference2D(Spec5Point(), star, 2, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, got := range p.Result() {
+		if got != want[i] {
+			t.Fatalf("after refused reloads, element %d: machine %v, reference %v", i, got, want[i])
+		}
+	}
 }
 
 // ---------------------------------------------------------------------

@@ -1,10 +1,11 @@
 package stencilc
 
 import (
+	"fmt"
+
 	"repro/internal/fabric"
 	"repro/internal/fp16"
 	"repro/internal/perfmodel"
-	"repro/internal/wse"
 )
 
 // This file is Program3D's fast-forward path, the exchange half of the
@@ -16,15 +17,16 @@ import (
 //
 //   - memory: the halo columns become verbatim copies of neighbour
 //     columns (relay round r copies what round r-1 copied, one hop
-//     further) and the result column is the fixed instruction sequence
-//     armTile emits, evaluated elementwise in the same order with the
-//     same fp16 roundings — both reproducible by plain host loops with
-//     no per-application instruction allocation at all;
+//     further) and the result column is the fixed instruction sequence,
+//     evaluated elementwise in the same order with the same fp16
+//     roundings — both reproducible by plain host loops over the
+//     program's own walks (Program3D.hops, Program3D.terms) with no
+//     per-application instruction allocation at all;
 //   - counters: cycles, word moves, router rotations, the hot set, and
 //     each core's busy/lane tallies — reproduced exactly by
-//     perfmodel.ExchangeReplay, the word-granular phase model
-//     parameterized by the live fabric's entry layouts, rotation seeds
-//     and hot set.
+//     perfmodel.ExchangeReplay, the word-granular phase model, over the
+//     stage lists perfmodel.StencilApply3D.Stages writes and the live
+//     fabric's entry layouts, rotation seeds and hot set.
 //
 // The eligibility gate rejects any starting state the replay does not
 // model (non-default hardware shape, a sub-mesh wafer, words in
@@ -35,16 +37,15 @@ import (
 // stepping.
 
 // ff3d is the compiled fast-forward plan: the replay template plus the
-// per-tile static compute shape armTile would emit.
+// per-tile static shape of the compute phase.
 type ff3d struct {
 	replay *perfmodel.ExchangeReplay
 	tiles  []ff3dTile
 }
 
 type ff3dTile struct {
-	pcEnd  int   // compute-task instruction count
-	cycles int   // compute-task datapath cycles, Σ ceil(nᵢ/SIMD)
-	lanes  int64 // compute (+ fused dot) lane issues, Σ nᵢ (+2Z)
+	pcEnd int   // compute-task instruction count
+	lanes int64 // compute (+ fused dot) lane issues, Σ nᵢ (+2Z)
 }
 
 // ffDeliverIn maps a direction-of-travel color to the router input
@@ -68,9 +69,7 @@ func (p *Program3D) ffEligible() bool {
 		return false
 	}
 	cfg := m.Cfg
-	if cfg.SIMDWidth != 4 ||
-		(cfg.QueueDepth > 0 && cfg.QueueDepth != 4) ||
-		(cfg.RxDepth > 0 && cfg.RxDepth != 4) {
+	if cfg.SIMDWidth != 4 || !cfg.DefaultQueueDepths() {
 		return false
 	}
 	if p.X0 != 0 || p.Y0 != 0 || p.Mesh.NX != cfg.FabricW || p.Mesh.NY != cfg.FabricH {
@@ -92,45 +91,37 @@ func (p *Program3D) ffEligible() bool {
 	return true
 }
 
+// shape is the static shape of tile st's compute phase — what a cycle
+// simulation of the instructions terms emits (and the fused dot) leaves
+// in the task's program counter and costs in datapath cycles and lane
+// issues. The per-term rule is wse.StaticCycles' (⌈n/SIMD⌉ cycles, n
+// lanes; two lanes per element of the mixed dot), applied to the term
+// lengths rather than to instructions built for the purpose: building
+// them cost 7 % of a one-solve 60×50×4 job. TestTermsWalkIsTheProgram
+// holds the result to StaticCycles over the built task.
+func (p *Program3D) shape(st *tile3D) (pcEnd int, cycles, lanes int64) {
+	simd := p.M.Cfg.SIMDWidth
+	p.terms(st, func(t term) {
+		pcEnd++
+		cycles += int64((t.n + simd - 1) / simd)
+		lanes += int64(t.n)
+	})
+	if st.dotTask != nil {
+		lanes += int64(2 * p.Mesh.NZ)
+	}
+	return pcEnd, cycles, lanes
+}
+
 // buildFF compiles the fast-forward plan once per program: the static
-// compute shape of every tile (instruction count, datapath cycles,
-// lane issues — mirroring armTile's emission) and the exchange replay
-// template (stage lists in thread-slot order plus each router's live
-// entry layout, with non-exchange entries kept as dead rotation
-// slots).
+// compute shape of every tile and the exchange replay template — the
+// stage lists of the perfmodel entry for this shape (ffEligible holds
+// the mesh to the fabric, so they are a function of fabric geometry
+// alone) plus each router's live entry layout, with non-exchange
+// entries kept as dead rotation slots.
 func (p *Program3D) buildFF() *ff3d {
 	w, h := p.M.Cfg.FabricW, p.M.Cfg.FabricH
-	z := p.Mesh.NZ
+	model := perfmodel.StencilApply3D{W: w, H: h, Z: p.Mesh.NZ, Widths: p.Spec.Widths, SumSq: p.Spec.Reduce == ReduceSumSq}
 	f := &ff3d{tiles: make([]ff3dTile, len(p.tiles))}
-	for i, st := range p.tiles {
-		t := &f.tiles[i]
-		addOp := func(elems int) {
-			t.pcEnd++
-			t.cycles += (elems + 3) / 4
-			t.lanes += int64(elems)
-		}
-		if z > 1 {
-			addOp(z - 1)
-			addOp(z - 1)
-		}
-		for k := 2; k <= p.Spec.Widths[2]; k++ {
-			if z > k {
-				addOp(z - k)
-				addOp(z - k)
-			}
-		}
-		for d := HaloDir(0); d < NumHaloDirs; d++ {
-			for k := 1; k <= p.Spec.Widths[axisOf(d)]; k++ {
-				if p.inMesh(st, d, k) {
-					addOp(z)
-				}
-			}
-		}
-		addOp(z) // the unit-diagonal add
-		if st.dotTask != nil {
-			t.lanes += int64(2 * z)
-		}
-	}
 	f.replay = perfmodel.NewExchangeReplay(w, h, func(ti int) perfmodel.ReplayTileSpec {
 		st := p.tiles[ti]
 		keys := p.M.Fab.EntryLayout(ti)
@@ -147,23 +138,17 @@ func (p *Program3D) buildFF() *ff3d {
 			}
 			entries[j] = ent
 		}
-		var stages []perfmodel.ReplayStage
-		for r := 1; r <= p.rounds; r++ {
-			sg := perfmodel.ReplayStage{Task: -1}
-			for d := HaloDir(0); d < NumHaloDirs; d++ {
-				if p.roundActive(st, d, r) {
-					sg.Tx = append(sg.Tx, perfmodel.ReplayTx{Color: haloOut[d], Words: z / 2})
-					sg.Rx = append(sg.Rx, perfmodel.ReplayRx{Color: haloTravel[d], Elems: z})
-				}
-			}
-			if len(sg.Tx) > 0 {
-				stages = append(stages, sg)
-			}
-		}
-		stages = append(stages, perfmodel.ReplayStage{Task: f.tiles[ti].cycles})
+		stages := model.Stages(st.x, st.y)
+		pcEnd, cycles, lanes := p.shape(st)
+		compute := len(stages) - 1
 		if st.dotTask != nil {
-			stages = append(stages, perfmodel.ReplayStage{Task: (z + 1) / 2})
+			compute--
 		}
+		if int64(stages[compute].Task) != cycles {
+			panic(fmt.Sprintf("stencilc: tile (%d,%d): perfmodel compute stage of %d cycles, program of %d",
+				st.x, st.y, stages[compute].Task, cycles))
+		}
+		f.tiles[ti] = ff3dTile{pcEnd: pcEnd, lanes: lanes}
 		return perfmodel.ReplayTileSpec{Entries: entries, Stages: stages}
 	})
 	return f
@@ -207,23 +192,16 @@ func (p *Program3D) tryFastForward(maxCycles int64) (int64, bool) {
 	w := p.M.Cfg.FabricW
 	for r := 1; r <= p.rounds; r++ {
 		for _, st := range p.tiles {
-			for d := HaloDir(0); d < NumHaloDirs; d++ {
-				if !p.roundActive(st, d, r) {
-					continue
-				}
+			p.hops(st, r, func(d HaloDir, _, store int) {
 				nb := p.tiles[(st.y+haloDelta[d][1])*w+st.x+haloDelta[d][0]]
-				src := nb.offV
-				if r > 1 {
-					src = nb.offH[d][r-2]
-				}
-				copy(st.tile.Arena.Slice(st.offH[d][r-1], z), nb.tile.Arena.Slice(src, z))
-			}
+				copy(st.tile.Arena.Slice(store, z), nb.tile.Arena.Slice(sendOff(nb, opposite(d), r), z))
+			})
 		}
 	}
 
 	// Memory, compute phase; then write the counters back.
 	for i, st := range p.tiles {
-		p.ffCompute(st, i)
+		p.ffCompute(st)
 		ft := &p.ff.tiles[i]
 		st.compute.FastForwardComplete(ft.pcEnd)
 		if st.dotTask != nil {
@@ -232,42 +210,25 @@ func (p *Program3D) tryFastForward(maxCycles int64) (int64, bool) {
 		st.tile.Core.FastForwardAccount(res.Busy[i], res.RxLanes[i]+ft.lanes)
 		st.round = p.rounds + 1
 		st.exLeft = 0
-		st.done = true
+		p.done[i] = true
 	}
 	fab.ApplyReplay(res.Cycles, res.Moves, res.RR, res.Hot)
 	p.M.FastForwardSteps(res.Cycles)
 	return res.Cycles, true
 }
 
-// ffCompute evaluates tile st's compute task on the host: armTile's
-// instruction sequence, operand for operand, handed to the same element
-// kernel the simulated datapath runs (wse.MemOpKind.Apply) — so it is
-// bit-identical by construction, with no instruction allocated.
-func (p *Program3D) ffCompute(st *tile3D, i int) {
-	z := p.Mesh.NZ
+// ffCompute evaluates tile st's compute task on the host: the terms walk
+// handed, operand for operand, to the same element kernel the simulated
+// datapath runs (wse.MemOpKind.Apply) — so it is bit-identical by
+// construction, with no instruction allocated.
+func (p *Program3D) ffCompute(st *tile3D) {
 	a := st.tile.Arena
-	u := a.Slice(st.offU, z)
-	v := a.Slice(st.offV, z)
+	u := a.Slice(st.offU, p.Mesh.NZ)
 	clear(u)
-	for k := 1; k <= p.Spec.Widths[2] && k < z; k++ {
-		zm := a.Slice(st.offZ[zmIdx][k-1], z)
-		zp := a.Slice(st.offZ[zpIdx][k-1], z)
-		first := wse.OpMulAcc
-		if k == 1 {
-			first = wse.OpMul // u[z] = zm[z] * v[z-1] opens the sum
-		}
-		first.Apply(0, u[k:], zm[k:], v[:z-k])          // u[z] += zm_k[z] * v[z-k]
-		wse.OpMulAcc.Apply(0, u[:z-k], zp[:z-k], v[k:]) // u[z] += zp_k[z] * v[z+k]
-	}
-	for d := HaloDir(0); d < NumHaloDirs; d++ {
-		for k := 1; k <= p.Spec.Widths[axisOf(d)]; k++ {
-			if p.inMesh(st, d, k) { // u += c_{d,k} * halo_{d,k}
-				wse.OpMulAcc.Apply(0, u, a.Slice(st.offC[d][k-1], z), a.Slice(st.offH[d][k-1], z))
-			}
-		}
-	}
-	wse.OpAdd.Apply(0, u, u, v) // u += v (unit main diagonal)
+	p.terms(st, func(t term) {
+		t.kind.Apply(0, a.Slice(t.dst, t.n), a.Slice(t.a, t.n), a.Slice(t.b, t.n))
+	})
 	if st.dotTask != nil {
-		p.partials[i] = fp16.DotMixed(u, u)
+		p.partials[st.ti] = fp16.DotMixed(u, u)
 	}
 }

@@ -31,21 +31,17 @@ import (
 // engines, and bit-identical to Reference2D (same rounding order
 // everywhere; the equivalence tests assert both).
 type Program2D struct {
-	M    *wse.Machine
+	program
 	Mesh stencil.Mesh2D
-	Spec Spec
 	B    int // block edge (even, ≥ 2)
 
-	base   fabric.Color
 	points [][2]int // spec point set, row-major ascending offsets
-	centre int      // index of (0,0) in points
 	tiles  []*tile2D
-
-	partials []float32 // per-tile Σy² when Spec.Reduce == ReduceSumSq
 }
 
 type tile2D struct {
 	tile *wse.Tile
+	ti   int // fabric row-major index
 	x, y int // tile coordinate
 
 	offC []int // coefficient blocks, b² each, one per point, block row-major
@@ -58,10 +54,30 @@ type tile2D struct {
 
 	localTask *wse.Task
 	dotTask   *wse.Task // fused Σy², nil unless ReduceSumSq
+	round     int       // exchange rounds launched so far
+	exLeft    int       // outstanding threads of the current round
 
-	xLeft, yLeft int // outstanding x- and y-round threads
-	done         bool
+	// The instructions of one application, built once by Compile2D and
+	// rewound by armTile: the scatter body, the fused dot, and the two
+	// exchange rounds' threads.
+	ops    []wse.MemOp
+	dot    wse.DotMixed
+	xfer   [2]round2D // the ±x round, then the ±y round
+	exDone func(*wse.Core)
 }
+
+// round2D is one exchange round's threads at a tile, one leg per side
+// (x: west then east; y: north then south): the halo line sent to that
+// neighbour and the fold of the line it sends back. A side off the
+// fabric has no leg.
+type round2D struct {
+	on   [2]bool
+	send [2]wse.SendMem
+	add  [2]wse.StreamAdd
+}
+
+// roundNames2D names the send and fold threads of the two rounds.
+var roundNames2D = [2][2]string{{"xh_tx", "xh_rx"}, {"yh_tx", "yh_rx"}}
 
 // Compile2D lowers spec onto mach as a block-halo program for the
 // normalized operator op, with b×b blocks. The mesh must tile the fabric
@@ -89,43 +105,30 @@ func Compile2D(mach *wse.Machine, spec Spec, op *stencil.Op9, b int, base fabric
 		return nil, fmt.Errorf("stencilc: mesh %dx%d does not tile fabric %dx%d with %d×%d blocks",
 			m.NX, m.NY, mach.Cfg.FabricW, mach.Cfg.FabricH, b, b)
 	}
-	if int(base)+NumExchangeColors > fabric.MaxColors {
-		return nil, fmt.Errorf("stencilc: 2D exchange needs %d colors starting at %d", NumExchangeColors, base)
+	base2D, err := newProgram(mach, spec, base)
+	if err != nil {
+		return nil, err
 	}
-	p := &Program2D{M: mach, Mesh: m, Spec: spec, B: b, base: base}
-	p.points, p.centre = spec.points2D()
-
-	// Static routing: four single-hop directional streams.
-	w, h := mach.Cfg.FabricW, mach.Cfg.FabricH
-	RouteExchange(mach.Fab, w, h, base)
+	p := &Program2D{program: base2D, Mesh: m, B: b}
+	p.arm = p.armTile
+	p.points = spec.points2D()
 
 	// Per-tile memory, stream subscriptions, tasks.
+	w, h := mach.Cfg.FabricW, mach.Cfg.FabricH
 	p.tiles = make([]*tile2D, w*h)
-	if spec.Reduce == ReduceSumSq {
-		p.partials = make([]float32, w*h)
-	}
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			tl := mach.TileAt(fabric.Coord{X: x, Y: y})
-			st := &tile2D{tile: tl, x: x, y: y}
-			a := tl.Arena
-			var err error
-			alloc := func(name string, n int) int {
-				if err != nil {
-					return 0
-				}
-				var off int
-				off, err = a.Alloc(name, n)
-				return off
-			}
+			st := &tile2D{tile: tl, ti: y*w + x, x: x, y: y}
+			lay := tileAlloc{a: tl.Arena}
 			st.offC = make([]int, len(p.points))
 			for k := range st.offC {
-				st.offC[k] = alloc(fmt.Sprintf("c%d", k), b*b)
+				st.offC[k] = lay.alloc(fmt.Sprintf("c%d", k), b*b)
 			}
-			st.offV = alloc("v", b*b)
-			st.offE = alloc("ext", (b+2)*(b+2))
-			if err != nil {
-				return nil, fmt.Errorf("stencilc: tile (%d,%d): %v", x, y, err)
+			st.offV = lay.alloc("v", b*b)
+			st.offE = lay.alloc("ext", (b+2)*(b+2))
+			if lay.err != nil {
+				return nil, fmt.Errorf("stencilc: tile (%d,%d): %v", x, y, lay.err)
 			}
 
 			sub := func(dir int, has bool) {
@@ -140,15 +143,18 @@ func Compile2D(mach *wse.Machine, spec Spec, op *stencil.Op9, b int, base fabric
 			sub(ColNorth, y < h-1)
 
 			st.localTask = tl.Core.AddTask(&wse.Task{Name: "spmv2d"})
-			st.localTask.OnComplete = func(c *wse.Core) { p.launchX(st) }
+			st.localTask.OnComplete = func(c *wse.Core) { p.launchRound(st, c) }
 			if spec.Reduce == ReduceSumSq {
 				st.dotTask = tl.Core.AddTask(&wse.Task{Name: "sumsq"})
-				st.dotTask.OnComplete = func(c *wse.Core) { st.done = true }
+				st.dotTask.OnComplete = func(c *wse.Core) { p.done[st.ti] = true }
 			}
-			p.tiles[y*w+x] = st
+			p.buildInstrs(st)
+			p.tiles[st.ti] = st
 		}
 	}
-	p.LoadCoeff(op)
+	if err := p.LoadCoeff(op); err != nil {
+		return nil, err
+	}
 	return p, nil
 }
 
@@ -159,11 +165,15 @@ func off9Index(off [2]int) int { return (off[1]+1)*3 + (off[0] + 1) }
 // between outer iterations when the operator changes; routing, memory
 // layout and task structure are reused. The operator must have a unit
 // centre coefficient, live on the same mesh, and — for star specs — have
-// zero coefficients on the corner diagonals the point set omits.
-func (p *Program2D) LoadCoeff(op *stencil.Op9) {
+// zero coefficients on the corner diagonals the point set omits; any
+// other is refused with the program untouched.
+func (p *Program2D) LoadCoeff(op *stencil.Op9) error {
 	m := p.Mesh
 	if op.M != m {
-		panic(fmt.Sprintf("stencilc: operator mesh %v does not match program mesh %v", op.M, m))
+		return fmt.Errorf("stencilc: operator mesh %v does not match program mesh %v", op.M, m)
+	}
+	if !op.IsUnitDiagonal() {
+		return fmt.Errorf("stencilc: the 2D block program requires a unit centre coefficient")
 	}
 	if len(p.points) < 9 {
 		// The star program never multiplies the corner diagonals; a
@@ -178,8 +188,8 @@ func (p *Program2D) LoadCoeff(op *stencil.Op9) {
 			}
 			for _, v := range op.C[k] {
 				if v != 0 {
-					panic(fmt.Sprintf("stencilc: operator has a nonzero coefficient on diagonal %v outside the %s point set",
-						stencil.Off9[k], p.Spec.Points))
+					return fmt.Errorf("stencilc: operator has a nonzero coefficient on diagonal %v outside the %s point set",
+						stencil.Off9[k], p.Spec.Points)
 				}
 			}
 		}
@@ -199,17 +209,14 @@ func (p *Program2D) LoadCoeff(op *stencil.Op9) {
 					px, py := gx-off[0], gy-off[1]
 					v := fp16.Zero
 					if m.In(px, py) {
-						k := off9Index(off)
-						if kk == p.centre && op.C[k][m.Index(px, py)] != 1 {
-							panic("stencilc: the 2D block program requires a unit centre coefficient")
-						}
-						v = fp16.FromFloat64(op.C[k][m.Index(px, py)])
+						v = fp16.FromFloat64(op.C[off9Index(off)][m.Index(px, py)])
 					}
 					a.Set(st.offC[kk]+j*b+i, v)
 				}
 			}
 		}
 	}
+	return nil
 }
 
 // extCol returns the descriptor of extended-output column i ∈ [-1, b]
@@ -225,182 +232,122 @@ func (p *Program2D) extRow(st *tile2D, j int) tensor.Descriptor {
 	return tensor.Strided(st.offE+1+(j+1)*(p.B+2), p.B, 1)
 }
 
-// armTile prepares one application: zeroes the extended output
-// (descriptor re-aliasing, free as in the 3D kernel's armTile), wires
-// the scatter instructions with fresh descriptors, and activates the
-// local task.
-func (p *Program2D) armTile(st *tile2D) {
+// buildInstrs builds tile st's instructions once: one scatter FMAC per
+// stencil point, the fused dot, and the two exchange rounds — ±x columns
+// of height b+2, then ±y rows of width b (corners already folded by the
+// x round). Each side's leg sends the halo line just outside the block
+// toward that neighbour and accumulates the neighbour's incoming line
+// into the block's edge line.
+func (p *Program2D) buildInstrs(st *tile2D) {
 	b := p.B
 	a := st.tile.Arena
-	for i := 0; i < (b+2)*(b+2); i++ {
-		a.Set(st.offE+i, fp16.Zero)
-	}
-
-	instrs := make([]wse.Instr, len(p.points))
+	st.ops = make([]wse.MemOp, len(p.points))
+	st.localTask.Instrs = make([]wse.Instr, len(p.points))
 	for kk, off := range p.points {
 		dx, dy := -off[0], -off[1]
-		instrs[kk] = &wse.MemOp{
+		st.ops[kk] = wse.MemOp{
 			Kind:  wse.OpMulAcc,
 			Arena: a,
 			Dst:   tensor.Mat2D(st.offE+(1+dx)+(1+dy)*(b+2), b, b, b+2),
 			A:     tensor.Vec1D(st.offV, b*b),
 			B:     tensor.Vec1D(st.offC[kk], b*b),
 		}
+		st.localTask.Instrs[kk] = &st.ops[kk]
 	}
-	st.localTask.Instrs = instrs
 	if st.dotTask != nil {
-		i := st.y*p.M.Cfg.FabricW + st.x
-		p.partials[i] = 0
-		st.dotTask.Instrs = []wse.Instr{&wse.DotMixed{
-			A:     tensor.Mat2D(st.offE+1+(b+2), b, b, b+2),
-			B:     tensor.Mat2D(st.offE+1+(b+2), b, b, b+2),
-			Arena: a,
-			Out:   &p.partials[i],
-		}}
+		result := tensor.Mat2D(st.offE+1+(b+2), b, b, b+2) // the block interior
+		st.dot = wse.DotMixed{A: result, B: result, Arena: a, Out: &p.partials[st.ti]}
+		st.dotTask.Instrs = []wse.Instr{&st.dot}
 	}
-	st.done = false
-	st.xLeft, st.yLeft = 0, 0
+
+	type leg struct {
+		out, in   int // colors: toward the neighbour, and its words arriving
+		halo, acc tensor.Descriptor
+	}
+	for r, rd := range [2]struct {
+		n    int // elements per transfer
+		legs [2]leg
+	}{
+		{b + 2, [2]leg{
+			{ColWest, ColEast, p.extCol(st, -1), p.extCol(st, 0)},
+			{ColEast, ColWest, p.extCol(st, b), p.extCol(st, b-1)}}},
+		{b, [2]leg{
+			{ColNorth, ColSouth, p.extRow(st, -1), p.extRow(st, 0)},
+			{ColSouth, ColNorth, p.extRow(st, b), p.extRow(st, b-1)}}},
+	} {
+		x := &st.xfer[r]
+		for i, l := range rd.legs {
+			if st.from[l.in] == nil {
+				continue // no neighbour on this side
+			}
+			x.on[i] = true
+			x.send[i] = wse.SendMem{Color: p.base + fabric.Color(l.out), Src: l.halo, Arena: a, Total: rd.n}
+			x.add[i] = wse.StreamAdd{Src: wse.StreamSource{B: st.from[l.in]}, Acc: l.acc, Arena: a, Total: rd.n}
+		}
+	}
+	st.exDone = func(c *wse.Core) {
+		st.exLeft--
+		if st.exLeft == 0 {
+			p.launchRound(st, c)
+		}
+	}
+}
+
+// armTile prepares one application: zeroes the extended output
+// (descriptor re-aliasing, free as in the 3D kernel's armTile), rewinds
+// the instructions, and activates the local task.
+func (p *Program2D) armTile(ti int) {
+	st := p.tiles[ti]
+	clear(st.tile.Arena.Slice(st.offE, (p.B+2)*(p.B+2)))
+	for i := range st.ops {
+		st.ops[i].Reset()
+	}
+	for r := range st.xfer {
+		x := &st.xfer[r]
+		for i := range x.on {
+			x.send[i].Reset()
+			x.add[i].Reset()
+		}
+	}
+	if st.dotTask != nil {
+		p.partials[ti] = 0
+		st.dot.Reset()
+	}
+	p.done[ti] = false
+	st.round, st.exLeft = 0, 0
 	st.tile.Core.Activate(st.localTask)
 }
 
-// finishTile ends the application after the y round: directly for plain
-// specs, or through the fused reduction task.
-func (p *Program2D) finishTile(st *tile2D, c *wse.Core) {
-	if st.dotTask != nil {
-		c.Activate(st.dotTask)
-		return
-	}
-	st.done = true
-}
-
-// launchX starts the ±x exchange round: send the two halo columns
-// (height b+2) toward the existing neighbours and accumulate the
-// neighbours' incoming columns into the block's edge columns. Runs from
-// the local task's OnComplete, on the owning core.
-func (p *Program2D) launchX(st *tile2D) {
-	core := st.tile.Core
-	a := st.tile.Arena
-	b := p.B
-	w := p.M.Cfg.FabricW
-
-	type tx struct {
-		col fabric.Color
-		src tensor.Descriptor
-		has bool
-	}
-	sends := []tx{
-		{p.base + ColWest, p.extCol(st, -1), st.x > 0},
-		{p.base + ColEast, p.extCol(st, b), st.x < w-1},
-	}
-	type rx struct {
-		buf *wse.StreamBuf
-		acc tensor.Descriptor
-	}
-	recvs := []rx{
-		{st.from[ColEast], p.extCol(st, 0)},   // west neighbour's column folds into i=0
-		{st.from[ColWest], p.extCol(st, b-1)}, // east neighbour's into i=b-1
-	}
-
-	for _, s := range sends {
-		if s.has {
-			st.xLeft++
+// launchRound starts tile st's next exchange round with a neighbour in
+// it — sends in slots 0.., then the stream adds, the same slots both
+// rounds (a round starts only after the previous round's threads all
+// completed) — or, after the y round, finishes the application: directly
+// for plain specs, through the fused reduction task otherwise. It runs
+// on the owning core, from the local task's OnComplete and from the last
+// thread of a round.
+func (p *Program2D) launchRound(st *tile2D, c *wse.Core) {
+	for st.exLeft == 0 {
+		if st.round == len(st.xfer) {
+			if st.dotTask != nil {
+				c.Activate(st.dotTask)
+			} else {
+				p.done[st.ti] = true
+			}
+			return
 		}
-	}
-	for _, r := range recvs {
-		if r.buf != nil {
-			st.xLeft++
+		x, names := &st.xfer[st.round], roundNames2D[st.round]
+		st.round++
+		for i, on := range x.on {
+			if on {
+				c.LaunchThread(st.exLeft, names[0], &x.send[i], st.exDone)
+				st.exLeft++
+			}
 		}
-	}
-	if st.xLeft == 0 {
-		p.launchY(st)
-		return
-	}
-	onDone := func(c *wse.Core) {
-		st.xLeft--
-		if st.xLeft == 0 {
-			p.launchY(st)
-		}
-	}
-	slot := 0
-	for _, s := range sends {
-		if s.has {
-			core.LaunchThread(slot, "xh_tx", &wse.SendMem{
-				Color: s.col, Src: s.src, Arena: a, Total: b + 2,
-			}, onDone)
-			slot++
-		}
-	}
-	for _, r := range recvs {
-		if r.buf != nil {
-			core.LaunchThread(slot, "xh_rx", &wse.StreamAdd{
-				Src: wse.StreamSource{B: r.buf}, Acc: r.acc, Arena: a, Total: b + 2,
-			}, onDone)
-			slot++
-		}
-	}
-}
-
-// launchY starts the ±y round (rows of width b, corners already folded
-// by the x round), whose completion finishes the application.
-func (p *Program2D) launchY(st *tile2D) {
-	core := st.tile.Core
-	a := st.tile.Arena
-	b := p.B
-	h := p.M.Cfg.FabricH
-
-	type tx struct {
-		col fabric.Color
-		src tensor.Descriptor
-		has bool
-	}
-	sends := []tx{
-		{p.base + ColNorth, p.extRow(st, -1), st.y > 0},
-		{p.base + ColSouth, p.extRow(st, b), st.y < h-1},
-	}
-	type rx struct {
-		buf *wse.StreamBuf
-		acc tensor.Descriptor
-	}
-	recvs := []rx{
-		{st.from[ColSouth], p.extRow(st, 0)},   // north neighbour's row folds into j=0
-		{st.from[ColNorth], p.extRow(st, b-1)}, // south neighbour's into j=b-1
-	}
-
-	for _, s := range sends {
-		if s.has {
-			st.yLeft++
-		}
-	}
-	for _, r := range recvs {
-		if r.buf != nil {
-			st.yLeft++
-		}
-	}
-	if st.yLeft == 0 {
-		p.finishTile(st, core)
-		return
-	}
-	onDone := func(c *wse.Core) {
-		st.yLeft--
-		if st.yLeft == 0 {
-			p.finishTile(st, c)
-		}
-	}
-	slot := 0
-	for _, s := range sends {
-		if s.has {
-			core.LaunchThread(slot, "yh_tx", &wse.SendMem{
-				Color: s.col, Src: s.src, Arena: a, Total: b,
-			}, onDone)
-			slot++
-		}
-	}
-	for _, r := range recvs {
-		if r.buf != nil {
-			core.LaunchThread(slot, "yh_rx", &wse.StreamAdd{
-				Src: wse.StreamSource{B: r.buf}, Acc: r.acc, Arena: a, Total: b,
-			}, onDone)
-			slot++
+		for i, on := range x.on {
+			if on {
+				c.LaunchThread(st.exLeft, names[1], &x.add[i], st.exDone)
+				st.exLeft++
+			}
 		}
 	}
 }
@@ -409,12 +356,10 @@ func (p *Program2D) launchY(st *tile2D) {
 // tiles' block-local iterate storage.
 func (p *Program2D) LoadVector(v []fp16.Float16) {
 	b := p.B
-	for _, st := range p.tiles {
-		a := st.tile.Arena
+	for ti, st := range p.tiles {
+		blk := p.Iterate(ti)
 		for j := 0; j < b; j++ {
-			for i := 0; i < b; i++ {
-				a.Set(st.offV+j*b+i, v[p.Mesh.Index(st.x*b+i, st.y*b+j)])
-			}
+			copy(blk[j*b:(j+1)*b], v[p.Mesh.Index(st.x*b, st.y*b+j):])
 		}
 	}
 }
@@ -423,65 +368,30 @@ func (p *Program2D) LoadVector(v []fp16.Float16) {
 func (p *Program2D) Result() []fp16.Float16 {
 	b := p.B
 	out := make([]fp16.Float16, p.Mesh.N())
-	for _, st := range p.tiles {
-		a := st.tile.Arena
+	blk := make([]fp16.Float16, b*b)
+	for ti, st := range p.tiles {
+		p.CopyResult(ti, blk)
 		for j := 0; j < b; j++ {
-			for i := 0; i < b; i++ {
-				out[p.Mesh.Index(st.x*b+i, st.y*b+j)] = a.At(st.offE + (i + 1) + (j+1)*(b+2))
-			}
+			copy(out[p.Mesh.Index(st.x*b, st.y*b+j):], blk[j*b:(j+1)*b])
 		}
 	}
 	return out
 }
 
-// Tiles returns the tile count (fabric row-major indexing).
-func (p *Program2D) Tiles() int { return len(p.tiles) }
-
-// IterateOff returns the arena offset of tile i's iterate block — the
-// solver engine copies its vectors in and out of the program through the
-// live arena (descriptor re-aliasing, free).
-func (p *Program2D) IterateOff(i int) int { return p.tiles[i].offV }
-
-// InteriorIndex returns the arena index of interior output element e
-// (block row-major) of tile i within the extended output region.
-func (p *Program2D) InteriorIndex(i, e int) int {
-	st := p.tiles[i]
-	b := p.B
-	return st.offE + (e%b + 1) + (e/b+1)*(b+2)
+// Iterate returns tile i's live iterate block (b² elements of arena
+// storage, block row-major); the host writes the source vector here
+// before Run, a bit-verbatim copy.
+func (p *Program2D) Iterate(i int) []fp16.Float16 {
+	return p.tiles[i].tile.Arena.Slice(p.tiles[i].offV, p.B*p.B)
 }
 
-// Partials returns the per-tile Σy² partials of the last Run (fabric
-// row-major), valid only for ReduceSumSq specs. Combine them with
-// cluster.ExactSum32 for a bit-stable global reduction.
-func (p *Program2D) Partials() []float32 { return p.partials }
-
-// Arm prepares every tile for one application without stepping the
-// machine — for lock-step engine-equivalence tests that drive Step
-// themselves. Run calls it implicitly.
-func (p *Program2D) Arm() {
-	for _, st := range p.tiles {
-		p.armTile(st)
+// CopyResult copies tile i's result — the block interior of its extended
+// output, block row-major — to dst.
+func (p *Program2D) CopyResult(i int, dst []fp16.Float16) {
+	st, b := p.tiles[i], p.B
+	for j := 0; j < b; j++ {
+		copy(dst[j*b:(j+1)*b], st.tile.Arena.Slice(st.offE+1+(j+1)*(b+2), b))
 	}
-}
-
-// Done reports whether every tile has completed its application (the
-// predicate Run waits on).
-func (p *Program2D) Done() bool {
-	for _, st := range p.tiles {
-		if !st.done {
-			return false
-		}
-	}
-	return true
-}
-
-// Run executes one application under cycle simulation and returns the
-// cycles it took: every tile's local task, x round, y round — and, for
-// ReduceSumSq specs, the fused dot — have completed and all halo streams
-// are fully drained.
-func (p *Program2D) Run(maxCycles int64) (int64, error) {
-	p.Arm()
-	return p.M.RunUntil(p.Done, maxCycles)
 }
 
 // TileMemoryWords returns the arena words one tile of this program uses:

@@ -45,21 +45,18 @@ import (
 // compiler replaced (internal/kernels' stencilc goldens pin the
 // bit-identity); the star and multiwafer solvers hold it directly.
 type Program3D struct {
-	M      *wse.Machine
+	program
 	Mesh   stencil.Mesh // the global mesh
-	Spec   Spec
-	X0, Y0 int // global tile coordinate of fabric (0, 0)
+	X0, Y0 int          // global tile coordinate of fabric (0, 0)
 
-	base   fabric.Color
 	rounds int   // lateral relay rounds per application, max(Wx, Wy)
 	ff     *ff3d // fast-forward plan, built lazily on first eligible Run
 	tiles  []*tile3D
-
-	partials []float32 // per-tile Σy² when Spec.Reduce == ReduceSumSq
 }
 
 type tile3D struct {
 	tile   *wse.Tile
+	ti     int // fabric row-major index
 	x, y   int // fabric-local coordinate
 	gx, gy int // global mesh column
 
@@ -74,7 +71,6 @@ type tile3D struct {
 	dotTask *wse.Task // fused Σy², nil unless ReduceSumSq
 	round   int       // current exchange round, 1-based
 	exLeft  int       // outstanding threads of the current round
-	done    bool
 
 	// The instructions of one application, built by the first armTile
 	// (a program that is only ever fast-forwarded never pays for them)
@@ -120,9 +116,6 @@ func Compile3D(mach *wse.Machine, spec Spec, op *stencil.OpStarHalf, x0, y0 int,
 	if spec.Points != Star {
 		return nil, unsupported(spec, "the Z-column mapping exchanges axis-aligned columns only; a 3D box needs diagonal channels")
 	}
-	if op.W != spec.Widths {
-		return nil, fmt.Errorf("stencilc: operator widths %v do not match spec widths %v", op.W, spec.Widths)
-	}
 	m := op.M
 	w, h := mach.Cfg.FabricW, mach.Cfg.FabricH
 	if m.NZ%2 != 0 {
@@ -131,55 +124,35 @@ func Compile3D(mach *wse.Machine, spec Spec, op *stencil.OpStarHalf, x0, y0 int,
 	if x0 < 0 || y0 < 0 || x0+w > m.NX || y0+h > m.NY {
 		return nil, fmt.Errorf("stencilc: fabric %dx%d at (%d,%d) exceeds mesh %v", w, h, x0, y0, m)
 	}
-	if int(base)+NumExchangeColors > fabric.MaxColors {
-		return nil, fmt.Errorf("stencilc: halo exchange needs %d colors starting at %d", NumExchangeColors, base)
+	base3D, err := newProgram(mach, spec, base)
+	if err != nil {
+		return nil, err
 	}
-	p := &Program3D{M: mach, Mesh: m, Spec: spec, X0: x0, Y0: y0, base: base}
-	if p.rounds = spec.Widths[0]; spec.Widths[1] > p.rounds {
-		p.rounds = spec.Widths[1]
-	}
+	p := &Program3D{program: base3D, Mesh: m, X0: x0, Y0: y0, rounds: max(spec.Widths[0], spec.Widths[1])}
+	p.arm = p.armTile
 	z := m.NZ
 
-	// Static routing: the same four single-hop directional streams the
-	// 2D block-halo program uses; relay rounds reuse them.
-	RouteExchange(mach.Fab, w, h, base)
-
 	p.tiles = make([]*tile3D, w*h)
-	if spec.Reduce == ReduceSumSq {
-		p.partials = make([]float32, w*h)
-	}
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			tl := mach.TileAt(fabric.Coord{X: x, Y: y})
-			st := &tile3D{tile: tl, x: x, y: y, gx: x0 + x, gy: y0 + y}
-			a := tl.Arena
-			var err error
-			alloc := func(name string, n int) int {
-				if err != nil {
-					return 0
-				}
-				var off int
-				off, err = a.Alloc(name, n)
-				return off
-			}
+			st := &tile3D{tile: tl, ti: y*w + x, x: x, y: y, gx: x0 + x, gy: y0 + y}
+			lay := tileAlloc{a: tl.Arena}
 			for d := HaloDir(0); d < NumHaloDirs; d++ {
 				wd := spec.Widths[axisOf(d)]
 				st.offC[d] = make([]int, wd)
 				for k := 1; k <= wd; k++ {
-					st.offC[d][k-1] = alloc(distName(latName[d], k), z)
+					st.offC[d][k-1] = lay.alloc(distName(latName[d], k), z)
 				}
 			}
-			wz := spec.Widths[2]
-			st.offZ[0] = make([]int, wz)
-			st.offZ[1] = make([]int, wz)
-			for k := 1; k <= wz; k++ {
-				st.offZ[0][k-1] = alloc(distName("zp", k), z)
+			for i, stem := range [2]string{zpIdx: "zp", zmIdx: "zm"} {
+				st.offZ[i] = make([]int, spec.Widths[2])
+				for k := range st.offZ[i] {
+					st.offZ[i][k] = lay.alloc(distName(stem, k+1), z)
+				}
 			}
-			for k := 1; k <= wz; k++ {
-				st.offZ[1][k-1] = alloc(distName("zm", k), z)
-			}
-			st.offV = alloc("v", z)
-			st.offU = alloc("u", z)
+			st.offV = lay.alloc("v", z)
+			st.offU = lay.alloc("u", z)
 			for d := HaloDir(0); d < NumHaloDirs; d++ {
 				wd := spec.Widths[axisOf(d)]
 				st.offH[d] = make([]int, wd)
@@ -188,11 +161,11 @@ func Compile3D(mach *wse.Machine, spec Spec, op *stencil.OpStarHalf, x0, y0 int,
 					if k > 1 {
 						name = fmt.Sprintf("h%d_%d", d, k)
 					}
-					st.offH[d][k-1] = alloc(name, z)
+					st.offH[d][k-1] = lay.alloc(name, z)
 				}
 			}
-			if err != nil {
-				return nil, fmt.Errorf("stencilc: tile (%d,%d): %v", x, y, err)
+			if lay.err != nil {
+				return nil, fmt.Errorf("stencilc: tile (%d,%d): %v", x, y, lay.err)
 			}
 
 			// Stream subscriptions for on-fabric neighbours; one buffer
@@ -209,15 +182,17 @@ func Compile3D(mach *wse.Machine, spec Spec, op *stencil.OpStarHalf, x0, y0 int,
 			st.compute = tl.Core.AddTask(&wse.Task{Name: "spmv3dh"})
 			if spec.Reduce == ReduceSumSq {
 				st.dotTask = tl.Core.AddTask(&wse.Task{Name: "sumsq"})
-				st.dotTask.OnComplete = func(c *wse.Core) { st.done = true }
+				st.dotTask.OnComplete = func(c *wse.Core) { p.done[st.ti] = true }
 				st.compute.OnComplete = func(c *wse.Core) { c.Activate(st.dotTask) }
 			} else {
-				st.compute.OnComplete = func(c *wse.Core) { st.done = true }
+				st.compute.OnComplete = func(c *wse.Core) { p.done[st.ti] = true }
 			}
-			p.tiles[y*w+x] = st
+			p.tiles[st.ti] = st
 		}
 	}
-	p.LoadCoeff(op)
+	if err := p.LoadCoeff(op); err != nil {
+		return nil, err
+	}
 	return p, nil
 }
 
@@ -228,14 +203,14 @@ const (
 )
 
 // LoadCoeff (re)loads the coefficient columns from the global operator.
-// Routing, memory layout and task structure are reused; the operator
-// must keep the program's mesh and widths.
-func (p *Program3D) LoadCoeff(op *stencil.OpStarHalf) {
+// Routing, memory layout and task structure are reused; an operator on
+// another mesh or of other widths is refused with the program untouched.
+func (p *Program3D) LoadCoeff(op *stencil.OpStarHalf) error {
 	if op.M != p.Mesh {
-		panic(fmt.Sprintf("stencilc: operator mesh %v does not match program mesh %v", op.M, p.Mesh))
+		return fmt.Errorf("stencilc: operator mesh %v does not match program mesh %v", op.M, p.Mesh)
 	}
 	if op.W != p.Spec.Widths {
-		panic(fmt.Sprintf("stencilc: operator widths %v do not match spec widths %v", op.W, p.Spec.Widths))
+		return fmt.Errorf("stencilc: operator widths %v do not match spec widths %v", op.W, p.Spec.Widths)
 	}
 	z := p.Mesh.NZ
 	lat := [NumHaloDirs][][]fp16.Float16{HaloXP: op.XP, HaloXM: op.XM, HaloYP: op.YP, HaloYM: op.YM}
@@ -256,10 +231,8 @@ func (p *Program3D) LoadCoeff(op *stencil.OpStarHalf) {
 			}
 		}
 	}
+	return nil
 }
-
-// Tiles returns the tile count (fabric row-major indexing).
-func (p *Program3D) Tiles() int { return len(p.tiles) }
 
 // GlobalCoord returns the global mesh column of tile index i.
 func (p *Program3D) GlobalCoord(i int) (gx, gy int) { return p.tiles[i].gx, p.tiles[i].gy }
@@ -287,16 +260,8 @@ func (p *Program3D) Halo(i int, d HaloDir, dist int) []fp16.Float16 {
 	return st.tile.Arena.Slice(st.offH[d][dist-1], p.Mesh.NZ)
 }
 
-// Partials returns the per-tile Σy² partials of the last Run (fabric
-// row-major), valid only for ReduceSumSq specs. Combine them with
-// cluster.ExactSum32 for a bit-stable global reduction.
-func (p *Program3D) Partials() []float32 { return p.partials }
-
-// onFabric reports whether tile st's neighbour in direction d lies on
-// this machine's fabric.
-func (p *Program3D) onFabric(st *tile3D, d HaloDir) bool {
-	return st.from[d] != nil
-}
+// CopyResult copies tile i's result column to dst.
+func (p *Program3D) CopyResult(i int, dst []fp16.Float16) { copy(dst, p.Result(i)) }
 
 // inMesh reports whether tile st has a neighbour at distance dist in
 // direction d on the global mesh at all.
@@ -305,12 +270,82 @@ func (p *Program3D) inMesh(st *tile3D, d HaloDir, dist int) bool {
 	return gx >= 0 && gx < p.Mesh.NX && gy >= 0 && gy < p.Mesh.NY
 }
 
+// term is one instruction of a tile's compute task: dst = kind(a, b)
+// over n elements, operands as arena offsets.
+type term struct {
+	kind      wse.MemOpKind
+	dst, a, b int
+	n         int
+}
+
+// memOp is the term as the instruction the simulated datapath steps.
+func (t term) memOp(a *tensor.Arena) wse.MemOp {
+	return wse.MemOp{Kind: t.kind, Arena: a,
+		Dst: tensor.Vec1D(t.dst, t.n), A: tensor.Vec1D(t.a, t.n), B: tensor.Vec1D(t.b, t.n)}
+}
+
+// terms walks tile st's compute task in stencil.OpStarHalf.Apply's exact
+// order — the one statement of that sequence: the cycle-simulated
+// instructions (buildInstrs), the fast-forward's host evaluation
+// (ffCompute) and its static shape (shape) all read it. The z-direction
+// terms come from the tile's own column (shifted operands, skipping the
+// meshless end); lateral terms multiply a halo column and are skipped
+// entirely beyond the global mesh boundary, mirroring the reference's
+// per-point conditionals (which are uniform along a Z-column).
+func (p *Program3D) terms(st *tile3D, emit func(term)) {
+	z := p.Mesh.NZ
+	u, v := st.offU, st.offV
+	for k := 1; k <= p.Spec.Widths[2] && k < z; k++ {
+		first := wse.OpMulAcc
+		if k == 1 {
+			first = wse.OpMul // u[z] = zm[z] * v[z-1] opens the sum
+		}
+		emit(term{first, u + k, st.offZ[zmIdx][k-1] + k, v, z - k})    // u[z] += zm_k[z] * v[z-k]
+		emit(term{wse.OpMulAcc, u, st.offZ[zpIdx][k-1], v + k, z - k}) // u[z] += zp_k[z] * v[z+k]
+	}
+	for d := HaloDir(0); d < NumHaloDirs; d++ {
+		for k := 1; k <= p.Spec.Widths[axisOf(d)]; k++ {
+			if p.inMesh(st, d, k) {
+				emit(term{wse.OpMulAcc, u, st.offC[d][k-1], st.offH[d][k-1], z}) // u += c_{d,k} * halo_{d,k}
+			}
+		}
+	}
+	emit(term{wse.OpAdd, u, u, v, z}) // u += v (unit main diagonal)
+}
+
+// sendOff is the column tile st sends toward its d-neighbour in relay
+// round r — what that neighbour needs for distance r: the tile's own
+// iterate in round 1, the distance-(r−1) halo from the opposite side
+// after that.
+func sendOff(st *tile3D, d HaloDir, r int) int {
+	if r == 1 {
+		return st.offV
+	}
+	return st.offH[opposite(d)][r-2]
+}
+
+// hops walks the directions that exchange a column at tile st in relay
+// round r, with the column sent (sendOff) and the halo column the
+// incoming one is stored to. The link must exist on the fabric and the
+// direction's axis must still have halo columns to fill; the payload's
+// global-mesh membership does not gate the transfer — both endpoints of
+// every on-fabric link run the same schedule each round, which is what
+// keeps the per-color FIFOs sequenced and free of deadlock.
+func (p *Program3D) hops(st *tile3D, r int, emit func(d HaloDir, send, store int)) {
+	for d := HaloDir(0); d < NumHaloDirs; d++ {
+		if st.from[d] != nil && r <= p.Spec.Widths[axisOf(d)] {
+			emit(d, sendOff(st, d, r), st.offH[d][r-1])
+		}
+	}
+}
+
 // armTile prepares one application: zeroes the result column, rewinds
 // (on first use, builds) the instructions, and launches the first
 // exchange round.
-func (p *Program3D) armTile(st *tile3D) {
+func (p *Program3D) armTile(ti int) {
+	st := p.tiles[ti]
 	clear(st.tile.Arena.Slice(st.offU, p.Mesh.NZ))
-	st.done = false
+	p.done[ti] = false
 	if st.ops == nil {
 		p.buildInstrs(st)
 	}
@@ -322,92 +357,52 @@ func (p *Program3D) armTile(st *tile3D) {
 		st.xfer[i].store.Reset()
 	}
 	if st.dotTask != nil {
-		p.partials[st.y*p.M.Cfg.FabricW+st.x] = 0
+		p.partials[ti] = 0
 		st.dot.Reset()
 	}
-	st.round = 0
+	st.round, st.exLeft = 0, 0
 	p.launchRound(st, st.tile.Core)
 }
 
-// buildInstrs builds tile st's instructions once: the fixed-order
-// compute task body, the fused dot and the relay rounds' thread pairs.
+// buildInstrs builds tile st's instructions once: the compute task body
+// (terms), the fused dot and the relay rounds' thread pairs (hops).
 func (p *Program3D) buildInstrs(st *tile3D) {
 	z := p.Mesh.NZ
 	a := st.tile.Arena
 
-	// Compute task body, in stencil.OpStarHalf.Apply's exact order. The
-	// z-direction terms come from the tile's own column (shifted
-	// descriptors, skipping the meshless end); lateral terms multiply a
-	// halo column and are skipped entirely beyond the global mesh
-	// boundary, mirroring the reference's per-point conditionals (which
-	// are uniform along a Z-column).
-	wz := p.Spec.Widths[2]
-	ops := make([]wse.MemOp, 0, 2*wz+2*(p.Spec.Widths[0]+p.Spec.Widths[1])+1)
-	emit := func(kind wse.MemOpKind, dst, x, y, n int) {
-		ops = append(ops, wse.MemOp{Kind: kind, Arena: a,
-			Dst: tensor.Vec1D(dst, n), A: tensor.Vec1D(x, n), B: tensor.Vec1D(y, n)})
-	}
-	if z > 1 {
-		emit(wse.OpMul, st.offU+1, st.offZ[zmIdx][0]+1, st.offV, z-1)  // u[z] = zm[z] * v[z-1]
-		emit(wse.OpMulAcc, st.offU, st.offZ[zpIdx][0], st.offV+1, z-1) // u[z] += zp[z] * v[z+1]
-	}
-	for k := 2; k <= wz; k++ {
-		if z <= k {
-			continue
-		}
-		emit(wse.OpMulAcc, st.offU+k, st.offZ[zmIdx][k-1]+k, st.offV, z-k) // u[z] += zm_k[z] * v[z-k]
-		emit(wse.OpMulAcc, st.offU, st.offZ[zpIdx][k-1], st.offV+k, z-k)   // u[z] += zp_k[z] * v[z+k]
-	}
-	for d := HaloDir(0); d < NumHaloDirs; d++ {
-		for k := 1; k <= p.Spec.Widths[axisOf(d)]; k++ {
-			if p.inMesh(st, d, k) {
-				emit(wse.OpMulAcc, st.offU, st.offC[d][k-1], st.offH[d][k-1], z) // u += c_{d,k} * halo_{d,k}
-			}
-		}
-	}
-	emit(wse.OpAdd, st.offU, st.offU, st.offV, z) // u += v (unit main diagonal)
-	st.ops = ops
-	st.compute.Instrs = make([]wse.Instr, len(ops))
-	for i := range ops {
-		st.compute.Instrs[i] = &ops[i]
+	w := p.Spec.Widths
+	st.ops = make([]wse.MemOp, 0, 2*(w[0]+w[1]+w[2])+1)
+	p.terms(st, func(t term) { st.ops = append(st.ops, t.memOp(a)) })
+	st.compute.Instrs = make([]wse.Instr, len(st.ops))
+	for i := range st.ops {
+		st.compute.Instrs[i] = &st.ops[i]
 	}
 	if st.dotTask != nil {
 		st.dot = wse.DotMixed{
 			A:     tensor.Vec1D(st.offU, z),
 			B:     tensor.Vec1D(st.offU, z),
 			Arena: a,
-			Out:   &p.partials[st.y*p.M.Cfg.FabricW+st.x],
+			Out:   &p.partials[st.ti],
 		}
 		st.dotTask.Instrs = []wse.Instr{&st.dot}
 	}
 
-	// Round r, direction d sends the column the d-neighbour needs for
-	// distance r — the tile's own iterate in round 1, the distance-(r−1)
-	// halo from the opposite side after that — and stores the incoming
-	// column into halo (d, r).
 	st.xfer = make([]haloXfer, p.rounds*int(NumHaloDirs))
 	for r := 1; r <= p.rounds; r++ {
-		for d := HaloDir(0); d < NumHaloDirs; d++ {
-			if !p.roundActive(st, d, r) {
-				continue
-			}
-			src := st.offV
-			if r > 1 {
-				src = st.offH[opposite(d)][r-2]
-			}
+		p.hops(st, r, func(d HaloDir, send, store int) {
 			st.xfer[(r-1)*int(NumHaloDirs)+int(d)] = haloXfer{
 				send: wse.SendMem{
 					Color: p.base + fabric.Color(haloOut[d]),
-					Src:   tensor.Vec1D(src, z),
+					Src:   tensor.Vec1D(send, z),
 					Arena: a, Total: z,
 				},
 				store: wse.StreamStore{
 					Src:   wse.StreamSource{B: st.from[d]},
-					Dst:   tensor.Vec1D(st.offH[d][r-1], z),
+					Dst:   tensor.Vec1D(store, z),
 					Arena: a, Total: z,
 				},
 			}
-		}
+		})
 	}
 	st.exDone = func(c *wse.Core) {
 		st.exLeft--
@@ -417,68 +412,26 @@ func (p *Program3D) buildInstrs(st *tile3D) {
 	}
 }
 
-// roundActive reports whether direction d participates in relay round r
-// at tile st: the link must exist on the fabric and the direction's axis
-// must still have halo columns to fill. The payload's global-mesh
-// membership does not gate the transfer — both endpoints of every
-// on-fabric link run the same schedule each round, which is what keeps
-// the per-color FIFOs sequenced and free of deadlock.
-func (p *Program3D) roundActive(st *tile3D, d HaloDir, r int) bool {
-	return p.onFabric(st, d) && r <= p.Spec.Widths[axisOf(d)]
-}
-
 // launchRound advances tile st to its next non-empty exchange round and
 // launches its threads, or activates the compute task once all rounds
 // are done. Slots 0–3 send, 4–7 store, reused each round (a round only
 // starts after the previous round's threads all completed, so the slots
 // are free).
 func (p *Program3D) launchRound(st *tile3D, core *wse.Core) {
-	for {
+	for st.exLeft == 0 {
 		st.round++
 		if st.round > p.rounds {
 			core.Activate(st.compute)
 			return
 		}
-		r := st.round
-		st.exLeft = 0
-		for d := HaloDir(0); d < NumHaloDirs; d++ {
-			if p.roundActive(st, d, r) {
-				st.exLeft += 2
-			}
-		}
-		if st.exLeft == 0 {
-			continue // nothing to move this round (narrow axis or edge tile)
-		}
-		for d := HaloDir(0); d < NumHaloDirs; d++ {
-			if !p.roundActive(st, d, r) {
-				continue
-			}
-			x := &st.xfer[(r-1)*int(NumHaloDirs)+int(d)]
+		p.hops(st, st.round, func(d HaloDir, _, _ int) {
+			x := &st.xfer[(st.round-1)*int(NumHaloDirs)+int(d)]
 			core.LaunchThread(int(d), "halo_tx", &x.send, st.exDone)
 			core.LaunchThread(int(NumHaloDirs+d), "halo_rx", &x.store, st.exDone)
-		}
-		return
+			st.exLeft += 2
+		})
+		// Nothing to move this round (narrow axis or edge tile): next.
 	}
-}
-
-// Arm prepares every tile for one application without stepping the
-// machine — for lock-step engine-equivalence tests that drive Step
-// themselves. Run calls it implicitly.
-func (p *Program3D) Arm() {
-	for _, st := range p.tiles {
-		p.armTile(st)
-	}
-}
-
-// Done reports whether every tile has completed its application (the
-// predicate Run waits on).
-func (p *Program3D) Done() bool {
-	for _, st := range p.tiles {
-		if !st.done {
-			return false
-		}
-	}
-	return true
 }
 
 // Run executes one application and returns the cycles it took.
@@ -492,8 +445,7 @@ func (p *Program3D) Run(maxCycles int64) (int64, error) {
 	if cycles, ok := p.tryFastForward(maxCycles); ok {
 		return cycles, nil
 	}
-	p.Arm()
-	return p.M.RunUntil(p.Done, maxCycles)
+	return p.program.Run(maxCycles)
 }
 
 // TileMemoryWords returns the arena words one tile of this program

@@ -32,7 +32,10 @@ func Reference2D(spec Spec, op *stencil.Op9, b int, src []fp16.Float16) ([]fp16.
 	if len(src) != m.N() {
 		return nil, fmt.Errorf("stencilc: source length %d, want %d", len(src), m.N())
 	}
-	points, centre := spec.points2D()
+	if !op.IsUnitDiagonal() {
+		return nil, fmt.Errorf("stencilc: the block program requires a unit centre coefficient")
+	}
+	points := spec.points2D()
 	w, h := m.NX/b, m.NY/b
 	e := b + 2
 	ext := make([][]fp16.Float16, w*h)
@@ -47,7 +50,7 @@ func Reference2D(spec Spec, op *stencil.Op9, b int, src []fp16.Float16) ([]fp16.
 	for ty := 0; ty < h; ty++ {
 		for tx := 0; tx < w; tx++ {
 			x := ext[ty*w+tx]
-			for kk, off := range points {
+			for _, off := range points {
 				k := off9Index(off)
 				dx, dy := -off[0], -off[1]
 				for j := 0; j < b; j++ {
@@ -56,9 +59,6 @@ func Reference2D(spec Spec, op *stencil.Op9, b int, src []fp16.Float16) ([]fp16.
 						px, py := gx-off[0], gy-off[1]
 						c := fp16.Zero
 						if m.In(px, py) {
-							if kk == centre && op.C[k][m.Index(px, py)] != 1 {
-								return nil, fmt.Errorf("stencilc: the block program requires a unit centre coefficient")
-							}
 							c = fp16.FromFloat64(op.C[k][m.Index(px, py)])
 						}
 						d := (i + dx + 1) + (j+dy+1)*e

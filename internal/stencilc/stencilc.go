@@ -12,13 +12,20 @@
 // exact perfmodel cycle entry (perfmodel.StencilApply2D,
 // perfmodel.StencilApply3D, pinned by tests in this package).
 //
+// A compiled program is one description with several readers: Program3D
+// states its compute sequence and its relay rounds once (the terms and
+// hops walks), and the cycle-simulated instructions, the fast-forward's
+// shape, host evaluation and exchange copy all read them; the replayed
+// stage lists are the perfmodel entry's own. Reference2D is the one
+// functional reference of the 2D block-halo dataflow.
+//
 // The hand-written kernels predating the compiler — the 9-point 2D
-// block-halo SpMV and the 7-point 3D halo-resident SpMV — are now thin
-// wrappers over Compile2D/Compile3D (internal/kernels), pinned
-// bit-identical to their pre-compiler outputs by golden tests. New
-// kernels (the 25-point high-order seismic stencil, the 2D/3D
-// heat-equation step) are specs plus coefficient builders; no tile
-// program is written by hand.
+// block-halo SpMV and the 7-point 3D halo-resident SpMV — are the specs
+// Spec9Point and Spec7Point; the solvers of internal/kernels hold the
+// compiled programs directly, pinned bit-identical to the pre-compiler
+// outputs by golden tests. New kernels (the 25-point high-order seismic
+// stencil, the 2D/3D heat-equation step) are specs plus coefficient
+// builders; no tile program is written by hand.
 package stencilc
 
 import (
@@ -254,18 +261,15 @@ func (s Spec) checkLowerable() error {
 
 // points2D returns the 2D point set in row-major ascending offset
 // order (the canonical scatter order; for the box this is exactly
-// stencil.Off9), plus the index of the centre point.
-func (s Spec) points2D() (pts [][2]int, centre int) {
+// stencil.Off9).
+func (s Spec) points2D() (pts [][2]int) {
 	for dy := -s.Widths[1]; dy <= s.Widths[1]; dy++ {
 		for dx := -s.Widths[0]; dx <= s.Widths[0]; dx++ {
 			if s.Points == Star && dx != 0 && dy != 0 {
 				continue
 			}
-			if dx == 0 && dy == 0 {
-				centre = len(pts)
-			}
 			pts = append(pts, [2]int{dx, dy})
 		}
 	}
-	return pts, centre
+	return pts
 }

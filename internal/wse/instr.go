@@ -184,8 +184,8 @@ func (k MemOpKind) Apply(s fp16.Float16, d, a, b []fp16.Float16) {
 		}
 	case OpMulAcc:
 		// Two roundings (multiply, then accumulate), matching the 2D
-		// block-halo kernel's functional reference (kernels.SpMV2D), whose
-		// scatter is Mul followed by Add — the bit-identity contract
+		// block-halo kernel's functional reference (stencilc.Reference2D),
+		// whose scatter is Mul followed by Add — the bit-identity contract
 		// between the wafer program and the host kernel depends on this
 		// order.
 		for j := range d {

@@ -86,6 +86,15 @@ func (c Config) withDefaults() Config {
 // Cores returns the number of cores on the fabric.
 func (c Config) Cores() int { return c.FabricW * c.FabricH }
 
+// DefaultQueueDepths reports whether the router queues and core receive
+// buffers have the CS-1's depth of four words (zero selects it): the
+// one shape the exact phase jumps — stencilc's exchange replay and the
+// AllReduce row skip — were derived and pinned for, so their
+// fast-forward gates reject any other.
+func (c Config) DefaultQueueDepths() bool {
+	return (c.QueueDepth <= 0 || c.QueueDepth == 4) && (c.RxDepth <= 0 || c.RxDepth == 4)
+}
+
 // PeakFlops returns the machine's peak fp16 rate: SIMDWidth fused
 // multiply-accumulates (2 flops each) per core per cycle.
 func (c Config) PeakFlops() float64 {
