@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -110,6 +111,63 @@ func arValues(n int, seed int64) []float32 {
 		vals[i] = float32(rng.NormFloat64() * float64(int(1)<<uint(rng.Intn(12))))
 	}
 	return vals
+}
+
+// TestAllReduceDigestGolden pins everything a reduction leaves behind —
+// the sum's bits, the latency, every tile's broadcast copy, the machine
+// fingerprint, the hot-router count and the fabric's move counter, over
+// three back-to-back reductions at base colour 4 — to digests recorded
+// from the hand-written actors (role flags and mirrored broadcast
+// routes) before the lowered schedule replaced them. Every engine must
+// land on its shape's one digest: the fast-forward row skip, the
+// sharded pending lists and the batched core engine are invisible here.
+func TestAllReduceDigestGolden(t *testing.T) {
+	shapes := []struct {
+		w, h   int
+		digest uint64
+	}{
+		{1, 1, 0x4c6225b3e4072494}, {1, 2, 0x8841ad0a4d1f7602}, {2, 1, 0x3aae43f3303407e},
+		{2, 2, 0x71aedebc021c2648}, {1, 9, 0x8d9e3978427fbab9}, {8, 1, 0xf85e8b94293a051e},
+		{4, 2, 0xd5a8b69cbf6bef56}, {2, 6, 0x2840a0e36e7d9248}, {6, 2, 0x9cf932d910e03bd2},
+		{2, 5, 0x7e673ffb37374596}, {3, 3, 0x1355ef63dfa8a79b}, {5, 4, 0x60c04f9a76cd6181},
+		{4, 5, 0x1c9d91cb7a674e9}, {7, 5, 0x4b16e01e3c6d1bb3}, {8, 8, 0x5c0af07b8b222b4a},
+		{9, 9, 0x174f785065f539c0}, {17, 16, 0xc887f6168e8b3eeb}, {16, 17, 0xf91883b0b10e1249},
+		{33, 24, 0xfba7f3a0101b37a6}, {32, 25, 0x482b3e943dc75624}, {30, 31, 0xda49fa7248b5f155},
+		{102, 95, 0xe0edf893e3f4643c},
+	}
+	for _, sh := range shapes {
+		for _, e := range []wse.Engine{wse.EngineSequential, wse.EngineFastForward, wse.EngineSharded, wse.EngineBatched} {
+			cfg := wse.CS1(sh.w, sh.h)
+			cfg.Engine = e
+			if e == wse.EngineSharded {
+				cfg.Workers = 3
+			}
+			m := wse.New(cfg)
+			ar, err := NewAllReduce(m, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := newFNV()
+			for rep := 0; rep < 3; rep++ {
+				res, err := ar.Run(arValues(sh.w*sh.h, int64(sh.w*1000+sh.h*10+rep)), 1<<20)
+				if err != nil {
+					t.Fatalf("%dx%d %v: %v", sh.w, sh.h, e, err)
+				}
+				per := newFNV()
+				for _, v := range res.PerTile {
+					per.mix(uint64(math.Float32bits(v)))
+				}
+				for _, v := range []uint64{uint64(math.Float32bits(res.Sum)), uint64(res.Cycles), uint64(per),
+					m.Fingerprint(), uint64(m.Fab.HotCount()), uint64(m.Fab.Moves())} {
+					d.mix(v)
+				}
+			}
+			m.Close()
+			if uint64(d) != sh.digest {
+				t.Errorf("%dx%d %v: digest %#x, want %#x", sh.w, sh.h, e, uint64(d), sh.digest)
+			}
+		}
+	}
 }
 
 // TestAllReduceRowSkipExact pins the fast-forward engine's closed-form
