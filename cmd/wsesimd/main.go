@@ -22,6 +22,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -34,74 +35,92 @@ import (
 	"repro/internal/service"
 )
 
-func fatalUsage(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "wsesimd: "+format+"\n", args...)
-	flag.Usage()
-	os.Exit(2)
+// config is one validated invocation.
+type config struct {
+	addr         string
+	drainTimeout time.Duration
+	faults       string // -inject-spool-faults, echoed in a startup warning
+	svc          service.Config
+}
+
+// flagSet declares wsesimd's flags over c.
+func flagSet(c *config) *flag.FlagSet {
+	fs := flag.NewFlagSet("wsesimd", flag.ContinueOnError)
+	fs.StringVar(&c.addr, "addr", "127.0.0.1:8844", "listen address")
+	fs.StringVar(&c.svc.SpoolDir, "spool", "", "durable job spool directory (empty: in-memory only, no crash recovery)")
+	fs.IntVar(&c.svc.Workers, "workers", 4, "solve worker pool size (concurrent jobs)")
+	fs.IntVar(&c.svc.QueueDepth, "queue-depth", 256, "pending-job queue bound; submissions beyond it get 503")
+	fs.IntVar(&c.svc.MaxIdleMachines, "max-idle-machines", 8, "warm-machine cache bound across all shapes")
+	fs.IntVar(&c.svc.SuspendEvery, "suspend-every", 4, "checkpoint cadence (iterations) for suspending wafer jobs at shutdown")
+	fs.IntVar(&c.svc.MaxRetries, "retries", 2, "solve retries before a job fails")
+	fs.DurationVar(&c.svc.RetryBackoff, "retry-backoff", 100*time.Millisecond, "delay before the first retry, doubling per attempt")
+	fs.DurationVar(&c.drainTimeout, "drain-timeout", 60*time.Second, "max wait for in-flight jobs to finish or suspend at shutdown")
+	fs.DurationVar(&c.svc.DefaultTTL, "job-ttl", 0, "default job lifetime from submission when the spec has no timeout_ms (0: none)")
+	fs.IntVar(&c.svc.BreakerThreshold, "breaker-threshold", 3, "consecutive backend failures that trip its circuit breaker")
+	fs.DurationVar(&c.svc.BreakerCooldown, "breaker-cooldown", 5*time.Second, "how long a tripped circuit stays open before a half-open probe")
+	fs.Int64Var(&c.svc.MaxBody, "max-body", 1<<20, "POST /v1/jobs request body cap in bytes")
+	fs.StringVar(&c.faults, "inject-spool-faults", "", "TESTING ONLY: comma-separated op:substr:skip:times:mode spool fault rules (see internal/faultinject)")
+	return fs
+}
+
+// parseFlags parses and validates one command line, so a bad
+// invocation fails before the daemon starts. It does no I/O and prints
+// nothing: main reports the error with the usage text (flag.ErrHelp for
+// -h).
+func parseFlags(args []string) (config, error) {
+	var c config
+	fs := flagSet(&c)
+	fs.SetOutput(io.Discard)
+	if err := fs.Parse(args); err != nil {
+		return c, err
+	}
+	svc := &c.svc
+	switch {
+	case svc.Workers <= 0 || svc.QueueDepth <= 0 || svc.MaxIdleMachines <= 0 || svc.SuspendEvery <= 0:
+		return c, errors.New("-workers, -queue-depth, -max-idle-machines and -suspend-every must be positive")
+	case svc.MaxRetries < 0:
+		return c, fmt.Errorf("-retries must be >= 0; got %d", svc.MaxRetries)
+	case svc.BreakerThreshold <= 0 || svc.BreakerCooldown <= 0:
+		return c, errors.New("-breaker-threshold and -breaker-cooldown must be positive")
+	case svc.MaxBody <= 0:
+		return c, fmt.Errorf("-max-body must be positive; got %d", svc.MaxBody)
+	case svc.DefaultTTL < 0:
+		return c, fmt.Errorf("-job-ttl must be >= 0; got %v", svc.DefaultTTL)
+	}
+	if c.faults != "" {
+		rules, err := faultinject.Parse(c.faults)
+		if err != nil {
+			return c, fmt.Errorf("-inject-spool-faults: %w", err)
+		}
+		svc.FS = faultinject.NewFaultFS(nil, rules...)
+	}
+	return c, nil
 }
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:8844", "listen address")
-	spool := flag.String("spool", "", "durable job spool directory (empty: in-memory only, no crash recovery)")
-	workers := flag.Int("workers", 4, "solve worker pool size (concurrent jobs)")
-	queueDepth := flag.Int("queue-depth", 256, "pending-job queue bound; submissions beyond it get 503")
-	maxIdle := flag.Int("max-idle-machines", 8, "warm-machine cache bound across all shapes")
-	suspendEvery := flag.Int("suspend-every", 4, "checkpoint cadence (iterations) for suspending wafer jobs at shutdown")
-	retries := flag.Int("retries", 2, "solve retries before a job fails")
-	backoff := flag.Duration("retry-backoff", 100*time.Millisecond, "delay before the first retry, doubling per attempt")
-	drainTimeout := flag.Duration("drain-timeout", 60*time.Second, "max wait for in-flight jobs to finish or suspend at shutdown")
-	jobTTL := flag.Duration("job-ttl", 0, "default job lifetime from submission when the spec has no timeout_ms (0: none)")
-	breakerThreshold := flag.Int("breaker-threshold", 3, "consecutive backend failures that trip its circuit breaker")
-	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "how long a tripped circuit stays open before a half-open probe")
-	maxBody := flag.Int64("max-body", 1<<20, "POST /v1/jobs request body cap in bytes")
-	injectFaults := flag.String("inject-spool-faults", "", "TESTING ONLY: comma-separated op:substr:skip:times:mode spool fault rules (see internal/faultinject)")
-	flag.Parse()
-
-	if *workers <= 0 || *queueDepth <= 0 || *maxIdle <= 0 || *suspendEvery <= 0 {
-		fatalUsage("-workers, -queue-depth, -max-idle-machines and -suspend-every must be positive")
-	}
-	if *retries < 0 {
-		fatalUsage("-retries must be >= 0; got %d", *retries)
-	}
-	if *breakerThreshold <= 0 || *breakerCooldown <= 0 {
-		fatalUsage("-breaker-threshold and -breaker-cooldown must be positive")
-	}
-	if *maxBody <= 0 {
-		fatalUsage("-max-body must be positive; got %d", *maxBody)
-	}
-	if *jobTTL < 0 {
-		fatalUsage("-job-ttl must be >= 0; got %v", *jobTTL)
-	}
-	var fs faultinject.FS
-	if *injectFaults != "" {
-		rules, err := faultinject.Parse(*injectFaults)
-		if err != nil {
-			fatalUsage("-inject-spool-faults: %v", err)
+	c, err := parseFlags(os.Args[1:])
+	if err != nil {
+		fs := flagSet(new(config))
+		if errors.Is(err, flag.ErrHelp) {
+			fs.SetOutput(os.Stdout)
+			fs.Usage()
+			return
 		}
-		fs = faultinject.NewFaultFS(nil, rules...)
-		log.Printf("wsesimd: FAULT INJECTION ACTIVE on the spool: %s", *injectFaults)
+		fmt.Fprintf(os.Stderr, "wsesimd: %v\n", err)
+		fs.Usage()
+		os.Exit(2)
+	}
+	if c.faults != "" {
+		log.Printf("wsesimd: FAULT INJECTION ACTIVE on the spool: %s", c.faults)
 	}
 
-	s, err := service.New(service.Config{
-		SpoolDir:         *spool,
-		Workers:          *workers,
-		QueueDepth:       *queueDepth,
-		MaxIdleMachines:  *maxIdle,
-		SuspendEvery:     *suspendEvery,
-		MaxRetries:       *retries,
-		RetryBackoff:     *backoff,
-		DefaultTTL:       *jobTTL,
-		BreakerThreshold: *breakerThreshold,
-		BreakerCooldown:  *breakerCooldown,
-		MaxBody:          *maxBody,
-		FS:               fs,
-	})
+	s, err := service.New(c.svc)
 	if err != nil {
 		log.Fatalf("wsesimd: %v", err)
 	}
 	s.Start()
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", c.addr)
 	if err != nil {
 		log.Fatalf("wsesimd: %v", err)
 	}
@@ -119,14 +138,14 @@ func main() {
 			log.Fatalf("wsesimd: %v", err)
 		}
 	}()
-	log.Printf("wsesimd: listening on %s (spool %q, %d workers)", ln.Addr(), *spool, *workers)
+	log.Printf("wsesimd: listening on %s (spool %q, %d workers)", ln.Addr(), c.svc.SpoolDir, c.svc.Workers)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
 	log.Printf("wsesimd: draining (in-flight wafer solves suspend at their next checkpoint)")
 
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), c.drainTimeout)
 	defer cancel()
 	httpSrv.Shutdown(ctx)
 	if err := s.Shutdown(ctx); err != nil {

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 
@@ -18,6 +19,13 @@ import (
 // of central rows/columns — each center receives a single directional
 // stream at full link rate.
 //
+// The tree is said once, as a schedule NewAllReduce lowers. Each
+// reduction phase is a set of lines — tiles that inject their partial
+// and forward upstream words toward one sink — and the broadcast is the
+// parent relation (parent). Lines and parents are the only author of the
+// routes, of each sink's receive stages and of what each tile sends;
+// stepTile walks the stages.
+//
 // The measured latency is the paper's headline: about 10% more cycles
 // than the fabric diameter.
 type AllReduce struct {
@@ -28,7 +36,7 @@ type AllReduce struct {
 
 	cx0, cx1, cy0, cy1 int
 
-	tiles []*arTile
+	tiles []arTile
 
 	// Event-driven actor scheduling: tiles with actionable work sit on a
 	// per-engine-shard pending list and park otherwise (e.g. while
@@ -44,33 +52,40 @@ type AllReduce struct {
 	perTile []float32 // Result's PerTile, reused by every reduction
 
 	// Row-phase fast-forward (skipRowPhase): the center-column tile
-	// indices, the absolute rotation counters handed to ApplyReplay
-	// (built on first use), and how many Runs jumped / stepped the row
-	// phase — tests assert there is no silent fall-back.
+	// indices and the absolute rotation counters handed to ApplyReplay
+	// (both built on first use), and how many Runs jumped / stepped the
+	// row phase — tests assert there is no silent fall-back.
 	centerTiles          []int
 	ffRR                 []int64
 	rowSkips, rowStepped int
 }
 
+// arTile is one core's actor: its partial, the receive stages it sinks
+// (one per phase, in phase order), the color it sends its partial on
+// once they are complete (red at the root), and the broadcast copy.
 type arTile struct {
-	x, y                 int
-	val, acc             float32
-	rowExpect, rowGot    int
-	colExpect, colGot    int
-	quadExpect, quadGot  int
-	sentRow, sentCol     bool
-	sentQuad, sentRed    bool
-	rowDone, colDone     bool
-	haveResult           bool
-	result               float32
-	resultCycle          int64
-	isRowCtr, isColCtr   bool
-	isRoot               bool
-	greenTarget, quadCol fabric.Color
+	at         fabric.Coord
+	val, acc   float32
+	stages     []arStage
+	stage      int // first incomplete stage
+	out        fabric.Color
+	sent       bool
+	haveResult bool
+	result     float32
+}
+
+// arStage is one phase's receive at a sink: need words, each popped
+// from the first color in c0…c1 holding one.
+type arStage struct {
+	c0, c1    fabric.Color
+	need, got int
 }
 
 // NewAllReduce builds the reduction/broadcast routing on m's fabric using
 // six colors starting at base. Call once; Run may be invoked repeatedly.
+//
+// Routes go in phase by phase — blue, green, quad, red — because a
+// router arbitrates its entries in the order they were set.
 func NewAllReduce(m *wse.Machine, base fabric.Color) (*AllReduce, error) {
 	f := m.Fab
 	if int(base)+6 > fabric.MaxColors {
@@ -83,198 +98,47 @@ func NewAllReduce(m *wse.Machine, base fabric.Color) (*AllReduce, error) {
 	w, h := f.W, f.H
 	ar.cx0, ar.cx1 = (w-1)/2, w/2
 	ar.cy0, ar.cy1 = (h-1)/2, h/2
+	ar.tiles = make([]arTile, w*h)
+	for i := range ar.tiles {
+		ar.tiles[i] = arTile{at: f.CoordOf(i), out: ar.red}
+	}
+	xy := func(x, y int) fabric.Coord { return fabric.Coord{X: x, Y: y} }
 
-	// ---- Blue: row reduction toward the two central columns.
+	// Blue: each row half into its central column (on an odd width both
+	// halves into the one centre, west first).
 	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			at := fabric.Coord{X: x, Y: y}
-			switch {
-			case x < ar.cx0:
-				ar.routeChain(at, fabric.East, ar.blue, x > 0)
-			case x > ar.cx1:
-				ar.routeChain(at, fabric.West, ar.blue, x < w-1)
-			case x == ar.cx0 && ar.cx0 > 0:
-				f.SetRoute(at, fabric.West, ar.blue, fabric.Mask(fabric.Ramp))
-			}
-			if x == ar.cx1 && ar.cx1 < w-1 {
-				f.SetRoute(at, fabric.East, ar.blue, fabric.Mask(fabric.Ramp))
+		ar.line(ar.blue, 0, xy(0, y), xy(ar.cx0, y))
+		ar.line(ar.blue, 0, xy(w-1, y), xy(ar.cx1, y))
+	}
+	// Green: each central column's halves into the central rows.
+	for x := ar.cx0; x <= ar.cx1; x++ {
+		ar.line(ar.green, 0, xy(x, 0), xy(x, ar.cy0))
+		ar.line(ar.green, 0, xy(x, h-1), xy(x, ar.cy1))
+	}
+	// Quad: the other three central cores 4:1 into the root (cx0, cy0);
+	// the diagonal turns at (cx0, cy1), which relays it.
+	root := xy(ar.cx0, ar.cy0)
+	ar.line(ar.c4a, 0, xy(ar.cx1, ar.cy0), root)
+	ar.line(ar.c4b, 0, xy(ar.cx0, ar.cy1), root)
+	ar.line(ar.c4c, 1, xy(ar.cx1, ar.cy1), xy(ar.cx0, ar.cy1), root)
+
+	// Red: the broadcast enters each tile from its parent and leaves to
+	// its core and to every neighbour that names this tile as parent.
+	for i := range ar.tiles {
+		at := ar.tiles[i].at
+		outs := fabric.Mask(fabric.Ramp)
+		for p := fabric.North; p < fabric.Ramp; p++ {
+			dx, dy := p.Delta()
+			if nb := xy(at.X+dx, at.Y+dy); f.In(nb) && ar.parent(nb) == p.Opposite() {
+				outs |= fabric.Mask(p)
 			}
 		}
+		f.SetRoute(at, ar.parent(at), ar.red, outs)
 	}
 
-	// ---- Green: column reduction within the central columns.
-	for _, cx := range ar.centerCols() {
-		for y := 0; y < h; y++ {
-			at := fabric.Coord{X: cx, Y: y}
-			switch {
-			case y < ar.cy0:
-				ar.routeChain(at, fabric.South, ar.green, y > 0)
-			case y > ar.cy1:
-				ar.routeChain(at, fabric.North, ar.green, y < h-1)
-			case y == ar.cy0 && ar.cy0 > 0:
-				f.SetRoute(at, fabric.North, ar.green, fabric.Mask(fabric.Ramp))
-			}
-			if y == ar.cy1 && ar.cy1 < h-1 {
-				f.SetRoute(at, fabric.South, ar.green, fabric.Mask(fabric.Ramp))
-			}
-		}
-	}
-
-	// ---- 4:1 reduction into the root (cx0, cy0).
-	root := fabric.Coord{X: ar.cx0, Y: ar.cy0}
-	if ar.cx1 != ar.cx0 {
-		f.SetRoute(fabric.Coord{X: ar.cx1, Y: ar.cy0}, fabric.Ramp, ar.c4a, fabric.Mask(fabric.West))
-		f.SetRoute(root, fabric.East, ar.c4a, fabric.Mask(fabric.Ramp))
-	}
-	if ar.cy1 != ar.cy0 {
-		f.SetRoute(fabric.Coord{X: ar.cx0, Y: ar.cy1}, fabric.Ramp, ar.c4b, fabric.Mask(fabric.North))
-		f.SetRoute(root, fabric.South, ar.c4b, fabric.Mask(fabric.Ramp))
-	}
-	if ar.cx1 != ar.cx0 && ar.cy1 != ar.cy0 {
-		f.SetRoute(fabric.Coord{X: ar.cx1, Y: ar.cy1}, fabric.Ramp, ar.c4c, fabric.Mask(fabric.West))
-		f.SetRoute(fabric.Coord{X: ar.cx0, Y: ar.cy1}, fabric.East, ar.c4c, fabric.Mask(fabric.North))
-		f.SetRoute(root, fabric.South, ar.c4c, fabric.Mask(fabric.Ramp))
-	}
-
-	// ---- Red: broadcast, reverse of the reduction tree.
-	rootOuts := fabric.Mask(fabric.Ramp)
-	if ar.cy0 > 0 {
-		rootOuts |= fabric.Mask(fabric.North)
-	}
-	if ar.cy0 < h-1 {
-		rootOuts |= fabric.Mask(fabric.South)
-	}
-	if ar.cx0 > 0 {
-		rootOuts |= fabric.Mask(fabric.West) // left half of the root row
-	}
-	if ar.cx1 != ar.cx0 || ar.cx1 < w-1 {
-		// Even width: hand off to column cx1. Odd width: the root's own
-		// row continues eastward directly.
-		rootOuts |= fabric.Mask(fabric.East)
-	}
-	f.SetRoute(root, fabric.Ramp, ar.red, rootOuts)
-	for _, cx := range ar.centerCols() {
-		for y := 0; y < h; y++ {
-			at := fabric.Coord{X: cx, Y: y}
-			isHandOff := cx == ar.cx1 && ar.cx1 != ar.cx0 && y == ar.cy0
-			if y == ar.cy0 && !isHandOff {
-				continue // the root itself
-			}
-			var in fabric.Port
-			var cont fabric.Port
-			contOK := false
-			if isHandOff {
-				in = fabric.West
-			} else if y < ar.cy0 {
-				in = fabric.South // word moving north arrives on the south port
-				if y > 0 {
-					cont, contOK = fabric.North, true
-				}
-			} else {
-				in = fabric.North
-				if y < h-1 {
-					cont, contOK = fabric.South, true
-				}
-			}
-			outs := fabric.Mask(fabric.Ramp)
-			if contOK {
-				outs |= fabric.Mask(cont)
-			}
-			if isHandOff {
-				if ar.cy0 > 0 {
-					outs |= fabric.Mask(fabric.North)
-				}
-				if ar.cy0 < h-1 {
-					outs |= fabric.Mask(fabric.South)
-				}
-			}
-			// Row broadcast away from the central columns.
-			if cx == ar.cx0 && cx > 0 {
-				outs |= fabric.Mask(fabric.West)
-			}
-			if cx == ar.cx1 && cx < w-1 {
-				outs |= fabric.Mask(fabric.East)
-			}
-			f.SetRoute(at, in, ar.red, outs)
-		}
-	}
-	// Row tails beyond the central columns.
-	for y := 0; y < h; y++ {
-		for x := 0; x < ar.cx0; x++ {
-			outs := fabric.Mask(fabric.Ramp)
-			if x > 0 {
-				outs |= fabric.Mask(fabric.West)
-			}
-			f.SetRoute(fabric.Coord{X: x, Y: y}, fabric.East, ar.red, outs)
-		}
-		for x := ar.cx1 + 1; x < w; x++ {
-			outs := fabric.Mask(fabric.Ramp)
-			if x < w-1 {
-				outs |= fabric.Mask(fabric.East)
-			}
-			f.SetRoute(fabric.Coord{X: x, Y: y}, fabric.West, ar.red, outs)
-		}
-	}
-
-	// ---- Per-tile actor state.
-	ar.tiles = make([]*arTile, w*h)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			t := &arTile{x: x, y: y}
-			t.isRowCtr = x == ar.cx0 || x == ar.cx1
-			if t.isRowCtr {
-				if x == ar.cx0 {
-					t.rowExpect = ar.cx0 // tiles strictly left
-				} else {
-					t.rowExpect = w - 1 - ar.cx1
-				}
-				if ar.cx0 == ar.cx1 {
-					t.rowExpect = ar.cx0 + (w - 1 - ar.cx1) // single column takes both sides
-				}
-				t.isColCtr = y == ar.cy0 || y == ar.cy1
-				if t.isColCtr {
-					if y == ar.cy0 {
-						t.colExpect = ar.cy0
-					} else {
-						t.colExpect = h - 1 - ar.cy1
-					}
-					if ar.cy0 == ar.cy1 {
-						t.colExpect = ar.cy0 + (h - 1 - ar.cy1)
-					}
-				}
-			}
-			t.isRoot = x == ar.cx0 && y == ar.cy0
-			if t.isRoot {
-				if ar.cx1 != ar.cx0 {
-					t.quadExpect++
-				}
-				if ar.cy1 != ar.cy0 {
-					t.quadExpect++
-				}
-				if ar.cx1 != ar.cx0 && ar.cy1 != ar.cy0 {
-					t.quadExpect++
-				}
-			}
-			// Which color this center uses toward the root.
-			switch {
-			case x == ar.cx1 && y == ar.cy0 && ar.cx1 != ar.cx0:
-				t.quadCol = ar.c4a
-			case x == ar.cx0 && y == ar.cy1 && ar.cy1 != ar.cy0:
-				t.quadCol = ar.c4b
-			case x == ar.cx1 && y == ar.cy1 && ar.cx1 != ar.cx0 && ar.cy1 != ar.cy0:
-				t.quadCol = ar.c4c
-			}
-			ar.tiles[y*w+x] = t
-		}
-	}
 	ar.pending = make([][]int32, len(f.ShardRanges()))
 	ar.queued = make([]bool, w*h)
 	ar.perTile = make([]float32, w*h)
-	for y := 0; y < h; y++ {
-		for _, cx := range ar.centerCols() {
-			ar.centerTiles = append(ar.centerTiles, y*w+cx)
-		}
-	}
 	// Any word landing at a tile's ramp on one of the six AllReduce
 	// colors (reduction operand, quad word, broadcast result) re-lists
 	// the tile; deliveries for other subsystems sharing the fabric are
@@ -286,6 +150,69 @@ func NewAllReduce(m *wse.Machine, base fabric.Color) (*AllReduce, error) {
 		}
 	})
 	return ar, nil
+}
+
+// line lowers one reduction line on color c. The path runs through the
+// waypoints one hop at a time, farthest tile first, and ends at the
+// sink; the last relays tiles before the sink only forward, every other
+// tile injects its partial, and every tile after the first forwards
+// what arrives from upstream. A router gets its Ramp→out entry before
+// its forward entry. The sink pops the injected words in one receive
+// stage per phase: an odd centre's two lines share their color, and the
+// root's quad colors are one phase, popped c4a→c4b→c4c.
+func (ar *AllReduce) line(c fabric.Color, relays int, waypoints ...fabric.Coord) {
+	path := []fabric.Coord{waypoints[0]}
+	for _, to := range waypoints[1:] {
+		for at := path[len(path)-1]; at != to; {
+			at = fabric.Coord{X: at.X + cmp.Compare(to.X, at.X), Y: at.Y + cmp.Compare(to.Y, at.Y)}
+			path = append(path, at)
+		}
+	}
+	n := len(path) - 1 - relays
+	if n <= 0 {
+		return
+	}
+	for i, at := range path {
+		out := fabric.Ramp
+		if i+1 < len(path) {
+			out = portToward(path[i+1].X-at.X, path[i+1].Y-at.Y)
+		}
+		if i < n {
+			ar.F.SetRoute(at, fabric.Ramp, c, fabric.Mask(out))
+			ar.tiles[ar.F.Index(at)].out = c
+		}
+		if i > 0 {
+			ar.F.SetRoute(at, portToward(path[i-1].X-at.X, path[i-1].Y-at.Y), c, fabric.Mask(out))
+		}
+	}
+	sink := &ar.tiles[ar.F.Index(path[len(path)-1])]
+	k := len(sink.stages) - 1
+	if k < 0 || min(sink.stages[k].c1, ar.c4a) != min(c, ar.c4a) { // min(·, c4a): the phase
+		sink.stages = append(sink.stages, arStage{c0: c})
+		k++
+	}
+	sink.stages[k].c1 = c
+	sink.stages[k].need += n
+}
+
+// parent is the port the broadcast arrives on at tile at, the reduction
+// tree walked back: along the row from a central column, along a central
+// column from row cy0, at (cx1, cy0) from the root, and at the root from
+// its own core (Ramp).
+func (ar *AllReduce) parent(at fabric.Coord) fabric.Port {
+	switch {
+	case at.X < ar.cx0:
+		return fabric.East
+	case at.X > ar.cx1:
+		return fabric.West
+	case at.Y < ar.cy0:
+		return fabric.South
+	case at.Y > ar.cy0:
+		return fabric.North
+	case at.X > ar.cx0:
+		return fabric.West
+	}
+	return fabric.Ramp
 }
 
 // wakeTile puts a tile on its shard's pending list (idempotent).
@@ -305,30 +232,12 @@ func (ar *AllReduce) clearPending() {
 	clear(ar.queued)
 }
 
-func (ar *AllReduce) centerCols() []int {
-	if ar.cx0 == ar.cx1 {
-		return []int{ar.cx0}
-	}
-	return []int{ar.cx0, ar.cx1}
-}
-
-// routeChain configures a pass-through route at `at`: inject own (Ramp)
-// and, when hasUpstream, forward the neighbour chain arriving from the
-// opposite direction.
-func (ar *AllReduce) routeChain(at fabric.Coord, out fabric.Port, c fabric.Color, hasUpstream bool) {
-	ar.F.SetRoute(at, fabric.Ramp, c, fabric.Mask(out))
-	if hasUpstream {
-		ar.F.SetRoute(at, out.Opposite(), c, fabric.Mask(out))
-	}
-}
-
 // Result carries the outcome of one AllReduce. PerTile is a buffer the
 // AllReduce owns: valid until its next Run (or Result), copy it to keep it.
 type AllReduceResult struct {
-	Sum       float32
-	Cycles    int64 // until the last core received the result
-	PerTile   []float32
-	RootValue float32
+	Sum     float32
+	Cycles  int64 // until the last core received the result
+	PerTile []float32
 }
 
 // Run performs one AllReduce over values (one float32 per tile, fabric
@@ -367,15 +276,13 @@ func (ar *AllReduce) Begin(values []float32) error {
 	if len(values) != w*h {
 		return fmt.Errorf("kernels: allreduce needs %d values, got %d", w*h, len(values))
 	}
-	for i, t := range ar.tiles {
-		t.val = values[i]
-		t.acc = values[i]
-		t.rowGot, t.colGot, t.quadGot = 0, 0, 0
-		t.sentRow, t.sentCol, t.sentQuad, t.sentRed = false, false, false, false
-		t.rowDone = !t.isRowCtr || t.rowExpect == 0
-		t.colDone = false
-		t.haveResult = false
-		t.result = 0
+	for i := range ar.tiles {
+		t := &ar.tiles[i]
+		t.val, t.acc = values[i], values[i]
+		t.stage, t.sent, t.haveResult, t.result = 0, false, false, 0
+		for k := range t.stages {
+			t.stages[k].got = 0
+		}
 	}
 	// Every tile has an injection to attempt on the first cycle.
 	ar.clearPending()
@@ -396,7 +303,7 @@ func (ar *AllReduce) Tick() bool {
 		list := ar.pending[s]
 		keep := list[:0]
 		for _, ti := range list {
-			t := ar.tiles[ti]
+			t := &ar.tiles[ti]
 			had := t.haveResult
 			ar.stepTile(t)
 			if t.haveResult && !had {
@@ -417,8 +324,8 @@ func (ar *AllReduce) Tick() bool {
 // true): the root sum, latency in cycles since Begin, and every tile's
 // broadcast copy.
 func (ar *AllReduce) Result() AllReduceResult {
-	for i, t := range ar.tiles {
-		ar.perTile[i] = t.result
+	for i := range ar.tiles {
+		ar.perTile[i] = ar.tiles[i].result
 	}
 	return AllReduceResult{
 		Sum:     ar.tiles[ar.cy0*ar.F.W+ar.cx0].result,
@@ -445,7 +352,9 @@ func (ar *AllReduce) Result() AllReduceResult {
 // after Begin:
 //
 //   - each center tile holds its own value plus its side's values added
-//     nearest first, as float32 adds in that order;
+//     nearest first, as float32 adds in that order, and its row stage
+//     has all its words — the Tick the loop resumes with moves it on to
+//     its next stage, as it would after stepping;
 //   - the word from distance d moved d+1 times (d hops and the ramp
 //     delivery): H rows × 2 sides × (L(L+1)/2 + L) moves in all;
 //   - the router at distance d ≥ 1 was visited L−d+2 times (its own
@@ -472,21 +381,24 @@ func (ar *AllReduce) skipRowPhase(maxCycles int64) int64 {
 
 	if ar.ffRR == nil {
 		ar.ffRR = make([]int64, w*h)
+		for y := 0; y < h; y++ {
+			ar.centerTiles = append(ar.centerTiles, y*w+ar.cx0, y*w+ar.cx1)
+		}
 	}
 	rr := ar.ffRR
 	for y := 0; y < h; y++ {
 		row := ar.tiles[y*w : (y+1)*w]
-		left, right := row[ar.cx0], row[ar.cx1]
+		left, right := &row[ar.cx0], &row[ar.cx1]
 		for d := 1; d <= l; d++ {
-			a, b := row[ar.cx0-d], row[ar.cx1+d]
+			a, b := &row[ar.cx0-d], &row[ar.cx1+d]
 			left.acc += a.val
 			right.acc += b.val
-			a.sentRow, b.sentRow = true, true
+			a.sent, b.sent = true, true
 			visits := int64(l - d + 2)
 			rr[y*w+ar.cx0-d] = f.RR(y*w+ar.cx0-d) + visits
 			rr[y*w+ar.cx1+d] = f.RR(y*w+ar.cx1+d) + visits
 		}
-		left.rowGot, right.rowGot = left.rowExpect, right.rowExpect
+		left.stages[0].got, right.stages[0].got = left.stages[0].need, right.stages[0].need
 		rr[y*w+ar.cx0] = f.RR(y*w+ar.cx0) + int64(l)
 		rr[y*w+ar.cx1] = f.RR(y*w+ar.cx1) + int64(l)
 	}
@@ -499,7 +411,7 @@ func (ar *AllReduce) skipRowPhase(maxCycles int64) int64 {
 
 	// Only the center tiles, woken by their last blue word, have
 	// anything to do at the Tick the loop resumes with: it ends their
-	// row phase and sends them into the column or quad phase.
+	// row stage and sends them into the column or quad stage.
 	ar.clearPending()
 	for _, ti := range ar.centerTiles {
 		ar.wakeTile(ti)
@@ -511,20 +423,20 @@ func (ar *AllReduce) skipRowPhase(maxCycles int64) int64 {
 // even fabric width with a row phase to skip, the default queue depths
 // the derivation was checked against, a cycle budget the jump stays
 // inside, no word in any router queue, and none left in a receive
-// buffer this reduction would pop before the row phase ends.
+// buffer this reduction pops.
 func (ar *AllReduce) rowSkipEligible(maxCycles int64) bool {
 	if !ar.M.FastForwardEnabled() || ar.F.W < 4 || ar.F.W%2 != 0 || !ar.M.Cfg.DefaultQueueDepths() ||
 		int64(ar.cx0)+1 >= maxCycles || !ar.F.Quiescent() {
 		return false
 	}
-	for _, t := range ar.tiles {
-		at := fabric.Coord{X: t.x, Y: t.y}
-		if ar.F.RxLen(at, ar.red) > 0 {
+	for i := range ar.tiles {
+		t := &ar.tiles[i]
+		if ar.F.RxLen(t.at, ar.red) > 0 {
 			return false
 		}
-		if t.isRowCtr {
-			for c := ar.blue; c < ar.red; c++ {
-				if ar.F.RxLen(at, c) > 0 {
+		for _, s := range t.stages {
+			for c := s.c0; c <= s.c1; c++ {
+				if ar.F.RxLen(t.at, c) > 0 {
 					return false
 				}
 			}
@@ -534,150 +446,70 @@ func (ar *AllReduce) rowSkipEligible(maxCycles int64) bool {
 }
 
 // tileActionable reports whether the tile can make progress without a
-// new word arriving: a send to attempt (or retry under backpressure),
-// or words already waiting at its ramp for a phase it is in. Everything
-// else parks; the rx-delivery wake covers future arrivals.
+// new word arriving: a word already waiting for its current stage, its
+// send to attempt (or retry under backpressure) once every stage is
+// complete, or the broadcast waiting at its ramp. Everything else parks;
+// the rx-delivery wake covers future arrivals.
 func (ar *AllReduce) tileActionable(t *arTile) bool {
-	at := fabric.Coord{X: t.x, Y: t.y}
-	if !t.isRowCtr {
-		if !t.sentRow {
-			return true
-		}
-	} else {
-		if t.rowGot < t.rowExpect && ar.F.RxLen(at, ar.blue) > 0 {
-			return true
-		}
-		if t.rowDone && !t.isColCtr && !t.sentCol {
-			return true
-		}
-		if t.isColCtr {
-			if t.rowDone && t.colGot < t.colExpect && ar.F.RxLen(at, ar.green) > 0 {
+	if t.stage < len(t.stages) {
+		s := &t.stages[t.stage]
+		for c := s.c0; c <= s.c1; c++ {
+			if ar.F.RxLen(t.at, c) > 0 {
 				return true
 			}
-			if t.colDone && !t.isRoot && !t.sentQuad {
-				return true
-			}
-			if t.isRoot {
-				if t.colDone && t.quadGot < t.quadExpect &&
-					(ar.F.RxLen(at, ar.c4a) > 0 || ar.F.RxLen(at, ar.c4b) > 0 || ar.F.RxLen(at, ar.c4c) > 0) {
-					return true
-				}
-				if t.colDone && t.quadGot == t.quadExpect && !t.sentRed {
-					return true
-				}
-			}
 		}
-	}
-	if !t.haveResult && ar.F.RxLen(at, ar.red) > 0 {
+	} else if !t.sent {
 		return true
 	}
-	return false
+	return !t.haveResult && ar.F.RxLen(t.at, ar.red) > 0
 }
 
-// stepTile runs one cycle of a tile's reduction state machine. A tile
-// absorbs at most two words per cycle (the core "can add two 32-bit
-// quantities per cycle but can receive only one from the fabric" — the
-// fabric ramp already limits delivery to one word per cycle, so allowing
-// two pops per cycle only drains backlog).
+// stepTile runs one cycle of a tile's actor: pop into the current stage,
+// moving on to the next in the cycle one completes; send the partial in
+// the cycle the last completes; take the broadcast. A tile absorbs at
+// most two words per cycle across its stages (the core "can add two
+// 32-bit quantities per cycle but can receive only one from the fabric"
+// — the fabric ramp already limits delivery to one word per cycle, so
+// allowing two pops per cycle only drains backlog).
 func (ar *AllReduce) stepTile(t *arTile) {
-	at := fabric.Coord{X: t.x, Y: t.y}
 	pops := 0
-
-	// Row phase: non-center tiles send once; centers accumulate.
-	if !t.isRowCtr {
-		if !t.sentRow {
-			if ar.F.Send(at, fabric.WordF32(ar.blue, t.val)) {
-				t.sentRow = true
+	for ; t.stage < len(t.stages); t.stage++ {
+		s := &t.stages[t.stage]
+		for pops < 2 && s.got < s.need {
+			var w fabric.Word
+			ok := false
+			for c := s.c0; c <= s.c1 && !ok; c++ {
+				w, ok = ar.F.Recv(t.at, c)
 			}
-		}
-	} else {
-		for pops < 2 && t.rowGot < t.rowExpect {
-			w, ok := ar.F.Recv(at, ar.blue)
 			if !ok {
 				break
 			}
 			t.acc += w.F32()
-			t.rowGot++
+			s.got++
 			pops++
 		}
-		if t.rowGot == t.rowExpect {
-			t.rowDone = true
-		}
-		// Column phase.
-		if t.rowDone && !t.isColCtr && !t.sentCol {
-			if ar.F.Send(at, fabric.WordF32(ar.green, t.acc)) {
-				t.sentCol = true
-			}
-		}
-		if t.isColCtr {
-			for pops < 2 && t.colGot < t.colExpect && t.rowDone {
-				w, ok := ar.F.Recv(at, ar.green)
-				if !ok {
-					break
-				}
-				t.acc += w.F32()
-				t.colGot++
-				pops++
-			}
-			if t.rowDone && t.colGot == t.colExpect {
-				t.colDone = true
-			}
-			_ = pops
-			// Quad phase: the three non-root centers forward to the root.
-			if t.colDone && !t.isRoot && !t.sentQuad {
-				if ar.F.Send(at, fabric.WordF32(t.quadCol, t.acc)) {
-					t.sentQuad = true
-				}
-			}
-			if t.isRoot && t.colDone {
-				for pops < 2 && t.quadGot < t.quadExpect {
-					var w fabric.Word
-					var ok bool
-					for _, c := range []fabric.Color{ar.c4a, ar.c4b, ar.c4c} {
-						if w, ok = ar.F.Recv(at, c); ok {
-							break
-						}
-					}
-					if !ok {
-						break
-					}
-					t.acc += w.F32()
-					t.quadGot++
-					pops++
-				}
-				if t.quadGot == t.quadExpect && !t.sentRed {
-					if ar.F.Send(at, fabric.WordF32(ar.red, t.acc)) {
-						t.sentRed = true
-					}
-				}
-			}
+		if s.got < s.need {
+			break
 		}
 	}
-
-	// Everyone: wait for the broadcast result.
+	if t.stage == len(t.stages) && !t.sent {
+		t.sent = ar.F.Send(t.at, fabric.WordF32(t.out, t.acc))
+	}
 	if !t.haveResult {
-		if w, ok := ar.F.Recv(at, ar.red); ok {
-			t.result = w.F32()
-			t.haveResult = true
-			t.resultCycle = ar.F.Cycle()
+		if w, ok := ar.F.Recv(t.at, ar.red); ok {
+			t.result, t.haveResult = w.F32(), true
 		}
 	}
 }
 
-// ReferenceSum computes the float64 sum, for accuracy checks.
-func ReferenceSum(values []float32) float64 {
-	var s float64
-	for _, v := range values {
-		s += float64(v)
-	}
-	return s
-}
-
-// MaxAbs returns max |v| over values; used for error bounds.
-func MaxAbs(values []float32) float64 {
+// allReduceTol is the AllReduce's float32 error model, the bound on how
+// far its tree-order sum of values may sit from the exact sum:
+// n·maxᵢ|vᵢ|·1.2e-7·(1+log₂(n+1)).
+func allReduceTol(values []float32) float64 {
 	m := 0.0
 	for _, v := range values {
 		m = math.Max(m, math.Abs(float64(v)))
 	}
-	return m
+	n := float64(len(values))
+	return n * m * 1.2e-7 * (1 + math.Log2(n+1))
 }

@@ -5,8 +5,18 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/perfmodel"
 	"repro/internal/wse"
 )
+
+// referenceSum is the float64 sum of values, for accuracy checks.
+func referenceSum(values []float32) float64 {
+	var s float64
+	for _, v := range values {
+		s += float64(v)
+	}
+	return s
+}
 
 func runAllReduce(t *testing.T, w, h int, seed int64) (AllReduceResult, []float32) {
 	t.Helper()
@@ -30,9 +40,8 @@ func runAllReduce(t *testing.T, w, h int, seed int64) (AllReduceResult, []float3
 func TestAllReduceCorrectness(t *testing.T) {
 	for _, dims := range [][2]int{{1, 1}, {2, 2}, {1, 8}, {8, 1}, {4, 4}, {8, 6}, {7, 7}, {16, 12}, {9, 16}} {
 		res, vals := runAllReduce(t, dims[0], dims[1], int64(dims[0]*100+dims[1]))
-		want := ReferenceSum(vals)
-		n := float64(len(vals))
-		tol := n * MaxAbs(vals) * 1.2e-7 * (1 + math.Log2(n+1))
+		want := referenceSum(vals)
+		tol := allReduceTol(vals)
 		if math.Abs(float64(res.Sum)-want) > tol+1e-12 {
 			t.Errorf("%dx%d: sum = %g, want %g (tol %g)", dims[0], dims[1], res.Sum, want, tol)
 		}
@@ -45,20 +54,45 @@ func TestAllReduceCorrectness(t *testing.T) {
 	}
 }
 
-func TestAllReduceLatencyNearDiameter(t *testing.T) {
-	// The paper: "the single cycle-per-hop latency of the interconnect
-	// allows us to implement the AllReduce operation in a cycle count only
-	// about 10% greater than the diameter of the system."
-	for _, dims := range [][2]int{{8, 8}, {16, 16}, {32, 24}, {48, 48}} {
-		res, _ := runAllReduce(t, dims[0], dims[1], 42)
-		diameter := float64(dims[0] + dims[1] - 2)
-		ratio := float64(res.Cycles) / diameter
-		t.Logf("%dx%d: %d cycles, diameter %g, ratio %.3f", dims[0], dims[1], res.Cycles, diameter, ratio)
-		if ratio < 1.0 {
-			t.Errorf("%dx%d: latency %d below diameter %g — impossible", dims[0], dims[1], res.Cycles, diameter)
+// TestAllReduceSchedule holds the lowered schedule to the tree it
+// describes on random fabrics up to 40×40: the sinks' receive stages
+// expect every partial but the root's, every tile but the root sends on
+// a reduction color and the root on red, and an all-ones reduction
+// returns W·H exactly, in the cycles perfmodel's parity-aware model
+// predicts.
+func TestAllReduceSchedule(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for trial := 0; trial < 40; trial++ {
+		w, h := 1+rng.Intn(40), 1+rng.Intn(40)
+		ar, err := NewAllReduce(wse.New(wse.CS1(w, h)), 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if ratio > 1.6 {
-			t.Errorf("%dx%d: latency ratio %.2f too far above the paper's ~1.1", dims[0], dims[1], ratio)
+		need := 0
+		for i := range ar.tiles {
+			for _, s := range ar.tiles[i].stages {
+				need += s.need
+			}
+		}
+		if need != w*h-1 {
+			t.Errorf("%dx%d: sinks expect %d words, want %d", w, h, need, w*h-1)
+		}
+		ones := make([]float32, w*h)
+		for i := range ones {
+			ones[i] = 1
+		}
+		res, err := ar.Run(ones, 1<<20)
+		if err != nil {
+			t.Fatalf("%dx%d: %v", w, h, err)
+		}
+		if model := (perfmodel.WSE{W: w, H: h}).AllReduceCycles(); res.Sum != float32(w*h) || float64(res.Cycles) != model {
+			t.Errorf("%dx%d: sum %g in %d cycles, want %d in %g", w, h, res.Sum, res.Cycles, w*h, model)
+		}
+		root := ar.cy0*w + ar.cx0
+		for i := range ar.tiles {
+			if tl := &ar.tiles[i]; !tl.sent || (tl.out == ar.red) != (i == root) {
+				t.Errorf("%dx%d: tile %v sent %v on color %d (root %v, red %d)", w, h, tl.at, tl.sent, tl.out, i == root, ar.red)
+			}
 		}
 	}
 }
@@ -79,8 +113,8 @@ func TestAllReduceRepeated(t *testing.T) {
 		if err != nil {
 			t.Fatalf("rep %d: %v", rep, err)
 		}
-		if math.Abs(float64(res.Sum)-ReferenceSum(vals)) > 1e-3 {
-			t.Fatalf("rep %d: sum %g, want %g", rep, res.Sum, ReferenceSum(vals))
+		if math.Abs(float64(res.Sum)-referenceSum(vals)) > 1e-3 {
+			t.Fatalf("rep %d: sum %g, want %g", rep, res.Sum, referenceSum(vals))
 		}
 	}
 }
@@ -114,8 +148,8 @@ func TestAllReduceSharesFabricWithSpMV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(float64(res.Sum)-ReferenceSum(vals)) > 1e-3 {
-		t.Fatalf("sum %g, want %g", res.Sum, ReferenceSum(vals))
+	if math.Abs(float64(res.Sum)-referenceSum(vals)) > 1e-3 {
+		t.Fatalf("sum %g, want %g", res.Sum, referenceSum(vals))
 	}
 	// And the SpMV still runs afterwards.
 	vv := randomHalfVector(h.M.N(), rng)

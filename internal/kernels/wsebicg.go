@@ -411,15 +411,14 @@ func (w *BiCGStabEngine) dot(acc *PhaseCycles, a, b vec) (float64, error) {
 
 // checkDrift cross-checks one machine's fabric AllReduce value against
 // the exact sum of the same partials within the paper's AllReduce error
-// model (allreduce_test.go): a violation means the simulated reduction
+// model (allReduceTol): a violation means the simulated reduction
 // tree is broken, not mere rounding.
 func (w *BiCGStabEngine) checkDrift(fabricSum float32, exact float64, partial []float32) error {
 	drift := math.Abs(float64(fabricSum) - exact)
 	if drift == 0 {
 		return nil
 	}
-	nt := float64(len(partial))
-	tol := nt * MaxAbs(partial) * 1.2e-7 * (1 + math.Log2(nt+1))
+	tol := allReduceTol(partial)
 	switch {
 	case math.IsNaN(drift) || math.IsInf(drift, 0) || tol == 0:
 		// Non-finite data (overflowed partials): the error model does
