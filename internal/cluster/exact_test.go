@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 
@@ -92,6 +94,169 @@ func TestExactAccMergeIsPartitionInvariant(t *testing.T) {
 	total.Merge(part)
 	if got := total.Float64(); !math.IsInf(got, 1) {
 		t.Errorf("merge of an Inf part = %g", got)
+	}
+}
+
+// bigExactAcc is the big.Float accumulator ExactAcc replaced, kept
+// verbatim as the oracle its limbs are fuzzed against.
+type bigExactAcc struct {
+	sum, term big.Float
+	naive     float64
+	nonFinite bool
+}
+
+// bigExactPrec covers float64's 2098-bit fixed-point span plus the
+// carry growth of up to 2^206 summands, so no Add rounds.
+const bigExactPrec = 2304
+
+func newBigExactAcc() *bigExactAcc {
+	a := &bigExactAcc{}
+	a.sum.SetPrec(bigExactPrec)
+	a.term.SetPrec(53)
+	return a
+}
+
+func (a *bigExactAcc) Add(v float64) {
+	a.naive += v
+	if a.nonFinite || !isFinite(v) {
+		a.nonFinite = true
+		return
+	}
+	a.term.SetFloat64(v)
+	a.sum.Add(&a.sum, &a.term)
+}
+
+func (a *bigExactAcc) Merge(b *bigExactAcc) {
+	a.naive += b.naive
+	if a.nonFinite || b.nonFinite {
+		a.nonFinite = true
+		return
+	}
+	a.sum.Add(&a.sum, &b.sum)
+}
+
+func (a *bigExactAcc) Float64() float64 {
+	if a.nonFinite {
+		return a.naive
+	}
+	out, _ := a.sum.Float64()
+	return out
+}
+
+// exactFuzzTerms decodes fuzz input into terms, 9 bytes each: a kind
+// byte, then the bits of a float64 (kind%4 == 0), of a float32 (1), of
+// a subnormal float64 (2), or the negation of the previous term, for
+// exact cancellation (3). kind ≥ 128 forces a carry propagation after
+// the term, so the fuzzer reaches limbs that carried mid-stream.
+func exactFuzzTerms(data []byte) (terms []float64, carryAfter []bool) {
+	for ; len(data) >= 9; data = data[9:] {
+		kind, bits := data[0], binary.LittleEndian.Uint64(data[1:9])
+		var v float64
+		switch kind % 4 {
+		case 0:
+			v = math.Float64frombits(bits)
+		case 1:
+			v = float64(math.Float32frombits(uint32(bits)))
+		case 2:
+			v = math.Float64frombits(bits & (1<<63 | 1<<52 - 1))
+		case 3:
+			if len(terms) > 0 {
+				v = -terms[len(terms)-1]
+			}
+		}
+		terms = append(terms, v)
+		carryAfter = append(carryAfter, kind >= 128)
+	}
+	return terms, carryAfter
+}
+
+// FuzzExactAccMatchesBig holds the limb accumulator to the big.Float
+// one it replaced, bit for bit: over float32 and float64 terms,
+// subnormals, exact cancellation to zero, sums that overflow to ±Inf,
+// non-finite terms, and any cut of the terms into merged parts.
+func FuzzExactAccMatchesBig(f *testing.F) {
+	rec := func(kind byte, v uint64) []byte {
+		b := []byte{kind, 0, 0, 0, 0, 0, 0, 0, 0}
+		binary.LittleEndian.PutUint64(b[1:], v)
+		return b
+	}
+	cat := func(rs ...[]byte) []byte {
+		var out []byte
+		for _, r := range rs {
+			out = append(out, r...)
+		}
+		return out
+	}
+	f64 := func(v float64) []byte { return rec(0, math.Float64bits(v)) }
+	f.Add(cat(f64(1), f64(1e-300), f64(-1)), uint64(0b10))
+	f.Add(cat(f64(math.MaxFloat64), f64(math.MaxFloat64), f64(-1)), uint64(0))
+	f.Add(cat(f64(-math.MaxFloat64), f64(-math.MaxFloat64/2)), uint64(1))
+	f.Add(cat(f64(5e-324), rec(2, 0x000fffffffffffff), rec(3, 0), f64(-5e-324)), uint64(0b101))
+	f.Add(cat(rec(1, uint64(math.Float32bits(3.5))), rec(3, 0), rec(129, 0x80000001)), uint64(0b1))
+	f.Add(cat(f64(1), f64(math.Inf(1)), f64(2)), uint64(0b11))
+	f.Add(cat(f64(math.Inf(-1)), f64(math.Inf(1)), f64(math.NaN())), uint64(0))
+	f.Add(cat(f64(math.Copysign(0, -1)), f64(math.Copysign(0, -1))), uint64(0))
+	f.Add(cat(f64(0x1p1023), rec(128, math.Float64bits(0x1p1023)), rec(3, 0), f64(0x1p-1074)), uint64(0b1010))
+	f.Fuzz(func(t *testing.T, data []byte, cuts uint64) {
+		terms, carryAfter := exactFuzzTerms(data)
+		whole, oracle := NewExactAcc(), newBigExactAcc()
+		// Bit i of cuts ends a part after term i; parts merge in order.
+		merged, mergedOracle := NewExactAcc(), newBigExactAcc()
+		part, partOracle := NewExactAcc(), newBigExactAcc()
+		for i, v := range terms {
+			whole.Add(v)
+			oracle.Add(v)
+			part.Add(v)
+			partOracle.Add(v)
+			if carryAfter[i] {
+				whole.carry()
+				part.carry()
+			}
+			if cuts>>(i%64)&1 != 0 || i == len(terms)-1 {
+				merged.Merge(part)
+				mergedOracle.Merge(partOracle)
+				part.Reset()
+				partOracle = newBigExactAcc()
+			}
+		}
+		want := math.Float64bits(oracle.Float64())
+		if got := math.Float64bits(whole.Float64()); got != want {
+			t.Fatalf("%v: one accumulator %#x (%g), big.Float %#x (%g)", terms, got, whole.Float64(), want, oracle.Float64())
+		}
+		want = math.Float64bits(mergedOracle.Float64())
+		if got := math.Float64bits(merged.Float64()); got != want {
+			t.Fatalf("%v cut %#b: merged %#x (%g), big.Float %#x (%g)", terms, cuts, got, merged.Float64(), want, mergedOracle.Float64())
+		}
+	})
+}
+
+// dotPartials stands in for one dot's per-tile float32 partials on the
+// 102×95 fabric of the star_wide_ff benchmark workload.
+func dotPartials() []float32 {
+	rng := rand.New(rand.NewSource(26))
+	vals := make([]float32, 102*95)
+	for i := range vals {
+		vals[i] = float32(rng.NormFloat64() * math.Pow(2, float64(rng.Intn(40)-20)))
+	}
+	return vals
+}
+
+// TestExactSum32Allocs bounds one dot's combine: the terms allocate
+// nothing, only the final rounding does.
+func TestExactSum32Allocs(t *testing.T) {
+	vals := dotPartials()
+	if n := testing.AllocsPerRun(20, func() { ExactSum32(vals) }); n > 8 {
+		t.Errorf("ExactSum32 of %d values: %v allocations, want at most 8", len(vals), n)
+	}
+}
+
+var exactSink float64
+
+func BenchmarkExactSum32(b *testing.B) {
+	vals := dotPartials()
+	b.ReportAllocs()
+	for b.Loop() {
+		exactSink = ExactSum32(vals)
 	}
 }
 

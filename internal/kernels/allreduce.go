@@ -51,13 +51,22 @@ type AllReduce struct {
 
 	perTile []float32 // Result's PerTile, reused by every reduction
 
-	// Row-phase fast-forward (skipRowPhase): the center-column tile
-	// indices and the absolute rotation counters handed to ApplyReplay
-	// (both built on first use), and how many Runs jumped / stepped the
-	// row phase — tests assert there is no silent fall-back.
-	centerTiles          []int
-	ffRR                 []int64
-	rowSkips, rowStepped int
+	root  int   // the tile that sends on red
+	sinks []int // the tiles with receive stages
+
+	// Fast-forward (ffGate, skipRowPhase, skipBroadcast): the center-column
+	// tile indices, each tile's broadcast-tree depth, the deepest tiles and
+	// the absolute rotation counters handed to ApplyReplay (all built on
+	// first use); holdRoot, set by Run, withholds the root's red send for
+	// skipBroadcast; and how many Runs jumped / stepped each phase — tests
+	// assert there is no silent fall-back.
+	centerTiles              []int
+	depth                    []int32
+	deepest                  []int
+	ffRR                     []int64
+	holdRoot                 bool
+	rowSkips, rowStepped     int
+	bcastSkips, bcastStepped int
 }
 
 // arTile is one core's actor: its partial, the receive stages it sinks
@@ -134,6 +143,12 @@ func NewAllReduce(m *wse.Machine, base fabric.Color) (*AllReduce, error) {
 			}
 		}
 		f.SetRoute(at, ar.parent(at), ar.red, outs)
+	}
+	ar.root = f.Index(root)
+	for i := range ar.tiles {
+		if len(ar.tiles[i].stages) > 0 {
+			ar.sinks = append(ar.sinks, i)
+		}
 	}
 
 	ar.pending = make([][]int32, len(f.ShardRanges()))
@@ -250,20 +265,37 @@ type AllReduceResult struct {
 // its own ramp, so the stepping order — and therefore the engine choice
 // — does not change the simulated state.
 //
-// Under wse.EngineFastForward an eligible reduction does not step its
-// row phase at all (see skipRowPhase); the loop then starts at the Tick
-// that ends it. Everything after — every phase with arbitration
-// contention — is cycle-simulated under every engine.
+// Under wse.EngineFastForward a reduction that starts as ffGate requires
+// steps neither of its contention-free phases: an even-width row phase
+// is jumped before the loop (skipRowPhase), which then starts at the
+// Tick that ends it, and the broadcast is jumped in place of the root's
+// send (skipBroadcast), ending the Run. What is left — the odd-width row
+// phase, the odd-height column phase and the 4:1 quad, whose arrival
+// order depends on arbitration — is cycle-simulated under every engine.
 func (ar *AllReduce) Run(values []float32, maxCycles int64) (AllReduceResult, error) {
 	if err := ar.Begin(values); err != nil {
 		return AllReduceResult{}, err
 	}
-	for cyc := ar.skipRowPhase(maxCycles); cyc < maxCycles; cyc++ {
+	ff := ar.ffGate()
+	if !ff {
+		ar.bcastStepped++
+	}
+	ar.holdRoot = ff
+	root := &ar.tiles[ar.root]
+	for cyc := ar.skipRowPhase(ff, maxCycles); cyc < maxCycles; cyc++ {
 		if ar.Tick() {
 			return ar.Result(), nil
 		}
+		if ar.holdRoot && root.stage == len(root.stages) {
+			ar.holdRoot = false
+			if ar.skipBroadcast(maxCycles - cyc) {
+				return ar.Result(), nil
+			}
+			root.sent = ar.F.Send(root.at, fabric.WordF32(ar.red, root.acc))
+		}
 		ar.F.Step()
 	}
+	ar.holdRoot = false
 	return AllReduceResult{}, fmt.Errorf("kernels: allreduce did not finish in %d cycles", maxCycles)
 }
 
@@ -328,17 +360,56 @@ func (ar *AllReduce) Result() AllReduceResult {
 		ar.perTile[i] = ar.tiles[i].result
 	}
 	return AllReduceResult{
-		Sum:     ar.tiles[ar.cy0*ar.F.W+ar.cx0].result,
+		Sum:     ar.tiles[ar.root].result,
 		Cycles:  ar.F.Cycle() - ar.start,
 		PerTile: ar.perTile,
 	}
 }
 
-// skipRowPhase is the AllReduce's analytic path: called right after
-// Begin, it jumps an eligible reduction to the state cycle stepping
-// reaches just before the Tick that ends the row phase, and returns how
-// many Tick/Step rounds of Run's loop that stood in for (0: not
-// eligible, nothing touched).
+// ffGate is the fast-forward gate skipRowPhase and skipBroadcast share,
+// evaluated once per Run, right after Begin: the fast-forward engine,
+// the default queue depths the derivations were checked against, no word
+// in any router queue, and none left in a receive buffer this reduction
+// pops — a sink's stage colors, or red at any tile. A reduction that
+// starts this way has the fabric to itself: when the root completes,
+// every partial has been injected, delivered and popped, so the red word
+// is the only one the broadcast moves.
+func (ar *AllReduce) ffGate() bool {
+	f := ar.F
+	if !ar.M.FastForwardEnabled() || !ar.M.Cfg.DefaultQueueDepths() || !f.Quiescent() {
+		return false
+	}
+	for _, ti := range ar.sinks {
+		t := &ar.tiles[ti]
+		for _, s := range t.stages {
+			for c := s.c0; c <= s.c1; c++ {
+				if f.RxLen(t.at, c) > 0 {
+					return false
+				}
+			}
+		}
+	}
+	for ti := range ar.tiles {
+		if q := f.RxQueueOf(ti, ar.red); q != nil && q.Len() > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// rrBuf is the rotation-counter vector both jumps hand to ApplyReplay.
+func (ar *AllReduce) rrBuf() []int64 {
+	if ar.ffRR == nil {
+		ar.ffRR = make([]int64, len(ar.tiles))
+	}
+	return ar.ffRR
+}
+
+// skipRowPhase is the AllReduce's analytic row phase: called right after
+// Begin, it jumps a reduction that passed ffGate to the state cycle
+// stepping reaches just before the Tick that ends the row phase, and
+// returns how many Tick/Step rounds of Run's loop that stood in for (0:
+// stepped, nothing touched).
 //
 // On an even-width fabric the row phase is a shift register. Every
 // non-center tile injects its word at Tick 0, the words of a row
@@ -366,26 +437,24 @@ func (ar *AllReduce) Result() AllReduceResult {
 //
 // An odd width has a single center column fed from both sides, whose
 // ramp arbitration makes the arrival order rotation-dependent; like
-// every later phase (column on odd H, the 4:1 quad, the broadcast) it
-// is cycle-simulated. The gate also rejects any start the derivation
-// does not cover. Bit- and cycle-identity with sequential stepping is
+// the column phase on an odd height and the 4:1 quad it is
+// cycle-simulated, and so is a row phase that would not end inside the
+// cycle budget. Bit- and cycle-identity with sequential stepping is
 // pinned by TestAllReduceRowSkipExact.
-func (ar *AllReduce) skipRowPhase(maxCycles int64) int64 {
-	if !ar.rowSkipEligible(maxCycles) {
+func (ar *AllReduce) skipRowPhase(ff bool, maxCycles int64) int64 {
+	f := ar.F
+	w, h, l := f.W, f.H, ar.cx0
+	if !ff || w < 4 || w%2 != 0 || int64(l)+1 >= maxCycles {
 		ar.rowStepped++
 		return 0
 	}
 	ar.rowSkips++
-	f := ar.F
-	w, h, l := f.W, f.H, ar.cx0
-
-	if ar.ffRR == nil {
-		ar.ffRR = make([]int64, w*h)
+	if ar.centerTiles == nil {
 		for y := 0; y < h; y++ {
 			ar.centerTiles = append(ar.centerTiles, y*w+ar.cx0, y*w+ar.cx1)
 		}
 	}
-	rr := ar.ffRR
+	rr := ar.rrBuf()
 	for y := 0; y < h; y++ {
 		row := ar.tiles[y*w : (y+1)*w]
 		left, right := &row[ar.cx0], &row[ar.cx1]
@@ -419,30 +488,89 @@ func (ar *AllReduce) skipRowPhase(maxCycles int64) int64 {
 	return int64(l) + 1
 }
 
-// rowSkipEligible is skipRowPhase's gate: the fast-forward engine, an
-// even fabric width with a row phase to skip, the default queue depths
-// the derivation was checked against, a cycle budget the jump stays
-// inside, no word in any router queue, and none left in a receive
-// buffer this reduction pops.
-func (ar *AllReduce) rowSkipEligible(maxCycles int64) bool {
-	if !ar.M.FastForwardEnabled() || ar.F.W < 4 || ar.F.W%2 != 0 || !ar.M.Cfg.DefaultQueueDepths() ||
-		int64(ar.cx0)+1 >= maxCycles || !ar.F.Quiescent() {
+// skipBroadcast is the AllReduce's analytic broadcast: Run calls it, on
+// a reduction that passed ffGate, at the Tick where the root has
+// completed its last stage and would send on red, with the Tick/Step
+// rounds left in the budget. It jumps to the state cycle stepping
+// reaches at the Tick that ends the reduction and reports true, or
+// reports false, touching nothing, when that Tick lies beyond the
+// budget; Run then makes the root's send and steps.
+//
+// The broadcast is the parent tree with one word in flight: the fabric
+// holds nothing else (ffGate), every router on the word's path has
+// nothing else to move and every destination queue is empty, so no
+// output is ever contended and no rotation counter decides anything.
+// With the root at depth 0 (its ramp queue) and D the greatest depth
+// (broadcastTree), the router at depth d forwards the word to its core
+// and children on cycle d+1, and its core takes it at Tick d+1. Hence,
+// D+1 cycles after the send:
+//
+//   - every tile holds the root's float32 sum;
+//   - each router moved one word: W·H moves;
+//   - the router at depth d was visited on cycle d+1 (the word) and, if
+//     d < D, on cycle d+2 (empty, which cools it), and on no other
+//     cycle: no router but the root's is hot at the send, because the
+//     fabric is quiescent, so the last cycle's only moves were
+//     deliveries to cores, and the root's last operand is the only
+//     delivery that cycle can have made — any other sink receiving then
+//     would not yet have sent the partial the root needs;
+//   - exactly the routers at depth D are hot; no word is left anywhere.
+//
+// Bit- and cycle-identity with sequential stepping is pinned by
+// TestAllReduceBroadcastSkipExact.
+func (ar *AllReduce) skipBroadcast(budget int64) bool {
+	if ar.depth == nil {
+		ar.broadcastTree()
+	}
+	f := ar.F
+	d := ar.depth[ar.deepest[0]]
+	if int64(d)+1 >= budget {
+		ar.bcastStepped++
 		return false
 	}
-	for i := range ar.tiles {
-		t := &ar.tiles[i]
-		if ar.F.RxLen(t.at, ar.red) > 0 {
-			return false
+	ar.bcastSkips++
+	rr := ar.rrBuf()
+	for ti, k := range ar.depth {
+		rr[ti] = f.RR(ti) + 1
+		if k < d {
+			rr[ti]++
 		}
-		for _, s := range t.stages {
-			for c := s.c0; c <= s.c1; c++ {
-				if ar.F.RxLen(t.at, c) > 0 {
-					return false
+	}
+	f.ApplyReplay(int64(d)+1, int64(len(ar.tiles)), rr, ar.deepest)
+
+	sum := ar.tiles[ar.root].acc
+	for i := range ar.tiles {
+		ar.tiles[i].result, ar.tiles[i].haveResult = sum, true
+	}
+	ar.tiles[ar.root].sent = true
+	ar.remaining = 0
+	return true
+}
+
+// broadcastTree records every tile's depth in the broadcast tree, level
+// by level from the root along the red routes NewAllReduce installed
+// from parent — a tile's out-mask, Ramp aside, names its children — and
+// keeps the last level as the deepest tiles.
+func (ar *AllReduce) broadcastTree() {
+	f := ar.F
+	ar.depth = make([]int32, len(ar.tiles))
+	for level := []int{ar.root}; len(level) > 0; {
+		ar.deepest = level
+		var next []int
+		for _, ti := range level {
+			at := ar.tiles[ti].at
+			outs := f.Route(at, ar.parent(at), ar.red)
+			for p := fabric.North; p < fabric.Ramp; p++ {
+				if outs.Has(p) {
+					dx, dy := p.Delta()
+					c := f.Index(fabric.Coord{X: at.X + dx, Y: at.Y + dy})
+					ar.depth[c] = ar.depth[ti] + 1
+					next = append(next, c)
 				}
 			}
 		}
+		level = next
 	}
-	return true
 }
 
 // tileActionable reports whether the tile can make progress without a
@@ -466,7 +594,8 @@ func (ar *AllReduce) tileActionable(t *arTile) bool {
 
 // stepTile runs one cycle of a tile's actor: pop into the current stage,
 // moving on to the next in the cycle one completes; send the partial in
-// the cycle the last completes; take the broadcast. A tile absorbs at
+// the cycle the last completes (the root leaves its send to Run while
+// holdRoot is set); take the broadcast. A tile absorbs at
 // most two words per cycle across its stages (the core "can add two
 // 32-bit quantities per cycle but can receive only one from the fabric"
 // — the fabric ramp already limits delivery to one word per cycle, so
@@ -492,7 +621,7 @@ func (ar *AllReduce) stepTile(t *arTile) {
 			break
 		}
 	}
-	if t.stage == len(t.stages) && !t.sent {
+	if t.stage == len(t.stages) && !t.sent && !(ar.holdRoot && t.out == ar.red) {
 		t.sent = ar.F.Send(t.at, fabric.WordF32(t.out, t.acc))
 	}
 	if !t.haveResult {

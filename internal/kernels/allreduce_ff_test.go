@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/fabric"
@@ -223,10 +224,18 @@ func TestAllReduceRowSkipExact(t *testing.T) {
 	}
 }
 
-// TestAllReduceRowSkipGate walks the gate's rejections: each start the
-// closed form does not cover must fall back to the stepping loop — and
-// still agree with sequential stepping bit for bit — while the jump
-// comes back as soon as the condition clears.
+// ffJumps is the fast-forward machine's account: row phases jumped and
+// stepped, then broadcasts jumped and stepped.
+func (p *arPair) ffJumps() [4]int {
+	ar := p.arFF
+	return [4]int{ar.rowSkips, ar.rowStepped, ar.bcastSkips, ar.bcastStepped}
+}
+
+// TestAllReduceRowSkipGate walks the rejections of the gate the row skip
+// and the broadcast jump share: each start the closed forms do not cover
+// must fall back to the stepping loop for both phases — and still agree
+// with sequential stepping bit for bit — while the jumps come back as
+// soon as the condition clears.
 func TestAllReduceRowSkipGate(t *testing.T) {
 	const w, h = 8, 5
 	vals := arValues(w*h, 5)
@@ -247,8 +256,9 @@ func TestAllReduceRowSkipGate(t *testing.T) {
 			if _, err := ar.Run(vals, 1<<20); err != nil {
 				t.Fatal(err)
 			}
-			if ar.rowSkips != 0 || ar.rowStepped != 1 {
-				t.Errorf("%v: %d row phases jumped, %d stepped; only fast-forward may jump", e, ar.rowSkips, ar.rowStepped)
+			if ar.rowSkips != 0 || ar.rowStepped != 1 || ar.bcastSkips != 0 || ar.bcastStepped != 1 {
+				t.Errorf("%v: row phases %d jumped, %d stepped; broadcasts %d jumped, %d stepped; only fast-forward may jump",
+					e, ar.rowSkips, ar.rowStepped, ar.bcastSkips, ar.bcastStepped)
 			}
 		}
 	})
@@ -260,8 +270,8 @@ func TestAllReduceRowSkipGate(t *testing.T) {
 		} {
 			p := newARPair(t, w, h, tweak)
 			p.run(t, vals, "non-default depth")
-			if p.arFF.rowSkips != 0 {
-				t.Errorf("jumped the row phase on non-default queue depths %+v", p.ff.Cfg)
+			if got := p.ffJumps(); got != [4]int{0, 1, 0, 1} {
+				t.Errorf("non-default queue depths %+v: jumps %v, want both phases stepped", p.ff.Cfg, got)
 			}
 		}
 	})
@@ -279,34 +289,76 @@ func TestAllReduceRowSkipGate(t *testing.T) {
 			m.Fab.Send(fabric.Coord{X: 0, Y: 0}, fabric.WordF32(arHotColor, 3))
 		}
 		p.run(t, vals, "word in flight")
-		if p.arFF.rowSkips != 0 || p.arFF.rowStepped != 1 {
-			t.Errorf("word in flight: %d jumped, %d stepped; want a fall-back", p.arFF.rowSkips, p.arFF.rowStepped)
+		if got := p.ffJumps(); got != [4]int{0, 1, 0, 1} {
+			t.Errorf("word in flight: jumps %v, want both phases stepped", got)
 		}
 		p.run(t, vals, "word landed")
-		if p.arFF.rowSkips != 1 {
-			t.Errorf("quiescent again: %d jumped; want the jump back", p.arFF.rowSkips)
+		if got := p.ffJumps(); got != [4]int{1, 1, 1, 1} {
+			t.Errorf("quiescent again: jumps %v, want both jumps back", got)
+		}
+	})
+
+	t.Run("word-on-broadcast-link", func(t *testing.T) {
+		// A word circling forever through four routers, across the link
+		// (1,0)→(0,0) the broadcast also takes westward: it is there when
+		// the root sends, keeps those routers hot every cycle and contends
+		// for that output with the red word.
+		p := newARPair(t, w, h, nil)
+		for _, m := range []*wse.Machine{p.seq, p.ff} {
+			for _, r := range []struct {
+				x, y int
+				in   fabric.Port
+				out  fabric.Port
+			}{
+				{1, 0, fabric.Ramp, fabric.West}, {0, 0, fabric.East, fabric.South},
+				{0, 1, fabric.North, fabric.East}, {1, 1, fabric.West, fabric.North}, {1, 0, fabric.South, fabric.West},
+			} {
+				m.Fab.SetRoute(fabric.Coord{X: r.x, Y: r.y}, r.in, arHotColor, fabric.Mask(r.out))
+			}
+			m.Fab.Send(fabric.Coord{X: 1, Y: 0}, fabric.WordF32(arHotColor, 7))
+		}
+		for rep := 0; rep < 2; rep++ {
+			p.run(t, vals, fmt.Sprintf("circling word, reduction %d", rep+1))
+		}
+		if got := p.ffJumps(); got != [4]int{0, 2, 0, 2} {
+			t.Errorf("circling word: jumps %v, want both phases stepped", got)
 		}
 	})
 
 	t.Run("stale-rx", func(t *testing.T) {
 		// An abandoned reduction (Begin and a few cycles, never finished)
 		// leaves AllReduce words behind in receive buffers once the
-		// fabric drains; the next Run must not jump over them.
-		p := newARPair(t, w, h, nil)
-		for _, ar := range []*AllReduce{p.arSeq, p.arFF} {
-			if err := ar.Begin(vals); err != nil {
-				t.Fatal(err)
+		// fabric drains; the next Run must not jump over them. Abandoned
+		// after one Tick it leaves blue words at the center columns;
+		// abandoned once the root has sent, red words at every tile that
+		// never took its copy.
+		for _, abandon := range []string{"first Tick", "root's send"} {
+			p := newARPair(t, w, h, nil)
+			for _, ar := range []*AllReduce{p.arSeq, p.arFF} {
+				if err := ar.Begin(vals); err != nil {
+					t.Fatal(err)
+				}
+				ar.Tick()
+				if abandon == "root's send" {
+					for !ar.tiles[ar.root].sent {
+						ar.F.Step()
+						ar.Tick()
+					}
+				}
+				if _, ok := ar.F.Drain(64); !ok {
+					t.Fatal("abandoned reduction did not drain")
+				}
 			}
-			ar.Tick()
-			if _, ok := ar.F.Drain(64); !ok {
-				t.Fatal("abandoned reduction did not drain")
+			if !p.ff.Fab.Quiescent() {
+				t.Fatal("fabric not quiescent")
 			}
-		}
-		if !p.ff.Fab.Quiescent() {
-			t.Fatal("fabric not quiescent")
-		}
-		if p.arFF.rowSkipEligible(1 << 20) {
-			t.Error("gate accepts a start with blue words waiting at the center columns")
+			if p.arFF.ffGate() {
+				t.Errorf("abandoned after the %s: gate accepts a start with AllReduce words waiting", abandon)
+			}
+			p.run(t, vals, "after the abandoned reduction")
+			if got := p.ffJumps(); got != [4]int{0, 1, 0, 1} {
+				t.Errorf("abandoned after the %s: jumps %v, want both phases stepped", abandon, got)
+			}
 		}
 	})
 
@@ -337,4 +389,89 @@ func TestAllReduceRowSkipGate(t *testing.T) {
 			t.Errorf("fingerprints diverge after the 6-cycle runs: seq %#x, ff %#x", a, b)
 		}
 	})
+
+	t.Run("budget-broadcast", func(t *testing.T) {
+		// Budgets that end inside the broadcast and on its last cycle: the
+		// broadcast steps and fails where stepping fails; one cycle more
+		// and it jumps.
+		res, err := newARPair(t, w, h, nil).arSeq.Run(vals, 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, budget := range []int64{res.Cycles - 3, res.Cycles, res.Cycles + 1} {
+			p := newARPair(t, w, h, nil)
+			_, errSeq := p.arSeq.Run(vals, budget)
+			_, errFF := p.arFF.Run(vals, budget)
+			if (errSeq == nil) != (budget > res.Cycles) || (errFF == nil) != (errSeq == nil) {
+				t.Fatalf("%d-cycle budget for a %d-cycle reduction: seq %v, ff %v", budget, res.Cycles, errSeq, errFF)
+			}
+			want := [4]int{1, 0, 0, 1}
+			if errFF == nil {
+				want = [4]int{1, 0, 1, 0}
+			}
+			if got := p.ffJumps(); got != want {
+				t.Errorf("%d-cycle budget: jumps %v, want %v", budget, got, want)
+			}
+			if a, b := p.seq.Fingerprint(), p.ff.Fingerprint(); a != b {
+				t.Errorf("%d-cycle budget: fingerprints diverge: seq %#x, ff %#x", budget, a, b)
+			}
+			if a, b := p.seq.Fab.HotCount(), p.ff.Fab.HotCount(); a != b {
+				t.Errorf("%d-cycle budget: hot sets diverge: seq %d tiles, ff %d", budget, a, b)
+			}
+		}
+	})
+}
+
+// TestAllReduceBroadcastSkipExact pins the fast-forward engine's
+// closed-form broadcast against sequential cycle stepping, as
+// TestAllReduceRowSkipExact does the row phase: every observable of the
+// reduction, the machine fingerprint and the hot count after each of
+// three back-to-back reductions, from a cold fabric and from starts with
+// leftover-hot routers at the root's column, away from it, and both. The
+// shapes are the row skip's plus the degenerate and odd ones; every
+// broadcast must jump under fast-forward and none under sequential.
+func TestAllReduceBroadcastSkipExact(t *testing.T) {
+	shapes := [][2]int{
+		{102, 95}, {8, 7}, {12, 9}, {4, 4}, {4, 3}, {6, 2}, {10, 8}, {16, 5}, {4, 1}, {30, 31},
+		{5, 4}, {7, 5}, {2, 6}, {1, 1}, {1, 9}, {8, 1}, {9, 9},
+	}
+	for _, sh := range shapes {
+		w, h := sh[0], sh[1]
+		cx0, cx1 := (w-1)/2, w/2
+		starts := []struct {
+			name string
+			hot  []fabric.Coord
+		}{
+			{"cold", nil},
+			{"hot-center", []fabric.Coord{{X: cx0, Y: 0}, {X: cx1, Y: h - 1}}},
+			{"hot-outside", []fabric.Coord{{X: 0, Y: h / 2}, {X: w - 1, Y: 0}}},
+			{"hot-both", []fabric.Coord{{X: cx1, Y: h / 2}, {X: cx0, Y: h - 1}, {X: 0, Y: 0}, {X: w - 1, Y: h - 1}}},
+		}
+		for _, st := range starts {
+			t.Run(fmt.Sprintf("%dx%d/%s", w, h, st.name), func(t *testing.T) {
+				// On a one-wide fabric the corners coincide; heat each once,
+				// or the second word keeps the others' delivery cycle apart.
+				var hot []fabric.Coord
+				for _, c := range st.hot {
+					if !slices.Contains(hot, c) {
+						hot = append(hot, c)
+					}
+				}
+				p := newARPair(t, w, h, nil)
+				heatRouters(t, p.seq, hot)
+				heatRouters(t, p.ff, hot)
+				for rep := 0; rep < 3; rep++ {
+					p.run(t, arValues(w*h, int64(w*1000+h*10+rep)), fmt.Sprintf("reduction %d", rep+1))
+				}
+				if p.arFF.bcastSkips != 3 || p.arFF.bcastStepped != 0 {
+					t.Errorf("fast-forward machine: %d broadcasts jumped, %d stepped; want 3 and 0",
+						p.arFF.bcastSkips, p.arFF.bcastStepped)
+				}
+				if p.arSeq.bcastSkips != 0 || p.arSeq.bcastStepped != 3 {
+					t.Errorf("sequential machine: %d broadcasts jumped, %d stepped; want 0 and 3",
+						p.arSeq.bcastSkips, p.arSeq.bcastStepped)
+				}
+			})
+		}
+	}
 }
