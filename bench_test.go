@@ -557,16 +557,24 @@ func BenchmarkCavity2DWSEIteration(b *testing.B) {
 			cfg.Workers = workers
 			mach := wse.New(cfg)
 			defer mach.Close()
-			c := mfix.NewCavity2D(16, 100)
-			c.Pressure = kernels.NewWafer2DBackend(mach, 2)
+			be := kernels.NewWafer2DBackend(mach, 2)
+			var c *mfix.Cavity
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				// This cavity's fp16 pressure solve breaks down in its 15th
+				// sweep (TestCavityStopsOnNonFiniteSolve), so every timed
+				// sweep comes from a fresh cavity's first ten.
+				if i%10 == 0 {
+					b.StopTimer()
+					c = mfix.NewCavity2D(16, 100)
+					c.Pressure = be
+					b.StartTimer()
+				}
 				if _, err := c.Step(); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.StopTimer()
-			be := c.Pressure.(*kernels.WaferBackend)
 			b.ReportMetric(float64(be.Cycles.Total())/float64(be.Solves), "sim-cycles/pressure-solve")
 		})
 	}

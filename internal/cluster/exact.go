@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"math"
-	"math/big"
+	"math/bits"
 )
 
 // This file holds the exactly-rounded reduction every backend's
@@ -23,7 +23,7 @@ import (
 // in magnitude per term, so carries need propagating only every
 // carryEvery terms for no limb to overflow; the two limbs above the
 // span's 66 leave room for the carries of any realistic term count.
-// Float64 makes the one conversion, through big.Float, that rounds.
+// Float64 makes the one conversion, which rounds.
 const (
 	exactBias  = 1074 // v·2^exactBias is an integer for every float64 v
 	exactLimbs = 68   // 32-bit digits: the 2098-bit span plus carry room
@@ -112,7 +112,8 @@ func carryDigits(d *[exactLimbs]int64) {
 	}
 }
 
-// Float64 returns the sum, correctly rounded.
+// Float64 returns the sum, correctly rounded (to nearest, ties to even),
+// without allocating: it is called once per wafer dot.
 func (a *ExactAcc) Float64() float64 {
 	if a.nonFinite {
 		return a.naive
@@ -126,18 +127,44 @@ func (a *ExactAcc) Float64() float64 {
 		}
 		carryDigits(&d)
 	}
-	var be [exactLimbs * 4]byte // the magnitude, big-endian
-	for i, x := range d {
-		k := len(be) - 4*(i+1)
-		be[k], be[k+1], be[k+2], be[k+3] = byte(x>>24), byte(x>>16), byte(x>>8), byte(x)
+	// The magnitude M = Σ d[i]·2^(32i) now has 32-bit digits, the top limb
+	// alone possibly wider, so digits never overlap.
+	h := exactLimbs - 1
+	for h >= 0 && d[h] == 0 {
+		h--
 	}
-	var mag big.Int
-	var f big.Float
-	f.SetMantExp(f.SetInt(mag.SetBytes(be[:])), -exactBias)
+	if h < 0 {
+		return 0
+	}
+	// lead holds M's 64 leading bits (M shifted left when it has fewer),
+	// so lead's least bit weighs 2^s; sticky records a set bit below it.
+	s := 32*h + bits.Len64(uint64(d[h])) - 64
+	var lead uint64
+	sticky := false
+	for i := h; i >= 0; i-- {
+		switch sh := 32*i - s; {
+		case sh >= 0:
+			lead |= uint64(d[i]) << sh
+		case sh > -32:
+			lead |= uint64(d[i]) >> -sh
+			sticky = sticky || uint64(d[i])<<(64+sh) != 0
+		default:
+			sticky = sticky || d[i] != 0
+		}
+	}
+	// Round the 64 bits to float64's 53: lead's top bit is set, so the
+	// value is mant·2^(s+11−exactBias). When M has at most 53 bits nothing
+	// is cut off and the value is representable (a subnormal when M <
+	// 2^52), so Ldexp is exact and the only rounding is this one.
+	mant, rest := lead>>11, lead&(1<<11-1)
+	const half = 1 << 10
+	if rest > half || rest == half && (sticky || mant&1 != 0) {
+		mant++ // a carry to 2^53 is still exact in float64
+	}
+	out := math.Ldexp(float64(mant), s+11-exactBias)
 	if neg {
-		f.Neg(&f)
+		out = -out
 	}
-	out, _ := f.Float64()
 	return out
 }
 

@@ -241,12 +241,12 @@ func dotPartials() []float32 {
 	return vals
 }
 
-// TestExactSum32Allocs bounds one dot's combine: the terms allocate
-// nothing, only the final rounding does.
+// TestExactSum32Allocs pins one dot's combine, terms and final rounding,
+// at zero allocations.
 func TestExactSum32Allocs(t *testing.T) {
 	vals := dotPartials()
-	if n := testing.AllocsPerRun(20, func() { ExactSum32(vals) }); n > 8 {
-		t.Errorf("ExactSum32 of %d values: %v allocations, want at most 8", len(vals), n)
+	if n := testing.AllocsPerRun(20, func() { ExactSum32(vals) }); n != 0 {
+		t.Errorf("ExactSum32 of %d values: %v allocations, want 0", len(vals), n)
 	}
 }
 

@@ -18,18 +18,19 @@ type RouteKey struct {
 	C  Color
 }
 
-// EntryLayout returns tile's configured route entries in arbitration
-// order — the first-configured order the claim rotation walks, which
-// is part of the simulated state. Analytic phase replays
-// (perfmodel's exact stencil-exchange model) mirror this layout so
-// their rotation decisions match the engine's entry for entry.
-func (f *Fabric) EntryLayout(tile int) []RouteKey {
+// EntryLayout appends tile's configured route entries to dst in
+// arbitration order — the first-configured order the claim rotation
+// walks, which is part of the simulated state — and returns the
+// extended slice. Analytic phase replays (perfmodel's exact
+// stencil-exchange model) mirror this layout so their rotation
+// decisions match the engine's entry for entry; they read it tile by
+// tile into one reused buffer.
+func (f *Fabric) EntryLayout(dst []RouteKey, tile int) []RouteKey {
 	r := &f.routers[tile]
-	out := make([]RouteKey, len(r.active))
 	for i := range r.active {
-		out[i] = RouteKey{In: r.active[i].in, C: r.active[i].c}
+		dst = append(dst, RouteKey{In: r.active[i].in, C: r.active[i].c})
 	}
-	return out
+	return dst
 }
 
 // RR returns tile's arbitration rotation counter.

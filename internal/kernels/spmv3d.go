@@ -129,6 +129,7 @@ func NewSpMV3D(mach *wse.Machine, op *stencil.Op7Half) (*SpMV3D, error) {
 
 	// Per-tile memory, FIFOs, stream buffers, tasks.
 	p.tiles = make([]*spmvTile, m.NX*m.NY)
+	bufs := wse.NewStreamBufs(6*m.NX*m.NY, 4) // per tile: four neighbours, zp, diagonal
 	for y := 0; y < m.NY; y++ {
 		for x := 0; x < m.NX; x++ {
 			tl := mach.TileAt(fabric.Coord{X: x, Y: y})
@@ -162,14 +163,14 @@ func NewSpMV3D(mach *wse.Machine, op *stencil.Op7Half) (*SpMV3D, error) {
 
 			// Stream buffers and color subscriptions.
 			own := BroadcastColor(x, y)
-			st.zpBf = wse.NewStreamBuf(4)
-			st.cBf = wse.NewStreamBuf(4)
+			tb := bufs[(y*m.NX+x)*6:]
+			st.zpBf, st.cBf = &tb[4], &tb[5]
 			tl.Core.Subscribe(own, st.zpBf)
 			tl.Core.Subscribe(own, st.cBf)
 			for d := 0; d < 4; d++ {
 				nx, ny := x+dirDelta[d][0], y+dirDelta[d][1]
 				if nx >= 0 && nx < m.NX && ny >= 0 && ny < m.NY {
-					st.bufs[d] = wse.NewStreamBuf(4)
+					st.bufs[d] = &tb[d]
 					tl.Core.Subscribe(BroadcastColor(nx, ny), st.bufs[d])
 				}
 			}

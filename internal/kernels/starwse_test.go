@@ -174,3 +174,53 @@ func TestStarSolverRejectsPartialFabric(t *testing.T) {
 		t.Fatal("NewBiCGStabStarWSE accepted a mesh smaller than the fabric")
 	}
 }
+
+// TestStarSolveAllocsPerTile pins the host cost of a wafer solve as a
+// count no neighbour can move: heap allocations per tile of building a
+// machine and the 7-point star solver over the 3-D heat operator, then a
+// fast-forward solve. Per-tile state lives in per-machine and
+// per-program slabs, so the count grows with the fabric only through
+// what is still per tile (route entries, closures, arena growth, stage
+// lists) — 12.4 per tile; it was 57.2 before the slabs. The iterations
+// allocate nothing per tile: every phase rebases its instructions in
+// place and the exact dot combine does not allocate.
+func TestStarSolveAllocsPerTile(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations")
+	}
+	allocs := func(nx, ny, iters int) float64 {
+		mesh := stencil.Mesh{NX: nx, NY: ny, NZ: 4}
+		norm, _ := stencil.Heat3D(mesh, 0.1, stencil.Dirichlet).Normalize()
+		op := stencil.NewOpStarHalf(norm)
+		bh := make([]fp16.Float16, mesh.N())
+		for i := range bh {
+			bh[i] = fp16.FromFloat64(float64((i%23)-11) / 28)
+		}
+		var err error
+		n := testing.AllocsPerRun(3, func() {
+			m := wse.New(wse.Config{FabricW: nx, FabricH: ny, Engine: wse.EngineFastForward})
+			s, e := NewBiCGStabStarWSE(m, stencilc.Spec7Point(), op)
+			if e == nil {
+				_, _, e = s.Solve(bh, WSEOptions{MaxIter: iters, Tol: 0})
+			}
+			if e != nil {
+				err = e
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	small, large, longer := allocs(20, 15, 2), allocs(40, 30, 2), allocs(40, 30, 4)
+	slope := (large - small) / (40*30 - 20*15)
+	perIter := (longer - large) / (40 * 30)
+	t.Logf("allocations: %.0f at 20×15, %.0f at 40×30 (%.2f per tile), %.0f with 4 iterations (%+.4f per tile)",
+		small, large, slope, longer, perIter)
+	if slope > 15 {
+		t.Errorf("%.2f allocations per tile, want at most 15", slope)
+	}
+	if perIter >= 0.01 {
+		t.Errorf("two more iterations add %.4f allocations per tile, want under 0.01", perIter)
+	}
+}

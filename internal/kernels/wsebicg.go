@@ -76,15 +76,16 @@ type part struct {
 	phaseTask []*wse.Task
 	phaseDone []bool
 
-	// Reusable per-tile phase instructions: a paper-scale solve runs
+	// Per-tile phase instructions, built once: a paper-scale solve runs
 	// hundreds of thousands of tiles through a dozen-plus phases per
-	// iteration, so allocating fresh instruction objects per phase
-	// (hundreds of MB per solve) would dominate wall time with GC work.
-	// Each phase instead rewrites these in place; phaseTask[i].Instrs
-	// permanently aliases phaseSlot[i].
-	dotIn     []wse.DotMixed
-	axpyIn    []wse.MemOp
-	phaseSlot [][]wse.Instr
+	// iteration, so per-phase instruction objects — or even per-phase
+	// descriptor rebuilds — would dominate wall time. A phase rebases
+	// each tile's instruction in place (kind, scalar and operand Base
+	// offsets, then Reset) and points the tile's phase task at its one
+	// slot of dotSlot or axpySlot.
+	dotIn             []wse.DotMixed
+	axpyIn            []wse.MemOp
+	dotSlot, axpySlot []wse.Instr // dotSlot[i] = &dotIn[i], axpySlot[i] = &axpyIn[i]
 }
 
 // BiCGStabEngine is the wafer BiCGStab recurrence — the only copy of
@@ -142,11 +143,16 @@ func NewBiCGStabEngine(sub Substrate) (*BiCGStabEngine, error) {
 		tiles += n
 		pt := &part{m: m, ar: ar,
 			partial: make([]float32, n), phaseTask: make([]*wse.Task, n), phaseDone: make([]bool, n),
-			dotIn: make([]wse.DotMixed, n), axpyIn: make([]wse.MemOp, n), phaseSlot: make([][]wse.Instr, n)}
+			dotIn: make([]wse.DotMixed, n), axpyIn: make([]wse.MemOp, n)}
+		slots := make([]wse.Instr, 2*n)
+		pt.dotSlot, pt.axpySlot = slots[:n:n], slots[n:]
+		tasks := make([]wse.Task, n)
 		w.parts = append(w.parts, pt)
+		offs := make([]int, len(w.off)*n)
 		for v := range w.off {
-			w.off[v][p] = make([]int, n)
+			w.off[v][p] = offs[v*n : (v+1)*n : (v+1)*n]
 		}
+		col := tensor.Vec1D(0, sub.PerTile) // every operand's shape; phases set Base
 		for i, t := range m.Tiles {
 			for v, name := range vecNames {
 				off, err := t.Arena.Alloc(name, sub.PerTile)
@@ -155,13 +161,16 @@ func NewBiCGStabEngine(sub Substrate) (*BiCGStabEngine, error) {
 				}
 				w.off[v][p][i] = off
 			}
-			// One reusable phase task per tile: the driver rewrites each
-			// phase's instruction in place and re-activates it.
-			task := &wse.Task{Name: "phase"}
+			pt.dotIn[i] = wse.DotMixed{A: col, B: col, Arena: t.Arena, Out: &pt.partial[i]}
+			pt.axpyIn[i] = wse.MemOp{Arena: t.Arena, Dst: col, A: col}
+			pt.dotSlot[i], pt.axpySlot[i] = &pt.dotIn[i], &pt.axpyIn[i]
+			// One reusable phase task per tile, re-aimed and re-activated
+			// by every phase.
+			task := &tasks[i]
+			task.Name = "phase"
 			task.OnComplete = func(*wse.Core) { pt.phaseDone[i] = true }
 			t.Core.AddTask(task)
 			pt.phaseTask[i] = task
-			pt.phaseSlot[i] = make([]wse.Instr, 1)
 		}
 	}
 	if w.order == nil {
@@ -372,18 +381,16 @@ func (w *BiCGStabEngine) Solve(bvec []fp16.Float16, opts WSEOptions) ([]fp16.Flo
 // bits. It charges acc the slowest part's dot and AllReduce cycles and
 // the substrate's per-dot combine.
 func (w *BiCGStabEngine) dot(acc *PhaseCycles, a, b vec) (float64, error) {
-	n := w.sub.PerTile
 	var dotCyc, arCyc int64
 	for p, pt := range w.parts {
-		for i, t := range pt.m.Tiles {
+		offA, offB := w.off[a][p], w.off[b][p]
+		for i := range pt.dotIn {
 			pt.partial[i] = 0
-			pt.dotIn[i] = wse.DotMixed{
-				A: tensor.Vec1D(w.off[a][p][i], n), B: tensor.Vec1D(w.off[b][p][i], n),
-				Arena: t.Arena, Out: &pt.partial[i],
-			}
-			pt.phaseSlot[i][0] = &pt.dotIn[i]
+			d := &pt.dotIn[i]
+			d.A.Base, d.B.Base = offA[i], offB[i]
+			d.Reset()
 		}
-		dotCyc = max(dotCyc, pt.runPhase())
+		dotCyc = max(dotCyc, pt.runPhase(pt.dotSlot))
 	}
 	var exact float64
 	for _, pt := range w.parts {
@@ -451,32 +458,41 @@ func (w *BiCGStabEngine) checkpoint(it int, bnorm, rho float64, st WSEStats) ([]
 
 // update runs one AXPY-class instruction on every tile — dst = dst + s·a
 // (OpAxpy), dst = a + s·dst (OpXPAY) or dst = s·a + b (OpFMA, the only
-// kind that reads b) — rewriting each tile's reusable MemOp in place
-// (whole-value assignment, which also rewinds it).
+// kind that reads b) — rebasing each tile's MemOp in place: kind, scalar
+// and operand bases, then Reset rewinds it. b is a zero descriptor for
+// the kinds that do not read it.
 func (w *BiCGStabEngine) update(acc *PhaseCycles, kind wse.MemOpKind, s float64, dst, a, b vec) {
-	n, s16 := w.sub.PerTile, fp16.FromFloat64(s)
+	s16 := fp16.FromFloat64(s)
 	var cyc int64
 	for p, pt := range w.parts {
-		for i, t := range pt.m.Tiles {
-			op := &pt.axpyIn[i]
-			*op = wse.MemOp{Kind: kind, Arena: t.Arena, S: s16,
-				Dst: tensor.Vec1D(w.off[dst][p][i], n), A: tensor.Vec1D(w.off[a][p][i], n)}
-			if b != noVec {
-				op.B = tensor.Vec1D(w.off[b][p][i], n)
-			}
-			pt.phaseSlot[i][0] = op
+		offD, offA := w.off[dst][p], w.off[a][p]
+		var offB []int
+		if b != noVec {
+			offB = w.off[b][p]
 		}
-		cyc = max(cyc, pt.runPhase())
+		for i := range pt.axpyIn {
+			op := &pt.axpyIn[i]
+			op.Kind, op.S = kind, s16
+			op.Dst.Base, op.A.Base = offD[i], offA[i]
+			if offB != nil {
+				op.B = op.A
+				op.B.Base = offB[i]
+			} else {
+				op.B = tensor.Descriptor{}
+			}
+			op.Reset()
+		}
+		cyc = max(cyc, pt.runPhase(pt.axpySlot))
 	}
 	acc.Axpy += cyc
 }
 
-// runPhase executes each tile's phaseSlot instruction as a task and
-// steps the machine until all complete.
-func (pt *part) runPhase() int64 {
+// runPhase executes each tile's instruction in slots (slots[i] for tile
+// i) as its phase task and steps the machine until all complete.
+func (pt *part) runPhase(slots []wse.Instr) int64 {
 	for i, t := range pt.m.Tiles {
 		pt.phaseDone[i] = false
-		pt.phaseTask[i].Instrs = pt.phaseSlot[i]
+		pt.phaseTask[i].Instrs = slots[i : i+1 : i+1]
 		t.Core.Activate(pt.phaseTask[i])
 	}
 	// Dot and AXPY phases are pure per-tile compute with statically

@@ -2,9 +2,12 @@ package mfix
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/kernels"
+	"repro/internal/solver"
+	"repro/internal/stencil"
 	"repro/internal/wse"
 )
 
@@ -169,5 +172,80 @@ func TestCavity2DWaferShardedIdentical(t *testing.T) {
 			t.Fatalf("%s: machine fingerprints diverge: seq %#x, %s %#x", leg.name, fa, eb, fb)
 		}
 		t.Logf("%s: fingerprint %#x under seq and %s", leg.name, fa, eb)
+	}
+}
+
+// poisonAfter passes its first n solves through unchanged and poisons
+// the rest: v replaces the last residual of the history, or the first
+// entry of the solution.
+type poisonAfter struct {
+	solver.Backend
+	n      int
+	v      float64
+	inHist bool
+}
+
+func (p *poisonAfter) Solve(a stencil.Operator, b, x0 []float64, opts solver.Options) ([]float64, solver.Stats, error) {
+	x, st, err := p.Backend.Solve(a, b, x0, opts)
+	if p.n--; p.n < 0 && err == nil {
+		if p.inHist {
+			st.History[len(st.History)-1] = p.v
+		} else {
+			x[0] = p.v
+		}
+	}
+	return x, st, err
+}
+
+// TestCavityStopsOnNonFiniteSolve pins where a non-finite linear solve
+// stops SIMPLE: in the sweep that produced it, with an error naming the
+// sweep, the equation and the value — not a sweep later, when the
+// poisoned fields have been assembled into an operator the solver then
+// rejects as not normalized. The wafer row is the 16² cavity on an 8×8
+// fabric (b = 2), whose fp16 pressure solve breaks down in sweep 15
+// while the host cavity runs on.
+func TestCavityStopsOnNonFiniteSolve(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		cavity func(*wse.Machine) *Cavity
+		fabric int
+		sweeps int    // completed before the failing one
+		want   string // error text
+	}{
+		{"stub pressure NaN residual", func(*wse.Machine) *Cavity {
+			c := NewCavity2D(8, 100)
+			c.Pressure = &poisonAfter{Backend: solver.Host{}, n: 2, v: math.NaN(), inHist: true}
+			return c
+		}, 0, 2, "mfix: sweep 3: pressure: non-finite residual NaN at iteration"},
+		{"stub momentum Inf solution", func(*wse.Machine) *Cavity {
+			c := NewCavity(4, 100)
+			c.Momentum = &poisonAfter{Backend: solver.Host{}, n: 4, v: math.Inf(1)}
+			return c
+		}, 0, 1, "mfix: sweep 2: momentum axis 1: non-finite solution +Inf at unknown 0"},
+		{"2D wafer n=16 b=2", func(m *wse.Machine) *Cavity {
+			c := NewCavity2D(16, 100)
+			c.Pressure = kernels.NewWafer2DBackend(m, 2)
+			return c
+		}, 8, 14, "mfix: sweep 15: pressure: non-finite residual NaN at iteration"},
+	} {
+		var m *wse.Machine
+		if tc.fabric > 0 {
+			m = wse.New(wse.CS1(tc.fabric, tc.fabric))
+		}
+		res, err := tc.cavity(m).Run(tc.sweeps + 5)
+		if m != nil {
+			m.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want it to contain %q", tc.name, err, tc.want)
+		}
+		if len(res) != tc.sweeps {
+			t.Errorf("%s: %d sweeps completed, want %d", tc.name, len(res), tc.sweeps)
+		}
+		for i, r := range res {
+			if math.IsNaN(r.Mass) || math.IsNaN(r.Momentum) {
+				t.Errorf("%s: sweep %d returned non-finite residuals %+v", tc.name, i+1, r)
+			}
+		}
 	}
 }

@@ -43,10 +43,11 @@ type Cavity struct {
 	// PressureResiduals holds each pressure solve's residual history.
 	PressureResiduals [][]float64
 
-	dim  int     // D
-	ext  [3]int  // cell extents: N along active axes, 1 along an inactive one
-	area float64 // face area h^(D−1)
-	cond float64 // diffusion conductance μ·A/h = μ·h^(D−2)
+	sweep int     // Step calls so far, the current one included
+	dim   int     // D
+	ext   [3]int  // cell extents: N along active axes, 1 along an inactive one
+	area  float64 // face area h^(D−1)
+	cond  float64 // diffusion conductance μ·A/h = μ·h^(D−2)
 	// vel[a] holds the axis-a face velocities, x fastest; dims[a] are
 	// its grid extents (N+1 along the axis, the cell extents across).
 	vel  [3][]float64
@@ -125,20 +126,23 @@ type Residuals struct {
 	Momentum float64 // relative change of the velocity fields
 }
 
-// Step performs one SIMPLE iteration (Algorithm 2 lines 3–10).
+// Step performs one SIMPLE iteration (Algorithm 2 lines 3–10). A failed
+// or non-finite linear solve stops it with an error naming the sweep
+// and the equation (see solve).
 func (c *Cavity) Step() (Residuals, error) {
+	c.sweep++
 	var prev [3][]float64
 	for a := 0; a < c.dim; a++ {
 		prev[a] = append([]float64(nil), c.vel[a]...)
 	}
 	for a := 0; a < c.dim; a++ {
 		if err := c.solveMomentum(a); err != nil {
-			return Residuals{}, fmt.Errorf("mfix: momentum axis %d: %w", a, err)
+			return Residuals{}, err
 		}
 	}
 	mass, err := c.pressureCorrection()
 	if err != nil {
-		return Residuals{}, fmt.Errorf("mfix: continuity: %w", err)
+		return Residuals{}, err
 	}
 	var dd, nn float64
 	for a := 0; a < c.dim; a++ {
@@ -186,17 +190,43 @@ func (c *Cavity) newSystem(m stencil.Mesh) system {
 		off: [3][2][]float64{{o.C[3], o.C[5]}, {o.C[1], o.C[7]}}}
 }
 
-// solve normalizes the system and hands it to the backend for a bounded
-// iteration count, as the paper limits the inner solves.
-func (c *Cavity) solve(be solver.Backend, s system, x0 []float64, iters int, history bool) ([]float64, solver.Stats, error) {
+// solve normalizes the system for equation eq and hands it to the
+// backend for a bounded iteration count, as the paper limits the inner
+// solves. A solve that fails, or returns a NaN or Inf in its solution or
+// residual history, stops the sweep here: its result would otherwise be
+// assembled into the next system, and the failure would surface a sweep
+// later as a misleading operator error.
+func (c *Cavity) solve(be solver.Backend, eq string, s system, x0 []float64, iters int) ([]float64, solver.Stats, error) {
 	norm, diag := s.op.Normalized()
 	x, st, err := be.Solve(norm, stencil.ScaleRHS(s.b, diag), x0, solver.Options{
-		MaxIter: iters, Tol: 1e-12, RecordHistory: history,
+		MaxIter: iters, Tol: 1e-12, RecordHistory: true,
 	})
 	if err == solver.ErrZeroRHS {
 		return x0, st, nil
 	}
-	return x, st, err
+	if err == nil {
+		err = nonFinite(x, st.History)
+	}
+	if err != nil {
+		return nil, st, fmt.Errorf("mfix: sweep %d: %s: %w", c.sweep, eq, err)
+	}
+	return x, st, nil
+}
+
+// nonFinite reports the first NaN or Inf of a solve's residual history,
+// or failing that of its solution.
+func nonFinite(x, hist []float64) error {
+	for i, r := range hist {
+		if math.IsNaN(r) || math.IsInf(r, 0) {
+			return fmt.Errorf("non-finite residual %g at iteration %d", r, i+1)
+		}
+	}
+	for i, v := range x {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("non-finite solution %g at unknown %d", v, i)
+		}
+	}
+	return nil
 }
 
 // forEach visits the cells q ≥ lo, x fastest.
@@ -285,7 +315,7 @@ func (c *Cavity) solveMomentum(a int) error {
 		c.d[a][fa] = area / aP
 	})
 
-	sol, _, err := c.solve(c.Momentum, s, x0, c.MomentumIters, false)
+	sol, _, err := c.solve(c.Momentum, fmt.Sprintf("momentum axis %d", a), s, x0, c.MomentumIters)
 	if err != nil {
 		return err
 	}
@@ -332,7 +362,7 @@ func (c *Cavity) pressureCorrection() (float64, error) {
 		s.off[t][0][0], s.off[t][1][0] = 0, 0
 	}
 
-	pc, st, err := c.solve(c.Pressure, s, make([]float64, len(s.b)), c.PressureIters, true)
+	pc, st, err := c.solve(c.Pressure, "pressure", s, make([]float64, len(s.b)), c.PressureIters)
 	if err != nil {
 		return maxImb, err
 	}

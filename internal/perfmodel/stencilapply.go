@@ -148,22 +148,26 @@ func saAxis(d int) int {
 // Stages returns the stage list of the Program3D tile at fabric (x, y):
 // max(Wx,Wy) relay rounds (each active direction sends Z/2 words and
 // stores Z elements), then the compute task in OpStarHalf.Apply's
-// instruction order, then the optional fused Σy² dot.
+// instruction order, then the optional fused Σy² dot. The stages, and
+// the send and receive legs of all rounds, each come from one backing
+// sized for the most a tile can have: the fast-forward plan calls this
+// once per tile.
 func (s StencilApply3D) Stages(x, y int) []ReplayStage {
 	w, h, z, widths := s.W, s.H, s.Z, s.Widths
 	rounds := max(widths[0], widths[1])
 	nb := [4]bool{x < w-1, x > 0, y < h-1, y > 0}
-	var stages []ReplayStage
+	stages := make([]ReplayStage, 0, rounds+2)
+	tx, rx := make([]ReplayTx, 0, 4*rounds), make([]ReplayRx, 0, 4*rounds)
 	for r := 1; r <= rounds; r++ {
-		st := ReplayStage{Task: -1}
+		k := len(tx)
 		for d := 0; d < 4; d++ {
 			if nb[d] && r <= widths[saAxis(d)] {
-				st.Tx = append(st.Tx, ReplayTx{Color: saHaloOut[d], Words: z / 2})
-				st.Rx = append(st.Rx, ReplayRx{Color: saHaloIn[d], Elems: z})
+				tx = append(tx, ReplayTx{Color: saHaloOut[d], Words: z / 2})
+				rx = append(rx, ReplayRx{Color: saHaloIn[d], Elems: z})
 			}
 		}
-		if len(st.Tx) > 0 {
-			stages = append(stages, st)
+		if len(tx) > k {
+			stages = append(stages, ReplayStage{Task: -1, Tx: tx[k:len(tx):len(tx)], Rx: rx[k:len(rx):len(rx)]})
 		}
 	}
 	compute := 0

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/stencil"
 )
@@ -93,6 +94,19 @@ func CheckSystem(a stencil.Operator, b, x0 []float64) error {
 		return fmt.Errorf("solver: system size mismatch: mesh %d, b %d, x0 %d", n, len(b), len(x0))
 	}
 	if !a.IsUnitDiagonal() {
+		// A NaN or Inf coefficient fails the unit-diagonal test too —
+		// normalizing a NaN diagonal leaves NaN/NaN — and then "normalize
+		// it first" is the wrong advice: say what is wrong instead.
+		ones, row := make([]float64, len(b)), make([]float64, len(b))
+		for i := range ones {
+			ones[i] = 1
+		}
+		a.Apply(row, ones)
+		for i, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("solver: operator row %d has a non-finite coefficient (row sum %g)", i, v)
+			}
+		}
 		return fmt.Errorf("solver: operator must be diagonally preconditioned (unit diagonal); normalize it first")
 	}
 	return nil

@@ -3,6 +3,7 @@ package solver
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -330,6 +331,23 @@ func TestZeroRHS(t *testing.T) {
 	}
 	if _, err := CG(ctx, a, b, x, Options{}); err != ErrZeroRHS {
 		t.Errorf("CG: expected ErrZeroRHS, got %v", err)
+	}
+}
+
+// TestCheckSystemNonFinite: an operator that fails the unit-diagonal
+// check because a coefficient is NaN (normalizing a NaN centre gives
+// NaN/NaN) is reported as non-finite, not as one to normalize.
+func TestCheckSystemNonFinite(t *testing.T) {
+	m := stencil.Mesh2D{NX: 3, NY: 3}
+	b, x0 := make([]float64, m.N()), make([]float64, m.N())
+	raw := stencil.Poisson9(m, 1)
+	if err := CheckSystem(raw, b, x0); err == nil || !strings.Contains(err.Error(), "normalize it first") {
+		t.Errorf("finite, not normalized: %v", err)
+	}
+	raw.C[4][4] = math.NaN()
+	norm, _ := raw.Normalize9()
+	if err := CheckSystem(norm, b, x0); err == nil || !strings.Contains(err.Error(), "row 4 has a non-finite coefficient") {
+		t.Errorf("NaN centre: %v", err)
 	}
 }
 

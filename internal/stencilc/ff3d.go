@@ -2,6 +2,7 @@ package stencilc
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/fabric"
 	"repro/internal/fp16"
@@ -122,10 +123,14 @@ func (p *Program3D) buildFF() *ff3d {
 	w, h := p.M.Cfg.FabricW, p.M.Cfg.FabricH
 	model := perfmodel.StencilApply3D{W: w, H: h, Z: p.Mesh.NZ, Widths: p.Spec.Widths, SumSq: p.Spec.Reduce == ReduceSumSq}
 	f := &ff3d{tiles: make([]ff3dTile, len(p.tiles))}
+	// NewExchangeReplay copies each tile's spec before asking for the
+	// next, so one pair of buffers serves every tile.
+	var keys []fabric.RouteKey
+	var entries []perfmodel.ReplayEntry
 	f.replay = perfmodel.NewExchangeReplay(w, h, func(ti int) perfmodel.ReplayTileSpec {
 		st := p.tiles[ti]
-		keys := p.M.Fab.EntryLayout(ti)
-		entries := make([]perfmodel.ReplayEntry, len(keys))
+		keys = p.M.Fab.EntryLayout(keys[:0], ti)
+		entries = slices.Grow(entries[:0], len(keys))[:len(keys)]
 		for j, k := range keys {
 			col := int(k.C) - int(p.base)
 			ent := perfmodel.ReplayEntry{Kind: perfmodel.ReplayDead}

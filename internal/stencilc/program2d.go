@@ -116,6 +116,7 @@ func Compile2D(mach *wse.Machine, spec Spec, op *stencil.Op9, b int, base fabric
 	// Per-tile memory, stream subscriptions, tasks.
 	w, h := mach.Cfg.FabricW, mach.Cfg.FabricH
 	p.tiles = make([]*tile2D, w*h)
+	bufs := wse.NewStreamBufs(NumExchangeColors*w*h, 4)
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			tl := mach.TileAt(fabric.Coord{X: x, Y: y})
@@ -133,7 +134,7 @@ func Compile2D(mach *wse.Machine, spec Spec, op *stencil.Op9, b int, base fabric
 
 			sub := func(dir int, has bool) {
 				if has {
-					st.from[dir] = wse.NewStreamBuf(4)
+					st.from[dir] = &bufs[st.ti*NumExchangeColors+dir]
 					tl.Core.Subscribe(base+fabric.Color(dir), st.from[dir])
 				}
 			}

@@ -101,6 +101,34 @@ func distName(stem string, k int) string {
 	return fmt.Sprintf("%s%d", stem, k)
 }
 
+// columnNames3D names a tile's per-distance arena columns, [dir or
+// zpIdx/zmIdx][dist-1]: the same on every tile, so built once per
+// program.
+type columnNames3D struct {
+	c, h [NumHaloDirs][]string // lateral coefficients, halos
+	z    [2][]string           // z coefficients
+}
+
+func newColumnNames3D(widths [3]int) columnNames3D {
+	var n columnNames3D
+	for d := HaloDir(0); d < NumHaloDirs; d++ {
+		for k := 1; k <= widths[axisOf(d)]; k++ {
+			n.c[d] = append(n.c[d], distName(latName[d], k))
+			h := fmt.Sprintf("h%d", d)
+			if k > 1 {
+				h = fmt.Sprintf("h%d_%d", d, k)
+			}
+			n.h[d] = append(n.h[d], h)
+		}
+	}
+	for i, stem := range [2]string{zpIdx: "zp", zmIdx: "zm"} {
+		for k := 1; k <= widths[2]; k++ {
+			n.z[i] = append(n.z[i], distName(stem, k))
+		}
+	}
+	return n
+}
+
 // Compile3D lowers spec onto mach as a halo-resident program for the
 // sub-extent of the global operator op starting at tile (x0, y0); the
 // fabric size selects the extent. Z must be even (two fp16 elements per
@@ -132,36 +160,46 @@ func Compile3D(mach *wse.Machine, spec Spec, op *stencil.OpStarHalf, x0, y0 int,
 	p.arm = p.armTile
 	z := m.NZ
 
-	p.tiles = make([]*tile3D, w*h)
+	// Per-tile state comes from per-program slabs — the tiles, their
+	// offset lists, stream buffers and tasks — and the column names from
+	// one table: a paper-scale wafer has hundreds of thousands of tiles.
+	n := w * h
+	names := newColumnNames3D(spec.Widths)
+	sts := make([]tile3D, n)
+	wd := spec.Widths
+	offs := make([]int, n*(4*(wd[0]+wd[1])+2*wd[2])) // offC and offH per lateral direction, offZ per z side
+	take := func(k int) []int {
+		s := offs[:k:k]
+		offs = offs[k:]
+		return s
+	}
+	bufs := wse.NewStreamBufs(int(NumHaloDirs)*n, 4)
+	tasks := make([]wse.Task, 2*n) // per tile: the compute task, the fused dot's
+	p.tiles = make([]*tile3D, n)
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			tl := mach.TileAt(fabric.Coord{X: x, Y: y})
-			st := &tile3D{tile: tl, ti: y*w + x, x: x, y: y, gx: x0 + x, gy: y0 + y}
+			st := &sts[y*w+x]
+			*st = tile3D{tile: tl, ti: y*w + x, x: x, y: y, gx: x0 + x, gy: y0 + y}
 			lay := tileAlloc{a: tl.Arena}
 			for d := HaloDir(0); d < NumHaloDirs; d++ {
-				wd := spec.Widths[axisOf(d)]
-				st.offC[d] = make([]int, wd)
-				for k := 1; k <= wd; k++ {
-					st.offC[d][k-1] = lay.alloc(distName(latName[d], k), z)
+				st.offC[d] = take(len(names.c[d]))
+				for k, name := range names.c[d] {
+					st.offC[d][k] = lay.alloc(name, z)
 				}
 			}
-			for i, stem := range [2]string{zpIdx: "zp", zmIdx: "zm"} {
-				st.offZ[i] = make([]int, spec.Widths[2])
-				for k := range st.offZ[i] {
-					st.offZ[i][k] = lay.alloc(distName(stem, k+1), z)
+			for i := range st.offZ {
+				st.offZ[i] = take(len(names.z[i]))
+				for k, name := range names.z[i] {
+					st.offZ[i][k] = lay.alloc(name, z)
 				}
 			}
 			st.offV = lay.alloc("v", z)
 			st.offU = lay.alloc("u", z)
 			for d := HaloDir(0); d < NumHaloDirs; d++ {
-				wd := spec.Widths[axisOf(d)]
-				st.offH[d] = make([]int, wd)
-				for k := 1; k <= wd; k++ {
-					name := fmt.Sprintf("h%d", d)
-					if k > 1 {
-						name = fmt.Sprintf("h%d_%d", d, k)
-					}
-					st.offH[d][k-1] = lay.alloc(name, z)
+				st.offH[d] = take(len(names.h[d]))
+				for k, name := range names.h[d] {
+					st.offH[d][k] = lay.alloc(name, z)
 				}
 			}
 			if lay.err != nil {
@@ -174,14 +212,17 @@ func Compile3D(mach *wse.Machine, spec Spec, op *stencil.OpStarHalf, x0, y0 int,
 			for d := HaloDir(0); d < NumHaloDirs; d++ {
 				nx, ny := x+haloDelta[d][0], y+haloDelta[d][1]
 				if nx >= 0 && nx < w && ny >= 0 && ny < h {
-					st.from[d] = wse.NewStreamBuf(4)
+					st.from[d] = &bufs[st.ti*int(NumHaloDirs)+int(d)]
 					tl.Core.Subscribe(base+fabric.Color(haloTravel[d]), st.from[d])
 				}
 			}
 
-			st.compute = tl.Core.AddTask(&wse.Task{Name: "spmv3dh"})
+			tk := tasks[2*st.ti:]
+			tk[0].Name = "spmv3dh"
+			st.compute = tl.Core.AddTask(&tk[0])
 			if spec.Reduce == ReduceSumSq {
-				st.dotTask = tl.Core.AddTask(&wse.Task{Name: "sumsq"})
+				tk[1].Name = "sumsq"
+				st.dotTask = tl.Core.AddTask(&tk[1])
 				st.dotTask.OnComplete = func(c *wse.Core) { p.done[st.ti] = true }
 				st.compute.OnComplete = func(c *wse.Core) { c.Activate(st.dotTask) }
 			} else {

@@ -191,14 +191,27 @@ type Arena struct {
 	mem    []fp16.Float16
 	budget int // bytes
 	used   int // bytes
+	// peak is shared by the arenas NewArenas made together: the most words
+	// any of them has held.
+	peak *int
 }
 
 // BytesPerWord is the storage size of one fp16 element.
 const BytesPerWord = 2
 
-// NewArena creates an arena with the given byte budget.
-func NewArena(budgetBytes int) *Arena {
-	return &Arena{budget: budgetBytes}
+// NewArenas creates n arenas with the given byte budget each — one per
+// tile of a machine. They grow as siblings: the tiles of a machine run
+// one program and allocate alike, so an arena that must grow reserves
+// the size its largest sibling has reached, and doubles only when it is
+// the largest. Each tile then reallocates about twice while a program is
+// built, not once per doubling, and holds little more than it uses.
+func NewArenas(n, budgetBytes int) []Arena {
+	peak := new(int)
+	as := make([]Arena, n)
+	for i := range as {
+		as[i] = Arena{budget: budgetBytes, peak: peak}
+	}
+	return as
 }
 
 // Alloc reserves words fp16 elements under the given name and returns the
@@ -210,7 +223,19 @@ func (a *Arena) Alloc(name string, words int) (int, error) {
 			name, a.used, bytes, a.budget)
 	}
 	base := len(a.mem)
-	a.mem = append(a.mem, make([]fp16.Float16, words)...)
+	need := base + words
+	if need > cap(a.mem) {
+		c := *a.peak
+		if c < need {
+			c = max(need, 2*cap(a.mem))
+		}
+		mem := make([]fp16.Float16, need, min(c, a.budget/BytesPerWord))
+		copy(mem, a.mem)
+		a.mem = mem
+	} else {
+		a.mem = a.mem[:need] // never held before: still zero
+	}
+	*a.peak = max(*a.peak, need)
 	a.used += bytes
 	return base, nil
 }

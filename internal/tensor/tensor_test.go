@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -85,7 +86,7 @@ func TestDescriptorProperties(t *testing.T) {
 }
 
 func TestArenaBudget(t *testing.T) {
-	a := NewArena(48 * 1024)
+	a := &NewArenas(1, 48*1024)[0]
 	// The paper's 3D layout: 6 matrix diagonals + v,u (with padding) + 5
 	// FIFO buffers of 20. At Z = 1536 the matrix+vector data is ~31 KB.
 	z := 1536
@@ -100,7 +101,7 @@ func TestArenaBudget(t *testing.T) {
 		t.Errorf("Used = %d, want %d", a.Used(), words*BytesPerWord)
 	}
 	// 10 Z-length vectors ~ 31KB fits; but 25 do not.
-	b := NewArena(48 * 1024)
+	b := &NewArenas(1, 48*1024)[0]
 	for i := 0; i < 16; i++ {
 		if _, err := b.Alloc("v", z); err != nil {
 			return // expected to fail at the 17th (16*1536*2 = 49152 > 49152? exactly)
@@ -111,8 +112,40 @@ func TestArenaBudget(t *testing.T) {
 	}
 }
 
+// TestArenaSiblingGrowth: arenas made together grow as siblings. The
+// first doubles its way up; the next reserves, on its first growth, all
+// the first one reached, so building the same layout reallocates it
+// once. Offsets do not depend on the growth, new words read zero, and
+// no arena reserves past its budget.
+func TestArenaSiblingGrowth(t *testing.T) {
+	as := NewArenas(2, 48*1024)
+	var offs [2][]int
+	for i := range as {
+		for k := 0; k < 12; k++ {
+			offs[i] = append(offs[i], as[i].MustAlloc("c", 4))
+		}
+	}
+	if !slices.Equal(offs[0], offs[1]) || offs[1][11] != 44 {
+		t.Errorf("offsets %v and %v, want 0, 4, …, 44 twice", offs[0], offs[1])
+	}
+	if c := cap(as[1].mem); c != 48 {
+		t.Errorf("second arena holds %d words, want the 48 its sibling reached", c)
+	}
+	for i, v := range as[1].Slice(0, 48) {
+		if v != 0 {
+			t.Fatalf("word %d of a fresh allocation is %v", i, v)
+		}
+	}
+	small := &NewArenas(1, 20)[0] // 10 words
+	small.MustAlloc("a", 6)
+	small.MustAlloc("b", 4)
+	if c := cap(small.mem); c > 10 {
+		t.Errorf("arena of 10 words holds %d", c)
+	}
+}
+
 func TestArenaSliceAliasing(t *testing.T) {
-	a := NewArena(1024)
+	a := &NewArenas(1, 1024)[0]
 	base := a.MustAlloc("x", 8)
 	s := a.Slice(base, 8)
 	s[3] = fp16.One
@@ -125,7 +158,7 @@ func TestShiftedDescriptorsForZStencil(t *testing.T) {
 	// The SpMV listing's zp/zm accumulators alias u shifted by one:
 	// zp_acc base u+2, zm_acc base u+0, center u+1. Verify shift algebra:
 	// with v padded by one zero, u[k] accumulates v[k-1]*zm + v[k+1]*zp.
-	a := NewArena(4096)
+	a := &NewArenas(1, 4096)[0]
 	z := 8
 	vb := a.MustAlloc("v", z+1) // v[z] = 0 pad
 	ub := a.MustAlloc("u", z+2)
@@ -170,7 +203,7 @@ func TestShiftedDescriptorsForZStencil(t *testing.T) {
 }
 
 func TestFIFO(t *testing.T) {
-	a := NewArena(1024)
+	a := &NewArenas(1, 1024)[0]
 	base := a.MustAlloc("fifo", 4)
 	f := NewFIFO(base, 4)
 	activations := 0
@@ -209,7 +242,7 @@ func TestFIFO(t *testing.T) {
 func TestFIFOQuick(t *testing.T) {
 	// Model-based: FIFO behaves like a bounded queue.
 	f := func(ops []bool) bool {
-		a := NewArena(256)
+		a := &NewArenas(1, 256)[0]
 		base := a.MustAlloc("f", 5)
 		q := NewFIFO(base, 5)
 		var model []float64

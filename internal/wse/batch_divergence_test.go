@@ -99,7 +99,7 @@ func TestBatchDivergenceRxMidBatch(t *testing.T) {
 				}})
 				tk.OnComplete = func(c *Core) { c.LaunchThread(0, "tx", send, nil) }
 				st.Core.Activate(tk)
-				m.TileAt(fabric.Coord{X: 3, Y: 1}).Core.Subscribe(0, NewStreamBuf(2))
+				m.TileAt(fabric.Coord{X: 3, Y: 1}).Core.Subscribe(0, &NewStreamBufs(1, 2)[0])
 			})
 		})
 	}
@@ -160,7 +160,7 @@ func TestBatchDivergenceThreadExhaustion(t *testing.T) {
 					&SendMem{Color: 1, Src: tensor.Vec1D(buf, n), Arena: st.Arena, Total: n}, nil)
 
 				dst := m.TileAt(fabric.Coord{X: 3, Y: 1})
-				sb := NewStreamBuf(2)
+				sb := &NewStreamBufs(1, 2)[0]
 				dst.Core.Subscribe(1, sb)
 				acc := dst.Arena.MustAlloc("rx", n)
 				dst.Core.LaunchThread(0, "rx",
@@ -189,7 +189,7 @@ func TestBatchDivergenceBoundaryShape(t *testing.T) {
 					wide := 4
 					if ti == 6 { // tile (2,1): the boundary lane
 						wide = 8
-						tl.Core.Subscribe(5, NewStreamBuf(2))
+						tl.Core.Subscribe(5, &NewStreamBufs(1, 2)[0])
 					}
 					a := tl.Arena.MustAlloc("ba", wide)
 					b := tl.Arena.MustAlloc("bb", wide)

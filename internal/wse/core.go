@@ -252,10 +252,6 @@ type Core struct {
 	sliceSteps, walkSteps int64
 }
 
-func newCore(m *Machine, t *Tile) *Core {
-	return &Core{m: m, tile: t}
-}
-
 // wake puts the core on its shard's runnable worklist. Idempotent and
 // cheap; callers wake eagerly on any event that might create runnable
 // work and let the next step decide whether the core stays listed.
@@ -266,10 +262,37 @@ func (c *Core) wake() {
 	}
 }
 
+// A core's task and subscription lists start with room for this many
+// entries, carved from per-machine slabs: the compiled programs register
+// two or three tasks (the solver's phase task included) and subscribe
+// up to four colors per tile, each with one stream buffer (a subscribed
+// color's buffer list starts with room for one).
+const (
+	coreTasks = 4
+	coreSubs  = 4
+)
+
+// carve returns an empty list with capacity k cut from *slab, refilling
+// the slab with room for n such lists when it runs short. A list that
+// outgrows k moves to the heap on append, as any slice does. The slabs
+// are machine-wide, so AddTask and Subscribe — the callers — are
+// program-construction calls, never made from a handler mid-step.
+func carve[T any](slab *[]T, n, k int) []T {
+	if len(*slab) < k {
+		*slab = make([]T, n*k)
+	}
+	s := (*slab)[:0:k]
+	*slab = (*slab)[k:]
+	return s
+}
+
 // AddTask registers a task with the scheduler. Tasks start deactivated;
 // use Activate (or Task.activated via TaskState) to make them runnable.
 func (c *Core) AddTask(t *Task) *Task {
 	t.core = c
+	if c.tasks == nil {
+		c.tasks = carve(&c.m.taskSlab, len(c.m.Tiles), coreTasks)
+	}
 	c.tasks = append(c.tasks, t)
 	if t.activated && !t.blocked {
 		c.ready = true
@@ -328,9 +351,12 @@ func (c *Core) LaunchThread(slot int, name string, instr Instr, onDone func(*Cor
 // of a color receive every arriving word.
 func (c *Core) Subscribe(col fabric.Color, b *StreamBuf) {
 	if c.subMask&(1<<col) == 0 {
+		if c.subs == nil {
+			c.subs = carve(&c.m.subSlab, len(c.m.Tiles), coreSubs)
+		}
 		c.subMask |= 1 << col
 		c.subPos[col] = uint8(len(c.subs))
-		c.subs = append(c.subs, rxSub{col: col})
+		c.subs = append(c.subs, rxSub{col: col, bufs: carve(&c.m.bufSlab, coreSubs*len(c.m.Tiles), 1)})
 	}
 	i := c.subPos[col]
 	c.subs[i].bufs = append(c.subs[i].bufs, b)
@@ -649,21 +675,30 @@ func (c *Core) pick() *Task {
 type StreamBuf struct {
 	buf        []fp16.Float16
 	head, size int
-	// small backs buf for the usual shallow buffer, so that building one
-	// is a single allocation (every tile of a stencil program has several).
+	// small backs buf for the usual shallow buffer, so that a slab of
+	// them is a single allocation (every tile of a stencil program has
+	// several). A StreamBuf is therefore used in place, never copied.
 	small [8]fp16.Float16
 }
 
-// NewStreamBuf returns a buffer with capacity for depth words (2·depth
-// elements).
-func NewStreamBuf(depthWords int) *StreamBuf {
-	b := new(StreamBuf)
-	if n := 2 * depthWords; n <= len(b.small) {
-		b.buf = b.small[:n:n]
-	} else {
-		b.buf = make([]fp16.Float16, n)
+// NewStreamBufs returns n buffers, each with capacity for depthWords
+// words (2·depthWords elements), in one slab: a program takes the
+// buffers of all its tiles from one call.
+func NewStreamBufs(n, depthWords int) []StreamBuf {
+	bs := make([]StreamBuf, n)
+	e := 2 * depthWords
+	var deep []fp16.Float16
+	if e > len(StreamBuf{}.small) {
+		deep = make([]fp16.Float16, n*e)
 	}
-	return b
+	for i := range bs {
+		if deep == nil {
+			bs[i].buf = bs[i].small[:e:e]
+		} else {
+			bs[i].buf = deep[i*e : (i+1)*e : (i+1)*e]
+		}
+	}
+	return bs
 }
 
 func (b *StreamBuf) full() bool { return len(b.buf)-b.size < 2 }

@@ -107,7 +107,7 @@ func FuzzMachineEquivalence(f *testing.F) {
 				launch(m.Fab.Index(src), fmt.Sprintf("tx%d", fi), send, nil)
 
 				dstTile := m.TileAt(dst)
-				buf := NewStreamBuf(r.Intn(4) + 1)
+				buf := &NewStreamBufs(1, r.Intn(4)+1)[0]
 				dstTile.Core.Subscribe(col, buf)
 				if r.Intn(3) > 0 {
 					acc := dstTile.Arena.MustAlloc(fmt.Sprintf("rx%d", fi), total)

@@ -407,7 +407,7 @@ func buildLockProgram(seed int64, sh lockShape, e Engine, workers int) *lockProg
 		if onDone == nil && !chained[ti] && r.Intn(3) == 0 {
 			chained[ti] = true
 			lo := &testSpin{want: 1, n: r.Intn(3) + 1}
-			hi := &StreamAdd{Src: StreamSource{B: NewStreamBuf(1)}, Arena: m.Tiles[ti].Arena} // Total 0
+			hi := &StreamAdd{Src: StreamSource{B: &NewStreamBufs(1, 1)[0]}, Arena: m.Tiles[ti].Arena} // Total 0
 			counted = append(counted, func() int { return lo.calls })
 			onDone = func(c *Core) {
 				lo.reset()
@@ -528,7 +528,7 @@ func buildLockProgram(seed int64, sh lockShape, e Engine, workers int) *lockProg
 				// the run subscribes a consumer, some cycles in.
 				slot := nextSlot[ti] + 1
 				nextSlot[ti]++
-				buf := NewStreamBuf(2)
+				buf := &NewStreamBufs(1, 2)[0]
 				in := &StreamAdd{Src: StreamSource{B: buf}, Acc: tensor.Vec1D(tl.Arena.MustAlloc("late", total), total),
 					Arena: tl.Arena, Total: total}
 				core, on := tl.Core, false
@@ -548,7 +548,7 @@ func buildLockProgram(seed int64, sh lockShape, e Engine, workers int) *lockProg
 				})
 			}
 			for ; nb > 0; nb-- {
-				buf := NewStreamBuf(r.Intn(3) + 1)
+				buf := &NewStreamBufs(1, r.Intn(3)+1)[0]
 				tl.Core.Subscribe(col, buf)
 				if fi+1 < nFlows && r.Intn(3) == 0 {
 					// One buffer on two colors: the next flow's words land
@@ -635,7 +635,7 @@ func buildLockProgram(seed int64, sh lockShape, e Engine, workers int) *lockProg
 			launch(ti, in, in.reset, nil)
 		}
 		if r.Intn(8) == 0 {
-			in := &StreamAdd{Src: StreamSource{B: NewStreamBuf(1)}, Arena: a} // Total 0: born Done
+			in := &StreamAdd{Src: StreamSource{B: &NewStreamBufs(1, 1)[0]}, Arena: a} // Total 0: born Done
 			launch(ti, in, in.Reset, nil)
 		}
 		if r.Intn(5) == 0 {
@@ -909,7 +909,7 @@ func TestCoreStepEdges(t *testing.T) {
 		a, b := pair(func(m *Machine) {
 			fabric.BuildPath(m.Fab, fabric.Coord{}, fabric.East, 1, 3)
 			src, dst := m.Tiles[0], m.Tiles[1]
-			p := &prog{buf: NewStreamBuf(1)}
+			p := &prog{buf: &NewStreamBufs(1, 1)[0]}
 			p.send = &SendMem{Color: 3, Src: tensor.Vec1D(src.Arena.MustAlloc("tx", 8), 8), Arena: src.Arena, Total: 8}
 			p.add = &StreamAdd{Src: StreamSource{B: p.buf}, Acc: tensor.Vec1D(dst.Arena.MustAlloc("acc", 8), 8), Arena: dst.Arena, Total: 8}
 			dst.Core.Subscribe(3, p.buf)

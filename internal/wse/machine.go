@@ -152,6 +152,14 @@ type Machine struct {
 	// issue[s] is shard s's tally of what its cores' steps did; see
 	// IssueStats.
 	issue []shardIssue
+
+	// taskSlab, subSlab and bufSlab hold the not-yet-carved starts of the
+	// cores' task and subscription lists and of each subscribed color's
+	// buffer list (see carve); allocated on first use, so a machine no
+	// program runs on never pays for them.
+	taskSlab []*Task
+	subSlab  []rxSub
+	bufSlab  []*StreamBuf
 }
 
 // shardIssue pads one shard's tally to its own cache lines, since shards
@@ -203,16 +211,16 @@ func New(cfg Config) *Machine {
 	for s, r := range ranges {
 		m.loShard[r[0]] = s
 	}
-	m.Tiles = make([]*Tile, cfg.Cores())
-	for i := range m.Tiles {
-		at := m.Fab.CoordOf(i)
-		t := &Tile{
-			Coord: at,
-			Arena: tensor.NewArena(cfg.MemPerTile),
-			index: i,
-		}
-		t.Core = newCore(m, t)
-		t.Core.shard = m.Fab.ShardOf(i)
+	// Per-tile state lives in per-machine slabs: a paper-scale wafer has
+	// hundreds of thousands of tiles, and one heap object each is GC work
+	// that grows with the fabric.
+	n := cfg.Cores()
+	tiles, cores, arenas := make([]Tile, n), make([]Core, n), tensor.NewArenas(n, cfg.MemPerTile)
+	m.Tiles = make([]*Tile, n)
+	for i := range tiles {
+		t := &tiles[i]
+		*t = Tile{Coord: m.Fab.CoordOf(i), Arena: &arenas[i], Core: &cores[i], index: i}
+		cores[i] = Core{m: m, tile: t, shard: m.Fab.ShardOf(i)}
 		m.Tiles[i] = t
 	}
 	if m.engine == EngineBatched || m.engine == EngineFastForward {

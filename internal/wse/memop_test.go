@@ -66,7 +66,8 @@ const memopWords = 512 // arena words per side; operands live around word 200
 
 // memopArenas returns two arenas holding the same random finite values.
 func memopArenas(rng *rand.Rand) (a, b *tensor.Arena) {
-	a, b = tensor.NewArena(2*memopWords), tensor.NewArena(2*memopWords)
+	ab := tensor.NewArenas(2, 2*memopWords)
+	a, b = &ab[0], &ab[1]
 	a.MustAlloc("m", memopWords)
 	b.MustAlloc("m", memopWords)
 	for i := 0; i < memopWords; i++ {

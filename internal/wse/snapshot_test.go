@@ -36,7 +36,7 @@ func buildSnapProg(m *Machine) *snapProg {
 	p.w = p.dst.Arena.MustAlloc("w", p.n)
 	m.Fab.SetRoute(p.src.Coord, 4, 7, 1<<1) // Ramp in, East out
 	m.Fab.SetRoute(p.dst.Coord, 3, 7, 1<<4) // arrives West, to Ramp
-	p.buf = NewStreamBuf(8)
+	p.buf = &NewStreamBufs(1, 8)[0]
 	p.dst.Core.Subscribe(7, p.buf)
 	p.fin = p.dst.Core.AddTask(&Task{Name: "fin", Instrs: []Instr{
 		&MemOp{Kind: OpCopy, Arena: p.dst.Arena, Dst: tensor.Vec1D(p.w, p.n), A: tensor.Vec1D(p.acc, p.n)},

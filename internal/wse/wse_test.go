@@ -287,7 +287,7 @@ func TestRunUntilWedgeDetection(t *testing.T) {
 			src, dst := m3.Tiles[0], m3.Tiles[1]
 			m3.Fab.SetRoute(src.Coord, fabric.Ramp, 2, fabric.Mask(fabric.East))
 			m3.Fab.SetRoute(dst.Coord, fabric.West, 2, fabric.Mask(fabric.Ramp))
-			dst.Core.Subscribe(2, NewStreamBuf(1)) // one word of space, never drained
+			dst.Core.Subscribe(2, &NewStreamBufs(1, 1)[0]) // one word of space, never drained
 			n := 8
 			base := src.Arena.MustAlloc("v", n)
 			src.Core.LaunchThread(0, "tx", &SendMem{Color: 2, Src: tensor.Vec1D(base, n), Arena: src.Arena, Total: n}, nil)
@@ -344,7 +344,7 @@ func TestRxDeliveryWakesParkedCore(t *testing.T) {
 	src, dst := m.Tiles[0], m.Tiles[1]
 	m.Fab.SetRoute(src.Coord, fabric.Ramp, 5, fabric.Mask(fabric.East))
 	m.Fab.SetRoute(dst.Coord, fabric.West, 5, fabric.Mask(fabric.Ramp))
-	buf := NewStreamBuf(8)
+	buf := &NewStreamBufs(1, 8)[0]
 	dst.Core.Subscribe(5, buf)
 
 	// Drain the Subscribe wake: with no words anywhere the core parks.
@@ -404,7 +404,7 @@ func TestSendMemAcrossFabric(t *testing.T) {
 	}
 	m.Fab.SetRoute(src.Coord, 4, 7, 1<<1) // Ramp in, East out, color 7
 	m.Fab.SetRoute(dst.Coord, 3, 7, 1<<4) // arrives West, to Ramp
-	buf := NewStreamBuf(8)
+	buf := &NewStreamBufs(1, 8)[0]
 	dst.Core.Subscribe(7, buf)
 
 	send := &SendMem{Color: 7, Src: tensor.Vec1D(base, n), Arena: src.Arena, Total: n}
