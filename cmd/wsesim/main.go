@@ -21,8 +21,8 @@
 // Two execution backends for bicgstab:
 //
 //	default         one wafer whose fabric equals the mesh's X×Y extent
-//	-wafers WxH     a cluster of W×H cycle-simulated wafers coupled by
-//	                the edge-I/O interconnect model
+//	-wafers WxH     a cluster of W×H simulated wafers coupled by the
+//	                edge-I/O interconnect model
 //	                (internal/multiwafer: halo-resident SpMV, two-level
 //	                exactly-rounded dots — residual histories are
 //	                bit-identical for every grid, so `-wafers 2x1` and
@@ -34,8 +34,10 @@
 // Single-wafer simulations take -engine to pick the core-stepping
 // engine (seq, sharded, batched, fastforward). Every engine produces
 // bit- and cycle-identical results; batched and fastforward are the
-// host-throughput modes that make paper-scale fabrics interactive. See
-// docs/ARCHITECTURE.md, "Execution engines".
+// host-throughput modes that make paper-scale fabrics interactive. A
+// -wafers cluster takes no -engine, and -workers leaves it unchanged:
+// every wafer runs fastforward. See docs/ARCHITECTURE.md, "Execution
+// engines".
 //
 // Typical runs:
 //
@@ -118,7 +120,7 @@ func flagSet(c *config) *flag.FlagSet {
 	fs.StringVar(&c.wafers, "wafers", "",
 		"wafer grid WxH: run the multiwafer cluster backend instead of a single wafer (e.g. 2x1; bicgstab only)")
 	fs.IntVar(&c.workers, "workers", runtime.GOMAXPROCS(0),
-		"simulation worker goroutines (>1 shards each fabric on a persistent pool; results are bit-identical)")
+		"simulation worker goroutines (>1 shards the fabric on a persistent pool; results are bit-identical; single-wafer only: -wafers clusters fast-forward)")
 	fs.StringVar(&c.engine, "engine", "",
 		"core-stepping engine: seq|sharded|batched|fastforward (empty = automatic; every engine is bit- and cycle-identical — this is a host-throughput knob, single-wafer only)")
 	fs.StringVar(&c.ckptPath, "checkpoint", "",

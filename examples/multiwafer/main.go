@@ -2,7 +2,8 @@
 // replaces a CPU cluster; this study asks what a cluster *of wafers*
 // buys. It runs three legs:
 //
-//  1. a live cycle-simulated sweep of one mesh across wafer grids,
+//  1. a live simulated sweep of one mesh across wafer grids (cycle-exact:
+//     each wafer fast-forwards, its SpMVs timed by the exchange replay),
 //     checking the backend's contract — residual histories bit-identical
 //     for every decomposition — while measuring where the cycles go;
 //  2. the calibrated model's strong-scaling sweep at paper scale: the 3D
@@ -20,7 +21,6 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"runtime"
 
 	"repro/internal/core"
 	"repro/internal/multiwafer"
@@ -33,10 +33,9 @@ func main() {
 	ny := flag.Int("ny", 16, "live-sweep mesh height")
 	nz := flag.Int("nz", 32, "live-sweep Z points per tile (even)")
 	iters := flag.Int("iters", 4, "BiCGStab iterations per live solve")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "simulation workers per wafer machine")
 	flag.Parse()
 
-	// ---- Leg 1: live cycle-simulated sweep.
+	// ---- Leg 1: live simulated sweep.
 	m := stencil.Mesh{NX: *nx, NY: *ny, NZ: *nz}
 	op := stencil.MomentumLike(m, 0.02, [3]float64{1, 0.2, -0.1}, 0.1, 1, 0.1)
 	rng := rand.New(rand.NewSource(7))
@@ -46,7 +45,7 @@ func main() {
 	}
 	p, _ := core.NewProblem(op, xe)
 
-	fmt.Printf("live cycle simulation — %v mesh, %d iterations per grid\n", m, *iters)
+	fmt.Printf("live simulation — %v mesh, %d iterations per grid\n", m, *iters)
 	fmt.Printf("  %-6s %10s %8s %10s %10s %10s %8s   %s\n",
 		"grid", "cyc/iter", "spmv", "allreduce", "edge-I/O", "combine", "comm%", "history[last]")
 	var ref []float64
@@ -56,7 +55,7 @@ func main() {
 		}
 		res, err := core.Solve(p, core.Options{
 			Backend: core.MultiWafer, MaxIter: *iters,
-			MultiWafer: core.MultiWaferOptions{Grid: grid, Workers: *workers},
+			MultiWafer: core.MultiWaferOptions{Grid: grid},
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -167,8 +167,10 @@ type ClusterOptions struct {
 type MultiWaferOptions struct {
 	// Grid is the wafer grid; the zero value means a single wafer.
 	Grid multiwafer.Topology
-	// Workers is the number of simulation workers per wafer machine,
-	// with the same semantics as WaferOptions.Workers.
+	// Workers is multiwafer.Config.Workers. Unlike WaferOptions.Workers
+	// it selects no engine: every wafer runs the fast-forward engine
+	// (its SpMVs timed by the exact exchange replay), which steps on one
+	// goroutine.
 	Workers int
 }
 

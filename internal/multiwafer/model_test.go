@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/kernels"
 	"repro/internal/perfmodel"
+	"repro/internal/wse"
 )
 
 // TestModelMatchesSimulator pins perfmodel's multi-wafer extension to
@@ -12,7 +13,10 @@ import (
 // grids (even and uneven splits, odd and even sub-extents) and Z — the
 // same both-ways pinning discipline as the AllReduce model, so the
 // projection to grids of full wafers cannot silently drift from what
-// the simulator would measure.
+// the simulator would measure. Each shape runs twice: on New's
+// fast-forward wafers, whose SpMVs the exchange replay times, and on
+// sequential wafers, which cycle-simulate them — so the model is never
+// checked only against the replay it drives.
 func TestModelMatchesSimulator(t *testing.T) {
 	model := perfmodel.SimModel()
 	io := perfmodel.DefaultEdgeIO()
@@ -31,32 +35,34 @@ func TestModelMatchesSimulator(t *testing.T) {
 		{8, 8, 6, Topology{2, 1}},  // Z ≡ 2 (mod 4): per-instruction lane ceiling
 		{12, 12, 24, Topology{4, 1}},
 	} {
-		const iters = 2
-		h, _, b, _ := testProblem(t, tc.nx, tc.ny, tc.nz, 3)
-		c, err := New(Config{Grid: tc.grid}, h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, st, err := c.Solve(b, kernels.WSEOptions{MaxIter: iters})
-		c.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Iterations != iters || st.Breakdown != "" {
-			t.Fatalf("%v grid %v: expected %d clean iterations, got %+v", tc, tc.grid, iters, st)
-		}
-		m := model.MultiWaferIterationCycles(tc.nx, tc.ny, tc.nz, tc.grid.W, tc.grid.H, 1.1e9, io)
-		want := kernels.PhaseCycles{
-			SpMV:      iters * int64(m.SpMV),
-			EdgeIO:    iters * int64(m.EdgeIO),
-			Dot:       iters * int64(m.Dot),
-			AllReduce: iters * int64(m.AllReduce),
-			Combine:   iters * int64(m.Combine),
-			Axpy:      iters * int64(m.Axpy),
-		}
-		if st.Cycles != want {
-			t.Errorf("%d×%d×%d grid %v:\n  simulator %+v\n  model     %+v",
-				tc.nx, tc.ny, tc.nz, tc.grid, st.Cycles, want)
+		for _, engine := range []wse.Engine{wse.EngineFastForward, wse.EngineSequential} {
+			const iters = 2
+			h, _, b, _ := testProblem(t, tc.nx, tc.ny, tc.nz, 3)
+			c, err := build(Config{Grid: tc.grid}, h, engine)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, st, err := c.Solve(b, kernels.WSEOptions{MaxIter: iters})
+			c.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Iterations != iters || st.Breakdown != "" {
+				t.Fatalf("%v grid %v engine %v: expected %d clean iterations, got %+v", tc, tc.grid, engine, iters, st)
+			}
+			m := model.MultiWaferIterationCycles(tc.nx, tc.ny, tc.nz, tc.grid.W, tc.grid.H, 1.1e9, io)
+			want := kernels.PhaseCycles{
+				SpMV:      iters * int64(m.SpMV),
+				EdgeIO:    iters * int64(m.EdgeIO),
+				Dot:       iters * int64(m.Dot),
+				AllReduce: iters * int64(m.AllReduce),
+				Combine:   iters * int64(m.Combine),
+				Axpy:      iters * int64(m.Axpy),
+			}
+			if st.Cycles != want {
+				t.Errorf("%d×%d×%d grid %v engine %v:\n  simulator %+v\n  model     %+v",
+					tc.nx, tc.ny, tc.nz, tc.grid, engine, st.Cycles, want)
+			}
 		}
 	}
 }

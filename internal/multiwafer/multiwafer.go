@@ -1,8 +1,8 @@
-// Package multiwafer composes several cycle-simulated wafers
-// (wse.Machine instances) into a cluster that solves one 3D stencil
-// system — the scale-out direction the paper closes with: if one CS-1
-// replaces a cluster of CPU nodes, a cluster of CS-1s coupled through
-// their 1.2 Tb/s edge I/O is the next rung.
+// Package multiwafer composes several simulated wafers (wse.Machine
+// instances, cycle-exact under every engine) into a cluster that solves
+// one 3D stencil system — the scale-out direction the paper closes
+// with: if one CS-1 replaces a cluster of CPU nodes, a cluster of CS-1s
+// coupled through their 1.2 Tb/s edge I/O is the next rung.
 //
 // A W×H wafer grid block-partitions the mesh's X×Y extent (the Z
 // columns stay tile-local, as in the paper's 3D mapping); each wafer
@@ -37,14 +37,22 @@
 // instruction sequence (the stencilc.Program3D contract), halos move
 // bit-verbatim whether by fabric stream or host edge copy, dots are
 // exactly rounded sums of per-tile partials (order-invariant), and all
-// host-side diagnostics accumulate in canonical global mesh order. The
-// package tests pin 1/2/4-wafer runs and both engines to the same
-// histories. A 1×1 cluster is the one-part substrate the single-wafer
-// star solver at stencilc.Spec7Point also is, so the two return the
-// same account field for field (TestOneWaferClusterIsTheStarSolver) —
-// and the same bits as the host chunked-mixed context, sequential or
-// rank-parallel (solver.Parallel); internal/core's
-// TestAllBackendsBitIdentical pins all four.
+// host-side diagnostics accumulate in canonical global mesh order.
+//
+// Every wafer runs the fast-forward engine, so its SpMV is not
+// cycle-simulated: the memory effect is host loops with the same
+// roundings, and the counters come from the exact exchange replay of the
+// wafer's placed sub-extent (stencilc's ff3d.go). The cycle account is
+// the one cycle simulation gives. The package tests pin 1/2/4-wafer runs
+// to the same histories, and the multi-wafer cycle model both to
+// replayed and to cycle-simulated clusters.
+//
+// A 1×1 cluster is the one-part substrate the single-wafer star solver
+// at stencilc.Spec7Point also is, so the two return the same account
+// field for field (TestOneWaferClusterIsTheStarSolver) — and the same
+// bits as the host chunked-mixed context, sequential or rank-parallel
+// (solver.Parallel); internal/core's TestAllBackendsBitIdentical pins
+// all four.
 package multiwafer
 
 import (
@@ -124,7 +132,10 @@ type Config struct {
 	Grid Topology
 	// Interconnect defaults to DefaultInterconnect when zero.
 	Interconnect Interconnect
-	// Workers selects each machine's simulation engine (wse.Config.Workers).
+	// Workers is each machine's wse.Config.Workers. The fast-forward
+	// engine every wafer runs steps on one goroutine and ignores it: on a
+	// cluster its replayed SpMVs beat sharded cycle simulation even at
+	// Workers = nproc (docs/RESULTS.md).
 	Workers int
 }
 
@@ -155,7 +166,7 @@ type wafer struct {
 	neighbor [stencilc.NumHaloDirs]*wafer // adjacent wafers, nil at the grid edge
 }
 
-// Cluster is a grid of cycle-simulated wafers solving one system: the
+// Cluster is a grid of simulated wafers solving one system: the
 // substrate of one kernels.BiCGStabEngine.
 type Cluster struct {
 	Cfg  Config
@@ -169,8 +180,14 @@ type Cluster struct {
 // Y extents are cut as evenly as possible across the grid
 // (cluster.SplitExtent); Z must be even and the per-tile footprint —
 // twelve SpMV columns plus seven solver vectors, 19·Z words — must fit
-// the 48 KB tile memory.
+// the 48 KB tile memory. Every wafer runs wse.EngineFastForward.
 func New(cfg Config, op *stencil.Op7Half) (*Cluster, error) {
+	return build(cfg, op, wse.EngineFastForward)
+}
+
+// build is New with the wafers' stepping engine as a parameter, so the
+// package tests can hold the replayed cluster to a cycle-simulated one.
+func build(cfg Config, op *stencil.Op7Half, engine wse.Engine) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	m := op.M
 	if cfg.Grid.W > m.NX || cfg.Grid.H > m.NY {
@@ -195,7 +212,7 @@ func New(cfg Config, op *stencil.Op7Half) (*Cluster, error) {
 		for wx := 0; wx < cfg.Grid.W; wx++ {
 			wf := &wafer{wx: wx, wy: wy, x0: x0, y0: y0, w: xs[wx], h: ys[wy]}
 			mcfg := wse.CS1(wf.w, wf.h)
-			mcfg.Workers = cfg.Workers
+			mcfg.Workers, mcfg.Engine = cfg.Workers, engine
 			wf.mach = wse.New(mcfg)
 			var err error
 			wf.spmv, err = stencilc.Compile3D(wf.mach, stencilc.Spec7Point(), star, x0, y0, 0)

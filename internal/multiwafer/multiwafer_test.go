@@ -303,6 +303,42 @@ func TestOneWaferClusterIsTheStarSolver(t *testing.T) {
 	}
 }
 
+// TestClusterSpMVsReplayed pins that a cluster never cycle-simulates
+// its SpMVs: every wafer runs the fast-forward engine, and each of its
+// two applications per iteration goes through the exchange replay — the
+// first included, since the solve's setup leaves the machine idle — on
+// one, two, four and three (uneven) wafers.
+func TestClusterSpMVsReplayed(t *testing.T) {
+	const iters = 3
+	for _, grid := range []Topology{{1, 1}, {2, 1}, {2, 2}, {3, 1}} {
+		h, _, b, _ := testProblem(t, 6, 6, 8, 3)
+		c, err := New(Config{Grid: grid}, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, st, err := c.Solve(b, kernels.WSEOptions{MaxIter: iters})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Iterations != iters {
+			t.Fatalf("grid %v: %d iterations, want %d", grid, st.Iterations, iters)
+		}
+		for _, wf := range c.wafers {
+			if e := wf.mach.EngineName(); e != "fastforward" {
+				t.Errorf("grid %v wafer (%d,%d): engine %q, want fastforward", grid, wf.wx, wf.wy, e)
+			}
+			var runs int64
+			if r := wf.spmv.ExchangeReplay(); r != nil {
+				runs, _, _ = r.Stats()
+			}
+			if runs != 2*iters {
+				t.Errorf("grid %v wafer (%d,%d): exchange replay ran %d times, want %d", grid, wf.wx, wf.wy, runs, 2*iters)
+			}
+		}
+		c.Close()
+	}
+}
+
 // TestAllReduceCrossCheckPerWafer pins that the fabric-vs-exact
 // AllReduce cross-check runs on every wafer of a grid: over a solve on
 // 2×1 wafers of 8×8 tiles each the tree-order float32 sums do differ
@@ -412,11 +448,11 @@ func TestNewRejects(t *testing.T) {
 }
 
 // TestCloseReleasesGoroutines pins pool hygiene across a multi-machine
-// cluster with sharded engines.
+// cluster with sharded engines (New's fast-forward wafers start none).
 func TestCloseReleasesGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	h, _, b, _ := testProblem(t, 4, 4, 8, 17)
-	c, err := New(Config{Grid: Topology{2, 2}, Workers: 4}, h)
+	c, err := build(Config{Grid: Topology{2, 2}, Workers: 4}, h, wse.EngineSharded)
 	if err != nil {
 		t.Fatal(err)
 	}

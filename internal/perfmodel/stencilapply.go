@@ -12,8 +12,8 @@ import "fmt"
 // (no foreign entries, rotation counters at zero, nothing hot), replays
 // one application with ExchangeReplay, and reports its cycle count.
 // TestStencilApplyModelExact pins them bit-exactly to the cycle
-// simulator across shapes, widths and engines, the same contract
-// HaloSpMVCycles carries for the width-1 kernel.
+// simulator across shapes, widths, placements and engines, the same
+// contract HaloSpMVCycles carries for the width-1 kernel.
 //
 // Cost: O(W·H·active cycles) counter updates. Completion times depend on
 // a tile's clamped distance to each fabric edge (timing influence
@@ -21,16 +21,26 @@ import "fmt"
 // backpressure), so fabrics larger than a dependency horizon are reduced
 // to it before replay — that is what makes the entries usable at paper
 // scale, where the cycle simulator itself is the expensive thing being
-// modelled. The reduction is pinned by the same test.
+// modelled. The reduction is pinned by the same test at the depths it
+// runs; at deep columns (Z in the hundreds and up) queue backpressure
+// reaches past the horizon and a clamped fabric can be off by a few
+// cycles in 5,000 (docs/ARCHITECTURE.md).
 
 // StencilApply3D describes one application of a stencil-compiled 3D
-// column-halo program on a W×H fabric holding the full W×H×Z mesh (the
-// single-wafer configuration kernels.NewWaferStarBackend builds).
+// column-halo program on a W×H fabric placed in a MeshX×MeshY×Z global
+// mesh with fabric tile (0, 0) at global column (X0, Y0). Zero mesh
+// extents mean the fabric is the mesh (the single-wafer configuration
+// kernels.NewWaferStarBackend builds); a multiwafer grid places each
+// wafer's sub-extent. The exchange schedule depends on the fabric alone;
+// the placement decides which lateral compute terms a tile runs.
 type StencilApply3D struct {
 	W, H, Z int
 	Widths  [3]int
 	// SumSq adds the fused per-tile Σy² reduction of ReduceSumSq specs.
 	SumSq bool
+
+	MeshX, MeshY int
+	X0, Y0       int
 }
 
 // StencilApply2D describes one application of a stencil-compiled 2D
@@ -49,9 +59,35 @@ func (s StencilApply3D) Cycles() int64 {
 	if s.Z < 1 {
 		panic(fmt.Sprintf("perfmodel: StencilApply3D with Z = %d, want Z >= 1", s.Z))
 	}
-	r := max(s.Widths[0], s.Widths[1])
-	s.W, s.H = saClamp(s.W, r), saClamp(s.H, r)
+	s = s.clamped()
 	return saRun(s.W, s.H, s.Stages)
+}
+
+// clamped reduces the fabric to the dependency horizon (saClamp). The
+// clamp drops fabric columns from the middle; the mesh loses as many,
+// so the tiles kept on each side keep their distance to the mesh edge
+// on that side, and with it their compute terms.
+func (s StencilApply3D) clamped() StencilApply3D {
+	r := max(s.Widths[0], s.Widths[1])
+	s.MeshX, s.MeshY = s.mesh()
+	w, h := saClamp(s.W, r), saClamp(s.H, r)
+	s.MeshX -= s.W - w
+	s.MeshY -= s.H - h
+	s.W, s.H = w, h
+	return s
+}
+
+// mesh returns the global mesh's lateral extent, the fabric's on an
+// axis left unset.
+func (s StencilApply3D) mesh() (nx, ny int) {
+	nx, ny = s.MeshX, s.MeshY
+	if nx == 0 {
+		nx = s.W
+	}
+	if ny == 0 {
+		ny = s.H
+	}
+	return nx, ny
 }
 
 // Cycles returns the exact simulated cycle count of one application. It
@@ -147,13 +183,16 @@ func saAxis(d int) int {
 
 // Stages returns the stage list of the Program3D tile at fabric (x, y):
 // max(Wx,Wy) relay rounds (each active direction sends Z/2 words and
-// stores Z elements), then the compute task in OpStarHalf.Apply's
-// instruction order, then the optional fused Σy² dot. The stages, and
+// stores Z elements; on-fabric links only), then the compute task in
+// OpStarHalf.Apply's instruction order (a lateral term wherever the
+// global neighbour is in the mesh, whether the fabric or the host
+// supplies its halo), then the optional fused Σy² dot. The stages, and
 // the send and receive legs of all rounds, each come from one backing
 // sized for the most a tile can have: the fast-forward plan calls this
 // once per tile.
 func (s StencilApply3D) Stages(x, y int) []ReplayStage {
 	w, h, z, widths := s.W, s.H, s.Z, s.Widths
+	mx, my := s.mesh()
 	rounds := max(widths[0], widths[1])
 	nb := [4]bool{x < w-1, x > 0, y < h-1, y > 0}
 	stages := make([]ReplayStage, 0, rounds+2)
@@ -181,8 +220,8 @@ func (s StencilApply3D) Stages(x, y int) []ReplayStage {
 	}
 	for d := 0; d < 4; d++ {
 		for k := 1; k <= widths[saAxis(d)]; k++ {
-			nx, ny := x+k*saHaloDelta[d][0], y+k*saHaloDelta[d][1]
-			if nx >= 0 && nx < w && ny >= 0 && ny < h {
+			gx, gy := s.X0+x+k*saHaloDelta[d][0], s.Y0+y+k*saHaloDelta[d][1]
+			if gx >= 0 && gx < mx && gy >= 0 && gy < my {
 				compute += saCeil4(z)
 			}
 		}

@@ -1,6 +1,9 @@
 package perfmodel
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // TestStencilApplyMatchesHaloClosedForm cross-checks the replay model
 // against the independently derived width-1 closed form: for unit halo
@@ -18,6 +21,40 @@ func TestStencilApplyMatchesHaloClosedForm(t *testing.T) {
 		want := int64(HaloSpMVCycles(c.w, c.h, c.z, c.w, c.h))
 		if got != want {
 			t.Errorf("(%d,%d,%d): replay model %d, closed form %d", c.w, c.h, c.z, got, want)
+		}
+	}
+}
+
+// TestStencilApplyClampKeepsPlacement holds the horizon clamp to the
+// placement: every tile of the reduced fabric has the stage list of the
+// full-fabric tile it stands for (the same distance to the fabric edge,
+// and to the mesh edge, on its side), so a placed fabric wider than the
+// clamp keeps which of its sides border the mesh.
+func TestStencilApplyClampKeepsPlacement(t *testing.T) {
+	for _, s := range []StencilApply3D{
+		{W: 25, H: 23, Z: 4, Widths: [3]int{1, 1, 1}, MeshX: 30, MeshY: 26, X0: 1, Y0: 0},
+		{W: 24, H: 22, Z: 6, Widths: [3]int{2, 1, 2}, MeshX: 27, MeshY: 22, X0: 2, Y0: 0},
+		{W: 30, H: 28, Z: 8, Widths: [3]int{4, 4, 4}, MeshX: 33, MeshY: 31, X0: 2, Y0: 1, SumSq: true},
+		{W: 40, H: 3, Z: 4, Widths: [3]int{1, 1, 1}},
+	} {
+		c := s.clamped()
+		if c.W >= s.W && c.H >= s.H {
+			t.Fatalf("%+v: clamp to %dx%d reduced nothing", s, c.W, c.H)
+		}
+		horizon := max(s.Widths[0], s.Widths[1]) + 8
+		full := func(i, n, cn int) int {
+			if i <= horizon {
+				return i
+			}
+			return i + n - cn
+		}
+		for y := 0; y < c.H; y++ {
+			for x := 0; x < c.W; x++ {
+				fx, fy := full(x, s.W, c.W), full(y, s.H, c.H)
+				if got, want := c.Stages(x, y), s.Stages(fx, fy); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%+v: clamped tile (%d,%d) stages %+v, full tile (%d,%d) %+v", s, x, y, got, fx, fy, want)
+				}
+			}
 		}
 	}
 }

@@ -55,7 +55,8 @@ type JobSpec struct {
 	// "mixed"); rejected on any other backend.
 	Precision string `json:"precision,omitempty"`
 	// Workers is the per-machine simulation worker count (wafer and
-	// multiwafer backends only).
+	// multiwafer backends only; a multiwafer cluster's fast-forward
+	// wafers step on one goroutine whatever it is).
 	Workers int `json:"workers,omitempty"`
 	// Ranks is the cluster backend's goroutine-rank count.
 	Ranks int `json:"ranks,omitempty"`

@@ -1,6 +1,7 @@
 package stencilc
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -234,6 +235,103 @@ func TestProgram3DSumSq(t *testing.T) {
 	m := stencil.Mesh{NX: 4, NY: 3, NZ: 8}
 	op := randomStarHalf(m, [3]int{1, 1, 1}, rand.New(rand.NewSource(19)))
 	checkProgram3D(t, SpecHeat3D(), op, 0, 0, 4, 3, 61)
+}
+
+// TestProgram3DSubExtentFastForward holds the exchange replay to
+// sequential stepping on wafers placed inside a larger mesh — the
+// multiwafer grid's wafers, whose edge halos the host fills: an
+// interior block, each edge, a corner, a full-width strip and a 1-wide
+// fabric, under the 7-point, {3,1,2}, seismic and Σy² specs. Three
+// back-to-back applications must leave the same machine fingerprint,
+// total cycles, result bits and partials under both engines. The
+// replay must have run for every application but the first (which
+// finds the cores compilation queued and cycle-simulates), so a gate
+// that closes again fails as a count; a non-default queue depth must
+// never reach it.
+func TestProgram3DSubExtentFastForward(t *testing.T) {
+	asym := Spec{Dim: 3, Points: Star, Widths: [3]int{3, 1, 2}}
+	for _, c := range []struct {
+		name           string
+		spec           Spec
+		mesh           stencil.Mesh
+		x0, y0, fw, fh int
+		depth          int   // router queue depth; 0 is the default
+		replays        int64 // exchange replay runs over the three applications
+	}{
+		{"interior", Spec7Point(), stencil.Mesh{NX: 7, NY: 6, NZ: 6}, 2, 2, 3, 2, 0, 2},
+		{"west edge", Spec7Point(), stencil.Mesh{NX: 7, NY: 6, NZ: 6}, 0, 2, 3, 2, 0, 2},
+		{"east edge", Spec7Point(), stencil.Mesh{NX: 7, NY: 6, NZ: 6}, 4, 2, 3, 2, 0, 2},
+		{"north edge", Spec7Point(), stencil.Mesh{NX: 7, NY: 6, NZ: 6}, 2, 0, 3, 2, 0, 2},
+		{"south edge", Spec7Point(), stencil.Mesh{NX: 7, NY: 6, NZ: 6}, 2, 4, 3, 2, 0, 2},
+		{"corner", Spec7Point(), stencil.Mesh{NX: 7, NY: 6, NZ: 6}, 4, 4, 3, 2, 0, 2},
+		{"full-width strip", Spec7Point(), stencil.Mesh{NX: 7, NY: 6, NZ: 4}, 0, 2, 7, 2, 0, 2},
+		{"1-wide", Spec7Point(), stencil.Mesh{NX: 5, NY: 6, NZ: 6}, 2, 1, 1, 4, 0, 2},
+		{"widths {3,1,2}", asym, stencil.Mesh{NX: 10, NY: 5, NZ: 6}, 3, 1, 3, 2, 0, 2},
+		{"seismic25", SpecSeismic25(), stencil.Mesh{NX: 11, NY: 7, NZ: 10}, 3, 1, 5, 4, 0, 2},
+		{"heat3d sumsq", SpecHeat3D(), stencil.Mesh{NX: 6, NY: 5, NZ: 8}, 1, 1, 3, 2, 0, 2},
+		{"queue depth 2", Spec7Point(), stencil.Mesh{NX: 7, NY: 6, NZ: 6}, 2, 2, 3, 2, 2, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			op := randomStarHalf(c.mesh, c.spec.Widths, rand.New(rand.NewSource(29)))
+			type outcome struct {
+				fp       uint64
+				cycles   int64
+				result   []fp16.Float16 // every tile's column, tile-major
+				partials []float32
+				replays  int64
+			}
+			run := func(engine wse.Engine) outcome {
+				cfg := wse.CS1(c.fw, c.fh)
+				cfg.Engine = engine
+				cfg.QueueDepth = c.depth
+				mach := wse.New(cfg)
+				defer mach.Close()
+				p, err := Compile3D(mach, c.spec, op, c.x0, c.y0, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var o outcome
+				rng := rand.New(rand.NewSource(31))
+				for app := 0; app < 3; app++ {
+					fillWafer(p, randomHalfVec(c.mesh.N(), rng))
+					cyc, err := p.Run(int64(c.mesh.NZ)*1000 + 1<<20)
+					if err != nil {
+						t.Fatal(err)
+					}
+					o.cycles += cyc
+				}
+				o.fp = mach.Fingerprint()
+				for i := 0; i < p.Tiles(); i++ {
+					o.result = append(o.result, p.Result(i)...)
+				}
+				o.partials = append(o.partials, p.Partials()...)
+				if r := p.ExchangeReplay(); r != nil {
+					o.replays, _, _ = r.Stats()
+				}
+				return o
+			}
+			seq, ff := run(wse.EngineSequential), run(wse.EngineFastForward)
+			if ff.replays != c.replays {
+				t.Errorf("exchange replay ran %d times over 3 applications, want %d", ff.replays, c.replays)
+			}
+			if seq.cycles != ff.cycles {
+				t.Errorf("cycles: sequential %d, fast-forward %d", seq.cycles, ff.cycles)
+			}
+			if seq.fp != ff.fp {
+				t.Errorf("fingerprint: sequential %#x, fast-forward %#x", seq.fp, ff.fp)
+			}
+			for i := range seq.result {
+				if seq.result[i] != ff.result[i] {
+					t.Fatalf("result element %d: sequential %04x, fast-forward %04x", i, seq.result[i].Bits(), ff.result[i].Bits())
+				}
+			}
+			for i := range seq.partials {
+				if math.Float32bits(seq.partials[i]) != math.Float32bits(ff.partials[i]) {
+					t.Fatalf("partial %d: sequential %v, fast-forward %v", i, seq.partials[i], ff.partials[i])
+				}
+			}
+		})
+	}
 }
 
 // TestProgram3DEngineEquivalence pins the relay exchange under the

@@ -29,13 +29,17 @@ import (
 //     stage lists perfmodel.StencilApply3D.Stages writes and the live
 //     fabric's entry layouts, rotation seeds and hot set.
 //
-// The eligibility gate rejects any starting state the replay does not
-// model (non-default hardware shape, a sub-mesh wafer, words in
-// flight), falling back to cycle simulation; Program2D has no replay
-// and always cycle-simulates (under EngineFastForward its cores still
-// step through the batched engine). The engine-equivalence tests pin
-// fingerprint, cycle count and result bits against sequential
-// stepping.
+// A sub-mesh wafer (a multiwafer grid's, at a tile offset) is the same
+// phase: its exchange schedule is a function of fabric geometry alone,
+// and the model is told the wafer's placement so each tile's compute
+// stage counts the lateral terms whose halo the host ships across a
+// wafer edge. The eligibility gate rejects any starting state the
+// replay does not model (non-default hardware shape, words in flight),
+// falling back to cycle simulation; Program2D has no replay and always
+// cycle-simulates (under EngineFastForward its cores still step through
+// the batched engine). The engine-equivalence tests pin fingerprint,
+// cycle count and result bits against sequential stepping, whole-mesh
+// and placed.
 
 // ff3d is the compiled fast-forward plan: the replay template plus the
 // per-tile static shape of the compute phase.
@@ -61,9 +65,8 @@ var ffDeliverIn = [NumExchangeColors]fabric.Port{
 // ffEligible reports whether one application from the current machine
 // state is exactly the phase the replay models: fast-forward engine,
 // default hardware shape (SIMD-4 datapath, depth-4 queues — the
-// perfmodel constants), a single wafer holding the full mesh (so the
-// lateral-term schedule is determined by fabric geometry alone), and a
-// machine with nothing in flight.
+// perfmodel constants) and a machine with nothing in flight. Where the
+// fabric sits in the mesh does not matter.
 func (p *Program3D) ffEligible() bool {
 	m := p.M
 	if !m.FastForwardEnabled() {
@@ -71,9 +74,6 @@ func (p *Program3D) ffEligible() bool {
 	}
 	cfg := m.Cfg
 	if cfg.SIMDWidth != 4 || !cfg.DefaultQueueDepths() {
-		return false
-	}
-	if p.X0 != 0 || p.Y0 != 0 || p.Mesh.NX != cfg.FabricW || p.Mesh.NY != cfg.FabricH {
 		return false
 	}
 	if !m.AllIdle() {
@@ -115,13 +115,13 @@ func (p *Program3D) shape(st *tile3D) (pcEnd int, cycles, lanes int64) {
 
 // buildFF compiles the fast-forward plan once per program: the static
 // compute shape of every tile and the exchange replay template — the
-// stage lists of the perfmodel entry for this shape (ffEligible holds
-// the mesh to the fabric, so they are a function of fabric geometry
-// alone) plus each router's live entry layout, with non-exchange
-// entries kept as dead rotation slots.
+// stage lists of the perfmodel entry for this shape and placement plus
+// each router's live entry layout, with non-exchange entries kept as
+// dead rotation slots.
 func (p *Program3D) buildFF() *ff3d {
 	w, h := p.M.Cfg.FabricW, p.M.Cfg.FabricH
-	model := perfmodel.StencilApply3D{W: w, H: h, Z: p.Mesh.NZ, Widths: p.Spec.Widths, SumSq: p.Spec.Reduce == ReduceSumSq}
+	model := perfmodel.StencilApply3D{W: w, H: h, Z: p.Mesh.NZ, Widths: p.Spec.Widths, SumSq: p.Spec.Reduce == ReduceSumSq,
+		MeshX: p.Mesh.NX, MeshY: p.Mesh.NY, X0: p.X0, Y0: p.Y0}
 	f := &ff3d{tiles: make([]ff3dTile, len(p.tiles))}
 	// NewExchangeReplay copies each tile's spec before asking for the
 	// next, so one pair of buffers serves every tile.

@@ -13,14 +13,20 @@ import (
 // simulated cycles of one application.
 func measure3D(t *testing.T, w, h, z int, widths [3]int, workers int) int64 {
 	t.Helper()
-	m := stencil.Mesh{NX: w, NY: h, NZ: z}
+	return measurePlaced3D(t, stencil.Mesh{NX: w, NY: h, NZ: z}, 0, 0, w, h, widths, workers)
+}
+
+// measurePlaced3D does the same for a w×h fabric at tile (x0, y0) of
+// mesh m, with its edge halos host-filled.
+func measurePlaced3D(t *testing.T, m stencil.Mesh, x0, y0, w, h int, widths [3]int, workers int) int64 {
+	t.Helper()
 	spec := Spec{Dim: 3, Points: Star, Widths: widths}
 	op := randomStarHalf(m, widths, rand.New(rand.NewSource(1)))
 	cfg := wse.CS1(w, h)
 	cfg.Workers = workers
 	mach := wse.New(cfg)
 	defer mach.Close()
-	p, err := Compile3D(mach, spec, op, 0, 0, 0)
+	p, err := Compile3D(mach, spec, op, x0, y0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,8 +68,9 @@ func measure2D(t *testing.T, fw, fh, b int, star bool, workers int) int64 {
 
 // TestStencilApplyModelExact pins perfmodel.StencilApply3D/2D bit-exactly
 // to the cycle simulator across fabric shapes, column depths and halo
-// widths — the same exactness contract HaloSpMVCycles carries for the
-// width-1 kernel, extended to the multi-round relay programs.
+// widths (the multi-round relay programs included) and, for 3D, across
+// placements of the fabric inside a larger mesh, including fabrics wider
+// than the model's horizon clamp and mesh margins wider than the halo.
 func TestStencilApplyModelExact(t *testing.T) {
 	for _, c := range []struct {
 		w, h, z    int
@@ -89,6 +96,30 @@ func TestStencilApplyModelExact(t *testing.T) {
 		want := measure3D(t, c.w, c.h, c.z, widths, 1)
 		if got != want {
 			t.Errorf("3D (%d,%d,%d) W=%v: model %d, simulator %d", c.w, c.h, c.z, widths, got, want)
+		}
+	}
+	for _, c := range []struct {
+		mesh           stencil.Mesh
+		x0, y0, fw, fh int
+		widths         [3]int
+	}{
+		{stencil.Mesh{NX: 7, NY: 6, NZ: 6}, 2, 2, 3, 2, [3]int{1, 1, 1}},   // interior
+		{stencil.Mesh{NX: 7, NY: 6, NZ: 6}, 4, 4, 3, 2, [3]int{1, 1, 1}},   // corner
+		{stencil.Mesh{NX: 7, NY: 6, NZ: 4}, 0, 2, 7, 2, [3]int{1, 1, 1}},   // full-width strip
+		{stencil.Mesh{NX: 5, NY: 6, NZ: 6}, 2, 1, 1, 4, [3]int{1, 1, 1}},   // 1-wide
+		{stencil.Mesh{NX: 8, NY: 8, NZ: 8}, 4, 0, 4, 4, [3]int{1, 1, 1}},   // a 2×2 grid's wafer
+		{stencil.Mesh{NX: 10, NY: 5, NZ: 6}, 3, 1, 3, 2, [3]int{3, 1, 2}},  // asymmetric widths
+		{stencil.Mesh{NX: 11, NY: 7, NZ: 10}, 3, 1, 5, 4, [3]int{4, 4, 4}}, // seismic widths
+		{stencil.Mesh{NX: 24, NY: 4, NZ: 4}, 0, 1, 21, 2, [3]int{1, 1, 1}}, // clamped: 21 > 19
+		{stencil.Mesh{NX: 25, NY: 4, NZ: 4}, 1, 1, 23, 2, [3]int{2, 2, 1}}, // clamped: 23 > 21
+		{stencil.Mesh{NX: 26, NY: 7, NZ: 4}, 3, 3, 21, 2, [3]int{1, 1, 1}}, // clamped, margins 3/2 > 1
+	} {
+		got := perfmodel.StencilApply3D{W: c.fw, H: c.fh, Z: c.mesh.NZ, Widths: c.widths,
+			MeshX: c.mesh.NX, MeshY: c.mesh.NY, X0: c.x0, Y0: c.y0}.Cycles()
+		want := measurePlaced3D(t, c.mesh, c.x0, c.y0, c.fw, c.fh, c.widths, 1)
+		if got != want {
+			t.Errorf("3D %dx%d at (%d,%d) of %v W=%v: model %d, simulator %d",
+				c.fw, c.fh, c.x0, c.y0, c.mesh, c.widths, got, want)
 		}
 	}
 	for _, c := range []struct {

@@ -16,8 +16,8 @@ import (
 // — so every corner, edge and interior class of tile occurs — the walk's
 // term count, Σ⌈n/4⌉ and Σn equal the built compute task's instruction
 // count and ΣStaticCycles, the fast-forward shape, and the compute stage
-// of the perfmodel entry the fast-forward replays. A sub-extent wafer
-// (no perfmodel entry) is held to the first two.
+// of the perfmodel entry the fast-forward replays — told the placement
+// when the fabric is cut out of a larger mesh.
 func TestTermsWalkIsTheProgram(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for trial := 0; trial < 48; trial++ {
@@ -37,13 +37,13 @@ func TestTermsWalkIsTheProgram(t *testing.T) {
 			x0, y0 = rng.Intn(3), rng.Intn(3)
 			m.NX, m.NY = x0+fw+rng.Intn(3), y0+fh+rng.Intn(3)
 		}
-		whole := m.NX == fw && m.NY == fh
 		mach := wse.New(wse.CS1(fw, fh))
 		p, err := Compile3D(mach, spec, randomStarHalf(m, widths, rng), x0, y0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		model := perfmodel.StencilApply3D{W: fw, H: fh, Z: z, Widths: widths, SumSq: spec.Reduce == ReduceSumSq}
+		model := perfmodel.StencilApply3D{W: fw, H: fh, Z: z, Widths: widths, SumSq: spec.Reduce == ReduceSumSq,
+			MeshX: m.NX, MeshY: m.NY, X0: x0, Y0: y0}
 		for _, st := range p.tiles {
 			var terms int
 			var cycles, lanes int64
@@ -77,9 +77,6 @@ func TestTermsWalkIsTheProgram(t *testing.T) {
 					spec, fw, fh, z, st.x, st.y, pc, cy, ln, terms, cycles, wantLanes)
 			}
 
-			if !whole {
-				continue
-			}
 			stages := model.Stages(st.x, st.y)
 			compute := stages[len(stages)-1]
 			if st.dotTask != nil {
