@@ -14,8 +14,8 @@ import (
 // engine-equivalence tests cannot see a bug in it. refClaim below is the
 // claim phase as it stood before multicast entries cached their
 // fan-out — claim and claimEntry verbatim, so that the walk reaches
-// refClaimMulticast, which redoes CoordOf/In/Index and the per-tile
-// table lookup per port per word. TestClaimLockstep and FuzzClaim drive
+// refClaimMulticast, which redoes CoordOf/In/Index and the (port,
+// color) lookup per port per word. TestClaimLockstep and FuzzClaim drive
 // random multicast trees on a fabric stepped by the engine and on one
 // stepped by refStep, and require the same Send admissions, the same
 // rx-delivery wake sequence, the same hot list (order included: it is
@@ -53,10 +53,11 @@ func (e *engine) refClaim(s int) {
 	for _, ti := range cur {
 		f.hot[ti] = false
 		r := &f.routers[ti]
-		n := len(r.active)
+		n := int(r.n)
 		if n == 0 {
 			continue
 		}
+		ents := f.entries(ti)
 		idx := int(r.rrIdx)
 		r.rr++
 		r.rrIdx++
@@ -76,10 +77,10 @@ func (e *engine) refClaim(s int) {
 			}
 			var outClaimed PortMask
 			for m := occ >> uint(idx); m != 0; m &= m - 1 {
-				e.refClaimEntry(s, ti, &r.active[idx+bits.TrailingZeros64(m)], &outClaimed)
+				e.refClaimEntry(s, ti, &ents[idx+bits.TrailingZeros64(m)], &outClaimed)
 			}
 			for m := occ & (1<<uint(idx) - 1); m != 0; m &= m - 1 {
-				e.refClaimEntry(s, ti, &r.active[bits.TrailingZeros64(m)], &outClaimed)
+				e.refClaimEntry(s, ti, &ents[bits.TrailingZeros64(m)], &outClaimed)
 			}
 			st.stillHot = append(st.stillHot, ti)
 			continue
@@ -87,12 +88,12 @@ func (e *engine) refClaim(s int) {
 		var outClaimed PortMask
 		hasWords := false
 		for k := 0; k < n; k++ {
-			en := &r.active[idx]
+			en := &ents[idx]
 			idx++
 			if idx == n {
 				idx = 0
 			}
-			if en.q.size == 0 {
+			if f.qs[en.q].size == 0 {
 				continue
 			}
 			hasWords = true
@@ -111,19 +112,17 @@ func (e *engine) refClaimEntry(s, ti int, en *routeEntry, outClaimed *PortMask) 
 		if outClaimed.Has(p) {
 			return
 		}
-		dst := en.dst
-		if dst == nil {
-			dst = e.f.resolveSingle(ti, en)
+		if en.dst < 0 {
+			e.f.resolveSingle(ti, en)
 		}
-		if dst.size == int32(len(dst.buf)) {
+		if full(e.f, en.dst) {
 			return // destination full; word waits
 		}
 		*outClaimed |= 1 << p
 		st := &e.sh[s]
-		q := en.q
-		st.pops = append(st.pops, q)
+		st.pops = append(st.pops, en.q)
 		st.pushes[en.dstShard] = append(st.pushes[en.dstShard],
-			stagedPush{q: dst, tile: en.dstTile, bits: q.buf[q.head]})
+			stagedPush{q: en.dst, tile: en.dstTile, bits: e.f.peek(en.q)})
 		return
 	}
 	e.refClaimMulticast(s, ti, en, outClaimed)
@@ -140,7 +139,7 @@ func (e *engine) refClaimMulticast(s, ti int, en *routeEntry, outClaimed *PortMa
 	if outs == 0 {
 		panic(fmt.Sprintf("fabric: word on unrouted (%v,%d) at %v", en.in, en.c, at))
 	}
-	var dst [NumPorts]*queue
+	var dst [NumPorts]int32
 	var dtile [NumPorts]int32
 	ok := true
 	for p := Port(0); p < NumPorts && ok; p++ {
@@ -153,7 +152,7 @@ func (e *engine) refClaimMulticast(s, ti int, en *routeEntry, outClaimed *PortMa
 		}
 		if p == Ramp {
 			rq := f.rxQueue(ti, en.c)
-			if rq.full() {
+			if full(f, rq) {
 				ok = false
 				continue
 			}
@@ -168,11 +167,11 @@ func (e *engine) refClaimMulticast(s, ti int, en *routeEntry, outClaimed *PortMa
 			panic(fmt.Sprintf("fabric: route off edge at %v port %v", at, p))
 		}
 		nbi := f.Index(nb)
-		nq := f.tables[nbi].queues[p.Opposite()][en.c]
-		if nq == nil {
+		nq := f.inputQueue(nbi, p.Opposite(), en.c)
+		if nq < 0 {
 			panic(fmt.Sprintf("fabric: no route configured at %v for arrivals on (%v,%d)", nb, p.Opposite(), en.c))
 		}
-		if nq.full() {
+		if full(f, nq) {
 			ok = false
 			continue
 		}
@@ -181,7 +180,7 @@ func (e *engine) refClaimMulticast(s, ti int, en *routeEntry, outClaimed *PortMa
 	if !ok {
 		return
 	}
-	bits := en.q.peek()
+	bits := f.peek(en.q)
 	st.pops = append(st.pops, en.q)
 	for p := Port(0); p < NumPorts; p++ {
 		if !outs.Has(p) {
@@ -196,6 +195,9 @@ func (e *engine) refClaimMulticast(s, ti int, en *routeEntry, outClaimed *PortMa
 		}
 	}
 }
+
+// full reports whether queue qi has no room.
+func full(f *Fabric, qi int32) bool { return f.qs[qi].size == f.qs[qi].cap }
 
 // runClaimLockstep builds the seed's routes on two fabrics and steps them
 // side by side.

@@ -27,10 +27,17 @@
 // — because a cycle's routing decisions depend only on pre-cycle state
 // and each queue is touched by exactly one shard during commit. Host
 // code may therefore select an engine purely on fabric size without
-// changing any simulated result. Queue storage lives in per-shard
-// arenas (arena.go), and the claim phase takes a specialized fast path
-// for single-output, non-multicast routes — the overwhelmingly common
-// case in the paper's communication patterns.
+// changing any simulated result. The claim phase takes a specialized
+// fast path for single-output, non-multicast routes — the overwhelmingly
+// common case in the paper's communication patterns.
+//
+// # Storage
+//
+// A fabric keeps no per-tile pointer tables and no per-tile heap
+// objects: route entries, queue headers and queue rings live in three
+// fabric-wide slabs addressed by index (arena.go). The claim and commit
+// phases walk indices resolved once; per-tile actors send and receive
+// through TxQueue and RxQueue handles.
 package fabric
 
 import (
@@ -136,131 +143,68 @@ func (w Word) UnpackF16() (lo, hi fp16.Float16) {
 	return fp16.FromBits(uint16(w.Bits)), fp16.FromBits(uint16(w.Bits >> 16))
 }
 
-// queue is a bounded ring of words (a hardware input queue). Queues are
-// allocated from per-shard arenas (arena.go) so the hot claim/commit
-// loops of one shard walk contiguous memory. The ring arithmetic uses
-// conditional wrap instead of modulo: push/pop are the two hottest
-// operations of the whole simulator.
+// routeEntry is one configured (input port, color) of a router, and the
+// owner of that pair's input queue. Entries are kept in first-configured
+// order: the arbitration rotation walks this list, so the order is part
+// of the simulated state. Each entry caches its resolved destinations,
+// so the claim phase touches no coordinate math and no (port, color)
+// lookups: a single-output entry holds its one destination queue inline,
+// a multicast entry the index of its fan-out in its shard's slab
+// (Fabric.fans). Resolution is lazy (first cycle the entry is claimed)
+// because the destination queues may not exist yet while routes are
+// still being configured; routes are static once stepping begins.
 //
-// A queue that backs a router's active route entry additionally
-// maintains one bit of its router's occupancy mask (router.occ): occ is
-// the back-pointer and occBit the entry's bit, assigned by SetRoute.
-// push sets the bit on the empty→non-empty edge and pop clears it on
-// the non-empty→empty edge, so the claim phase can skip a router's
-// empty entries without touching them. Core receive queues (and queues
-// of routers with more than 64 entries) keep occ == nil. The occupancy
-// writes inherit the queues' shard-ownership discipline — a queue is
-// popped only by the shard owning its router and pushed only by the
-// shard owning its destination tile — so they are race-free under the
-// sharded engine.
-type queue struct {
-	buf        []uint32
-	head, size int32
-	occ        *uint64
-	occBit     uint64
-}
-
-func (q *queue) full() bool  { return q.size == int32(len(q.buf)) }
-func (q *queue) empty() bool { return q.size == 0 }
-func (q *queue) len() int    { return int(q.size) }
-
-func (q *queue) push(w uint32) bool {
-	if q.size == int32(len(q.buf)) {
-		return false
-	}
-	i := q.head + q.size
-	if n := int32(len(q.buf)); i >= n {
-		i -= n
-	}
-	q.buf[i] = w
-	if q.size == 0 && q.occ != nil {
-		*q.occ |= q.occBit
-	}
-	q.size++
-	return true
-}
-
-func (q *queue) peek() uint32 { return q.buf[q.head] }
-
-// at returns the k-th queued word without popping (0 is the head).
-func (q *queue) at(k int) uint32 { return q.buf[(int(q.head)+k)%len(q.buf)] }
-
-func (q *queue) pop() uint32 {
-	w := q.buf[q.head]
-	q.head++
-	if q.head == int32(len(q.buf)) {
-		q.head = 0
-	}
-	q.size--
-	if q.size == 0 && q.occ != nil {
-		*q.occ &^= q.occBit
-	}
-	return w
-}
-
-// routeEntry is one configured (input port, color) of a router. Entries
-// are kept in first-configured order: the arbitration rotation walks
-// this list, so the order is part of the simulated state. Each entry
-// caches its input queue pointer and its resolved destinations, so the
-// claim phase touches no coordinate math and no (port,color) table
-// lookups: a single-output entry holds its one destination inline, a
-// multicast entry the index of its fan-out in its shard's slab
-// (Fabric.fans), keeping this struct at 32 bytes. Resolution is
-// lazy (first cycle the entry is claimed) because the destination
-// queues may not exist yet while routes are still being configured;
-// routes are static once stepping begins.
+// The first eight bytes are never written while a Step runs: a
+// neighbour's claim phase reads them (dest) while the owning shard
+// writes the resolution caches behind them.
 type routeEntry struct {
-	q   *queue // input queue for (in, c) at this tile
-	dst *queue // resolved destination queue (single-output only)
+	q     int32 // input queue for (in, c) at this tile
+	outs  PortMask
+	in    Port
+	c     Color
+	sport Port // the single output port; valid when single
+
+	dst int32 // resolved destination queue (single-output only); -1 until resolved
 	// dstTile is the destination tile for hot re-marking when >= 0; a
 	// negative value marks a core rx delivery at tile -(dstTile+1), which
 	// fires the fabric's rx-delivery wake callbacks instead.
-	dstTile  int32
-	dstShard uint16 // engine shard owning dstTile
-	outs     PortMask
-	in       Port
-	c        Color
-	sport    Port // the single output port; valid when single
-	single   bool // exactly one output port: the fast-path case
+	dstTile int32
 	// fan is 1 + the index of the entry's resolved fan-out in its shard's
 	// slab, Fabric.fans[shard] (multicast only); 0 means not resolved yet.
-	fan int32
+	fan      int32
+	dstShard uint16 // engine shard owning dstTile
+	single   bool   // exactly one output port: the fast-path case
 }
 
 func (en *routeEntry) setOuts(outs PortMask) {
 	en.outs = outs
 	en.single = bits.OnesCount8(uint8(outs)) == 1
 	en.sport = Port(bits.TrailingZeros8(uint8(outs)))
-	en.dst, en.fan = nil, 0 // force re-resolution
+	en.dst, en.fan = -1, 0 // force re-resolution
 }
 
 // fanDest is one resolved destination of a multicast entry: the queue,
 // the tile to re-mark hot (or the rxTile encoding of a core delivery)
 // and the engine shard that commits the push.
 type fanDest struct {
-	q     *queue
-	tile  int32
-	shard uint16
+	q, tile int32
+	shard   uint16
 }
 
 // fanout is a multicast entry's resolved destination list, in ascending
 // port order — the order the claim phase stages its pushes in.
 type fanout struct {
-	n   int
+	n   int32
 	dst [NumPorts]fanDest
 }
 
 // router holds the claim-phase-hot state of one tile's router. The
 // claim walk touches every hot router every cycle, so this struct is
-// kept small (one cache line) and dense; the cold (port, color) lookup
-// tables live in the parallel routerTables array (Fabric.tables),
-// touched only on configuration, injection, extraction and snapshots.
+// kept small (24 bytes) and dense. Its entries live in the fabric's
+// entry slab (arena.go).
 type router struct {
-	// active lists the configured (in, color) pairs with their cached
-	// routing, to bound scanning in the claim phase.
-	active []routeEntry
-	// occ has bit i set while active[i].q is non-empty (maintained by
-	// queue.push/pop through back-pointers), so the claim phase scans
+	// occ has bit i set while entry i's input queue is non-empty
+	// (maintained by push/pop through queue.bit), so the claim phase scans
 	// only occupied entries. Valid only while !wide.
 	occ uint64
 	// rr is the output arbitration rotation counter. Only one rotation
@@ -268,24 +212,17 @@ type router struct {
 	// the same walk — and the raw count is architectural state (hashed
 	// by Fingerprint, captured by snapshots).
 	rr int64
-	// rrIdx caches rr % len(active) so the per-visit claim scan avoids
-	// an integer divide; it is kept in step with rr by the claim phase
-	// and recomputed whenever len(active) or rr changes elsewhere.
-	rrIdx int32
-	// wide marks a router with more than 64 active entries, for which
-	// occ cannot cover every entry; claim falls back to the full scan.
+	// lo is the router's first entry in Fabric.ents, n its entry count
+	// and room the slots reserved for it at lo (n ≤ room).
+	lo      int32
+	n, room uint8
+	// rrIdx caches rr % n so the per-visit claim scan avoids an integer
+	// divide; it is kept in step with rr by the claim phase and
+	// recomputed whenever n or rr changes elsewhere.
+	rrIdx uint8
+	// wide marks a router with more than 64 entries, for which occ
+	// cannot cover every entry; claim falls back to the full scan.
 	wide bool
-}
-
-// routerTables holds one tile's static routing tables and input queue
-// pointers — the configuration-time and edge-of-fabric state split out
-// of the hot router struct.
-type routerTables struct {
-	// routes[in][color] is the output port set; zero means "no route",
-	// which the simulator reports as a configuration error on arrival.
-	routes [NumPorts][MaxColors]PortMask
-	// queues[in][color] holds words that arrived on (in, color).
-	queues [NumPorts][MaxColors]*queue
 }
 
 // Config sizes a fabric.
@@ -293,6 +230,7 @@ type Config struct {
 	W, H int
 	// QueueDepth is the per-(port,color) router queue capacity. The
 	// hardware queues are shallow; 4 reproduces wormhole-like backpressure.
+	// Both depths are at most 65535 words.
 	QueueDepth int
 	// RxDepth is the per-color core receive buffer capacity.
 	RxDepth int
@@ -316,9 +254,14 @@ type Fabric struct {
 	cfg     Config
 	W, H    int
 	routers []router
-	tables  []routerTables
-	// core receive buffers, per tile per color
-	rx [][MaxColors]*queue
+	// The slabs (arena.go): queue headers, their rings, route entries.
+	qs    []queue
+	words []uint32
+	ents  []routeEntry
+	// rx[tile][c] is 1 + the index in qs of tile's receive buffer for
+	// color c, 0 while there is none. SetRoute creates the buffer with
+	// the first route that delivers c to the tile's core.
+	rx [][MaxColors]int32
 
 	cycle int64
 	moves int64
@@ -329,9 +272,6 @@ type Fabric struct {
 	shardOf  []uint16
 	// rxWake holds the registered rx-delivery callbacks; see OnRxDelivery.
 	rxWake []func(tile int, c Color)
-	// arenas[s] backs the queue storage of every tile in shard s; only
-	// shard s allocates from it during stepping.
-	arenas []shardArena
 	// fans[s] holds the resolved fan-outs of shard s's multicast entries
 	// (routeEntry.fan indexes it), appended by shard s's claim phase in
 	// first-claim order so a cycle's multicast claims walk one slab.
@@ -341,9 +281,9 @@ type Fabric struct {
 }
 
 // stagedPush is one claimed transfer awaiting commit. The destination
-// queue is resolved at claim time, so commit is a straight pointer walk.
+// queue is resolved at claim time, so commit is a straight index walk.
 type stagedPush struct {
-	q *queue
+	q int32
 	// tile >= 0 is a router destination to re-mark hot; tile < 0 is a
 	// core rx delivery at tile -(tile+1), which fires the rx-delivery
 	// wake callbacks (the event edge event-driven per-tile actors — the
@@ -355,11 +295,13 @@ type stagedPush struct {
 // New builds a fabric of w×h routers.
 func New(cfg Config) *Fabric {
 	cfg = cfg.withDefaults()
+	if cfg.QueueDepth > maxDepth || cfg.RxDepth > maxDepth {
+		panic(fmt.Sprintf("fabric: queue depth %d / rx depth %d exceeds %d", cfg.QueueDepth, cfg.RxDepth, maxDepth))
+	}
 	f := &Fabric{
 		cfg: cfg, W: cfg.W, H: cfg.H,
 		routers: make([]router, cfg.W*cfg.H),
-		tables:  make([]routerTables, cfg.W*cfg.H),
-		rx:      make([][MaxColors]*queue, cfg.W*cfg.H),
+		rx:      make([][MaxColors]int32, cfg.W*cfg.H),
 		hot:     make([]bool, cfg.W*cfg.H),
 	}
 	if cfg.Stepper == nil {
@@ -450,55 +392,88 @@ func (f *Fabric) Moves() int64 { return f.moves }
 // SetRoute configures tile at's route for words arriving on (in, color):
 // they fan out to every port in outs. Configuring Ramp in outs delivers to
 // the tile's core. Routes are fixed before simulation, as in the hardware
-// ("routing is configured offline, as part of compilation").
+// ("routing is configured offline, as part of compilation"). An empty
+// outs on a (port, color) that has no route configures nothing, so a
+// word routed there meets the "no route configured" panic; on one that
+// has, it keeps the entry (and its arbitration slot) but routes nowhere.
 func (f *Fabric) SetRoute(at Coord, in Port, c Color, outs PortMask) {
 	ti := f.Index(at)
-	r := &f.routers[ti]
-	tb := &f.tables[ti]
-	tb.routes[in][c] = outs
-	if tb.queues[in][c] == nil {
-		tb.queues[in][c] = f.arenas[f.shardOf[ti]].newQueue(f.cfg.QueueDepth)
+	if f.qs == nil {
+		f.reserve()
 	}
-	for i := range r.active {
-		if r.active[i].in == in && r.active[i].c == c {
-			if r.active[i].fan != 0 {
-				f.dropFanouts()
-			}
-			r.active[i].setOuts(outs)
-			return
+	if outs.Has(Ramp) {
+		f.rxQueue(ti, c)
+	}
+	if en := f.entry(ti, in, c); en != nil {
+		if en.fan != 0 {
+			f.dropFanouts()
 		}
+		en.setOuts(outs)
+		return
 	}
 	if outs == 0 {
 		return
 	}
-	en := routeEntry{q: tb.queues[in][c], in: in, c: c}
+	r := &f.routers[ti]
+	en := routeEntry{q: f.newQueue(ti, f.cfg.QueueDepth), in: in, c: c}
 	en.setOuts(outs)
-	r.active = append(r.active, en)
-	if i := len(r.active) - 1; i < 64 && !r.wide {
-		en.q.occ, en.q.occBit = &r.occ, 1<<uint(i)
-		if !en.q.empty() {
-			r.occ |= en.q.occBit
-		}
-	} else {
+	if i := f.addEntry(r, en); i < 64 && !r.wide {
+		f.qs[en.q].bit = uint8(i)
+	} else if !r.wide {
 		// Too many entries for one occupancy word: disable the mask for
 		// this router and let claim fall back to scanning every entry.
 		r.wide = true
-		for j := range r.active {
-			r.active[j].q.occ = nil
+		for _, e := range f.entries(ti) {
+			f.qs[e.q].bit = noOcc
 		}
 		r.occ = 0
 	}
-	r.rrIdx = int32(r.rr % int64(len(r.active)))
+	r.rrIdx = uint8(r.rr % int64(r.n))
+}
+
+// entry returns tile ti's route entry for (in, c), or nil. The pointer
+// aliases the entry slab (see entries).
+func (f *Fabric) entry(ti int, in Port, c Color) *routeEntry {
+	ents := f.entries(ti)
+	for i := range ents {
+		if ents[i].in == in && ents[i].c == c {
+			return &ents[i]
+		}
+	}
+	return nil
+}
+
+// inputQueue returns the index of tile ti's router input queue for
+// (in, c), or -1 when no route is configured there.
+func (f *Fabric) inputQueue(ti int, in Port, c Color) int32 {
+	if en := f.entry(ti, in, c); en != nil {
+		return en.q
+	}
+	return -1
+}
+
+// rxQueue returns the index of tile ti's receive buffer for color c,
+// creating it if there is none. Configuration-time only: never called
+// while a Step runs.
+func (f *Fabric) rxQueue(ti int, c Color) int32 {
+	if f.rx[ti][c] == 0 {
+		f.rx[ti][c] = f.newQueue(ti, f.cfg.RxDepth) + 1
+	}
+	return f.rx[ti][c] - 1
 }
 
 // dest resolves where a word of color c leaving tile ti through port p
-// lands: the core rx queue for the ramp, or the neighbouring router's
-// input queue for a link hop, with the tile to re-mark (or the rxTile
-// encoding of a core delivery) and the shard that commits the push. A
-// route that leads nowhere panics here, the first time a word takes it.
+// lands: the core rx queue for the ramp (which SetRoute created with the
+// route, and which its first resolution makes live), or the neighbouring
+// router's input queue for a link hop, with the tile to re-mark (or the
+// rxTile encoding of a core delivery) and the shard that commits the
+// push. A route that leads nowhere panics here, the first time a word
+// takes it.
 func (f *Fabric) dest(ti int, p Port, c Color) fanDest {
 	if p == Ramp {
-		return fanDest{f.rxQueue(ti, c), rxTile(ti, c), f.shardOf[ti]}
+		q := f.rx[ti][c] - 1
+		f.qs[q].live = true
+		return fanDest{q, rxTile(ti, c), f.shardOf[ti]}
 	}
 	at := f.CoordOf(ti)
 	dx, dy := p.Delta()
@@ -509,8 +484,8 @@ func (f *Fabric) dest(ti int, p Port, c Color) fanDest {
 		panic(fmt.Sprintf("fabric: route off edge at %v port %v", at, p))
 	}
 	nbi := f.Index(nb)
-	nq := f.tables[nbi].queues[p.Opposite()][c]
-	if nq == nil {
+	nq := f.inputQueue(nbi, p.Opposite(), c)
+	if nq < 0 {
 		panic(fmt.Sprintf("fabric: no route configured at %v for arrivals on (%v,%d)", nb, p.Opposite(), c))
 	}
 	return fanDest{nq, int32(nbi), f.shardOf[nbi]}
@@ -519,10 +494,9 @@ func (f *Fabric) dest(ti int, p Port, c Color) fanDest {
 // resolveSingle fills en's cached destination for the single-output
 // fast path. Called once per entry, from the claim phase of the shard
 // that owns the tile.
-func (f *Fabric) resolveSingle(ti int, en *routeEntry) *queue {
+func (f *Fabric) resolveSingle(ti int, en *routeEntry) {
 	d := f.dest(ti, en.sport, en.c)
 	en.dst, en.dstTile, en.dstShard = d.q, d.tile, d.shard
-	return d.q
 }
 
 // resolveFanout builds en's fan-out — every configured output port's
@@ -551,10 +525,8 @@ func (f *Fabric) resolveFanout(ti int, en *routeEntry) *fanout {
 // begins; nothing in the repository does this) cannot leave a stale slot
 // behind. Each entry re-resolves on its next claim.
 func (f *Fabric) dropFanouts() {
-	for i := range f.routers {
-		for j := range f.routers[i].active {
-			f.routers[i].active[j].fan = 0
-		}
+	for i := range f.ents {
+		f.ents[i].fan = 0
 	}
 	for s := range f.fans {
 		f.fans[s] = f.fans[s][:0]
@@ -563,75 +535,110 @@ func (f *Fabric) dropFanouts() {
 
 // Route returns the configured output mask for (in, color) at tile at.
 func (f *Fabric) Route(at Coord, in Port, c Color) PortMask {
-	return f.tables[f.Index(at)].routes[in][c]
+	if en := f.entry(f.Index(at), in, c); en != nil {
+		return en.outs
+	}
+	return 0
+}
+
+// TxQueue is a core's handle on its tile's ramp input queue for one
+// color, the mirror of RxQueue: the per-tile actor that sends on a color
+// resolves the handle once (TxQueueOf) and then injects words without
+// the coordinate math and route lookup Send pays per call. Like Send, it
+// may only be used by the shard that owns the tile, at most once per
+// cycle. A handle stays valid for the fabric's lifetime, across
+// RestoreState. The zero TxQueue is no handle.
+type TxQueue struct {
+	f   *Fabric
+	q   int32
+	key int32 // tile·MaxColors + color + 1
+}
+
+// TxQueueOf returns the handle on tile's ramp input queue for color c.
+// It panics when the tile has no route for c from its ramp.
+func (f *Fabric) TxQueueOf(tile int, c Color) TxQueue {
+	en := f.entry(tile, Ramp, c)
+	if en == nil || en.outs == 0 {
+		panic(fmt.Sprintf("fabric: tile %v has no route for injected color %d", f.CoordOf(tile), c))
+	}
+	return TxQueue{f, en.q, int32(tile*MaxColors+int(c)) + 1}
+}
+
+// Is reports whether t is the handle on tile's ramp input for color c.
+func (t TxQueue) Is(tile int, c Color) bool { return t.key == int32(tile*MaxColors+int(c))+1 }
+
+// Send injects one word's payload into the ramp queue. It returns false
+// (and injects nothing) if the queue is full; the caller models a
+// stalled send thread.
+func (t TxQueue) Send(bits uint32) bool {
+	f := t.f
+	if !f.push(t.q, bits) {
+		return false
+	}
+	f.markHot(int(f.qs[t.q].tile))
+	return true
 }
 
 // Send injects one word from the core of tile at into its router's ramp
 // input. It returns false (and injects nothing) if the ramp queue is full;
 // the caller models a stalled send thread. At most one word per cycle can
 // traverse the ramp link in each direction, which callers respect by
-// calling Send at most once per cycle per tile.
+// calling Send at most once per cycle per tile. A sender that injects
+// more than once holds a TxQueue instead.
 func (f *Fabric) Send(at Coord, w Word) bool {
-	i := f.Index(at)
-	tb := &f.tables[i]
-	if tb.routes[Ramp][w.Color] == 0 {
-		panic(fmt.Sprintf("fabric: tile %v has no route for injected color %d", at, w.Color))
-	}
-	q := tb.queues[Ramp][w.Color]
-	if q == nil || !q.push(w.Bits) {
-		return false
-	}
-	f.markHot(i)
-	return true
+	return f.TxQueueOf(f.Index(at), w.Color).Send(w.Bits)
 }
 
 // Recv pops one word of the given color from tile at's core receive
 // buffer. ok is false when none is available.
 func (f *Fabric) Recv(at Coord, c Color) (Word, bool) {
-	i := f.Index(at)
-	q := f.rx[i][c]
-	if q == nil || q.empty() {
+	q := f.rx[f.Index(at)][c] - 1
+	if q < 0 || f.qs[q].size == 0 {
 		return Word{}, false
 	}
-	return Word{Color: c, Bits: q.pop()}, true
+	return Word{Color: c, Bits: f.pop(q)}, true
 }
 
 // RxLen returns the occupancy of tile at's receive buffer for color c.
 func (f *Fabric) RxLen(at Coord, c Color) int {
-	q := f.rx[f.Index(at)][c]
-	if q == nil {
+	q := f.rx[f.Index(at)][c] - 1
+	if q < 0 {
 		return 0
 	}
-	return q.len()
+	return int(f.qs[q].size)
 }
 
 // RxQueue is a core's handle on one of its tile's receive buffers: the
 // per-tile actor that owns a subscribed color resolves the handle once
-// (RxQueueOf) and then pops arriving words without the coordinate and
-// table lookups Recv pays per call. Like Recv, it may only be used by
-// the shard that owns the tile while the fabric is mid-Step.
-type RxQueue queue
+// (RxQueueOf) and then pops arriving words without the coordinate math
+// and index lookup Recv pays per call. Like Recv, it may only be used by
+// the shard that owns the tile while the fabric is mid-Step. The zero
+// RxQueue is no handle.
+type RxQueue struct {
+	f *Fabric
+	q int32
+}
+
+// Valid reports whether q is a handle (not the zero RxQueue).
+func (q RxQueue) Valid() bool { return q.f != nil }
 
 // Len returns the number of words waiting.
-func (q *RxQueue) Len() int { return int(q.size) }
+func (q RxQueue) Len() int { return int(q.f.qs[q.q].size) }
 
 // Pop removes and returns the oldest word's payload; the queue must not
 // be empty.
-func (q *RxQueue) Pop() uint32 { return (*queue)(q).pop() }
+func (q RxQueue) Pop() uint32 { return q.f.pop(q.q) }
 
 // RxQueueOf returns the handle on tile's receive buffer for color c, or
-// nil while no word has ever been delivered there (the buffer is created
-// by the first delivery). Once non-nil the handle stays valid for the
-// fabric's lifetime, across RestoreState.
-func (f *Fabric) RxQueueOf(tile int, c Color) *RxQueue { return (*RxQueue)(f.rx[tile][c]) }
-
-func (f *Fabric) rxQueue(tile int, c Color) *queue {
-	if f.rx[tile][c] == nil {
-		// Lazily created during stepping, always by the shard that owns
-		// the tile, so the per-shard arena needs no locking.
-		f.rx[tile][c] = f.arenas[f.shardOf[tile]].newQueue(f.cfg.RxDepth)
+// the zero RxQueue while no route has ever delivered there (a route
+// makes the buffer live on its first word). Once valid the handle stays
+// valid for the fabric's lifetime, across RestoreState.
+func (f *Fabric) RxQueueOf(tile int, c Color) RxQueue {
+	q := f.rx[tile][c] - 1
+	if q < 0 || !f.qs[q].live {
+		return RxQueue{}
 	}
-	return f.rx[tile][c]
+	return RxQueue{f, q}
 }
 
 func (f *Fabric) markHot(tile int) {
@@ -656,11 +663,32 @@ func (f *Fabric) Step() {
 // RouterQueueLen returns the occupancy of the (in, color) input queue of
 // tile at's router, for tests asserting engine equivalence.
 func (f *Fabric) RouterQueueLen(at Coord, in Port, c Color) int {
-	q := f.tables[f.Index(at)].queues[in][c]
-	if q == nil {
+	q := f.inputQueue(f.Index(at), in, c)
+	if q < 0 {
 		return 0
 	}
-	return q.len()
+	return int(f.qs[q].size)
+}
+
+// eachBusyInput calls fn for each of tile ti's route entries whose input
+// queue holds words, in (port, color) order — the order Fingerprint and
+// CaptureState walk a router's queues in.
+func (f *Fabric) eachBusyInput(ti int, fn func(en *routeEntry)) {
+	ents := f.entries(ti)
+	var busy [2]uint64
+	var pos [NumPorts * MaxColors]uint8
+	for i := range ents {
+		if f.qs[ents[i].q].size != 0 {
+			k := int(ents[i].in)*MaxColors + int(ents[i].c)
+			busy[k/64] |= 1 << (k % 64)
+			pos[k] = uint8(i)
+		}
+	}
+	for w, m := range busy {
+		for ; m != 0; m &= m - 1 {
+			fn(&ents[pos[w*64+bits.TrailingZeros64(m)]])
+		}
+	}
 }
 
 // Fingerprint hashes the complete architectural state — cycle and move
@@ -681,28 +709,25 @@ func (f *Fabric) Fingerprint() uint64 {
 			v >>= 8
 		}
 	}
-	mixQueue := func(tag uint64, q *queue) {
-		if q == nil || q.empty() {
-			return
-		}
+	mixQueue := func(tag uint64, q int32) {
+		n := int(f.qs[q].size)
 		mix(tag)
-		mix(uint64(q.len()))
-		for k := 0; k < q.len(); k++ {
-			mix(uint64(q.at(k)))
+		mix(uint64(n))
+		for k := 0; k < n; k++ {
+			mix(uint64(f.at(q, k)))
 		}
 	}
 	mix(uint64(f.cycle))
 	mix(uint64(f.moves))
 	for i := range f.routers {
 		mix(uint64(f.routers[i].rr))
-		tb := &f.tables[i]
-		for in := Port(0); in < NumPorts; in++ {
-			for c := 0; c < MaxColors; c++ {
-				mixQueue(uint64(i)<<16|uint64(in)<<8|uint64(c), tb.queues[in][c])
+		f.eachBusyInput(i, func(en *routeEntry) {
+			mixQueue(uint64(i)<<16|uint64(en.in)<<8|uint64(en.c), en.q)
+		})
+		for c, q := range f.rx[i] {
+			if q != 0 && f.qs[q-1].size != 0 {
+				mixQueue(uint64(i)<<16|uint64(NumPorts)<<8|uint64(c), q-1)
 			}
-		}
-		for c := 0; c < MaxColors; c++ {
-			mixQueue(uint64(i)<<16|uint64(NumPorts)<<8|uint64(c), f.rx[i][c])
 		}
 	}
 	return h
@@ -722,8 +747,8 @@ func (f *Fabric) Quiescent() bool {
 			}
 			continue
 		}
-		for j := range r.active {
-			if !r.active[j].q.empty() {
+		for _, en := range f.entries(i) {
+			if f.qs[en.q].size != 0 {
 				return false
 			}
 		}

@@ -1,7 +1,9 @@
 package fabric
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -241,6 +243,83 @@ func TestUnroutedColorPanics(t *testing.T) {
 	f.Send(Coord{0, 0}, WordF32(5, 1))
 }
 
+// TestEmptyRouteConfiguresNothing pins both halves of an empty-mask
+// SetRoute on a (port, color) with no route. It configures nothing: no
+// entry, no queue, no route. And a neighbour's route into that pair
+// fails at its first word with the "no route configured" panic, instead
+// of parking the word in a queue no entry claims — where Quiescent would
+// not see it and Fingerprint would.
+func TestEmptyRouteConfiguresNothing(t *testing.T) {
+	f := New(Config{W: 2, H: 1})
+	sink := Coord{1, 0}
+	f.SetRoute(sink, West, 3, 0)
+	if len(f.EntryLayout(nil, f.Index(sink))) != 0 || f.Route(sink, West, 3) != 0 ||
+		f.inputQueue(f.Index(sink), West, 3) >= 0 || len(f.qs) != 0 {
+		t.Fatalf("an empty route configured something: entries %v, %d queues", f.EntryLayout(nil, f.Index(sink)), len(f.qs))
+	}
+
+	f.SetRoute(Coord{0, 0}, Ramp, 3, Mask(East))
+	if !f.Send(Coord{0, 0}, WordF32(3, 1)) {
+		t.Fatal("send failed")
+	}
+	defer func() {
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, "no route configured at (1,0) for arrivals on (W,3)") {
+			t.Fatalf("a word routed into the empty pair: recovered %v, want the no-route panic", r)
+		}
+	}()
+	f.Step()
+	t.Fatalf("the word moved on (quiescent %v, fingerprint %#x)", f.Quiescent(), f.Fingerprint())
+}
+
+// TestRxQueueHandleLifetime pins what a receive-buffer handle survives:
+// a RestoreState (the handle reads the restored words), routes added
+// afterwards that outgrow the slabs, and a restore into a fabric that
+// never stepped, whose filled buffer must hand out a handle.
+func TestRxQueueHandleLifetime(t *testing.T) {
+	build := func() *Fabric {
+		f := New(Config{W: 3, H: 1})
+		buildEastPath(f, 0, 2)
+		return f
+	}
+	f := build()
+	sink := f.Index(Coord{2, 0})
+	if f.RxQueueOf(sink, 2).Valid() {
+		t.Fatal("a handle on a buffer no word has reached")
+	}
+	for i := 1; i <= 2; i++ {
+		f.Send(Coord{0, 0}, WordF32(2, float32(i)))
+		f.Step()
+	}
+	for f.RxLen(Coord{2, 0}, 2) < 2 {
+		f.Step()
+	}
+	h := f.RxQueueOf(sink, 2)
+	full := f.CaptureState()
+	if w := h.Pop(); math.Float32frombits(w) != 1 || h.Len() != 1 {
+		t.Fatalf("handle popped %v, %d left", math.Float32frombits(w), h.Len())
+	}
+	if err := f.RestoreState(full); err != nil {
+		t.Fatal(err)
+	}
+	for c := Color(3); c < MaxColors; c++ {
+		for _, in := range []Port{North, South, Ramp} {
+			f.SetRoute(Coord{1, 0}, in, c, Mask(Ramp))
+		}
+	}
+	if h.Len() != 2 || math.Float32frombits(h.Pop()) != 1 {
+		t.Fatal("the handle does not read the restored buffer")
+	}
+
+	fresh := build()
+	if err := fresh.RestoreState(full); err != nil {
+		t.Fatal(err)
+	}
+	if h := fresh.RxQueueOf(sink, 2); !h.Valid() || h.Len() != 2 {
+		t.Fatalf("restored buffer: handle valid %v", h.Valid())
+	}
+}
+
 func TestQuiescentDrain(t *testing.T) {
 	f := New(Config{W: 6, H: 1})
 	buildEastPath(f, 0, 3)
@@ -304,8 +383,8 @@ func TestRxDeliveryCallback(t *testing.T) {
 // route entry's queue, router by router, ignoring the occupancy masks.
 func quiescentByWalk(f *Fabric) bool {
 	for i := range f.routers {
-		for j := range f.routers[i].active {
-			if !f.routers[i].active[j].q.empty() {
+		for _, en := range f.entries(i) {
+			if f.qs[en.q].size != 0 {
 				return false
 			}
 		}
@@ -326,8 +405,8 @@ func TestQuiescentMatchesEntryWalk(t *testing.T) {
 		}
 	}
 	f.SetRoute(wideAt, Ramp, 10, Mask(Ramp)) // loop-back: a way to put a word in the wide router
-	if r := &f.routers[f.Index(wideAt)]; !r.wide || len(r.active) <= 64 {
-		t.Fatalf("tile %v has %d entries, wide=%v; the test needs a wide router", wideAt, len(r.active), r.wide)
+	if r := &f.routers[f.Index(wideAt)]; !r.wide || r.n <= 64 {
+		t.Fatalf("tile %v has %d entries, wide=%v; the test needs a wide router", wideAt, r.n, r.wide)
 	}
 	check := func(when string) {
 		t.Helper()

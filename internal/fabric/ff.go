@@ -26,9 +26,8 @@ type RouteKey struct {
 // decisions match the engine's entry for entry; they read it tile by
 // tile into one reused buffer.
 func (f *Fabric) EntryLayout(dst []RouteKey, tile int) []RouteKey {
-	r := &f.routers[tile]
-	for i := range r.active {
-		dst = append(dst, RouteKey{In: r.active[i].in, C: r.active[i].c})
+	for _, en := range f.entries(tile) {
+		dst = append(dst, RouteKey{In: en.in, C: en.c})
 	}
 	return dst
 }
@@ -95,8 +94,8 @@ func (f *Fabric) ApplyReplay(cycles, moves int64, rr []int64, hot []int) {
 	for i := range f.routers {
 		r := &f.routers[i]
 		r.rr = rr[i]
-		if n := len(r.active); n > 0 {
-			r.rrIdx = int32(r.rr % int64(n))
+		if r.n > 0 {
+			r.rrIdx = uint8(r.rr % int64(r.n))
 		}
 	}
 	for s := range f.hotLists {

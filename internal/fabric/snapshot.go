@@ -41,26 +41,20 @@ type State struct {
 // Step.
 func (f *Fabric) CaptureState() *State {
 	s := &State{W: f.W, H: f.H, Cycle: f.cycle, Moves: f.moves, RR: make([]int64, len(f.routers))}
-	snapQueue := func(tile int, in uint8, c uint8, q *queue) {
-		if q == nil || q.empty() {
-			return
-		}
-		qs := QueueSnap{Tile: int32(tile), In: in, Color: c, Words: make([]uint32, q.len())}
+	snapQueue := func(tile int, in Port, c Color, q int32) {
+		qs := QueueSnap{Tile: int32(tile), In: uint8(in), Color: uint8(c), Words: make([]uint32, f.qs[q].size)}
 		for k := range qs.Words {
-			qs.Words[k] = q.at(k)
+			qs.Words[k] = f.at(q, k)
 		}
 		s.Queues = append(s.Queues, qs)
 	}
 	for i := range f.routers {
 		s.RR[i] = f.routers[i].rr
-		tb := &f.tables[i]
-		for in := Port(0); in < NumPorts; in++ {
-			for c := 0; c < MaxColors; c++ {
-				snapQueue(i, uint8(in), uint8(c), tb.queues[in][c])
+		f.eachBusyInput(i, func(en *routeEntry) { snapQueue(i, en.in, en.c, en.q) })
+		for c, q := range f.rx[i] {
+			if q != 0 && f.qs[q-1].size != 0 {
+				snapQueue(i, NumPorts, Color(c), q-1)
 			}
-		}
-		for c := 0; c < MaxColors; c++ {
-			snapQueue(i, uint8(NumPorts), uint8(c), f.rx[i][c])
 		}
 	}
 	for i, h := range f.hot {
@@ -88,23 +82,13 @@ func (f *Fabric) RestoreState(s *State) error {
 	for i := range f.routers {
 		r := &f.routers[i]
 		r.rr = s.RR[i]
-		if n := len(r.active); n > 0 {
-			r.rrIdx = int32(r.rr % int64(n))
+		if r.n > 0 {
+			r.rrIdx = uint8(r.rr % int64(r.n))
 		}
 		r.occ = 0 // queue refill below re-sets bits via push
-		tb := &f.tables[i]
-		for in := Port(0); in < NumPorts; in++ {
-			for c := 0; c < MaxColors; c++ {
-				if q := tb.queues[in][c]; q != nil {
-					q.head, q.size = 0, 0
-				}
-			}
-		}
-		for c := 0; c < MaxColors; c++ {
-			if q := f.rx[i][c]; q != nil {
-				q.head, q.size = 0, 0
-			}
-		}
+	}
+	for i := range f.qs {
+		f.qs[i].head, f.qs[i].size = 0, 0
 	}
 	f.cycle, f.moves = s.Cycle, s.Moves
 	for i := range f.hot {
@@ -122,20 +106,21 @@ func (f *Fabric) RestoreState(s *State) error {
 		if qs.Color >= MaxColors || qs.In > uint8(NumPorts) {
 			return fmt.Errorf("fabric: snapshot queue at tile %d has bad port/color %d/%d", ti, qs.In, qs.Color)
 		}
-		var q *queue
+		var q int32
 		if qs.In == uint8(NumPorts) {
 			q = f.rxQueue(ti, Color(qs.Color))
+			f.qs[q].live = true
 		} else {
-			q = f.tables[ti].queues[qs.In][qs.Color]
-			if q == nil {
+			q = f.inputQueue(ti, Port(qs.In), Color(qs.Color))
+			if q < 0 {
 				return fmt.Errorf("fabric: snapshot has words on (%v,%d) at tile %d but no such route is configured",
 					Port(qs.In), qs.Color, ti)
 			}
 		}
 		for _, w := range qs.Words {
-			if !q.push(w) {
+			if !f.push(q, w) {
 				return fmt.Errorf("fabric: snapshot queue at tile %d (%d words) exceeds configured depth %d",
-					ti, len(qs.Words), len(q.buf))
+					ti, len(qs.Words), f.qs[q].cap)
 			}
 		}
 	}

@@ -92,7 +92,7 @@ type engine struct {
 
 // shardState is the per-shard staging area reused across cycles.
 type shardState struct {
-	pops     []*queue
+	pops     []int32
 	pushes   [][]stagedPush // indexed by destination shard
 	stillHot []int
 	moves    int64
@@ -141,7 +141,6 @@ func (e *engine) bind(f *Fabric) {
 	}
 	e.sh = make([]shardState, n)
 	f.shardOf = make([]uint16, tiles)
-	f.arenas = make([]shardArena, n)
 	f.fans = make([][]fanout, n)
 	for s := 0; s < n; s++ {
 		e.sh[s].pushes = make([][]stagedPush, n)
@@ -234,9 +233,9 @@ func (e *engine) runShards(fn func(lo, hi int)) {
 //
 // The common case — a route with exactly one output port — takes a fast
 // path with no coordinate math and no port scanning: the route entry
-// caches the destination queue, so a claim is an occupancy compare plus
-// two appends. Multicast routes cache their whole fan-out the same way
-// (claimMulticast).
+// caches the destination queue's index, so a claim is an occupancy
+// compare plus two appends. Multicast routes cache their whole fan-out
+// the same way (claimMulticast).
 func (e *engine) claim(s int) {
 	f := e.f
 	st := &e.sh[s]
@@ -254,10 +253,11 @@ func (e *engine) claim(s int) {
 	for _, ti := range cur {
 		f.hot[ti] = false
 		r := &f.routers[ti]
-		n := len(r.active)
+		n := int(r.n)
 		if n == 0 {
 			continue
 		}
+		ents := f.ents[r.lo : int(r.lo)+n]
 		idx := int(r.rrIdx)
 		r.rr++
 		r.rrIdx++
@@ -277,10 +277,10 @@ func (e *engine) claim(s int) {
 			}
 			var outClaimed PortMask
 			for m := occ >> uint(idx); m != 0; m &= m - 1 {
-				e.claimEntry(s, ti, &r.active[idx+bits.TrailingZeros64(m)], &outClaimed)
+				e.claimEntry(s, ti, &ents[idx+bits.TrailingZeros64(m)], &outClaimed)
 			}
 			for m := occ & (1<<uint(idx) - 1); m != 0; m &= m - 1 {
-				e.claimEntry(s, ti, &r.active[bits.TrailingZeros64(m)], &outClaimed)
+				e.claimEntry(s, ti, &ents[bits.TrailingZeros64(m)], &outClaimed)
 			}
 			st.stillHot = append(st.stillHot, ti)
 			continue
@@ -288,12 +288,12 @@ func (e *engine) claim(s int) {
 		var outClaimed PortMask
 		hasWords := false
 		for k := 0; k < n; k++ {
-			en := &r.active[idx]
+			en := &ents[idx]
 			idx++
 			if idx == n {
 				idx = 0
 			}
-			if en.q.size == 0 {
+			if f.qs[en.q].size == 0 {
 				continue
 			}
 			hasWords = true
@@ -313,19 +313,18 @@ func (e *engine) claimEntry(s, ti int, en *routeEntry, outClaimed *PortMask) {
 		if outClaimed.Has(p) {
 			return
 		}
-		dst := en.dst
-		if dst == nil {
-			dst = e.f.resolveSingle(ti, en)
+		f := e.f
+		if en.dst < 0 {
+			f.resolveSingle(ti, en)
 		}
-		if dst.size == int32(len(dst.buf)) {
+		if dst := &f.qs[en.dst]; dst.size == dst.cap {
 			return // destination full; word waits
 		}
 		*outClaimed |= 1 << p
 		st := &e.sh[s]
-		q := en.q
-		st.pops = append(st.pops, q)
+		st.pops = append(st.pops, en.q)
 		st.pushes[en.dstShard] = append(st.pushes[en.dstShard],
-			stagedPush{q: dst, tile: en.dstTile, bits: q.buf[q.head]})
+			stagedPush{q: en.dst, tile: en.dstTile, bits: f.peek(en.q)})
 		return
 	}
 	e.claimMulticast(s, ti, en, outClaimed)
@@ -338,24 +337,25 @@ func (e *engine) claimEntry(s, ti int, en *routeEntry, outClaimed *PortMask) {
 // per destination and one append per destination, staged in ascending
 // port order.
 func (e *engine) claimMulticast(s, ti int, en *routeEntry, outClaimed *PortMask) {
+	f := e.f
 	var fo *fanout
 	if en.fan != 0 {
-		fo = &e.f.fans[s][en.fan-1]
+		fo = &f.fans[s][en.fan-1]
 	} else {
-		fo = e.f.resolveFanout(ti, en)
+		fo = f.resolveFanout(ti, en)
 	}
 	if *outClaimed&en.outs != 0 {
 		return
 	}
 	dsts := fo.dst[:fo.n]
 	for i := range dsts {
-		if q := dsts[i].q; q.size == int32(len(q.buf)) {
+		if q := &f.qs[dsts[i].q]; q.size == q.cap {
 			return // a destination is full; the word waits
 		}
 	}
 	*outClaimed |= en.outs
 	st := &e.sh[s]
-	bits := en.q.peek()
+	bits := f.peek(en.q)
 	st.pops = append(st.pops, en.q)
 	for i := range dsts {
 		d := &dsts[i]
@@ -373,19 +373,19 @@ func (e *engine) commit(s int) {
 	f := e.f
 	st := &e.sh[s]
 	for _, q := range st.pops {
-		q.pop()
+		f.pop(q)
 	}
 	st.moves += int64(len(st.pops))
 	for src := 0; src < e.n; src++ {
 		for _, ps := range e.sh[src].pushes[s] {
 			if ps.tile < 0 {
-				ps.q.push(ps.bits)
+				f.push(ps.q, ps.bits)
 				for _, fn := range f.rxWake {
 					fn(rxTileIndex(ps.tile), rxColor(ps.tile))
 				}
 				continue
 			}
-			if !ps.q.push(ps.bits) {
+			if !f.push(ps.q, ps.bits) {
 				panic("fabric: committed push overflowed (claim phase bug)")
 			}
 			f.markHot(int(ps.tile))

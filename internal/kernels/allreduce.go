@@ -71,13 +71,15 @@ type AllReduce struct {
 
 // arTile is one core's actor: its partial, the receive stages it sinks
 // (one per phase, in phase order), the color it sends its partial on
-// once they are complete (red at the root), and the broadcast copy.
+// once they are complete (red at the root) and its handle on that ramp
+// queue, and the broadcast copy.
 type arTile struct {
 	at         fabric.Coord
 	val, acc   float32
 	stages     []arStage
 	stage      int // first incomplete stage
 	out        fabric.Color
+	tx         fabric.TxQueue
 	sent       bool
 	haveResult bool
 	result     float32
@@ -146,7 +148,9 @@ func NewAllReduce(m *wse.Machine, base fabric.Color) (*AllReduce, error) {
 	}
 	ar.root = f.Index(root)
 	for i := range ar.tiles {
-		if len(ar.tiles[i].stages) > 0 {
+		t := &ar.tiles[i]
+		t.tx = f.TxQueueOf(i, t.out)
+		if len(t.stages) > 0 {
 			ar.sinks = append(ar.sinks, i)
 		}
 	}
@@ -291,7 +295,7 @@ func (ar *AllReduce) Run(values []float32, maxCycles int64) (AllReduceResult, er
 			if ar.skipBroadcast(maxCycles - cyc) {
 				return ar.Result(), nil
 			}
-			root.sent = ar.F.Send(root.at, fabric.WordF32(ar.red, root.acc))
+			root.sent = root.tx.Send(math.Float32bits(root.acc))
 		}
 		ar.F.Step()
 	}
@@ -390,7 +394,7 @@ func (ar *AllReduce) ffGate() bool {
 		}
 	}
 	for ti := range ar.tiles {
-		if q := f.RxQueueOf(ti, ar.red); q != nil && q.Len() > 0 {
+		if q := f.RxQueueOf(ti, ar.red); q.Valid() && q.Len() > 0 {
 			return false
 		}
 	}
@@ -622,7 +626,7 @@ func (ar *AllReduce) stepTile(t *arTile) {
 		}
 	}
 	if t.stage == len(t.stages) && !t.sent && !(ar.holdRoot && t.out == ar.red) {
-		t.sent = ar.F.Send(t.at, fabric.WordF32(t.out, t.acc))
+		t.sent = t.tx.Send(math.Float32bits(t.acc))
 	}
 	if !t.haveResult {
 		if w, ok := ar.F.Recv(t.at, ar.red); ok {

@@ -167,9 +167,9 @@ func (u *issueUnit) idleAtZeroLanes() bool {
 type rxSub struct {
 	col fabric.Color
 	// q is resolved lazily, the first time the color is found pending
-	// after a delivery created the buffer (as the fabric resolves its
-	// route destinations); nil until then.
-	q    *fabric.RxQueue
+	// after a route first delivered to the buffer (as the fabric resolves
+	// its route destinations); the zero handle until then.
+	q    fabric.RxQueue
 	bufs []*StreamBuf
 }
 
@@ -374,14 +374,14 @@ func (c *Core) rxArrived(col fabric.Color) {
 
 // rxWaiting returns subs[i]'s receive buffer if it holds words, resolving
 // the handle on first use; otherwise it clears the pending bit and
-// returns nil. A step passes its tally, which counts every look at a
-// buffer that exists as a probe.
-func (c *Core) rxWaiting(i int, st *IssueStats) *fabric.RxQueue {
+// returns the zero handle. A step passes its tally, which counts every
+// look at a buffer that exists as a probe.
+func (c *Core) rxWaiting(i int, st *IssueStats) fabric.RxQueue {
 	s := &c.subs[i]
-	if s.q == nil {
+	if !s.q.Valid() {
 		s.q = c.m.Fab.RxQueueOf(c.tile.index, s.col)
 	}
-	if s.q != nil {
+	if s.q.Valid() {
 		if st != nil {
 			st.RxProbes++
 		}
@@ -390,7 +390,7 @@ func (c *Core) rxWaiting(i int, st *IssueStats) *fabric.RxQueue {
 		}
 	}
 	c.rxPending &^= 1 << i
-	return nil
+	return fabric.RxQueue{}
 }
 
 // accepting reports whether every subscriber of s has room for a word.
@@ -403,13 +403,19 @@ func (s *rxSub) accepting() bool {
 	return true
 }
 
-// Send injects one word into the fabric; at most one send per cycle
-// crosses the ramp. Returns false if the ramp is busy or backpressured.
-func (c *Core) Send(w fabric.Word) bool {
+// Send injects one word into the fabric through tx, the sender's handle
+// on this tile's ramp queue for w's color, resolving it on the first send
+// (or when it belongs to another tile or color); at most one send per
+// cycle crosses the ramp. Returns false if the ramp is busy or
+// backpressured.
+func (c *Core) Send(tx *fabric.TxQueue, w fabric.Word) bool {
 	if c.sentThisCycle {
 		return false
 	}
-	if !c.m.Fab.Send(c.tile.Coord, w) {
+	if !tx.Is(c.tile.index, w.Color) {
+		*tx = c.m.Fab.TxQueueOf(c.tile.index, w.Color)
+	}
+	if !tx.Send(w.Bits) {
 		return false
 	}
 	c.sentThisCycle = true
@@ -437,7 +443,7 @@ func (c *Core) runnableSlow() bool {
 	}
 	for pend := c.rxPending; pend != 0; pend &= pend - 1 {
 		i := bits.TrailingZeros32(pend)
-		if c.rxWaiting(i, nil) != nil && c.subs[i].accepting() {
+		if c.rxWaiting(i, nil).Valid() && c.subs[i].accepting() {
 			return true
 		}
 	}
@@ -472,7 +478,7 @@ func (c *Core) step() {
 	for pend := c.rxPending; pend != 0; pend &= pend - 1 {
 		i := bits.TrailingZeros32(pend)
 		q := c.rxWaiting(i, st)
-		if q == nil {
+		if !q.Valid() {
 			continue
 		}
 		s := &c.subs[i]

@@ -220,7 +220,7 @@ func (c *Core) RxQuiet() bool {
 	// A set pending bit is only a maybe (Subscribe and Restore set it
 	// without looking); rxWaiting settles it and clears the stale ones.
 	for pend := c.rxPending; pend != 0; pend &= pend - 1 {
-		if c.rxWaiting(bits.TrailingZeros32(pend), nil) != nil {
+		if c.rxWaiting(bits.TrailingZeros32(pend), nil).Valid() {
 			return false
 		}
 	}

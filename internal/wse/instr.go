@@ -459,6 +459,7 @@ type SendMem struct {
 	pending  bool
 	pendingN int
 	word     fabric.Word
+	tx       fabric.TxQueue // resolved by the first send (Core.Send)
 }
 
 // Done implements Instr.
@@ -487,7 +488,7 @@ func (s *SendMem) Step(c *Core, lanes int) int {
 		s.word = fabric.PackF16(s.Color, lo, hi)
 		s.pending = true
 	}
-	if c.Send(s.word) {
+	if c.Send(&s.tx, s.word) {
 		s.sent += s.pendingN
 		s.pending = false
 	}
