@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -257,6 +259,13 @@ func TestChaosSpoolWriteFaults(t *testing.T) {
 	if n := ffs.Injected(); n != 1 {
 		t.Fatalf("%d faults fired, want 1", n)
 	}
+	// Nothing was registered: no phantom queued job lingers in the list.
+	s.mu.Lock()
+	registered := len(s.jobs) + len(s.order)
+	s.mu.Unlock()
+	if registered != 0 {
+		t.Fatalf("failed submission left %d registry entries behind", registered)
+	}
 	// The filesystem healed: the next submission goes through and the
 	// job completes normally.
 	v, err := s.Submit(spec)
@@ -268,6 +277,28 @@ func TestChaosSpoolWriteFaults(t *testing.T) {
 		t.Fatalf("state %s, error %q", final.State, final.Error)
 	}
 	assertBitIdentical(t, "post-fault job", final.Result, directSolve(t, spec))
+}
+
+// TestChaosSubmitWriteFaultIs500: a submission the server fails to make
+// durable — here on a full spool disk — answers 500, not the 400 of a
+// bad spec: the request was fine.
+func TestChaosSubmitWriteFaultIs500(t *testing.T) {
+	ffs := faultinject.NewFaultFS(nil, &faultinject.Rule{Op: faultinject.OpWrite, Times: 1, Mode: faultinject.ModeENOSPC})
+	s, err := New(Config{Workers: 1, SpoolDir: t.TempDir(), FS: ffs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"problem":"poisson","nx":4,"ny":4,"nz":4,"backend":"local","max_iter":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Errorf("submit on a full spool disk: status %d, want 500", resp.StatusCode)
+	}
 }
 
 // TestChaosTornSubmitWrite tears the durable write of a job record

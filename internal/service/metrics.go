@@ -14,14 +14,52 @@ var latencyBuckets = []float64{
 	0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 60,
 }
 
+// family is one per-backend /metrics counter.
+type family int
+
+// The counter families, in the order /metrics renders them.
+const (
+	famSubmitted family = iota
+	famCompleted
+	famFailed
+	famRetried
+	famSuspended
+	famCanceled
+	famExpired
+	famFallback
+	famBreakerTrips
+	numFamilies
+)
+
+var familyNames = [numFamilies]string{
+	famSubmitted:    "wsesimd_jobs_submitted_total",
+	famCompleted:    "wsesimd_jobs_completed_total",
+	famFailed:       "wsesimd_jobs_failed_total",
+	famRetried:      "wsesimd_jobs_retried_total",
+	famSuspended:    "wsesimd_jobs_suspended_total",
+	famCanceled:     "wsesimd_jobs_canceled_total",
+	famExpired:      "wsesimd_jobs_expired_total",
+	famFallback:     "wsesimd_fallback_solves_total",
+	famBreakerTrips: "wsesimd_breaker_trips_total",
+}
+
+// stateFamily is the family each outcome Server.finish books counts
+// into; a job written back to queued is a retry.
+var stateFamily = map[JobState]family{
+	StateQueued:    famRetried,
+	StateSuspended: famSuspended,
+	StateDone:      famCompleted,
+	StateFailed:    famFailed,
+	StateCanceled:  famCanceled,
+	StateExpired:   famExpired,
+}
+
 // backendMetrics accumulates one backend's counters. Guarded by
 // metrics.mu.
 type backendMetrics struct {
-	submitted, completed, failed, retried, suspended int64
-	canceled, expired, fallbacks, breakerTrips       int64
-	latencySum                                       float64 // seconds, completed solves
-	latencyCount                                     int64
-	latencyBucket                                    []int64 // cumulative-at-scrape, stored per-bucket
+	n             [numFamilies]int64
+	latencySum    float64 // seconds, completed solves
+	latencyBucket []int64 // cumulative-at-scrape, stored per-bucket
 }
 
 // metrics is the /metrics registry: plain counters under a mutex,
@@ -48,89 +86,37 @@ func (m *metrics) backend(name string) *backendMetrics {
 	return bm
 }
 
-func (m *metrics) submitted(backend string) {
+// count adds one to a backend's family.
+func (m *metrics) count(backend string, f family) {
 	m.mu.Lock()
-	m.backend(backend).submitted++
+	m.backend(backend).n[f]++
 	m.mu.Unlock()
 }
 
-func (m *metrics) retried(backend string) {
-	m.mu.Lock()
-	m.backend(backend).retried++
-	m.mu.Unlock()
-}
-
-func (m *metrics) suspended(backend string) {
-	m.mu.Lock()
-	m.backend(backend).suspended++
-	m.mu.Unlock()
-}
-
-func (m *metrics) failed(backend string) {
-	m.mu.Lock()
-	m.backend(backend).failed++
-	m.mu.Unlock()
-}
-
-func (m *metrics) canceled(backend string) {
-	m.mu.Lock()
-	m.backend(backend).canceled++
-	m.mu.Unlock()
-}
-
-func (m *metrics) expired(backend string) {
-	m.mu.Lock()
-	m.backend(backend).expired++
-	m.mu.Unlock()
-}
-
-func (m *metrics) fallback(backend string) {
-	m.mu.Lock()
-	m.backend(backend).fallbacks++
-	m.mu.Unlock()
-}
-
-func (m *metrics) breakerTripped(backend string) {
-	m.mu.Lock()
-	m.backend(backend).breakerTrips++
-	m.mu.Unlock()
-}
-
-func (m *metrics) quarantine() {
-	m.mu.Lock()
-	m.quarantined++
-	m.mu.Unlock()
-}
-
-func (m *metrics) completed(backend string, d time.Duration) {
+// ended counts an outcome into its state's family; a completed solve
+// also lands in the latency histogram, d being its solve time.
+func (m *metrics) ended(backend string, state JobState, d time.Duration) {
 	sec := d.Seconds()
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	bm := m.backend(backend)
-	bm.completed++
+	bm.n[stateFamily[state]]++
+	if state != StateDone {
+		return
+	}
 	bm.latencySum += sec
-	bm.latencyCount++
 	for i, ub := range latencyBuckets {
 		if sec <= ub {
 			bm.latencyBucket[i]++
 			break
 		}
 	}
-	m.mu.Unlock()
 }
 
-// qps returns completed solves per second of uptime for one backend.
-func (m *metrics) qps(backend string, now time.Time) float64 {
-	up := now.Sub(m.start).Seconds()
-	if up <= 0 {
-		return 0
-	}
+func (m *metrics) quarantine() {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	bm := m.per[backend]
-	if bm == nil {
-		return 0
-	}
-	return float64(bm.completed) / up
+	m.quarantined++
+	m.mu.Unlock()
 }
 
 // write renders the registry. queueDepth, running and the cache
@@ -158,26 +144,21 @@ func (m *metrics) write(w io.Writer, queueDepth, running int, cacheHits, cacheMi
 	sort.Strings(names)
 	for _, name := range names {
 		bm := m.per[name]
-		fmt.Fprintf(w, "wsesimd_jobs_submitted_total{backend=%q} %d\n", name, bm.submitted)
-		fmt.Fprintf(w, "wsesimd_jobs_completed_total{backend=%q} %d\n", name, bm.completed)
-		fmt.Fprintf(w, "wsesimd_jobs_failed_total{backend=%q} %d\n", name, bm.failed)
-		fmt.Fprintf(w, "wsesimd_jobs_retried_total{backend=%q} %d\n", name, bm.retried)
-		fmt.Fprintf(w, "wsesimd_jobs_suspended_total{backend=%q} %d\n", name, bm.suspended)
-		fmt.Fprintf(w, "wsesimd_jobs_canceled_total{backend=%q} %d\n", name, bm.canceled)
-		fmt.Fprintf(w, "wsesimd_jobs_expired_total{backend=%q} %d\n", name, bm.expired)
-		fmt.Fprintf(w, "wsesimd_fallback_solves_total{backend=%q} %d\n", name, bm.fallbacks)
-		fmt.Fprintf(w, "wsesimd_breaker_trips_total{backend=%q} %d\n", name, bm.breakerTrips)
+		for f, metric := range familyNames {
+			fmt.Fprintf(w, "%s{backend=%q} %d\n", metric, name, bm.n[f])
+		}
+		completed := bm.n[famCompleted]
 		if up > 0 {
-			fmt.Fprintf(w, "wsesimd_solve_qps{backend=%q} %g\n", name, float64(bm.completed)/up)
+			fmt.Fprintf(w, "wsesimd_solve_qps{backend=%q} %g\n", name, float64(completed)/up)
 		}
 		cum := int64(0)
 		for i, ub := range latencyBuckets {
 			cum += bm.latencyBucket[i]
 			fmt.Fprintf(w, "wsesimd_solve_latency_seconds_bucket{backend=%q,le=%q} %d\n", name, fmt.Sprintf("%g", ub), cum)
 		}
-		fmt.Fprintf(w, "wsesimd_solve_latency_seconds_bucket{backend=%q,le=\"+Inf\"} %d\n", name, bm.latencyCount)
+		fmt.Fprintf(w, "wsesimd_solve_latency_seconds_bucket{backend=%q,le=\"+Inf\"} %d\n", name, completed)
 		fmt.Fprintf(w, "wsesimd_solve_latency_seconds_sum{backend=%q} %g\n", name, bm.latencySum)
-		fmt.Fprintf(w, "wsesimd_solve_latency_seconds_count{backend=%q} %d\n", name, bm.latencyCount)
+		fmt.Fprintf(w, "wsesimd_solve_latency_seconds_count{backend=%q} %d\n", name, completed)
 	}
 	m.mu.Unlock()
 }

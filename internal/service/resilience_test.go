@@ -75,6 +75,49 @@ func TestServiceCancelQueued(t *testing.T) {
 	}
 }
 
+// TestServiceQueueFull: a submission past QueueDepth is rejected, and
+// the job it registered is booked failed like any other outcome — its
+// record reads "queue full", and it counts as submitted and failed.
+func TestServiceQueueFull(t *testing.T) {
+	spoolDir := t.TempDir()
+	s, err := New(Config{Workers: 1, QueueDepth: 1, SpoolDir: spoolDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := JobSpec{Problem: "poisson", NX: 4, NY: 4, NZ: 4, Backend: "local", MaxIter: 2}
+	if _, err := s.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Submit(spec); !errors.Is(err, errQueueFull) {
+		t.Fatalf("second submit: %v, want %v", err, errQueueFull)
+	}
+	v := s.getJob("j000002").view(true)
+	if v.State != StateFailed || v.Error != "queue full" {
+		t.Errorf("rejected job: state %s error %q, want failed %q", v.State, v.Error, "queue full")
+	}
+	data, err := os.ReadFile(filepath.Join(spoolDir, "j000002.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spooled JobView
+	if err := json.Unmarshal(data, &spooled); err != nil {
+		t.Fatal(err)
+	}
+	if spooled.State != StateFailed || spooled.Error != "queue full" {
+		t.Errorf("spooled record: state %s error %q, want failed %q", spooled.State, spooled.Error, "queue full")
+	}
+	var buf strings.Builder
+	s.metrics.write(&buf, 0, 0, 0, 0)
+	for _, want := range []string{
+		`wsesimd_jobs_submitted_total{backend="local"} 2`,
+		`wsesimd_jobs_failed_total{backend="local"} 1`,
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("/metrics missing %q:\n%s", want, buf.String())
+		}
+	}
+}
+
 // TestServiceCancelRunning cancels mid-solve on the simulated backends:
 // the solve unwinds at an iteration boundary, the job lands in the
 // distinct canceled state, and — the machine-consistency half — the

@@ -17,7 +17,7 @@ var errSuspended = errors.New("service: job suspended for shutdown")
 
 // runSolve executes one job through core's one solve pipeline — so a
 // job returns the bits core.Solve returns by construction
-// (TestServiceBitIdenticalToDirectSolve). Host backends (local,
+// (TestServiceParallelMixedBackends). Host backends (local,
 // cluster) hold no machine state and are built per job; a simulated
 // backend is checked out of the warm cache, or asked of core on a miss,
 // and put back afterwards: it reloads the next job's coefficients
@@ -30,7 +30,9 @@ func (s *Server) runSolve(ctx context.Context, p core.Problem, o core.Options, p
 	case core.Wafer:
 		key.workers = o.Wafer.Workers
 	case core.MultiWafer:
-		key.workers, key.grid = o.MultiWafer.Workers, o.MultiWafer.Grid
+		// Cluster wafers run fast-forward whatever Workers says, so
+		// workers is not part of a cluster's key.
+		key.grid = o.MultiWafer.Grid
 		if key.grid.W == 0 {
 			key.grid = multiwafer.Topology{W: 1, H: 1}
 		}
@@ -64,7 +66,7 @@ func (s *Server) runSolve(ctx context.Context, p core.Problem, o core.Options, p
 // cluster.ExactSum32, so for the multiwafer backend (and the halo
 // wafer engine) the residual history and solution are bit-identical to
 // the simulated solve — core.TestAllBackendsBitIdentical pins the
-// equivalence, and TestServiceFallback pins it end to end. The default
+// equivalence, and TestServiceBreakerFallback pins it end to end. The default
 // single-wafer engine's FIFO-pipeline SpMV associates its fp16 sums
 // differently, so its fallback is deterministic and lands on the same
 // fp16 accuracy plateau but can differ in last-place bits; the job's

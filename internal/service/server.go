@@ -244,7 +244,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // (also served on /metrics).
 func (s *Server) CacheStats() (hits, misses int64) { return s.cache.stats() }
 
-// Submit registers and enqueues a job, returning its status view.
+// Submit registers and enqueues a job, returning its status view. The
+// job is registered only once its record is durable, so a failed spool
+// write leaves nothing behind for GET /v1/jobs to list.
 func (s *Server) Submit(spec JobSpec) (JobView, error) {
 	spec = spec.withDefaults()
 	if _, err := spec.Options(); err != nil {
@@ -255,24 +257,23 @@ func (s *Server) Submit(spec JobSpec) (JobView, error) {
 	}
 	s.mu.Lock()
 	s.seq++
-	id := fmt.Sprintf("j%06d", s.seq)
-	j := newJob(id, spec, time.Now())
-	s.jobs[id] = j
-	s.order = append(s.order, id)
+	j := newJob(fmt.Sprintf("j%06d", s.seq), spec, time.Now())
 	s.mu.Unlock()
 	if err := s.spool.writeJob(j.view(true)); err != nil {
 		return JobView{}, err
 	}
+	s.mu.Lock()
+	s.jobs[j.id] = j
+	s.order = append(s.order, j.id)
+	s.mu.Unlock()
+	s.metrics.count(spec.Backend, famSubmitted)
 	select {
 	case s.queue <- j:
+		return j.view(false), nil
 	default:
-		j.errMsg = "queue full"
-		j.setState(StateFailed)
-		s.spool.writeJob(j.view(true))
+		s.finish(j, StateFailed, "queue full", 0)
 		return JobView{}, errQueueFull
 	}
-	s.metrics.submitted(spec.Backend)
-	return j.view(false), nil
 }
 
 // Cancel requests cancellation of a job. A job no worker holds (queued,
@@ -289,13 +290,9 @@ func (s *Server) Cancel(id string) (JobView, error) {
 	}
 	j.mu.Lock()
 	running := j.state == StateRunning
-	spec := j.spec
 	j.mu.Unlock()
 	if !running {
-		if applied, _ := s.transition(j, StateCanceled, "canceled by client"); applied {
-			s.spool.removeCkpt(j.id)
-			s.metrics.canceled(spec.Backend)
-		}
+		s.finish(j, StateCanceled, "canceled by client", 0)
 	}
 	return j.view(false), nil
 }
@@ -347,8 +344,8 @@ func (s *Server) jobDeadline(spec JobSpec, submitted time.Time) (time.Time, bool
 // point fired — the caller must abandon the job immediately, exactly as
 // if the process had died at that instant, leaving recovery to the next
 // New over the same spool. applied is false when the job was already
-// terminal (a racing cancellation won); the caller skips its
-// bookkeeping so nothing is double-counted.
+// terminal (a racing cancellation won). Only finish and runJob's
+// queued→running write call it.
 func (s *Server) transition(j *job, state JobState, errMsg string) (applied, crashed bool) {
 	if s.crashes.Hit("run.before-" + string(state)) {
 		return false, true
@@ -366,9 +363,30 @@ func (s *Server) transition(j *job, state JobState, errMsg string) (applied, cra
 	return applied, false
 }
 
-// runJob executes one attempt of a job and routes the outcome: done,
-// canceled, expired, suspended (shutdown checkpoint), retry with
-// backoff, or failed.
+// finish books one outcome of a job; it is the one place outcomes are
+// written. It runs the transition, and once that applied and no crash
+// point fired, a terminal state drops the job's checkpoint and the
+// state counts into its /metrics family (took, the solve time, feeds
+// the latency histogram of done). It reports whether the outcome was
+// booked: false means the job was already terminal, or the caller must
+// abandon it.
+func (s *Server) finish(j *job, state JobState, msg string, took time.Duration) bool {
+	applied, crashed := s.transition(j, state, msg)
+	if !applied || crashed {
+		return false
+	}
+	if state.terminal() {
+		s.spool.removeCkpt(j.id)
+	}
+	// A job's spec never changes after newJob, so it is read unlocked.
+	s.metrics.ended(j.spec.Backend, state, took)
+	return true
+}
+
+// runJob executes one attempt of a job: the preflight checks, the
+// running transition, the solve, one classification of its outcome,
+// the breaker bookkeeping, then finish. A retry re-enters the queue
+// after a doubling backoff.
 func (s *Server) runJob(j *job) {
 	s.running.Add(1)
 	defer s.running.Add(-1)
@@ -388,19 +406,12 @@ func (s *Server) runJob(j *job) {
 	// job that never ran ends with zero attempts. A DELETE that landed
 	// before any worker picked the job up finalizes here.
 	if j.cancelRequested() {
-		if applied, _ := s.transition(j, StateCanceled, "canceled by client"); applied {
-			s.spool.removeCkpt(j.id)
-			s.metrics.canceled(spec.Backend)
-		}
+		s.finish(j, StateCanceled, "canceled by client", 0)
 		return
 	}
-
 	deadline, hasDeadline := s.jobDeadline(spec, submitted)
 	if hasDeadline && !time.Now().Before(deadline) {
-		if applied, _ := s.transition(j, StateExpired, "deadline expired before the job ran"); applied {
-			s.spool.removeCkpt(j.id)
-			s.metrics.expired(spec.Backend)
-		}
+		s.finish(j, StateExpired, "deadline expired before the job ran", 0)
 		return
 	}
 
@@ -419,10 +430,7 @@ func (s *Server) runJob(j *job) {
 		if lastErr != "" {
 			msg += ": last error: " + lastErr
 		}
-		if applied, _ := s.transition(j, StateFailed, msg); applied {
-			s.spool.removeCkpt(j.id)
-			s.metrics.failed(spec.Backend)
-		}
+		s.finish(j, StateFailed, msg, 0)
 		return
 	}
 
@@ -440,21 +448,27 @@ func (s *Server) runJob(j *job) {
 	defer cancel()
 	if !j.armCancel(cancel) {
 		// Cancellation raced the running transition.
-		if applied, _ := s.transition(j, StateCanceled, "canceled by client"); applied {
-			s.spool.removeCkpt(j.id)
-			s.metrics.canceled(spec.Backend)
-		}
+		s.finish(j, StateCanceled, "canceled by client", 0)
 		return
 	}
 
 	start := time.Now()
 	res, fellBack, err := s.solveAttempt(ctx, j, spec, attempt)
 	j.disarmCancel()
+	took := time.Since(start)
 
+	state, msg := s.outcome(j, err, attempt)
+	// The breaker hears only of attempts its backend ran: a fallback
+	// solve ran on the host, and an open breaker refused the attempt
+	// without exercising anything.
 	switch {
-	case err == nil:
+	case (state == StateQueued || state == StateFailed) && !fellBack && !errors.Is(err, errBreakerOpen):
+		if s.breaker.failure(spec.Backend) {
+			s.metrics.count(spec.Backend, famBreakerTrips)
+		}
+	case state == StateDone:
 		if fellBack {
-			s.metrics.fallback(spec.Backend)
+			s.metrics.count(spec.Backend, famFallback)
 		} else {
 			s.breaker.success(spec.Backend)
 		}
@@ -463,7 +477,6 @@ func (s *Server) runJob(j *job) {
 		j.mu.Lock()
 		if !j.state.terminal() {
 			j.result = r
-			j.errMsg = ""
 			if len(j.points) == 0 {
 				// Host backends have no live progress hook; backfill the
 				// stream from the final history.
@@ -473,95 +486,46 @@ func (s *Server) runJob(j *job) {
 			}
 		}
 		j.mu.Unlock()
-		applied, crashed := s.transition(j, StateDone, "")
-		if crashed {
-			return
+	}
+	if !s.finish(j, state, msg, took) || state != StateQueued {
+		return
+	}
+	backoff := s.cfg.RetryBackoff << (attempt - 1)
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		t := time.NewTimer(backoff)
+		defer t.Stop()
+		select {
+		case <-s.quit:
+			// Stays queued in the spool; the next start re-runs it.
+		case <-t.C:
+			select {
+			case s.queue <- j:
+			case <-s.quit:
+			}
 		}
-		if applied {
-			s.spool.removeCkpt(j.id)
-			s.metrics.completed(spec.Backend, time.Since(start))
-		}
+	}()
+}
 
+// outcome classifies an attempt's error into the state the job moves
+// to and the message that state records.
+func (s *Server) outcome(j *job, err error, attempt int) (JobState, string) {
+	switch {
+	case err == nil:
+		return StateDone, ""
 	case errors.Is(err, errSuspended):
 		// The checkpoint blob is already spooled (the callback wrote it
 		// before returning the sentinel).
-		applied, crashed := s.transition(j, StateSuspended, "")
-		if crashed {
-			return
-		}
-		if applied {
-			s.metrics.suspended(spec.Backend)
-		}
-
+		return StateSuspended, ""
 	case errors.Is(err, context.DeadlineExceeded):
-		applied, crashed := s.transition(j, StateExpired, err.Error())
-		if crashed {
-			return
-		}
-		if applied {
-			s.spool.removeCkpt(j.id)
-			s.metrics.expired(spec.Backend)
-		}
-
+		return StateExpired, err.Error()
 	case errors.Is(err, context.Canceled) || j.cancelRequested():
-		applied, crashed := s.transition(j, StateCanceled, "canceled by client")
-		if crashed {
-			return
-		}
-		if applied {
-			s.spool.removeCkpt(j.id)
-			s.metrics.canceled(spec.Backend)
-		}
-
+		return StateCanceled, "canceled by client"
 	case attempt <= s.cfg.MaxRetries:
-		// An open breaker consumed the attempt but exercised nothing, so
-		// it is not a backend failure; everything else counts toward the
-		// next trip.
-		if !errors.Is(err, errBreakerOpen) && !fellBack {
-			if s.breaker.failure(spec.Backend) {
-				s.metrics.breakerTripped(spec.Backend)
-			}
-		}
-		applied, crashed := s.transition(j, StateQueued, err.Error())
-		if crashed {
-			return
-		}
-		if !applied {
-			return
-		}
-		s.metrics.retried(spec.Backend)
-		backoff := s.cfg.RetryBackoff << (attempt - 1)
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			t := time.NewTimer(backoff)
-			defer t.Stop()
-			select {
-			case <-s.quit:
-				// Stays queued in the spool; the next start re-runs it.
-			case <-t.C:
-				select {
-				case s.queue <- j:
-				case <-s.quit:
-				}
-			}
-		}()
-
-	default:
-		if !errors.Is(err, errBreakerOpen) && !fellBack {
-			if s.breaker.failure(spec.Backend) {
-				s.metrics.breakerTripped(spec.Backend)
-			}
-		}
-		applied, crashed := s.transition(j, StateFailed, err.Error())
-		if crashed {
-			return
-		}
-		if applied {
-			s.spool.removeCkpt(j.id)
-			s.metrics.failed(spec.Backend)
-		}
+		return StateQueued, err.Error()
 	}
+	return StateFailed, err.Error()
 }
 
 // solveAttempt builds the problem and runs one solve under the
@@ -673,13 +637,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	v, err := s.Submit(spec)
+	var specErr *SpecError
+	var optErr *core.OptionError
 	switch {
 	case err == nil:
 		writeJSON(w, http.StatusAccepted, v)
 	case errors.Is(err, errDraining) || errors.Is(err, errQueueFull):
 		writeError(w, http.StatusServiceUnavailable, err)
-	default:
+	case errors.As(err, &specErr) || errors.As(err, &optErr):
 		writeError(w, http.StatusBadRequest, err)
+	default:
+		// The spec was fine; the server failed it (a spool write).
+		writeError(w, http.StatusInternalServerError, err)
 	}
 }
 

@@ -215,6 +215,33 @@ func TestServiceParallelMixedBackends(t *testing.T) {
 	}
 }
 
+// TestServiceMultiwaferCacheIgnoresWorkers: cluster wafers run
+// fast-forward whatever workers says, so two otherwise identical
+// multiwafer jobs share one warm cluster and return the same bits.
+func TestServiceMultiwaferCacheIgnoresWorkers(t *testing.T) {
+	s, err := New(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	defer shutdown(t, s)
+	for i, workers := range []int{0, 2} {
+		spec := JobSpec{Problem: "momentum", NX: 6, NY: 6, NZ: 8, Seed: 3, Backend: "multiwafer", Grid: "2x1", Workers: workers, MaxIter: 4}
+		v, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		final := waitTerminal(t, s, v.ID, 60*time.Second)
+		if final.State != StateDone {
+			t.Fatalf("workers %d: state %s, error %q", workers, final.State, final.Error)
+		}
+		assertBitIdentical(t, fmt.Sprintf("workers %d", workers), final.Result, directSolve(t, spec))
+		if hits, misses := s.CacheStats(); hits != int64(i) || misses != 1 {
+			t.Errorf("after workers %d: %d hits / %d misses, want %d / 1", workers, hits, misses, i)
+		}
+	}
+}
+
 // TestServiceSuspendResume pins the zero-lost-jobs shutdown contract:
 // a daemon SIGTERM'd mid-solve checkpoints the in-flight wafer job, and
 // a fresh daemon on the same spool resumes it to a result bit-identical
