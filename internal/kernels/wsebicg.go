@@ -7,7 +7,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/fabric"
 	"repro/internal/fp16"
-	"repro/internal/tensor"
 	"repro/internal/wse"
 )
 
@@ -66,26 +65,13 @@ const (
 
 var vecNames = [numVecs]string{"x", "r0", "r", "p", "s", "q", "y"}
 
-// part is one machine of the substrate with its reduction and its
-// reusable per-tile phase state.
+// part is one machine of the substrate with its reduction and its dot
+// and update phases.
 type part struct {
-	m  *wse.Machine
-	ar *AllReduce
-
-	partial   []float32 // per-tile dot partials
-	phaseTask []*wse.Task
-	phaseDone []bool
-
-	// Per-tile phase instructions, built once: a paper-scale solve runs
-	// hundreds of thousands of tiles through a dozen-plus phases per
-	// iteration, so per-phase instruction objects — or even per-phase
-	// descriptor rebuilds — would dominate wall time. A phase rebases
-	// each tile's instruction in place (kind, scalar and operand Base
-	// offsets, then Reset) and points the tile's phase task at its one
-	// slot of dotSlot or axpySlot.
-	dotIn             []wse.DotMixed
-	axpyIn            []wse.MemOp
-	dotSlot, axpySlot []wse.Instr // dotSlot[i] = &dotIn[i], axpySlot[i] = &axpyIn[i]
+	m       *wse.Machine
+	ar      *AllReduce
+	phase   *wse.VectorPhase
+	partial []float32 // per-tile dot partials
 }
 
 // BiCGStabEngine is the wafer BiCGStab recurrence — the only copy of
@@ -126,8 +112,8 @@ type BiCGStabEngine struct {
 }
 
 // NewBiCGStabEngine allocates, on every tile of every part, the seven
-// solver vectors and the reusable phase task, and on every part the
-// AllReduce routing.
+// solver vectors, and on every part the AllReduce routing and the vector
+// phase that runs the dots and updates.
 func NewBiCGStabEngine(sub Substrate) (*BiCGStabEngine, error) {
 	w := &BiCGStabEngine{sub: sub, order: sub.Order}
 	for v := range w.off {
@@ -141,18 +127,12 @@ func NewBiCGStabEngine(sub Substrate) (*BiCGStabEngine, error) {
 		}
 		n := m.Cfg.Cores()
 		tiles += n
-		pt := &part{m: m, ar: ar,
-			partial: make([]float32, n), phaseTask: make([]*wse.Task, n), phaseDone: make([]bool, n),
-			dotIn: make([]wse.DotMixed, n), axpyIn: make([]wse.MemOp, n)}
-		slots := make([]wse.Instr, 2*n)
-		pt.dotSlot, pt.axpySlot = slots[:n:n], slots[n:]
-		tasks := make([]wse.Task, n)
+		pt := &part{m: m, ar: ar, partial: make([]float32, n)}
 		w.parts = append(w.parts, pt)
 		offs := make([]int, len(w.off)*n)
 		for v := range w.off {
 			w.off[v][p] = offs[v*n : (v+1)*n : (v+1)*n]
 		}
-		col := tensor.Vec1D(0, sub.PerTile) // every operand's shape; phases set Base
 		for i, t := range m.Tiles {
 			for v, name := range vecNames {
 				off, err := t.Arena.Alloc(name, sub.PerTile)
@@ -161,17 +141,8 @@ func NewBiCGStabEngine(sub Substrate) (*BiCGStabEngine, error) {
 				}
 				w.off[v][p][i] = off
 			}
-			pt.dotIn[i] = wse.DotMixed{A: col, B: col, Arena: t.Arena, Out: &pt.partial[i]}
-			pt.axpyIn[i] = wse.MemOp{Arena: t.Arena, Dst: col, A: col}
-			pt.dotSlot[i], pt.axpySlot[i] = &pt.dotIn[i], &pt.axpyIn[i]
-			// One reusable phase task per tile, re-aimed and re-activated
-			// by every phase.
-			task := &tasks[i]
-			task.Name = "phase"
-			task.OnComplete = func(*wse.Core) { pt.phaseDone[i] = true }
-			t.Core.AddTask(task)
-			pt.phaseTask[i] = task
 		}
+		pt.phase = wse.NewVectorPhase(m)
 	}
 	if w.order == nil {
 		w.order = make([][2]int32, 0, tiles)
@@ -383,14 +354,7 @@ func (w *BiCGStabEngine) Solve(bvec []fp16.Float16, opts WSEOptions) ([]fp16.Flo
 func (w *BiCGStabEngine) dot(acc *PhaseCycles, a, b vec) (float64, error) {
 	var dotCyc, arCyc int64
 	for p, pt := range w.parts {
-		offA, offB := w.off[a][p], w.off[b][p]
-		for i := range pt.dotIn {
-			pt.partial[i] = 0
-			d := &pt.dotIn[i]
-			d.A.Base, d.B.Base = offA[i], offB[i]
-			d.Reset()
-		}
-		dotCyc = max(dotCyc, pt.runPhase(pt.dotSlot))
+		dotCyc = max(dotCyc, pt.phase.Dot(w.off[a][p], w.off[b][p], w.sub.PerTile, pt.partial))
 	}
 	var exact float64
 	for _, pt := range w.parts {
@@ -458,65 +422,18 @@ func (w *BiCGStabEngine) checkpoint(it int, bnorm, rho float64, st WSEStats) ([]
 
 // update runs one AXPY-class instruction on every tile — dst = dst + s·a
 // (OpAxpy), dst = a + s·dst (OpXPAY) or dst = s·a + b (OpFMA, the only
-// kind that reads b) — rebasing each tile's MemOp in place: kind, scalar
-// and operand bases, then Reset rewinds it. b is a zero descriptor for
-// the kinds that do not read it.
+// kind that reads b; noVec for the others).
 func (w *BiCGStabEngine) update(acc *PhaseCycles, kind wse.MemOpKind, s float64, dst, a, b vec) {
 	s16 := fp16.FromFloat64(s)
 	var cyc int64
 	for p, pt := range w.parts {
-		offD, offA := w.off[dst][p], w.off[a][p]
 		var offB []int
 		if b != noVec {
 			offB = w.off[b][p]
 		}
-		for i := range pt.axpyIn {
-			op := &pt.axpyIn[i]
-			op.Kind, op.S = kind, s16
-			op.Dst.Base, op.A.Base = offD[i], offA[i]
-			if offB != nil {
-				op.B = op.A
-				op.B.Base = offB[i]
-			} else {
-				op.B = tensor.Descriptor{}
-			}
-			op.Reset()
-		}
-		cyc = max(cyc, pt.runPhase(pt.axpySlot))
+		cyc = max(cyc, pt.phase.Apply(kind, s16, w.off[dst][p], w.off[a][p], offB, w.sub.PerTile))
 	}
 	acc.Axpy += cyc
-}
-
-// runPhase executes each tile's instruction in slots (slots[i] for tile
-// i) as its phase task and steps the machine until all complete.
-func (pt *part) runPhase(slots []wse.Instr) int64 {
-	for i, t := range pt.m.Tiles {
-		pt.phaseDone[i] = false
-		pt.phaseTask[i].Instrs = slots[i : i+1 : i+1]
-		t.Core.Activate(pt.phaseTask[i])
-	}
-	// Dot and AXPY phases are pure per-tile compute with statically
-	// predictable duration; under EngineFastForward the machine skips
-	// straight to the phase-end state (bit- and cycle-identically —
-	// see wse.FastForwardTasks). Any ineligibility falls through to
-	// cycle stepping.
-	if pt.m.FastForwardEnabled() {
-		if cycles, ok := pt.m.FastForwardTasks(pt.phaseTask); ok {
-			return cycles
-		}
-	}
-	cycles, err := pt.m.RunUntil(func() bool {
-		for _, d := range pt.phaseDone {
-			if !d {
-				return false
-			}
-		}
-		return true
-	}, 1<<24)
-	if err != nil {
-		panic(err) // local instructions cannot wedge; a failure is a simulator bug
-	}
-	return cycles
 }
 
 // residualNorm computes ‖r‖₂ in float64, accumulating in canonical

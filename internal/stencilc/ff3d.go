@@ -10,8 +10,8 @@ import (
 )
 
 // This file is Program3D's fast-forward path, the exchange half of the
-// hybrid fast-forward engine (wse.EngineFastForward; the compute-task
-// half is wse.Machine.FastForwardTasks). One application of the
+// hybrid fast-forward engine (wse.EngineFastForward; the solver's vector
+// phases are wse.VectorPhase's one-loop path). One application of the
 // compiled program is a closed phase: the machine starts idle, the
 // relay rounds and per-tile compute run to completion, and the machine
 // is idle again. Its effect therefore splits cleanly in two:

@@ -38,8 +38,8 @@ type Task struct {
 	activated bool
 	running   bool
 	pc        int
-	// core is the owning core, set by AddTask; the fast-forward path
-	// (ff.go) uses it to reach a task's scheduler state.
+	// core is the owning core, set by AddTask; VectorPhase uses it to
+	// reach a task's scheduler state.
 	core *Core
 }
 
@@ -229,12 +229,6 @@ type Core struct {
 	// queued marks membership in the shard worklist (set by wake,
 	// cleared by the machine when the core steps without runnable work).
 	queued bool
-
-	// ffMark is FastForwardTasks' transient "this core owns one of the
-	// phase's tasks" marker, always false outside that call; a field
-	// rather than a set so eligibility checks allocate nothing at
-	// wafer scale.
-	ffMark bool
 
 	sentThisCycle bool
 

@@ -34,9 +34,11 @@ const (
 	// EngineFastForward is EngineBatched plus analytic fast-forward of
 	// statically-timed phases: compute phases whose cycle count is
 	// exactly predictable advance memory through the same element
-	// loops and jump the cycle counter, cycle-simulating only phase
-	// boundaries. See ff.go, stencilc.Program3D and (for the
-	// AllReduce's contention-free row phase) kernels.AllReduce.Run.
+	// kernels and jump the cycle counter, cycle-simulating only what
+	// cannot be proved static. See VectorPhase (the solver's dot and
+	// update phases), stencilc.Program3D (the halo exchange) and
+	// kernels.AllReduce.Run (its contention-free row phase and
+	// broadcast).
 	EngineFastForward
 )
 
@@ -119,6 +121,6 @@ func (m *Machine) EngineName() string {
 
 // FastForwardEnabled reports whether this machine runs under
 // EngineFastForward, i.e. whether statically-timed phases may be
-// advanced analytically (FastForwardTasks, stencilc.Program3D's
-// fast-forward path).
+// advanced analytically (VectorPhase, stencilc.Program3D's fast-forward
+// path).
 func (m *Machine) FastForwardEnabled() bool { return m.engine == EngineFastForward }
