@@ -33,11 +33,12 @@
 //
 // Single-wafer simulations take -engine to pick the core-stepping
 // engine (seq, sharded, batched, fastforward). Every engine produces
-// bit- and cycle-identical results; batched and fastforward are the
-// host-throughput modes that make paper-scale fabrics interactive. A
-// -wafers cluster takes no -engine, and -workers leaves it unchanged:
-// every wafer runs fastforward. See docs/ARCHITECTURE.md, "Execution
-// engines".
+// bit- and cycle-identical results. Left empty, the engine is sharded
+// when -workers > 1 and fastforward otherwise: the sequential reference
+// interpreter plus exact jumps over statically-timed phases, the mode
+// that makes paper-scale fabrics interactive. A -wafers cluster takes
+// no -engine, and -workers leaves it unchanged: every wafer runs
+// fastforward. See docs/ARCHITECTURE.md, "Execution engines".
 //
 // Typical runs:
 //
@@ -122,7 +123,7 @@ func flagSet(c *config) *flag.FlagSet {
 	fs.IntVar(&c.workers, "workers", runtime.GOMAXPROCS(0),
 		"simulation worker goroutines (>1 shards the fabric on a persistent pool; results are bit-identical; single-wafer only: -wafers clusters fast-forward)")
 	fs.StringVar(&c.engine, "engine", "",
-		"core-stepping engine: seq|sharded|batched|fastforward (empty = automatic; every engine is bit- and cycle-identical — this is a host-throughput knob, single-wafer only)")
+		"core-stepping engine: seq|sharded|batched|fastforward (empty = sharded when -workers > 1, else fastforward; every engine is bit- and cycle-identical — this is a host-throughput knob, single-wafer only)")
 	fs.StringVar(&c.ckptPath, "checkpoint", "",
 		"write a crash-recovery checkpoint to this file every -checkpoint-every iterations (single-wafer solves)")
 	fs.IntVar(&c.ckptEvery, "checkpoint-every", 10, "iterations between checkpoints when -checkpoint is set")

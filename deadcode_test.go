@@ -37,7 +37,6 @@ var deadAllow = map[string]string{
 	"export internal/stencilc.FP16":                        "the zero Precision, which a Spec gets by leaving Precision unset",
 	"export internal/stencilc.ReduceNone":                  "the zero Reduce, which a Spec gets by leaving Reduce unset",
 	"export internal/stencilc.RouteExchange":               "programs the exchange routes whose entry order perfmodel's replay documents itself against",
-	"export internal/wse.EngineAuto":                       "the zero Engine, which a Config gets by leaving Engine unset",
 	"field internal/core.HeatStep.U":                       "the temperature field after each step, the result a RunHeat caller steps for; today's callers print only Energy",
 	"field internal/service.machineKey.nx":                 "a warm-cache map key field, read by the map's hashing and equality",
 	"field internal/service.machineKey.ny":                 "a warm-cache map key field, read by the map's hashing and equality",

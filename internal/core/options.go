@@ -128,17 +128,22 @@ type LocalOptions struct {
 // WaferOptions configures the Wafer backend (the single-wafer
 // cycle-level simulator).
 type WaferOptions struct {
-	// Workers selects the simulation engine: <= 1 steps the machine
-	// sequentially, > 1 shards the tile grid across that many goroutines
-	// on a persistent worker pool (clamped to the tile count; see
-	// fabric.Sharded). Simulated results are bit-identical either way.
+	// Workers selects the simulation engine: <= 1 steps the machine on
+	// one goroutine under the default fast-forward engine, > 1 shards
+	// the tile grid across that many goroutines on a persistent worker
+	// pool (clamped to the tile count; see fabric.Sharded). Sharded
+	// stepping takes no fast-forward jumps, so Workers > 1 trades them
+	// for parallel stepping. Simulated results are bit-identical either
+	// way.
 	Workers int
 	// Engine names the core-stepping engine ("seq", "sharded",
 	// "batched", "fastforward"; empty means automatic — see
-	// wse.EngineAuto). Every engine is bit- and cycle-identical; the
-	// batched and fast-forward engines are the host-throughput modes
-	// that make paper-scale solves interactive. Mutually exclusive with
-	// Workers > 1, which already selects the sharded engine.
+	// wse.EngineAuto: fast-forward, or sharded when Workers > 1). Every
+	// engine is bit- and cycle-identical. Fast-forward, the default, is
+	// the sequential reference interpreter plus exact jumps over
+	// statically-timed phases, the mode that makes paper-scale solves
+	// interactive; "seq" cycle-simulates every phase. Mutually exclusive
+	// with Workers > 1, which already selects the sharded engine.
 	Engine string
 	// CheckpointEvery and Checkpoint enable crash-recoverable solves:
 	// every CheckpointEvery iterations the callback receives an encoded

@@ -56,14 +56,18 @@ func TestCheckpointResume(t *testing.T) {
 	// bit for bit — residual history, solution, cycle account, final
 	// machine fingerprint. The batched capture gets the full resume
 	// matrix; the sequential capture pins the reverse direction
-	// (snapshot under sequential, restore under batched).
+	// (snapshot under sequential, restore under batched) and the upgrade
+	// path of a checkpoint spooled when the default engine was
+	// sequential, resumed under today's fast-forward default; the
+	// fast-forward capture pins the way back to the reference engine.
 	captures := []struct {
 		eng    wse.Engine
 		resume []wse.Engine
 	}{
-		{wse.EngineSequential, []wse.Engine{wse.EngineSharded, wse.EngineBatched}},
+		{wse.EngineSequential, []wse.Engine{wse.EngineSharded, wse.EngineBatched, wse.EngineFastForward}},
 		{wse.EngineBatched, []wse.Engine{wse.EngineSequential, wse.EngineSharded,
 			wse.EngineBatched, wse.EngineFastForward}},
+		{wse.EngineFastForward, []wse.Engine{wse.EngineSequential}},
 	}
 
 	for _, eng := range engines {

@@ -219,14 +219,29 @@ func TestServiceParallelMixedBackends(t *testing.T) {
 // fast-forward whatever workers says, so two otherwise identical
 // multiwafer jobs share one warm cluster and return the same bits.
 func TestServiceMultiwaferCacheIgnoresWorkers(t *testing.T) {
+	assertOneWarmMachine(t, JobSpec{Problem: "momentum", NX: 6, NY: 6, NZ: 8, Seed: 3, Backend: "multiwafer", Grid: "2x1", MaxIter: 4}, 0, 2)
+}
+
+// TestServiceWaferCacheWorkersZeroOrOne: a wafer job with workers 0 and
+// one with workers 1 build the same default-engine machine, so the
+// second is a warm-cache hit with the first's bits.
+func TestServiceWaferCacheWorkersZeroOrOne(t *testing.T) {
+	assertOneWarmMachine(t, JobSpec{Problem: "momentum", NX: 6, NY: 6, NZ: 8, Seed: 3, Backend: "wafer", MaxIter: 4}, 0, 1)
+}
+
+// assertOneWarmMachine runs spec once per workers value on one server
+// and requires one cache miss, then hits, every job bit-identical to a
+// direct solve.
+func assertOneWarmMachine(t *testing.T, spec JobSpec, workersSeq ...int) {
+	t.Helper()
 	s, err := New(Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Start()
 	defer shutdown(t, s)
-	for i, workers := range []int{0, 2} {
-		spec := JobSpec{Problem: "momentum", NX: 6, NY: 6, NZ: 8, Seed: 3, Backend: "multiwafer", Grid: "2x1", Workers: workers, MaxIter: 4}
+	for i, workers := range workersSeq {
+		spec.Workers = workers
 		v, err := s.Submit(spec)
 		if err != nil {
 			t.Fatal(err)

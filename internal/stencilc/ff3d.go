@@ -36,10 +36,10 @@ import (
 // wafer edge. The eligibility gate rejects any starting state the
 // replay does not model (non-default hardware shape, words in flight),
 // falling back to cycle simulation; Program2D has no replay and always
-// cycle-simulates (under EngineFastForward its cores still step through
-// the batched engine). The engine-equivalence tests pin fingerprint,
-// cycle count and result bits against sequential stepping, whole-mesh
-// and placed.
+// cycle-simulates (under EngineFastForward its cores step through the
+// sequential reference interpreter). The engine-equivalence tests pin
+// fingerprint, cycle count and result bits against sequential
+// stepping, whole-mesh and placed.
 
 // ff3d is the compiled fast-forward plan: the replay template plus the
 // per-tile static shape of the compute phase.

@@ -10,13 +10,13 @@
 // the exact cycle it first appears rather than smeared into a final
 // wrong answer.
 //
-// The fast-forward engine steps through the batched path here — its
-// analytic phase jumps only fire inside Program3D.Run and
-// kernels.AllReduce.Run, which the lockstep harness deliberately
-// bypasses by arming programs (Begin, for the AllReduce) and stepping
-// cycle by cycle. The jumps themselves are differentially tested at
-// their only observable boundary (RunEndState): same results, same
-// total cycles, same fingerprint as a sequential Run.
+// The fast-forward engine steps through the sequential reference
+// interpreter here — its analytic phase jumps only fire inside
+// Program3D.Run and kernels.AllReduce.Run, which the lockstep harness
+// deliberately bypasses by arming programs (Begin, for the AllReduce)
+// and stepping cycle by cycle. The jumps themselves are differentially
+// tested at their only observable boundary (RunEndState): same results,
+// same total cycles, same fingerprint as a sequential Run.
 package difftest
 
 import (

@@ -16,7 +16,7 @@ type Engine int
 const (
 	// EngineAuto resolves to EngineSharded when Config.Workers > 1,
 	// otherwise to the -wse.engine flag override if one is set, and
-	// EngineSequential failing that.
+	// EngineFastForward failing that.
 	EngineAuto Engine = iota
 	// EngineSequential steps every runnable core scalar-style on one
 	// goroutine: the reference engine.
@@ -31,14 +31,15 @@ const (
 	// stepping the moment a core diverges (pending rx words, threads,
 	// non-contiguous operands). See batch.go.
 	EngineBatched
-	// EngineFastForward is EngineBatched plus analytic fast-forward of
+	// EngineFastForward is EngineSequential plus exact jumps over
 	// statically-timed phases: compute phases whose cycle count is
 	// exactly predictable advance memory through the same element
-	// kernels and jump the cycle counter, cycle-simulating only what
-	// cannot be proved static. See VectorPhase (the solver's dot and
-	// update phases), stencilc.Program3D (the halo exchange) and
-	// kernels.AllReduce.Run (its contention-free row phase and
-	// broadcast).
+	// kernels and jump the cycle counter. Between jumps it steps through
+	// the reference interpreter, so everything that cannot be proved
+	// static is cycle-simulated exactly as under EngineSequential. See
+	// VectorPhase (the solver's dot and update phases),
+	// stencilc.Program3D (the halo exchange) and kernels.AllReduce.Run
+	// (its contention-free row phase and broadcast). The default engine.
 	EngineFastForward
 )
 
@@ -78,10 +79,10 @@ func ParseEngine(s string) (Engine, error) {
 }
 
 // engineFlag lets the whole test suite run under a different stepping
-// engine (`go test ./... -args -wse.engine=batched`), turning every
-// kernel test into an engine-equivalence test. The override applies
-// only to machines built with EngineAuto and Workers <= 1, so tests
-// that explicitly construct a particular engine (engine-vs-engine
+// engine (`go test ./... -args -wse.engine=seq`), turning every kernel
+// test into an engine-equivalence test. The override applies only to
+// machines built with EngineAuto and Workers <= 1, so tests that
+// explicitly construct a particular engine (engine-vs-engine
 // equivalence tests, sharded paper-scale runs) keep what they asked
 // for.
 var engineFlag = flag.String("wse.engine", "",
@@ -105,7 +106,7 @@ func resolveEngine(cfg Config) Engine {
 			return o
 		}
 	}
-	return EngineSequential
+	return EngineFastForward
 }
 
 // EngineName reports the resolved stepping engine of this machine:

@@ -47,9 +47,9 @@ type Config struct {
 	// this is purely a host-side throughput knob.
 	Workers int
 	// Engine selects the core-stepping engine (see Engine). EngineAuto
-	// resolves from Workers and the -wse.engine flag override. The
-	// batched and fast-forward engines imply a sequential fabric
-	// stepper; Workers is ignored for them.
+	// resolves from Workers and the -wse.engine flag override, to
+	// EngineFastForward by default. The batched and fast-forward engines
+	// imply a sequential fabric stepper; Workers is ignored for them.
 	Engine Engine
 }
 
@@ -223,7 +223,7 @@ func New(cfg Config) *Machine {
 		cores[i] = Core{m: m, tile: t, shard: m.Fab.ShardOf(i)}
 		m.Tiles[i] = t
 	}
-	if m.engine == EngineBatched || m.engine == EngineFastForward {
+	if m.engine == EngineBatched {
 		m.batch = make([]batchState, len(ranges))
 		m.coreStep = func(lo, hi int) { m.stepShardBatched(m.loShard[lo]) }
 	} else {
