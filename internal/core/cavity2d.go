@@ -10,15 +10,18 @@ import (
 	"repro/internal/wse"
 )
 
-// Cavity2DRun is one cycle-simulated run of the Table II lid-driven
-// cavity with the pressure-correction solve on the wafer: the SIMPLE
-// outer loop on the host, momentum solves on the host backend, and
-// every pressure BiCGStab executing on the simulated fabric through the
-// §IV-2 2D block-halo mapping.
+// Cavity2DRun is one run of the Table II lid-driven cavity with the
+// pressure-correction solve on the wafer: the SIMPLE outer loop on the
+// host, momentum solves on the host backend, and every pressure
+// BiCGStab executing on the simulated fabric through the §IV-2 2D
+// block-halo mapping.
 type Cavity2DRun struct {
-	N, B        int // cells per side, block edge (fabric is N/B × N/B)
-	Workers     int
-	Engine      string // fabric stepping engine name
+	N, B    int // cells per side, block edge (fabric is N/B × N/B)
+	Workers int
+	// Engine is the fabric stepper's name (Fabric.StepperName): "seq"
+	// for a one-goroutine fabric, whichever core-stepping engine ran on
+	// it, or the sharded stepper's name.
+	Engine      string
 	Re          float64
 	SimpleIters int
 
@@ -42,8 +45,13 @@ func (r Cavity2DRun) CyclesPerPoint() float64 {
 }
 
 // Cavity2DWSE runs the lid-driven cavity with the wafer pressure
-// backend under cycle simulation. workers selects the fabric engine;
-// the result — residuals, pressure histories, machine fingerprint — is
+// backend on the simulated fabric. workers selects the engine through
+// wse.EngineAuto: with workers <= 1 it is the default fast-forward
+// engine, which jumps the solver's vector phases and the AllReduce's
+// row phase and broadcast in closed form (exactly) and cycle-simulates
+// the rest, unless the -wse.engine test flag re-points it; with
+// workers > 1 the sharded engine cycle-simulates every phase. The
+// result — residuals, pressure histories, machine fingerprint — is
 // bit-identical across engines (the equivalence tests compare them).
 // The machine is closed before returning, so no pool goroutines outlive
 // the call.

@@ -119,7 +119,7 @@ func Solve(p Problem, o Options) (Result, error) {
 // core-stepping engine).
 func newWafer(o Options, w, h int) *wse.Machine {
 	cfg := wse.CS1(w, h)
-	cfg.Workers = o.Wafer.Workers
+	cfg.Workers = o.Wafer.Shards()
 	if o.Wafer.Engine != "" {
 		e, err := wse.ParseEngine(o.Wafer.Engine)
 		if err != nil {

@@ -112,11 +112,14 @@ func ramp(n int) []float64 {
 	return out
 }
 
-// PaperAllReduceResult is one engine's cycle-simulated run of the
-// Figure 6 AllReduce on the full 602×595 paper fabric.
+// PaperAllReduceResult is one engine's run of the Figure 6 AllReduce
+// on the full 602×595 paper fabric.
 type PaperAllReduceResult struct {
-	W, H        int
-	Engine      string  // fabric stepping engine name
+	W, H int
+	// Engine is the fabric stepper's name (Fabric.StepperName): "seq"
+	// for a one-goroutine fabric, whichever core-stepping engine ran on
+	// it, or the sharded stepper's name.
+	Engine      string
 	Cycles      int64   // simulated latency, start to last delivery
 	Sum         float32 // broadcast sum (bit-exact comparable)
 	Fingerprint uint64  // fabric architectural-state fingerprint at end
@@ -129,13 +132,19 @@ func (r PaperAllReduceResult) Microseconds() float64 {
 	return float64(r.Cycles) / 1.1e9 * 1e6
 }
 
-// PaperAllReduce cycle-simulates the wafer-wide AllReduce on the full
-// 602×595 fabric of the paper — not a perfmodel extrapolation. The
-// event-driven core/actor scheduling (idle tiles are free) is what
-// makes this affordable: during the long serialization phases almost
-// all of the ~358k tiles are parked. workers selects the fabric
-// engine; results are bit-identical across engines (the paper-scale
-// equivalence test compares Sum, Cycles and Fingerprint).
+// PaperAllReduce runs the wafer-wide AllReduce on the full 602×595
+// fabric of the paper — a simulation, not a perfmodel extrapolation.
+// workers selects the engine through wse.EngineAuto: with workers <= 1
+// it is the default fast-forward engine, which cycle-simulates the
+// column phase and jumps the contention-free row phase and broadcast
+// in closed form (exactly; see kernels.AllReduce.Run), unless the
+// -wse.engine test flag re-points it; with workers > 1 the sharded
+// engine cycle-simulates every phase. The event-driven core/actor
+// scheduling (idle tiles are free) is what makes the stepped phases
+// affordable: during the long serialization phases almost all of the
+// ~358k tiles are parked. Results are bit-identical across engines
+// (the paper-scale equivalence test compares Sum, Cycles and
+// Fingerprint).
 func PaperAllReduce(workers int) (PaperAllReduceResult, error) {
 	const w, h = 602, 595
 	cfg := wse.CS1(w, h)

@@ -28,11 +28,7 @@ func (s *Server) runSolve(ctx context.Context, p core.Problem, o core.Options, p
 	key := machineKey{backend: o.Backend, nx: m.NX, ny: m.NY, nz: m.NZ}
 	switch o.Backend {
 	case core.Wafer:
-		// Workers 0 and 1 build the same machine (wse.EngineAuto
-		// resolves both to fast-forward); only a worker pool is keyed.
-		if o.Wafer.Workers > 1 {
-			key.workers = o.Wafer.Workers
-		}
+		key.workers = o.Wafer.Shards()
 	case core.MultiWafer:
 		// Cluster wafers run fast-forward whatever Workers says, so
 		// workers is not part of a cluster's key.
