@@ -16,14 +16,12 @@ import (
 // BiCGStab executing on the simulated fabric through the §IV-2 2D
 // block-halo mapping.
 type Cavity2DRun struct {
-	N, B    int // cells per side, block edge (fabric is N/B × N/B)
-	Workers int
+	N int // cells per side
 	// Engine is the fabric stepper's name (Fabric.StepperName): "seq"
 	// for a one-goroutine fabric, whichever core-stepping engine ran on
 	// it, or the sharded stepper's name.
-	Engine      string
-	Re          float64
-	SimpleIters int
+	Engine string
+	Re     float64
 
 	Residuals         []mfix.Residuals
 	PressureResiduals [][]float64 // per solve, per BiCGStab iteration
@@ -72,10 +70,9 @@ func Cavity2DWSE(n, b, workers, simpleIters int, re float64) (Cavity2DRun, error
 		return Cavity2DRun{}, err
 	}
 	return Cavity2DRun{
-		N: n, B: b, Workers: workers,
+		N:                 n,
 		Engine:            mach.Fab.StepperName(),
 		Re:                re,
-		SimpleIters:       simpleIters,
 		Residuals:         res,
 		PressureResiduals: c.PressureResiduals,
 		Fingerprint:       mach.Fingerprint(),

@@ -660,16 +660,6 @@ func (f *Fabric) Step() {
 	f.stepper.step(f)
 }
 
-// RouterQueueLen returns the occupancy of the (in, color) input queue of
-// tile at's router, for tests asserting engine equivalence.
-func (f *Fabric) RouterQueueLen(at Coord, in Port, c Color) int {
-	q := f.inputQueue(f.Index(at), in, c)
-	if q < 0 {
-		return 0
-	}
-	return int(f.qs[q].size)
-}
-
 // eachBusyInput calls fn for each of tile ti's route entries whose input
 // queue holds words, in (port, color) order — the order Fingerprint and
 // CaptureState walk a router's queues in.

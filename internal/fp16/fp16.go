@@ -2,7 +2,7 @@
 // in software, with the rounding semantics of the CS-1 wafer-scale engine's
 // floating point datapath:
 //
-//   - all basic operations (+, −, ×, ÷, √) round to nearest, ties to even;
+//   - the basic operations (+ and ×) round to nearest, ties to even;
 //   - FMA does not round the product before the addition;
 //   - the mixed-precision FMAC used by the hardware inner-product
 //     instruction multiplies two fp16 operands exactly (the 22-bit product
@@ -14,9 +14,9 @@
 //
 // Every simulated element passes through here, so the datapath is built to
 // be exact and cheap at once. Decoding is integer arithmetic on the bit
-// pattern (Float32, small enough to inline); +, − and × are one float32
-// operation and one integer-arithmetic encode (FromFloat32); FMA, ÷ and √
-// go through float64 and FromFloat64, whose common case is a shift and an
+// pattern (Float32, small enough to inline); + and × are one float32
+// operation and one integer-arithmetic encode (FromFloat32); FMA goes
+// through float64 and FromFloat64, whose common case is a shift and an
 // add. None of this is approximate: the float32 route rounds exactly as a
 // float64 one would (see Add and Mul for the argument), and
 // reference_test.go keeps the float64-everywhere implementation this
@@ -52,14 +52,8 @@ const (
 
 // Distinguished values.
 var (
-	// PositiveInf and NegativeInf are the fp16 infinities.
-	PositiveInf = Float16(0x7C00)
-	NegativeInf = Float16(0xFC00)
-	// NaN is a quiet NaN.
-	NaN = Float16(0x7E00)
-	// Zero and NegZero are the signed zeros.
-	Zero    = Float16(0x0000)
-	NegZero = Float16(0x8000)
+	// Zero is +0.
+	Zero = Float16(0x0000)
 	// One is 1.0.
 	One = Float16(0x3C00)
 )
@@ -191,33 +185,6 @@ func (x Float16) Float32() float32 {
 // Float64 returns x converted to float64. The conversion is exact.
 func (x Float16) Float64() float64 { return float64(x.Float32()) }
 
-// IsNaN reports whether x is a NaN.
-func (x Float16) IsNaN() bool {
-	return uint16(x)&expMask == expMask && uint16(x)&fracMask != 0
-}
-
-// IsInf reports whether x is an infinity: positive if sign > 0, negative if
-// sign < 0, either if sign == 0.
-func (x Float16) IsInf(sign int) bool {
-	if uint16(x)&expMask != expMask || uint16(x)&fracMask != 0 {
-		return false
-	}
-	neg := uint16(x)&signMask != 0
-	return sign == 0 || (sign > 0 && !neg) || (sign < 0 && neg)
-}
-
-// IsFinite reports whether x is neither infinite nor NaN.
-func (x Float16) IsFinite() bool { return uint16(x)&expMask != expMask }
-
-// IsZero reports whether x is +0 or -0.
-func (x Float16) IsZero() bool { return uint16(x)&^signMask == 0 }
-
-// Signbit reports whether x is negative or negative zero.
-func (x Float16) Signbit() bool { return uint16(x)&signMask != 0 }
-
-// Neg returns -x.
-func (x Float16) Neg() Float16 { return x ^ Float16(signMask) }
-
 // Add returns x+y rounded to nearest even, computed as a float32 sum
 // encoded once. The float32 sum may itself round (fp16 values span 2^-24
 // to 2^16, more than 24 bits), but a float32 carries 24 = 2p+2 significand
@@ -227,21 +194,10 @@ func (x Float16) Neg() Float16 { return x ^ Float16(signMask) }
 // of 2^-24 that needs none — it is exact in float32 and in fp16.
 func Add(x, y Float16) Float16 { return FromFloat32(x.Float32() + y.Float32()) }
 
-// Sub returns x-y rounded to nearest even (see Add).
-func Sub(x, y Float16) Float16 { return FromFloat32(x.Float32() - y.Float32()) }
-
 // Mul returns x*y rounded to nearest even. The product of two 11-bit
 // significands has 22 bits and an exponent between -48 and 32, so it is
 // exact in float32 and the encode is the only rounding.
 func Mul(x, y Float16) Float16 { return FromFloat32(x.Float32() * y.Float32()) }
-
-// Div returns x/y. The float64 quotient carries 53 bits, more than the
-// 2p+2 = 24 bits required for double rounding to be innocuous for an
-// 11-bit target, so the result is correctly rounded.
-func Div(x, y Float16) Float16 { return FromFloat64(x.Float64() / y.Float64()) }
-
-// Sqrt returns √x, correctly rounded (same 2p+2 argument as Div).
-func Sqrt(x Float16) Float16 { return FromFloat64(math.Sqrt(x.Float64())) }
 
 // FMA returns x*y + z with no rounding of the intermediate product, as the
 // CS-1 fused multiply-accumulate does. math.FMA rounds once to float64
@@ -259,70 +215,8 @@ func MixedFMAC(acc float32, x, y Float16) float32 {
 	return acc + x.Float32()*y.Float32()
 }
 
-// Min returns the smaller of x and y; if either is NaN it returns NaN.
-func Min(x, y Float16) Float16 {
-	if x.IsNaN() || y.IsNaN() {
-		return NaN
-	}
-	if y.Float32() < x.Float32() {
-		return y
-	}
-	return x
-}
-
-// Max returns the larger of x and y; if either is NaN it returns NaN.
-func Max(x, y Float16) Float16 {
-	if x.IsNaN() || y.IsNaN() {
-		return NaN
-	}
-	if x.Float32() < y.Float32() {
-		return y
-	}
-	return x
-}
-
-// NextUp returns the least Float16 greater than x.
-func NextUp(x Float16) Float16 {
-	switch {
-	case x.IsNaN() || x == PositiveInf:
-		return x
-	case x.IsZero():
-		return Float16(1) // smallest positive subnormal
-	case x.Signbit():
-		return Float16(uint16(x) - 1)
-	default:
-		return Float16(uint16(x) + 1)
-	}
-}
-
-// NextDown returns the greatest Float16 less than x.
-func NextDown(x Float16) Float16 { return NextUp(x.Neg()).Neg() }
-
-// ULP returns the unit in the last place of x (the spacing of fp16 values
-// at |x|), as a float64. For zero and subnormals it returns 2^-24; for
-// infinities and NaN it returns NaN.
-func ULP(x Float16) float64 {
-	if !x.IsFinite() {
-		return math.NaN()
-	}
-	e := int(uint16(x)>>fracBits) & 0x1F
-	if e == 0 {
-		return SmallestSubnormal
-	}
-	return math.Ldexp(1, e-expBias-fracBits)
-}
-
 // String formats x using the shortest decimal representation that
 // round-trips through float32.
 func (x Float16) String() string {
 	return strconv.FormatFloat(float64(x.Float32()), 'g', -1, 32)
-}
-
-// Parse parses a decimal string into a Float16, rounding to nearest even.
-func Parse(s string) (Float16, error) {
-	f, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return Zero, err
-	}
-	return FromFloat64(f), nil
 }

@@ -13,29 +13,11 @@ func FromFloat64Slice(src []float64) []Float16 {
 	return dst
 }
 
-// FromFloat32Slice converts src elementwise, rounding each value to fp16.
-func FromFloat32Slice(src []float32) []Float16 {
-	dst := make([]Float16, len(src))
-	for i, v := range src {
-		dst[i] = FromFloat32(v)
-	}
-	return dst
-}
-
 // ToFloat64Slice converts src elementwise; the conversion is exact.
 func ToFloat64Slice(src []Float16) []float64 {
 	dst := make([]float64, len(src))
 	for i, v := range src {
 		dst[i] = v.Float64()
-	}
-	return dst
-}
-
-// ToFloat32Slice converts src elementwise; the conversion is exact.
-func ToFloat32Slice(src []Float16) []float32 {
-	dst := make([]float32, len(src))
-	for i, v := range src {
-		dst[i] = v.Float32()
 	}
 	return dst
 }

@@ -110,7 +110,7 @@ func (w *WaferBackend) Solve(a stencil.Operator, b, x0 []float64, opts solver.Op
 	}
 	w.Solves++
 	w.Iterations += st.Iterations
-	w.Cycles.Add(st.Cycles)
+	w.Cycles.add(st.Cycles)
 	w.last = st
 	return x, st.SolverStats(opts.RecordHistory), nil
 }

@@ -35,8 +35,8 @@ func (p PhaseCycles) Total() int64 {
 // the on-wafer reduction plus everything that crossed a wafer edge.
 func (p PhaseCycles) Communication() int64 { return p.EdgeIO + p.AllReduce + p.Combine }
 
-// Add accumulates q into p (the backend adapters' cumulative counters).
-func (p *PhaseCycles) Add(q PhaseCycles) {
+// add accumulates q into p (the backend adapters' cumulative counters).
+func (p *PhaseCycles) add(q PhaseCycles) {
 	p.SpMV += q.SpMV
 	p.EdgeIO += q.EdgeIO
 	p.Dot += q.Dot
@@ -110,7 +110,7 @@ func columnIndex(m *wse.Machine, mesh stencil.Mesh) func(part, tile, elem int) i
 // so a warm solver serves an arbitrary sequence of solves — build once,
 // LoadCoeff per job, the service layer's machine-cache contract. The
 // new operator's mesh must match the one the solver was built for.
-func (b *BiCGStabWSE) LoadCoeff(op *stencil.Op7Half) error { return b.spmv.LoadCoeff(op) }
+func (b *BiCGStabWSE) LoadCoeff(op *stencil.Op7Half) error { return b.spmv.loadCoeff(op) }
 
 // Pristine drains the machine to idle (program construction leaves a
 // few cores spuriously queued) and captures its just-built

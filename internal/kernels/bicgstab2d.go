@@ -46,10 +46,10 @@ func NewBiCGStab2DWSE(m *wse.Machine, op *stencil.Op9, b int) (*BiCGStab2DWSE, e
 	return s, nil
 }
 
-// LoadCoeff swaps in a new operator on the same mesh (the SIMPLE outer
+// loadCoeff swaps in a new operator on the same mesh (the SIMPLE outer
 // loop re-assembles the pressure system every iteration); any other is
 // refused with the program untouched.
-func (s *BiCGStab2DWSE) LoadCoeff(op *stencil.Op9) error { return s.spmv.LoadCoeff(op) }
+func (s *BiCGStab2DWSE) loadCoeff(op *stencil.Op9) error { return s.spmv.LoadCoeff(op) }
 
 // index maps (tile, element) of the one machine to the mesh-global
 // vector position: block row-major within the tile's b×b block.
@@ -80,7 +80,7 @@ func NewWafer2DBackend(mach *wse.Machine, b int) *WaferBackend {
 			return nil, errCannotLower(a, "2D block-halo")
 		}
 		if prog != nil {
-			return prog.Solve, prog.LoadCoeff(op)
+			return prog.Solve, prog.loadCoeff(op)
 		}
 		if prog, err = NewBiCGStab2DWSE(mach, op, b); err != nil {
 			return nil, err

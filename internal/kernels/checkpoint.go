@@ -35,9 +35,9 @@ type WSECheckpoint struct {
 	Machine []byte // encoded wse.Snapshot
 }
 
-// Encode serializes the checkpoint in the versioned little-endian
+// encode serializes the checkpoint in the versioned little-endian
 // format with a trailing FNV-1a checksum.
-func (cp *WSECheckpoint) Encode() ([]byte, error) {
+func (cp *WSECheckpoint) encode() ([]byte, error) {
 	var b []byte
 	u32 := func(v uint32) { b = binary.LittleEndian.AppendUint32(b, v) }
 	u64 := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
@@ -77,7 +77,7 @@ func (cp *WSECheckpoint) Encode() ([]byte, error) {
 	return binary.LittleEndian.AppendUint64(b, h.Sum64()), nil
 }
 
-// DecodeWSECheckpoint parses data produced by Encode, verifying magic,
+// DecodeWSECheckpoint parses data produced by encode, verifying magic,
 // version and checksum. It never panics on corrupt input.
 func DecodeWSECheckpoint(data []byte) (*WSECheckpoint, error) {
 	if len(data) < len(checkpointMagic)+8 {

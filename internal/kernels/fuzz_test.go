@@ -12,7 +12,9 @@ import (
 // FuzzSpMV2DEquivalence fuzzes the 2D block-halo wafer program's
 // determinism contract: a random normalized 9-point operator and
 // iterate on a random tile grid and block size are built identically on
-// a sequential and a sharded machine, armed, and stepped in lockstep —
+// a sequential machine (the reference interpreter, named: EngineAuto
+// with one worker is fast-forward) and a sharded one, armed, and
+// stepped in lockstep —
 // the complete per-cycle Machine.Fingerprint must match every cycle,
 // the results must be bitwise equal, and both machines must agree the
 // program drained. It also cross-checks the machine result against the
@@ -35,8 +37,9 @@ func FuzzSpMV2DEquivalence(f *testing.F) {
 		norm, _ := stencil.Random9(m, 1.3, rng).Normalize9()
 		src := randomHalfVector(m.N(), rng)
 
-		build := func(wk int) (*wse.Machine, *stencilc.Program2D) {
+		build := func(e wse.Engine, wk int) (*wse.Machine, *stencilc.Program2D) {
 			cfg := wse.CS1(tx, ty)
+			cfg.Engine = e
 			cfg.Workers = wk
 			mach := wse.New(cfg)
 			prog, err := stencilc.Compile2D(mach, stencilc.Spec9Point(), norm, b, 0)
@@ -47,9 +50,9 @@ func FuzzSpMV2DEquivalence(f *testing.F) {
 			prog.Arm()
 			return mach, prog
 		}
-		mseq, pseq := build(1)
+		mseq, pseq := build(wse.EngineSequential, 1)
 		defer mseq.Close()
-		mshd, pshd := build(workers)
+		mshd, pshd := build(wse.EngineSharded, workers)
 		defer mshd.Close()
 		if mseq.Fab.StepperName() == mshd.Fab.StepperName() {
 			t.Fatalf("engine selection broken: both %q", mseq.Fab.StepperName())

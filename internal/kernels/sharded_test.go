@@ -20,9 +20,11 @@ func withProcs(t *testing.T, n int) {
 }
 
 // shardedMachines builds a sequential and a sharded machine of the same
-// shape for lockstep comparison.
+// shape for lockstep comparison. The sequential leg names its engine:
+// EngineAuto with one worker is fast-forward.
 func shardedMachines(w, h, workers int) (*wse.Machine, *wse.Machine) {
 	seqCfg := wse.CS1(w, h)
+	seqCfg.Engine = wse.EngineSequential
 	shCfg := wse.CS1(w, h)
 	shCfg.Workers = workers
 	return wse.New(seqCfg), wse.New(shCfg)

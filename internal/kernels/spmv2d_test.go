@@ -90,7 +90,7 @@ func TestSpMV2DPoisson9(t *testing.T) {
 		t.Errorf("interior Laplacian of constant = %g, want ~0", v)
 	}
 	// Boundary cells see the truncated stencil: nonzero.
-	if dst[m.Index(0, 0)].IsZero() {
+	if dst[m.Index(0, 0)].Bits()&^0x8000 == 0 {
 		t.Error("corner result should be nonzero under truncation")
 	}
 }

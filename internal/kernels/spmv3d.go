@@ -24,7 +24,6 @@ const FIFODepth = 20
 type SpMV3D struct {
 	M    *wse.Machine
 	Mesh stencil.Mesh
-	Op   *stencil.Op7Half
 
 	tiles []*spmvTile
 }
@@ -98,7 +97,7 @@ func NewSpMV3D(mach *wse.Machine, op *stencil.Op7Half) (*SpMV3D, error) {
 	if m.NZ%2 != 0 {
 		return nil, fmt.Errorf("kernels: Z=%d must be even (two fp16 per fabric word)", m.NZ)
 	}
-	p := &SpMV3D{M: mach, Mesh: m, Op: op}
+	p := &SpMV3D{M: mach, Mesh: m}
 	z := m.NZ
 
 	// Static routing: every tile broadcasts its iterate on its own color
@@ -179,13 +178,13 @@ func NewSpMV3D(mach *wse.Machine, op *stencil.Op7Half) (*SpMV3D, error) {
 			p.tiles[y*m.NX+x] = st
 		}
 	}
-	if err := p.LoadCoeff(op); err != nil {
+	if err := p.loadCoeff(op); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-// LoadCoeff rewrites the stored stencil coefficients in place, leaving
+// loadCoeff rewrites the stored stencil coefficients in place, leaving
 // the routing, task structure and memory layout untouched — so a built
 // program (and the machine under it) can be reused for a new operator
 // on the same mesh, which is what the service layer's warm-machine
@@ -195,7 +194,7 @@ func NewSpMV3D(mach *wse.Machine, op *stencil.Op7Half) (*SpMV3D, error) {
 // (meshpoint j−1, so zm[j] holds the row-(j−1) ZP coefficient), and the
 // product with zp[j] lands at u[j+2] (meshpoint j+1, so zp[j] holds the
 // row-(j+1) ZM coefficient).
-func (p *SpMV3D) LoadCoeff(op *stencil.Op7Half) error {
+func (p *SpMV3D) loadCoeff(op *stencil.Op7Half) error {
 	m := p.Mesh
 	if op.M != m {
 		return fmt.Errorf("kernels: operator mesh %v does not match program mesh %v", op.M, m)
@@ -220,7 +219,6 @@ func (p *SpMV3D) LoadCoeff(op *stencil.Op7Half) error {
 			a.Set(st.offZM+j, op.ZP[m.Index(st.x, st.y, j-1)])
 		}
 	}
-	p.Op = op
 	return nil
 }
 
@@ -384,16 +382,6 @@ func (p *SpMV3D) LoadVector(v []fp16.Float16) {
 	for i, st := range p.tiles {
 		copy(p.Iterate(i), v[m.Index(st.x, st.y, 0):])
 	}
-}
-
-// Result gathers the global result u.
-func (p *SpMV3D) Result() []fp16.Float16 {
-	m := p.Mesh
-	out := make([]fp16.Float16, m.N())
-	for i, st := range p.tiles {
-		p.CopyResult(i, out[m.Index(st.x, st.y, 0):][:m.NZ])
-	}
-	return out
 }
 
 // Run executes one SpMV application and returns the cycles it took.

@@ -241,3 +241,13 @@ func TestSpMV3DIssueCounters(t *testing.T) {
 		t.Errorf("idle calls of lane-consuming instructions: %d, more than half the polling step's %d", laneIdle, parentLaneIdle)
 	}
 }
+
+// Result gathers the global result u.
+func (p *SpMV3D) Result() []fp16.Float16 {
+	m := p.Mesh
+	out := make([]fp16.Float16, m.N())
+	for i, st := range p.tiles {
+		p.CopyResult(i, out[m.Index(st.x, st.y, 0):][:m.NZ])
+	}
+	return out
+}

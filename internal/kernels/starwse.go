@@ -22,10 +22,6 @@ import (
 // host mixed-precision solver, the rank-parallel cluster solver and the
 // multi-wafer backend (core.TestAllBackendsBitIdentical).
 type BiCGStabStarWSE struct {
-	M    *wse.Machine
-	Mesh stencil.Mesh
-	Spec stencilc.Spec
-
 	prog *stencilc.Program3D
 	eng  *BiCGStabEngine
 }
@@ -45,7 +41,7 @@ func NewBiCGStabStarWSE(m *wse.Machine, spec stencilc.Spec, op *stencil.OpStarHa
 	if err != nil {
 		return nil, err
 	}
-	s := &BiCGStabStarWSE{M: m, Mesh: op.M, Spec: spec, prog: prog}
+	s := &BiCGStabStarWSE{prog: prog}
 	machines := []*wse.Machine{m}
 	s.eng, err = NewBiCGStabEngine(Substrate{
 		Machines: machines, PerTile: op.M.NZ, ARBase: stencilc.NumExchangeColors,

@@ -417,7 +417,7 @@ func (w *BiCGStabEngine) checkpoint(it int, bnorm, rho float64, st WSEStats) ([]
 		return nil, err
 	}
 	cp := &WSECheckpoint{Iter: it, BNorm: bnorm, Rho: rho, Stats: st, Machine: blob}
-	return cp.Encode()
+	return cp.encode()
 }
 
 // update runs one AXPY-class instruction on every tile — dst = dst + s·a

@@ -26,17 +26,6 @@ type StepBudget struct {
 	Total                         OpRange
 }
 
-// Sum returns the straight sum of the component ranges. The published
-// Total column differs from the component sums by up to two cycles in the
-// minimum (the paper rounds its per-operation cycle estimates); tests
-// assert the published totals and the ≤2-cycle discrepancy.
-func (s StepBudget) Sum() OpRange {
-	return OpRange{
-		Min: s.Merge.Min + s.FLOP.Min + s.Sqrt.Min + s.Div.Min + s.Trans.Min,
-		Max: s.Merge.Max + s.FLOP.Max + s.Sqrt.Max + s.Div.Max + s.Trans.Max,
-	}
-}
-
 // TableII returns the paper's Table II, cycles per meshpoint for SIMPLE
 // excluding the solver, derived from first-order upwinding of the single
 // phase compressible viscous equations.

@@ -147,3 +147,21 @@ func TestCavitySymmetryInZ(t *testing.T) {
 		}
 	}
 }
+
+// MassResidual recomputes the current ∞-norm mass imbalance.
+func (c *Cavity) MassResidual() float64 {
+	maxImb := 0.0
+	c.forEach([3]int{}, func(q [3]int) { maxImb = math.Max(maxImb, math.Abs(c.imbalance(q))) })
+	return maxImb
+}
+
+// Sum returns the straight sum of the component ranges. The published
+// Total column differs from the component sums by up to two cycles in the
+// minimum (the paper rounds its per-operation cycle estimates); tests
+// assert the published totals and the ≤2-cycle discrepancy.
+func (s StepBudget) Sum() OpRange {
+	return OpRange{
+		Min: s.Merge.Min + s.FLOP.Min + s.Sqrt.Min + s.Div.Min + s.Trans.Min,
+		Max: s.Merge.Max + s.FLOP.Max + s.Sqrt.Max + s.Div.Max + s.Trans.Max,
+	}
+}

@@ -28,8 +28,7 @@ import (
 // refuses. With the same backends the evolution is deterministic, and
 // with a wafer backend it is bit-identical across simulation engines.
 type Cavity struct {
-	N  int     // cells per side
-	Re float64 // Reynolds number (lid speed and cavity edge are 1)
+	N int // cells per side
 
 	AlphaU, AlphaP float64 // under-relaxation factors
 	MomentumIters  int
@@ -67,7 +66,7 @@ func NewCavity2D(n int, re float64) *Cavity { return newCavity(2, n, re) }
 func newCavity(dim, n int, re float64) *Cavity {
 	h, mu := 1/float64(n), 1/re
 	c := &Cavity{
-		N: n, Re: re,
+		N:      n,
 		AlphaU: 0.7, AlphaP: 0.3,
 		MomentumIters: 5, PressureIters: 20,
 		Momentum: solver.Host{}, Pressure: solver.Host{},
@@ -379,13 +378,6 @@ func (c *Cavity) pressureCorrection() (float64, error) {
 		c.p[i] += c.AlphaP * pc[i]
 	}
 	return maxImb, nil
-}
-
-// MassResidual recomputes the current ∞-norm mass imbalance.
-func (c *Cavity) MassResidual() float64 {
-	maxImb := 0.0
-	c.forEach([3]int{}, func(q [3]int) { maxImb = math.Max(maxImb, math.Abs(c.imbalance(q))) })
-	return maxImb
 }
 
 // CenterlineU samples u along the vertical centreline (x = 0.5, and

@@ -310,9 +310,6 @@ func (c *Cluster) locate(gx, gy int) (wi, ti int) {
 	panic(fmt.Sprintf("multiwafer: no wafer owns column (%d,%d)", gx, gy))
 }
 
-// Wafers returns the wafer count.
-func (c *Cluster) Wafers() int { return len(c.wafers) }
-
 // Close releases every machine's simulation worker pool. Idempotent.
 func (c *Cluster) Close() {
 	for _, wf := range c.wafers {

@@ -33,7 +33,7 @@ func (c *Cluster) Solve(bvec []fp16.Float16, opts kernels.WSEOptions) ([]fp16.Fl
 // rounded combine of every wafer's partials and the scalar's
 // re-broadcast, charged as two scalar edge-I/O hops per grid axis step.
 func (c *Cluster) combineCycles() int64 {
-	if c.Wafers() == 1 {
+	if len(c.wafers) == 1 {
 		return 0
 	}
 	hops := c.Cfg.Grid.W + c.Cfg.Grid.H - 2

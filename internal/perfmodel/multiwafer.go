@@ -22,9 +22,9 @@ type EdgeIO struct {
 // and the CS-1's 1.2 Tb/s of edge I/O granted to each face.
 func DefaultEdgeIO() EdgeIO { return EdgeIO{LatencySec: 1e-6, BandwidthBps: 1.2e12} }
 
-// TransferSeconds returns the modelled time to move bytes across one
+// transferSeconds returns the modelled time to move bytes across one
 // wafer edge face.
-func (io EdgeIO) TransferSeconds(bytes int) float64 {
+func (io EdgeIO) transferSeconds(bytes int) float64 {
 	return io.LatencySec + 8*float64(bytes)/io.BandwidthBps
 }
 
@@ -116,17 +116,17 @@ func (m IterModel) MultiWaferIterationCycles(x, y, z, gw, gh int, clockHz float6
 	if gw > 1 || gh > 1 {
 		var face float64
 		if gw > 1 {
-			face = math.Max(face, io.TransferSeconds(hHi*z*2))
+			face = math.Max(face, io.transferSeconds(hHi*z*2))
 		}
 		if gh > 1 {
-			face = math.Max(face, io.TransferSeconds(wHi*z*2))
+			face = math.Max(face, io.transferSeconds(wHi*z*2))
 		}
 		edge = 2 * ceilc(face)
 	}
 	var combine float64
 	if gw*gh > 1 {
 		hops := float64(gw + gh - 2)
-		combine = 4 * ceilc(2*io.TransferSeconds(4)*hops)
+		combine = 4 * ceilc(2*io.transferSeconds(4)*hops)
 	}
 	return MWBreakdown{
 		SpMV:      2 * spmv,

@@ -18,8 +18,6 @@
 //     projection (PFLOPS, MFIX, cluster speedups).
 package perfmodel
 
-import "math"
-
 // WSE describes a wafer for modelling purposes.
 type WSE struct {
 	W, H    int     // fabric extent
@@ -32,12 +30,12 @@ func CS1() WSE {
 	return WSE{W: 602, H: 595, ClockHz: 1.1e9, SIMD: 4}
 }
 
-// Cores returns the core count.
-func (w WSE) Cores() int { return w.W * w.H }
+// cores returns the core count.
+func (w WSE) cores() int { return w.W * w.H }
 
-// PeakFlops is the peak fp16 rate: SIMD FMACs (2 flops) per core-cycle.
-func (w WSE) PeakFlops() float64 {
-	return float64(w.Cores()) * float64(2*w.SIMD) * w.ClockHz
+// peakFlops is the peak fp16 rate: SIMD FMACs (2 flops) per core-cycle.
+func (w WSE) peakFlops() float64 {
+	return float64(w.cores()) * float64(2*w.SIMD) * w.ClockHz
 }
 
 // AllReduceCycles models the Figure 6 reduction+broadcast, calibrated
@@ -114,7 +112,7 @@ type IterModel struct {
 
 // PaperEta is the single calibration constant fitted to the paper's
 // measured 28.1 µs/iteration at 600×595×1536 on the 602×595 fabric.
-// See CalibrateEta and the package tests. (Recalibrated from 1.591 when
+// TestCalibrateEtaRoundTrip fits it again. (Recalibrated from 1.591 when
 // AllReduceCycles became parity-aware: the 602×595 AllReduce costs 1497
 // cycles, not 1202, so less of the measured time is unexplained
 // overhead.)
@@ -181,15 +179,7 @@ func (m IterModel) PFLOPS(w WSE, x, y, z int) float64 {
 
 // FractionOfPeak returns sustained/peak.
 func (m IterModel) FractionOfPeak(w WSE, x, y, z int) float64 {
-	return m.PFLOPS(w, x, y, z) * 1e15 / w.PeakFlops()
-}
-
-// CalibrateEta returns the Eta that makes the model reproduce a measured
-// iteration time.
-func (m IterModel) CalibrateEta(w WSE, z int, measuredSeconds float64) float64 {
-	b := m.IterationCycles(w, z)
-	raw := b.Total() / b.Eta // cycles at Eta=1
-	return measuredSeconds * w.ClockHz / raw
+	return m.PFLOPS(w, x, y, z) * 1e15 / w.peakFlops()
 }
 
 // ---------------------------------------------------------------- memory
@@ -297,7 +287,7 @@ func HeadlinePrediction(m IterModel) (iterMicros, pflops, fracPeak float64) {
 // ShapePoint is one entry of a mesh-shape sweep (the paper's "predict the
 // effect of changing mesh size and shape").
 type ShapePoint struct {
-	X, Y, Z    int
+	Z          int
 	IterMicros float64
 	PFLOPS     float64
 }
@@ -308,13 +298,10 @@ func ShapeSweep(m IterModel, zs []int) []ShapePoint {
 	out := make([]ShapePoint, 0, len(zs))
 	for _, z := range zs {
 		out = append(out, ShapePoint{
-			X: w.W - 2, Y: w.H, Z: z,
+			Z:          z,
 			IterMicros: m.IterationSeconds(w, z) * 1e6,
 			PFLOPS:     m.PFLOPS(w, w.W-2, w.H, z),
 		})
 	}
 	return out
 }
-
-// Abs is a tiny helper used by tests.
-func Abs(x float64) float64 { return math.Abs(x) }

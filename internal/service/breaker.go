@@ -91,11 +91,3 @@ func (b *breaker) failure(backend string) bool {
 	}
 	return false
 }
-
-// open reports whether the backend's circuit is currently open.
-func (b *breaker) open(backend string) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	st := b.state(backend)
-	return !st.openUntil.IsZero() && b.clock().Before(st.openUntil)
-}

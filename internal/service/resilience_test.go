@@ -484,3 +484,11 @@ func TestContextErrClassification(t *testing.T) {
 		t.Fatalf("pre-canceled solveAttempt: err = %v, want context.Canceled", err)
 	}
 }
+
+// open reports whether the backend's circuit is currently open.
+func (b *breaker) open(backend string) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	st := b.state(backend)
+	return !st.openUntil.IsZero() && b.clock().Before(st.openUntil)
+}

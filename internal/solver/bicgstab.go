@@ -238,77 +238,3 @@ func BiCGStab(ctx Context, a Operator, b, x Vector, opts Options) (Stats, error)
 	st.Converged = opts.Tol > 0 && st.FinalResidual <= opts.Tol
 	return st, nil
 }
-
-// CG solves A·x = b with the conjugate gradient method for symmetric
-// positive definite A. It exists as a substrate comparison point (the
-// paper presents BiCGStab as the CG extension for nonsymmetric systems).
-func CG(ctx Context, a Operator, b, x Vector, opts Options) (Stats, error) {
-	n := b.Len()
-	c := ctx.Counters()
-
-	r := ctx.NewVector(n)
-	p := ctx.NewVector(n)
-	ap := ctx.NewVector(n)
-
-	c.SetKind(KindMatvec)
-	a.Apply(ap, x)
-	c.SetKind(KindAxpy)
-	r.SetAXPY(-1, ap, b)
-	p.CopyFrom(r)
-
-	c.SetKind(KindDot)
-	bnorm := math.Sqrt(b.Dot(b))
-	if bnorm == 0 {
-		return Stats{}, ErrZeroRHS
-	}
-	rr := r.Dot(r)
-	c.SetKind(KindOther)
-
-	st := Stats{}
-	for it := 0; it < opts.maxIter(); it++ {
-		if err := opts.CtxErr(); err != nil {
-			return st, err
-		}
-		st.Iterations = it + 1
-		c.SetKind(KindMatvec)
-		a.Apply(ap, p)
-		c.SetKind(KindDot)
-		pap := p.Dot(ap)
-		if pap == 0 {
-			st.Breakdown = "p·Ap = 0"
-			return st, nil
-		}
-		alpha := rr / pap
-		c.SetKind(KindAxpy)
-		x.AXPY(alpha, p)
-		r.AXPY(-alpha, ap)
-
-		rel := Norm2(r) / bnorm
-		st.FinalResidual = rel
-		if opts.RecordHistory {
-			st.History = append(st.History, rel)
-		}
-		if opts.TrueResidual != nil {
-			st.TrueHistory = append(st.TrueHistory, opts.TrueResidual(x))
-		}
-		if opts.Progress != nil {
-			opts.Progress(st.Iterations, rel)
-		}
-		if opts.Tol > 0 && rel <= opts.Tol {
-			st.Converged = true
-			return st, nil
-		}
-		c.SetKind(KindDot)
-		rrNew := r.Dot(r)
-		if rr == 0 {
-			st.Breakdown = "r·r = 0"
-			return st, nil
-		}
-		beta := rrNew / rr
-		rr = rrNew
-		c.SetKind(KindAxpy)
-		p.XPAY(beta, r)
-		c.SetKind(KindOther)
-	}
-	return st, nil
-}

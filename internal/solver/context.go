@@ -1,7 +1,6 @@
-// Package solver implements the Krylov subspace methods of the paper —
-// BiCGStab (Algorithm 1) and, as a substrate, CG — over pluggable
-// arithmetic contexts. Three contexts reproduce the precision study of
-// Figure 9:
+// Package solver implements the paper's Krylov subspace method,
+// BiCGStab (Algorithm 1), over pluggable arithmetic contexts. Three
+// contexts reproduce the precision study of Figure 9:
 //
 //   - F64: double precision (the Joule cluster baseline arithmetic);
 //   - F32: IEEE single precision ("Single precision" in Figure 9);

@@ -298,27 +298,6 @@ func TestTable1OperationCounts(t *testing.T) {
 	}
 }
 
-func TestCGPoisson(t *testing.T) {
-	m := stencil.Mesh{NX: 6, NY: 6, NZ: 6}
-	op := stencil.Poisson(m, 1)
-	rng := rand.New(rand.NewSource(8))
-	xe := make([]float64, m.N())
-	for i := range xe {
-		xe[i] = rng.NormFloat64()
-	}
-	ctx := NewF64()
-	a, b, x, _, _ := setupProblem(ctx, op, xe)
-	st, err := CG(ctx, a, b, x, Options{MaxIter: 400, Tol: 1e-12})
-	if err != nil || !st.Converged {
-		t.Fatalf("CG failed: %v %+v", err, st)
-	}
-	for i := range xe {
-		if math.Abs(x.At(i)-xe[i]) > 1e-6*(1+math.Abs(xe[i])) {
-			t.Fatalf("x[%d] = %g, want %g", i, x.At(i), xe[i])
-		}
-	}
-}
-
 func TestZeroRHS(t *testing.T) {
 	m := stencil.Mesh{NX: 3, NY: 3, NZ: 3}
 	op, _ := stencil.Poisson(m, 1).Normalize()
@@ -328,9 +307,6 @@ func TestZeroRHS(t *testing.T) {
 	x := ctx.NewVector(m.N())
 	if _, err := BiCGStab(ctx, a, b, x, Options{}); err != ErrZeroRHS {
 		t.Errorf("expected ErrZeroRHS, got %v", err)
-	}
-	if _, err := CG(ctx, a, b, x, Options{}); err != ErrZeroRHS {
-		t.Errorf("CG: expected ErrZeroRHS, got %v", err)
 	}
 }
 

@@ -15,42 +15,13 @@ const NumExchangeColors = 4
 // assignment (the kernels package re-exports it), so the invariants —
 // a tile's outgoing color differs from all four incoming ones, and the
 // four incoming colors are pairwise distinct — are checked once, by
-// ExchangeColorsDistinct's property test.
+// TestExchangeColorsDistinct.
 const (
 	ColEast = iota
 	ColWest
 	ColSouth
 	ColNorth
 )
-
-// ExchangeColorsDistinct verifies the color invariants of the
-// directional assignment at a tile: the color it sends on toward each
-// neighbour differs from every color it receives on, and the four
-// receive colors are pairwise distinct (so the four incoming streams
-// are separable by subscription). The directional scheme makes this
-// trivially true — each direction of travel owns a dedicated channel —
-// but the property test states it as a contract, mirroring
-// StencilColorsDistinct for the 3D tessellation.
-func ExchangeColorsDistinct() bool {
-	recv := []int{ColEast, ColWest, ColSouth, ColNorth}
-	seen := map[int]bool{}
-	for _, c := range recv {
-		if seen[c] {
-			return false
-		}
-		seen[c] = true
-	}
-	// A tile sends toward its east neighbour on ColEast and receives
-	// from it on ColWest, and symmetrically: outgoing != incoming on
-	// every link.
-	pairs := [][2]int{{ColEast, ColWest}, {ColWest, ColEast}, {ColSouth, ColNorth}, {ColNorth, ColSouth}}
-	for _, p := range pairs {
-		if p[0] == p[1] {
-			return false
-		}
-	}
-	return true
-}
 
 // RouteExchange programs the four single-hop directional streams on a
 // w×h fabric starting at base: a word a tile injects on base+ColEast

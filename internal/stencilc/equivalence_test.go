@@ -384,3 +384,16 @@ func TestProgram3DEngineEquivalence(t *testing.T) {
 		t.Fatalf("fingerprints diverge: %#x vs %#x", f1, f2)
 	}
 }
+
+// SumSqReference replays the fused ReduceSumSq dot for one tile: the
+// hardware inner-product instruction's mixed-precision fold (exact fp16
+// products into a float32 accumulator) over the tile's output elements
+// in storage order — block row-major for the 2D program, the Z column
+// for the 3D one.
+func SumSqReference(vals []fp16.Float16) float32 {
+	var acc float32
+	for _, v := range vals {
+		acc = fp16.MixedFMAC(acc, v, v)
+	}
+	return acc
+}

@@ -12,11 +12,12 @@ import (
 
 // FuzzStencilcEquivalence drives the whole compiler contract from random
 // specs: a fuzzed (dimensionality, fabric, block/column depth, widths,
-// reduction) tuple is compiled and run on both stepping engines, and the
-// machine output must equal the functional reference bit for bit — plus
-// the engines must agree on cycles and results, and the cycle count must
-// equal the exact perfmodel replay entry. Seed corpus in
-// testdata/fuzz/FuzzStencilcEquivalence; CI runs this in fuzz-smoke.
+// reduction) tuple is compiled and run on the sequential, fast-forward
+// and sharded engines, and every machine's output must equal the
+// functional reference bit for bit — plus the engines must agree on
+// cycles, and the cycle count must equal the exact perfmodel replay
+// entry. Seed corpus in testdata/fuzz/FuzzStencilcEquivalence; CI runs
+// this in fuzz-smoke.
 func FuzzStencilcEquivalence(f *testing.F) {
 	f.Add(int64(1), uint64(0x020202), uint64(0))
 	f.Add(int64(7), uint64(0x010303), uint64(1))
@@ -38,38 +39,35 @@ func FuzzStencilcEquivalence(f *testing.F) {
 	})
 }
 
-// runBoth compiles and runs a program under the sequential and sharded
-// engines, requiring identical cycles; it returns the sequential
-// machine's program plus the cycle count.
-func runBoth(t *testing.T, workers int, build func(*wse.Machine) interface {
+// runEngines compiles and runs a program under the sequential reference
+// interpreter, the fast-forward engine (which replays the exchange) and
+// the sharded engine, requiring identical cycles, and returns the
+// sequential cycle count. Each engine is named: EngineAuto with one
+// worker would be fast-forward, not the reference.
+func runEngines(t *testing.T, workers int, build func(*wse.Machine) interface {
 	Run(int64) (int64, error)
-}, fw, fh int) (seq, shd interface {
-	Run(int64) (int64, error)
-}, cycles int64) {
+}, fw, fh int) int64 {
 	t.Helper()
-	mkMach := func(wk int) *wse.Machine {
+	var cycles int64
+	for i, e := range []wse.Engine{wse.EngineSequential, wse.EngineFastForward, wse.EngineSharded} {
 		cfg := wse.CS1(fw, fh)
-		cfg.Workers = wk
-		return wse.New(cfg)
+		cfg.Engine = e
+		if e == wse.EngineSharded {
+			cfg.Workers = workers
+		}
+		mach := wse.New(cfg)
+		t.Cleanup(mach.Close)
+		c, err := build(mach).Run(1 << 22)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			cycles = c
+		} else if c != cycles {
+			t.Fatalf("cycles diverge: sequential %d, %v %d", cycles, e, c)
+		}
 	}
-	mseq := mkMach(1)
-	t.Cleanup(mseq.Close)
-	mshd := mkMach(workers)
-	t.Cleanup(mshd.Close)
-	pseq := build(mseq)
-	pshd := build(mshd)
-	c1, err := pseq.Run(1 << 22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := pshd.Run(1 << 22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1 != c2 {
-		t.Fatalf("cycles diverge: sequential %d, sharded(%d) %d", c1, workers, c2)
-	}
-	return pseq, pshd, c1
+	return cycles
 }
 
 func fuzz3D(t *testing.T, rng *rand.Rand, fw, fh, depth int, sel uint64, sumsq bool, workers int) {
@@ -84,7 +82,7 @@ func fuzz3D(t *testing.T, rng *rand.Rand, fw, fh, depth int, sel uint64, sumsq b
 	src := randomHalfVec(m.N(), rng)
 
 	var progs []*Program3D
-	_, _, cycles := runBoth(t, workers, func(mach *wse.Machine) interface {
+	cycles := runEngines(t, workers, func(mach *wse.Machine) interface {
 		Run(int64) (int64, error)
 	} {
 		p, err := Compile3D(mach, spec, op, 0, 0, 0)
@@ -140,7 +138,7 @@ func fuzz2D(t *testing.T, rng *rand.Rand, fw, fh, depth int, sel uint64, sumsq b
 	src := randomHalfVec(m.N(), rng)
 
 	var progs []*Program2D
-	_, _, cycles := runBoth(t, workers, func(mach *wse.Machine) interface {
+	cycles := runEngines(t, workers, func(mach *wse.Machine) interface {
 		Run(int64) (int64, error)
 	} {
 		p, err := Compile2D(mach, spec, op, b, 0)

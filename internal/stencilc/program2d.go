@@ -94,7 +94,7 @@ func Compile2D(mach *wse.Machine, spec Spec, op *stencil.Op9, b int, base fabric
 		return nil, fmt.Errorf("stencilc: Compile2D needs a 2D spec, got dim %d", spec.Dim)
 	}
 	if spec.Widths[0] != 1 || spec.Widths[1] != 1 {
-		return nil, unsupported(spec, "the 2D block lowering exchanges one-point halos; widths (%d,%d) need the 3D relay schedule",
+		return nil, unsupported("the 2D block lowering exchanges one-point halos; widths (%d,%d) need the 3D relay schedule",
 			spec.Widths[0], spec.Widths[1])
 	}
 	m := op.M

@@ -142,7 +142,7 @@ func Compile3D(mach *wse.Machine, spec Spec, op *stencil.OpStarHalf, x0, y0 int,
 		return nil, fmt.Errorf("stencilc: Compile3D needs a 3D spec, got dim %d", spec.Dim)
 	}
 	if spec.Points != Star {
-		return nil, unsupported(spec, "the Z-column mapping exchanges axis-aligned columns only; a 3D box needs diagonal channels")
+		return nil, unsupported("the Z-column mapping exchanges axis-aligned columns only; a 3D box needs diagonal channels")
 	}
 	m := op.M
 	w, h := mach.Cfg.FabricW, mach.Cfg.FabricH

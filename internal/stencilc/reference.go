@@ -126,16 +126,3 @@ func Reference2D(spec Spec, op *stencil.Op9, b int, src []fp16.Float16) ([]fp16.
 	}
 	return out, nil
 }
-
-// SumSqReference replays the fused ReduceSumSq dot for one tile: the
-// hardware inner-product instruction's mixed-precision fold (exact fp16
-// products into a float32 accumulator) over the tile's output elements
-// in storage order — block row-major for the 2D program, the Z column
-// for the 3D one.
-func SumSqReference(vals []fp16.Float16) float32 {
-	var acc float32
-	for _, v := range vals {
-		acc = fp16.MixedFMAC(acc, v, v)
-	}
-	return acc
-}

@@ -171,21 +171,6 @@ func SpecHeat2D() Spec { s := Spec5Point(); s.Reduce = ReduceSumSq; return s }
 // fused Σy² reduction.
 func SpecHeat3D() Spec { s := Spec7Point(); s.Reduce = ReduceSumSq; return s }
 
-// NumPoints returns the number of stencil points the spec names.
-func (s Spec) NumPoints() int {
-	w := s.Widths
-	switch {
-	case s.Dim == 2 && s.Points == Box:
-		return (2*w[0] + 1) * (2*w[1] + 1)
-	case s.Dim == 2:
-		return 1 + 2*(w[0]+w[1])
-	case s.Points == Box:
-		return (2*w[0] + 1) * (2*w[1] + 1) * (2*w[2] + 1)
-	default:
-		return 1 + 2*(w[0]+w[1]+w[2])
-	}
-}
-
 // Validate checks the spec's structural sanity: dimensionality, widths
 // within [1, MaxWidth] on the used axes, and known enum values. It does
 // not decide lowerability — Compile2D/Compile3D report that with
@@ -221,7 +206,6 @@ func (s Spec) Validate() error {
 // with errors.As to distinguish "bad spec" from "spec beyond the
 // wafer mapping".
 type UnsupportedError struct {
-	Spec   Spec
 	Reason string
 }
 
@@ -231,8 +215,8 @@ func (e *UnsupportedError) Error() string {
 }
 
 // unsupported builds an *UnsupportedError.
-func unsupported(s Spec, format string, args ...any) error {
-	return &UnsupportedError{Spec: s, Reason: fmt.Sprintf(format, args...)}
+func unsupported(format string, args ...any) error {
+	return &UnsupportedError{Reason: fmt.Sprintf(format, args...)}
 }
 
 // Lowerable reports whether the machine lowering accepts the spec,
@@ -251,10 +235,10 @@ func (s Spec) checkLowerable() error {
 		return err
 	}
 	if s.Precision != FP16 {
-		return unsupported(s, "tile arenas store fp16 words; %s coefficients are host-reference only", s.Precision)
+		return unsupported("tile arenas store fp16 words; %s coefficients are host-reference only", s.Precision)
 	}
 	if s.Boundary != stencil.Dirichlet {
-		return unsupported(s, "the exchange schedule has no wrap channels; %s boundaries are host-reference only", s.Boundary)
+		return unsupported("the exchange schedule has no wrap channels; %s boundaries are host-reference only", s.Boundary)
 	}
 	return nil
 }

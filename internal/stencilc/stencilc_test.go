@@ -40,25 +40,6 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
-func TestNumPoints(t *testing.T) {
-	cases := []struct {
-		s Spec
-		n int
-	}{
-		{Spec9Point(), 9},
-		{Spec5Point(), 5},
-		{Spec7Point(), 7},
-		{SpecSeismic25(), 25},
-		{Spec{Dim: 3, Points: Star, Widths: [3]int{2, 1, 3}}, 13},
-		{Spec{Dim: 2, Points: Box, Widths: [3]int{2, 2, 0}}, 25},
-	}
-	for _, c := range cases {
-		if got := c.s.NumPoints(); got != c.n {
-			t.Errorf("NumPoints(%+v) = %d, want %d", c.s, got, c.n)
-		}
-	}
-}
-
 // TestUnsupportedSpecs pins the machine/host split: valid specs the
 // lowering rejects must come back as *UnsupportedError (so callers can
 // fall back to the host references), while structurally bad specs are
@@ -189,4 +170,33 @@ func randomStarHalf(m stencil.Mesh, w [3]int, rng *rand.Rand) *stencil.OpStarHal
 		o.C[i] = 1
 	}
 	return stencil.NewOpStarHalf(o)
+}
+
+// ExchangeColorsDistinct verifies the color invariants of the
+// directional assignment at a tile: the color it sends on toward each
+// neighbour differs from every color it receives on, and the four
+// receive colors are pairwise distinct (so the four incoming streams
+// are separable by subscription). The directional scheme makes this
+// trivially true — each direction of travel owns a dedicated channel —
+// but the property test states it as a contract, mirroring
+// StencilColorsDistinct for the 3D tessellation.
+func ExchangeColorsDistinct() bool {
+	recv := []int{ColEast, ColWest, ColSouth, ColNorth}
+	seen := map[int]bool{}
+	for _, c := range recv {
+		if seen[c] {
+			return false
+		}
+		seen[c] = true
+	}
+	// A tile sends toward its east neighbour on ColEast and receives
+	// from it on ColWest, and symmetrically: outgoing != incoming on
+	// every link.
+	pairs := [][2]int{{ColEast, ColWest}, {ColWest, ColEast}, {ColSouth, ColNorth}, {ColNorth, ColSouth}}
+	for _, p := range pairs {
+		if p[0] == p[1] {
+			return false
+		}
+	}
+	return true
 }

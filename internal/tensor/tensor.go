@@ -170,18 +170,6 @@ func (d *Descriptor) SkipContig(k int) {
 	}
 }
 
-// Offsets materializes the full address sequence; used by tests and by
-// functional-mode kernels that do not need cycle-accurate stepping.
-func (d *Descriptor) Offsets() []int {
-	c := *d
-	c.Reset()
-	out := make([]int, 0, c.Len())
-	for !c.Done() {
-		out = append(out, c.Next())
-	}
-	return out
-}
-
 // Arena is a tile-local fp16 memory region with byte-budget accounting.
 // Every tile of the simulated wafer owns one Arena limited to the CS-1's
 // 48 KB; allocations beyond the budget fail, which is how the reproduction

@@ -338,3 +338,14 @@ func TestZeroExtent(t *testing.T) {
 		}()
 	}
 }
+
+// Offsets materializes the full address sequence.
+func (d *Descriptor) Offsets() []int {
+	c := *d
+	c.Reset()
+	out := make([]int, 0, c.Len())
+	for !c.Done() {
+		out = append(out, c.Next())
+	}
+	return out
+}

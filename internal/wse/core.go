@@ -397,12 +397,12 @@ func (s *rxSub) accepting() bool {
 	return true
 }
 
-// Send injects one word into the fabric through tx, the sender's handle
+// send injects one word into the fabric through tx, the sender's handle
 // on this tile's ramp queue for w's color, resolving it on the first send
 // (or when it belongs to another tile or color); at most one send per
 // cycle crosses the ramp. Returns false if the ramp is busy or
 // backpressured.
-func (c *Core) Send(tx *fabric.TxQueue, w fabric.Word) bool {
+func (c *Core) send(tx *fabric.TxQueue, w fabric.Word) bool {
 	if c.sentThisCycle {
 		return false
 	}
@@ -442,20 +442,6 @@ func (c *Core) runnableSlow() bool {
 		}
 	}
 	return false
-}
-
-// Utilization returns the fraction of cycles with any datapath issue
-// and the mean lanes used per cycle, over the machine's stepped
-// lifetime. The denominator is the count of Machine.Step calls — not
-// the fabric cycle counter, which host kernels that drive the fabric
-// directly advance without giving cores a cycle.
-func (c *Core) Utilization() (busyFrac, lanesPerCycle float64) {
-	cycles := c.m.steps
-	if cycles == 0 {
-		return 0, 0
-	}
-	return float64(c.busyCycles) / float64(cycles),
-		float64(c.lanesUsed) / float64(cycles)
 }
 
 // step runs one cycle of the core. Only runnable cores are stepped; an

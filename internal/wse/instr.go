@@ -488,7 +488,7 @@ func (s *SendMem) Step(c *Core, lanes int) int {
 		s.word = fabric.PackF16(s.Color, lo, hi)
 		s.pending = true
 	}
-	if c.Send(&s.tx, s.word) {
+	if c.send(&s.tx, s.word) {
 		s.sent += s.pendingN
 		s.pending = false
 	}

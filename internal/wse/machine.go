@@ -92,12 +92,6 @@ func (c Config) DefaultQueueDepths() bool {
 	return (c.QueueDepth <= 0 || c.QueueDepth == 4) && (c.RxDepth <= 0 || c.RxDepth == 4)
 }
 
-// PeakFlops returns the machine's peak fp16 rate: SIMDWidth fused
-// multiply-accumulates (2 flops each) per core per cycle.
-func (c Config) PeakFlops() float64 {
-	return float64(c.Cores()) * float64(2*c.SIMDWidth) * c.ClockHz
-}
-
 // Tile is one repeated element of the wafer: a core plus its memory. The
 // router lives in the shared Fabric.
 type Tile struct {
@@ -310,10 +304,6 @@ func (m *Machine) Step() {
 
 // Cycle returns the current cycle count.
 func (m *Machine) Cycle() int64 { return m.Fab.Cycle() }
-
-// Seconds converts a cycle count to wall-clock seconds at the configured
-// clock rate.
-func (m *Machine) Seconds(cycles int64) float64 { return float64(cycles) / m.Cfg.ClockHz }
 
 // RunUntil steps until done() is true, returning the cycles elapsed. It
 // fails if maxCycles elapse first or if the machine wedges (no runnable

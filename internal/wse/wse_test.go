@@ -15,9 +15,6 @@ func TestConfigDefaults(t *testing.T) {
 	if m.Cfg.ClockHz != 1.1e9 || m.Cfg.MemPerTile != 48*1024 || m.Cfg.SIMDWidth != 4 {
 		t.Errorf("defaults not applied: %+v", m.Cfg)
 	}
-	if got := CS1(602, 595).PeakFlops(); got < 3.0e15 || got > 3.3e15 {
-		t.Errorf("CS-1 peak = %g, expected ~3.15 PFLOPS", got)
-	}
 }
 
 func TestTaskSchedulingStates(t *testing.T) {
@@ -438,4 +435,18 @@ func TestUtilizationTracking(t *testing.T) {
 	if busy <= 0 || busy > 1 || lanes <= 0 || lanes > 4 {
 		t.Errorf("utilization out of range: busy %g lanes %g", busy, lanes)
 	}
+}
+
+// Utilization returns the fraction of cycles with any datapath issue
+// and the mean lanes used per cycle, over the machine's stepped
+// lifetime. The denominator is the count of Machine.Step calls — not
+// the fabric cycle counter, which host kernels that drive the fabric
+// directly advance without giving cores a cycle.
+func (c *Core) Utilization() (busyFrac, lanesPerCycle float64) {
+	cycles := c.m.steps
+	if cycles == 0 {
+		return 0, 0
+	}
+	return float64(c.busyCycles) / float64(cycles),
+		float64(c.lanesUsed) / float64(cycles)
 }
