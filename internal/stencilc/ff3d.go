@@ -29,6 +29,15 @@ import (
 //     stage lists perfmodel.StencilApply3D.Stages writes and the live
 //     fabric's entry layouts, rotation seeds and hot set.
 //
+// The two halves share no state, so they run at once: the replay on the
+// machine's helper goroutine (wse.Machine.Overlap), the memory loops on
+// the caller. Only once both finish is the replayed cycle count held to
+// Run's budget. An over-budget application therefore has already
+// advanced memory, and undoes it exactly before falling back to cycle
+// simulation: the exchange saved every halo column it overwrote and
+// puts them back; the result column and the partials need no copy,
+// because Arm clears both before the stepped application starts.
+//
 // A sub-mesh wafer (a multiwafer grid's, at a tile offset) is the same
 // phase: its exchange schedule is a function of fabric geometry alone,
 // and the model is told the wafer's placement so each tile's compute
@@ -41,11 +50,18 @@ import (
 // fingerprint, cycle count and result bits against sequential
 // stepping, whole-mesh and placed.
 
-// ff3d is the compiled fast-forward plan: the replay template plus the
-// per-tile static shape of the compute phase.
+// ff3d is the compiled fast-forward plan: the replay template, the
+// per-tile static shape of the compute phase, and the two halves
+// tryFastForward overlaps, built once so an application allocates
+// nothing.
 type ff3d struct {
 	replay *perfmodel.ExchangeReplay
 	tiles  []ff3dTile
+
+	counters func()                 // the replay, into res
+	memory   func()                 // ffExchange, then ffCompute on every tile
+	res      perfmodel.ReplayResult // the last application's counters
+	saved    []fp16.Float16         // halo columns ffExchange overwrote
 }
 
 type ff3dTile struct {
@@ -156,6 +172,22 @@ func (p *Program3D) buildFF() *ff3d {
 		f.tiles[ti] = ff3dTile{pcEnd: pcEnd, lanes: lanes}
 		return perfmodel.ReplayTileSpec{Entries: entries, Stages: stages}
 	})
+
+	fab := p.M.Fab
+	f.counters = func() { f.res = f.replay.Run(fab.RR, fab.HotTiles()) }
+	f.memory = func() {
+		p.ffExchange()
+		for _, st := range p.tiles {
+			p.ffCompute(st)
+		}
+	}
+	halos := 0
+	for r := 1; r <= p.rounds; r++ {
+		for _, st := range p.tiles {
+			p.hops(st, r, func(HaloDir, int, int) { halos++ })
+		}
+	}
+	f.saved = make([]fp16.Float16, 0, halos*p.Mesh.NZ)
 	return f
 }
 
@@ -172,8 +204,15 @@ func (p *Program3D) ExchangeReplay() *perfmodel.ExchangeReplay {
 // tryFastForward attempts one application without cycle simulation.
 // It must be called instead of Arm (not after — arming launches
 // threads); on false the caller falls back to the ordinary path. The
-// counter replay runs before anything is mutated, so an over-budget
-// phase can still fall back cleanly.
+// counter replay runs on the machine's helper goroutine (wse.Machine.
+// Overlap) while this goroutine advances memory; the two halves touch
+// disjoint state — the replay reads the fabric's rotations and hot set
+// and writes only its own buffers, the memory half writes only arenas
+// and partials. The budget is checked after both finish, so an
+// over-budget phase undoes the memory half before falling back: the
+// halo columns the exchange overwrote are restored from ffExchange's
+// copies, and the result column and partials need none, because Arm
+// clears both before the stepped application.
 func (p *Program3D) tryFastForward(maxCycles int64) (int64, bool) {
 	if !p.ffEligible() {
 		return 0, false
@@ -181,33 +220,15 @@ func (p *Program3D) tryFastForward(maxCycles int64) (int64, bool) {
 	if p.ff == nil {
 		p.ff = p.buildFF()
 	}
-	fab := p.M.Fab
-	res := p.ff.replay.Run(fab.RR, fab.HotTiles())
+	f := p.ff
+	p.M.Overlap(f.counters, f.memory)
+	res := f.res
 	if res.Cycles > maxCycles {
+		p.ffRestoreHalos()
 		return 0, false
 	}
-
-	// Memory, exchange phase: relay round r copies the neighbour's
-	// round-(r−1) column verbatim (its iterate for r = 1), exactly the
-	// bit-preserving stream hop — including columns beyond the global
-	// mesh, whose garbage payload the uniform schedule moves and the
-	// compute phase ignores. Rounds only read the previous round's
-	// halos, so a per-round tile sweep has no ordering hazard.
-	z := p.Mesh.NZ
-	w := p.M.Cfg.FabricW
-	for r := 1; r <= p.rounds; r++ {
-		for _, st := range p.tiles {
-			p.hops(st, r, func(d HaloDir, _, store int) {
-				nb := p.tiles[(st.y+haloDelta[d][1])*w+st.x+haloDelta[d][0]]
-				copy(st.tile.Arena.Slice(store, z), nb.tile.Arena.Slice(sendOff(nb, opposite(d), r), z))
-			})
-		}
-	}
-
-	// Memory, compute phase; then write the counters back.
 	for i, st := range p.tiles {
-		p.ffCompute(st)
-		ft := &p.ff.tiles[i]
+		ft := &f.tiles[i]
 		st.compute.FastForwardComplete(ft.pcEnd)
 		if st.dotTask != nil {
 			st.dotTask.FastForwardComplete(1)
@@ -217,9 +238,48 @@ func (p *Program3D) tryFastForward(maxCycles int64) (int64, bool) {
 		st.exLeft = 0
 		p.done[i] = true
 	}
-	fab.ApplyReplay(res.Cycles, res.Moves, res.RR, res.Hot)
+	p.M.Fab.ApplyReplay(res.Cycles, res.Moves, res.RR, res.Hot)
 	p.M.FastForwardSteps(res.Cycles)
 	return res.Cycles, true
+}
+
+// ffExchange is the memory half's exchange phase: relay round r copies
+// the neighbour's round-(r−1) column verbatim (its iterate for r = 1),
+// exactly the bit-preserving stream hop — including columns beyond the
+// global mesh, whose garbage payload the uniform schedule moves and the
+// compute phase ignores. Rounds only read the previous round's halos,
+// so a per-round tile sweep has no ordering hazard. Every halo column
+// is written once per application; its old contents go to f.saved
+// first, in walk order, for ffRestoreHalos.
+func (p *Program3D) ffExchange() {
+	z := p.Mesh.NZ
+	w := p.M.Cfg.FabricW
+	saved := p.ff.saved[:0]
+	for r := 1; r <= p.rounds; r++ {
+		for _, st := range p.tiles {
+			p.hops(st, r, func(d HaloDir, _, store int) {
+				nb := p.tiles[(st.y+haloDelta[d][1])*w+st.x+haloDelta[d][0]]
+				h := st.tile.Arena.Slice(store, z)
+				saved = append(saved, h...)
+				copy(h, nb.tile.Arena.Slice(sendOff(nb, opposite(d), r), z))
+			})
+		}
+	}
+	p.ff.saved = saved
+}
+
+// ffRestoreHalos puts back the halo columns ffExchange overwrote,
+// walking the same hops in the same order.
+func (p *Program3D) ffRestoreHalos() {
+	z := p.Mesh.NZ
+	saved := p.ff.saved
+	for r := 1; r <= p.rounds; r++ {
+		for _, st := range p.tiles {
+			p.hops(st, r, func(_ HaloDir, _, store int) {
+				saved = saved[copy(st.tile.Arena.Slice(store, z), saved):]
+			})
+		}
+	}
 }
 
 // ffCompute evaluates tile st's compute task on the host: the terms walk

@@ -1,10 +1,14 @@
 package stencilc
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/fp16"
 	"repro/internal/stencil"
@@ -42,26 +46,52 @@ func ffCases() []ffCase {
 // warm-up application with a generous budget — the first application
 // after compilation always cycle-simulates (compilation leaves cores
 // queued) — then loads a second, different iterate and its edge halos,
-// so the next Run is the first one fast-forward may jump.
-func (c ffCase) build(t *testing.T, engine wse.Engine) (*wse.Machine, *Program3D) {
-	t.Helper()
+// so the next Run is the first one fast-forward may jump. rng draws the
+// iterates of any later applications.
+func (c ffCase) build(engine wse.Engine) (mach *wse.Machine, p *Program3D, rng *rand.Rand, err error) {
 	cfg := wse.CS1(c.fw, c.fh)
 	cfg.Engine = engine
-	mach := wse.New(cfg)
-	p, err := Compile3D(mach, c.spec, c.op, c.x0, c.y0, 0)
+	mach = wse.New(cfg)
+	if p, err = Compile3D(mach, c.spec, c.op, c.x0, c.y0, 0); err == nil {
+		rng = rand.New(rand.NewSource(41))
+		fillWafer(p, randomHalfVec(c.op.M.N(), rng))
+		if _, err = p.Run(1 << 30); err == nil {
+			fillWafer(p, randomHalfVec(c.op.M.N(), rng))
+			return mach, p, rng, nil
+		}
+	}
+	mach.Close()
+	return nil, nil, nil, err
+}
+
+// runApps builds the case under engine and runs apps applications on
+// fresh iterates, calling between(app) after each; it returns the final
+// state and how often the exchange replay ran.
+func (c ffCase) runApps(engine wse.Engine, apps int, between func(mach *wse.Machine, app int)) (ffState, int64, error) {
+	mach, p, rng, err := c.build(engine)
 	if err != nil {
-		mach.Close()
-		t.Fatal(err)
+		return ffState{}, 0, err
 	}
-	rng := rand.New(rand.NewSource(41))
-	n := c.op.M.N()
-	fillWafer(p, randomHalfVec(n, rng))
-	if _, err := p.Run(1 << 30); err != nil {
-		mach.Close()
-		t.Fatal(err)
+	defer mach.Close()
+	var cycles int64
+	for app := 0; app < apps; app++ {
+		if app > 0 {
+			fillWafer(p, randomHalfVec(c.op.M.N(), rng))
+		}
+		cyc, err := p.Run(1 << 30)
+		if err != nil {
+			return ffState{}, 0, err
+		}
+		cycles += cyc
+		if between != nil {
+			between(mach, app)
+		}
 	}
-	fillWafer(p, randomHalfVec(n, rng))
-	return mach, p
+	var runs int64
+	if r := p.ExchangeReplay(); r != nil {
+		runs, _, _ = r.Stats()
+	}
+	return captureFF(p, cycles, nil), runs, nil
 }
 
 // ffState is what an application leaves behind that the tests compare:
@@ -125,12 +155,11 @@ func (s ffState) diff(t *testing.T, want ffState) {
 func TestFastForwardOverBudgetMatchesSequential(t *testing.T) {
 	for _, c := range ffCases() {
 		t.Run(c.name, func(t *testing.T) {
-			mach, p := c.build(t, wse.EngineSequential)
-			need, err := p.Run(1 << 30)
-			mach.Close()
+			seq, _, err := c.runApps(wse.EngineSequential, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
+			need := seq.cycles
 			for _, b := range []struct {
 				name   string
 				budget int64
@@ -143,7 +172,10 @@ func TestFastForwardOverBudgetMatchesSequential(t *testing.T) {
 				t.Run(b.name, func(t *testing.T) {
 					var runs, steps int64
 					run := func(engine wse.Engine) ffState {
-						mach, p := c.build(t, engine)
+						mach, p, _, err := c.build(engine)
+						if err != nil {
+							t.Fatal(err)
+						}
 						defer mach.Close()
 						before := mach.IssueStats().CoreSteps
 						cycles, err := p.Run(b.budget)
@@ -170,5 +202,138 @@ func TestFastForwardOverBudgetMatchesSequential(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// TestFastForwardConcurrentMachines runs four fast-forward machines from
+// four goroutines at once — the daemon's default of four workers, which
+// reach this path through multiwafer jobs — each with its own helper
+// goroutine, and holds each to a serial run of the same program.
+func TestFastForwardConcurrentMachines(t *testing.T) {
+	const apps = 3
+	cases := ffCases()
+	var serial [4]ffState
+	for i := range serial {
+		var err error
+		if serial[i], _, err = cases[i%len(cases)].runApps(wse.EngineFastForward, apps, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got [4]ffState
+	var runs [4]int64
+	var errs [4]error
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], runs[i], errs[i] = cases[i%len(cases)].runApps(wse.EngineFastForward, apps, nil)
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("machine %d: %v", i, errs[i])
+		}
+		if runs[i] != apps {
+			t.Errorf("machine %d: exchange replay ran %d times, want %d", i, runs[i], apps)
+		}
+		got[i].diff(t, serial[i])
+	}
+}
+
+// settledGoroutines forces garbage collection until the goroutine count
+// stops changing, so helpers left behind by earlier tests (reclaimed
+// asynchronously by their runtime cleanups) cannot skew a baseline.
+func settledGoroutines() int {
+	prev := -1
+	for i := 0; i < 100; i++ {
+		runtime.GC()
+		time.Sleep(5 * time.Millisecond)
+		n := runtime.NumGoroutine()
+		if n == prev {
+			return n
+		}
+		prev = n
+	}
+	return prev
+}
+
+// awaitGoroutines waits up to five seconds, collecting garbage, for the
+// goroutine count to fall to want, and returns the last count.
+func awaitGoroutines(want int) int {
+	deadline := time.Now().Add(5 * time.Second)
+	got := runtime.NumGoroutine()
+	for got > want && time.Now().Before(deadline) {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+		got = runtime.NumGoroutine()
+	}
+	return got
+}
+
+// TestFastForwardCloseBetweenApplications closes a fast-forward machine
+// after its first jumped application: the helper goroutine exits, the
+// count returns to its baseline, and the later applications still jump
+// — the two halves inline — and end where a machine never closed ends.
+func TestFastForwardCloseBetweenApplications(t *testing.T) {
+	const apps = 3
+	c := ffCases()[1]
+	want, _, err := c.runApps(wse.EngineFastForward, apps, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := settledGoroutines()
+	got, runs, err := c.runApps(wse.EngineFastForward, apps, func(mach *wse.Machine, app int) {
+		if app != 0 {
+			return
+		}
+		if g := runtime.NumGoroutine(); g != base+1 {
+			t.Errorf("after a jumped application: %d goroutines, baseline %d, want the helper's one more", g, base)
+		}
+		mach.Close()
+		if g := awaitGoroutines(base); g != base {
+			t.Errorf("after Close: %d goroutines, baseline %d", g, base)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs != apps {
+		t.Errorf("exchange replay ran %d times, want %d", runs, apps)
+	}
+	got.diff(t, want)
+}
+
+// abandonFastForward runs two jumped applications and drops every
+// reference to the machine. Kept noinline so no stack slot in the
+// caller can keep it reachable.
+//
+//go:noinline
+func abandonFastForward(c ffCase) error {
+	mach, p, _, err := c.build(wse.EngineFastForward)
+	if err != nil {
+		return err
+	}
+	if _, err := p.Run(1 << 30); err != nil {
+		return err
+	}
+	if r := p.ExchangeReplay(); r == nil {
+		return fmt.Errorf("no exchange replay")
+	}
+	_ = mach
+	return nil
+}
+
+// TestFastForwardHelperReclaimedWithoutClose pins "the helper never pins
+// its machine": a fast-forward machine dropped without Close becomes
+// unreachable, its runtime cleanup fires and the helper exits.
+func TestFastForwardHelperReclaimedWithoutClose(t *testing.T) {
+	base := settledGoroutines()
+	if err := abandonFastForward(ffCases()[0]); err != nil {
+		t.Fatal(err)
+	}
+	if g := awaitGoroutines(base); g != base {
+		t.Fatalf("abandoned machine's helper was not reclaimed: %d goroutines, baseline %d — the helper pins the machine", g, base)
 	}
 }

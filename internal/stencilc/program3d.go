@@ -480,8 +480,10 @@ func (p *Program3D) launchRound(st *tile3D, core *wse.Core) {
 // iterates (the multiwafer host injects them, charging the edge-I/O
 // model separately). Under wse.EngineFastForward an eligible
 // application is fast-forwarded — memory advanced by host loops with
-// the same roundings, counters by the exact exchange replay (see
-// ff3d.go) — and anything else falls back to cycle simulation.
+// the same roundings while the exact exchange replay computes the
+// counters beside them (see ff3d.go) — and anything else, an
+// application over budget included, falls back to cycle simulation
+// from the state Run was handed.
 func (p *Program3D) Run(maxCycles int64) (int64, error) {
 	if cycles, ok := p.tryFastForward(maxCycles); ok {
 		return cycles, nil

@@ -154,6 +154,12 @@ type Machine struct {
 	taskSlab []*Task
 	subSlab  []rxSub
 	bufSlab  []*StreamBuf
+
+	// helper runs Overlap's background half, started by the first
+	// Overlap and stopped by Close or the machine's runtime cleanup;
+	// closed latches Close, after which Overlap runs inline.
+	helper *helper
+	closed bool
 }
 
 // shardIssue pads one shard's tally to its own cache lines, since shards
@@ -280,12 +286,20 @@ func (m *Machine) anyRunnable() bool {
 // TileAt returns the tile at coordinate c.
 func (m *Machine) TileAt(c fabric.Coord) *Tile { return m.Tiles[m.Fab.Index(c)] }
 
-// Close releases the simulation worker pool (see fabric.Fabric.Close).
-// Idempotent; the machine stays usable, stepping inline. Machines that
-// are never Closed do not leak — the pool is reclaimed with the fabric
-// — but long-lived hosts that churn through machines should Close
-// promptly rather than waiting on the garbage collector.
-func (m *Machine) Close() { m.Fab.Close() }
+// Close releases the simulation worker pool (see fabric.Fabric.Close)
+// and the Overlap helper. Idempotent; the machine stays usable,
+// stepping and overlapping inline. Machines that are never Closed do
+// not leak — the pool is reclaimed with the fabric, the helper with the
+// machine — but long-lived hosts that churn through machines should
+// Close promptly rather than waiting on the garbage collector.
+func (m *Machine) Close() {
+	m.Fab.Close()
+	m.closed = true
+	if m.helper != nil {
+		m.helper.close()
+		m.helper = nil
+	}
+}
 
 // Step advances the whole machine one cycle: runnable cores issue work,
 // then the fabric moves words one hop. With a sharded engine the cores
