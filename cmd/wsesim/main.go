@@ -33,12 +33,13 @@
 //
 // Single-wafer simulations take -engine to pick the core-stepping
 // engine (seq, sharded, batched, fastforward). Every engine produces
-// bit- and cycle-identical results. Left empty, the engine is sharded
-// when -workers > 1 and fastforward otherwise: the sequential reference
-// interpreter plus exact jumps over statically-timed phases, the mode
-// that makes paper-scale fabrics interactive. A -wafers cluster takes
-// no -engine, and -workers leaves it unchanged: every wafer runs
-// fastforward. See docs/ARCHITECTURE.md, "Execution engines".
+// bit- and cycle-identical results. Left empty, the engine is
+// fastforward — the sequential reference interpreter plus exact jumps
+// over statically-timed phases, the mode that makes paper-scale fabrics
+// interactive — unless -workers N > 1 asks for the sharded engine
+// (-workers defaults to 1). A -wafers cluster takes no -engine, and
+// -workers leaves it unchanged: every wafer runs fastforward. See
+// docs/ARCHITECTURE.md, "Execution engines".
 //
 // Typical runs:
 //
@@ -65,7 +66,6 @@ import (
 	"math"
 	"math/rand"
 	"os"
-	"runtime"
 
 	"repro/internal/core"
 	"repro/internal/multiwafer"
@@ -120,10 +120,10 @@ func flagSet(c *config) *flag.FlagSet {
 	fs.BoolVar(&c.host, "host", false, "run the host float64 reference backend instead of the simulated wafer (not bicgstab)")
 	fs.StringVar(&c.wafers, "wafers", "",
 		"wafer grid WxH: run the multiwafer cluster backend instead of a single wafer (e.g. 2x1; bicgstab only)")
-	fs.IntVar(&c.workers, "workers", runtime.GOMAXPROCS(0),
-		"simulation worker goroutines (>1 shards the fabric on a persistent pool; results are bit-identical; single-wafer only: -wafers clusters fast-forward)")
+	fs.IntVar(&c.workers, "workers", 1,
+		"simulation worker goroutines (>1 shards the fabric on a persistent pool instead of fast-forwarding; results are bit-identical; single-wafer only: -wafers clusters fast-forward)")
 	fs.StringVar(&c.engine, "engine", "",
-		"core-stepping engine: seq|sharded|batched|fastforward (empty = sharded when -workers > 1, else fastforward; every engine is bit- and cycle-identical — this is a host-throughput knob, single-wafer only)")
+		"core-stepping engine: seq|sharded|batched|fastforward (empty = fastforward, or sharded when -workers > 1; every engine is bit- and cycle-identical — this is a host-throughput knob, single-wafer only)")
 	fs.StringVar(&c.ckptPath, "checkpoint", "",
 		"write a crash-recovery checkpoint to this file every -checkpoint-every iterations (single-wafer solves)")
 	fs.IntVar(&c.ckptEvery, "checkpoint-every", 10, "iterations between checkpoints when -checkpoint is set")
@@ -158,14 +158,6 @@ func parseFlags(args []string) (config, error) {
 	if c.engine != "" {
 		if c.wafers != "" || c.host {
 			return c, errors.New("-engine selects the single-wafer core-stepping engine; it does not apply to -wafers or -host runs")
-		}
-		// An explicit engine and the sharded worker pool are mutually
-		// exclusive; when -workers was left at its default, defer to the
-		// engine rather than rejecting the combination.
-		workersSet := false
-		fs.Visit(func(f *flag.Flag) { workersSet = workersSet || f.Name == "workers" })
-		if !workersSet {
-			c.workers = 1
 		}
 	}
 

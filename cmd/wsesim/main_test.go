@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/service"
 	"repro/internal/stencil"
+	"repro/internal/wse"
 )
 
 // TestParseFlagsRejects is the flag contract CI's shell loop used to
@@ -65,11 +66,27 @@ func TestParseFlagsAccepts(t *testing.T) {
 	if c.kernel != "bicgstab" || c.opts.Backend != core.Wafer || c.opts.MaxIter != 20 || c.opts.Wafer.Checkpoint != nil {
 		t.Errorf("defaults: kernel %q, options %+v", c.kernel, c.opts)
 	}
+	// The default wafer options take the fast-forward engine, and
+	// -workers N > 1 the sharded one, whatever the host's core count.
+	for _, tc := range []struct{ args, want string }{
+		{"", "fastforward"},
+		{"-kernel heat -nz 4", "fastforward"},
+		{"-workers 3", "sharded-3"},
+	} {
+		c, err := parseFlags(strings.Fields(tc.args))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := wse.CS1(4, 4)
+		cfg.Workers = c.opts.Wafer.Shards()
+		if m := wse.New(cfg); m.EngineName() != tc.want {
+			t.Errorf("wsesim %s: engine %s, want %s", tc.args, m.EngineName(), tc.want)
+		}
+	}
 	if c, err = parseFlags(strings.Fields("-wafers 2x1 -workers 3")); err != nil ||
 		c.opts.Backend != core.MultiWafer || c.opts.MultiWafer.Grid.W != 2 || c.opts.MultiWafer.Workers != 3 {
 		t.Errorf("-wafers 2x1: options %+v, err %v", c.opts, err)
 	}
-	// An explicit engine wins over the defaulted worker pool.
 	if c, err = parseFlags(strings.Fields("-engine fastforward")); err != nil ||
 		c.opts.Wafer.Engine != "fastforward" || c.opts.Wafer.Workers != 1 {
 		t.Errorf("-engine fastforward: wafer options %+v, err %v", c.opts.Wafer, err)
