@@ -204,15 +204,11 @@ func (p *Program3D) ExchangeReplay() *perfmodel.ExchangeReplay {
 // tryFastForward attempts one application without cycle simulation.
 // It must be called instead of Arm (not after — arming launches
 // threads); on false the caller falls back to the ordinary path. The
-// counter replay runs on the machine's helper goroutine (wse.Machine.
-// Overlap) while this goroutine advances memory; the two halves touch
-// disjoint state — the replay reads the fabric's rotations and hot set
-// and writes only its own buffers, the memory half writes only arenas
-// and partials. The budget is checked after both finish, so an
-// over-budget phase undoes the memory half before falling back: the
-// halo columns the exchange overwrote are restored from ffExchange's
-// copies, and the result column and partials need none, because Arm
-// clears both before the stepped application.
+// counter replay runs beside the memory half (wse.Machine.Overlap) and
+// the budget is checked only once both are done, so an over-budget
+// application first puts back the halo columns ffExchange overwrote;
+// the result column and the partials need no restoring, since Arm
+// clears both.
 func (p *Program3D) tryFastForward(maxCycles int64) (int64, bool) {
 	if !p.ffEligible() {
 		return 0, false
@@ -249,7 +245,7 @@ func (p *Program3D) tryFastForward(maxCycles int64) (int64, bool) {
 // global mesh, whose garbage payload the uniform schedule moves and the
 // compute phase ignores. Rounds only read the previous round's halos,
 // so a per-round tile sweep has no ordering hazard. Every halo column
-// is written once per application; its old contents go to f.saved
+// is written once per application; its old contents go to p.ff.saved
 // first, in walk order, for ffRestoreHalos.
 func (p *Program3D) ffExchange() {
 	z := p.Mesh.NZ

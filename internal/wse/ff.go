@@ -151,23 +151,30 @@ func (m *Machine) Overlap(bg, fg func()) {
 // dead once run, so nothing reachable from a parked helper references
 // the machine.
 type helper struct {
-	job  chan func()
-	done chan struct{}
-	once sync.Once
+	job    chan func()
+	done   chan struct{} // one send per job run
+	exited chan struct{} // closed when the goroutine returns
+	once   sync.Once
 }
 
 func newHelper() *helper {
-	h := &helper{job: make(chan func(), 1), done: make(chan struct{}, 1)}
+	h := &helper{job: make(chan func(), 1), done: make(chan struct{}, 1), exited: make(chan struct{})}
 	go h.work()
 	return h
 }
 
 func (h *helper) work() {
+	defer close(h.exited)
 	for job := range h.job {
 		job()
 		h.done <- struct{}{}
 	}
 }
 
-// close terminates the goroutine. Idempotent.
-func (h *helper) close() { h.once.Do(func() { close(h.job) }) }
+// close stops the goroutine and returns once it has exited. Idempotent.
+func (h *helper) close() {
+	h.once.Do(func() {
+		close(h.job)
+		<-h.exited
+	})
+}
