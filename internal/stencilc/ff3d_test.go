@@ -65,7 +65,7 @@ func (c ffCase) build(engine wse.Engine) (mach *wse.Machine, p *Program3D, rng *
 }
 
 // runApps builds the case under engine and runs apps applications on
-// fresh iterates, calling between(app) after each; it returns the final
+// fresh iterates, calling between(mach, app) after each; it returns the final
 // state and how often the exchange replay ran.
 func (c ffCase) runApps(engine wse.Engine, apps int, between func(mach *wse.Machine, app int)) (ffState, int64, error) {
 	mach, p, rng, err := c.build(engine)
@@ -120,25 +120,25 @@ func captureFF(p *Program3D, cycles int64, err error) ffState {
 func (s ffState) diff(t *testing.T, want ffState) {
 	t.Helper()
 	if s.err != want.err || s.cycles != want.cycles {
-		t.Errorf("Run: (%d, %q), sequential (%d, %q)", s.cycles, s.err, want.cycles, want.err)
+		t.Errorf("Run: (%d, %q), want (%d, %q)", s.cycles, s.err, want.cycles, want.err)
 	}
 	if s.cycle != want.cycle {
-		t.Errorf("Cycle: %d, sequential %d", s.cycle, want.cycle)
+		t.Errorf("Cycle: %d, want %d", s.cycle, want.cycle)
 	}
 	if s.fp != want.fp {
-		t.Errorf("Fingerprint: %#x, sequential %#x", s.fp, want.fp)
+		t.Errorf("Fingerprint: %#x, want %#x", s.fp, want.fp)
 	}
 	for ti := range want.arenas {
 		for w := range want.arenas[ti] {
 			if s.arenas[ti][w] != want.arenas[ti][w] {
-				t.Errorf("tile %d arena word %d: %04x, sequential %04x", ti, w, s.arenas[ti][w].Bits(), want.arenas[ti][w].Bits())
+				t.Errorf("tile %d arena word %d: %04x, want %04x", ti, w, s.arenas[ti][w].Bits(), want.arenas[ti][w].Bits())
 				break
 			}
 		}
 	}
 	for i := range want.partials {
 		if math.Float32bits(s.partials[i]) != math.Float32bits(want.partials[i]) {
-			t.Errorf("partial %d: %v, sequential %v", i, s.partials[i], want.partials[i])
+			t.Errorf("partial %d: %v, want %v", i, s.partials[i], want.partials[i])
 		}
 	}
 }
