@@ -268,34 +268,87 @@ func TestStarSolveHeapPerTile(t *testing.T) {
 	}
 }
 
-// TestStarSolvePhasesJumped counts how a two-iteration 40×30×4 star
-// solve runs its 21 vector phases — the setup dot, then four dots and
-// six updates per iteration: under the fast-forward engine every one is
-// a single loop over the tiles (wse.VectorPhase) and none is stepped,
-// and under the sequential engine every one is stepped.
+// TestStarSolvePhasesJumped counts, phase kind by phase kind, how the
+// two-iteration wafer solves the benchmark's workloads take run their
+// fast-forwardable phases: 21 vector phases (the setup dot, then four
+// dots and six updates per iteration), nine AllReduces (a row phase and
+// a broadcast each) and, on the star solver, four compiled exchanges.
+// Under the fast-forward engine every vector phase and broadcast is
+// jumped, every row phase on an even width (an odd width contends and
+// steps), and every exchange; under the sequential engine nothing is.
+// Listing 1's SpMV3D is no jumpable exchange and counts nothing. The
+// 2×1 multiwafer row is internal/multiwafer's TestClusterPhasesJumped.
 func TestStarSolvePhasesJumped(t *testing.T) {
-	mesh := stencil.Mesh{NX: 40, NY: 30, NZ: 4}
-	norm, _ := stencil.Heat3D(mesh, 0.1, stencil.Dirichlet).Normalize()
-	op := stencil.NewOpStarHalf(norm)
-	bh := make([]fp16.Float16, mesh.N())
-	for i := range bh {
-		bh[i] = fp16.FromFloat64(float64((i%23)-11) / 28)
-	}
-	for _, tc := range []struct {
-		eng             wse.Engine
-		jumped, stepped int
-	}{{wse.EngineFastForward, 21, 0}, {wse.EngineSequential, 0, 21}} {
-		m := wse.New(wse.Config{FabricW: mesh.NX, FabricH: mesh.NY, Engine: tc.eng})
-		s, err := NewBiCGStabStarWSE(m, stencilc.Spec7Point(), op)
+	listing1 := func(m *wse.Machine, mesh stencil.Mesh) (*BiCGStabEngine, *stencilc.Program3D) {
+		norm, _ := stencil.MomentumLike(mesh, 0.02, [3]float64{1, 0.2, -0.1}, 0.1, 1.0, 0.05).Normalize()
+		s, err := NewBiCGStabWSE(m, stencil.NewOp7Half(norm))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := s.Solve(bh, WSEOptions{MaxIter: 2, Tol: 0}); err != nil {
+		return s.eng, nil
+	}
+	star := func(m *wse.Machine, mesh stencil.Mesh) (*BiCGStabEngine, *stencilc.Program3D) {
+		norm, _ := stencil.Heat3D(mesh, 0.1, stencil.Dirichlet).Normalize()
+		s, err := NewBiCGStabStarWSE(m, stencilc.Spec7Point(), stencil.NewOpStarHalf(norm))
+		if err != nil {
 			t.Fatal(err)
 		}
-		if j, st := s.eng.parts[0].phase.Counts(); j != tc.jumped || st != tc.stepped {
-			t.Errorf("%v: %d phases jumped, %d stepped; want %d and %d", tc.eng, j, st, tc.jumped, tc.stepped)
+		return s.eng, s.prog
+	}
+	// phaseCounts is [vector, row, broadcast, exchange] × [jumped, stepped].
+	type phaseCounts [4][2]int
+	for _, tc := range []struct {
+		name    string
+		mesh    stencil.Mesh
+		build   func(*wse.Machine, stencil.Mesh) (*BiCGStabEngine, *stencilc.Program3D)
+		ff, seq phaseCounts
+	}{
+		{"listing1-deep-z", stencil.Mesh{NX: 6, NY: 6, NZ: 64}, listing1,
+			phaseCounts{{21, 0}, {9, 0}, {9, 0}, {0, 0}}, phaseCounts{{0, 21}, {0, 9}, {0, 9}, {0, 0}}},
+		{"listing1-wide-shallow", stencil.Mesh{NX: 24, NY: 16, NZ: 8}, listing1,
+			phaseCounts{{21, 0}, {9, 0}, {9, 0}, {0, 0}}, phaseCounts{{0, 21}, {0, 9}, {0, 9}, {0, 0}}},
+		{"star-40x30", stencil.Mesh{NX: 40, NY: 30, NZ: 4}, star,
+			phaseCounts{{21, 0}, {9, 0}, {9, 0}, {4, 0}}, phaseCounts{{0, 21}, {0, 9}, {0, 9}, {0, 4}}},
+		{"star-even-odd", stencil.Mesh{NX: 12, NY: 11, NZ: 4}, star,
+			phaseCounts{{21, 0}, {9, 0}, {9, 0}, {4, 0}}, phaseCounts{{0, 21}, {0, 9}, {0, 9}, {0, 4}}},
+		{"star-odd-odd", stencil.Mesh{NX: 11, NY: 9, NZ: 4}, star,
+			phaseCounts{{21, 0}, {0, 9}, {9, 0}, {4, 0}}, phaseCounts{{0, 21}, {0, 9}, {0, 9}, {0, 4}}},
+	} {
+		bh := make([]fp16.Float16, tc.mesh.N())
+		for i := range bh {
+			bh[i] = fp16.FromFloat64(float64((i%23)-11) / 28)
 		}
-		m.Close()
+		for _, leg := range []struct {
+			eng  wse.Engine
+			want phaseCounts
+		}{{wse.EngineFastForward, tc.ff}, {wse.EngineSequential, tc.seq}} {
+			m := wse.New(wse.Config{FabricW: tc.mesh.NX, FabricH: tc.mesh.NY, Engine: leg.eng})
+			eng, prog := tc.build(m, tc.mesh)
+			spmv, applications := eng.sub.SpMV, 0
+			eng.sub.SpMV = func(src, dst [][]int, acc *PhaseCycles) error {
+				applications++
+				return spmv(src, dst, acc)
+			}
+			if _, _, err := eng.Solve(bh, WSEOptions{MaxIter: 2, Tol: 0}); err != nil {
+				t.Fatal(err)
+			}
+			pt := eng.parts[0]
+			var got phaseCounts
+			got[0][0], got[0][1] = pt.phase.Counts()
+			got[1] = [2]int{pt.ar.rowSkips, pt.ar.rowStepped}
+			got[2] = [2]int{pt.ar.bcastSkips, pt.ar.bcastStepped}
+			if prog != nil {
+				var runs int64
+				if r := prog.ExchangeReplay(); r != nil {
+					runs, _, _ = r.Stats()
+				}
+				got[3] = [2]int{int(runs), applications - int(runs)}
+			}
+			if got != leg.want {
+				t.Errorf("%s %v: [vector, row, broadcast, exchange] × [jumped, stepped] = %v, want %v",
+					tc.name, leg.eng, got, leg.want)
+			}
+			m.Close()
+		}
 	}
 }

@@ -3,6 +3,7 @@ package multiwafer
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -482,5 +483,52 @@ func TestInterconnectModel(t *testing.T) {
 	sec := ic.TransferSeconds(150e9)
 	if math.Abs(sec-(1+ic.LatencySec)) > 1e-9 {
 		t.Errorf("150 GB transfer = %g s, want ~1 s", sec)
+	}
+}
+
+// TestClusterPhasesJumped is the 2×1 multiwafer row of the kernels
+// package's TestStarSolvePhasesJumped: per wafer, how a two-iteration
+// cluster solve runs its 21 vector phases, nine AllReduce row phases and
+// broadcasts and four exchanges — every one jumped on fast-forward
+// wafers, every one stepped on sequential ones.
+func TestClusterPhasesJumped(t *testing.T) {
+	// phaseCounts is [vector, row, broadcast, exchange] × [jumped, stepped].
+	type phaseCounts [4][2]int
+	h, _, b, _ := testProblem(t, 8, 6, 8, 3)
+	for _, leg := range []struct {
+		eng  wse.Engine
+		want phaseCounts
+	}{
+		{wse.EngineFastForward, phaseCounts{{21, 0}, {9, 0}, {9, 0}, {4, 0}}},
+		{wse.EngineSequential, phaseCounts{{0, 21}, {0, 9}, {0, 9}, {0, 4}}},
+	} {
+		c, err := build(Config{Grid: Topology{2, 1}}, h, leg.eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := c.Solve(b, kernels.WSEOptions{MaxIter: 2, Tol: 0}); err != nil {
+			t.Fatal(err)
+		}
+		parts := reflect.ValueOf(c.eng).Elem().FieldByName("parts")
+		for i, wf := range c.wafers {
+			pt := parts.Index(i).Elem()
+			phase, ar := pt.FieldByName("phase").Elem(), pt.FieldByName("ar").Elem()
+			n := func(v reflect.Value, f string) int { return int(v.FieldByName(f).Int()) }
+			got := phaseCounts{
+				{n(phase, "jumped"), n(phase, "stepped")},
+				{n(ar, "rowSkips"), n(ar, "rowStepped")},
+				{n(ar, "bcastSkips"), n(ar, "bcastStepped")},
+			}
+			var runs int64
+			if r := wf.spmv.ExchangeReplay(); r != nil {
+				runs, _, _ = r.Stats()
+			}
+			got[3] = [2]int{int(runs), 4 - int(runs)}
+			if got != leg.want {
+				t.Errorf("%v wafer (%d,%d): [vector, row, broadcast, exchange] × [jumped, stepped] = %v, want %v",
+					leg.eng, wf.wx, wf.wy, got, leg.want)
+			}
+		}
+		c.Close()
 	}
 }
