@@ -57,16 +57,13 @@ type AllReduce struct {
 	// Fast-forward (ffGate, skipRowPhase, skipBroadcast): the center-column
 	// tile indices, each tile's broadcast-tree depth, the deepest tiles and
 	// the absolute rotation counters handed to ApplyReplay (all built on
-	// first use); holdRoot, set by Run, withholds the root's red send for
-	// skipBroadcast; and how many Runs jumped / stepped each phase — tests
-	// assert there is no silent fall-back.
-	centerTiles              []int
-	depth                    []int32
-	deepest                  []int
-	ffRR                     []int64
-	holdRoot                 bool
-	rowSkips, rowStepped     int
-	bcastSkips, bcastStepped int
+	// first use); and holdRoot, set by Run, which withholds the root's red
+	// send for skipBroadcast.
+	centerTiles []int
+	depth       []int32
+	deepest     []int
+	ffRR        []int64
+	holdRoot    bool
 }
 
 // arTile is one core's actor: its partial, the receive stages it sinks
@@ -276,15 +273,16 @@ type AllReduceResult struct {
 // send (skipBroadcast), ending the Run. What is left — the odd-width row
 // phase, the odd-height column phase and the 4:1 quad, whose arrival
 // order depends on arbitration — is cycle-simulated under every engine.
+// Each Run records both phases in the machine's record
+// (wse.Machine.CountPhase) once, jumped or stepped.
 func (ar *AllReduce) Run(values []float32, maxCycles int64) (AllReduceResult, error) {
 	if err := ar.Begin(values); err != nil {
 		return AllReduceResult{}, err
 	}
 	ff := ar.ffGate()
-	if !ff {
-		ar.bcastStepped++
-	}
 	ar.holdRoot = ff
+	jumped := false // whether the broadcast jumped, recorded on return
+	defer func() { ar.M.CountPhase(wse.PhaseBroadcast, jumped) }()
 	root := &ar.tiles[ar.root]
 	for cyc := ar.skipRowPhase(ff, maxCycles); cyc < maxCycles; cyc++ {
 		if ar.Tick() {
@@ -292,7 +290,7 @@ func (ar *AllReduce) Run(values []float32, maxCycles int64) (AllReduceResult, er
 		}
 		if ar.holdRoot && root.stage == len(root.stages) {
 			ar.holdRoot = false
-			if ar.skipBroadcast(maxCycles - cyc) {
+			if jumped = ar.skipBroadcast(maxCycles - cyc); jumped {
 				return ar.Result(), nil
 			}
 			root.sent = root.tx.Send(math.Float32bits(root.acc))
@@ -371,34 +369,17 @@ func (ar *AllReduce) Result() AllReduceResult {
 }
 
 // ffGate is the fast-forward gate skipRowPhase and skipBroadcast share,
-// evaluated once per Run, right after Begin: the fast-forward engine,
-// the default queue depths the derivations were checked against, no word
-// in any router queue, and none left in a receive buffer this reduction
-// pops — a sink's stage colors, or red at any tile. A reduction that
-// starts this way has the fabric to itself: when the root completes,
-// every partial has been injected, delivered and popped, so the red word
-// is the only one the broadcast moves.
+// evaluated once per Run, right after Begin: the default queue depths
+// the derivations were checked against, on a machine Settled on the six
+// AllReduce colors — no word in any router queue and none left in a
+// receive buffer this reduction pops. A reduction that starts this way
+// has the fabric to itself: when the root completes, every partial has
+// been injected, delivered and popped, so the red word is the only one
+// the broadcast moves. (Run steps the fabric alone, so the jumps would
+// be exact with cores busy too; Settled's core clauses only keep every
+// jump's precondition one statement.)
 func (ar *AllReduce) ffGate() bool {
-	f := ar.F
-	if !ar.M.FastForwardEnabled() || !ar.M.Cfg.DefaultQueueDepths() || !f.Quiescent() {
-		return false
-	}
-	for _, ti := range ar.sinks {
-		t := &ar.tiles[ti]
-		for _, s := range t.stages {
-			for c := s.c0; c <= s.c1; c++ {
-				if f.RxLen(t.at, c) > 0 {
-					return false
-				}
-			}
-		}
-	}
-	for ti := range ar.tiles {
-		if q := f.RxQueueOf(ti, ar.red); q.Valid() && q.Len() > 0 {
-			return false
-		}
-	}
-	return true
+	return ar.M.Cfg.DefaultQueueDepths() && ar.M.Settled(ar.blue, ar.green, ar.c4a, ar.c4b, ar.c4c, ar.red)
 }
 
 // rrBuf is the rotation-counter vector both jumps hand to ApplyReplay.
@@ -448,11 +429,11 @@ func (ar *AllReduce) rrBuf() []int64 {
 func (ar *AllReduce) skipRowPhase(ff bool, maxCycles int64) int64 {
 	f := ar.F
 	w, h, l := f.W, f.H, ar.cx0
-	if !ff || w < 4 || w%2 != 0 || int64(l)+1 >= maxCycles {
-		ar.rowStepped++
+	jump := ff && w >= 4 && w%2 == 0 && int64(l)+1 < maxCycles
+	ar.M.CountPhase(wse.PhaseRow, jump)
+	if !jump {
 		return 0
 	}
-	ar.rowSkips++
 	if ar.centerTiles == nil {
 		for y := 0; y < h; y++ {
 			ar.centerTiles = append(ar.centerTiles, y*w+ar.cx0, y*w+ar.cx1)
@@ -529,10 +510,8 @@ func (ar *AllReduce) skipBroadcast(budget int64) bool {
 	f := ar.F
 	d := ar.depth[ar.deepest[0]]
 	if int64(d)+1 >= budget {
-		ar.bcastStepped++
 		return false
 	}
-	ar.bcastSkips++
 	rr := ar.rrBuf()
 	for ti, k := range ar.depth {
 		rr[ti] = f.RR(ti) + 1

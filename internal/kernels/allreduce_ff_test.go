@@ -212,24 +212,27 @@ func TestAllReduceRowSkipExact(t *testing.T) {
 				if sh.skip {
 					wantSkips = 3
 				}
-				if p.arFF.rowSkips != wantSkips || p.arFF.rowStepped != 3-wantSkips {
+				if r := p.ff.Phases(wse.PhaseRow); r.Jumped != wantSkips || r.Stepped != 3-wantSkips {
 					t.Errorf("fast-forward machine: %d row phases jumped, %d stepped; want %d and %d",
-						p.arFF.rowSkips, p.arFF.rowStepped, wantSkips, 3-wantSkips)
+						r.Jumped, r.Stepped, wantSkips, 3-wantSkips)
 				}
-				if p.arSeq.rowSkips != 0 {
-					t.Errorf("sequential machine jumped %d row phases", p.arSeq.rowSkips)
+				if r := p.seq.Phases(wse.PhaseRow); r.Jumped != 0 {
+					t.Errorf("sequential machine jumped %d row phases", r.Jumped)
 				}
 			})
 		}
 	}
 }
 
-// ffJumps is the fast-forward machine's account: row phases jumped and
+// arRecord is m's record of AllReduce phases: row phases jumped and
 // stepped, then broadcasts jumped and stepped.
-func (p *arPair) ffJumps() [4]int {
-	ar := p.arFF
-	return [4]int{ar.rowSkips, ar.rowStepped, ar.bcastSkips, ar.bcastStepped}
+func arRecord(m *wse.Machine) [4]int {
+	row, bcast := m.Phases(wse.PhaseRow), m.Phases(wse.PhaseBroadcast)
+	return [4]int{row.Jumped, row.Stepped, bcast.Jumped, bcast.Stepped}
 }
+
+// ffJumps is the fast-forward machine's AllReduce record.
+func (p *arPair) ffJumps() [4]int { return arRecord(p.ff) }
 
 // TestAllReduceRowSkipGate walks the rejections of the gate the row skip
 // and the broadcast jump share: each start the closed forms do not cover
@@ -256,9 +259,9 @@ func TestAllReduceRowSkipGate(t *testing.T) {
 			if _, err := ar.Run(vals, 1<<20); err != nil {
 				t.Fatal(err)
 			}
-			if ar.rowSkips != 0 || ar.rowStepped != 1 || ar.bcastSkips != 0 || ar.bcastStepped != 1 {
+			if got := arRecord(m); got != [4]int{0, 1, 0, 1} {
 				t.Errorf("%v: row phases %d jumped, %d stepped; broadcasts %d jumped, %d stepped; only fast-forward may jump",
-					e, ar.rowSkips, ar.rowStepped, ar.bcastSkips, ar.bcastStepped)
+					e, got[0], got[1], got[2], got[3])
 			}
 		}
 	})
@@ -371,7 +374,7 @@ func TestAllReduceRowSkipGate(t *testing.T) {
 		if errSeq == nil || errFF == nil {
 			t.Fatalf("a 3-cycle budget must fail: seq %v, ff %v", errSeq, errFF)
 		}
-		if p.arFF.rowSkips != 0 {
+		if p.ff.Phases(wse.PhaseRow).Jumped != 0 {
 			t.Error("jumped past the cycle budget")
 		}
 		if a, b := p.seq.Fingerprint(), p.ff.Fingerprint(); a != b {
@@ -382,8 +385,8 @@ func TestAllReduceRowSkipGate(t *testing.T) {
 		p = newARPair(t, w, h, nil)
 		_, errSeq = p.arSeq.Run(vals, 6)
 		_, errFF = p.arFF.Run(vals, 6)
-		if errSeq == nil || errFF == nil || p.arFF.rowSkips != 1 {
-			t.Fatalf("a 6-cycle budget must jump and then fail: seq %v, ff %v, %d jumped", errSeq, errFF, p.arFF.rowSkips)
+		if jumped := p.ff.Phases(wse.PhaseRow).Jumped; errSeq == nil || errFF == nil || jumped != 1 {
+			t.Fatalf("a 6-cycle budget must jump and then fail: seq %v, ff %v, %d jumped", errSeq, errFF, jumped)
 		}
 		if a, b := p.seq.Fingerprint(), p.ff.Fingerprint(); a != b {
 			t.Errorf("fingerprints diverge after the 6-cycle runs: seq %#x, ff %#x", a, b)
@@ -463,13 +466,11 @@ func TestAllReduceBroadcastSkipExact(t *testing.T) {
 				for rep := 0; rep < 3; rep++ {
 					p.run(t, arValues(w*h, int64(w*1000+h*10+rep)), fmt.Sprintf("reduction %d", rep+1))
 				}
-				if p.arFF.bcastSkips != 3 || p.arFF.bcastStepped != 0 {
-					t.Errorf("fast-forward machine: %d broadcasts jumped, %d stepped; want 3 and 0",
-						p.arFF.bcastSkips, p.arFF.bcastStepped)
+				if b := p.ff.Phases(wse.PhaseBroadcast); b.Jumped != 3 || b.Stepped != 0 {
+					t.Errorf("fast-forward machine: %d broadcasts jumped, %d stepped; want 3 and 0", b.Jumped, b.Stepped)
 				}
-				if p.arSeq.bcastSkips != 0 || p.arSeq.bcastStepped != 3 {
-					t.Errorf("sequential machine: %d broadcasts jumped, %d stepped; want 0 and 3",
-						p.arSeq.bcastSkips, p.arSeq.bcastStepped)
+				if b := p.seq.Phases(wse.PhaseBroadcast); b.Jumped != 0 || b.Stepped != 3 {
+					t.Errorf("sequential machine: %d broadcasts jumped, %d stepped; want 0 and 3", b.Jumped, b.Stepped)
 				}
 			})
 		}

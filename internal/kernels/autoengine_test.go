@@ -34,7 +34,7 @@ func TestAutoEngineListing1Work(t *testing.T) {
 			norm, _ := stencil.MomentumLike(mesh, 0.02, [3]float64{1, 0.2, -0.1}, 0.1, 1.0, 0.05).Normalize()
 			op := stencil.NewOp7Half(norm)
 			b := testRHS(mesh, 13)
-			run := func(eng wse.Engine) (*wse.Machine, *BiCGStabWSE, string) {
+			run := func(eng wse.Engine) (*wse.Machine, string) {
 				m := wse.New(wse.Config{FabricW: mesh.NX, FabricH: mesh.NY, Engine: eng})
 				s, err := NewBiCGStabWSE(m, op)
 				if err != nil {
@@ -44,11 +44,11 @@ func TestAutoEngineListing1Work(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return m, s, fmt.Sprint(x)
+				return m, fmt.Sprint(x)
 			}
-			seq, _, xSeq := run(wse.EngineSequential)
+			seq, xSeq := run(wse.EngineSequential)
 			defer seq.Close()
-			auto, s, xAuto := run(wse.EngineAuto)
+			auto, xAuto := run(wse.EngineAuto)
 			defer auto.Close()
 
 			if xAuto != xSeq || auto.Cycle() != seq.Cycle() || auto.Fingerprint() != seq.Fingerprint() {
@@ -74,14 +74,11 @@ func TestAutoEngineListing1Work(t *testing.T) {
 				t.Errorf("rx probes/words/stalls %d/%d/%d; sequential has %d/%d/%d",
 					a.RxProbes, a.RxWords, a.RxStalls, q.RxProbes, q.RxWords, q.RxStalls)
 			}
-			pt := s.eng.parts[0]
-			if j, st := pt.phase.Counts(); j != tc.vecJumped || st != tc.vecStepped {
-				t.Errorf("vector phases: %d jumped, %d stepped; want %d and %d", j, st, tc.vecJumped, tc.vecStepped)
+			if v := auto.Phases(wse.PhaseVector); v.Jumped != tc.vecJumped || v.Stepped != tc.vecStepped {
+				t.Errorf("vector phases: %d jumped, %d stepped; want %d and %d", v.Jumped, v.Stepped, tc.vecJumped, tc.vecStepped)
 			}
-			ar := pt.ar
-			if got, want := (arJumps{ar.rowSkips, ar.rowStepped, ar.bcastSkips, ar.bcastStepped}),
-				(arJumps{tc.rowSkips, tc.rowStepped, tc.bcastSkips, tc.bcastStepd}); got != want {
-				t.Errorf("AllReduce row skipped/stepped, broadcast skipped/stepped %+v; want %+v", got, want)
+			if got, want := arRecord(auto), [4]int{tc.rowSkips, tc.rowStepped, tc.bcastSkips, tc.bcastStepd}; got != want {
+				t.Errorf("AllReduce row skipped/stepped, broadcast skipped/stepped %v; want %v", got, want)
 			}
 		})
 	}

@@ -48,8 +48,8 @@ func heapInUse() uint64 {
 // fast-forward) — and what it cost. It logs how the element steps split
 // between the slice path and the descriptor walk
 // (wse.Machine.ElementSteps) and how many vector phases ran as one loop
-// and how many were stepped (wse.VectorPhase.Counts).
-func paperScaleSolve(t testing.TB, nx, ny, nz int, eng wse.Engine) (x []fp16.Float16, st WSEStats, fp uint64, jumps arJumps, replay [3]int64, cost solveCost) {
+// and how many were stepped (the machine's wse.PhaseVector record).
+func paperScaleSolve(t testing.TB, nx, ny, nz int, eng wse.Engine) (x []fp16.Float16, st WSEStats, fp uint64, jumps [4]int, replay [3]int64, cost solveCost) {
 	t.Helper()
 	mesh := stencil.Mesh{NX: nx, NY: ny, NZ: nz}
 	norm, _ := stencil.Heat3D(mesh, 0.1, stencil.Dirichlet).Normalize()
@@ -76,23 +76,19 @@ func paperScaleSolve(t testing.TB, nx, ny, nz int, eng wse.Engine) (x []fp16.Flo
 	cost.solve = time.Since(start)
 	cost.heapPerTile = float64(heapInUse()-before) / float64(nx*ny)
 	sliced, walked := m.ElementSteps()
-	jumped, stepped := s.eng.parts[0].phase.Counts()
+	vec := m.Phases(wse.PhaseVector)
 	t.Logf("%d×%d %s: element steps: %d slice, %d walk; vector phases: %d jumped, %d stepped",
-		nx, ny, m.EngineName(), sliced, walked, jumped, stepped)
+		nx, ny, m.EngineName(), sliced, walked, vec.Jumped, vec.Stepped)
 	if r := s.prog.ExchangeReplay(); r != nil {
 		replay[0], replay[1], replay[2] = r.Stats()
 	}
-	ar := s.eng.parts[0].ar
-	return x, st, m.Fingerprint(), arJumps{ar.rowSkips, ar.rowStepped, ar.bcastSkips, ar.bcastStepped}, replay, cost
+	return x, st, m.Fingerprint(), arRecord(m), replay, cost
 }
 
-// arJumps is one AllReduce's fast-forward account over a solve.
-type arJumps struct{ rowSkips, rowStepped, bcastSkips, bcastStepped int }
-
-// allJumped reports whether every reduction jumped both its row phase
-// and its broadcast.
-func (j arJumps) allJumped() bool {
-	return j.rowSkips > 0 && j.rowStepped == 0 && j.bcastSkips == j.rowSkips && j.bcastStepped == 0
+// allJumped reports whether every reduction of an AllReduce record
+// (arRecord) jumped both its row phase and its broadcast.
+func allJumped(j [4]int) bool {
+	return j[0] > 0 && j[1] == 0 && j[2] == j[0] && j[3] == 0
 }
 
 // TestPaperScaleBiCGStab runs the paper's headline configuration — a
@@ -167,7 +163,7 @@ func TestPaperScaleBiCGStab(t *testing.T) {
 		if fpSeq != fpFF {
 			t.Errorf("%d×%d: machine fingerprints diverge: seq %#x, ff %#x", nx, ny, fpSeq, fpFF)
 		}
-		if seqJumps.rowSkips != 0 || seqJumps.bcastSkips != 0 || !ffJumps.allJumped() {
+		if seqJumps[0] != 0 || seqJumps[2] != 0 || !allJumped(ffJumps) {
 			t.Errorf("%d×%d: AllReduce jumps seq %+v, ff %+v; want none under seq, every row phase and broadcast under ff",
 				nx, ny, seqJumps, ffJumps)
 		}
@@ -185,7 +181,7 @@ func TestPaperScaleBiCGStab(t *testing.T) {
 	t.Logf("602×595 solve: %v (build %v, solve %v), %.0f live heap bytes per tile  iters=%d cycles=%+v setup=%d hist=%v x0=%#04x fp=%#x allreduce jumps %+v",
 		elapsed, cost.build, cost.solve, cost.heapPerTile, st.Iterations, st.Cycles, st.SetupCycles, st.History, uint16(x[0]), fp, jumps)
 	t.Logf("602×595 exchange replay: %d runs, %d cycles replayed, %d of them jumped", replay[0], replay[1], replay[2])
-	if !jumps.allJumped() {
+	if !allJumped(jumps) {
 		t.Errorf("AllReduce jumps %+v; every reduction of the 602×595 wafer must jump its row phase and its broadcast", jumps)
 	}
 	// Four SpMVs (two per iteration) of 17 cycles each; at Z = 4 the

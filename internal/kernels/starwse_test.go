@@ -279,28 +279,28 @@ func TestStarSolveHeapPerTile(t *testing.T) {
 // Listing 1's SpMV3D is no jumpable exchange and counts nothing. The
 // 2×1 multiwafer row is internal/multiwafer's TestClusterPhasesJumped.
 func TestStarSolvePhasesJumped(t *testing.T) {
-	listing1 := func(m *wse.Machine, mesh stencil.Mesh) (*BiCGStabEngine, *stencilc.Program3D) {
+	listing1 := func(m *wse.Machine, mesh stencil.Mesh) wseSolver {
 		norm, _ := stencil.MomentumLike(mesh, 0.02, [3]float64{1, 0.2, -0.1}, 0.1, 1.0, 0.05).Normalize()
 		s, err := NewBiCGStabWSE(m, stencil.NewOp7Half(norm))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s.eng, nil
+		return s
 	}
-	star := func(m *wse.Machine, mesh stencil.Mesh) (*BiCGStabEngine, *stencilc.Program3D) {
+	star := func(m *wse.Machine, mesh stencil.Mesh) wseSolver {
 		norm, _ := stencil.Heat3D(mesh, 0.1, stencil.Dirichlet).Normalize()
 		s, err := NewBiCGStabStarWSE(m, stencilc.Spec7Point(), stencil.NewOpStarHalf(norm))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s.eng, s.prog
+		return s
 	}
 	// phaseCounts is [vector, row, broadcast, exchange] × [jumped, stepped].
 	type phaseCounts [4][2]int
 	for _, tc := range []struct {
 		name    string
 		mesh    stencil.Mesh
-		build   func(*wse.Machine, stencil.Mesh) (*BiCGStabEngine, *stencilc.Program3D)
+		build   func(*wse.Machine, stencil.Mesh) wseSolver
 		ff, seq phaseCounts
 	}{
 		{"listing1-deep-z", stencil.Mesh{NX: 6, NY: 6, NZ: 64}, listing1,
@@ -323,26 +323,13 @@ func TestStarSolvePhasesJumped(t *testing.T) {
 			want phaseCounts
 		}{{wse.EngineFastForward, tc.ff}, {wse.EngineSequential, tc.seq}} {
 			m := wse.New(wse.Config{FabricW: tc.mesh.NX, FabricH: tc.mesh.NY, Engine: leg.eng})
-			eng, prog := tc.build(m, tc.mesh)
-			spmv, applications := eng.sub.SpMV, 0
-			eng.sub.SpMV = func(src, dst [][]int, acc *PhaseCycles) error {
-				applications++
-				return spmv(src, dst, acc)
-			}
-			if _, _, err := eng.Solve(bh, WSEOptions{MaxIter: 2, Tol: 0}); err != nil {
+			if _, _, err := tc.build(m, tc.mesh).Solve(bh, WSEOptions{MaxIter: 2, Tol: 0}); err != nil {
 				t.Fatal(err)
 			}
-			pt := eng.parts[0]
 			var got phaseCounts
-			got[0][0], got[0][1] = pt.phase.Counts()
-			got[1] = [2]int{pt.ar.rowSkips, pt.ar.rowStepped}
-			got[2] = [2]int{pt.ar.bcastSkips, pt.ar.bcastStepped}
-			if prog != nil {
-				var runs int64
-				if r := prog.ExchangeReplay(); r != nil {
-					runs, _, _ = r.Stats()
-				}
-				got[3] = [2]int{int(runs), applications - int(runs)}
+			for k, ph := range []wse.Phase{wse.PhaseVector, wse.PhaseRow, wse.PhaseBroadcast, wse.PhaseExchange} {
+				c := m.Phases(ph)
+				got[k] = [2]int{c.Jumped, c.Stepped}
 			}
 			if got != leg.want {
 				t.Errorf("%s %v: [vector, row, broadcast, exchange] × [jumped, stepped] = %v, want %v",

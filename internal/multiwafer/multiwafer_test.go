@@ -3,7 +3,6 @@ package multiwafer
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -328,12 +327,9 @@ func TestClusterSpMVsReplayed(t *testing.T) {
 			if e := wf.mach.EngineName(); e != "fastforward" {
 				t.Errorf("grid %v wafer (%d,%d): engine %q, want fastforward", grid, wf.wx, wf.wy, e)
 			}
-			var runs int64
-			if r := wf.spmv.ExchangeReplay(); r != nil {
-				runs, _, _ = r.Stats()
-			}
-			if runs != 2*iters {
-				t.Errorf("grid %v wafer (%d,%d): exchange replay ran %d times, want %d", grid, wf.wx, wf.wy, runs, 2*iters)
+			if n := wf.mach.Phases(wse.PhaseExchange); n.Jumped != 2*iters || n.Stepped != 0 {
+				t.Errorf("grid %v wafer (%d,%d): %d applications jumped, %d stepped; want %d and 0",
+					grid, wf.wx, wf.wy, n.Jumped, n.Stepped, 2*iters)
 			}
 		}
 		c.Close()
@@ -509,21 +505,12 @@ func TestClusterPhasesJumped(t *testing.T) {
 		if _, _, err := c.Solve(b, kernels.WSEOptions{MaxIter: 2, Tol: 0}); err != nil {
 			t.Fatal(err)
 		}
-		parts := reflect.ValueOf(c.eng).Elem().FieldByName("parts")
-		for i, wf := range c.wafers {
-			pt := parts.Index(i).Elem()
-			phase, ar := pt.FieldByName("phase").Elem(), pt.FieldByName("ar").Elem()
-			n := func(v reflect.Value, f string) int { return int(v.FieldByName(f).Int()) }
-			got := phaseCounts{
-				{n(phase, "jumped"), n(phase, "stepped")},
-				{n(ar, "rowSkips"), n(ar, "rowStepped")},
-				{n(ar, "bcastSkips"), n(ar, "bcastStepped")},
+		for _, wf := range c.wafers {
+			var got phaseCounts
+			for k, ph := range []wse.Phase{wse.PhaseVector, wse.PhaseRow, wse.PhaseBroadcast, wse.PhaseExchange} {
+				n := wf.mach.Phases(ph)
+				got[k] = [2]int{n.Jumped, n.Stepped}
 			}
-			var runs int64
-			if r := wf.spmv.ExchangeReplay(); r != nil {
-				runs, _, _ = r.Stats()
-			}
-			got[3] = [2]int{int(runs), 4 - int(runs)}
 			if got != leg.want {
 				t.Errorf("%v wafer (%d,%d): [vector, row, broadcast, exchange] × [jumped, stepped] = %v, want %v",
 					leg.eng, wf.wx, wf.wy, got, leg.want)

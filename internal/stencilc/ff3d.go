@@ -79,33 +79,16 @@ var ffDeliverIn = [NumExchangeColors]fabric.Port{
 }
 
 // ffEligible reports whether one application from the current machine
-// state is exactly the phase the replay models: fast-forward engine,
-// default hardware shape (SIMD-4 datapath, depth-4 queues — the
-// perfmodel constants) and a machine with nothing in flight. Where the
-// fabric sits in the mesh does not matter.
+// state is exactly the phase the replay models: the default hardware
+// shape (SIMD-4 datapath, depth-4 queues — the perfmodel constants) on
+// a Settled machine with empty worklists. (A jump with listed cores
+// would be exact too, but compilation lists every core, and the
+// over-budget and overlap tests count on the first application after
+// Compile3D being cycle-simulated.) Placement in the mesh does not
+// matter.
 func (p *Program3D) ffEligible() bool {
 	m := p.M
-	if !m.FastForwardEnabled() {
-		return false
-	}
-	cfg := m.Cfg
-	if cfg.SIMDWidth != 4 || !cfg.DefaultQueueDepths() {
-		return false
-	}
-	if !m.AllIdle() {
-		return false
-	}
-	for _, st := range p.tiles {
-		if !st.tile.Core.RxQuiet() {
-			return false
-		}
-		for d := HaloDir(0); d < NumHaloDirs; d++ {
-			if st.from[d] != nil && st.from[d].Len() > 0 {
-				return false
-			}
-		}
-	}
-	return true
+	return m.Cfg.SIMDWidth == 4 && m.Cfg.DefaultQueueDepths() && m.Settled() && m.AllIdle()
 }
 
 // shape is the static shape of tile st's compute phase — what a cycle

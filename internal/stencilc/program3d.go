@@ -483,9 +483,12 @@ func (p *Program3D) launchRound(st *tile3D, core *wse.Core) {
 // the same roundings while the exact exchange replay computes the
 // counters beside them (see ff3d.go) — and anything else, an
 // application over budget included, falls back to cycle simulation
-// from the state Run was handed.
+// from the state Run was handed. The machine's record counts each
+// application as a jumped or stepped wse.PhaseExchange.
 func (p *Program3D) Run(maxCycles int64) (int64, error) {
-	if cycles, ok := p.tryFastForward(maxCycles); ok {
+	cycles, ok := p.tryFastForward(maxCycles)
+	p.M.CountPhase(wse.PhaseExchange, ok)
+	if ok {
 		return cycles, nil
 	}
 	return p.program.Run(maxCycles)

@@ -140,7 +140,7 @@ func TestRunAllocatesNothing(t *testing.T) {
 	// The first application cycle-simulates (compilation leaves cores
 	// queued, which the eligibility gate rejects); the warm-up and the
 	// five measured ones must all have taken the fast-forward path.
-	if runs, _, _ := p3.ExchangeReplay().Stats(); runs != 6 {
-		t.Errorf("exchange replay ran %d times, want the 6 applications after the first fast-forwarded", runs)
+	if c := ff.Phases(wse.PhaseExchange); c.Jumped != 6 {
+		t.Errorf("%d applications jumped, want the 6 after the first", c.Jumped)
 	}
 }

@@ -123,7 +123,7 @@ func (m *Machine) classify(c *Core) (classKey, bool) {
 	// Pending rx words mean deliveries (or full-subscriber stalls) that
 	// only the scalar path models; the core's pending mask is zero
 	// throughout steady-state compute phases.
-	if !c.RxQuiet() {
+	if !c.rxQuiet() {
 		return k, false
 	}
 	if c.nthreads > 0 {

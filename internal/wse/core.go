@@ -222,7 +222,7 @@ type Core struct {
 	// restore (conservatively — words may already be waiting), cleared
 	// on the pop that empties the buffer or on finding it empty (a host
 	// Recv may have taken the word). A clear bit proves the buffer
-	// empty, so step, runnable, RxQuiet and the batched classifier look
+	// empty, so step, runnable, rxQuiet and the batched classifier look
 	// only at set bits. Host-side bookkeeping, never architectural state.
 	rxPending uint32
 

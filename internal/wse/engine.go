@@ -119,9 +119,3 @@ func (m *Machine) EngineName() string {
 		return m.engine.String()
 	}
 }
-
-// FastForwardEnabled reports whether this machine runs under
-// EngineFastForward, i.e. whether statically-timed phases may be
-// advanced analytically (VectorPhase, stencilc.Program3D's fast-forward
-// path).
-func (m *Machine) FastForwardEnabled() bool { return m.engine == EngineFastForward }

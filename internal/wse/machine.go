@@ -155,6 +155,9 @@ type Machine struct {
 	subSlab  []rxSub
 	bufSlab  []*StreamBuf
 
+	// phases is the jump record (CountPhase); not architectural state.
+	phases [numPhases]PhaseCount
+
 	// helper runs Overlap's background half, started by the first
 	// Overlap and stopped by Close or the machine's runtime cleanup;
 	// closed latches Close, after which Overlap runs inline.

@@ -14,7 +14,7 @@ import (
 // offsets of its operands — so nothing per tile is rebuilt per phase.
 //
 // Under EngineFastForward, from a state in which nothing but the phase
-// can happen (see jumpable), a phase is one loop over the tiles: the
+// can happen (see jumps), a phase is one loop over the tiles: the
 // element kernel the datapath runs (MemOpKind.Apply, fp16.DotMixedAcc
 // from zero) on the tile's arena slices, StaticCycles' busy and lane
 // tallies, the task left where its completion leaves it, and a jump of
@@ -38,8 +38,6 @@ type VectorPhase struct {
 	ops  []MemOp
 	dots []DotMixed
 	slot []Instr
-
-	jumped, stepped int
 }
 
 // NewVectorPhase registers one phase task on every tile of m, after the
@@ -55,22 +53,19 @@ func NewVectorPhase(m *Machine) *VectorPhase {
 	return v
 }
 
-// Counts reports how many phases ran as one loop and how many were
-// stepped.
-func (v *VectorPhase) Counts() (jumped, stepped int) { return v.jumped, v.stepped }
-
 // Apply runs dst = kind(s, dst, a, b) over n elements on every tile,
 // tile i's operands at arena offsets dst[i], a[i] and b[i] (b nil for
 // the kinds that do not read it), and returns the phase's cycles.
 func (v *VectorPhase) Apply(kind MemOpKind, s fp16.Float16, dst, a, b []int, n int) int64 {
-	if d, lanes, ok := memOpCycles(n, v.m.Cfg.SIMDWidth); ok && v.jumpable() {
+	if d, lanes, ok := memOpCycles(n, v.m.Cfg.SIMDWidth); v.jumps(ok) {
 		for i, t := range v.m.Tiles {
 			var bs []fp16.Float16
 			if kind.readsB() {
 				bs = t.Arena.Slice(b[i], n)
 			}
 			kind.Apply(s, t.Arena.Slice(dst[i], n), t.Arena.Slice(a[i], n), bs)
-			v.retire(i, d, lanes)
+			t.Core.FastForwardAccount(d, lanes)
+			v.tasks[i].FastForwardComplete(1)
 		}
 		return v.jump(d)
 	}
@@ -90,10 +85,11 @@ func (v *VectorPhase) Apply(kind MemOpKind, s fp16.Float16, dst, a, b []int, n i
 // vectors at arena offsets a[i] and b[i] on every tile i into out[i],
 // and returns the phase's cycles.
 func (v *VectorPhase) Dot(a, b []int, n int, out []float32) int64 {
-	if d, lanes, ok := dotCycles(n, v.m.Cfg.SIMDWidth); ok && v.jumpable() {
+	if d, lanes, ok := dotCycles(n, v.m.Cfg.SIMDWidth); v.jumps(ok) {
 		for i, t := range v.m.Tiles {
 			out[i] = fp16.DotMixedAcc(0, t.Arena.Slice(a[i], n), t.Arena.Slice(b[i], n))
-			v.retire(i, d, lanes)
+			t.Core.FastForwardAccount(d, lanes)
+			v.tasks[i].FastForwardComplete(1)
 		}
 		return v.jump(d)
 	}
@@ -105,64 +101,35 @@ func (v *VectorPhase) Dot(a, b []int, n int, out []float32) int64 {
 	return v.step()
 }
 
-// jumpable reports whether the next phase may run as one loop: the
-// machine runs under EngineFastForward, the fabric is quiescent, and on
-// every tile the phase task is idle and unblocked on a core with no
-// current task, no threads, no other activated unblocked task and no
-// words waiting at its ramp. Stepped, such a phase is exactly each core
-// issuing its one instruction back to back (all of a tile's cycles issue
-// lanes) and the phase ending with the slowest — every tile has the same
-// n, so after StaticCycles' d cycles. Every core is a phase core, so a
-// core on a worklist has nothing else runnable either: it is waiting for
-// the dequeue its next step would perform, which jump performs.
-func (v *VectorPhase) jumpable() bool {
-	if v.m.engine != EngineFastForward || !v.m.Fab.Quiescent() {
-		return false
+// jumps reports, and records, whether the next phase runs as one loop:
+// its StaticCycles rule applies (static), the machine is Settled and no
+// phase task is blocked (a stepped phase would wedge on it). Stepped,
+// such a phase is exactly each core issuing its one
+// instruction back to back (all of a tile's cycles issue lanes) and the
+// phase ending with the slowest — every tile has the same n, so after
+// StaticCycles' d cycles.
+func (v *VectorPhase) jumps(static bool) bool {
+	ok := static && v.m.Settled()
+	for i := 0; ok && i < len(v.tasks); i++ {
+		ok = !v.tasks[i].blocked
 	}
-	for i := range v.tasks {
-		t := &v.tasks[i]
-		c := t.core
-		if t.blocked || t.activated || t.running || c.current != nil || c.nthreads > 0 ||
-			c.pick() != nil || !c.RxQuiet() {
-			return false
-		}
-	}
-	return true
+	v.m.CountPhase(PhaseVector, ok)
+	return ok
 }
 
-// retire books tile i's jumped instruction as its completion would: d
-// busy cycles issuing lanes lanes, the send gate clear (a vector
-// instruction sends nothing) and the task's program counter past its one
-// instruction.
-func (v *VectorPhase) retire(i int, d, lanes int64) {
-	c := v.tasks[i].core
-	c.busyCycles += d
-	c.lanesUsed += lanes
-	c.sentThisCycle = false
-	v.tasks[i].pc = 1
-}
-
-// jump ends a jumped phase of d cycles: it performs the worklist dequeues
-// of the phase's first cycle and advances the clock. A router left hot
-// by the preceding phase takes exactly one arbitration visit on the
-// first cycle and then cools (its queues are empty), so one real fabric
-// step reproduces it; the rest of the phase is dead cycles.
+// jump ends a jumped phase of d cycles. A router left hot by the
+// preceding phase takes exactly one arbitration visit on the first
+// cycle and then cools (its queues are empty), so one real fabric step
+// reproduces it; the rest of the phase is dead cycles.
 func (v *VectorPhase) jump(d int64) int64 {
 	m := v.m
-	for s, list := range m.runnable {
-		for _, c := range list {
-			c.queued = false
-		}
-		m.runnable[s] = list[:0]
-	}
 	if m.Fab.HotCount() > 0 {
 		m.Fab.Step()
 		m.Fab.AdvanceIdle(d - 1)
 	} else {
 		m.Fab.AdvanceIdle(d)
 	}
-	m.steps += d
-	v.jumped++
+	m.FastForwardSteps(d)
 	return d
 }
 
@@ -189,6 +156,5 @@ func (v *VectorPhase) step() int64 {
 	if err != nil {
 		panic(err) // local instructions cannot wedge; a failure is a simulator bug
 	}
-	v.stepped++
 	return cycles
 }

@@ -114,11 +114,11 @@ func TestVectorPhaseJumpMatchesStep(t *testing.T) {
 						t.Fatalf("phase %d: dot partials diverge: seq %v, ff %v", k, seq.out, ff.out)
 					}
 				}
-				if j, s := seq.v.Counts(); j != 0 || s != 2 {
-					t.Errorf("sequential engine jumped %d and stepped %d phases, want 0 and 2", j, s)
+				if c := seq.m.Phases(PhaseVector); c.Jumped != 0 || c.Stepped != 2 {
+					t.Errorf("sequential engine jumped %d and stepped %d phases, want 0 and 2", c.Jumped, c.Stepped)
 				}
-				if j, s := ff.v.Counts(); [2]int{j, s} != st.ff {
-					t.Errorf("fast-forward engine jumped %d and stepped %d phases, want %d and %d", j, s, st.ff[0], st.ff[1])
+				if c := ff.m.Phases(PhaseVector); [2]int{c.Jumped, c.Stepped} != st.ff {
+					t.Errorf("fast-forward engine jumped %d and stepped %d phases, want %d and %d", c.Jumped, c.Stepped, st.ff[0], st.ff[1])
 				}
 			})
 		}
