@@ -55,17 +55,21 @@ bench-gate:
 	$(GO) test $(BENCH_FLAGS) . | tee bench.txt
 	$(GO) run ./cmd/benchgate -input bench.txt -baseline BENCH_BASELINE.json -threshold 15 -out bench-new.json
 
+# The fuzz-smoke job of .github/workflows/ci.yml, target for target and
+# with its -fuzztime each.
 fuzz:
 	$(GO) test ./internal/fp16 -run '^$$' -fuzz FuzzFloat16RoundTrip -fuzztime 30s
 	$(GO) test ./internal/fp16 -run '^$$' -fuzz FuzzArithMatchesReference -fuzztime 30s
-	$(GO) test ./internal/fabric -run '^$$' -fuzz FuzzRouterDelivery -fuzztime 60s
-	$(GO) test ./internal/wse -run '^$$' -fuzz FuzzMachineEquivalence -fuzztime 60s
-	$(GO) test ./internal/wse -run '^$$' -fuzz FuzzSnapshotRoundTrip -fuzztime 30s
+	$(GO) test ./internal/fabric -run '^$$' -fuzz FuzzRouterDelivery -fuzztime 90s
+	$(GO) test ./internal/wse -run '^$$' -fuzz FuzzMachineEquivalence -fuzztime 90s
+	$(GO) test ./internal/kernels -run '^$$' -fuzz FuzzSpMV2DEquivalence -fuzztime 90s
+	$(GO) test ./internal/wse -run '^$$' -fuzz FuzzSnapshotRoundTrip -fuzztime 60s
 	$(GO) test ./internal/wse -run '^$$' -fuzz FuzzCoreStep -fuzztime 60s
 	$(GO) test ./internal/fabric -run '^$$' -fuzz FuzzClaim -fuzztime 30s
-	$(GO) test ./internal/kernels -run '^$$' -fuzz FuzzSpMV2DEquivalence -fuzztime 60s
-	$(GO) test ./internal/stencilc -run '^$$' -fuzz FuzzStencilcEquivalence -fuzztime 60s
-	$(GO) test ./internal/perfmodel -run '^$$' -fuzz FuzzExchangeReplay -fuzztime 30s
+	$(GO) test ./internal/stencilc -run '^$$' -fuzz FuzzStencilcEquivalence -fuzztime 90s
+	$(GO) test ./internal/perfmodel -run '^$$' -fuzz FuzzExchangeReplay -fuzztime 60s
+	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzExactAccMatchesBig -fuzztime 30s
+	$(GO) test ./internal/wse/difftest -run '^$$' -fuzz FuzzJumpMatchesStep -fuzztime 60s
 
 # CPU + heap profile of the machine-step hot path (saturated 128×128,
 # sequential engine) — the workflow that found wse.Core.step dominating

@@ -15,8 +15,9 @@
 // Program3D.Run and kernels.AllReduce.Run, which the lockstep harness
 // deliberately bypasses by arming programs (Begin, for the AllReduce)
 // and stepping cycle by cycle. The jumps themselves are differentially
-// tested at their only observable boundary (RunEndState): same results,
-// same total cycles, same fingerprint as a sequential Run.
+// tested at their only observable boundary, the phase end: TestRunEndState
+// on solve-like sequences and FuzzJumpMatchesStep from hostile starting
+// states — same results, cycles and fingerprint as a sequential Run.
 //
 // The harness and its tables live in the package's test files: no
 // binary imports this package.

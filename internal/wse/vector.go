@@ -102,17 +102,14 @@ func (v *VectorPhase) Dot(a, b []int, n int, out []float32) int64 {
 }
 
 // jumps reports, and records, whether the next phase runs as one loop:
-// its StaticCycles rule applies (static), the machine is Settled and no
-// phase task is blocked (a stepped phase would wedge on it). Stepped,
-// such a phase is exactly each core issuing its one
-// instruction back to back (all of a tile's cycles issue lanes) and the
-// phase ending with the slowest — every tile has the same n, so after
-// StaticCycles' d cycles.
+// its StaticCycles rule applies (static) and the machine is Settled —
+// so no phase task is running or activated, and none can be blocked:
+// only VectorPhase holds them. Stepped, such a phase is exactly each
+// core issuing its one instruction back to back (all of a tile's cycles
+// issue lanes) and the phase ending with the slowest — every tile has
+// the same n, so after StaticCycles' d cycles.
 func (v *VectorPhase) jumps(static bool) bool {
 	ok := static && v.m.Settled()
-	for i := 0; ok && i < len(v.tasks); i++ {
-		ok = !v.tasks[i].blocked
-	}
 	v.m.CountPhase(PhaseVector, ok)
 	return ok
 }
