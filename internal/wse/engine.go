@@ -32,14 +32,16 @@ const (
 	// non-contiguous operands). See batch.go.
 	EngineBatched
 	// EngineFastForward is EngineSequential plus exact jumps over
-	// statically-timed phases: compute phases whose cycle count is
-	// exactly predictable advance memory through the same element
-	// kernels and jump the cycle counter. Between jumps it steps through
-	// the reference interpreter, so everything that cannot be proved
-	// static is cycle-simulated exactly as under EngineSequential. See
-	// VectorPhase (the solver's dot and update phases),
-	// stencilc.Program3D (the halo exchange) and kernels.AllReduce.Run
-	// (its contention-free row phase and broadcast). The default engine.
+	// statically-timed phases: a phase whose outcome is exactly
+	// predictable advances memory through the same element kernels and
+	// jumps the cycle counter. Every jump starts from a Settled machine
+	// and records itself in the machine's record (CountPhase); between
+	// jumps it steps through the reference interpreter, so everything
+	// that cannot be proved static is cycle-simulated exactly as under
+	// EngineSequential. See VectorPhase (the solver's dot and update
+	// phases), stencilc.Program3D (the halo exchange) and
+	// kernels.AllReduce.Run (its contention-free row phase and
+	// broadcast). The default engine.
 	EngineFastForward
 )
 
