@@ -51,8 +51,7 @@ type AllReduce struct {
 
 	perTile []float32 // Result's PerTile, reused by every reduction
 
-	root  int   // the tile that sends on red
-	sinks []int // the tiles with receive stages
+	root int // the tile that sends on red
 
 	// Fast-forward (ffGate, skipRowPhase, skipBroadcast): the center-column
 	// tile indices, each tile's broadcast-tree depth, the deepest tiles and
@@ -145,11 +144,7 @@ func NewAllReduce(m *wse.Machine, base fabric.Color) (*AllReduce, error) {
 	}
 	ar.root = f.Index(root)
 	for i := range ar.tiles {
-		t := &ar.tiles[i]
-		t.tx = f.TxQueueOf(i, t.out)
-		if len(t.stages) > 0 {
-			ar.sinks = append(ar.sinks, i)
-		}
+		ar.tiles[i].tx = f.TxQueueOf(i, ar.tiles[i].out)
 	}
 
 	ar.pending = make([][]int32, len(f.ShardRanges()))
