@@ -226,6 +226,13 @@ type Core struct {
 	// only at set bits. Host-side bookkeeping, never architectural state.
 	rxPending uint32
 
+	// streamed is set by every push into the core's stream buffers (a
+	// delivery, or Restore) and cleared by Settled once it finds them all
+	// empty, so a clear flag proves them empty and a jumped solve does
+	// not reload every buffer before every phase. Host-side, like
+	// rxPending.
+	streamed bool
+
 	// queued marks membership in the shard worklist (set by wake,
 	// cleared by the machine when the core steps without runnable work).
 	queued bool
@@ -475,6 +482,7 @@ func (c *Core) step() {
 		for _, b := range s.bufs {
 			b.push(lo, hi)
 		}
+		c.streamed = true
 	}
 
 	// 2. Pick a task if none is running.

@@ -256,6 +256,7 @@ func (r *jumpRig) record(kind int) []wse.PhaseCount {
 //	Settled: no pickable task               pickable × apply, dot (state); × allreduce (decision)
 //	Settled: no subscribed rx word          sub-rx × apply, dot (state); × allreduce (decision)
 //	Settled: no stream-buffer element       streambuf × program3d (state); × apply, dot, allreduce (decision)
+//	  (or Core.step's streamed flag)        the same seeds
 //	Settled: listed colors' rx buffers      stage-rx × allreduce (state)
 //	ffGate: default queue depths            queue-depth × allreduce (decision)
 //	ffEligible: SIMD width 4                simd × program3d (panic: buildFF's perfmodel cross-check)

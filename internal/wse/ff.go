@@ -109,13 +109,14 @@ func (m *Machine) Settled(colors ...fabric.Color) bool {
 		if c.current != nil || c.nthreads > 0 || c.pick() != nil || !c.rxQuiet() {
 			return false
 		}
-		for i := range c.subs {
+		for i := 0; c.streamed && i < len(c.subs); i++ {
 			for _, b := range c.subs[i].bufs {
 				if b.size > 0 {
 					return false
 				}
 			}
 		}
+		c.streamed = false
 		for _, col := range colors {
 			if m.Fab.RxLen(t.Coord, col) > 0 {
 				return false

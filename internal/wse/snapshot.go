@@ -194,6 +194,7 @@ func (m *Machine) Restore(s *Snapshot) error {
 		// mask is a host-side cache, not architectural state; the
 		// runnable() pass below clears the bits of empty buffers).
 		c.rxPending = 1<<len(c.subs) - 1
+		c.streamed = true
 		nb := 0
 		for si := range c.subs {
 			for _, b := range c.subs[si].bufs {
