@@ -123,14 +123,6 @@ func newJumpRig(t *testing.T, e wse.Engine, state, w, h, z int, seed int64) *jum
 	return r
 }
 
-// settle runs the machine until no core is listed, as a solve's first
-// phase leaves it.
-func (r *jumpRig) settle(t *testing.T) {
-	if _, err := r.m.RunUntil(r.m.AllIdle, 1<<12); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // copyOn is a long arena copy on tile i, for the hostile task and
 // thread.
 func (r *jumpRig) copyOn(i int) *wse.MemOp {
@@ -139,14 +131,17 @@ func (r *jumpRig) copyOn(i int) *wse.MemOp {
 }
 
 // prepare puts the machine in the drawn state; tile i (with an east
-// neighbour for the halo states) carries the hostile core state.
+// neighbour for the halo states) carries the hostile core state. Every
+// state but stListed starts by stepping until no core is listed, as a
+// solve's first phase leaves the machine.
 func (r *jumpRig) prepare(t *testing.T, state, i int) {
 	f := r.m.Fab
 	w, h := f.W, f.H
 	if state != stListed {
-		r.settle(t)
+		if _, err := r.m.RunUntil(r.m.AllIdle, 1<<12); err != nil {
+			t.Fatal(err)
+		}
 	}
-	at := f.CoordOf(i)
 	switch state {
 	case stInFlight:
 		for _, hop := range []struct {
@@ -170,7 +165,7 @@ func (r *jumpRig) prepare(t *testing.T, state, i int) {
 	case stSubRx, stStreamBuf:
 		// Tile i's eastbound halo word lands at its east neighbour's
 		// ramp; stepping that core once moves it into the stream buffer.
-		f.Send(at, fabric.WordF32(fabric.Color(stencilc.ColEast), 3))
+		f.Send(f.CoordOf(i), fabric.WordF32(fabric.Color(stencilc.ColEast), 3))
 		r.drain(t)
 		if state == stStreamBuf {
 			r.m.Step()
