@@ -6,7 +6,12 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/kernels"
+	"repro/internal/multiwafer"
+	"repro/internal/solver"
 	"repro/internal/stencil"
+	"repro/internal/stencilc"
+	"repro/internal/wse"
 )
 
 func testProblem(seed int64) (Problem, []float64) {
@@ -50,18 +55,65 @@ func TestSolveAllBackendsAgree(t *testing.T) {
 	}
 }
 
+// TestWaferBackendReportsCycles runs the four simulated paths through
+// core's pipeline — Listing 1, the compiled star, the 2D block-halo
+// program and a 2×1 wafer grid — and pins the telemetry header each
+// reports, that its cycle breakdown is non-empty, and the name of the
+// backend each path runs on.
 func TestWaferBackendReportsCycles(t *testing.T) {
 	p, _ := testProblem(9)
-	res, err := Solve(p, Options{Backend: Wafer, MaxIter: 2})
-	if err != nil {
-		t.Fatal(err)
+	grid := multiwafer.Topology{W: 2, H: 1}
+	m2 := stencil.Mesh2D{NX: 8, NY: 8}
+	u0 := make([]float64, m2.NX*m2.NY)
+	for i := range u0 {
+		u0[i] = float64(i%7) + 1
 	}
-	tel := res.Telemetry
-	if !tel.Simulated || tel.Backend != "wafer" || tel.Wafers != 1 {
-		t.Fatalf("wafer telemetry header wrong: %+v", tel)
-	}
-	if tel.PerIteration.Total() == 0 || tel.Cycles.Total() == 0 {
-		t.Fatal("wafer backend must report a cycle breakdown")
+	machine := func(w, h int) *wse.Machine { return wse.New(wse.CS1(w, h)) }
+	for _, tc := range []struct {
+		name    string
+		solve   func() (Result, error)
+		backend func() solver.Backend
+		kind    string // Telemetry.Backend
+		wafers  int
+		beName  string // solver.Backend.Name
+	}{
+		{"listing1", func() (Result, error) { return Solve(p, Options{Backend: Wafer, MaxIter: 2}) },
+			func() solver.Backend { return kernels.NewWafer3DBackend(machine(4, 4)) }, "wafer", 1, "wse"},
+		{"star", func() (Result, error) {
+			return SolveStar(StarProblem{Op: stencil.FromOp7(p.Op), B: p.B}, Options{Backend: Wafer, MaxIter: 2})
+		}, func() solver.Backend { return kernels.NewWaferStarBackend(machine(4, 4), stencilc.Spec7Point()) }, "wafer", 1, "wse"},
+		{"2d", func() (Result, error) {
+			steps, err := RunHeat2D(nil, m2, 0.5, u0, 1, 2, Options{Backend: Wafer, MaxIter: 2})
+			if err != nil {
+				return Result{}, err
+			}
+			return steps[0].Solve, nil
+		}, func() solver.Backend { return kernels.NewWafer2DBackend(machine(4, 4), 2) }, "wafer", 1, "wse"},
+		{"multiwafer/2x1", func() (Result, error) {
+			return Solve(p, Options{Backend: MultiWafer, MultiWafer: MultiWaferOptions{Grid: grid}, MaxIter: 2})
+		}, func() solver.Backend { return &multiwafer.Backend{Grid: grid} }, "multiwafer", 2, "multiwafer/2x1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := tc.solve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tel := res.Telemetry
+			if !tel.Simulated || tel.Backend != tc.kind || tel.Wafers != tc.wafers {
+				t.Fatalf("telemetry header %q/%v/%d, want %q/true/%d: %+v", tel.Backend, tel.Simulated, tel.Wafers, tc.kind, tc.wafers, tel)
+			}
+			if tel.PerIteration.Total() == 0 || tel.Cycles.Total() == 0 {
+				t.Fatal("a simulated backend must report a cycle breakdown")
+			}
+			if multi := tc.wafers > 1; multi != (tel.Cycles.EdgeIO != 0) || multi != (tel.Cycles.Combine != 0) {
+				t.Fatalf("edge I/O %d and combine %d cycles on %d wafers", tel.Cycles.EdgeIO, tel.Cycles.Combine, tc.wafers)
+			}
+			be := tc.backend()
+			defer release(be)
+			if got := be.Name(); got != tc.beName {
+				t.Fatalf("backend name %q, want %q", got, tc.beName)
+			}
+		})
 	}
 }
 
