@@ -137,6 +137,9 @@ func TestBiCGStabWSEShardedIdentical(t *testing.T) {
 	run := func(workers int) ([]fp16.Float16, WSEStats) {
 		cfg := wse.CS1(m.NX, m.NY)
 		cfg.Workers = workers
+		if workers <= 1 {
+			cfg.Engine = wse.EngineSequential // EngineAuto would fast-forward
+		}
 		mach := wse.New(cfg)
 		w, err := NewBiCGStabWSE(mach, stencil.NewOp7Half(norm))
 		if err != nil {

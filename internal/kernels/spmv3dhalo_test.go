@@ -168,6 +168,9 @@ func TestSpMV3DHaloEngineEquivalence(t *testing.T) {
 		h := stencil.NewOp7Half(norm)
 		cfg := wse.CS1(6, 6)
 		cfg.Workers = workers
+		if workers <= 1 {
+			cfg.Engine = wse.EngineSequential // EngineAuto would fast-forward
+		}
 		mach := wse.New(cfg)
 		defer mach.Close()
 		p, err := stencilc.Compile3D(mach, stencilc.Spec7Point(), stencil.HalfFromOp7(h), 0, 0, 0)

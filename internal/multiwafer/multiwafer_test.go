@@ -252,6 +252,9 @@ func TestOneWaferClusterIsTheStarSolver(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		cfg := wse.CS1(h.M.NX, h.M.NY)
 		cfg.Workers = workers
+		if workers <= 1 {
+			cfg.Engine = wse.EngineSequential // EngineAuto would fast-forward
+		}
 		mach := wse.New(cfg)
 		star, err := kernels.NewBiCGStabStarWSE(mach, stencilc.Spec7Point(), stencil.HalfFromOp7(h))
 		if err != nil {

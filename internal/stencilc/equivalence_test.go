@@ -346,6 +346,9 @@ func TestProgram3DEngineEquivalence(t *testing.T) {
 	build := func(workers int) (*wse.Machine, *Program3D) {
 		cfg := wse.CS1(6, 4)
 		cfg.Workers = workers
+		if workers <= 1 {
+			cfg.Engine = wse.EngineSequential // EngineAuto would fast-forward
+		}
 		mach := wse.New(cfg)
 		p, err := Compile3D(mach, SpecSeismic25(), op, 0, 0, 0)
 		if err != nil {
