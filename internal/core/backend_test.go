@@ -71,7 +71,7 @@ func TestBackendSeamContract(t *testing.T) {
 		}, stencil.FromOp7(a7), stencil.FromOp7(b7), a7, stencil.FromOp7(deep7), false},
 		{"wafer/2d", func() solver.Backend { return kernels.NewWafer2DBackend(machine(m2.NX/2, m2.NY/2), 2) }, a9, b9, a7, wide9, false},
 		{"multiwafer/2x1", func() solver.Backend {
-			return &multiwafer.Backend{Grid: multiwafer.Topology{W: 2, H: 1}, Workers: 4}
+			return multiwafer.NewBackend(multiwafer.Topology{W: 2, H: 1})
 		}, a7, b7, a9, deep7, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -95,7 +95,7 @@ func TestAllBackendsBitIdentical(t *testing.T) {
 
 	// Multi-wafer cluster, one and two wafers.
 	for _, g := range []multiwafer.Topology{{W: 1, H: 1}, {W: 2, H: 1}} {
-		be := &multiwafer.Backend{Grid: g}
+		be := multiwafer.NewBackend(g)
 		x, st, err := be.Solve(norm, sb, zeros, solver.Options{MaxIter: iters, RecordHistory: true})
 		if err != nil {
 			t.Fatal(err)

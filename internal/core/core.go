@@ -198,7 +198,7 @@ func NewBackend(o Options, a stencil.Operator) (solver.Backend, error) {
 			if grid.W == 0 {
 				grid = multiwafer.Topology{W: 1, H: 1}
 			}
-			return &multiwafer.Backend{Grid: grid, Workers: o.MultiWafer.Workers}, nil
+			return multiwafer.NewBackend(grid), nil
 		}
 	case Cluster:
 		if a, ok := a.(*stencil.Op7); ok {
@@ -251,6 +251,6 @@ func SolveOn(ctx context.Context, be solver.Backend, a stencil.Operator, b []flo
 		return Result{}, err
 	}
 	return Result{X: x, Iterations: st.Iterations, Converged: st.Converged, Breakdown: st.Breakdown,
-		History: st.History, Telemetry: telemetryOf(be),
+		History: st.History, Telemetry: telemetryOf(be, o.Backend),
 		TrueResidual: stencil.ResidualNorm(norm, x, sb) / stencil.Norm2(sb)}, nil
 }

@@ -91,7 +91,7 @@ func TestWaferBackendReportsCycles(t *testing.T) {
 		}, func() solver.Backend { return kernels.NewWafer2DBackend(machine(4, 4), 2) }, "wafer", 1, "wse"},
 		{"multiwafer/2x1", func() (Result, error) {
 			return Solve(p, Options{Backend: MultiWafer, MultiWafer: MultiWaferOptions{Grid: grid}, MaxIter: 2})
-		}, func() solver.Backend { return &multiwafer.Backend{Grid: grid} }, "multiwafer", 2, "multiwafer/2x1"},
+		}, func() solver.Backend { return multiwafer.NewBackend(grid) }, "multiwafer", 2, "multiwafer/2x1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res, err := tc.solve()

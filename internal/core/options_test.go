@@ -90,7 +90,7 @@ func TestCheckpointRejectionShared(t *testing.T) {
 	}
 	_, _, err := solver.Host{}.Solve(norm, sb, zeros, opts)
 	check("host3d", err)
-	_, _, err = (&multiwafer.Backend{Grid: multiwafer.Topology{W: 1, H: 1}}).Solve(norm, sb, zeros, opts)
+	_, _, err = multiwafer.NewBackend(multiwafer.Topology{W: 1, H: 1}).Solve(norm, sb, zeros, opts)
 	check("multiwafer", err)
 
 	// The heat steppers run many solves, so they refuse a checkpoint

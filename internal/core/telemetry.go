@@ -64,15 +64,14 @@ func telemetryFrom(b Backend, st kernels.WSEStats) Telemetry {
 	}
 }
 
-// telemetryOf reads a backend's instrumentation after a solve: the
-// simulated backends expose the solve loop's account (LastStats), the
-// host ones are described by what they are.
-func telemetryOf(be solver.Backend) Telemetry {
+// telemetryOf reads a backend's instrumentation after a solve: a
+// simulated backend exposes the solve loop's account (LastStats), named
+// by the kind of backend the options selected; the host ones are
+// described by what they are.
+func telemetryOf(be solver.Backend, kind Backend) Telemetry {
 	switch be := be.(type) {
-	case *multiwafer.Backend:
-		return TelemetryFromMultiWafer(be.LastStats())
-	case interface{ LastStats() kernels.WSEStats }:
-		return TelemetryFromWSE(be.LastStats())
+	case *kernels.WaferBackend:
+		return telemetryFrom(kind, be.LastStats())
 	case solver.Host:
 		if p, ok := be.Context.(*solver.ParallelContext); ok {
 			return Telemetry{Backend: Cluster.String(), Ranks: p.Ranks()}

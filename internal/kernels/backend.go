@@ -3,87 +3,34 @@ package kernels
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/fp16"
 	"repro/internal/solver"
 	"repro/internal/stencil"
-	"repro/internal/wse"
 )
 
-// SolveFunc is the Solve of a built wafer program: fp16 right-hand side
-// in, fp16 solution and the cycle account out.
-type SolveFunc = func([]fp16.Float16, WSEOptions) ([]fp16.Float16, WSEStats, error)
-
-// SolveFloat64 is the operator-independent half of every simulated
-// solver.Backend (WaferBackend, multiwafer.Backend): check the system
-// once, before any machine is built or touched; demand the zero initial
-// guess the wafer solve starts from, as the paper's does; let load
-// build the wafer program for the operator, or reload its coefficients,
-// and return the program's Solve; and make the float64 ↔ fp16 crossing
-// around it. With prescale the right-hand side is scaled by a power of
-// two so its magnitude sits near one — exact in both float64 and fp16,
-// so it changes no mantissa bits — and the solution is unscaled on the
-// way out, which keeps the fp16 iterate clear of the subnormal range.
-func SolveFloat64(a stencil.Operator, b, x0 []float64, opts solver.Options, prescale bool,
-	load func() (SolveFunc, error)) ([]float64, WSEStats, error) {
-	if err := solver.CheckSystem(a, b, x0); err != nil {
-		return nil, WSEStats{}, err
-	}
-	for i, v := range x0 {
-		if v != 0 {
-			return nil, WSEStats{}, fmt.Errorf("kernels: wafer solve requires a zero initial guess (x0[%d] = %g)", i, v)
-		}
-	}
-	exp := 0
-	if prescale {
-		amax := 0.0
-		for _, v := range b {
-			amax = math.Max(amax, math.Abs(v))
-		}
-		if amax == 0 {
-			return nil, WSEStats{}, solver.ErrZeroRHS
-		}
-		_, exp = math.Frexp(amax) // amax·2^−exp ∈ [0.5, 1)
-		scaled := make([]float64, len(b))
-		for i, v := range b {
-			scaled[i] = math.Ldexp(v, -exp)
-		}
-		b = scaled
-	}
-	run, err := load()
-	if err != nil {
-		return nil, WSEStats{}, err
-	}
-	x16, st, err := run(fp16.FromFloat64Slice(b), opts)
-	if err != nil {
-		return nil, WSEStats{}, err
-	}
-	out := fp16.ToFloat64Slice(x16)
-	if exp != 0 {
-		for i, v := range out {
-			out[i] = math.Ldexp(v, exp)
-		}
-	}
-	return out, st, nil
-}
-
-// WaferBackend executes linear solves on one cycle-simulated wafer: the
-// adapter from this package's wafer programs to solver.Backend, one
-// constructor per program (NewWafer3DBackend, NewWafer2DBackend,
-// NewWaferStarBackend). The first Solve fixes the mesh and builds the
-// wafer program; later ones reload coefficients and reuse routing,
-// memory layout and tasks, so a warm backend serves an arbitrary
-// sequence of systems on one mesh — the daemon's machine-cache
-// contract. An operator of another kind is refused and leaves the
-// backend usable. Close releases the machine.
+// WaferBackend executes linear solves on cycle-simulated wafers: the
+// one adapter from a wafer solver to solver.Backend, built by
+// NewBackend for each program (NewWafer3DBackend, NewWafer2DBackend,
+// NewWaferStarBackend, and multiwafer.NewBackend for a wafer grid). The
+// first Solve fixes the mesh and builds the solver; later ones reload
+// coefficients and reuse routing, memory layout and tasks, so a warm
+// backend serves an arbitrary sequence of systems on one mesh — the
+// daemon's machine-cache contract. An operator of another kind, or of
+// another mesh, is refused and leaves the backend usable. Solve,
+// LastStats and Close take one lock, so a backend is safe for
+// concurrent use: solves on its machines serialise. Close releases the
+// machines.
 type WaferBackend struct {
-	mach *wse.Machine
-	// load builds the wafer program for the first operator it is handed,
-	// reloads the coefficients of later ones, and returns the program's
-	// Solve; prescale is SolveFloat64's.
-	load     func(a stencil.Operator) (SolveFunc, error)
+	name     string
 	prescale bool
+	close    func()
+	// run lowers an operator, builds the solver for the first one or
+	// reloads the coefficients of a later one, and solves.
+	run func(a stencil.Operator, b []fp16.Float16, opts WSEOptions) ([]fp16.Float16, WSEStats, error)
 
+	mu sync.Mutex
 	// Cumulative instrumentation across solves, for cycles/meshpoint
 	// reporting.
 	Solves     int
@@ -92,31 +39,118 @@ type WaferBackend struct {
 	last       WSEStats
 }
 
+// coeffSolver is a built wafer solver whose operator can be reloaded.
+type coeffSolver[H any] interface {
+	LoadCoeff(H) error
+	Solve([]fp16.Float16, WSEOptions) ([]fp16.Float16, WSEStats, error)
+}
+
+// NewBackend returns the backend called name over a wafer solver of
+// operators of kind A: lower turns each operator into the form the
+// solver loads (or refuses it), build makes the solver on the first
+// Solve, its LoadCoeff takes every later operator, and close releases
+// the machines. With prescale the right-hand side is scaled by a power
+// of two so its magnitude sits near one — exact in both float64 and
+// fp16, so it changes no mantissa bits — and the solution is unscaled
+// on the way out, which keeps the fp16 iterate clear of the subnormal
+// range.
+func NewBackend[A stencil.Operator, H any, S coeffSolver[H]](name string, prescale bool, close func(),
+	lower func(A) (H, error), build func(H) (S, error)) *WaferBackend {
+	var built coeffSolver[H]
+	return &WaferBackend{name: name, prescale: prescale, close: close,
+		run: func(a stencil.Operator, b []fp16.Float16, opts WSEOptions) ([]fp16.Float16, WSEStats, error) {
+			op, ok := a.(A)
+			if !ok {
+				return nil, WSEStats{}, fmt.Errorf("kernels: the %s backend cannot run a %T system", name, a)
+			}
+			h, err := lower(op)
+			switch {
+			case err != nil:
+			case built == nil:
+				var s S
+				if s, err = build(h); err == nil {
+					built = s
+				}
+			default:
+				err = built.LoadCoeff(h)
+			}
+			if err != nil {
+				return nil, WSEStats{}, err
+			}
+			return built.Solve(b, opts)
+		}}
+}
+
 // Name implements solver.Backend.
-func (*WaferBackend) Name() string { return "wse" }
+func (w *WaferBackend) Name() string { return w.name }
 
 // LastStats returns the raw wafer statistics of the most recent
-// completed solve (solver.Stats has no slot for simulated cycles).
-func (w *WaferBackend) LastStats() WSEStats { return w.last }
+// completed solve (solver.Stats has no slot for simulated cycles); the
+// zero value before any.
+func (w *WaferBackend) LastStats() WSEStats {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.last
+}
 
-// Close releases the machine's simulation worker pool.
-func (w *WaferBackend) Close() { w.mach.Close() }
+// Close releases the machines, once no Solve is running.
+func (w *WaferBackend) Close() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.close()
+}
 
-// Solve implements solver.Backend.
+// Solve implements solver.Backend: check the system once, before any
+// machine is built or touched; demand the zero initial guess the wafer
+// solve starts from, as the paper's does; and make the float64 ↔ fp16
+// crossing around the wafer solve.
 func (w *WaferBackend) Solve(a stencil.Operator, b, x0 []float64, opts solver.Options) ([]float64, solver.Stats, error) {
-	x, st, err := SolveFloat64(a, b, x0, opts, w.prescale, func() (SolveFunc, error) { return w.load(a) })
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err := solver.CheckSystem(a, b, x0); err != nil {
+		return nil, solver.Stats{}, err
+	}
+	for i, v := range x0 {
+		if v != 0 {
+			return nil, solver.Stats{}, fmt.Errorf("kernels: wafer solve requires a zero initial guess (x0[%d] = %g)", i, v)
+		}
+	}
+	exp := 0
+	if w.prescale {
+		amax := 0.0
+		for _, v := range b {
+			amax = math.Max(amax, math.Abs(v))
+		}
+		if amax == 0 {
+			return nil, solver.Stats{}, solver.ErrZeroRHS
+		}
+		_, exp = math.Frexp(amax) // amax·2^−exp ∈ [0.5, 1)
+		scaled := make([]float64, len(b))
+		for i, v := range b {
+			scaled[i] = math.Ldexp(v, -exp)
+		}
+		b = scaled
+	}
+	x16, st, err := w.run(a, fp16.FromFloat64Slice(b), opts)
 	if err != nil {
 		return nil, solver.Stats{}, err
+	}
+	x := fp16.ToFloat64Slice(x16)
+	if exp != 0 {
+		for i, v := range x {
+			x[i] = math.Ldexp(v, exp)
+		}
 	}
 	w.Solves++
 	w.Iterations += st.Iterations
 	w.Cycles.add(st.Cycles)
 	w.last = st
-	return x, st.SolverStats(opts.RecordHistory), nil
-}
-
-// errCannotLower is the error of a wafer backend handed an operator
-// kind its program does not run.
-func errCannotLower(a stencil.Operator, program string) error {
-	return fmt.Errorf("kernels: the %s wafer backend cannot run a %T system", program, a)
+	out := solver.Stats{Iterations: st.Iterations, Converged: st.Converged, Breakdown: st.Breakdown}
+	if n := len(st.History); n > 0 {
+		out.FinalResidual = st.History[n-1]
+	}
+	if opts.RecordHistory {
+		out.History = st.History
+	}
+	return x, out, nil
 }

@@ -3,6 +3,7 @@ package kernels
 import (
 	"fmt"
 
+	"repro/internal/fabric"
 	"repro/internal/fp16"
 	"repro/internal/solver"
 	"repro/internal/stencil"
@@ -35,7 +36,7 @@ func (p PhaseCycles) Total() int64 {
 // the on-wafer reduction plus everything that crossed a wafer edge.
 func (p PhaseCycles) Communication() int64 { return p.EdgeIO + p.AllReduce + p.Combine }
 
-// add accumulates q into p (the backend adapters' cumulative counters).
+// add accumulates q into p (WaferBackend's cumulative counters).
 func (p *PhaseCycles) add(q PhaseCycles) {
 	p.SpMV += q.SpMV
 	p.EdgeIO += q.EdgeIO
@@ -52,27 +53,83 @@ func (p PhaseCycles) dividedBy(it int64) PhaseCycles {
 		AllReduce: p.AllReduce / it, Combine: p.Combine / it, Axpy: p.Axpy / it}
 }
 
-// BiCGStabWSE runs the paper's solver on the simulated wafer: the mesh's
-// X×Y extent is mapped across the fabric, each tile holds the Z-columns
-// of the six matrix diagonals and the solver vectors in fp16, dots use
-// the mixed-precision inner-product instruction with partials combined by
-// the Figure 6 AllReduce at 32 bits, and every vector update runs as a
-// SIMD tensor instruction. The SpMV is the paper's Listing 1 FIFO
-// pipeline (SpMV3D); the Algorithm 1 control flow lives in the shared
-// BiCGStabEngine (wsebicg.go), which every other wafer solver reuses
-// with a different SpMV and tile layout. The deterministic
-// halo-exchange rendering of the same 7-point operator is the star
-// solver at stencilc.Spec7Point (BiCGStabStarWSE over
+// WaferSolver runs the paper's solver on one simulated wafer: the one
+// solver type behind BiCGStabWSE, BiCGStabStarWSE and BiCGStab2DWSE,
+// which differ only in the SpMV program and tile layout they hand the
+// shared BiCGStabEngine (wsebicg.go) — the Algorithm 1 control flow
+// every wafer solver, multiwafer's included, reuses. Op is the operator
+// form the program's LoadCoeff takes.
+type WaferSolver[Op any] struct {
+	M *wse.Machine
+
+	prog TileProgram
+	load func(Op) error
+	eng  *BiCGStabEngine
+}
+
+// newWaferSolver puts prog, an SpMV program on m with perTile-element
+// tile vectors laid out by index, under a BiCGStabEngine whose
+// AllReduce takes the six colors from arBase; load is prog's
+// coefficient reload.
+func newWaferSolver[Op any](m *wse.Machine, prog TileProgram, load func(Op) error, perTile int,
+	arBase fabric.Color, index func(part, tile, elem int) int) (*WaferSolver[Op], error) {
+	machines := []*wse.Machine{m}
+	eng, err := NewBiCGStabEngine(Substrate{
+		Machines: machines, PerTile: perTile, ARBase: arBase,
+		SpMV:  ProgramSpMV(machines, []TileProgram{prog}, perTile, nil),
+		Index: index,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &WaferSolver[Op]{M: m, prog: prog, load: load, eng: eng}, nil
+}
+
+// LoadCoeff swaps the stencil operator of a built solver without
+// rebuilding the machine program: routing, task structure, memory
+// layout and the solver engine all stay, only the coefficient columns
+// are rewritten. Solve re-initializes the solver vectors on every call,
+// so a warm solver serves an arbitrary sequence of solves — build once,
+// LoadCoeff per job, the service layer's machine-cache contract. An
+// operator for another mesh (or stencil) is refused with the program
+// untouched.
+func (s *WaferSolver[Op]) LoadCoeff(op Op) error { return s.load(op) }
+
+// Solve runs BiCGStab for the right-hand side b (mesh-indexed, fp16) with
+// a zero initial guess and returns the solution with solve statistics.
+func (s *WaferSolver[Op]) Solve(bvec []fp16.Float16, opts WSEOptions) ([]fp16.Float16, WSEStats, error) {
+	return s.eng.Solve(bvec, opts)
+}
+
+// Pristine drains the machine to idle (program construction leaves a
+// few cores spuriously queued) and captures its just-built
+// architectural state. Rewinding to that capture with Reset before each
+// solve makes every solve start from the cold-machine state, so the
+// Listing 1 FIFO pipeline — whose accumulation order is
+// timing-dependent and therefore sensitive to leftover counters from a
+// previous solve — reproduces a fresh machine's bits exactly.
+func (s *WaferSolver[Op]) Pristine() (*wse.Snapshot, error) {
+	if _, err := s.M.RunUntil(s.M.AllIdle, 1<<20); err != nil {
+		return nil, fmt.Errorf("kernels: draining machine for pristine capture: %w", err)
+	}
+	return s.M.Snapshot()
+}
+
+// Reset rewinds the machine to a Pristine capture (see Pristine).
+func (s *WaferSolver[Op]) Reset(snap *wse.Snapshot) error { return s.M.Restore(snap) }
+
+// BiCGStabWSE is the wafer solver over the paper's Listing 1 FIFO
+// pipeline (SpMV3D): the mesh's X×Y extent is mapped across the fabric,
+// each tile holds the Z-columns of the six matrix diagonals and the
+// solver vectors in fp16, dots use the mixed-precision inner-product
+// instruction with partials combined by the Figure 6 AllReduce at 32
+// bits, and every vector update runs as a SIMD tensor instruction. The
+// deterministic halo-exchange rendering of the same 7-point operator is
+// the star solver at stencilc.Spec7Point (BiCGStabStarWSE over
 // stencil.HalfFromOp7) — bit-identical to the host, rank-parallel and
 // multi-wafer backends, where this pipeline's accumulation order is
 // timing-dependent.
-type BiCGStabWSE struct {
-	M    *wse.Machine
-	Mesh stencil.Mesh
-
-	spmv *SpMV3D
-	eng  *BiCGStabEngine
-}
+type BiCGStabWSE = WaferSolver[*stencil.Op7Half]
 
 // NewBiCGStabWSE builds the solver for a unit-diagonal operator whose
 // X×Y extent matches the machine fabric.
@@ -81,17 +138,7 @@ func NewBiCGStabWSE(m *wse.Machine, op *stencil.Op7Half) (*BiCGStabWSE, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &BiCGStabWSE{M: m, Mesh: op.M, spmv: spmv}
-	machines := []*wse.Machine{m}
-	b.eng, err = NewBiCGStabEngine(Substrate{
-		Machines: machines, PerTile: op.M.NZ, ARBase: NumStencilColors,
-		SpMV:  ProgramSpMV(machines, []TileProgram{spmv}, op.M.NZ, nil),
-		Index: columnIndex(m, op.M),
-	})
-	if err != nil {
-		return nil, err
-	}
-	return b, nil
+	return newWaferSolver(m, spmv, spmv.loadCoeff, op.M.NZ, NumStencilColors, columnIndex(m, op.M))
 }
 
 // columnIndex is the Substrate.Index of a one-machine Z-column layout
@@ -102,32 +149,6 @@ func columnIndex(m *wse.Machine, mesh stencil.Mesh) func(part, tile, elem int) i
 		return mesh.Index(c.X, c.Y, elem)
 	}
 }
-
-// LoadCoeff swaps the stencil operator of a built solver without
-// rebuilding the machine program: routing, task structure, memory
-// layout and the solver engine all stay, only the coefficient columns
-// are rewritten. Solve re-initializes the solver vectors on every call,
-// so a warm solver serves an arbitrary sequence of solves — build once,
-// LoadCoeff per job, the service layer's machine-cache contract. The
-// new operator's mesh must match the one the solver was built for.
-func (b *BiCGStabWSE) LoadCoeff(op *stencil.Op7Half) error { return b.spmv.loadCoeff(op) }
-
-// Pristine drains the machine to idle (program construction leaves a
-// few cores spuriously queued) and captures its just-built
-// architectural state. Rewinding to that capture with Reset before each
-// solve makes every solve start from the cold-machine state, so the
-// Listing 1 FIFO pipeline — whose accumulation order is
-// timing-dependent and therefore sensitive to leftover counters from a
-// previous solve — reproduces a fresh machine's bits exactly.
-func (b *BiCGStabWSE) Pristine() (*wse.Snapshot, error) {
-	if _, err := b.M.RunUntil(b.M.AllIdle, 1<<20); err != nil {
-		return nil, fmt.Errorf("kernels: draining machine for pristine capture: %w", err)
-	}
-	return b.M.Snapshot()
-}
-
-// Reset rewinds the machine to a Pristine capture (see Pristine).
-func (b *BiCGStabWSE) Reset(s *wse.Snapshot) error { return b.M.Restore(s) }
 
 // WSEStats reports a wafer solve, on one machine or a grid of them.
 type WSEStats struct {
@@ -164,31 +185,12 @@ type WSEStats struct {
 	MaxARDrift float64
 }
 
-// SolverStats is the solve outcome in the shape the solver.Backend
-// seam returns; the residual history is attached only on request.
-func (st WSEStats) SolverStats(recordHistory bool) solver.Stats {
-	out := solver.Stats{Iterations: st.Iterations, Converged: st.Converged, Breakdown: st.Breakdown}
-	if n := len(st.History); n > 0 {
-		out.FinalResidual = st.History[n-1]
-	}
-	if recordHistory {
-		out.History = st.History
-	}
-	return out
-}
-
 // WSEOptions controls the wafer solve: the one options struct of the
 // solver seam, read directly by the solve loop (no field is copied on
 // the way in). Of its fields the loop ignores RecordHistory —
 // WSEStats.History is always kept — and TrueResidual, which needs a
 // host-resident iterate; MaxIter 0 means 100.
 type WSEOptions = solver.Options
-
-// Solve runs BiCGStab for the right-hand side b (mesh-indexed, fp16) with
-// a zero initial guess and returns the solution with solve statistics.
-func (w *BiCGStabWSE) Solve(bvec []fp16.Float16, opts WSEOptions) ([]fp16.Float16, WSEStats, error) {
-	return w.eng.Solve(bvec, opts)
-}
 
 // SolutionResidual recomputes ‖b − A x‖/‖b‖ in float64 against the
 // original operator, for accuracy verification.
@@ -206,28 +208,27 @@ func SolutionResidual(op *stencil.Op7, x []fp16.Float16, b []float64) float64 {
 // bits (TestWarmSolverReuseBitIdentical). The right-hand side is
 // converted to fp16 unscaled.
 func NewWafer3DBackend(mach *wse.Machine) *WaferBackend {
-	var prog *BiCGStabWSE
-	var pristine *wse.Snapshot
-	return &WaferBackend{mach: mach, load: func(a stencil.Operator) (_ SolveFunc, err error) {
-		op, ok := a.(*stencil.Op7)
-		if !ok {
-			return nil, errCannotLower(a, "Listing 1")
-		}
-		half := stencil.NewOp7Half(op)
-		if prog != nil {
-			if err = prog.Reset(pristine); err == nil {
-				err = prog.LoadCoeff(half)
-			}
-			return prog.Solve, err
-		}
-		fresh, err := NewBiCGStabWSE(mach, half)
+	lower := func(op *stencil.Op7) (*stencil.Op7Half, error) { return stencil.NewOp7Half(op), nil }
+	return NewBackend("wse", false, mach.Close, lower, func(h *stencil.Op7Half) (rewinding, error) {
+		s, err := NewBiCGStabWSE(mach, h)
 		if err != nil {
-			return nil, err
+			return rewinding{}, err
 		}
-		if pristine, err = fresh.Pristine(); err != nil {
-			return nil, err
-		}
-		prog = fresh
-		return prog.Solve, nil
-	}}
+		pristine, err := s.Pristine()
+		return rewinding{s, pristine}, err
+	})
+}
+
+// rewinding is a Listing 1 solver whose every reload starts from its
+// pristine capture.
+type rewinding struct {
+	*BiCGStabWSE
+	pristine *wse.Snapshot
+}
+
+func (r rewinding) LoadCoeff(h *stencil.Op7Half) error {
+	if err := r.Reset(r.pristine); err != nil {
+		return err
+	}
+	return r.BiCGStabWSE.LoadCoeff(h)
 }

@@ -131,8 +131,8 @@ func TestBiCGStabWSECycleBreakdown(t *testing.T) {
 }
 
 func TestBiCGStabWSEZeroRHS(t *testing.T) {
-	w, _, _, _ := wseProblem(t, 2, 2, 4, 3)
-	b := make([]fp16.Float16, w.Mesh.N())
+	w, op, _, _ := wseProblem(t, 2, 2, 4, 3)
+	b := make([]fp16.Float16, op.M.N())
 	if _, _, err := w.Solve(b, WSEOptions{MaxIter: 2}); err == nil {
 		t.Error("zero rhs should be rejected")
 	}

@@ -79,7 +79,7 @@ func paperScaleSolve(t testing.TB, nx, ny, nz int, eng wse.Engine) (x []fp16.Flo
 	vec := m.Phases(wse.PhaseVector)
 	t.Logf("%d×%d %s: element steps: %d slice, %d walk; vector phases: %d jumped, %d stepped",
 		nx, ny, m.EngineName(), sliced, walked, vec.Jumped, vec.Stepped)
-	if r := s.prog.ExchangeReplay(); r != nil {
+	if r := s.prog.(*stencilc.Program3D).ExchangeReplay(); r != nil {
 		replay[0], replay[1], replay[2] = r.Stats()
 	}
 	return x, st, m.Fingerprint(), arRecord(m), replay, cost

@@ -151,7 +151,7 @@ func TestBackendSeam(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	be := &Backend{Grid: Topology{2, 1}}
+	be := NewBackend(Topology{2, 1})
 	if st := be.LastStats(); st.Iterations != 0 {
 		t.Error("LastStats reported a solve before any ran")
 	}
@@ -199,43 +199,68 @@ func TestBackendSeam(t *testing.T) {
 }
 
 // TestBackendStatsConcurrent hammers LastStats while two Solve calls run
-// on the same Backend: the mutex-guarded accessor must stay race-free
-// (the old exported LastStats pointer field was not) — this test exists
-// to fail under -race if that regresses.
+// on the same backend, for every simulated constructor: the
+// mutex-guarded accessor must stay race-free (the old exported
+// LastStats pointer field was not) — this test exists to fail under
+// -race if that regresses.
 func TestBackendStatsConcurrent(t *testing.T) {
 	_, norm, _, sb := testProblem(t, 4, 4, 8, 11)
-	x0 := make([]float64, len(sb))
-	opts := solver.Options{MaxIter: 4, RecordHistory: true}
-	be := &Backend{Grid: Topology{2, 1}}
-
-	done := make(chan struct{})
-	go func() {
-		for {
-			select {
-			case <-done:
-				return
-			default:
-				if st := be.LastStats(); st.Wafers != 0 && st.Iterations == 0 {
-					t.Error("LastStats returned a populated-but-empty account")
-					return
-				}
-			}
-		}
-	}()
-	var wg sync.WaitGroup
-	for k := 0; k < 2; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, _, err := be.Solve(norm, sb, x0, opts); err != nil {
-				t.Error(err)
-			}
-		}()
+	m2 := stencil.Mesh2D{NX: 8, NY: 8}
+	norm9, _ := stencil.Poisson9(m2, 1).Normalize9()
+	b9 := make([]float64, m2.NX*m2.NY)
+	for i := range b9 {
+		b9[i] = float64(1 + i%5)
 	}
-	wg.Wait()
-	close(done)
-	if st := be.LastStats(); st.Iterations == 0 {
-		t.Errorf("LastStats not populated after concurrent solves: %+v", st)
+	machine := func() *wse.Machine { return wse.New(wse.CS1(4, 4)) }
+	for _, tc := range []struct {
+		name  string
+		build func() *kernels.WaferBackend
+		a     stencil.Operator
+		b     []float64
+	}{
+		{"listing1", func() *kernels.WaferBackend { return kernels.NewWafer3DBackend(machine()) }, norm, sb},
+		{"star", func() *kernels.WaferBackend {
+			return kernels.NewWaferStarBackend(machine(), stencilc.Spec7Point())
+		}, stencil.FromOp7(norm), sb},
+		{"2d", func() *kernels.WaferBackend { return kernels.NewWafer2DBackend(machine(), 2) }, norm9, b9},
+		{"multiwafer/2x1", func() *kernels.WaferBackend { return NewBackend(Topology{2, 1}) }, norm, sb},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			x0 := make([]float64, len(tc.b))
+			opts := solver.Options{MaxIter: 4, RecordHistory: true}
+			be := tc.build()
+			defer be.Close()
+
+			done := make(chan struct{})
+			go func() {
+				for {
+					select {
+					case <-done:
+						return
+					default:
+						if st := be.LastStats(); st.Wafers != 0 && st.Iterations == 0 {
+							t.Error("LastStats returned a populated-but-empty account")
+							return
+						}
+					}
+				}
+			}()
+			var wg sync.WaitGroup
+			for k := 0; k < 2; k++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if _, _, err := be.Solve(tc.a, tc.b, x0, opts); err != nil {
+						t.Error(err)
+					}
+				}()
+			}
+			wg.Wait()
+			close(done)
+			if st := be.LastStats(); st.Iterations == 0 {
+				t.Errorf("LastStats not populated after concurrent solves: %+v", st)
+			}
+		})
 	}
 }
 

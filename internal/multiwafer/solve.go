@@ -24,7 +24,8 @@ func (c *Cluster) secondsToCycles(sec float64) int64 {
 // residual history the determinism contract covers. The recurrence is
 // kernels.BiCGStabEngine's; the cluster is its substrate (see
 // substrate). Checkpoint/resume options are honoured on a 1×1 grid and
-// refused on a larger one.
+// refused on a larger one; the solver.Backend over a cluster
+// (NewBackend) refuses them on every grid.
 func (c *Cluster) Solve(bvec []fp16.Float16, opts kernels.WSEOptions) ([]fp16.Float16, Stats, error) {
 	return c.eng.Solve(bvec, opts)
 }

@@ -30,9 +30,10 @@ import "fmt"
 // column-halo program on a W×H fabric placed in a MeshX×MeshY×Z global
 // mesh with fabric tile (0, 0) at global column (X0, Y0). Zero mesh
 // extents mean the fabric is the mesh (the single-wafer configuration
-// kernels.NewWaferStarBackend builds); a multiwafer grid places each
-// wafer's sub-extent. The exchange schedule depends on the fabric alone;
-// the placement decides which lateral compute terms a tile runs.
+// of kernels.BiCGStabStarWSE, the star wafer solver); a multiwafer
+// grid places each wafer's sub-extent. The exchange schedule depends on
+// the fabric alone; the placement decides which lateral compute terms a
+// tile runs.
 type StencilApply3D struct {
 	W, H, Z int
 	Widths  [3]int

@@ -5,8 +5,8 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/kernels"
 	"repro/internal/multiwafer"
-	"repro/internal/solver"
 )
 
 // machineKey identifies a reusable simulated machine: everything that
@@ -19,25 +19,18 @@ type machineKey struct {
 	grid                multiwafer.Topology // multiwafer only
 }
 
-// warmBackend is one pooled simulated backend: a solver.Backend that
-// holds its built machines between solves and releases them on Close
-// (kernels.WaferBackend, multiwafer.Backend). What a warm solve must
-// do to reproduce a cold machine's bits — the Listing 1 pipeline
-// rewinds to its pristine capture, the cluster only reloads
-// coefficients — is the backend's own business.
-type warmBackend interface {
-	solver.Backend
-	Close()
-}
-
-// machineCache pools warm machines across jobs. Building a machine —
-// routing tables, task programs, memory layout — dominates small-job
-// latency; a cache hit reduces per-job setup to a snapshot restore plus
-// a coefficient rewrite. Checked-out machines are not tracked: the
-// caller must return them with put.
+// machineCache pools warm machines across jobs, each held by its
+// simulated backend (a kernels.WaferBackend, one wafer or a grid),
+// which keeps its built machines between solves and releases them on
+// Close. Building a machine — routing tables, task programs, memory
+// layout — dominates small-job latency; a cache hit reduces per-job
+// setup to a coefficient rewrite (after a snapshot restore on the
+// Listing 1 pipeline, which rewinds to reproduce a cold machine's
+// bits). Checked-out machines are not tracked: the caller must return
+// them with put.
 type machineCache struct {
 	mu      sync.Mutex
-	idle    map[machineKey][]warmBackend
+	idle    map[machineKey][]*kernels.WaferBackend
 	idleN   int
 	maxIdle int
 	closed  bool
@@ -49,12 +42,12 @@ func newMachineCache(maxIdle int) *machineCache {
 	if maxIdle <= 0 {
 		maxIdle = 8
 	}
-	return &machineCache{idle: make(map[machineKey][]warmBackend), maxIdle: maxIdle}
+	return &machineCache{idle: make(map[machineKey][]*kernels.WaferBackend), maxIdle: maxIdle}
 }
 
 // checkout pops an idle backend for the key (a hit), or returns nil (a
 // miss) — the caller builds cold and puts the backend back afterwards.
-func (c *machineCache) checkout(key machineKey) warmBackend {
+func (c *machineCache) checkout(key machineKey) *kernels.WaferBackend {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	list := c.idle[key]
@@ -71,7 +64,7 @@ func (c *machineCache) checkout(key machineKey) warmBackend {
 
 // put returns a backend to the pool, closing it instead if the pool is
 // full or the cache is closed.
-func (c *machineCache) put(key machineKey, w warmBackend) {
+func (c *machineCache) put(key machineKey, w *kernels.WaferBackend) {
 	c.mu.Lock()
 	if c.closed || c.idleN >= c.maxIdle {
 		c.mu.Unlock()
@@ -94,7 +87,7 @@ func (c *machineCache) close() {
 	c.mu.Lock()
 	c.closed = true
 	lists := c.idle
-	c.idle = make(map[machineKey][]warmBackend)
+	c.idle = make(map[machineKey][]*kernels.WaferBackend)
 	c.idleN = 0
 	c.mu.Unlock()
 	for _, list := range lists {

@@ -5,6 +5,7 @@ import (
 	"errors"
 
 	"repro/internal/core"
+	"repro/internal/kernels"
 	"repro/internal/multiwafer"
 	"repro/internal/solver"
 )
@@ -45,7 +46,7 @@ func (s *Server) runSolve(ctx context.Context, p core.Problem, o core.Options, p
 		if err != nil {
 			return core.Result{}, err
 		}
-		be = fresh.(warmBackend)
+		be = fresh.(*kernels.WaferBackend)
 	}
 	res, err := core.SolveOn(ctx, be, p.Op, p.B, o, progress)
 	if err != nil && ctx.Err() == nil && !errors.Is(err, errSuspended) {

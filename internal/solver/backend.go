@@ -10,11 +10,11 @@ import (
 // Backend solves A·x = b for a unit-diagonal stencil operator — the
 // one seam every execution substrate plugs into, whatever the stencil's
 // shape. Host below runs the generic BiCGStab in a precision context
-// in-process; internal/kernels' wafer adapters run the same algorithm
-// on one cycle-simulated wafer (Listing 1 for the 7-point operator,
-// the §IV-2 block-halo program for the 2D 9-point, a stencil-compiled
-// program for any star), and internal/multiwafer.Backend on a grid of
-// them. core's solve pipeline, the SIMPLE solver of internal/mfix and
+// in-process; internal/kernels.WaferBackend runs the same algorithm on
+// cycle-simulated wafers — one (Listing 1 for the 7-point operator, the
+// §IV-2 block-halo program for the 2D 9-point, a stencil-compiled
+// program for any star) or a grid of them (multiwafer.NewBackend).
+// core's solve pipeline, the SIMPLE solver of internal/mfix and
 // the daemon's warm cache are all written against this interface, so
 // adding an execution substrate means implementing it (see
 // docs/ARCHITECTURE.md, "A new execution backend").

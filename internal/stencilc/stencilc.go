@@ -147,7 +147,8 @@ type Spec struct {
 // Named specs for the kernels the repository ships.
 
 // Spec9Point is the 2D 9-point box stencil — the block-halo SpMV of the
-// paper's §IV-2 sketch (kernels.BiCGStab2DWSE's SpMV).
+// paper's §IV-2 sketch (the SpMV of kernels.BiCGStab2DWSE, the 2D
+// block-halo wafer solver).
 func Spec9Point() Spec { return Spec{Dim: 2, Points: Box, Widths: [3]int{1, 1, 0}} }
 
 // Spec5Point is the 2D 5-point star stencil — the heat-equation step's
