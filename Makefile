@@ -22,9 +22,12 @@ test:
 race:
 	$(GO) test -race ./...
 
+# benchmark/ is a module of its own that compiles against internal/kernels
+# and internal/core, so check builds and tests it too.
 check: build
 	$(GO) vet ./...
 	$(GO) test ./...
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 lint:
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
