@@ -183,10 +183,10 @@ type ClusterOptions struct {
 type MultiWaferOptions struct {
 	// Grid is the wafer grid; the zero value means a single wafer.
 	Grid multiwafer.Topology
-	// Workers is validated and otherwise unread: unlike
-	// WaferOptions.Workers it selects no engine, since every wafer runs
-	// the fast-forward engine (its SpMVs timed by the exact exchange
-	// replay), which steps on one goroutine.
+	// Workers is multiwafer.Config.Workers, which NewBackend leaves
+	// unset: unlike WaferOptions.Workers it selects no engine, since
+	// every wafer runs the fast-forward engine (its SpMVs timed by the
+	// exact exchange replay), which steps on one goroutine.
 	Workers int
 }
 

@@ -20,8 +20,9 @@ import (
 // daemon's machine-cache contract. An operator of another kind, or of
 // another mesh, is refused and leaves the backend usable. Solve,
 // LastStats and Close take one lock, so a backend is safe for
-// concurrent use: solves on its machines serialise. Close releases the
-// machines.
+// concurrent use: solves on its machines serialise. Solve holds the
+// lock for the whole solve, so a Progress or Checkpoint callback must
+// not call back into the backend. Close releases the machines.
 type WaferBackend struct {
 	name     string
 	prescale bool
@@ -32,7 +33,7 @@ type WaferBackend struct {
 
 	mu sync.Mutex
 	// Cumulative instrumentation across solves, for cycles/meshpoint
-	// reporting.
+	// reporting; read it while no Solve runs.
 	Solves     int
 	Iterations int
 	Cycles     PhaseCycles
@@ -61,20 +62,19 @@ func NewBackend[A stencil.Operator, H any, S coeffSolver[H]](name string, presca
 		run: func(a stencil.Operator, b []fp16.Float16, opts WSEOptions) ([]fp16.Float16, WSEStats, error) {
 			op, ok := a.(A)
 			if !ok {
-				return nil, WSEStats{}, fmt.Errorf("kernels: the %s backend cannot run a %T system", name, a)
+				return nil, WSEStats{}, fmt.Errorf("kernels: the %s backend runs %T systems, not %T", name, op, a)
 			}
 			h, err := lower(op)
-			switch {
-			case err != nil:
-			case built == nil:
-				var s S
-				if s, err = build(h); err == nil {
-					built = s
-				}
-			default:
-				err = built.LoadCoeff(h)
-			}
 			if err != nil {
+				return nil, WSEStats{}, err
+			}
+			if built == nil {
+				s, err := build(h)
+				if err != nil {
+					return nil, WSEStats{}, err
+				}
+				built = s
+			} else if err := built.LoadCoeff(h); err != nil {
 				return nil, WSEStats{}, err
 			}
 			return built.Solve(b, opts)
