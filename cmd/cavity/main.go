@@ -124,8 +124,8 @@ func main() {
 		// long-lived host would park pool goroutines until GC.
 		defer wafer.Close()
 		c.Pressure = wafer
-		fmt.Printf("pressure solve on simulated %d×%d fabric (%s engine), %s\n",
-			mcfg.FabricW, mcfg.FabricH, mach.Fab.StepperName(), mapping)
+		fmt.Printf("pressure solve on simulated %d×%d fabric (%s engine, %d-shard fabric), %s\n",
+			mcfg.FabricW, mcfg.FabricH, mach.EngineName(), len(mach.Fab.ShardRanges()), mapping)
 	}
 
 	res, err := c.Run(iters)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -40,7 +41,7 @@ func TestCavity2DFabric128(t *testing.T) {
 	t.Logf("measured %.4f cycles/meshpoint per solver iteration (allreduce %d of %d cycles)",
 		seq.CyclesPerPoint(), seq.Cycles.AllReduce, seq.Cycles.Total())
 
-	if seq.Engine != "seq" || shd.Engine == "seq" {
+	if strings.HasPrefix(seq.Engine, "sharded-") || !strings.HasPrefix(shd.Engine, "sharded-") {
 		t.Fatalf("engine selection wrong: %q vs %q", seq.Engine, shd.Engine)
 	}
 	compareCavityRuns(t, seq, shd)

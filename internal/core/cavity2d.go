@@ -17,9 +17,8 @@ import (
 // block-halo mapping.
 type Cavity2DRun struct {
 	N int // cells per side
-	// Engine is the fabric stepper's name (Fabric.StepperName): "seq"
-	// for a one-goroutine fabric, whichever core-stepping engine ran on
-	// it, or the sharded stepper's name.
+	// Engine is the machine's engine and shard count (engineLabel),
+	// e.g. "fastforward/1" or "sharded-4/4".
 	Engine string
 	Re     float64
 
@@ -40,6 +39,12 @@ func (r Cavity2DRun) CyclesPerPoint() float64 {
 		return 0
 	}
 	return float64(r.Cycles.Total()) / float64(r.SolverIters) / float64(r.N*r.N)
+}
+
+// engineLabel names what stepped mach: its resolved engine
+// (wse.Machine.EngineName) and the fabric's shard count, "engine/shards".
+func engineLabel(mach *wse.Machine) string {
+	return fmt.Sprintf("%s/%d", mach.EngineName(), len(mach.Fab.ShardRanges()))
 }
 
 // Cavity2DWSE runs the lid-driven cavity with the wafer pressure
@@ -71,7 +76,7 @@ func Cavity2DWSE(n, b, workers, simpleIters int, re float64) (Cavity2DRun, error
 	}
 	return Cavity2DRun{
 		N:                 n,
-		Engine:            mach.Fab.StepperName(),
+		Engine:            engineLabel(mach),
 		Re:                re,
 		Residuals:         res,
 		PressureResiduals: c.PressureResiduals,

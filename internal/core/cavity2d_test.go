@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -19,7 +20,7 @@ func TestCavity2DWSESmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq.Engine != "seq" || shd.Engine == "seq" {
+	if strings.HasPrefix(seq.Engine, "sharded-") || !strings.HasPrefix(shd.Engine, "sharded-") {
 		t.Fatalf("engine selection wrong: %q vs %q", seq.Engine, shd.Engine)
 	}
 	compareCavityRuns(t, seq, shd)

@@ -116,9 +116,8 @@ func ramp(n int) []float64 {
 // on the full 602×595 paper fabric.
 type PaperAllReduceResult struct {
 	W, H int
-	// Engine is the fabric stepper's name (Fabric.StepperName): "seq"
-	// for a one-goroutine fabric, whichever core-stepping engine ran on
-	// it, or the sharded stepper's name.
+	// Engine is the machine's engine and shard count (engineLabel),
+	// e.g. "fastforward/1" or "sharded-8/8".
 	Engine      string
 	Cycles      int64   // simulated latency, start to last delivery
 	Sum         float32 // broadcast sum (bit-exact comparable)
@@ -165,7 +164,7 @@ func PaperAllReduce(workers int) (PaperAllReduceResult, error) {
 	}
 	return PaperAllReduceResult{
 		W: w, H: h,
-		Engine:      mach.Fab.StepperName(),
+		Engine:      engineLabel(mach),
 		Cycles:      res.Cycles,
 		Sum:         res.Sum,
 		Fingerprint: mach.Fab.Fingerprint(),

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/perfmodel"
@@ -36,7 +37,7 @@ func TestPaperScaleAllReduce(t *testing.T) {
 	t.Logf("seq: %d cycles (%.2f µs), sum %g, fp %#x", seq.Cycles, seq.Microseconds(), seq.Sum, seq.Fingerprint)
 	t.Logf("%s: %d cycles (%.2f µs), sum %g, fp %#x", shd.Engine, shd.Cycles, shd.Microseconds(), shd.Sum, shd.Fingerprint)
 
-	if seq.Engine != "seq" || shd.Engine == "seq" {
+	if strings.HasPrefix(seq.Engine, "sharded-") || !strings.HasPrefix(shd.Engine, "sharded-") {
 		t.Fatalf("engine selection wrong: %q vs %q", seq.Engine, shd.Engine)
 	}
 	if seq.Cycles != shd.Cycles {
