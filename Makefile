@@ -11,7 +11,7 @@ SHELL := /bin/bash
 # so benchgate can take a stable median.
 BENCH_FLAGS := -short -run '^$$' -bench . -benchtime 3x -count 6
 
-.PHONY: build test race check lint loc bench bench-baseline bench-gate fuzz profile
+.PHONY: build test race race-repeat check lint loc bench bench-baseline bench-gate fuzz profile
 
 build:
 	$(GO) build ./...
@@ -22,9 +22,15 @@ test:
 race:
 	$(GO) test -race ./...
 
+# ci.yml's repeated race step: the fabric's shard handoff and the
+# fast-forward overlap that shares it, ten passes each.
+race-repeat:
+	$(GO) test -race -count=10 -run 'TestHandoff|TestConcurrentFabricsMatchSerial|TestPool' ./internal/fabric
+	$(GO) test -race -count=10 -run 'TestFastForwardOverBudgetMatchesSequential|TestFastForwardConcurrentMachines|TestFastForwardCloseBetweenApplications|TestFastForwardHelperReclaimedWithoutClose|TestRunAllocatesNothing' ./internal/stencilc
+
 # benchmark/ is a module of its own that compiles against internal/kernels
 # and internal/core, so check builds and tests it too.
-check: build
+check: build race-repeat
 	$(GO) vet ./...
 	$(GO) test ./...
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...

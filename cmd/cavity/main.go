@@ -120,8 +120,8 @@ func main() {
 		} else {
 			wafer = kernels.NewWafer2DBackend(mach, cfg.block)
 		}
-		// Close releases the sharded engine's worker pool; without it a
-		// long-lived host would park pool goroutines until GC.
+		// Close stops the fabric's helper goroutines; without it a
+		// long-lived host would park them until GC.
 		defer wafer.Close()
 		c.Pressure = wafer
 		fmt.Printf("pressure solve on simulated %d×%d fabric (%s engine, %d-shard fabric), %s\n",

@@ -43,7 +43,7 @@ func main() {
 	// BiCGStab iteration cycle-stepped through the 2D block-halo SpMV.
 	// cmd/cavity -backend=wse runs the same path at the 128×128 fabric.
 	wafer := kernels.NewWafer2DBackend(wse.New(wse.CS1(8, 8)), 2)
-	defer wafer.Close() // release the engine's worker pool
+	defer wafer.Close() // stop the fabric's helper goroutines
 	c2 := mfix.NewCavity2D(16, 100)
 	c2.Pressure = wafer
 	res2, err := c2.Run(10)

@@ -56,8 +56,8 @@ func engineLabel(mach *wse.Machine) string {
 // workers > 1 the sharded engine cycle-simulates every phase. The
 // result — residuals, pressure histories, machine fingerprint — is
 // bit-identical across engines (the equivalence tests compare them).
-// The machine is closed before returning, so no pool goroutines outlive
-// the call.
+// The machine is closed before returning, so no helper goroutines
+// outlive the call.
 func Cavity2DWSE(n, b, workers, simpleIters int, re float64) (Cavity2DRun, error) {
 	if b <= 0 || n%b != 0 {
 		return Cavity2DRun{}, fmt.Errorf("core: mesh %d does not tile into %d×%d blocks", n, b, b)

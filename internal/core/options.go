@@ -157,10 +157,11 @@ type WaferOptions struct {
 	Resume          []byte
 }
 
-// Shards is the worker pool the wafer machine is built with: Workers
-// when it asks for sharded stepping (> 1), otherwise 0. Workers 0 and 1
-// build the same one-goroutine machine, so callers that key machines
-// (the daemon's warm cache) key on Shards, not on Workers.
+// Shards is the Workers the wafer machine is built with: Workers when
+// it asks for sharded stepping (> 1), otherwise 0. Workers 0 and 1
+// build the same machine (fast-forward on one shard per P), so callers
+// that key machines (the daemon's warm cache) key on Shards, not on
+// Workers.
 func (w WaferOptions) Shards() int {
 	if w.Workers > 1 {
 		return w.Workers

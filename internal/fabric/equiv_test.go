@@ -93,11 +93,10 @@ func TestShardedMatchesSequential(t *testing.T) {
 		t.Run(fmt.Sprintf("%dx%d-w%d", tc.w, tc.h, tc.workers), func(t *testing.T) {
 			t.Parallel()
 			seq := trafficFabric(tc.w, tc.h, Sequential())
-			st := Sharded(tc.workers)
+			par := trafficFabric(tc.w, tc.h, Sharded(tc.workers))
 			// Small fabrics would otherwise always take the quiet-cycle
 			// inline fallback; force the concurrent path under test.
-			st.(*engine).forceParallel = true
-			par := trafficFabric(tc.w, tc.h, st)
+			ForceParallel(par)
 			rngA := rand.New(rand.NewSource(42))
 			rngB := rand.New(rand.NewSource(42))
 			cycles := 400
@@ -127,9 +126,8 @@ func TestShardedMatchesSequential(t *testing.T) {
 // quiescence, not just under continuous injection.
 func TestShardedDrain(t *testing.T) {
 	seq := trafficFabric(16, 16, Sequential())
-	st := Sharded(8)
-	st.(*engine).forceParallel = true
-	par := trafficFabric(16, 16, st)
+	par := trafficFabric(16, 16, Sharded(8))
+	ForceParallel(par)
 	rngA := rand.New(rand.NewSource(7))
 	rngB := rand.New(rand.NewSource(7))
 	for cyc := 0; cyc < 64; cyc++ {

@@ -20,9 +20,10 @@
 //
 // A Fabric is advanced by a Stepper (see stepper.go): Sequential steps
 // every router on one goroutine, Sharded(workers) partitions the tile
-// grid into contiguous shards stepped concurrently with a two-phase
-// claim/commit barrier per cycle, on a persistent worker pool (pool.go)
-// that parks between cycles. The two engines are bit-identical — same
+// grid into contiguous shards and runs each cycle as two jobs, claim
+// then commit, whose shards the calling goroutine shares with helper
+// goroutines through a help-first handoff (handoff.go). The two engines
+// are bit-identical — same
 // queue contents, same occupancies, same Moves counter, cycle for cycle
 // — because a cycle's routing decisions depend only on pre-cycle state
 // and each queue is touched by exactly one shard during commit. Host
@@ -315,22 +316,29 @@ func New(cfg Config) *Fabric {
 // StepperName reports the name of the bound stepping engine.
 func (f *Fabric) StepperName() string { return f.stepper.Name() }
 
-// Close releases the stepping engine's persistent worker pool, if one
-// was started. It is idempotent and safe on any engine (Sequential's is
-// a no-op); it must not be called concurrently with Step. The fabric
-// remains fully usable afterwards — cycles simply step inline. A fabric
-// that is never Closed does not leak: a runtime cleanup stops the pool
-// when the fabric becomes unreachable (the parked workers hold no
-// reference to the fabric, so they do not pin it).
+// Close stops the stepping engine's helper goroutines, if any started.
+// It is idempotent and safe on any engine (Sequential's is a no-op); it
+// must not be called concurrently with Step. The fabric remains fully
+// usable afterwards — cycles simply step inline. A fabric that is never
+// Closed does not leak: a runtime cleanup stops the helpers when the
+// fabric becomes unreachable (idle helpers hold no reference to the
+// fabric, so they do not pin it).
 func (f *Fabric) Close() { f.stepper.Close() }
 
 // RunSharded runs fn over every engine shard's [lo, hi) tile range, on
-// the engine's worker pool when it is profitable (sharded engine on a
-// multi-core host) and inline otherwise. Callers that step per-tile
-// actors each cycle (wse.Machine) use this so core stepping rides the
-// same persistent pool — and the same tile partition — as the fabric,
-// keeping all tile-local fabric access shard-owned.
-func (f *Fabric) RunSharded(fn func(lo, hi int)) { f.stepper.runShards(fn) }
+// the engine's helpers when the least-loaded shard has at least
+// parallelHotPerShard of work (the caller's count, e.g. runnable cores)
+// and inline otherwise. Callers that step per-tile actors each cycle
+// (wse.Machine) use this so core stepping rides the same helpers — and
+// the same tile partition — as the fabric, keeping all tile-local
+// fabric access shard-owned.
+func (f *Fabric) RunSharded(work int, fn func(lo, hi int)) { f.stepper.runShards(work, fn) }
+
+// RunPair runs a and b, which must touch disjoint state, and returns
+// once both have finished: the caller runs a, and b too unless a helper
+// of a multi-shard engine takes it first. On a one-shard or closed
+// engine both run inline, a first.
+func (f *Fabric) RunPair(a, b func()) { f.stepper.runPair(a, b) }
 
 // ShardRanges returns the engine's tile partition as [lo, hi) index
 // ranges. Callers that step per-tile actors concurrently (wse.Machine)

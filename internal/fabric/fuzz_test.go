@@ -70,9 +70,8 @@ func FuzzRouterDelivery(f *testing.F) {
 
 		seq := New(Config{W: w, H: h})
 		build(seq)
-		st := Sharded(rng.Intn(6) + 2)
-		st.(*engine).forceParallel = true
-		par := New(Config{W: w, H: h, Stepper: st})
+		par := New(Config{W: w, H: h, Stepper: Sharded(rng.Intn(6) + 2)})
+		ForceParallel(par)
 		defer par.Close()
 		build(par)
 

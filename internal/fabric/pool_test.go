@@ -17,23 +17,23 @@ import (
 func TestPoolCloseIdempotentAndInlineAfter(t *testing.T) {
 	seq := trafficFabric(12, 12, Sequential())
 	st := Sharded(4)
-	st.(*engine).forceParallel = true
 	par := trafficFabric(12, 12, st)
+	ForceParallel(par)
 	rngA := rand.New(rand.NewSource(11))
 	rngB := rand.New(rand.NewSource(11))
 	for cyc := 0; cyc < 60; cyc++ {
 		driveCycle(seq, rngA)
 		driveCycle(par, rngB)
 	}
-	if st.(*engine).pool == nil {
-		t.Fatal("forced parallel stepping did not start a worker pool")
+	if st.(*engine).ho == nil {
+		t.Fatal("forced parallel stepping did not start the handoff")
 	}
 	par.Close()
 	par.Close() // idempotent via the fabric
 	st.Close()  // and via the stepper
 	par.Close() // and again
-	if st.(*engine).pool != nil {
-		t.Fatal("Close left the pool attached")
+	if st.(*engine).ho != nil {
+		t.Fatal("Close left the handoff attached")
 	}
 	for cyc := 0; cyc < 60; cyc++ {
 		driveCycle(seq, rngA)
@@ -66,23 +66,28 @@ func settledGoroutines() int {
 }
 
 // TestPoolGoroutinesReleasedOnClose pins the lifecycle guarantee that
-// motivated the Close/finalizer design: after Close, the worker
-// goroutines exit and the count returns to its pre-pool baseline.
+// motivated the Close/cleanup design: after Close, the helper
+// goroutines exit and the count returns to its pre-handoff baseline. A
+// forced six-shard engine runs one helper per shard beyond the first.
 func TestPoolGoroutinesReleasedOnClose(t *testing.T) {
 	const workers = 6
 	base := settledGoroutines()
 	st := Sharded(workers)
-	st.(*engine).forceParallel = true
 	f := trafficFabric(10, 10, st)
+	ForceParallel(f)
+	helpers := st.(*engine).helpers
+	if helpers != workers-1 {
+		t.Fatalf("forced %d-shard engine has %d helpers, want %d", workers, helpers, workers-1)
+	}
 	rng := rand.New(rand.NewSource(5))
 	for cyc := 0; cyc < 30; cyc++ {
 		driveCycle(f, rng)
 	}
-	if g := runtime.NumGoroutine(); g < base+workers {
-		t.Fatalf("pool not running: %d goroutines, baseline %d, want >= %d", g, base, base+workers)
+	if g := runtime.NumGoroutine(); g < base+helpers {
+		t.Fatalf("helpers not running: %d goroutines, baseline %d, want >= %d", g, base, base+helpers)
 	}
 	f.Close()
-	// Workers exit as soon as they observe the closed wake channel; give
+	// Helpers exit as soon as they observe the closed quit channel; give
 	// the scheduler a generous window, with slack for unrelated runtime
 	// goroutines.
 	deadline := time.Now().Add(5 * time.Second)
@@ -96,25 +101,24 @@ func TestPoolGoroutinesReleasedOnClose(t *testing.T) {
 	}
 }
 
-// buildAbandonedPool starts a pool and drops every reference to the
+// buildAbandonedPool starts a handoff and drops every reference to the
 // fabric and stepper. Kept noinline so no stack slot in the caller can
 // keep the fabric reachable.
 //
 //go:noinline
 func buildAbandonedPool(workers int) {
-	st := Sharded(workers)
-	st.(*engine).forceParallel = true
-	f := trafficFabric(10, 10, st)
+	f := trafficFabric(10, 10, Sharded(workers))
+	ForceParallel(f)
 	rng := rand.New(rand.NewSource(6))
 	for cyc := 0; cyc < 10; cyc++ {
 		driveCycle(f, rng)
 	}
 }
 
-// TestPoolReclaimedWithoutClose pins the "pool must not pin the Fabric"
-// half of the design: a fabric that is dropped without Close becomes
-// unreachable (parked workers hold no reference to it), its runtime
-// cleanup fires, and the worker goroutines exit on their own.
+// TestPoolReclaimedWithoutClose pins the "handoff must not pin the
+// Fabric" half of the design: a fabric that is dropped without Close
+// becomes unreachable (idle helpers hold no reference to it), its
+// runtime cleanup fires, and the helper goroutines exit on their own.
 func TestPoolReclaimedWithoutClose(t *testing.T) {
 	base := settledGoroutines()
 	buildAbandonedPool(6)
@@ -126,21 +130,21 @@ func TestPoolReclaimedWithoutClose(t *testing.T) {
 		got = runtime.NumGoroutine()
 	}
 	if got > base+1 {
-		t.Fatalf("abandoned pool was not reclaimed: %d goroutines, baseline %d — the pool is pinning the fabric", got, base)
+		t.Fatalf("abandoned handoff was not reclaimed: %d goroutines, baseline %d — the handoff is pinning the fabric", got, base)
 	}
 }
 
-// TestPoolServesCoreStepping checks RunSharded: the same pool (same
-// tile partition) that steps the routers serves per-tile callbacks, and
+// TestPoolServesCoreStepping checks RunSharded: the same helpers (same
+// tile partition) that step the routers serve per-tile callbacks, and
 // every shard range is visited exactly once per call.
 func TestPoolServesCoreStepping(t *testing.T) {
-	st := Sharded(4)
-	f := New(Config{W: 8, H: 8, Stepper: st})
+	f := New(Config{W: 8, H: 8, Stepper: Sharded(4)})
 	defer f.Close()
+	ForceParallel(f)
 	counts := make([]int, 64)
 	var mu sync.Mutex
 	for round := 0; round < 3; round++ {
-		f.RunSharded(func(lo, hi int) {
+		f.RunSharded(0, func(lo, hi int) {
 			mu.Lock()
 			for ti := lo; ti < hi; ti++ {
 				counts[ti]++

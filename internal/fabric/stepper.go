@@ -7,10 +7,10 @@ import (
 )
 
 // Stepper is the engine that advances a Fabric by one cycle. Two
-// implementations exist: Sequential steps every router on the calling
-// goroutine; Sharded partitions the tile grid into contiguous shards and
-// steps them on a persistent worker pool with a two-phase
-// (claim-then-commit) barrier per cycle.
+// constructors exist: Sequential steps every router on the calling
+// goroutine; Sharded partitions the tile grid into contiguous shards
+// whose cycles run as two jobs, claim then commit, handed to helper
+// goroutines through a help-first handoff (handoff.go).
 //
 // Determinism contract: both engines produce bit-identical architectural
 // state, cycle for cycle — the same router queue contents and
@@ -28,7 +28,7 @@ import (
 type Stepper interface {
 	// Name identifies the engine, e.g. for benchmark sub-names.
 	Name() string
-	// Close releases the engine's worker pool, if one is running. It is
+	// Close stops the engine's helper goroutines, if any started. It is
 	// idempotent, a no-op for Sequential, and must not be called
 	// concurrently with stepping. The engine stays usable afterwards:
 	// subsequent cycles step inline.
@@ -37,7 +37,8 @@ type Stepper interface {
 	bind(f *Fabric)
 	step(f *Fabric)
 	shards() [][2]int
-	runShards(fn func(lo, hi int))
+	runShards(work int, fn func(lo, hi int))
+	runPair(a, b func())
 }
 
 // Sequential returns the single-goroutine stepping engine. It is the
@@ -45,13 +46,15 @@ type Stepper interface {
 func Sequential() Stepper { return &engine{workers: 1} }
 
 // Sharded returns a stepping engine that partitions the tile grid into
-// contiguous shards and steps them concurrently on a persistent worker
-// pool. The requested worker count is clamped by a documented rule:
-// workers <= 0 means "one per available CPU" (runtime.GOMAXPROCS(0) at
-// construction), and at bind time the count is capped at the fabric's
-// tile count (a shard must own at least one tile). Cycles with little
-// in-flight traffic fall back to inline stepping, so the sharded engine
-// is never pathologically slower than Sequential on a quiet fabric.
+// contiguous shards. The requested count is clamped by a documented
+// rule: workers <= 0 means one shard per P (runtime.GOMAXPROCS(0) at
+// construction), so one shard at GOMAXPROCS=1, and at bind time the
+// count is capped at the fabric's tile count (a shard must own at least
+// one tile). The engine starts min(shards, GOMAXPROCS) - 1 helper
+// goroutines on its first parallel cycle, none on a one-P host; a cycle
+// goes to them only when every shard has parallelHotPerShard of work,
+// so the sharded engine is never pathologically slower than Sequential
+// on a quiet fabric.
 func Sharded(workers int) Stepper {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -59,11 +62,22 @@ func Sharded(workers int) Stepper {
 	return &engine{workers: workers}
 }
 
-// parallelHotPerShard is the minimum average hot-tile count per shard
-// below which a cycle is stepped inline instead of on the worker pool
-// (the state evolution is identical either way; only wall-clock
-// differs).
-const parallelHotPerShard = 24
+// ForceParallel makes f's stepper hand every cycle, core step and
+// RunPair to the helpers, one per shard beyond the first, whatever the
+// host's P count, the load and the other stepping goroutines: a test
+// hook that drives the concurrent path on any host. A no-op on a
+// one-shard fabric. Call it before the first Step.
+func ForceParallel(f *Fabric) {
+	if e := f.stepper.(*engine); e.n > 1 {
+		e.helpers, e.limit, e.forced = e.n-1, 1<<30, true
+	}
+}
+
+// parallelHotPerShard is the work — hot tiles of a claim, runnable
+// cores of a core step — every shard must have for a job to go to the
+// helpers instead of running inline (the state evolution is identical
+// either way; only wall-clock differs).
+const parallelHotPerShard = 64
 
 // engine implements both steppers: Sequential is the one-shard special
 // case, which also makes the sequential path the trivially-correct
@@ -75,19 +89,29 @@ type engine struct {
 	bounds  []int // len n+1; shard s owns tiles [bounds[s], bounds[s+1])
 	sh      []shardState
 
-	// pool is the persistent worker set, started lazily on the first
-	// parallel cycle and stopped by Close or by the fabric's runtime
-	// cleanup. closed latches Close: later cycles step inline.
-	pool   *workerPool
+	// helpers is the helper count, min(n, GOMAXPROCS) - 1 at bind time:
+	// 0 steps every cycle inline. limit is the stepping goroutines a
+	// helper may join (GOMAXPROCS). forced (ForceParallel) sends every
+	// job to the helpers.
+	helpers, limit int
+	forced         bool
+
+	// ho is the handoff, started by the first parallel job and stopped
+	// by Close or by the fabric's runtime cleanup; closed latches Close,
+	// after which every job runs inline.
+	ho     *handoff
 	closed bool
+	// sess counts this engine's caller among the stepping goroutines;
+	// ticks spaces its refreshes.
+	sess  session
+	ticks uint32
 
-	// procs caches GOMAXPROCS at bind time; on a single-P runtime the
-	// worker pool cannot win, so every cycle steps inline.
-	procs int
-
-	// forceParallel disables the quiet-cycle and single-P inline
-	// fallbacks so tests can drive the concurrent path anywhere.
-	forceParallel bool
+	// The handoff's jobs, built once so a cycle allocates nothing:
+	// claim and commit phases, RunSharded over rangeFn, RunPair over
+	// pair.
+	claimJob, commitJob, rangeJob, pairJob func(s int)
+	rangeFn                                func(lo, hi int)
+	pair                                   [2]func()
 }
 
 // shardState is the per-shard staging area reused across cycles.
@@ -121,7 +145,6 @@ func (e *engine) bind(f *Fabric) {
 		panic("fabric: Stepper already bound to another Fabric")
 	}
 	e.f = f
-	e.procs = runtime.GOMAXPROCS(0)
 	tiles := f.W * f.H
 	n := e.workers
 	if n < 1 {
@@ -135,6 +158,9 @@ func (e *engine) bind(f *Fabric) {
 		n = 1<<16 - 1
 	}
 	e.n = n
+	e.limit = runtime.GOMAXPROCS(0)
+	e.helpers = min(n, e.limit) - 1
+	e.sess.slot = -1
 	e.bounds = make([]int, n+1)
 	for s := 0; s <= n; s++ {
 		e.bounds[s] = s * tiles / n
@@ -149,49 +175,57 @@ func (e *engine) bind(f *Fabric) {
 		}
 	}
 	f.hotLists = make([][]int, n)
+	e.claimJob, e.commitJob = e.claim, e.commit
+	e.rangeJob = func(s int) { e.rangeFn(e.bounds[s], e.bounds[s+1]) }
+	e.pairJob = func(i int) { e.pair[i]() }
 }
 
-// Close stops the persistent worker pool. Idempotent; the engine keeps
-// stepping correctly (inline) afterwards.
+// Close stops the helpers. Idempotent; the engine keeps stepping
+// correctly (inline) afterwards.
 func (e *engine) Close() {
 	e.closed = true
-	if e.pool != nil {
-		e.pool.close()
-		e.pool = nil
+	e.sess.end()
+	if e.ho != nil {
+		e.ho.close()
+		e.ho = nil
 	}
 }
 
-// ensurePool starts the worker pool on first use and arranges for it to
-// be closed when the fabric is garbage-collected without an explicit
-// Close. The cleanup closure captures only the pool — never the engine
-// or fabric — so registering it does not keep the fabric alive.
-func (e *engine) ensurePool() *workerPool {
-	if e.pool == nil {
-		e.pool = newWorkerPool(e.n)
-		runtime.AddCleanup(e.f, func(p *workerPool) { p.close() }, e.pool)
+// parallel reports whether a job whose least-loaded shard has work
+// units goes to the helpers, starting the handoff on first use, and
+// keeps the engine's session current every sixteenth job.
+func (e *engine) parallel(work int) bool {
+	if e.helpers == 0 || e.closed {
+		return false
 	}
-	return e.pool
+	par := e.forced || work >= parallelHotPerShard
+	if e.ticks++; e.ticks%16 == 1 {
+		e.sess.touch()
+	}
+	if par && e.ho == nil {
+		// The cleanup closure captures only the handoff — never the
+		// engine or fabric — so registering it does not keep the fabric
+		// alive.
+		e.ho = newHandoff(e.helpers, e.limit)
+		runtime.AddCleanup(e.f, func(h *handoff) { h.close() }, e.ho)
+	}
+	return par
 }
 
 func (e *engine) step(f *Fabric) {
-	if e.n == 1 {
-		e.claim(0)
-		e.commit(0)
+	hot := len(f.hotLists[0])
+	for s := 1; s < e.n; s++ {
+		hot = min(hot, len(f.hotLists[s]))
+	}
+	if e.parallel(hot) {
+		e.ho.run(&e.claimJob, e.n)
+		e.ho.run(&e.commitJob, e.n)
 	} else {
-		hot := 0
-		for s := range f.hotLists {
-			hot += len(f.hotLists[s])
+		for s := 0; s < e.n; s++ {
+			e.claim(s)
 		}
-		inline := hot < parallelHotPerShard*e.n || e.procs == 1
-		if e.closed || (inline && !e.forceParallel) {
-			for s := 0; s < e.n; s++ {
-				e.claim(s)
-			}
-			for s := 0; s < e.n; s++ {
-				e.commit(s)
-			}
-		} else {
-			e.stepParallel()
+		for s := 0; s < e.n; s++ {
+			e.commit(s)
 		}
 	}
 	for s := range e.sh {
@@ -200,29 +234,30 @@ func (e *engine) step(f *Fabric) {
 	}
 }
 
-// stepParallel runs one cycle on the worker pool: all shards claim, the
-// pool's reusable barrier establishes that every staged transfer is
-// visible, then all shards commit their own queues.
-func (e *engine) stepParallel() {
-	p := e.ensurePool()
-	p.run(func(s int) {
-		e.claim(s)
-		p.barrier()
-		e.commit(s)
-	})
-}
-
 // runShards implements Fabric.RunSharded: fn over every shard range, on
-// the pool when the engine is sharded and the host can exploit it.
-func (e *engine) runShards(fn func(lo, hi int)) {
-	if e.n == 1 || e.procs == 1 || e.closed {
+// the helpers when every shard has work units of it.
+func (e *engine) runShards(work int, fn func(lo, hi int)) {
+	if !e.parallel(work) {
 		for s := 0; s < e.n; s++ {
 			fn(e.bounds[s], e.bounds[s+1])
 		}
 		return
 	}
-	p := e.ensurePool()
-	p.run(func(s int) { fn(e.bounds[s], e.bounds[s+1]) })
+	e.rangeFn = fn
+	e.ho.run(&e.rangeJob, e.n)
+	e.rangeFn = nil
+}
+
+// runPair implements Fabric.RunPair.
+func (e *engine) runPair(a, b func()) {
+	if !e.parallel(parallelHotPerShard) {
+		a()
+		b()
+		return
+	}
+	e.pair = [2]func(){a, b}
+	e.ho.run(&e.pairJob, 2)
+	e.pair = [2]func(){}
 }
 
 // claim runs the claim phase for shard s: for every hot tile, try to

@@ -132,10 +132,10 @@ type Config struct {
 	Grid Topology
 	// Interconnect defaults to DefaultInterconnect when zero.
 	Interconnect Interconnect
-	// Workers is each machine's wse.Config.Workers. The fast-forward
-	// engine every wafer runs steps on one goroutine and ignores it: on a
-	// cluster its replayed SpMVs beat sharded cycle simulation even at
-	// Workers = nproc (docs/RESULTS.md).
+	// Workers is each machine's wse.Config.Workers. Every wafer runs the
+	// fast-forward engine (on a cluster its replayed SpMVs beat sharded
+	// cycle simulation even at Workers = nproc; docs/RESULTS.md), whose
+	// fabric has one shard per P, or Workers shards when > 1.
 	Workers int
 }
 
@@ -310,7 +310,7 @@ func (c *Cluster) locate(gx, gy int) (wi, ti int) {
 	panic(fmt.Sprintf("multiwafer: no wafer owns column (%d,%d)", gx, gy))
 }
 
-// Close releases every machine's simulation worker pool. Idempotent.
+// Close stops every machine's simulation helper goroutines. Idempotent.
 func (c *Cluster) Close() {
 	for _, wf := range c.wafers {
 		if wf.mach != nil {

@@ -29,9 +29,9 @@ import (
 //     stage lists perfmodel.StencilApply3D.Stages writes and the live
 //     fabric's entry layouts, rotation seeds and hot set.
 //
-// The two halves share no state, so they run at once: the replay on the
-// machine's helper goroutine (wse.Machine.Overlap), the memory loops on
-// the caller. Only once both finish is the replayed cycle count held to
+// The two halves share no state, so they run at once
+// (wse.Machine.Overlap): the replay on the caller, the memory loops on
+// a free helper of the machine's sharded fabric. Only once both finish is the replayed cycle count held to
 // Run's budget. An over-budget application therefore has already
 // advanced memory, and undoes it exactly before falling back to cycle
 // simulation: the exchange saved every halo column it overwrote and

@@ -273,9 +273,11 @@ func awaitGoroutines(want int) int {
 }
 
 // TestFastForwardCloseBetweenApplications closes a fast-forward machine
-// after its first jumped application: the helper goroutine exits, the
-// count returns to its baseline, and the later applications still jump
-// — the two halves inline — and end where a machine never closed ends.
+// after its first jumped application: the fabric's helpers — one per
+// shard beyond the first, up to GOMAXPROCS, which stepped its cycles
+// and took the overlapped half — exit, the count returns to its
+// baseline, and the later applications still jump — the two halves
+// inline — and end where a machine never closed ends.
 func TestFastForwardCloseBetweenApplications(t *testing.T) {
 	const apps = 3
 	c := ffCases()[1]
@@ -288,8 +290,9 @@ func TestFastForwardCloseBetweenApplications(t *testing.T) {
 		if app != 0 {
 			return
 		}
-		if g := runtime.NumGoroutine(); g != base+1 {
-			t.Errorf("after a jumped application: %d goroutines, baseline %d, want the helper's one more", g, base)
+		helpers := min(len(mach.Fab.ShardRanges()), runtime.GOMAXPROCS(0)) - 1
+		if g := runtime.NumGoroutine(); g != base+helpers {
+			t.Errorf("after a jumped application: %d goroutines, baseline %d, want the %d helpers more", g, base, helpers)
 		}
 		mach.Close()
 		if g := awaitGoroutines(base); g != base {

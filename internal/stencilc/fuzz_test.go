@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/fabric"
 	"repro/internal/fp16"
 	"repro/internal/perfmodel"
 	"repro/internal/stencil"
@@ -40,7 +41,8 @@ func FuzzStencilcEquivalence(f *testing.F) {
 }
 
 // runEngines compiles and runs a program under the sequential reference
-// interpreter, the fast-forward engine (which replays the exchange) and
+// interpreter, the fast-forward engine (which replays the exchange) on
+// its default shards and on three with the parallel path forced, and
 // the sharded engine, requiring identical cycles, and returns the
 // sequential cycle count. Each engine is named: EngineAuto with one
 // worker would be fast-forward, not the reference.
@@ -49,13 +51,16 @@ func runEngines(t *testing.T, workers int, build func(*wse.Machine) interface {
 }, fw, fh int) int64 {
 	t.Helper()
 	var cycles int64
-	for i, e := range []wse.Engine{wse.EngineSequential, wse.EngineFastForward, wse.EngineSharded} {
+	for i, leg := range []struct {
+		e       wse.Engine
+		workers int
+	}{{wse.EngineSequential, 0}, {wse.EngineFastForward, 0}, {wse.EngineFastForward, 3}, {wse.EngineSharded, workers}} {
 		cfg := wse.CS1(fw, fh)
-		cfg.Engine = e
-		if e == wse.EngineSharded {
-			cfg.Workers = workers
-		}
+		cfg.Engine, cfg.Workers = leg.e, leg.workers
 		mach := wse.New(cfg)
+		if leg.e == wse.EngineFastForward && leg.workers > 1 {
+			fabric.ForceParallel(mach.Fab)
+		}
 		t.Cleanup(mach.Close)
 		c, err := build(mach).Run(1 << 22)
 		if err != nil {
@@ -64,7 +69,7 @@ func runEngines(t *testing.T, workers int, build func(*wse.Machine) interface {
 		if i == 0 {
 			cycles = c
 		} else if c != cycles {
-			t.Fatalf("cycles diverge: sequential %d, %v %d", cycles, e, c)
+			t.Fatalf("cycles diverge: sequential %d, %v on %d workers %d", cycles, leg.e, leg.workers, c)
 		}
 	}
 	return cycles

@@ -87,9 +87,11 @@ type jumpRig struct {
 // every phase the rigs run.
 const scratchLen = 512
 
-func newJumpRig(t *testing.T, e wse.Engine, state, w, h, z int, seed int64) *jumpRig {
+// newJumpRig builds the rig's machine under engine e; shards > 1 puts
+// its fabric on that many shards with the parallel path forced.
+func newJumpRig(t *testing.T, e wse.Engine, shards, state, w, h, z int, seed int64) *jumpRig {
 	cfg := wse.CS1(w, h)
-	cfg.Engine = e
+	cfg.Engine, cfg.Workers = e, shards
 	switch state {
 	case stQueueDepth:
 		cfg.QueueDepth = 2
@@ -99,6 +101,9 @@ func newJumpRig(t *testing.T, e wse.Engine, state, w, h, z int, seed int64) *jum
 	mesh := stencil.Mesh{NX: w, NY: h, NZ: z}
 	norm, _ := stencil.Heat3D(mesh, 0.1, stencil.Dirichlet).Normalize()
 	r := &jumpRig{m: wse.New(cfg), z: z, out: make([]float32, w*h)}
+	if shards > 1 {
+		fabric.ForceParallel(r.m.Fab)
+	}
 	var err error
 	if r.p, err = stencilc.Compile3D(r.m, stencilc.Spec7Point(), stencil.NewOpStarHalf(norm), 0, 0, 0); err != nil {
 		t.Fatal(err)
@@ -228,10 +233,13 @@ func (r *jumpRig) record(kind int) []wse.PhaseCount {
 // FuzzJumpMatchesStep starts every fast-forward jump — a vector apply,
 // a vector dot, an AllReduce (row phase and broadcast) and a Program3D
 // application — from an eligible or an adversarial machine state, on a
-// fuzzed fabric shape, Z and data, and runs the phase once under
-// EngineFastForward and once under EngineSequential. The record must say
-// nothing jumped under sequential and one phase per kind under both
-// engines, fast-forward must take exactly the jumps jumpExpected lists,
+// fuzzed fabric shape, Z and data, and runs the phase under
+// EngineSequential and under EngineFastForward twice: on the default
+// shards and on three with the parallel path forced, so every jump is
+// held exact on a sharded fabric (ApplyReplay and the hot marks across
+// per-shard hot lists included). The record must say nothing jumped
+// under sequential and one phase per kind under every run, fast-forward
+// must take exactly the jumps jumpExpected lists,
 // and, jumped or not, the phase's cycles and outputs, the machine cycle,
 // fingerprint and every arena word must equal the stepped run's at the
 // phase end, and the fingerprint again after both step on.
@@ -289,8 +297,8 @@ func FuzzJumpMatchesStep(f *testing.F) {
 			arenas        [][]fp16.Float16
 			record        []wse.PhaseCount
 		}
-		run := func(e wse.Engine) end {
-			r := newJumpRig(t, e, st, w, h, z, seed)
+		run := func(e wse.Engine, shards int) end {
+			r := newJumpRig(t, e, shards, st, w, h, z, seed)
 			defer r.m.Close()
 			r.prepare(t, st, i)
 			cycles, outs := r.run(t, k)
@@ -304,39 +312,42 @@ func FuzzJumpMatchesStep(f *testing.F) {
 			out.later = r.m.Fingerprint()
 			return out
 		}
-		seq, ff := run(wse.EngineSequential), run(wse.EngineFastForward)
-
-		for j := range seq.record {
-			s, fr := seq.record[j], ff.record[j]
-			if s.Jumped != 0 {
-				t.Errorf("%s: sequential engine jumped %d phases", name, s.Jumped)
+		seq := run(wse.EngineSequential, 0)
+		for _, shards := range []int{0, 3} {
+			ff := run(wse.EngineFastForward, shards)
+			name := fmt.Sprintf("%s, fast-forward shards %d", name, shards)
+			for j := range seq.record {
+				s, fr := seq.record[j], ff.record[j]
+				if s.Jumped != 0 {
+					t.Errorf("%s: sequential engine jumped %d phases", name, s.Jumped)
+				}
+				if s.Jumped+s.Stepped != fr.Jumped+fr.Stepped || s.Jumped+s.Stepped != 1 {
+					t.Errorf("%s: record %+v under sequential, %+v under fast-forward; want one phase each", name, s, fr)
+				}
+				want := jumpExpected[st][k]
+				if k == jumpAllReduce && j == 0 {
+					want = want && w >= 4 && w%2 == 0 // the row phase
+				}
+				if (fr.Jumped == 1) != want {
+					t.Errorf("%s: phase %d of the kind jumped %v under fast-forward, want %v", name, j, fr.Jumped == 1, want)
+				}
 			}
-			if s.Jumped+s.Stepped != fr.Jumped+fr.Stepped || s.Jumped+s.Stepped != 1 {
-				t.Errorf("%s: record %+v under sequential, %+v under fast-forward; want one phase each", name, s, fr)
+			if seq.cycles != ff.cycles || seq.clock != ff.clock || seq.fp != ff.fp {
+				t.Fatalf("%s: sequential %d cycles (clock %d, fingerprint %#x), fast-forward %d (clock %d, fingerprint %#x)",
+					name, seq.cycles, seq.clock, seq.fp, ff.cycles, ff.clock, ff.fp)
 			}
-			want := jumpExpected[st][k]
-			if k == jumpAllReduce && j == 0 {
-				want = want && w >= 4 && w%2 == 0 // the row phase
+			if !slices.EqualFunc(seq.outs, ff.outs, func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }) {
+				t.Fatalf("%s: outputs diverge: sequential %v, fast-forward %v", name, seq.outs, ff.outs)
 			}
-			if (fr.Jumped == 1) != want {
-				t.Errorf("%s: phase %d of the kind jumped %v under fast-forward, want %v", name, j, fr.Jumped == 1, want)
+			for j := range seq.arenas {
+				if !slices.Equal(seq.arenas[j], ff.arenas[j]) {
+					t.Fatalf("%s: tile %d arenas diverge", name, j)
+				}
 			}
-		}
-		if seq.cycles != ff.cycles || seq.clock != ff.clock || seq.fp != ff.fp {
-			t.Fatalf("%s: sequential %d cycles (clock %d, fingerprint %#x), fast-forward %d (clock %d, fingerprint %#x)",
-				name, seq.cycles, seq.clock, seq.fp, ff.cycles, ff.clock, ff.fp)
-		}
-		if !slices.EqualFunc(seq.outs, ff.outs, func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }) {
-			t.Fatalf("%s: outputs diverge: sequential %v, fast-forward %v", name, seq.outs, ff.outs)
-		}
-		for j := range seq.arenas {
-			if !slices.Equal(seq.arenas[j], ff.arenas[j]) {
-				t.Fatalf("%s: tile %d arenas diverge", name, j)
+			if seq.later != ff.later {
+				t.Fatalf("%s: fingerprints diverge %d cycles after the phase: sequential %#x, fast-forward %#x",
+					name, scratchLen/2, seq.later, ff.later)
 			}
-		}
-		if seq.later != ff.later {
-			t.Fatalf("%s: fingerprints diverge %d cycles after the phase: sequential %#x, fast-forward %#x",
-				name, scratchLen/2, seq.later, ff.later)
 		}
 	})
 }

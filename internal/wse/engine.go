@@ -21,9 +21,9 @@ const (
 	// EngineSequential steps every runnable core scalar-style on one
 	// goroutine: the reference engine.
 	EngineSequential
-	// EngineSharded partitions the tile grid across Config.Workers
-	// goroutines (the fabric's sharded stepper); cores step scalar-style
-	// within their shard.
+	// EngineSharded steps a fabric of Config.Workers shards (the
+	// fabric's sharded stepper); cores step scalar-style within their
+	// shard. It is EngineFastForward without the jumps.
 	EngineSharded
 	// EngineBatched detects equivalence classes of cores that are about
 	// to execute the same instruction shape and runs one decoded
@@ -38,7 +38,10 @@ const (
 	// and records itself in the machine's record (CountPhase); between
 	// jumps it steps through the reference interpreter, so everything
 	// that cannot be proved static is cycle-simulated exactly as under
-	// EngineSequential. See VectorPhase (the solver's dot and update
+	// EngineSequential. Its fabric has one shard per P (fabric.Sharded(0);
+	// Config.Workers > 1 sets the count), so the cycles it steps run
+	// across the host's cores, and on one shard with no helper goroutine
+	// at GOMAXPROCS=1. See VectorPhase (the solver's dot and update
 	// phases), stencilc.Program3D (the halo exchange) and
 	// kernels.AllReduce.Run (its contention-free row phase and
 	// broadcast). The default engine.

@@ -1,6 +1,9 @@
 package wse
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // TestResolveEngine holds the EngineAuto rule: fast-forward by default,
 // sharded when Workers > 1, the -wse.engine override in between, and an
@@ -32,6 +35,36 @@ func TestResolveEngine(t *testing.T) {
 		if got := resolveEngine(Config{Engine: tc.engine, Workers: tc.workers}); got != tc.want {
 			t.Errorf("engine %v, workers %d, -wse.engine=%q: resolved %v, want %v",
 				tc.engine, tc.workers, tc.override, got, tc.want)
+		}
+	}
+}
+
+// TestEngineShards holds each engine's fabric shard count: fast-forward
+// one per P — one, with no helper, at GOMAXPROCS=1 — or Workers when
+// Workers > 1; sharded Workers; sequential and batched one.
+func TestEngineShards(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 3} {
+		runtime.GOMAXPROCS(procs)
+		for _, tc := range []struct {
+			engine  Engine
+			workers int
+			want    int
+		}{
+			{EngineFastForward, 0, procs},
+			{EngineFastForward, 1, procs},
+			{EngineFastForward, 4, 4},
+			{EngineSharded, 2, 2},
+			{EngineSequential, 4, 1},
+			{EngineBatched, 4, 1},
+		} {
+			cfg := CS1(4, 4)
+			cfg.Engine, cfg.Workers = tc.engine, tc.workers
+			m := New(cfg)
+			if got := len(m.Fab.ShardRanges()); got != tc.want {
+				t.Errorf("GOMAXPROCS=%d, %v with Workers %d: %d shards, want %d", procs, tc.engine, tc.workers, got, tc.want)
+			}
+			m.Close()
 		}
 	}
 }

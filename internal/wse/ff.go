@@ -2,8 +2,6 @@ package wse
 
 import (
 	"math/bits"
-	"runtime"
-	"sync"
 
 	"repro/internal/fabric"
 )
@@ -181,62 +179,11 @@ func (m *Machine) FastForwardSteps(n int64) {
 	m.steps += n
 }
 
-// Overlap runs bg on the machine's host helper goroutine while fg runs
-// on the calling goroutine, and returns once both have finished. A
-// fast-forwarded phase splits into two independent accounts — its
-// counters and its memory (stencilc.Program3D runs its exchange replay
-// beside the halo copies and compute loops) — and this lets a two-core
-// host compute them at once. bg and fg must touch disjoint state. After
-// Close both run inline, bg first. Must not race Close.
-func (m *Machine) Overlap(bg, fg func()) {
-	if m.closed {
-		bg()
-		fg()
-		return
-	}
-	h := m.helper
-	if h == nil {
-		h = newHelper()
-		m.helper = h
-		runtime.AddCleanup(m, func(h *helper) { h.close() }, h)
-	}
-	h.job <- bg
-	fg()
-	<-h.done
-}
-
-// helper is one persistent goroutine parked between Overlap calls, with
-// fabric's worker-pool lifecycle: Machine.Close stops it, a runtime
-// cleanup registered when Overlap starts it stops it once the machine
-// is unreachable, and it never pins the machine — the goroutine holds
-// only the helper, and a job reaches it through the channel and is
-// dead once run, so nothing reachable from a parked helper references
-// the machine.
-type helper struct {
-	job    chan func()
-	done   chan struct{} // one send per job run
-	exited chan struct{} // closed when the goroutine returns
-	once   sync.Once
-}
-
-func newHelper() *helper {
-	h := &helper{job: make(chan func(), 1), done: make(chan struct{}, 1), exited: make(chan struct{})}
-	go h.work()
-	return h
-}
-
-func (h *helper) work() {
-	defer close(h.exited)
-	for job := range h.job {
-		job()
-		h.done <- struct{}{}
-	}
-}
-
-// close stops the goroutine and returns once it has exited. Idempotent.
-func (h *helper) close() {
-	h.once.Do(func() {
-		close(h.job)
-		<-h.exited
-	})
-}
+// Overlap runs bg and fg, which must touch disjoint state, and returns
+// once both have finished: fg on a helper of the machine's sharded
+// fabric when one is free (fabric.Fabric.RunPair), so a multi-core
+// host computes them at once. A fast-forwarded phase splits into two
+// independent accounts — its counters and its memory (stencilc.Program3D
+// runs its exchange replay beside the halo copies and compute loops).
+// On a one-shard fabric or after Close both run inline, bg first.
+func (m *Machine) Overlap(bg, fg func()) { m.Fab.RunPair(bg, fg) }

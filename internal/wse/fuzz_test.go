@@ -16,7 +16,8 @@ import (
 // completion), background threads, fabric sends and stream consumers is
 // built identically on two machines running a randomly drawn pair of
 // distinct stepping engines (sequential, sharded, batched,
-// fast-forward), stepped in lockstep, and the complete per-cycle
+// fast-forward, and fast-forward on three shards with the parallel
+// path forced), stepped in lockstep, and the complete per-cycle
 // core-state fingerprint (Machine.Fingerprint: scheduler flags, pcs,
 // thread slots, stream buffers, plus the fabric state) must match every
 // cycle. This is what keeps the event-driven worklist engine — and the
@@ -39,23 +40,29 @@ func FuzzMachineEquivalence(f *testing.F) {
 		n := int(cycles%120) + 8
 		workers := rand.New(rand.NewSource(seed)).Intn(6) + 2
 
-		// The engine pair under test: two distinct engines drawn from
-		// the full matrix, the sharded one keeping the fuzzed worker
-		// count so shard-boundary schedules stay covered.
-		engines := []Engine{EngineSequential, EngineSharded, EngineBatched, EngineFastForward}
+		// The engine pair under test: two distinct legs drawn from the
+		// full matrix, the sharded one keeping the fuzzed worker count so
+		// shard-boundary schedules stay covered, the last one
+		// fast-forward on three shards with the parallel path forced.
+		type leg struct {
+			e       Engine
+			workers int
+		}
+		legs := []leg{{EngineSequential, 0}, {EngineSharded, workers}, {EngineBatched, 0},
+			{EngineFastForward, 1}, {EngineFastForward, 3}}
 		er := rand.New(rand.NewSource(seed ^ int64(dims)<<17 ^ int64(cycles)))
-		ei := er.Intn(len(engines))
-		ej := (ei + 1 + er.Intn(len(engines)-1)) % len(engines)
+		ei := er.Intn(len(legs))
+		ej := (ei + 1 + er.Intn(len(legs)-1)) % len(legs)
 
 		// build constructs the same randomized program on any machine:
 		// a fresh rng with the same seed makes every draw identical.
-		build := func(e Engine) *Machine {
+		build := func(l leg) *Machine {
 			cfg := CS1(w, h)
-			cfg.Engine = e
-			if e == EngineSharded {
-				cfg.Workers = workers
-			}
+			cfg.Engine, cfg.Workers = l.e, l.workers
 			m := New(cfg)
+			if l.e == EngineFastForward && l.workers > 1 {
+				fabric.ForceParallel(m.Fab)
+			}
 			r := rand.New(rand.NewSource(seed + 1))
 			nextSlot := make([]int, w*h) // per-tile thread slot allocator
 
@@ -162,26 +169,30 @@ func FuzzMachineEquivalence(f *testing.F) {
 			return m
 		}
 
-		ma := build(engines[ei])
+		ma := build(legs[ei])
 		defer ma.Close()
-		mb := build(engines[ej])
+		mb := build(legs[ej])
 		defer mb.Close()
-		if ma.EngineName() == mb.EngineName() {
-			t.Fatalf("engine selection broken: both %q", ma.EngineName())
+		// name is the engine and shard count: the two fast-forward legs
+		// share an engine name.
+		name := func(m *Machine) string { return fmt.Sprintf("%s/%d", m.EngineName(), len(m.Fab.ShardRanges())) }
+		na, nb := name(ma), name(mb)
+		if na == nb && legs[ei].e != EngineFastForward {
+			t.Fatalf("engine selection broken: both %q", na)
 		}
-		t.Logf("engine pair: %s vs %s", ma.EngineName(), mb.EngineName())
+		t.Logf("engine pair: %s vs %s", na, nb)
 
 		for cyc := 0; cyc < n; cyc++ {
 			ma.Step()
 			mb.Step()
 			if fa, fb := ma.Fingerprint(), mb.Fingerprint(); fa != fb {
 				t.Fatalf("cycle %d: machine fingerprints diverge: %s %#x %s %#x",
-					cyc, ma.EngineName(), fa, mb.EngineName(), fb)
+					cyc, na, fa, nb, fb)
 			}
 		}
 		if a, b := ma.AllIdle(), mb.AllIdle(); a != b {
 			t.Fatalf("AllIdle diverges after %d cycles: %s %v %s %v",
-				n, ma.EngineName(), a, mb.EngineName(), b)
+				n, na, a, nb, b)
 		}
 	})
 }

@@ -40,16 +40,17 @@ type Config struct {
 	SIMDWidth int
 	// QueueDepth / RxDepth size the fabric queues.
 	QueueDepth, RxDepth int
-	// Workers selects the simulation engine: <= 1 steps routers and
-	// cores sequentially; > 1 shards the tile grid across that many
-	// goroutines (fabric.Sharded). The simulated machine is bit-identical
-	// either way — see the fabric package's determinism contract — so
-	// this is purely a host-side throughput knob.
+	// Workers is the fabric's shard count (fabric.Sharded). Under
+	// EngineAuto, > 1 selects EngineSharded on that many shards; under
+	// EngineFastForward, > 1 sets the shard count and <= 1 means one
+	// shard per P (one at GOMAXPROCS=1). EngineSequential and
+	// EngineBatched always step one shard. The simulated machine is
+	// bit-identical either way — see the fabric package's determinism
+	// contract — so this is purely a host-side throughput knob.
 	Workers int
 	// Engine selects the core-stepping engine (see Engine). EngineAuto
 	// resolves from Workers and the -wse.engine flag override, to
-	// EngineFastForward by default. The batched and fast-forward engines
-	// imply a sequential fabric stepper; Workers is ignored for them.
+	// EngineFastForward by default.
 	Engine Engine
 }
 
@@ -157,12 +158,6 @@ type Machine struct {
 
 	// phases is the jump record (CountPhase); not architectural state.
 	phases [numPhases]PhaseCount
-
-	// helper runs Overlap's background half, started by the first
-	// Overlap and stopped by Close or the machine's runtime cleanup;
-	// closed latches Close, after which Overlap runs inline.
-	helper *helper
-	closed bool
 }
 
 // shardIssue pads one shard's tally to its own cache lines, since shards
@@ -195,8 +190,15 @@ func New(cfg Config) *Machine {
 	cfg = cfg.withDefaults()
 	engine := resolveEngine(cfg)
 	stepper := fabric.Sequential()
-	if engine == EngineSharded {
+	switch engine {
+	case EngineSharded:
 		stepper = fabric.Sharded(cfg.Workers)
+	case EngineFastForward:
+		if cfg.Workers > 1 {
+			stepper = fabric.Sharded(cfg.Workers)
+		} else {
+			stepper = fabric.Sharded(0) // one shard per P
+		}
 	}
 	m := &Machine{
 		Cfg:    cfg,
@@ -289,32 +291,29 @@ func (m *Machine) anyRunnable() bool {
 // TileAt returns the tile at coordinate c.
 func (m *Machine) TileAt(c fabric.Coord) *Tile { return m.Tiles[m.Fab.Index(c)] }
 
-// Close releases the simulation worker pool (see fabric.Fabric.Close)
-// and the Overlap helper. Idempotent; the machine stays usable,
+// Close stops the fabric's helper goroutines (see fabric.Fabric.Close),
+// which also serve Overlap. Idempotent; the machine stays usable,
 // stepping and overlapping inline. Machines that are never Closed do
-// not leak — the pool is reclaimed with the fabric, the helper with the
-// machine — but long-lived hosts that churn through machines should
-// Close promptly rather than waiting on the garbage collector.
-func (m *Machine) Close() {
-	m.Fab.Close()
-	m.closed = true
-	if m.helper != nil {
-		m.helper.close()
-		m.helper = nil
-	}
-}
+// not leak — the helpers are reclaimed with the fabric — but long-lived
+// hosts that churn through machines should Close promptly rather than
+// waiting on the garbage collector.
+func (m *Machine) Close() { m.Fab.Close() }
 
 // Step advances the whole machine one cycle: runnable cores issue work,
-// then the fabric moves words one hop. With a sharded engine the cores
-// step on the fabric's own tile partition and its persistent worker
-// pool, so every core's fabric access (Send/Recv on its own tile) stays
-// within the shard that owns it; core state is tile-local, so the
-// result is identical to sequential stepping. A fully quiescent machine
-// skips core dispatch entirely.
+// then the fabric moves words one hop. On a sharded fabric the cores
+// step on its own tile partition and helpers, so every core's fabric
+// access (Send/Recv on its own tile) stays within the shard that owns
+// it; core state is tile-local, so the result is identical to
+// sequential stepping. The shortest worklist is the work RunSharded
+// weighs. A fully quiescent machine skips core dispatch entirely.
 func (m *Machine) Step() {
 	m.steps++
 	if m.anyRunnable() {
-		m.Fab.RunSharded(m.coreStep)
+		work := len(m.runnable[0])
+		for _, l := range m.runnable[1:] {
+			work = min(work, len(l))
+		}
+		m.Fab.RunSharded(work, m.coreStep)
 	}
 	m.Fab.Step()
 }
