@@ -47,10 +47,10 @@ func BenchmarkFabricStep(b *testing.B) {
 	for _, size := range sizes {
 		for _, eng := range []struct {
 			name string
-			mk   func() fabric.Stepper
+			mk   func() *fabric.Stepper
 		}{
 			{"seq", fabric.Sequential},
-			{"sharded", func() fabric.Stepper { return fabric.Sharded(8) }},
+			{"sharded", func() *fabric.Stepper { return fabric.Sharded(8) }},
 		} {
 			b.Run(fmt.Sprintf("%dx%d/%s", size, size, eng.name), func(b *testing.B) {
 				f := fabric.New(fabric.Config{W: size, H: size, Stepper: eng.mk()})

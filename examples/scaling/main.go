@@ -78,7 +78,7 @@ func main() {
 // fabric.BuildFlows pattern: four directional flows, every router
 // moving words on all mesh links) for cycles cycles and returns the
 // elapsed nanoseconds and total words moved.
-func timeEngine(size, cycles int, st fabric.Stepper) (int64, int64) {
+func timeEngine(size, cycles int, st *fabric.Stepper) (int64, int64) {
 	f := fabric.New(fabric.Config{W: size, H: size, Stepper: st})
 	defer f.Close()
 	fabric.BuildFlows(f)

@@ -28,7 +28,7 @@ import (
 // refStep advances a sequential fabric one cycle through refClaim.
 func refStep(f *Fabric) {
 	f.cycle++
-	e := f.stepper.(*engine)
+	e := f.stepper
 	e.refClaim(0)
 	e.commit(0)
 	f.moves += e.sh[0].moves
@@ -36,7 +36,7 @@ func refStep(f *Fabric) {
 }
 
 // refClaim is the pre-PR-20 claim.
-func (e *engine) refClaim(s int) {
+func (e *Stepper) refClaim(s int) {
 	f := e.f
 	st := &e.sh[s]
 	st.pops = st.pops[:0]
@@ -106,7 +106,7 @@ func (e *engine) refClaim(s int) {
 }
 
 // refClaimEntry is the pre-PR-20 claimEntry.
-func (e *engine) refClaimEntry(s, ti int, en *routeEntry, outClaimed *PortMask) {
+func (e *Stepper) refClaimEntry(s, ti int, en *routeEntry, outClaimed *PortMask) {
 	if en.single {
 		p := en.sport
 		if outClaimed.Has(p) {
@@ -131,7 +131,7 @@ func (e *engine) refClaimEntry(s, ti int, en *routeEntry, outClaimed *PortMask) 
 // refClaimMulticast is the pre-PR-20 claimMulticast: all-or-nothing
 // fanout of the head word to every configured output port, with the
 // destinations looked up port by port on every claim.
-func (e *engine) refClaimMulticast(s, ti int, en *routeEntry, outClaimed *PortMask) {
+func (e *Stepper) refClaimMulticast(s, ti int, en *routeEntry, outClaimed *PortMask) {
 	f := e.f
 	st := &e.sh[s]
 	at := f.CoordOf(ti)

@@ -10,7 +10,7 @@ import (
 // BuildFlows pattern (four directional flows on colors 0–3), plus
 // multicast on color 4: row 0 forwards east while also delivering to
 // each core's ramp.
-func trafficFabric(w, h int, st Stepper) *Fabric {
+func trafficFabric(w, h int, st *Stepper) *Fabric {
 	f := New(Config{W: w, H: h, Stepper: st})
 	BuildFlows(f)
 	// Multicast row: forward east and deliver locally at every hop.

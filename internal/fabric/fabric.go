@@ -23,14 +23,17 @@
 // grid into contiguous shards and runs each cycle as two jobs, claim
 // then commit, whose shards the calling goroutine shares with helper
 // goroutines through a help-first handoff (handoff.go). The two engines
-// are bit-identical — same
-// queue contents, same occupancies, same Moves counter, cycle for cycle
-// — because a cycle's routing decisions depend only on pre-cycle state
-// and each queue is touched by exactly one shard during commit. Host
-// code may therefore select an engine purely on fabric size without
-// changing any simulated result. The claim phase takes a specialized
-// fast path for single-output, non-multicast routes — the overwhelmingly
-// common case in the paper's communication patterns.
+// are bit-identical — the same router queue contents and occupancies,
+// core receive buffers and Moves counter, cycle for cycle — because the
+// claim phase reads only pre-cycle queue state (it mutates nothing
+// another shard can observe), each queue receives at most one push and
+// one pop per cycle, and every queue is committed by the shard that
+// owns its tile, pops before pushes, in the sequential engine's order.
+// equiv_test.go holds the contract to state fingerprints every cycle,
+// and FuzzRouterDelivery extends it to randomized flow configurations.
+// The claim phase takes a specialized fast path for single-output,
+// non-multicast routes — the overwhelmingly common case in the paper's
+// communication patterns.
 //
 // # Storage
 //
@@ -237,7 +240,7 @@ type Config struct {
 	RxDepth int
 	// Stepper selects the stepping engine; nil means Sequential(). The
 	// instance is bound to this fabric and must not be reused.
-	Stepper Stepper
+	Stepper *Stepper
 }
 
 func (c Config) withDefaults() Config {
@@ -278,7 +281,7 @@ type Fabric struct {
 	// first-claim order so a cycle's multicast claims walk one slab.
 	fans [][]fanout
 
-	stepper Stepper
+	stepper *Stepper
 }
 
 // stagedPush is one claimed transfer awaiting commit. The destination
@@ -317,34 +320,41 @@ func New(cfg Config) *Fabric {
 func (f *Fabric) StepperName() string { return f.stepper.Name() }
 
 // Close stops the stepping engine's helper goroutines, if any started.
-// It is idempotent and safe on any engine (Sequential's is a no-op); it
-// must not be called concurrently with Step. The fabric remains fully
-// usable afterwards — cycles simply step inline. A fabric that is never
-// Closed does not leak: a runtime cleanup stops the helpers when the
-// fabric becomes unreachable (idle helpers hold no reference to the
-// fabric, so they do not pin it).
+// It is idempotent, must not run concurrently with Step, and leaves the
+// fabric usable (cycles step inline). Without it a runtime cleanup
+// stops the helpers once the fabric is unreachable.
 func (f *Fabric) Close() { f.stepper.Close() }
 
-// RunSharded runs fn over every engine shard's [lo, hi) tile range, on
-// the engine's helpers when the least-loaded shard has at least
-// parallelHotPerShard of work (the caller's count, e.g. runnable cores)
-// and inline otherwise. Callers that step per-tile actors each cycle
-// (wse.Machine) use this so core stepping rides the same helpers — and
-// the same tile partition — as the fabric, keeping all tile-local
-// fabric access shard-owned.
-func (f *Fabric) RunSharded(work int, fn func(lo, hi int)) { f.stepper.runShards(work, fn) }
+// RunSharded runs fn once per engine shard (ShardRanges gives its
+// tiles): on the helpers when the least-loaded shard has at least
+// parallelHotPerShard of work (the caller's count, e.g. runnable
+// cores), inline otherwise. wse.Machine steps its cores through it, so
+// all tile-local fabric access stays shard-owned.
+func (f *Fabric) RunSharded(work int, fn func(shard int)) { f.stepper.run(work, f.stepper.n, fn) }
 
 // RunPair runs a and b, which must touch disjoint state, and returns
 // once both have finished: the caller runs a, and b too unless a helper
 // of a multi-shard engine takes it first. On a one-shard or closed
 // engine both run inline, a first.
-func (f *Fabric) RunPair(a, b func()) { f.stepper.runPair(a, b) }
+func (f *Fabric) RunPair(a, b func()) {
+	e := f.stepper
+	e.pair = [2]func(){a, b}
+	e.run(parallelHotPerShard, 2, e.pairJob)
+	e.pair = [2]func(){}
+}
 
 // ShardRanges returns the engine's tile partition as [lo, hi) index
 // ranges. Callers that step per-tile actors concurrently (wse.Machine)
 // use the same partition so all tile-local fabric access stays
 // shard-owned.
-func (f *Fabric) ShardRanges() [][2]int { return f.stepper.shards() }
+func (f *Fabric) ShardRanges() [][2]int {
+	b := f.stepper.bounds
+	out := make([][2]int, len(b)-1)
+	for s := range out {
+		out[s] = [2]int{b[s], b[s+1]}
+	}
+	return out
+}
 
 // rxTile encodes a core rx delivery destination for stagedPush.tile and
 // routeEntry.dstTile: negative, carrying both the tile index and the
@@ -368,7 +378,7 @@ func rxColor(enc int32) Color { return Color(int(-enc-1) % MaxColors) }
 // each other's worklists.
 //
 // Concurrency contract: with a sharded engine the callback runs on the
-// worker goroutine of the shard that owns the tile, during the commit
+// goroutine running the shard that owns the tile, during the commit
 // phase. It must therefore touch only state owned by that tile's shard
 // (e.g. append to a per-shard worklist selected via ShardOf) and must
 // not call back into the fabric. Callbacks cannot be unregistered; a

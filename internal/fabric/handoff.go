@@ -7,58 +7,47 @@ import (
 	"time"
 )
 
-// handoff hands the tasks of one job — the shards of a claim or commit
-// phase, of a core step, or the two halves of a RunPair — to helper
-// goroutines, help-first: run publishes the job under a ticket and then
-// claims and runs tasks itself until none are left, so it waits only
-// for tasks a running helper has already claimed and never for a helper
-// that has not started. A helper that finds no job spins with
-// runtime.Gosched for a short while, then parks until a later run wakes
-// it; run does not wait for the wake either. A cycle's two phases are
-// two runs, so no job has a barrier inside it.
+// handoff shares the tasks of one job — the shards of a claim, commit
+// or core step, or the two halves of a RunPair — with helper
+// goroutines, help-first: run publishes the job and claims and runs
+// tasks itself until none are left, so it waits only for tasks a
+// running helper already claimed, never for a helper that has not
+// started. An idle helper spins with runtime.Gosched for a short while,
+// then parks until a later run wakes it, which run does not wait for.
 //
-// Helpers share the host's Ps with every other goroutine stepping a
-// machine: a helper claims work only while the process-wide count of
-// stepping goroutines (callers, see session, plus admitted helpers) is
-// below limit, GOMAXPROCS, and a refused helper parks rather than
-// spins. Two machines stepped from two goroutines on a two-P host so
-// step one shard after another each, while one alone gets both Ps.
+// A helper claims only while the process-wide count of stepping
+// goroutines (stepping) is below limit (GOMAXPROCS), and a refused
+// helper parks rather than spins: two machines stepped from two
+// goroutines on a two-P host step one shard after another each, while
+// one alone gets both Ps.
 //
-// Lifecycle: the handoff must not pin the fabric. Helpers reference
-// only the handoff, and run clears its job before returning, so nothing
-// reachable from an idle helper references the engine. The engine
-// closes the handoff explicitly (Close), and a runtime cleanup
-// registered when it starts closes it once the fabric is unreachable.
+// Helpers reference only the handoff, and run clears its job before
+// returning, so they never pin the fabric; Close or a runtime cleanup
+// once the fabric is unreachable stops them.
 type handoff struct {
-	// ticket packs the current job's generation (high 32 bits), task
-	// count (16 bits) and next unclaimed task (low 16 bits). A task is
-	// claimed by one compare-and-swap from the value it was read in, so
-	// a helper that read an older generation can never claim a task of
-	// a newer one (see claim).
+	// ticket packs the job's generation (high 32 bits), task count (16
+	// bits) and next unclaimed task (low 16 bits); see claim.
 	ticket atomic.Uint64
 	job    atomic.Pointer[func(task int)]
 	done   atomic.Int32 // tasks of the current generation finished
 	gen    uint64       // the caller's last published generation
 
-	limit  int          // stepping goroutines a helper may join
-	parked atomic.Int32 // helpers blocked in park
+	limit  int
+	parked atomic.Int32 // helpers blocked in work's select
 	wake   chan struct{}
 	quit   chan struct{}
 	once   sync.Once
 }
 
-// helperSpins is how many runtime.Gosched rounds an idle helper spends
-// looking for the next job before it parks: about the gap between two
-// phases of a stepped cycle, far shorter than a host-side phase.
-// spinLoads is how many times a spinning goroutine looks between two
-// Gosched calls, each of which takes the scheduler's lock.
+// An idle helper looks for a job spinLoads times between two
+// runtime.Gosched calls (each takes the scheduler's lock), for
+// helperSpins calls — about the gap between two phases of a stepped
+// cycle, far shorter than a host-side phase — and then parks.
 const (
 	helperSpins = 256
 	spinLoads   = 64
 )
 
-// newHandoff starts helpers goroutines that join at most limit stepping
-// goroutines.
 func newHandoff(helpers, limit int) *handoff {
 	h := &handoff{limit: limit, wake: make(chan struct{}, helpers), quit: make(chan struct{})}
 	for i := 0; i < helpers; i++ {
@@ -68,38 +57,30 @@ func newHandoff(helpers, limit int) *handoff {
 }
 
 // run executes (*job)(i) exactly once for every task i in [0, n) and
-// returns when all have finished. The caller claims tasks until none
-// are left and then waits for the ones helpers claimed. Must not be
-// called concurrently with itself or close.
+// returns when all have finished. Must not run concurrently with
+// itself or close.
 func (h *handoff) run(job *func(task int), n int) {
 	h.gen++
 	h.done.Store(0)
 	h.job.Store(job)
 	h.ticket.Store(h.gen<<32 | uint64(n)<<16)
-	// A refused helper stays parked while the host is full; asking
-	// every sixteenth run whether it still is keeps the clock off the
-	// common path.
-	if p := h.parked.Load(); p > 0 && h.gen%16 == 1 && room(h.limit) {
-		for ; p > 0; p-- {
-			select {
-			case h.wake <- struct{}{}:
-			default:
-			}
+	// Asking every sixteenth run whether a parked helper would fit
+	// keeps the clock off the common path.
+	if h.parked.Load() > 0 && h.gen%16 == 1 && fits(h.limit, 1) {
+		select {
+		case h.wake <- struct{}{}: // one helper; the next run may wake another
+		default:
 		}
 	}
 	mine := int32(0)
-	for {
-		_, i, ok := h.claim()
-		if !ok {
-			break
-		}
+	for _, i, ok := h.claim(); ok; _, i, ok = h.claim() {
 		(*job)(i)
 		mine++
 	}
 	if h.done.Add(mine) < int32(n) {
 		for k := 1; h.done.Load() < int32(n); k++ {
 			if k%spinLoads == 0 {
-				runtime.Gosched() // lets a helper preempted mid-task finish here
+				runtime.Gosched() // a helper preempted mid-task may finish here
 			}
 		}
 	}
@@ -107,53 +88,44 @@ func (h *handoff) run(job *func(task int), n int) {
 }
 
 // claim takes the next task of the published job, if one is left, and
-// returns the job it belongs to. The job is read between the ticket
-// load and the compare-and-swap: a successful swap proves the
-// generation read was still unfinished, and run publishes the next
-// job only after every task of the current one has finished, so the
-// job read is the one of the task claimed.
+// its job, read between the ticket load and a compare-and-swap from
+// that value. The swap succeeds only while that generation has a task
+// unclaimed, and run publishes the next job only once every task has
+// finished, so no task ever runs with another generation's job.
 func (h *handoff) claim() (*func(int), int, bool) {
 	for {
 		t := h.ticket.Load()
-		n, next := int(t>>16&0xffff), int(t&0xffff)
-		if next >= n {
+		if t&0xffff >= t>>16&0xffff {
 			return nil, 0, false
 		}
 		j := h.job.Load()
 		if h.ticket.CompareAndSwap(t, t+1) {
-			return j, next, true
+			return j, int(t & 0xffff), true
 		}
 	}
 }
 
 // work is one helper: admitted, it claims and runs tasks, spinning
-// between jobs; refused, or idle past its spins, it parks.
+// between jobs; refused, or idle past its spins, it parks — and exits
+// there once the handoff is closed.
 func (h *handoff) work() {
 	for {
-		if admit(h.limit) {
-			for idle := 0; idle < helperSpins*spinLoads; {
+		stepping.helpers.Add(1)
+		if fits(h.limit, 0) {
+			for idle := 0; idle < helperSpins*spinLoads; idle++ {
 				if j, i, ok := h.claim(); ok {
 					(*j)(i)
 					h.done.Add(1)
 					idle = 0
-					continue
+				} else if idle%spinLoads == spinLoads-1 {
+					if !fits(h.limit, 0) {
+						break
+					}
+					runtime.Gosched()
 				}
-				if idle++; idle%spinLoads != 0 {
-					continue
-				}
-				if !admitted(h.limit) {
-					break
-				}
-				select {
-				case <-h.quit:
-					stepping.helpers.Add(-1)
-					return
-				default:
-				}
-				runtime.Gosched()
 			}
-			stepping.helpers.Add(-1)
 		}
+		stepping.helpers.Add(-1)
 		h.parked.Add(1)
 		select {
 		case <-h.wake:
@@ -164,89 +136,53 @@ func (h *handoff) work() {
 	}
 }
 
-// close stops the helpers. Idempotent; must not race run.
 func (h *handoff) close() { h.once.Do(func() { close(h.quit) }) }
 
 // stepping is the process-wide count of goroutines stepping a machine:
-// the callers, each an engine's session, and the admitted helpers.
+// the admitted helpers, and the callers — each sharded engine's last
+// stepped time (clock; see touch), which counts for callerTTL.
 var stepping struct {
 	helpers atomic.Int32
-	// callers[k] is a session's last stepped time (clock), 0 when free;
-	// a session counts while it stepped within callerTTL.
 	callers [32]atomic.Int64
 }
 
-// callerTTL is how long a caller counts as stepping after it last
-// marked its session (every sixteenth stepped cycle): longer than the
-// host-side work between two stepped phases of a small solve, shorter
+// callerTTL outlasts sixteen stepped cycles of a small solve and the
+// host-side work between two of its stepped phases, and is shorter
 // than the wait between two jobs.
 const callerTTL = int64(time.Millisecond)
 
 var epoch = time.Now()
 
-// clock is monotonic nanoseconds, never within callerTTL of a free
-// slot's 0.
+// clock is monotonic nanoseconds, never within callerTTL of 0.
 func clock() int64 { return int64(time.Since(epoch)) + callerTTL + 1 }
 
-// callers counts the sessions that stepped within callerTTL.
-func callers(now int64) int {
-	n := 0
+// fits reports whether the stepping goroutines plus extra are at most
+// limit.
+func fits(limit, extra int) bool {
+	now, n := clock(), int(stepping.helpers.Load())+extra
 	for i := range stepping.callers {
 		if now-stepping.callers[i].Load() <= callerTTL {
 			n++
 		}
 	}
-	return n
+	return n <= limit
 }
 
-// room reports whether one more helper would fit beside the stepping
-// goroutines.
-func room(limit int) bool {
-	return callers(clock())+int(stepping.helpers.Load()) < limit
-}
-
-// admit counts one more helper if it fits.
-func admit(limit int) bool {
-	if int(stepping.helpers.Add(1))+callers(clock()) <= limit {
-		return true
-	}
-	stepping.helpers.Add(-1)
-	return false
-}
-
-// admitted reports whether an admitted helper still fits.
-func admitted(limit int) bool {
-	return int(stepping.helpers.Load())+callers(clock()) <= limit
-}
-
-// session is one engine's caller entry in stepping.callers. A slot
-// whose stamp went stale may be taken by another session; touch then
-// finds a new one.
-type session struct {
-	slot  int
-	stamp int64
-}
-
-// touch marks the session's goroutine as stepping now.
-func (s *session) touch() {
+// touch marks e's caller as stepping now, in e's slot of
+// stepping.callers if no other engine took it since e last wrote it,
+// else in the first stale one (its engine stopped stepping, or was
+// closed or collected).
+func (e *Stepper) touch() {
 	now := clock()
-	if s.slot >= 0 && stepping.callers[s.slot].CompareAndSwap(s.stamp, now) {
-		s.stamp = now
+	if e.slot >= 0 && stepping.callers[e.slot].CompareAndSwap(e.stamp, now) {
+		e.stamp = now
 		return
 	}
-	s.slot = -1
+	e.slot = -1
 	for i := range stepping.callers {
 		if v := stepping.callers[i].Load(); now-v > callerTTL && stepping.callers[i].CompareAndSwap(v, now) {
-			s.slot, s.stamp = i, now
+			e.slot, e.stamp = i, now
 			return
 		}
-	}
-}
-
-// end frees the session's slot.
-func (s *session) end() {
-	if s.slot >= 0 {
-		stepping.callers[s.slot].CompareAndSwap(s.stamp, 0)
-		s.slot = -1
 	}
 }

@@ -30,9 +30,9 @@ func onHelper() bool {
 func quiesce(t *testing.T) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for callers(clock()) > 0 || stepping.helpers.Load() > 0 {
+	for !fits(0, 0) {
 		if time.Now().After(deadline) {
-			t.Fatalf("stepping count did not settle: %d callers, %d helpers", callers(clock()), stepping.helpers.Load())
+			t.Fatalf("stepping count did not settle (%d helpers)", stepping.helpers.Load())
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -25,14 +25,14 @@ func TestPoolCloseIdempotentAndInlineAfter(t *testing.T) {
 		driveCycle(seq, rngA)
 		driveCycle(par, rngB)
 	}
-	if st.(*engine).ho == nil {
+	if st.ho == nil {
 		t.Fatal("forced parallel stepping did not start the handoff")
 	}
 	par.Close()
 	par.Close() // idempotent via the fabric
 	st.Close()  // and via the stepper
 	par.Close() // and again
-	if st.(*engine).ho != nil {
+	if st.ho != nil {
 		t.Fatal("Close left the handoff attached")
 	}
 	for cyc := 0; cyc < 60; cyc++ {
@@ -75,7 +75,7 @@ func TestPoolGoroutinesReleasedOnClose(t *testing.T) {
 	st := Sharded(workers)
 	f := trafficFabric(10, 10, st)
 	ForceParallel(f)
-	helpers := st.(*engine).helpers
+	helpers := st.helpers
 	if helpers != workers-1 {
 		t.Fatalf("forced %d-shard engine has %d helpers, want %d", workers, helpers, workers-1)
 	}
@@ -144,9 +144,10 @@ func TestPoolServesCoreStepping(t *testing.T) {
 	counts := make([]int, 64)
 	var mu sync.Mutex
 	for round := 0; round < 3; round++ {
-		f.RunSharded(0, func(lo, hi int) {
+		f.RunSharded(0, func(s int) {
+			r := f.ShardRanges()[s]
 			mu.Lock()
-			for ti := lo; ti < hi; ti++ {
+			for ti := r[0]; ti < r[1]; ti++ {
 				counts[ti]++
 			}
 			mu.Unlock()

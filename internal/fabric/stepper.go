@@ -6,60 +6,22 @@ import (
 	"runtime"
 )
 
-// Stepper is the engine that advances a Fabric by one cycle. Two
-// constructors exist: Sequential steps every router on the calling
-// goroutine; Sharded partitions the tile grid into contiguous shards
-// whose cycles run as two jobs, claim then commit, handed to helper
-// goroutines through a help-first handoff (handoff.go).
-//
-// Determinism contract: both engines produce bit-identical architectural
-// state, cycle for cycle — the same router queue contents and
-// occupancies, the same core receive buffers, the same Moves counter.
-// This holds because the claim phase reads only pre-cycle queue state
-// (it mutates nothing another shard can observe), each queue receives at
-// most one push and one pop per cycle, and every queue is committed by
-// the shard that owns its tile, pops before pushes — exactly the order
-// of the sequential engine. The equivalence golden test in equiv_test.go
-// enforces the contract against state fingerprints every cycle, and
-// FuzzRouterDelivery extends it to randomized flow configurations.
-//
-// A Stepper instance is bound to the first Fabric it is given and must
-// not be shared between fabrics.
-type Stepper interface {
-	// Name identifies the engine, e.g. for benchmark sub-names.
-	Name() string
-	// Close stops the engine's helper goroutines, if any started. It is
-	// idempotent, a no-op for Sequential, and must not be called
-	// concurrently with stepping. The engine stays usable afterwards:
-	// subsequent cycles step inline.
-	Close()
-
-	bind(f *Fabric)
-	step(f *Fabric)
-	shards() [][2]int
-	runShards(work int, fn func(lo, hi int))
-	runPair(a, b func())
-}
-
 // Sequential returns the single-goroutine stepping engine. It is the
 // default when Config.Stepper is nil.
-func Sequential() Stepper { return &engine{workers: 1} }
+func Sequential() *Stepper { return &Stepper{workers: 1} }
 
-// Sharded returns a stepping engine that partitions the tile grid into
-// contiguous shards. The requested count is clamped by a documented
-// rule: workers <= 0 means one shard per P (runtime.GOMAXPROCS(0) at
-// construction), so one shard at GOMAXPROCS=1, and at bind time the
-// count is capped at the fabric's tile count (a shard must own at least
-// one tile). The engine starts min(shards, GOMAXPROCS) - 1 helper
-// goroutines on its first parallel cycle, none on a one-P host; a cycle
-// goes to them only when every shard has parallelHotPerShard of work,
-// so the sharded engine is never pathologically slower than Sequential
-// on a quiet fabric.
-func Sharded(workers int) Stepper {
+// Sharded returns an engine that partitions the tile grid into
+// contiguous shards: workers of them, or one per P (GOMAXPROCS at
+// construction) when workers <= 0, capped at bind time at the tile
+// count. It starts min(shards, GOMAXPROCS) - 1 helper goroutines on its
+// first parallel job, none on a one-P host; a job goes to them only
+// when every shard has parallelHotPerShard of work, so a quiet fabric
+// steps inline.
+func Sharded(workers int) *Stepper {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &engine{workers: workers}
+	return &Stepper{workers: workers}
 }
 
 // ForceParallel makes f's stepper hand every cycle, core step and
@@ -68,7 +30,7 @@ func Sharded(workers int) Stepper {
 // hook that drives the concurrent path on any host. A no-op on a
 // one-shard fabric. Call it before the first Step.
 func ForceParallel(f *Fabric) {
-	if e := f.stepper.(*engine); e.n > 1 {
+	if e := f.stepper; e.n > 1 {
 		e.helpers, e.limit, e.forced = e.n-1, 1<<30, true
 	}
 }
@@ -79,10 +41,13 @@ func ForceParallel(f *Fabric) {
 // either way; only wall-clock differs).
 const parallelHotPerShard = 64
 
-// engine implements both steppers: Sequential is the one-shard special
-// case, which also makes the sequential path the trivially-correct
-// reference for the parallel one.
-type engine struct {
+// Stepper is the engine that advances a Fabric by one cycle:
+// Sequential, or Sharded — bit-identical (see the package doc).
+// Sequential is the one-shard special case, which also makes it the
+// trivially-correct reference for the parallel path. A Stepper is bound
+// to the first Fabric it is given and must not be shared between
+// fabrics.
+type Stepper struct {
 	workers int
 	f       *Fabric
 	n       int   // shard count after binding
@@ -101,17 +66,16 @@ type engine struct {
 	// after which every job runs inline.
 	ho     *handoff
 	closed bool
-	// sess counts this engine's caller among the stepping goroutines;
-	// ticks spaces its refreshes.
-	sess  session
+	// slot is the engine's entry in stepping.callers (-1: none) and stamp
+	// what it last wrote there (touch); ticks spaces the refreshes.
+	slot  int
+	stamp int64
 	ticks uint32
 
-	// The handoff's jobs, built once so a cycle allocates nothing:
-	// claim and commit phases, RunSharded over rangeFn, RunPair over
-	// pair.
-	claimJob, commitJob, rangeJob, pairJob func(s int)
-	rangeFn                                func(lo, hi int)
-	pair                                   [2]func()
+	// The jobs, held here so a cycle allocates nothing: the claim and
+	// commit phases, RunPair's over pair, and the one the handoff runs.
+	claimJob, commitJob, pairJob, job func(task int)
+	pair                              [2]func()
 }
 
 // shardState is the per-shard staging area reused across cycles.
@@ -122,22 +86,16 @@ type shardState struct {
 	moves    int64
 }
 
-func (e *engine) Name() string {
+// Name identifies the engine, e.g. for benchmark sub-names: "seq" or
+// "sharded-N".
+func (e *Stepper) Name() string {
 	if e.workers <= 1 {
 		return "seq"
 	}
 	return fmt.Sprintf("sharded-%d", e.workers)
 }
 
-func (e *engine) shards() [][2]int {
-	out := make([][2]int, e.n)
-	for s := 0; s < e.n; s++ {
-		out[s] = [2]int{e.bounds[s], e.bounds[s+1]}
-	}
-	return out
-}
-
-func (e *engine) bind(f *Fabric) {
+func (e *Stepper) bind(f *Fabric) {
 	if e.f != nil {
 		if e.f == f {
 			return
@@ -160,7 +118,7 @@ func (e *engine) bind(f *Fabric) {
 	e.n = n
 	e.limit = runtime.GOMAXPROCS(0)
 	e.helpers = min(n, e.limit) - 1
-	e.sess.slot = -1
+	e.slot = -1
 	e.bounds = make([]int, n+1)
 	for s := 0; s <= n; s++ {
 		e.bounds[s] = s * tiles / n
@@ -176,15 +134,15 @@ func (e *engine) bind(f *Fabric) {
 	}
 	f.hotLists = make([][]int, n)
 	e.claimJob, e.commitJob = e.claim, e.commit
-	e.rangeJob = func(s int) { e.rangeFn(e.bounds[s], e.bounds[s+1]) }
 	e.pairJob = func(i int) { e.pair[i]() }
 }
 
-// Close stops the helpers. Idempotent; the engine keeps stepping
-// correctly (inline) afterwards.
-func (e *engine) Close() {
+// Close stops the engine's helper goroutines, if any started. It is
+// idempotent, a no-op for Sequential, and must not be called
+// concurrently with stepping. The engine stays usable afterwards:
+// later cycles step inline.
+func (e *Stepper) Close() {
 	e.closed = true
-	e.sess.end()
 	if e.ho != nil {
 		e.ho.close()
 		e.ho = nil
@@ -194,13 +152,13 @@ func (e *engine) Close() {
 // parallel reports whether a job whose least-loaded shard has work
 // units goes to the helpers, starting the handoff on first use, and
 // keeps the engine's session current every sixteenth job.
-func (e *engine) parallel(work int) bool {
+func (e *Stepper) parallel(work int) bool {
 	if e.helpers == 0 || e.closed {
 		return false
 	}
 	par := e.forced || work >= parallelHotPerShard
 	if e.ticks++; e.ticks%16 == 1 {
-		e.sess.touch()
+		e.touch()
 	}
 	if par && e.ho == nil {
 		// The cleanup closure captures only the handoff — never the
@@ -212,52 +170,31 @@ func (e *engine) parallel(work int) bool {
 	return par
 }
 
-func (e *engine) step(f *Fabric) {
+func (e *Stepper) step(f *Fabric) {
 	hot := len(f.hotLists[0])
 	for s := 1; s < e.n; s++ {
 		hot = min(hot, len(f.hotLists[s]))
 	}
-	if e.parallel(hot) {
-		e.ho.run(&e.claimJob, e.n)
-		e.ho.run(&e.commitJob, e.n)
-	} else {
-		for s := 0; s < e.n; s++ {
-			e.claim(s)
-		}
-		for s := 0; s < e.n; s++ {
-			e.commit(s)
-		}
-	}
+	e.run(hot, e.n, e.claimJob)
+	e.run(hot, e.n, e.commitJob)
 	for s := range e.sh {
 		f.moves += e.sh[s].moves
 		e.sh[s].moves = 0
 	}
 }
 
-// runShards implements Fabric.RunSharded: fn over every shard range, on
-// the helpers when every shard has work units of it.
-func (e *engine) runShards(work int, fn func(lo, hi int)) {
+// run runs fn(i) for every task i in [0, n): on the helpers when the
+// job's least-loaded shard has work units, inline otherwise.
+func (e *Stepper) run(work, n int, fn func(task int)) {
 	if !e.parallel(work) {
-		for s := 0; s < e.n; s++ {
-			fn(e.bounds[s], e.bounds[s+1])
+		for i := 0; i < n; i++ {
+			fn(i)
 		}
 		return
 	}
-	e.rangeFn = fn
-	e.ho.run(&e.rangeJob, e.n)
-	e.rangeFn = nil
-}
-
-// runPair implements Fabric.RunPair.
-func (e *engine) runPair(a, b func()) {
-	if !e.parallel(parallelHotPerShard) {
-		a()
-		b()
-		return
-	}
-	e.pair = [2]func(){a, b}
-	e.ho.run(&e.pairJob, 2)
-	e.pair = [2]func(){}
+	e.job = fn
+	e.ho.run(&e.job, n)
+	e.job = nil
 }
 
 // claim runs the claim phase for shard s: for every hot tile, try to
@@ -271,7 +208,7 @@ func (e *engine) runPair(a, b func()) {
 // caches the destination queue's index, so a claim is an occupancy
 // compare plus two appends. Multicast routes cache their whole fan-out
 // the same way (claimMulticast).
-func (e *engine) claim(s int) {
+func (e *Stepper) claim(s int) {
 	f := e.f
 	st := &e.sh[s]
 	st.pops = st.pops[:0]
@@ -342,7 +279,7 @@ func (e *engine) claim(s int) {
 
 // claimEntry claims the head word of one non-empty route entry: the
 // cached single-output fast path, or the cached multicast fan-out.
-func (e *engine) claimEntry(s, ti int, en *routeEntry, outClaimed *PortMask) {
+func (e *Stepper) claimEntry(s, ti int, en *routeEntry, outClaimed *PortMask) {
 	if en.single {
 		p := en.sport
 		if outClaimed.Has(p) {
@@ -371,7 +308,7 @@ func (e *engine) claimEntry(s, ti int, en *routeEntry, outClaimed *PortMask) {
 // claim (resolveFanout), so this is one mask test, one fullness compare
 // per destination and one append per destination, staged in ascending
 // port order.
-func (e *engine) claimMulticast(s, ti int, en *routeEntry, outClaimed *PortMask) {
+func (e *Stepper) claimMulticast(s, ti int, en *routeEntry, outClaimed *PortMask) {
 	f := e.f
 	var fo *fanout
 	if en.fan != 0 {
@@ -404,7 +341,7 @@ func (e *engine) claimMulticast(s, ti int, en *routeEntry, outClaimed *PortMask)
 // shards in shard order. Core rx deliveries fire the fabric's
 // rx-delivery wake callbacks from here, on the goroutine of the shard
 // that owns the destination tile — the contract OnRxDelivery documents.
-func (e *engine) commit(s int) {
+func (e *Stepper) commit(s int) {
 	f := e.f
 	st := &e.sh[s]
 	for _, q := range st.pops {

@@ -30,8 +30,8 @@ import (
 //     fabric's entry layouts, rotation seeds and hot set.
 //
 // The two halves share no state, so they run at once
-// (wse.Machine.Overlap): the replay on the caller, the memory loops on
-// a free helper of the machine's sharded fabric. Only once both finish is the replayed cycle count held to
+// (fabric.Fabric.RunPair): the replay on the caller, the memory loops
+// on a free helper of the machine's sharded fabric. Only once both finish is the replayed cycle count held to
 // Run's budget. An over-budget application therefore has already
 // advanced memory, and undoes it exactly before falling back to cycle
 // simulation: the exchange saved every halo column it overwrote and
@@ -187,7 +187,7 @@ func (p *Program3D) ExchangeReplay() *perfmodel.ExchangeReplay {
 // tryFastForward attempts one application without cycle simulation.
 // It must be called instead of Arm (not after — arming launches
 // threads); on false the caller falls back to the ordinary path. The
-// counter replay runs beside the memory half (wse.Machine.Overlap) and
+// counter replay runs beside the memory half (fabric.Fabric.RunPair) and
 // the budget is checked only once both are done, so an over-budget
 // application first puts back the halo columns ffExchange overwrote;
 // the result column and the partials need no restoring, since Arm
@@ -200,7 +200,7 @@ func (p *Program3D) tryFastForward(maxCycles int64) (int64, bool) {
 		p.ff = p.buildFF()
 	}
 	f := p.ff
-	p.M.Overlap(f.counters, f.memory)
+	p.M.Fab.RunPair(f.counters, f.memory)
 	res := f.res
 	if res.Cycles > maxCycles {
 		p.ffRestoreHalos()

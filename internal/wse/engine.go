@@ -21,9 +21,9 @@ const (
 	// EngineSequential steps every runnable core scalar-style on one
 	// goroutine: the reference engine.
 	EngineSequential
-	// EngineSharded steps a fabric of Config.Workers shards (the
-	// fabric's sharded stepper); cores step scalar-style within their
-	// shard. It is EngineFastForward without the jumps.
+	// EngineSharded steps a sharded fabric (Config.Workers shards, or
+	// one per P); cores step scalar-style within their shard. It is
+	// EngineFastForward without the jumps.
 	EngineSharded
 	// EngineBatched detects equivalence classes of cores that are about
 	// to execute the same instruction shape and runs one decoded
@@ -117,10 +117,8 @@ func resolveEngine(cfg Config) Engine {
 // EngineName reports the resolved stepping engine of this machine:
 // "seq", "sharded-N", "batched" or "fastforward".
 func (m *Machine) EngineName() string {
-	switch m.engine {
-	case EngineSharded:
+	if m.engine == EngineSharded {
 		return m.Fab.StepperName()
-	default:
-		return m.engine.String()
 	}
+	return m.engine.String()
 }

@@ -40,8 +40,8 @@ func TestResolveEngine(t *testing.T) {
 }
 
 // TestEngineShards holds each engine's fabric shard count: fast-forward
-// one per P — one, with no helper, at GOMAXPROCS=1 — or Workers when
-// Workers > 1; sharded Workers; sequential and batched one.
+// and sharded one per P — one, with no helper, at GOMAXPROCS=1 — or
+// Workers when Workers > 1; sequential and batched one.
 func TestEngineShards(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 3} {
@@ -55,6 +55,7 @@ func TestEngineShards(t *testing.T) {
 			{EngineFastForward, 1, procs},
 			{EngineFastForward, 4, 4},
 			{EngineSharded, 2, 2},
+			{EngineSharded, 1, procs},
 			{EngineSequential, 4, 1},
 			{EngineBatched, 4, 1},
 		} {

@@ -178,12 +178,3 @@ func (m *Machine) FastForwardSteps(n int64) {
 	}
 	m.steps += n
 }
-
-// Overlap runs bg and fg, which must touch disjoint state, and returns
-// once both have finished: fg on a helper of the machine's sharded
-// fabric when one is free (fabric.Fabric.RunPair), so a multi-core
-// host computes them at once. A fast-forwarded phase splits into two
-// independent accounts — its counters and its memory (stencilc.Program3D
-// runs its exchange replay beside the halo copies and compute loops).
-// On a one-shard fabric or after Close both run inline, bg first.
-func (m *Machine) Overlap(bg, fg func()) { m.Fab.RunPair(bg, fg) }

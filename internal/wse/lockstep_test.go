@@ -263,8 +263,7 @@ func refInstrStep(in Instr, c *Core, lanes int) int {
 // useRefStep makes m step its cores with refStep: the sequential
 // worklist walk, with the reference step and runnable check.
 func useRefStep(m *Machine) {
-	m.coreStep = func(lo, hi int) {
-		s := m.loShard[lo]
+	m.coreStep = func(s int) {
 		list := m.runnable[s]
 		w := 0
 		for _, c := range list {

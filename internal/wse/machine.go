@@ -40,13 +40,13 @@ type Config struct {
 	SIMDWidth int
 	// QueueDepth / RxDepth size the fabric queues.
 	QueueDepth, RxDepth int
-	// Workers is the fabric's shard count (fabric.Sharded). Under
-	// EngineAuto, > 1 selects EngineSharded on that many shards; under
-	// EngineFastForward, > 1 sets the shard count and <= 1 means one
-	// shard per P (one at GOMAXPROCS=1). EngineSequential and
-	// EngineBatched always step one shard. The simulated machine is
-	// bit-identical either way — see the fabric package's determinism
-	// contract — so this is purely a host-side throughput knob.
+	// Workers is the fabric's shard count (fabric.Sharded) under
+	// EngineFastForward and EngineSharded: > 1 that many, <= 1 one per P
+	// (one at GOMAXPROCS=1). Under EngineAuto, > 1 selects
+	// EngineSharded. EngineSequential and EngineBatched step one shard.
+	// The simulated machine is bit-identical either way — see the fabric
+	// package's determinism contract — so this is purely a host-side
+	// throughput knob.
 	Workers int
 	// Engine selects the core-stepping engine (see Engine). EngineAuto
 	// resolves from Workers and the -wse.engine flag override, to
@@ -124,13 +124,10 @@ type Machine struct {
 	// core's tile appends to or compacts its list (host code counts as
 	// the owner while the machine is not mid-Step).
 	runnable [][]*Core
-	// loShard maps a shard's first tile index to its shard index, so the
-	// RunSharded closure can recover which worklist to walk.
-	loShard map[int]int
 
-	// coreStep is the per-shard core stepping closure, built once so
-	// Step stays allocation-free on the hot path.
-	coreStep func(lo, hi int)
+	// coreStep steps shard s's cores, built once so Step stays
+	// allocation-free on the hot path.
+	coreStep func(s int)
 
 	// steps counts Machine.Step invocations — the denominator for core
 	// utilization. It can lag Fab.Cycle() when host kernels advance the
@@ -190,13 +187,9 @@ func New(cfg Config) *Machine {
 	cfg = cfg.withDefaults()
 	engine := resolveEngine(cfg)
 	stepper := fabric.Sequential()
-	switch engine {
-	case EngineSharded:
+	if engine == EngineSharded || engine == EngineFastForward {
 		stepper = fabric.Sharded(cfg.Workers)
-	case EngineFastForward:
-		if cfg.Workers > 1 {
-			stepper = fabric.Sharded(cfg.Workers)
-		} else {
+		if cfg.Workers <= 1 {
 			stepper = fabric.Sharded(0) // one shard per P
 		}
 	}
@@ -209,13 +202,9 @@ func New(cfg Config) *Machine {
 			Stepper: stepper,
 		}),
 	}
-	ranges := m.Fab.ShardRanges()
-	m.runnable = make([][]*Core, len(ranges))
-	m.issue = make([]shardIssue, len(ranges))
-	m.loShard = make(map[int]int, len(ranges))
-	for s, r := range ranges {
-		m.loShard[r[0]] = s
-	}
+	shards := len(m.Fab.ShardRanges())
+	m.runnable = make([][]*Core, shards)
+	m.issue = make([]shardIssue, shards)
 	// Per-tile state lives in per-machine slabs: a paper-scale wafer has
 	// hundreds of thousands of tiles, and one heap object each is GC work
 	// that grows with the fabric.
@@ -228,11 +217,10 @@ func New(cfg Config) *Machine {
 		cores[i] = Core{m: m, tile: t, shard: m.Fab.ShardOf(i)}
 		m.Tiles[i] = t
 	}
+	m.coreStep = m.stepShard
 	if m.engine == EngineBatched {
-		m.batch = make([]batchState, len(ranges))
-		m.coreStep = func(lo, hi int) { m.stepShardBatched(m.loShard[lo]) }
-	} else {
-		m.coreStep = func(lo, hi int) { m.stepShard(m.loShard[lo]) }
+		m.batch = make([]batchState, shards)
+		m.coreStep = m.stepShardBatched
 	}
 	// Words arriving at a tile's ramp wake its core; the callback runs
 	// on the owning shard (see fabric.Fabric.OnRxDelivery), so the
@@ -291,12 +279,10 @@ func (m *Machine) anyRunnable() bool {
 // TileAt returns the tile at coordinate c.
 func (m *Machine) TileAt(c fabric.Coord) *Tile { return m.Tiles[m.Fab.Index(c)] }
 
-// Close stops the fabric's helper goroutines (see fabric.Fabric.Close),
-// which also serve Overlap. Idempotent; the machine stays usable,
-// stepping and overlapping inline. Machines that are never Closed do
-// not leak — the helpers are reclaimed with the fabric — but long-lived
-// hosts that churn through machines should Close promptly rather than
-// waiting on the garbage collector.
+// Close stops the fabric's helper goroutines (fabric.Fabric.Close).
+// Idempotent; the machine stays usable, stepping inline. An unclosed
+// machine's helpers are reclaimed with it, but long-lived hosts that
+// churn through machines should Close promptly.
 func (m *Machine) Close() { m.Fab.Close() }
 
 // Step advances the whole machine one cycle: runnable cores issue work,
