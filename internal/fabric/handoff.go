@@ -32,11 +32,12 @@ type handoff struct {
 	done   atomic.Int32 // tasks of the current generation finished
 	gen    uint64       // the caller's last published generation
 
-	limit  int
-	parked atomic.Int32 // helpers blocked in work's select
-	wake   chan struct{}
-	quit   chan struct{}
-	once   sync.Once
+	limit   int
+	parked  atomic.Int32 // helpers blocked in work's select
+	refused atomic.Bool  // the last helper to park was refused a slot
+	wake    chan struct{}
+	quit    chan struct{}
+	once    sync.Once
 }
 
 // An idle helper looks for a job spinLoads times between two
@@ -64,9 +65,10 @@ func (h *handoff) run(job *func(task int), n int) {
 	h.done.Store(0)
 	h.job.Store(job)
 	h.ticket.Store(h.gen<<32 | uint64(n)<<16)
-	// Asking every sixteenth run whether a parked helper would fit
+	// A helper that parked idle is woken at once; one that was refused
+	// only when asked every sixteenth run whether it now fits, which
 	// keeps the clock off the common path.
-	if h.parked.Load() > 0 && h.gen%16 == 1 && fits(h.limit, 1) {
+	if h.parked.Load() > 0 && (!h.refused.Load() || h.gen%16 == 1 && fits(h.limit, 1)) {
 		select {
 		case h.wake <- struct{}{}: // one helper; the next run may wake another
 		default:
@@ -111,21 +113,19 @@ func (h *handoff) claim() (*func(int), int, bool) {
 func (h *handoff) work() {
 	for {
 		stepping.helpers.Add(1)
-		if fits(h.limit, 0) {
-			for idle := 0; idle < helperSpins*spinLoads; idle++ {
-				if j, i, ok := h.claim(); ok {
-					(*j)(i)
-					h.done.Add(1)
-					idle = 0
-				} else if idle%spinLoads == spinLoads-1 {
-					if !fits(h.limit, 0) {
-						break
-					}
-					runtime.Gosched()
-				}
+		refused := !fits(h.limit, 0)
+		for idle := 0; !refused && idle < helperSpins*spinLoads; idle++ {
+			if j, i, ok := h.claim(); ok {
+				(*j)(i)
+				h.done.Add(1)
+				idle = 0
+			} else if idle%spinLoads == spinLoads-1 {
+				refused = !fits(h.limit, 0)
+				runtime.Gosched()
 			}
 		}
 		stepping.helpers.Add(-1)
+		h.refused.Store(refused)
 		h.parked.Add(1)
 		select {
 		case <-h.wake:

@@ -94,6 +94,37 @@ func TestHandoffParkedHelperNotAwaited(t *testing.T) {
 	}
 }
 
+// TestHandoffWakesIdleHelper pins that a run wakes a helper that parked
+// for lack of work, every run and not only when it next asks for room:
+// each round's two tasks wait for each other, so they finish only if
+// the woken helper takes one.
+func TestHandoffWakesIdleHelper(t *testing.T) {
+	h := newHandoff(1, 1<<30)
+	defer h.close()
+	for round := 0; round < 5; round++ {
+		deadline := time.Now().Add(5 * time.Second)
+		for h.parked.Load() != 1 {
+			if time.Now().After(deadline) {
+				t.Fatal("idle helper did not park")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		var started [2]atomic.Bool
+		var helped [2]bool
+		job := func(i int) {
+			started[i].Store(true)
+			helped[i] = onHelper()
+			for wait := time.Now().Add(5 * time.Second); !started[1-i].Load() && time.Now().Before(wait); {
+				runtime.Gosched()
+			}
+		}
+		h.run(&job, 2)
+		if helped[0] == helped[1] {
+			t.Fatalf("round %d: tasks on a helper %v, want exactly one", round, helped)
+		}
+	}
+}
+
 // TestHandoffNoStaleJob runs many short jobs back to back on eager
 // helpers. Each round's job writes its own round number into its task
 // slots; a helper that ran a task of one round with the job of an
