@@ -25,8 +25,8 @@ import (
 // returning, so they never pin the fabric; Close or a runtime cleanup
 // once the fabric is unreachable stops them.
 type handoff struct {
-	// ticket packs the job's generation (high 32 bits), task count (16
-	// bits) and next unclaimed task (low 16 bits); see claim.
+	// ticket packs the job's generation (high 32 bits) and the bounds
+	// [lo, hi) of its unclaimed tasks (16 bits each); see claim.
 	ticket atomic.Uint64
 	job    atomic.Pointer[func(task int)]
 	done   atomic.Int32 // tasks of the current generation finished
@@ -64,7 +64,7 @@ func (h *handoff) run(job *func(task int), n int) {
 	h.gen++
 	h.done.Store(0)
 	h.job.Store(job)
-	h.ticket.Store(h.gen<<32 | uint64(n)<<16)
+	h.ticket.Store(h.gen<<32 | uint64(n))
 	// A helper that parked idle is woken at once; one that was refused
 	// only when asked every sixteenth run whether it now fits, which
 	// keeps the clock off the common path.
@@ -75,7 +75,7 @@ func (h *handoff) run(job *func(task int), n int) {
 		}
 	}
 	mine := int32(0)
-	for _, i, ok := h.claim(); ok; _, i, ok = h.claim() {
+	for _, i, ok := h.claim(false); ok; _, i, ok = h.claim(false) {
 		(*job)(i)
 		mine++
 	}
@@ -89,39 +89,49 @@ func (h *handoff) run(job *func(task int), n int) {
 	h.job.Store(nil)
 }
 
-// claim takes the next task of the published job, if one is left, and
-// its job, read between the ticket load and a compare-and-swap from
-// that value. The swap succeeds only while that generation has a task
-// unclaimed, and run publishes the next job only once every task has
-// finished, so no task ever runs with another generation's job.
-func (h *handoff) claim() (*func(int), int, bool) {
+// claim takes an unclaimed task of the published job, if one is left —
+// the lowest for the caller, the highest for a helper (back), so with
+// one helper each keeps its own shard and its data stays in its core's
+// cache — and its job, read between the ticket load and a
+// compare-and-swap from that value. The swap succeeds only while that
+// generation has a task unclaimed, and run publishes the next job only
+// once every task has finished, so no task ever runs with another
+// generation's job.
+func (h *handoff) claim(back bool) (*func(int), int, bool) {
 	for {
 		t := h.ticket.Load()
-		if t&0xffff >= t>>16&0xffff {
+		lo, hi := int(t>>16&0xffff), int(t&0xffff)
+		if lo >= hi {
 			return nil, 0, false
 		}
 		j := h.job.Load()
-		if h.ticket.CompareAndSwap(t, t+1) {
-			return j, int(t & 0xffff), true
+		if back && h.ticket.CompareAndSwap(t, t-1) {
+			return j, hi - 1, true
+		}
+		if !back && h.ticket.CompareAndSwap(t, t+1<<16) {
+			return j, lo, true
 		}
 	}
 }
 
 // work is one helper: admitted, it claims and runs tasks, spinning
-// between jobs; refused, or idle past its spins, it parks — and exits
-// there once the handoff is closed.
+// between jobs and asking every spinLoads tries whether it still fits;
+// refused, or idle past its spins, it parks — and exits there once the
+// handoff is closed.
 func (h *handoff) work() {
 	for {
 		stepping.helpers.Add(1)
 		refused := !fits(h.limit, 0)
-		for idle := 0; !refused && idle < helperSpins*spinLoads; idle++ {
-			if j, i, ok := h.claim(); ok {
+		for k, idle := 1, 0; !refused && idle < helperSpins*spinLoads; k++ {
+			if j, i, ok := h.claim(true); ok {
 				(*j)(i)
 				h.done.Add(1)
 				idle = 0
-			} else if idle%spinLoads == spinLoads-1 {
-				refused = !fits(h.limit, 0)
+			} else if idle++; idle%spinLoads == 0 {
 				runtime.Gosched()
+			}
+			if k%spinLoads == 0 {
+				refused = !fits(h.limit, 0)
 			}
 		}
 		stepping.helpers.Add(-1)
