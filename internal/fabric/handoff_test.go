@@ -25,19 +25,6 @@ func onHelper() bool {
 	}
 }
 
-// quiesce waits for the helpers and sessions earlier tests left to go
-// idle, so the process-wide stepping count starts at zero.
-func quiesce(t *testing.T) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !fits(0, 0) {
-		if time.Now().After(deadline) {
-			t.Fatalf("stepping count did not settle (%d helpers)", stepping.helpers.Load())
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // runAll runs an n-task job on h and returns, per task, how often it
 // ran and whether it ran on a helper.
 func runAll(h *handoff, n int) (runs []int32, helped []bool) {
@@ -54,7 +41,6 @@ func runAll(h *handoff, n int) (runs []int32, helped []bool) {
 // parks instead of spinning, and the run it was refused for completes
 // every task on the caller.
 func TestHandoffRefusedHelperParks(t *testing.T) {
-	quiesce(t)
 	h := newHandoff(1, 0) // no slot for any helper
 	defer h.close()
 	deadline := time.Now().Add(5 * time.Second)
@@ -64,8 +50,8 @@ func TestHandoffRefusedHelperParks(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if n := stepping.helpers.Load(); n != 0 {
-		t.Fatalf("refused helper counted as stepping: %d admitted helpers", n)
+	if !h.refused.Load() {
+		t.Fatal("helper parked without being refused")
 	}
 	for round := 0; round < 50; round++ {
 		runs, helped := runAll(h, 5)
