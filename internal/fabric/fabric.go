@@ -19,18 +19,14 @@
 // # Stepping engines and determinism
 //
 // A Fabric is advanced by a Stepper (see stepper.go): Sequential steps
-// every router on one goroutine, Sharded(workers) partitions the tile
-// grid into contiguous shards and runs each cycle as two jobs, claim
-// then commit, whose shards the calling goroutine shares with helper
-// goroutines through a help-first handoff (handoff.go). The two engines
-// are bit-identical — the same router queue contents and occupancies,
-// core receive buffers and Moves counter, cycle for cycle — because the
-// claim phase reads only pre-cycle queue state (it mutates nothing
-// another shard can observe), each queue receives at most one push and
-// one pop per cycle, and every queue is committed by the shard that
-// owns its tile, pops before pushes, in the sequential engine's order.
-// equiv_test.go holds the contract to state fingerprints every cycle,
-// and FuzzRouterDelivery extends it to randomized flow configurations.
+// every router on one goroutine, Sharded(workers) splits the tile grid
+// into contiguous shards and runs each cycle as two jobs, claim then
+// commit, whose shards the caller shares with helper goroutines
+// (handoff.go). The two are bit-identical — queue contents, occupancies
+// and Moves, cycle for cycle — because the claim phase reads only
+// pre-cycle state, each queue takes at most one push and one pop per
+// cycle, and the shard owning a queue's tile commits it, pops before
+// pushes, in the sequential order (equiv_test.go, FuzzRouterDelivery).
 // The claim phase takes a specialized fast path for single-output,
 // non-multicast routes — the overwhelmingly common case in the paper's
 // communication patterns.

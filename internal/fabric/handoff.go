@@ -16,14 +16,12 @@ import (
 // then parks until a later run wakes it, which run does not wait for.
 //
 // A helper claims only while the process-wide count of stepping
-// goroutines (stepping) is below limit (GOMAXPROCS), and a refused
-// helper parks rather than spins: two machines stepped from two
-// goroutines on a two-P host step one shard after another each, while
-// one alone gets both Ps.
-//
-// Helpers reference only the handoff, and run clears its job before
-// returning, so they never pin the fabric; Close or a runtime cleanup
-// once the fabric is unreachable stops them.
+// goroutines (stepping) is below limit (GOMAXPROCS); a refused one
+// parks. So two machines stepped from two goroutines on two Ps step
+// one shard after another each, while one alone gets both Ps. Helpers
+// reference only the handoff and run clears its job, so they never pin
+// the fabric: Close, or a runtime cleanup once it is unreachable,
+// stops them.
 type handoff struct {
 	// ticket packs the job's generation (high 32 bits) and the bounds
 	// [lo, hi) of its unclaimed tasks (16 bits each); see claim.
@@ -33,17 +31,17 @@ type handoff struct {
 	gen    uint64       // the caller's last published generation
 
 	limit   int
-	parked  atomic.Int32 // helpers blocked in work's select
-	refused atomic.Bool  // the last helper to park was refused a slot
-	wake    chan struct{}
+	parked  atomic.Int32  // helpers blocked in work's select
+	refused atomic.Bool   // the last helper to park was refused a slot
+	wake    chan struct{} // one token per helper at most
 	quit    chan struct{}
 	once    sync.Once
+	exited  sync.WaitGroup
 }
 
-// An idle helper looks for a job spinLoads times between two
-// runtime.Gosched calls (each takes the scheduler's lock), for
-// helperSpins calls — about the gap between two phases of a stepped
-// cycle, far shorter than a host-side phase — and then parks.
+// An idle helper looks for a job spinLoads times between two Gosched
+// calls (each takes the scheduler's lock), for helperSpins calls — a
+// stepped cycle's phase gap, far shorter than a host-side phase.
 const (
 	helperSpins = 256
 	spinLoads   = 64
@@ -51,7 +49,8 @@ const (
 
 func newHandoff(helpers, limit int) *handoff {
 	h := &handoff{limit: limit, wake: make(chan struct{}, helpers), quit: make(chan struct{})}
-	for i := 0; i < helpers; i++ {
+	h.exited.Add(helpers)
+	for range helpers {
 		go h.work()
 	}
 	return h
@@ -79,24 +78,21 @@ func (h *handoff) run(job *func(task int), n int) {
 		(*job)(i)
 		mine++
 	}
-	if h.done.Add(mine) < int32(n) {
-		for k := 1; h.done.Load() < int32(n); k++ {
-			if k%spinLoads == 0 {
-				runtime.Gosched() // a helper preempted mid-task may finish here
-			}
+	h.done.Add(mine)
+	for k := 1; h.done.Load() < int32(n); k++ {
+		if k%spinLoads == 0 {
+			runtime.Gosched() // a helper preempted mid-task may finish here
 		}
 	}
 	h.job.Store(nil)
 }
 
-// claim takes an unclaimed task of the published job, if one is left —
-// the lowest for the caller, the highest for a helper (back), so with
-// one helper each keeps its own shard and its data stays in its core's
-// cache — and its job, read between the ticket load and a
-// compare-and-swap from that value. The swap succeeds only while that
+// claim takes an unclaimed task of the published job — the lowest for
+// the caller, the highest for a helper (back), so each keeps its shard
+// in its core's cache — and its job, read between the ticket load and
+// a compare-and-swap from that value. The swap succeeds only while that
 // generation has a task unclaimed, and run publishes the next job only
-// once every task has finished, so no task ever runs with another
-// generation's job.
+// once every task has finished: no task runs with another's job.
 func (h *handoff) claim(back bool) (*func(int), int, bool) {
 	for {
 		t := h.ticket.Load()
@@ -119,6 +115,7 @@ func (h *handoff) claim(back bool) (*func(int), int, bool) {
 // refused, or idle past its spins, it parks — and exits there once the
 // handoff is closed.
 func (h *handoff) work() {
+	defer h.exited.Done()
 	for {
 		stepping.helpers.Add(1)
 		refused := !fits(h.limit, 0)
@@ -146,7 +143,11 @@ func (h *handoff) work() {
 	}
 }
 
-func (h *handoff) close() { h.once.Do(func() { close(h.quit) }) }
+// close stops the helpers and returns once they have exited.
+func (h *handoff) close() {
+	h.once.Do(func() { close(h.quit) })
+	h.exited.Wait()
+}
 
 // stepping is the process-wide count of goroutines stepping a machine:
 // the admitted helpers, and the callers — each sharded engine's last
@@ -179,16 +180,15 @@ func fits(limit, extra int) bool {
 }
 
 // touch marks e's caller as stepping now, in e's slot of
-// stepping.callers if no other engine took it since e last wrote it,
-// else in the first stale one (its engine stopped stepping, or was
-// closed or collected).
+// stepping.callers if it still holds what e last wrote there (a fresh
+// engine's slot 0 holds 0 while free), else in the first stale one
+// (its engine stopped stepping, or was closed or collected).
 func (e *Stepper) touch() {
 	now := clock()
-	if e.slot >= 0 && stepping.callers[e.slot].CompareAndSwap(e.stamp, now) {
+	if stepping.callers[e.slot].CompareAndSwap(e.stamp, now) {
 		e.stamp = now
 		return
 	}
-	e.slot = -1
 	for i := range stepping.callers {
 		if v := stepping.callers[i].Load(); now-v > callerTTL && stepping.callers[i].CompareAndSwap(v, now) {
 			e.slot, e.stamp = i, now

@@ -24,11 +24,9 @@ func Sharded(workers int) *Stepper {
 	return &Stepper{workers: workers}
 }
 
-// ForceParallel makes f's stepper hand every cycle, core step and
-// RunPair to the helpers, one per shard beyond the first, whatever the
-// host's P count, the load and the other stepping goroutines: a test
-// hook that drives the concurrent path on any host. A no-op on a
-// one-shard fabric. Call it before the first Step.
+// ForceParallel, a test hook, makes f's stepper hand every job to
+// helpers, one per shard beyond the first, whatever the P count, load
+// and other steppers. A no-op on one shard; call it before stepping.
 func ForceParallel(f *Fabric) {
 	if e := f.stepper; e.n > 1 {
 		e.helpers, e.limit, e.forced = e.n-1, 1<<30, true
@@ -54,10 +52,9 @@ type Stepper struct {
 	bounds  []int // len n+1; shard s owns tiles [bounds[s], bounds[s+1])
 	sh      []shardState
 
-	// helpers is the helper count, min(n, GOMAXPROCS) - 1 at bind time:
-	// 0 steps every cycle inline. limit is the stepping goroutines a
-	// helper may join (GOMAXPROCS). forced (ForceParallel) sends every
-	// job to the helpers.
+	// helpers is min(n, GOMAXPROCS) - 1 (0: every job inline), limit the
+	// stepping goroutines a helper may join (GOMAXPROCS); forced is
+	// ForceParallel's.
 	helpers, limit int
 	forced         bool
 
@@ -66,8 +63,8 @@ type Stepper struct {
 	// after which every job runs inline.
 	ho     *handoff
 	closed bool
-	// slot is the engine's entry in stepping.callers (-1: none) and stamp
-	// what it last wrote there (touch); ticks spaces the refreshes.
+	// slot is the engine's entry in stepping.callers and stamp what it
+	// last wrote there (touch); ticks spaces the refreshes.
 	slot  int
 	stamp int64
 	ticks uint32
@@ -118,7 +115,6 @@ func (e *Stepper) bind(f *Fabric) {
 	e.n = n
 	e.limit = runtime.GOMAXPROCS(0)
 	e.helpers = min(n, e.limit) - 1
-	e.slot = -1
 	e.bounds = make([]int, n+1)
 	for s := 0; s <= n; s++ {
 		e.bounds[s] = s * tiles / n
@@ -151,7 +147,7 @@ func (e *Stepper) Close() {
 
 // parallel reports whether a job whose least-loaded shard has work
 // units goes to the helpers, starting the handoff on first use, and
-// keeps the engine's session current every sixteenth job.
+// marks the caller as stepping (touch) every sixteenth job.
 func (e *Stepper) parallel(work int) bool {
 	if e.helpers == 0 || e.closed {
 		return false

@@ -290,8 +290,8 @@ func (m *Machine) Close() { m.Fab.Close() }
 // step on its own tile partition and helpers, so every core's fabric
 // access (Send/Recv on its own tile) stays within the shard that owns
 // it; core state is tile-local, so the result is identical to
-// sequential stepping. The shortest worklist is the work RunSharded
-// weighs. A fully quiescent machine skips core dispatch entirely.
+// sequential stepping. A fully quiescent machine skips core dispatch
+// entirely.
 func (m *Machine) Step() {
 	m.steps++
 	if m.anyRunnable() {
