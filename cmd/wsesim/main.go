@@ -121,7 +121,7 @@ func flagSet(c *config) *flag.FlagSet {
 	fs.StringVar(&c.wafers, "wafers", "",
 		"wafer grid WxH: run the multiwafer cluster backend instead of a single wafer (e.g. 2x1; bicgstab only)")
 	fs.IntVar(&c.workers, "workers", 1,
-		"simulation shards (1: fast-forward, one shard per P; >1: the sharded engine, fast-forward without jumps, on this many shards; results are bit-identical; single-wafer only: -wafers clusters fast-forward)")
+		"simulation shards (1: fast-forward, one shard per P, at most one per 64 tiles; >1: the sharded engine, fast-forward without jumps, on this many shards; results are bit-identical; single-wafer only: -wafers clusters fast-forward)")
 	fs.StringVar(&c.engine, "engine", "",
 		"core-stepping engine: seq|sharded|batched|fastforward (empty = fastforward, or sharded when -workers > 1; every engine is bit- and cycle-identical — this is a host-throughput knob, single-wafer only)")
 	fs.StringVar(&c.ckptPath, "checkpoint", "",

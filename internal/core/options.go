@@ -159,7 +159,7 @@ type WaferOptions struct {
 
 // Shards is the Workers the wafer machine is built with: Workers when
 // it asks for sharded stepping (> 1), otherwise 0. Workers 0 and 1
-// build the same machine (fast-forward on one shard per P), so callers
+// build the same machine (fast-forward on fabric.Sharded(0)), so callers
 // that key machines (the daemon's warm cache) key on Shards, not on
 // Workers.
 func (w WaferOptions) Shards() int {

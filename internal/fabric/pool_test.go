@@ -161,8 +161,8 @@ func TestPoolServesCoreStepping(t *testing.T) {
 }
 
 // TestShardedWorkerClamp pins the documented clamp rule: workers <= 0
-// means one per available CPU, and at bind time the shard count is
-// capped at the tile count.
+// means one per available CPU but at most one per parallelHotPerShard
+// tiles, and at bind time the shard count is capped at the tile count.
 func TestShardedWorkerClamp(t *testing.T) {
 	gmp := runtime.GOMAXPROCS(0)
 	cases := []struct {
@@ -171,8 +171,9 @@ func TestShardedWorkerClamp(t *testing.T) {
 		w, h       int
 		wantShards int
 	}{
-		{"negative-means-gomaxprocs", -3, 32, 32, gmp},
-		{"zero-means-gomaxprocs", 0, 32, 32, gmp},
+		{"negative-means-gomaxprocs", -3, 32, 32, min(gmp, 16)},
+		{"zero-means-gomaxprocs", 0, 32, 32, min(gmp, 16)},
+		{"zero-caps-at-tiles-per-shard", 0, 12, 12, min(gmp, 2)},
 		{"one-is-sequential", 1, 8, 8, 1},
 		{"plain", 5, 32, 32, 5},
 		{"more-workers-than-tiles", 99, 2, 2, 4},

@@ -11,15 +11,16 @@ import (
 func Sequential() *Stepper { return &Stepper{workers: 1} }
 
 // Sharded returns an engine that partitions the tile grid into
-// contiguous shards: workers of them, or one per P (GOMAXPROCS at
-// construction) when workers <= 0, capped at bind time at the tile
-// count. It starts min(shards, GOMAXPROCS) - 1 helper goroutines on its
-// first parallel job, none on a one-P host; a job goes to them only
-// when every shard has parallelHotPerShard of work, so a quiet fabric
-// steps inline.
+// contiguous shards: workers of them, capped at bind time at the tile
+// count; or, when workers <= 0, one per P (GOMAXPROCS at construction)
+// but no more than one per parallelHotPerShard tiles, so every shard can
+// reach the work that sends a job to the helpers. It starts
+// min(shards, GOMAXPROCS) - 1 helper goroutines on its first parallel
+// job, none on a one-P host; a job goes to them only when every shard
+// has parallelHotPerShard of work, so a quiet fabric steps inline.
 func Sharded(workers int) *Stepper {
 	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+		return &Stepper{workers: runtime.GOMAXPROCS(0), auto: true}
 	}
 	return &Stepper{workers: workers}
 }
@@ -47,6 +48,7 @@ const parallelHotPerShard = 64
 // fabrics.
 type Stepper struct {
 	workers int
+	auto    bool // Sharded(0): at most one shard per parallelHotPerShard tiles
 	f       *Fabric
 	n       int   // shard count after binding
 	bounds  []int // len n+1; shard s owns tiles [bounds[s], bounds[s+1])
@@ -84,12 +86,16 @@ type shardState struct {
 }
 
 // Name identifies the engine, e.g. for benchmark sub-names: "seq" or
-// "sharded-N".
+// "sharded-N", N its shard count once bound.
 func (e *Stepper) Name() string {
-	if e.workers <= 1 {
+	n := e.workers
+	if e.f != nil {
+		n = e.n
+	}
+	if n <= 1 {
 		return "seq"
 	}
-	return fmt.Sprintf("sharded-%d", e.workers)
+	return fmt.Sprintf("sharded-%d", n)
 }
 
 func (e *Stepper) bind(f *Fabric) {
@@ -101,13 +107,11 @@ func (e *Stepper) bind(f *Fabric) {
 	}
 	e.f = f
 	tiles := f.W * f.H
-	n := e.workers
-	if n < 1 {
-		n = 1
+	n := min(e.workers, tiles)
+	if e.auto {
+		n = min(n, tiles/parallelHotPerShard)
 	}
-	if n > tiles {
-		n = tiles
-	}
+	n = max(n, 1)
 	// shardOf is uint16; more shards than that is never useful anyway.
 	if n > 1<<16-1 {
 		n = 1<<16 - 1

@@ -472,8 +472,10 @@ func TestNewRejects(t *testing.T) {
 	}
 }
 
-// TestCloseReleasesGoroutines pins pool hygiene across a multi-machine
-// cluster with sharded engines (New's fast-forward wafers start none).
+// TestCloseReleasesGoroutines pins helper hygiene across a
+// multi-machine cluster with sharded engines. New's fast-forward wafers
+// start helpers too on a multi-P host with large enough wafers, and
+// Close must release them the same way.
 func TestCloseReleasesGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	h, _, b, _ := testProblem(t, 4, 4, 8, 17)

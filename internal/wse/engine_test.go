@@ -40,30 +40,33 @@ func TestResolveEngine(t *testing.T) {
 }
 
 // TestEngineShards holds each engine's fabric shard count: fast-forward
-// and sharded one per P — one, with no helper, at GOMAXPROCS=1 — or
-// Workers when Workers > 1; sequential and batched one.
+// and sharded one per P, but no more than one per 64 tiles — one, with
+// no helper, at GOMAXPROCS=1 — or Workers when Workers > 1; sequential
+// and batched one.
 func TestEngineShards(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, procs := range []int{1, 3} {
+	for _, procs := range []int{1, 3, 8} {
 		runtime.GOMAXPROCS(procs)
 		for _, tc := range []struct {
 			engine  Engine
+			side    int
 			workers int
 			want    int
 		}{
-			{EngineFastForward, 0, procs},
-			{EngineFastForward, 1, procs},
-			{EngineFastForward, 4, 4},
-			{EngineSharded, 2, 2},
-			{EngineSharded, 1, procs},
-			{EngineSequential, 4, 1},
-			{EngineBatched, 4, 1},
+			{EngineFastForward, 16, 0, min(procs, 4)},
+			{EngineFastForward, 16, 1, min(procs, 4)},
+			{EngineFastForward, 8, 0, 1},
+			{EngineFastForward, 4, 4, 4},
+			{EngineSharded, 4, 2, 2},
+			{EngineSharded, 16, 1, min(procs, 4)},
+			{EngineSequential, 16, 4, 1},
+			{EngineBatched, 16, 4, 1},
 		} {
-			cfg := CS1(4, 4)
+			cfg := CS1(tc.side, tc.side)
 			cfg.Engine, cfg.Workers = tc.engine, tc.workers
 			m := New(cfg)
 			if got := len(m.Fab.ShardRanges()); got != tc.want {
-				t.Errorf("GOMAXPROCS=%d, %v with Workers %d: %d shards, want %d", procs, tc.engine, tc.workers, got, tc.want)
+				t.Errorf("GOMAXPROCS=%d, %v on %dx%d with Workers %d: %d shards, want %d", procs, tc.engine, tc.side, tc.side, tc.workers, got, tc.want)
 			}
 			m.Close()
 		}

@@ -42,7 +42,8 @@ type Config struct {
 	QueueDepth, RxDepth int
 	// Workers is the fabric's shard count (fabric.Sharded) under
 	// EngineFastForward and EngineSharded: > 1 that many, <= 1 one per P
-	// (one at GOMAXPROCS=1). Under EngineAuto, > 1 selects
+	// but at most one per 64 tiles (fabric.Sharded(0); one at
+	// GOMAXPROCS=1). Under EngineAuto, > 1 selects
 	// EngineSharded. EngineSequential and EngineBatched step one shard.
 	// The simulated machine is bit-identical either way — see the fabric
 	// package's determinism contract — so this is purely a host-side
@@ -190,7 +191,7 @@ func New(cfg Config) *Machine {
 	if engine == EngineSharded || engine == EngineFastForward {
 		stepper = fabric.Sharded(cfg.Workers)
 		if cfg.Workers <= 1 {
-			stepper = fabric.Sharded(0) // one shard per P
+			stepper = fabric.Sharded(0) // one shard per P, per 64 tiles at most
 		}
 	}
 	m := &Machine{
