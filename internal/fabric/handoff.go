@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // handoff shares the tasks of one job — the shards of a claim, commit
@@ -16,12 +15,13 @@ import (
 // then parks until a later run wakes it, which run does not wait for.
 //
 // A helper claims only while the process-wide count of stepping
-// goroutines (stepping) is below limit (GOMAXPROCS); a refused one
-// parks. So two machines stepped from two goroutines on two Ps step
-// one shard after another each, while one alone gets both Ps. Helpers
-// reference only the handoff and run clears its job, so they never pin
-// the fabric: Close, or a runtime cleanup once it is unreachable,
-// stops them.
+// goroutines (stepping: callers inside run, admitted helpers) is at
+// most limit (GOMAXPROCS); a refused one parks, and run wakes a parked
+// one only while there is room. So two machines stepped from two
+// goroutines on two Ps step one shard after another each, while one
+// alone gets both Ps. Helpers reference only the handoff and run clears
+// its job, so they never pin the fabric: Close, or a runtime cleanup
+// once it is unreachable, stops them.
 type handoff struct {
 	// ticket packs the job's generation (high 32 bits) and the bounds
 	// [lo, hi) of its unclaimed tasks (16 bits each); see claim.
@@ -30,13 +30,12 @@ type handoff struct {
 	done   atomic.Int32 // tasks of the current generation finished
 	gen    uint64       // the caller's last published generation
 
-	limit   int
-	parked  atomic.Int32  // helpers blocked in work's select
-	refused atomic.Bool   // the last helper to park was refused a slot
-	wake    chan struct{} // one token per helper at most
-	quit    chan struct{}
-	once    sync.Once
-	exited  sync.WaitGroup
+	limit  int
+	parked atomic.Int32  // helpers blocked in work's select
+	wake   chan struct{} // one token per helper at most
+	quit   chan struct{}
+	once   sync.Once
+	exited sync.WaitGroup
 }
 
 // An idle helper looks for a job spinLoads times between two Gosched
@@ -60,14 +59,12 @@ func newHandoff(helpers, limit int) *handoff {
 // returns when all have finished. Must not run concurrently with
 // itself or close.
 func (h *handoff) run(job *func(task int), n int) {
+	busy := stepping.Add(1)
 	h.gen++
 	h.done.Store(0)
 	h.job.Store(job)
 	h.ticket.Store(h.gen<<32 | uint64(n))
-	// A helper that parked idle is woken at once; one that was refused
-	// only when asked every sixteenth run whether it now fits, which
-	// keeps the clock off the common path.
-	if h.parked.Load() > 0 && (!h.refused.Load() || h.gen%16 == 1 && fits(h.limit, 1)) {
+	if h.parked.Load() > 0 && busy < int32(h.limit) {
 		select {
 		case h.wake <- struct{}{}: // one helper; the next run may wake another
 		default:
@@ -85,6 +82,7 @@ func (h *handoff) run(job *func(task int), n int) {
 		}
 	}
 	h.job.Store(nil)
+	stepping.Add(-1)
 }
 
 // claim takes an unclaimed task of the published job — the lowest for
@@ -117,9 +115,11 @@ func (h *handoff) claim(back bool) (*func(int), int, bool) {
 func (h *handoff) work() {
 	defer h.exited.Done()
 	for {
-		stepping.helpers.Add(1)
-		refused := !fits(h.limit, 0)
-		for k, idle := 1, 0; !refused && idle < helperSpins*spinLoads; k++ {
+		stepping.Add(1)
+		for k, idle := 0, 0; idle < helperSpins*spinLoads; k++ {
+			if k%spinLoads == 0 && stepping.Load() > int32(h.limit) {
+				break // refused: every P already steps
+			}
 			if j, i, ok := h.claim(true); ok {
 				(*j)(i)
 				h.done.Add(1)
@@ -127,12 +127,8 @@ func (h *handoff) work() {
 			} else if idle++; idle%spinLoads == 0 {
 				runtime.Gosched()
 			}
-			if k%spinLoads == 0 {
-				refused = !fits(h.limit, 0)
-			}
 		}
-		stepping.helpers.Add(-1)
-		h.refused.Store(refused)
+		stepping.Add(-1)
 		h.parked.Add(1)
 		select {
 		case <-h.wake:
@@ -150,49 +146,5 @@ func (h *handoff) close() {
 }
 
 // stepping is the process-wide count of goroutines stepping a machine:
-// the admitted helpers, and the callers — each sharded engine's last
-// stepped time (clock; see touch), which counts for callerTTL.
-var stepping struct {
-	helpers atomic.Int32
-	callers [32]atomic.Int64
-}
-
-// callerTTL outlasts sixteen stepped cycles of a small solve and the
-// host-side work between two of its stepped phases, and is shorter
-// than the wait between two jobs.
-const callerTTL = int64(time.Millisecond)
-
-var epoch = time.Now()
-
-// clock is monotonic nanoseconds, never within callerTTL of 0.
-func clock() int64 { return int64(time.Since(epoch)) + callerTTL + 1 }
-
-// fits reports whether the stepping goroutines plus extra are at most
-// limit.
-func fits(limit, extra int) bool {
-	now, n := clock(), int(stepping.helpers.Load())+extra
-	for i := range stepping.callers {
-		if now-stepping.callers[i].Load() <= callerTTL {
-			n++
-		}
-	}
-	return n <= limit
-}
-
-// touch marks e's caller as stepping now, in e's slot of
-// stepping.callers if it still holds what e last wrote there (a fresh
-// engine's slot 0 holds 0 while free), else in the first stale one
-// (its engine stopped stepping, or was closed or collected).
-func (e *Stepper) touch() {
-	now := clock()
-	if stepping.callers[e.slot].CompareAndSwap(e.stamp, now) {
-		e.stamp = now
-		return
-	}
-	for i := range stepping.callers {
-		if v := stepping.callers[i].Load(); now-v > callerTTL && stepping.callers[i].CompareAndSwap(v, now) {
-			e.slot, e.stamp = i, now
-			return
-		}
-	}
-}
+// callers inside run and admitted helpers.
+var stepping atomic.Int32

@@ -37,11 +37,20 @@ func runAll(h *handoff, n int) (runs []int32, helped []bool) {
 	return runs, helped
 }
 
-// TestHandoffRefusedHelperParks pins admission: a helper refused a slot
-// parks instead of spinning, and the run it was refused for completes
-// every task on the caller.
+// TestHandoffRefusedHelperParks pins admission: while every P already
+// steps, a helper is refused and parks instead of spinning, run does
+// not wake it, and the runs complete every task on the caller. Once the
+// Ps free up, the next run wakes it and it takes a task again.
 func TestHandoffRefusedHelperParks(t *testing.T) {
-	h := newHandoff(1, 0) // no slot for any helper
+	const limit = 2
+	stepping.Add(limit) // two goroutines stepping elsewhere fill both Ps
+	busy := true
+	defer func() {
+		if busy {
+			stepping.Add(-limit)
+		}
+	}()
+	h := newHandoff(1, limit)
 	defer h.close()
 	deadline := time.Now().Add(5 * time.Second)
 	for h.parked.Load() != 1 {
@@ -50,9 +59,6 @@ func TestHandoffRefusedHelperParks(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if !h.refused.Load() {
-		t.Fatal("helper parked without being refused")
-	}
 	for round := 0; round < 50; round++ {
 		runs, helped := runAll(h, 5)
 		for i := range runs {
@@ -60,6 +66,30 @@ func TestHandoffRefusedHelperParks(t *testing.T) {
 				t.Fatalf("round %d task %d: ran %d times, on a helper %v; want once, on the caller", round, i, runs[i], helped[i])
 			}
 		}
+	}
+	if len(h.wake) != 0 || h.parked.Load() != 1 {
+		t.Fatalf("runs woke the refused helper: %d wake tokens, %d parked", len(h.wake), h.parked.Load())
+	}
+	stepping.Add(-limit)
+	busy = false
+	for stepping.Load() != 0 { // helpers of earlier tests park once idle
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still stepping", stepping.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	var started [2]atomic.Bool
+	var helped [2]bool
+	job := func(i int) {
+		started[i].Store(true)
+		helped[i] = onHelper()
+		for wait := time.Now().Add(5 * time.Second); !started[1-i].Load() && time.Now().Before(wait); {
+			runtime.Gosched()
+		}
+	}
+	h.run(&job, 2)
+	if helped[0] == helped[1] {
+		t.Fatalf("with the Ps free: tasks on a helper %v, want exactly one", helped)
 	}
 }
 

@@ -65,11 +65,6 @@ type Stepper struct {
 	// after which every job runs inline.
 	ho     *handoff
 	closed bool
-	// slot is the engine's entry in stepping.callers and stamp what it
-	// last wrote there (touch); ticks spaces the refreshes.
-	slot  int
-	stamp int64
-	ticks uint32
 
 	// The jobs, held here so a cycle allocates nothing: the claim and
 	// commit phases, RunPair's over pair, and the one the handoff runs.
@@ -150,16 +145,12 @@ func (e *Stepper) Close() {
 }
 
 // parallel reports whether a job whose least-loaded shard has work
-// units goes to the helpers, starting the handoff on first use, and
-// marks the caller as stepping (touch) every sixteenth job.
+// units goes to the helpers, starting the handoff on first use.
 func (e *Stepper) parallel(work int) bool {
 	if e.helpers == 0 || e.closed {
 		return false
 	}
 	par := e.forced || work >= parallelHotPerShard
-	if e.ticks++; e.ticks%16 == 1 {
-		e.touch()
-	}
 	if par && e.ho == nil {
 		// The cleanup closure captures only the handoff — never the
 		// engine or fabric — so registering it does not keep the fabric
