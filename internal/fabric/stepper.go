@@ -78,6 +78,11 @@ type shardState struct {
 	pushes   [][]stagedPush // indexed by destination shard
 	stillHot []int
 	moves    int64
+	// near is [first, last+1) of the shards this one trades pushes
+	// with: a push lands on the pushing tile or a neighbour, at most W
+	// tiles away in index order, so only the shards owning tiles
+	// [lo-W, hi+W) can send to or receive from [lo, hi).
+	near [2]int
 }
 
 // Name identifies the engine, e.g. for benchmark sub-names: "seq" or
@@ -126,6 +131,9 @@ func (e *Stepper) bind(f *Fabric) {
 		for ti := e.bounds[s]; ti < e.bounds[s+1]; ti++ {
 			f.shardOf[ti] = uint16(s)
 		}
+	}
+	for s := range e.sh {
+		e.sh[s].near = [2]int{int(f.shardOf[max(0, e.bounds[s]-f.W)]), int(f.shardOf[min(tiles, e.bounds[s+1]+f.W)-1]) + 1}
 	}
 	f.hotLists = make([][]int, n)
 	e.claimJob, e.commitJob = e.claim, e.commit
@@ -203,7 +211,7 @@ func (e *Stepper) claim(s int) {
 	f := e.f
 	st := &e.sh[s]
 	st.pops = st.pops[:0]
-	for d := range st.pushes {
+	for d := st.near[0]; d < st.near[1]; d++ {
 		st.pushes[d] = st.pushes[d][:0]
 	}
 	st.stillHot = st.stillHot[:0]
@@ -328,8 +336,8 @@ func (e *Stepper) claimMulticast(s, ti int, en *routeEntry, outClaimed *PortMask
 
 // commit applies shard s's staged transfers: first every pop of a queue
 // this shard owns (freeing slots exactly as the sequential engine does),
-// then every push destined for this shard, gathered from all source
-// shards in shard order. Core rx deliveries fire the fabric's
+// then every push destined for this shard, gathered from the source
+// shards of its near window in shard order. Core rx deliveries fire the fabric's
 // rx-delivery wake callbacks from here, on the goroutine of the shard
 // that owns the destination tile — the contract OnRxDelivery documents.
 func (e *Stepper) commit(s int) {
@@ -339,7 +347,7 @@ func (e *Stepper) commit(s int) {
 		f.pop(q)
 	}
 	st.moves += int64(len(st.pops))
-	for src := 0; src < e.n; src++ {
+	for src := st.near[0]; src < st.near[1]; src++ {
 		for _, ps := range e.sh[src].pushes[s] {
 			if ps.tile < 0 {
 				f.push(ps.q, ps.bits)
