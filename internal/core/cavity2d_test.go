@@ -84,8 +84,9 @@ func settledGoroutines() int {
 // returns to its pre-run baseline without waiting for the garbage
 // collector.
 func TestCavity2DWSEReleasesGoroutines(t *testing.T) {
-	// Raise GOMAXPROCS so the sharded engine actually starts its pool on
-	// single-CPU hosts (engines cache the value at construction).
+	// Raise GOMAXPROCS so the sharded engine starts its helpers under
+	// GOMAXPROCS=1 too, on a multi-CPU host (engines cache the value at
+	// construction, and never run more helpers than CPUs).
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
 

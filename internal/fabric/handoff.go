@@ -16,7 +16,7 @@ import (
 //
 // A helper claims only while the process-wide count of stepping
 // goroutines (stepping: callers inside run, admitted helpers) is at
-// most limit (GOMAXPROCS); a refused one parks, and run wakes a parked
+// most limit (procs); a refused one parks, and run wakes a parked
 // one only while there is room. So two machines stepped from two
 // goroutines on two Ps step one shard after another each, while one
 // alone gets both Ps. Helpers reference only the handoff and run clears

@@ -164,7 +164,7 @@ func TestPoolServesCoreStepping(t *testing.T) {
 // means one per available CPU but at most one per parallelHotPerShard
 // tiles, and at bind time the shard count is capped at the tile count.
 func TestShardedWorkerClamp(t *testing.T) {
-	gmp := runtime.GOMAXPROCS(0)
+	gmp := min(runtime.GOMAXPROCS(0), runtime.NumCPU())
 	cases := []struct {
 		name       string
 		req        int
@@ -208,7 +208,7 @@ func TestShardedWorkerClamp(t *testing.T) {
 		wantAuto = fmt.Sprintf("sharded-%d", gmp)
 	}
 	if name := Sharded(0).Name(); name != wantAuto {
-		t.Errorf("Sharded(0).Name() = %q, want %q (GOMAXPROCS=%d)", name, wantAuto, gmp)
+		t.Errorf("Sharded(0).Name() = %q, want %q (%d procs)", name, wantAuto, gmp)
 	}
 }
 

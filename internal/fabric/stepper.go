@@ -12,18 +12,24 @@ func Sequential() *Stepper { return &Stepper{workers: 1} }
 
 // Sharded returns an engine that partitions the tile grid into
 // contiguous shards: workers of them, capped at bind time at the tile
-// count; or, when workers <= 0, one per P (GOMAXPROCS at construction)
+// count; or, when workers <= 0, one per core (procs at construction)
 // but no more than one per parallelHotPerShard tiles, so every shard can
 // reach the work that sends a job to the helpers. It starts
-// min(shards, GOMAXPROCS) - 1 helper goroutines on its first parallel
-// job, none on a one-P host; a job goes to them only when every shard
-// has parallelHotPerShard of work, so a quiet fabric steps inline.
+// min(shards, procs) - 1 helper goroutines on its first parallel job,
+// none on a one-P host; a job goes to them only when every shard has
+// parallelHotPerShard of work, so a quiet fabric steps inline.
 func Sharded(workers int) *Stepper {
 	if workers <= 0 {
-		return &Stepper{workers: runtime.GOMAXPROCS(0), auto: true}
+		return &Stepper{workers: procs(), auto: true}
 	}
 	return &Stepper{workers: workers}
 }
+
+// procs is the cores a stepped cycle may use: GOMAXPROCS, or the CPUs
+// the process may run on if fewer. A helper beyond them would spin
+// against the caller for a CPU, and one the OS descheduled while it
+// holds a shard stalls the cycle.
+func procs() int { return min(runtime.GOMAXPROCS(0), runtime.NumCPU()) }
 
 // ForceParallel, a test hook, makes f's stepper hand every job to
 // helpers, one per shard beyond the first, whatever the P count, load
@@ -54,8 +60,8 @@ type Stepper struct {
 	bounds  []int // len n+1; shard s owns tiles [bounds[s], bounds[s+1])
 	sh      []shardState
 
-	// helpers is min(n, GOMAXPROCS) - 1 (0: every job inline), limit the
-	// stepping goroutines a helper may join (GOMAXPROCS); forced is
+	// helpers is min(n, procs) - 1 (0: every job inline), limit the
+	// stepping goroutines a helper may join (procs); forced is
 	// ForceParallel's.
 	helpers, limit int
 	forced         bool
@@ -117,7 +123,7 @@ func (e *Stepper) bind(f *Fabric) {
 		n = 1<<16 - 1
 	}
 	e.n = n
-	e.limit = runtime.GOMAXPROCS(0)
+	e.limit = procs()
 	e.helpers = min(n, e.limit) - 1
 	e.bounds = make([]int, n+1)
 	for s := 0; s <= n; s++ {

@@ -10,9 +10,10 @@ import (
 	"repro/internal/wse"
 )
 
-// withProcs raises GOMAXPROCS so the sharded engines actually start
-// their helpers (machines cache the value at construction), restoring
-// it when the test ends.
+// withProcs raises GOMAXPROCS so the sharded engines start their
+// helpers on a multi-CPU host whatever GOMAXPROCS the test runs under
+// (machines cache the value at construction), restoring it when the
+// test ends.
 func withProcs(t *testing.T, n int) {
 	t.Helper()
 	old := runtime.GOMAXPROCS(n)

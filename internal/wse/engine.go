@@ -38,10 +38,10 @@ const (
 	// and records itself in the machine's record (CountPhase); between
 	// jumps it steps through the reference interpreter, so everything
 	// that cannot be proved static is cycle-simulated exactly as under
-	// EngineSequential. Its fabric has one shard per P, but at most one
-	// per 64 tiles (fabric.Sharded(0); Config.Workers > 1 sets the
-	// count), so the cycles it steps run across the host's cores, and on
-	// one shard with no helper goroutine
+	// EngineSequential. Its fabric has one shard per P (or CPU, if
+	// fewer), but at most one per 64 tiles (fabric.Sharded(0);
+	// Config.Workers > 1 sets the count), so the cycles it steps run
+	// across the host's cores, and on one shard with no helper goroutine
 	// at GOMAXPROCS=1. See VectorPhase (the solver's dot and update
 	// phases), stencilc.Program3D (the halo exchange) and
 	// kernels.AllReduce.Run (its contention-free row phase and

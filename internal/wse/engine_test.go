@@ -40,13 +40,14 @@ func TestResolveEngine(t *testing.T) {
 }
 
 // TestEngineShards holds each engine's fabric shard count: fast-forward
-// and sharded one per P, but no more than one per 64 tiles — one, with
-// no helper, at GOMAXPROCS=1 — or Workers when Workers > 1; sequential
-// and batched one.
+// and sharded one per P (or CPU, if fewer), but no more than one per 64
+// tiles — one, with no helper, at GOMAXPROCS=1 — or Workers when
+// Workers > 1; sequential and batched one.
 func TestEngineShards(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, procs := range []int{1, 3, 8} {
-		runtime.GOMAXPROCS(procs)
+	for _, gmp := range []int{1, 3, 8} {
+		runtime.GOMAXPROCS(gmp)
+		procs := min(gmp, runtime.NumCPU())
 		for _, tc := range []struct {
 			engine  Engine
 			side    int
@@ -66,7 +67,7 @@ func TestEngineShards(t *testing.T) {
 			cfg.Engine, cfg.Workers = tc.engine, tc.workers
 			m := New(cfg)
 			if got := len(m.Fab.ShardRanges()); got != tc.want {
-				t.Errorf("GOMAXPROCS=%d, %v on %dx%d with Workers %d: %d shards, want %d", procs, tc.engine, tc.side, tc.side, tc.workers, got, tc.want)
+				t.Errorf("GOMAXPROCS=%d, %v on %dx%d with Workers %d: %d shards, want %d", gmp, tc.engine, tc.side, tc.side, tc.workers, got, tc.want)
 			}
 			m.Close()
 		}

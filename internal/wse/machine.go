@@ -42,8 +42,8 @@ type Config struct {
 	QueueDepth, RxDepth int
 	// Workers is the fabric's shard count (fabric.Sharded) under
 	// EngineFastForward and EngineSharded: > 1 that many, <= 1 one per P
-	// but at most one per 64 tiles (fabric.Sharded(0); one at
-	// GOMAXPROCS=1). Under EngineAuto, > 1 selects
+	// (or CPU, if fewer) but at most one per 64 tiles (fabric.Sharded(0);
+	// one at GOMAXPROCS=1). Under EngineAuto, > 1 selects
 	// EngineSharded. EngineSequential and EngineBatched step one shard.
 	// The simulated machine is bit-identical either way — see the fabric
 	// package's determinism contract — so this is purely a host-side
