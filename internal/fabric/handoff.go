@@ -118,7 +118,7 @@ func (h *handoff) work() {
 		stepping.Add(1)
 		for k, idle := 0, 0; idle < helperSpins*spinLoads; k++ {
 			if k%spinLoads == 0 && stepping.Load() > int32(h.limit) {
-				break // refused: every P already steps
+				break // refused: every core already steps
 			}
 			if j, i, ok := h.claim(true); ok {
 				(*j)(i)

@@ -16,7 +16,7 @@ func Sequential() *Stepper { return &Stepper{workers: 1} }
 // but no more than one per parallelHotPerShard tiles, so every shard can
 // reach the work that sends a job to the helpers. It starts
 // min(shards, procs) - 1 helper goroutines on its first parallel job,
-// none on a one-P host; a job goes to them only when every shard has
+// none when procs is 1; a job goes to them only when every shard has
 // parallelHotPerShard of work, so a quiet fabric steps inline.
 func Sharded(workers int) *Stepper {
 	if workers <= 0 {
@@ -139,7 +139,8 @@ func (e *Stepper) bind(f *Fabric) {
 		}
 	}
 	for s := range e.sh {
-		e.sh[s].near = [2]int{int(f.shardOf[max(0, e.bounds[s]-f.W)]), int(f.shardOf[min(tiles, e.bounds[s+1]+f.W)-1]) + 1}
+		first, last := max(0, e.bounds[s]-f.W), min(tiles, e.bounds[s+1]+f.W)-1
+		e.sh[s].near = [2]int{int(f.shardOf[first]), int(f.shardOf[last]) + 1}
 	}
 	f.hotLists = make([][]int, n)
 	e.claimJob, e.commitJob = e.claim, e.commit
