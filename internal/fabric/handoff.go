@@ -60,6 +60,7 @@ func newHandoff(helpers, limit int) *handoff {
 // itself or close.
 func (h *handoff) run(job *func(task int), n int) {
 	busy := stepping.Add(1)
+	defer stepping.Add(-1) // also when a task panics: the slot must not leak
 	h.gen++
 	h.done.Store(0)
 	h.job.Store(job)
@@ -82,7 +83,6 @@ func (h *handoff) run(job *func(task int), n int) {
 		}
 	}
 	h.job.Store(nil)
-	stepping.Add(-1)
 }
 
 // claim takes an unclaimed task of the published job — the lowest for

@@ -72,12 +72,7 @@ func TestHandoffRefusedHelperParks(t *testing.T) {
 	}
 	stepping.Add(-limit)
 	busy = false
-	for stepping.Load() != 0 { // helpers of earlier tests park once idle
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines still stepping", stepping.Load())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	awaitNoneStepping(t)
 	var started [2]atomic.Bool
 	var helped [2]bool
 	job := func(i int) {
@@ -90,6 +85,34 @@ func TestHandoffRefusedHelperParks(t *testing.T) {
 	h.run(&job, 2)
 	if helped[0] == helped[1] {
 		t.Fatalf("with the Ps free: tasks on a helper %v, want exactly one", helped)
+	}
+}
+
+// awaitNoneStepping waits until no goroutine counts as stepping: the
+// helpers of earlier tests park once idle.
+func awaitNoneStepping(t *testing.T) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); stepping.Load() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still stepping", stepping.Load())
+		}
+	}
+}
+
+// TestHandoffPanicReleasesSlot pins that a task panicking on the caller
+// does not leave the caller counted as stepping, which would refuse
+// every later helper in the process.
+func TestHandoffPanicReleasesSlot(t *testing.T) {
+	h := newHandoff(0, 1<<30)
+	defer h.close()
+	awaitNoneStepping(t)
+	func() {
+		defer func() { _ = recover() }()
+		job := func(int) { panic("task") }
+		h.run(&job, 1)
+	}()
+	if n := stepping.Load(); n != 0 {
+		t.Fatalf("%d goroutines count as stepping after the panicking run, want 0", n)
 	}
 }
 
