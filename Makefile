@@ -79,6 +79,7 @@ fuzz:
 	$(GO) test ./internal/perfmodel -run '^$$' -fuzz FuzzExchangeReplay -fuzztime 60s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzExactAccMatchesBig -fuzztime 30s
 	$(GO) test ./internal/wse/difftest -run '^$$' -fuzz FuzzJumpMatchesStep -fuzztime 60s
+	$(GO) test ./internal/service -run '^$$' -fuzz FuzzJobSpec -fuzztime 30s
 
 # CPU + heap profile of the machine-step hot path (saturated 128×128,
 # sequential engine) — the workflow that found wse.Core.step dominating

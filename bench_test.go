@@ -138,59 +138,6 @@ func BenchmarkMachineStep(b *testing.B) {
 	})
 }
 
-// BenchmarkMachineStepBatched measures a full machine cycle on the
-// workload the batched engine targets: every core perpetually running
-// the same homogeneous vector task (axpy + copy over 32-element arena
-// vectors, re-armed on completion), so each cycle is one or two
-// equivalence classes fabric-wide. The seq sub-benchmark is the scalar
-// interpreter paying full per-core dispatch on the identical workload —
-// the batched/seq ratio is the dispatch amortization. Results are
-// bit-identical (difftest pins it); this measures host throughput only.
-// Only 128×128 is gated: at 602×595 the 358k-core working set exceeds
-// the LLC, both engines go memory-bound and the ratio is noise — the
-// paper-scale win is the fast-forward jump, gated by
-// BenchmarkPaperScaleSolve.
-func BenchmarkMachineStepBatched(b *testing.B) {
-	sizes := [][2]int{{128, 128}, {602, 595}}
-	if testing.Short() {
-		sizes = [][2]int{{128, 128}}
-	}
-	for _, size := range sizes {
-		for _, eng := range []wse.Engine{wse.EngineSequential, wse.EngineBatched} {
-			b.Run(fmt.Sprintf("%dx%d/%s", size[0], size[1], eng), func(b *testing.B) {
-				cfg := wse.CS1(size[0], size[1])
-				cfg.Engine = eng
-				mach := wse.New(cfg)
-				defer mach.Close()
-				const n = 32
-				for _, tl := range mach.Tiles {
-					x := tl.Arena.MustAlloc("x", n)
-					y := tl.Arena.MustAlloc("y", n)
-					for k := 0; k < n; k++ {
-						tl.Arena.Set(x+k, fp16.FromFloat64(float64(k%7)*0.125))
-						tl.Arena.Set(y+k, fp16.FromFloat64(float64(k%5)*0.25))
-					}
-					ax := &wse.MemOp{Kind: wse.OpAxpy, Arena: tl.Arena,
-						Dst: tensor.Vec1D(y, n), A: tensor.Vec1D(x, n)}
-					cp := &wse.MemOp{Kind: wse.OpCopy, Arena: tl.Arena,
-						Dst: tensor.Vec1D(x, n), A: tensor.Vec1D(y, n)}
-					task := &wse.Task{Name: "axpy", Instrs: []wse.Instr{ax, cp}}
-					task.OnComplete = func(c *wse.Core) {
-						ax.Reset()
-						cp.Reset()
-						c.Activate(task)
-					}
-					tl.Core.Activate(tl.Core.AddTask(task))
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					mach.Step()
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkFP16 measures the software fp16 datapath every simulated
 // element passes through, one sub-benchmark per primitive over
 // 1024-element slices, reported as ns/elem. Add and Mul are the float32

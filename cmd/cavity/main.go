@@ -11,13 +11,13 @@
 //	                (n/block)² tiles through the §IV-2 block-halo
 //	                mapping, in 3D n² tiles through Listing 1 with Z = n
 //
-// The paper-style headline run is the Table II cavity on a sharded
-// 128×128 fabric:
+// The paper-style headline run is the Table II cavity on a 128×128
+// fabric of eight shards:
 //
 //	cavity -backend=wse -n 256 -block 2 -workers 8 -iters 5
 //
 // (minutes of host time: every pressure solve steps the full machine
-// cycle by cycle).
+// through the cycles fast-forward cannot jump).
 package main
 
 import (
@@ -52,7 +52,7 @@ func flagSet(c *config) *flag.FlagSet {
 	fs.IntVar(&c.iters, "iters", 40, "SIMPLE iterations")
 	fs.StringVar(&c.backend, "backend", "host", "pressure-solve backend: host | wse (3D: Listing 1 on an n×n fabric, n even)")
 	fs.IntVar(&c.block, "block", 2, "2D wse backend: block edge b; the fabric is (n/b)² tiles")
-	fs.IntVar(&c.workers, "workers", 1, "wse backend: simulation engine workers (>1 shards the fabric)")
+	fs.IntVar(&c.workers, "workers", 1, "wse backend: fast-forward's shard count (1: one per host core, at most one per 64 tiles)")
 	return fs
 }
 

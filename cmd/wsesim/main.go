@@ -32,14 +32,14 @@
 // with -host (the reference the wafer programs are pinned against).
 //
 // Single-wafer simulations take -engine to pick the core-stepping
-// engine (seq, sharded, batched, fastforward). Every engine produces
-// bit- and cycle-identical results. Left empty, the engine is
-// fastforward — the sequential reference interpreter plus exact jumps
-// over statically-timed phases, the mode that makes paper-scale fabrics
-// interactive — unless -workers N > 1 asks for the sharded engine
-// (-workers defaults to 1). A -wafers cluster takes no -engine, and
-// -workers leaves it unchanged: every wafer runs fastforward. See
-// docs/ARCHITECTURE.md, "Execution engines".
+// engine (seq or fastforward). Both produce bit- and cycle-identical
+// results. Left empty, the engine is fastforward — the sequential
+// reference interpreter plus exact jumps over statically-timed phases,
+// the mode that makes paper-scale fabrics interactive — and -workers
+// is its shard count (1, the default: one per host core, at most one
+// per 64 tiles). A -wafers cluster takes no -engine, and -workers
+// leaves it unchanged: every wafer fast-forwards on the default
+// shards. See docs/ARCHITECTURE.md, "Execution engines".
 //
 // Typical runs:
 //
@@ -121,9 +121,9 @@ func flagSet(c *config) *flag.FlagSet {
 	fs.StringVar(&c.wafers, "wafers", "",
 		"wafer grid WxH: run the multiwafer cluster backend instead of a single wafer (e.g. 2x1; bicgstab only)")
 	fs.IntVar(&c.workers, "workers", 1,
-		"simulation shards (1: fast-forward, one shard per P, at most one per 64 tiles; >1: the sharded engine, fast-forward without jumps, on this many shards; results are bit-identical; single-wafer only: -wafers clusters fast-forward)")
+		fmt.Sprintf("fast-forward's shard count, at most %d (1: one shard per P, at most one per 64 tiles; results are bit-identical; single-wafer only: -wafers clusters use the default)", core.MaxWorkers))
 	fs.StringVar(&c.engine, "engine", "",
-		"core-stepping engine: seq|sharded|batched|fastforward (empty = fastforward, or sharded when -workers > 1; every engine is bit- and cycle-identical — this is a host-throughput knob, single-wafer only)")
+		"core-stepping engine: seq|fastforward (empty = fastforward; both are bit- and cycle-identical — this is a host-throughput knob, single-wafer only; seq steps one shard, so it does not take -workers > 1)")
 	fs.StringVar(&c.ckptPath, "checkpoint", "",
 		"write a crash-recovery checkpoint to this file every -checkpoint-every iterations (single-wafer solves)")
 	fs.IntVar(&c.ckptEvery, "checkpoint-every", 10, "iterations between checkpoints when -checkpoint is set")

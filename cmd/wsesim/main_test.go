@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -27,10 +28,12 @@ func TestParseFlagsRejects(t *testing.T) {
 		{"-wafers 2x", "bad -wafers"},
 		{"-wafers 2x1 -checkpoint ck.bin", "checkpoint/resume are single-wafer only"},
 		{"-engine bogus", `unknown engine "bogus"`},
-		{"-engine batched -wafers 2x1", "-engine selects the single-wafer"},
-		{"-engine batched -workers 4", "already selects the sharded engine"},
+		{"-engine seq -wafers 2x1", "-engine selects the single-wafer"},
+		{"-engine seq -workers 4", "seq steps one shard"},
+		{"-workers 257", "Wafer.Workers"},
+		{"-workers 257 -wafers 2x1", "MultiWafer.Workers"},
 		{"-host", "-host applies to the stencil-compiled kernels"},
-		{"-kernel heat -nx 3 -ny 3 -nz 4 -engine batched -host", "-engine selects the single-wafer"},
+		{"-kernel heat -nx 3 -ny 3 -nz 4 -engine seq -host", "-engine selects the single-wafer"},
 		{"-kernel bogus", `unknown -kernel "bogus"`},
 		{"-kernel seismic25 -nx 3 -ny 3 -nz 7", "-nz must be even"},
 		{"-kernel seismic25 -nx 3 -ny 3 -nz 6 -shift -1", "-shift must be positive"},
@@ -66,12 +69,14 @@ func TestParseFlagsAccepts(t *testing.T) {
 	if c.kernel != "bicgstab" || c.opts.Backend != core.Wafer || c.opts.MaxIter != 20 || c.opts.Wafer.Checkpoint != nil {
 		t.Errorf("defaults: kernel %q, options %+v", c.kernel, c.opts)
 	}
-	// The default wafer options take the fast-forward engine, and
-	// -workers N > 1 the sharded one, whatever the host's core count.
+	// The default wafer options take the fast-forward engine, on one
+	// shard of a 4×4 fabric, and -workers N > 1 on N shards, whatever the
+	// host's core count.
 	for _, tc := range []struct{ args, want string }{
-		{"", "fastforward"},
-		{"-kernel heat -nz 4", "fastforward"},
-		{"-workers 3", "sharded-3"},
+		{"", "fastforward/1"},
+		{"-kernel heat -nz 4", "fastforward/1"},
+		{"-workers 3", "fastforward/3"},
+		{"-workers 3 -engine fastforward", "fastforward/3"},
 	} {
 		c, err := parseFlags(strings.Fields(tc.args))
 		if err != nil {
@@ -79,9 +84,11 @@ func TestParseFlagsAccepts(t *testing.T) {
 		}
 		cfg := wse.CS1(4, 4)
 		cfg.Workers = c.opts.Wafer.Shards()
-		if m := wse.New(cfg); m.EngineName() != tc.want {
-			t.Errorf("wsesim %s: engine %s, want %s", tc.args, m.EngineName(), tc.want)
+		m := wse.New(cfg)
+		if got := fmt.Sprintf("%s/%d", m.EngineName(), len(m.Fab.ShardRanges())); got != tc.want {
+			t.Errorf("wsesim %s: engine %s, want %s", tc.args, got, tc.want)
 		}
+		m.Close()
 	}
 	if c, err = parseFlags(strings.Fields("-wafers 2x1 -workers 3")); err != nil ||
 		c.opts.Backend != core.MultiWafer || c.opts.MultiWafer.Grid.W != 2 || c.opts.MultiWafer.Workers != 3 {

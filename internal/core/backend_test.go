@@ -32,7 +32,7 @@ import (
 // so no bit of x, History or the cycle counts depends on it; only the
 // Listing 1 adapter, which rewinds the machine, reproduces it too.
 func TestBackendSeamContract(t *testing.T) {
-	// Raise GOMAXPROCS so the sharded engine starts its helpers under
+	// Raise GOMAXPROCS so a sharded fabric starts its helpers under
 	// GOMAXPROCS=1 too, on a multi-CPU host (engines cache the value at
 	// construction, and never run more helpers than CPUs).
 	old := runtime.GOMAXPROCS(4)

@@ -18,7 +18,7 @@ import (
 // TestAllBackendsBitIdentical is the cross-backend determinism golden:
 // the host chunked-mixed context, the same context rank-parallel under
 // solver.Parallel (several rank counts), the single-wafer halo solver
-// (sequential and sharded engines) and the multi-wafer backend (1×1 and
+// (one shard and four) and the multi-wafer backend (1×1 and
 // 2×1) must produce bit-identical residual histories AND solutions on a
 // shared problem. This is what the exact-combine fix buys: every backend
 // performs the same fp16 element operations in the same order and sums
@@ -72,7 +72,7 @@ func TestAllBackendsBitIdentical(t *testing.T) {
 		runs = append(runs, run{"host/" + ctx.Name(), st.History, x})
 	}
 
-	// Single-wafer halo solver, sequential and sharded engines.
+	// Single-wafer halo solver, on one shard and on four.
 	for _, workers := range []int{1, 4} {
 		cfg := wse.CS1(m.NX, m.NY)
 		cfg.Workers = workers

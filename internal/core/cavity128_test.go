@@ -2,16 +2,15 @@ package core
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
 
 // TestCavity2DFabric128 is the acceptance run for the cavity-on-wafer
 // milestone: the Table II lid-driven cavity (256² cells in 2×2 blocks)
-// with every pressure-correction BiCGStab iteration cycle-simulated on
-// a sharded 128×128 fabric, bit-identical — SIMPLE residuals, pressure
+// on a 128×128 fabric, bit-identical — SIMPLE residuals, pressure
 // residual histories, cycle counts and the machine's architectural
-// fingerprint — to the sequential engine. Two SIMPLE sweeps keep the
+// fingerprint — on fast-forward's default shards (the sequential
+// engine, every cycle simulated, under -wse.engine=seq) and on eight. Two SIMPLE sweeps keep the
 // run at CI scale (each steps the 16 384-tile machine through ~22k
 // simulated cycles of solver work).
 //
@@ -41,8 +40,8 @@ func TestCavity2DFabric128(t *testing.T) {
 	t.Logf("measured %.4f cycles/meshpoint per solver iteration (allreduce %d of %d cycles)",
 		seq.CyclesPerPoint(), seq.Cycles.AllReduce, seq.Cycles.Total())
 
-	if strings.HasPrefix(seq.Engine, "sharded-") || !strings.HasPrefix(shd.Engine, "sharded-") {
-		t.Fatalf("engine selection wrong: %q vs %q", seq.Engine, shd.Engine)
+	if shd.Engine != "fastforward/8" {
+		t.Fatalf("Workers = 8 ran on %q, want fastforward/8", shd.Engine)
 	}
 	compareCavityRuns(t, seq, shd)
 

@@ -18,7 +18,7 @@ import (
 type Cavity2DRun struct {
 	N int // cells per side
 	// Engine is the machine's engine and shard count (engineLabel),
-	// e.g. "fastforward/1" or "sharded-4/4".
+	// e.g. "fastforward/4" or "seq/1".
 	Engine string
 	Re     float64
 
@@ -48,14 +48,15 @@ func engineLabel(mach *wse.Machine) string {
 }
 
 // Cavity2DWSE runs the lid-driven cavity with the wafer pressure
-// backend on the simulated fabric. workers selects the engine through
-// wse.EngineAuto: with workers <= 1 it is the default fast-forward
-// engine, which jumps the solver's vector phases and the AllReduce's
-// row phase and broadcast in closed form (exactly) and cycle-simulates
-// the rest, unless the -wse.engine test flag re-points it; with
-// workers > 1 the sharded engine cycle-simulates every phase. The
-// result — residuals, pressure histories, machine fingerprint — is
-// bit-identical across engines (the equivalence tests compare them).
+// backend on the simulated fabric. The machine runs wse.EngineAuto,
+// the fast-forward engine, which jumps the solver's vector phases and
+// the AllReduce's row phase and broadcast in closed form (exactly) and
+// cycle-simulates the rest; workers > 1 is its shard count, and with
+// workers <= 1 the -wse.engine test flag can re-point it to the
+// sequential engine, which cycle-simulates every phase. The result —
+// residuals, pressure histories, machine fingerprint — is
+// bit-identical across engines and shard counts (the equivalence tests
+// compare them).
 // The machine is closed before returning, so no helper goroutines
 // outlive the call.
 func Cavity2DWSE(n, b, workers, simpleIters int, re float64) (Cavity2DRun, error) {

@@ -2,15 +2,14 @@ package core
 
 import (
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 )
 
 // TestCavity2DWSESmall runs the cavity-on-wafer experiment end to end
-// at a small fabric under both engines and requires the full outcome —
-// SIMPLE residuals, per-solve pressure residual histories, and the
-// machine's architectural fingerprint — to be bit-identical.
+// at a small fabric on one shard and on four, and requires the full
+// outcome — SIMPLE residuals, per-solve pressure residual histories, and
+// the machine's architectural fingerprint — to be bit-identical.
 func TestCavity2DWSESmall(t *testing.T) {
 	seq, err := Cavity2DWSE(16, 2, 1, 3, 100)
 	if err != nil {
@@ -20,8 +19,8 @@ func TestCavity2DWSESmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.HasPrefix(seq.Engine, "sharded-") || !strings.HasPrefix(shd.Engine, "sharded-") {
-		t.Fatalf("engine selection wrong: %q vs %q", seq.Engine, shd.Engine)
+	if shd.Engine != "fastforward/4" {
+		t.Fatalf("Workers = 4 ran on %q, want fastforward/4", shd.Engine)
 	}
 	compareCavityRuns(t, seq, shd)
 	if seq.Residuals[len(seq.Residuals)-1].Mass >= seq.Residuals[0].Mass {
@@ -84,7 +83,7 @@ func settledGoroutines() int {
 // returns to its pre-run baseline without waiting for the garbage
 // collector.
 func TestCavity2DWSEReleasesGoroutines(t *testing.T) {
-	// Raise GOMAXPROCS so the sharded engine starts its helpers under
+	// Raise GOMAXPROCS so a sharded fabric starts its helpers under
 	// GOMAXPROCS=1 too, on a multi-CPU host (engines cache the value at
 	// construction, and never run more helpers than CPUs).
 	old := runtime.GOMAXPROCS(4)

@@ -115,20 +115,12 @@ func Solve(p Problem, o Options) (Result, error) {
 
 // newWafer builds the single-wafer machine from validated options: the
 // CS-1 hardware shape at the given fabric extent, plus the
-// simulation-throughput knobs (sharding workers, or an explicit
-// core-stepping engine).
+// simulation-throughput knobs (fast-forward's shard count, or an
+// explicit core-stepping engine).
 func newWafer(o Options, w, h int) *wse.Machine {
 	cfg := wse.CS1(w, h)
 	cfg.Workers = o.Wafer.Shards()
-	if o.Wafer.Engine != "" {
-		e, err := wse.ParseEngine(o.Wafer.Engine)
-		if err != nil {
-			// Validate already rejected unknown names; this is a
-			// programming error, not an input error.
-			panic(err)
-		}
-		cfg.Engine = e
-	}
+	cfg.Engine, _ = wse.ParseEngine(o.Wafer.Engine) // Validate rejected unknown names; "" is EngineAuto
 	return wse.New(cfg)
 }
 

@@ -117,7 +117,7 @@ func ramp(n int) []float64 {
 type PaperAllReduceResult struct {
 	W, H int
 	// Engine is the machine's engine and shard count (engineLabel),
-	// e.g. "fastforward/1" or "sharded-8/8".
+	// e.g. "fastforward/8" or "seq/1".
 	Engine      string
 	Cycles      int64   // simulated latency, start to last delivery
 	Sum         float32 // broadcast sum (bit-exact comparable)
@@ -133,17 +133,17 @@ func (r PaperAllReduceResult) Microseconds() float64 {
 
 // PaperAllReduce runs the wafer-wide AllReduce on the full 602×595
 // fabric of the paper — a simulation, not a perfmodel extrapolation.
-// workers selects the engine through wse.EngineAuto: with workers <= 1
-// it is the default fast-forward engine, which cycle-simulates the
-// column phase and jumps the contention-free row phase and broadcast
-// in closed form (exactly; see kernels.AllReduce.Run), unless the
-// -wse.engine test flag re-points it; with workers > 1 the sharded
-// engine cycle-simulates every phase. The event-driven core/actor
-// scheduling (idle tiles are free) is what makes the stepped phases
-// affordable: during the long serialization phases almost all of the
-// ~358k tiles are parked. Results are bit-identical across engines
-// (the paper-scale equivalence test compares Sum, Cycles and
-// Fingerprint).
+// The machine runs wse.EngineAuto, the fast-forward engine, which
+// cycle-simulates the column phase and jumps the contention-free row
+// phase and broadcast in closed form (exactly; see
+// kernels.AllReduce.Run); workers > 1 is its shard count, and with
+// workers <= 1 the -wse.engine test flag can re-point it to the
+// sequential engine, which cycle-simulates every phase. The
+// event-driven core/actor scheduling (idle tiles are free) is what
+// makes the stepped phases affordable: during the long serialization
+// phases almost all of the ~358k tiles are parked. Results are
+// bit-identical across engines and shard counts (the paper-scale
+// equivalence test compares Sum, Cycles and Fingerprint).
 func PaperAllReduce(workers int) (PaperAllReduceResult, error) {
 	const w, h = 602, 595
 	cfg := wse.CS1(w, h)

@@ -128,22 +128,19 @@ type LocalOptions struct {
 // WaferOptions configures the Wafer backend (the single-wafer
 // cycle-level simulator).
 type WaferOptions struct {
-	// Workers selects the simulation engine: <= 1 steps the machine on
-	// one goroutine under the default fast-forward engine, > 1 shards
-	// the tile grid across that many goroutines on a persistent worker
-	// pool (clamped to the tile count; see fabric.Sharded). Sharded
-	// stepping takes no fast-forward jumps, so Workers > 1 trades them
-	// for parallel stepping. Simulated results are bit-identical either
-	// way.
+	// Workers is fast-forward's shard count: <= 1 builds the fabric with
+	// one shard per P (or CPU, if fewer), at most one per 64 tiles; > 1
+	// with that many (clamped to the tile count; see fabric.Sharded), at
+	// most MaxWorkers. The cycles fast-forward steps run across the
+	// shards; simulated results are bit-identical either way.
 	Workers int
-	// Engine names the core-stepping engine ("seq", "sharded",
-	// "batched", "fastforward"; empty means automatic — see
-	// wse.EngineAuto: fast-forward, or sharded when Workers > 1). Every
-	// engine is bit- and cycle-identical. Fast-forward, the default, is
-	// the sequential reference interpreter plus exact jumps over
+	// Engine names the core-stepping engine ("seq" or "fastforward";
+	// empty means automatic — see wse.EngineAuto: fast-forward). Both
+	// are bit- and cycle-identical. Fast-forward, the default, is the
+	// sequential reference interpreter plus exact jumps over
 	// statically-timed phases, the mode that makes paper-scale solves
-	// interactive; "seq" cycle-simulates every phase. Mutually exclusive
-	// with Workers > 1, which already selects the sharded engine.
+	// interactive; "seq" cycle-simulates every phase on one shard, so it
+	// does not take Workers > 1.
 	Engine string
 	// CheckpointEvery and Checkpoint enable crash-recoverable solves:
 	// every CheckpointEvery iterations the callback receives an encoded
@@ -184,10 +181,9 @@ type ClusterOptions struct {
 type MultiWaferOptions struct {
 	// Grid is the wafer grid; the zero value means a single wafer.
 	Grid multiwafer.Topology
-	// Workers is multiwafer.Config.Workers, which NewBackend leaves
-	// unset: unlike WaferOptions.Workers it selects no engine, since
-	// every wafer runs the fast-forward engine (its SpMVs timed by the
-	// exact exchange replay), which steps on one goroutine.
+	// Workers is validated like WaferOptions.Workers, but NewBackend
+	// does not read it: every wafer it builds fast-forwards on
+	// fabric.Sharded(0)'s shards.
 	Workers int
 }
 
@@ -254,16 +250,17 @@ func (o Options) Validate() error {
 			return &OptionError{"Local.Precision", fmt.Sprintf("unknown precision %d", int(o.Local.Precision))}
 		}
 	case Wafer:
-		if o.Wafer.Workers < 0 {
-			return &OptionError{"Wafer.Workers", fmt.Sprintf("must be >= 0, got %d", o.Wafer.Workers)}
+		if err := checkWorkers("Wafer.Workers", o.Wafer.Workers); err != nil {
+			return err
 		}
 		if o.Wafer.Engine != "" {
-			if _, err := wse.ParseEngine(o.Wafer.Engine); err != nil {
+			e, err := wse.ParseEngine(o.Wafer.Engine)
+			if err != nil {
 				return &OptionError{"Wafer.Engine", err.Error()}
 			}
-			if o.Wafer.Workers > 1 {
+			if e == wse.EngineSequential && o.Wafer.Workers > 1 {
 				return &OptionError{"Wafer.Engine", fmt.Sprintf(
-					"Workers = %d already selects the sharded engine; drop one of the two", o.Wafer.Workers)}
+					"Workers = %d shards fast-forward, and seq steps one shard; drop one of the two", o.Wafer.Workers)}
 			}
 		}
 		if o.Wafer.CheckpointEvery < 0 {
@@ -284,9 +281,22 @@ func (o Options) Validate() error {
 		if g.W < 0 || g.H < 0 || (g.W == 0) != (g.H == 0) {
 			return &OptionError{"MultiWafer.Grid", fmt.Sprintf("grid must be empty (one wafer) or positive in both dimensions, got %dx%d", g.W, g.H)}
 		}
-		if o.MultiWafer.Workers < 0 {
-			return &OptionError{"MultiWafer.Workers", fmt.Sprintf("must be >= 0, got %d", o.MultiWafer.Workers)}
+		if err := checkWorkers("MultiWafer.Workers", o.MultiWafer.Workers); err != nil {
+			return err
 		}
+	}
+	return nil
+}
+
+// MaxWorkers caps the Workers options. A fabric's shard bookkeeping
+// grows with the square of its shard count (a push list per pair of
+// shards; fabric.Sharded), so an outside value could ask for gigabytes
+// before a cycle steps. Workers <= 1 already takes one shard per core.
+const MaxWorkers = 256
+
+func checkWorkers(field string, n int) error {
+	if n < 0 || n > MaxWorkers {
+		return &OptionError{field, fmt.Sprintf("must be in [0, %d], got %d", MaxWorkers, n)}
 	}
 	return nil
 }

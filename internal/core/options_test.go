@@ -38,6 +38,13 @@ func TestOptionsValidate(t *testing.T) {
 		{"bad precision", Options{Backend: Local, Local: LocalOptions{Precision: Precision(9)}}, "Local.Precision"},
 		{"negative ranks", Options{Backend: Cluster, Cluster: ClusterOptions{Ranks: -2}}, "Cluster.Ranks"},
 		{"negative workers", Options{Backend: Wafer, Wafer: WaferOptions{Workers: -1}}, "Wafer.Workers"},
+		{"workers at the cap", Options{Backend: Wafer, Wafer: WaferOptions{Workers: MaxWorkers}}, ""},
+		{"workers over the cap", Options{Backend: Wafer, Wafer: WaferOptions{Workers: MaxWorkers + 1}}, "Wafer.Workers"},
+		{"huge workers", Options{Backend: Wafer, Wafer: WaferOptions{Workers: 1 << 20}}, "Wafer.Workers"},
+		{"multiwafer workers over the cap", Options{Backend: MultiWafer, MultiWafer: MultiWaferOptions{Workers: MaxWorkers + 1}}, "MultiWafer.Workers"},
+		{"negative multiwafer workers", Options{Backend: MultiWafer, MultiWafer: MultiWaferOptions{Workers: -1}}, "MultiWafer.Workers"},
+		{"fastforward on workers", Options{Backend: Wafer, Wafer: WaferOptions{Workers: 4, Engine: "fastforward"}}, ""},
+		{"seq on workers", Options{Backend: Wafer, Wafer: WaferOptions{Workers: 4, Engine: "seq"}}, "Wafer.Engine"},
 		{"every without callback", Options{Backend: Wafer, Wafer: WaferOptions{CheckpointEvery: 5}}, "Wafer.Checkpoint"},
 		{"callback without every", Options{Backend: Wafer, Wafer: WaferOptions{Checkpoint: noop}}, "Wafer.CheckpointEvery"},
 		{"half-set grid", Options{Backend: MultiWafer, MultiWafer: MultiWaferOptions{Grid: multiwafer.Topology{W: 2}}}, "MultiWafer.Grid"},

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/perfmodel"
@@ -10,7 +9,8 @@ import (
 
 // TestPaperScaleAllReduce cycle-simulates the Figure 6 AllReduce on the
 // full 602×595 wafer of the paper — the "larger meshes" milestone —
-// under both stepping engines, and requires them to be bit-identical:
+// with one worker (fast-forward, or sequential under -wse.engine=seq)
+// and on eight fast-forward shards, and requires them to be bit-identical:
 // same broadcast sum, same latency, same architectural-state
 // fingerprint. It also checks the paper's headline claims directly from
 // simulation instead of perfmodel extrapolation: latency below 1.5 µs
@@ -37,8 +37,8 @@ func TestPaperScaleAllReduce(t *testing.T) {
 	t.Logf("seq: %d cycles (%.2f µs), sum %g, fp %#x", seq.Cycles, seq.Microseconds(), seq.Sum, seq.Fingerprint)
 	t.Logf("%s: %d cycles (%.2f µs), sum %g, fp %#x", shd.Engine, shd.Cycles, shd.Microseconds(), shd.Sum, shd.Fingerprint)
 
-	if strings.HasPrefix(seq.Engine, "sharded-") || !strings.HasPrefix(shd.Engine, "sharded-") {
-		t.Fatalf("engine selection wrong: %q vs %q", seq.Engine, shd.Engine)
+	if shd.Engine != "fastforward/8" {
+		t.Fatalf("Workers = 8 ran on %q, want fastforward/8", shd.Engine)
 	}
 	if seq.Cycles != shd.Cycles {
 		t.Errorf("latency diverges across engines: seq %d, %s %d", seq.Cycles, shd.Engine, shd.Cycles)

@@ -172,20 +172,3 @@ func TestStepperRebindPanics(t *testing.T) {
 	}()
 	New(Config{W: 4, H: 4, Stepper: st})
 }
-
-// TestStepperNames pins the engine names used in benchmark sub-tests.
-func TestStepperNames(t *testing.T) {
-	if got := Sequential().Name(); got != "seq" {
-		t.Errorf("Sequential().Name() = %q", got)
-	}
-	if got := Sharded(8).Name(); got != "sharded-8" {
-		t.Errorf("Sharded(8).Name() = %q", got)
-	}
-	f := New(Config{W: 2, H: 2})
-	if f.StepperName() != "seq" {
-		t.Errorf("default stepper = %q, want seq", f.StepperName())
-	}
-	if n := len(f.ShardRanges()); n != 1 {
-		t.Errorf("default shard count = %d, want 1", n)
-	}
-}

@@ -312,9 +312,6 @@ func New(cfg Config) *Fabric {
 	return f
 }
 
-// StepperName reports the name of the bound stepping engine.
-func (f *Fabric) StepperName() string { return f.stepper.Name() }
-
 // Close stops the stepping engine's helper goroutines, if any started.
 // It is idempotent, must not run concurrently with Step, and leaves the
 // fabric usable (cycles step inline). Without it a runtime cleanup

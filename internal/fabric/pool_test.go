@@ -200,16 +200,6 @@ func TestShardedWorkerClamp(t *testing.T) {
 			}
 		})
 	}
-	if name := Sharded(7).Name(); name != "sharded-7" {
-		t.Errorf("Sharded(7).Name() = %q", name)
-	}
-	wantAuto := "seq"
-	if gmp > 1 {
-		wantAuto = fmt.Sprintf("sharded-%d", gmp)
-	}
-	if name := Sharded(0).Name(); name != wantAuto {
-		t.Errorf("Sharded(0).Name() = %q, want %q (%d procs)", name, wantAuto, gmp)
-	}
 }
 
 // TestStepperRebindPanicMessage pins that the double-bind panic carries

@@ -1,7 +1,6 @@
 package fabric
 
 import (
-	"fmt"
 	"math/bits"
 	"runtime"
 )
@@ -89,19 +88,6 @@ type shardState struct {
 	// tiles away in index order, so only the shards owning tiles
 	// [lo-W, hi+W) can send to or receive from [lo, hi).
 	near [2]int
-}
-
-// Name identifies the engine, e.g. for benchmark sub-names: "seq" or
-// "sharded-N", N its shard count once bound.
-func (e *Stepper) Name() string {
-	n := e.workers
-	if e.f != nil {
-		n = e.n
-	}
-	if n <= 1 {
-		return "seq"
-	}
-	return fmt.Sprintf("sharded-%d", n)
 }
 
 func (e *Stepper) bind(f *Fabric) {

@@ -120,8 +120,8 @@ func arValues(n int, seed int64) []float32 {
 // three back-to-back reductions at base colour 4 — to digests recorded
 // from the hand-written actors (role flags and mirrored broadcast
 // routes) before the lowered schedule replaced them. Every engine must
-// land on its shape's one digest: the fast-forward row skip, the
-// sharded pending lists and the batched core engine are invisible here.
+// land on its shape's one digest: the fast-forward row skip and the
+// pending lists of a sharded fabric are invisible here.
 func TestAllReduceDigestGolden(t *testing.T) {
 	shapes := []struct {
 		w, h   int
@@ -137,13 +137,16 @@ func TestAllReduceDigestGolden(t *testing.T) {
 		{102, 95, 0xe0edf893e3f4643c},
 	}
 	for _, sh := range shapes {
-		for _, e := range []wse.Engine{wse.EngineSequential, wse.EngineFastForward, wse.EngineSharded, wse.EngineBatched} {
+		for _, e := range []struct {
+			wse.Engine
+			shards int
+		}{{wse.EngineSequential, 0}, {wse.EngineFastForward, 0}, {wse.EngineFastForward, 3}} {
 			cfg := wse.CS1(sh.w, sh.h)
-			cfg.Engine = e
-			if e == wse.EngineSharded {
-				cfg.Workers = 3
-			}
+			cfg.Engine, cfg.Workers = e.Engine, e.shards
 			m := wse.New(cfg)
+			if e.shards > 1 {
+				fabric.ForceParallel(m.Fab)
+			}
 			ar, err := NewAllReduce(m, 4)
 			if err != nil {
 				t.Fatal(err)
@@ -152,7 +155,7 @@ func TestAllReduceDigestGolden(t *testing.T) {
 			for rep := 0; rep < 3; rep++ {
 				res, err := ar.Run(arValues(sh.w*sh.h, int64(sh.w*1000+sh.h*10+rep)), 1<<20)
 				if err != nil {
-					t.Fatalf("%dx%d %v: %v", sh.w, sh.h, e, err)
+					t.Fatalf("%dx%d %v/%d: %v", sh.w, sh.h, e.Engine, e.shards, err)
 				}
 				per := newFNV()
 				for _, v := range res.PerTile {
@@ -165,7 +168,7 @@ func TestAllReduceDigestGolden(t *testing.T) {
 			}
 			m.Close()
 			if uint64(d) != sh.digest {
-				t.Errorf("%dx%d %v: digest %#x, want %#x", sh.w, sh.h, e, uint64(d), sh.digest)
+				t.Errorf("%dx%d %v/%d: digest %#x, want %#x", sh.w, sh.h, e.Engine, e.shards, uint64(d), sh.digest)
 			}
 		}
 	}
@@ -244,14 +247,21 @@ func TestAllReduceRowSkipGate(t *testing.T) {
 	vals := arValues(w*h, 5)
 
 	t.Run("engines", func(t *testing.T) {
-		for _, e := range []wse.Engine{wse.EngineSequential, wse.EngineSharded, wse.EngineBatched} {
+		for _, tc := range []struct {
+			e      wse.Engine
+			shards int
+			want   [4]int
+		}{
+			{wse.EngineSequential, 0, [4]int{0, 1, 0, 1}},
+			{wse.EngineFastForward, 3, [4]int{1, 0, 1, 0}},
+		} {
 			cfg := wse.CS1(w, h)
-			cfg.Engine = e
-			if e == wse.EngineSharded {
-				cfg.Workers = 3
-			}
+			cfg.Engine, cfg.Workers = tc.e, tc.shards
 			m := wse.New(cfg)
 			defer m.Close()
+			if tc.shards > 1 {
+				fabric.ForceParallel(m.Fab)
+			}
 			ar, err := NewAllReduce(m, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -259,9 +269,9 @@ func TestAllReduceRowSkipGate(t *testing.T) {
 			if _, err := ar.Run(vals, 1<<20); err != nil {
 				t.Fatal(err)
 			}
-			if got := arRecord(m); got != [4]int{0, 1, 0, 1} {
-				t.Errorf("%v: row phases %d jumped, %d stepped; broadcasts %d jumped, %d stepped; only fast-forward may jump",
-					e, got[0], got[1], got[2], got[3])
+			if got := arRecord(m); got != tc.want {
+				t.Errorf("%v/%d: row phases %d jumped, %d stepped; broadcasts %d jumped, %d stepped; want %v (only fast-forward jumps, on any shard count)",
+					tc.e, tc.shards, got[0], got[1], got[2], got[3], tc.want)
 			}
 		}
 	})

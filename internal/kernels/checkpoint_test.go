@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/fabric"
 	"repro/internal/fp16"
 	"repro/internal/stencil"
 	"repro/internal/wse"
@@ -41,39 +42,49 @@ func TestCheckpointResume(t *testing.T) {
 		{"listing1", func(mach *wse.Machine) (wseSolver, error) { return NewBiCGStabWSE(mach, h) }},
 		{"halo", func(mach *wse.Machine) (wseSolver, error) { return newHaloSolver(mach, h) }},
 	}
-	newMach := func(e wse.Engine) *wse.Machine {
+	// A leg is an engine and its shard count; "sharded" is fast-forward
+	// on four shards with the parallel path forced.
+	type leg struct {
+		name   string
+		e      wse.Engine
+		shards int
+	}
+	seq := leg{"seq", wse.EngineSequential, 0}
+	ff := leg{"fastforward", wse.EngineFastForward, 0}
+	sharded := leg{"sharded", wse.EngineFastForward, 4}
+	newMach := func(l leg) *wse.Machine {
 		cfg := wse.CS1(m.NX, m.NY)
-		cfg.Engine = e
-		if e == wse.EngineSharded {
-			cfg.Workers = 4
+		cfg.Engine, cfg.Workers = l.e, l.shards
+		mach := wse.New(cfg)
+		if l.shards > 1 {
+			fabric.ForceParallel(mach.Fab)
 		}
-		return wse.New(cfg)
+		return mach
 	}
 
 	// The snapshot cross-engine matrix: checkpoints cut mid-solve under
 	// one stepping engine are restored and finished under others, and
 	// every combination must land on the uninterrupted reference solve
 	// bit for bit — residual history, solution, cycle account, final
-	// machine fingerprint. The batched capture gets the full resume
+	// machine fingerprint. The sharded capture gets the full resume
 	// matrix; the sequential capture pins the reverse direction
-	// (snapshot under sequential, restore under batched) and the upgrade
+	// (snapshot under sequential, restore on shards) and the upgrade
 	// path of a checkpoint spooled when the default engine was
 	// sequential, resumed under today's fast-forward default; the
 	// fast-forward capture pins the way back to the reference engine.
 	captures := []struct {
-		eng    wse.Engine
-		resume []wse.Engine
+		eng    leg
+		resume []leg
 	}{
-		{wse.EngineSequential, []wse.Engine{wse.EngineSharded, wse.EngineBatched, wse.EngineFastForward}},
-		{wse.EngineBatched, []wse.Engine{wse.EngineSequential, wse.EngineSharded,
-			wse.EngineBatched, wse.EngineFastForward}},
-		{wse.EngineFastForward, []wse.Engine{wse.EngineSequential}},
+		{seq, []leg{sharded, ff}},
+		{sharded, []leg{seq, sharded, ff}},
+		{ff, []leg{seq}},
 	}
 
 	for _, eng := range engines {
 		t.Run(eng.name, func(t *testing.T) {
 			// Uninterrupted reference solve.
-			mach0 := newMach(wse.EngineSequential)
+			mach0 := newMach(seq)
 			defer mach0.Close()
 			w0, err := eng.mk(mach0)
 			if err != nil {
@@ -91,11 +102,11 @@ func TestCheckpointResume(t *testing.T) {
 			}
 
 			for _, cap := range captures {
-				t.Run("cap_"+cap.eng.String(), func(t *testing.T) {
+				t.Run("cap_"+cap.eng.name, func(t *testing.T) {
 					// Checkpointing must be an observation, not a perturbation:
 					// the same solve with checkpoints enabled matches the
-					// reference — which, for a batched-engine capture, also
-					// makes the whole solve an engine-equivalence check.
+					// reference — which, for a sharded or fast-forward capture,
+					// also makes the whole solve an engine-equivalence check.
 					mach1 := newMach(cap.eng)
 					defer mach1.Close()
 					w1, err := eng.mk(mach1)
@@ -124,7 +135,7 @@ func TestCheckpointResume(t *testing.T) {
 					// finish the solve bit-identically.
 					for bi, blob := range blobs {
 						for _, re := range cap.resume {
-							t.Run(fmt.Sprintf("blob%d_%s", bi, re), func(t *testing.T) {
+							t.Run(fmt.Sprintf("blob%d_%s", bi, re.name), func(t *testing.T) {
 								mach2 := newMach(re)
 								defer mach2.Close()
 								w2, err := eng.mk(mach2)

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/fabric"
 	"repro/internal/stencil"
 	"repro/internal/stencilc"
 	"repro/internal/wse"
@@ -12,12 +13,12 @@ import (
 // FuzzSpMV2DEquivalence fuzzes the 2D block-halo wafer program's
 // determinism contract: a random normalized 9-point operator and
 // iterate on a random tile grid and block size are built identically on
-// a sequential machine (the reference interpreter, named: EngineAuto
-// with one worker is fast-forward) and a sharded one, armed, and
-// stepped in lockstep —
-// the complete per-cycle Machine.Fingerprint must match every cycle,
-// the results must be bitwise equal, and both machines must agree the
-// program drained. It also cross-checks the machine result against the
+// a sequential machine (the reference interpreter, named: EngineAuto is
+// fast-forward) and a fast-forward one on the fuzzed shard count with
+// the parallel path forced, armed, and stepped in lockstep (Machine.Step
+// takes no jumps) — the complete per-cycle Machine.Fingerprint must
+// match every cycle, the results must be bitwise equal, and both
+// machines must agree the program drained. It also cross-checks the machine result against the
 // functional reference stencilc.Reference2D, whose rounding order the
 // wafer program reproduces exactly. Seed corpus in testdata/fuzz/FuzzSpMV2DEquivalence;
 // CI runs this in fuzz-smoke.
@@ -42,6 +43,7 @@ func FuzzSpMV2DEquivalence(f *testing.F) {
 			cfg.Engine = e
 			cfg.Workers = wk
 			mach := wse.New(cfg)
+			fabric.ForceParallel(mach.Fab)
 			prog, err := stencilc.Compile2D(mach, stencilc.Spec9Point(), norm, b, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -52,10 +54,11 @@ func FuzzSpMV2DEquivalence(f *testing.F) {
 		}
 		mseq, pseq := build(wse.EngineSequential, 1)
 		defer mseq.Close()
-		mshd, pshd := build(wse.EngineSharded, workers)
+		mshd, pshd := build(wse.EngineFastForward, workers)
 		defer mshd.Close()
-		if mseq.Fab.StepperName() == mshd.Fab.StepperName() {
-			t.Fatalf("engine selection broken: both %q", mseq.Fab.StepperName())
+		shards := len(mshd.Fab.ShardRanges())
+		if want := min(workers, tx*ty); shards != want {
+			t.Fatalf("fast-forward leg on %d shards, want %d", shards, want)
 		}
 
 		maxCycles := 64*b*(tx+ty) + 512
@@ -63,8 +66,8 @@ func FuzzSpMV2DEquivalence(f *testing.F) {
 			mseq.Step()
 			mshd.Step()
 			if fa, fb := mseq.Fingerprint(), mshd.Fingerprint(); fa != fb {
-				t.Fatalf("cycle %d: machine fingerprints diverge: seq %#x %s %#x",
-					cyc, fa, mshd.Fab.StepperName(), fb)
+				t.Fatalf("cycle %d: machine fingerprints diverge: seq %#x, %d shards %#x",
+					cyc, fa, shards, fb)
 			}
 			if mseq.AllIdle() {
 				break

@@ -10,7 +10,7 @@ import (
 	"repro/internal/wse"
 )
 
-// withProcs raises GOMAXPROCS so the sharded engines start their
+// withProcs raises GOMAXPROCS so sharded fabrics start their
 // helpers on a multi-CPU host whatever GOMAXPROCS the test runs under
 // (machines cache the value at construction), restoring it when the
 // test ends.
@@ -20,9 +20,9 @@ func withProcs(t *testing.T, n int) {
 	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 }
 
-// shardedMachines builds a sequential and a sharded machine of the same
-// shape for lockstep comparison. The sequential leg names its engine:
-// EngineAuto with one worker is fast-forward.
+// shardedMachines builds a sequential machine and a fast-forward one on
+// workers shards, of the same shape, for lockstep comparison. The
+// sequential leg names its engine: EngineAuto is fast-forward.
 func shardedMachines(w, h, workers int) (*wse.Machine, *wse.Machine) {
 	seqCfg := wse.CS1(w, h)
 	seqCfg.Engine = wse.EngineSequential

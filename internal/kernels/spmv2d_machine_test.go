@@ -119,8 +119,8 @@ func TestSpMV2DMachineShardedIdentical(t *testing.T) {
 		mseq.Step()
 		msh.Step()
 		if fa, fb := mseq.Fingerprint(), msh.Fingerprint(); fa != fb {
-			t.Fatalf("cycle %d: machine fingerprints diverge: seq %#x, %s %#x",
-				cyc, fa, msh.Fab.StepperName(), fb)
+			t.Fatalf("cycle %d: machine fingerprints diverge: seq %#x, %d shards %#x",
+				cyc, fa, len(msh.Fab.ShardRanges()), fb)
 		}
 	}
 	ra, rb := pa.Result(), pb.Result()

@@ -216,7 +216,7 @@ func TestSpMV3DIssueCounters(t *testing.T) {
 	m := stencil.Mesh{NX: 16, NY: 16, NZ: 256}
 	norm, _ := stencil.RandomDiagDominant(m, 1.5, rng).Normalize()
 	cfg := wse.CS1(m.NX, m.NY)
-	cfg.Engine = wse.EngineSequential // the batched engines bypass Core.step for some cycles
+	cfg.Engine = wse.EngineSequential // fast-forward's jumps bypass Core.step
 	mach := wse.New(cfg)
 	p, err := NewSpMV3D(mach, stencil.NewOp7Half(norm))
 	if err != nil {

@@ -157,8 +157,9 @@ func TestSpMV3DHaloRepeatedApplications(t *testing.T) {
 	}
 }
 
-// TestSpMV3DHaloEngineEquivalence pins the sequential and sharded
-// engines to bitwise-equal results and equal cycle counts.
+// TestSpMV3DHaloEngineEquivalence pins the sequential engine and
+// fast-forward on four shards to bitwise-equal results and equal cycle
+// counts.
 func TestSpMV3DHaloEngineEquivalence(t *testing.T) {
 	run := func(workers int) ([]fp16.Float16, int64) {
 		rng := rand.New(rand.NewSource(9))

@@ -12,9 +12,9 @@ import (
 // TestMultiWafer64CubedEquivalence is the acceptance golden for the
 // cluster backend: the 64³ BiCGStab solve that cmd/wsesim runs with
 // `-wafers 2x1` produces residual histories (and solutions) bit
-// identical to the 1-wafer run. Both clusters use the sharded engine,
-// so the test also crosses the engine axis, and it runs under -race in
-// CI — the full-suite race step does not skip it.
+// identical to the 1-wafer run. Both clusters step on four shards per
+// wafer, so the test also crosses shard boundaries, and it runs under
+// -race in CI — the full-suite race step does not skip it.
 func TestMultiWafer64CubedEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("64³ cycle simulation in short mode")

@@ -133,10 +133,9 @@ type Config struct {
 	// Interconnect defaults to DefaultInterconnect when zero.
 	Interconnect Interconnect
 	// Workers is each machine's wse.Config.Workers. Every wafer runs the
-	// fast-forward engine (on a cluster its replayed SpMVs beat sharded
-	// cycle simulation even at Workers = nproc; docs/RESULTS.md), whose
-	// fabric has fabric.Sharded(0)'s shards (one per P or CPU, at most
-	// one per 64 tiles), or Workers shards when > 1.
+	// fast-forward engine, whose fabric has fabric.Sharded(0)'s shards
+	// (one per P or CPU, at most one per 64 tiles), or Workers shards
+	// when > 1.
 	Workers int
 }
 

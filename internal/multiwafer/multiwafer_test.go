@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fabric"
 	"repro/internal/fp16"
 	"repro/internal/kernels"
 	"repro/internal/solver"
@@ -67,7 +68,7 @@ func TestSolveBitIdenticalAcrossWaferCounts(t *testing.T) {
 		{Topology{1, 2}, 1},
 		{Topology{2, 2}, 1},
 		{Topology{3, 1}, 1}, // uneven: 6 columns over 3 wafers of width 2
-		{Topology{2, 2}, 4}, // sharded engine
+		{Topology{2, 2}, 4}, // four shards per wafer
 		{Topology{1, 1}, 4},
 	} {
 		x, st := solveOn(t, tc.grid, tc.workers, h, b, 4)
@@ -268,9 +269,9 @@ func TestBackendStatsConcurrent(t *testing.T) {
 // the single-machine star solver at the 7-point spec are the same
 // engine over the same program, so they return the same account field
 // for field — not merely the same bits of x and History — under the
-// sequential and the sharded engine. (At the parent the two were
-// separate loops with separate stats types; the cluster reported no
-// MaxARDrift at all.)
+// sequential engine and under fast-forward on four shards. (At the
+// parent the two were separate loops with separate stats types; the
+// cluster reported no MaxARDrift at all.)
 func TestOneWaferClusterIsTheStarSolver(t *testing.T) {
 	h, _, b, _ := testProblem(t, 6, 5, 8, 23)
 	opts := kernels.WSEOptions{MaxIter: 5}
@@ -473,15 +474,17 @@ func TestNewRejects(t *testing.T) {
 }
 
 // TestCloseReleasesGoroutines pins helper hygiene across a
-// multi-machine cluster with sharded engines. New's fast-forward wafers
-// start helpers too on a multi-P host with large enough wafers, and
-// Close must release them the same way.
+// multi-machine cluster on sharded fabrics: four fast-forward wafers on
+// four forced shards each start helpers, and Close must release them.
 func TestCloseReleasesGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	h, _, b, _ := testProblem(t, 4, 4, 8, 17)
-	c, err := build(Config{Grid: Topology{2, 2}, Workers: 4}, h, wse.EngineSharded)
+	c, err := build(Config{Grid: Topology{2, 2}, Workers: 4}, h, wse.EngineFastForward)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, wf := range c.wafers {
+		fabric.ForceParallel(wf.mach.Fab)
 	}
 	if _, _, err := c.Solve(b, kernels.WSEOptions{MaxIter: 2}); err != nil {
 		t.Fatal(err)

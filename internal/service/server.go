@@ -4,7 +4,7 @@
 // deterministic problem description — and get a job ID to poll or
 // stream; the daemon schedules solves over a bounded worker pool,
 // reuses machines across jobs through a keyed cache (fabric shape +
-// depth + engine + wafer grid), spools every job durably, retries
+// depth + shard count + wafer grid), spools every job durably, retries
 // transient failures with backoff, and on SIGTERM checkpoints in-flight
 // wafer solves so a restarted daemon resumes them bit-identically.
 // Results are bit-identical to a direct core.Solve call — the cache and
@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"sync"
@@ -621,12 +622,20 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
+// decodeSpec reads one job spec strictly: a field JobSpec does not
+// have is an error, not ignored.
+func decodeSpec(r io.Reader) (JobSpec, error) {
+	var spec JobSpec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&spec)
+	return spec, err
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
-	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	spec, err := decodeSpec(r.Body)
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge,

@@ -88,6 +88,7 @@ func TestJobSpecValidate(t *testing.T) {
 		{Problem: "random", NX: 4, NY: 4, NZ: 3, Backend: "local", Precision: "fp32"},
 		{Problem: "momentum", NX: 6, NY: 6, NZ: 8, Backend: "multiwafer", Grid: "2x1", Workers: 2},
 		{Problem: "momentum", NX: 4, NY: 4, NZ: 6, Backend: "cluster", Ranks: 4},
+		{NX: 4, NY: 4, NZ: 8, Workers: core.MaxWorkers},
 	}
 	for i, spec := range valid {
 		if err := spec.Validate(); err != nil {
@@ -102,6 +103,10 @@ func TestJobSpecValidate(t *testing.T) {
 		{JobSpec{Problem: "heat", NX: 4, NY: 4, NZ: 8}, "problem"},
 		{JobSpec{NX: 0, NY: 4, NZ: 8}, "nx"},
 		{JobSpec{NX: 700, NY: 700, NZ: 700}, "nx"},
+		{JobSpec{NX: 1 << 22, NY: 1 << 22, NZ: 1 << 20}, "nx"}, // 2^64 cells wrap to 0
+		{JobSpec{NX: 4, NY: 4, NZ: 8, Workers: core.MaxWorkers + 1}, "Wafer.Workers"},
+		{JobSpec{NX: 256, NY: 256, NZ: 2, Workers: 65535}, "Wafer.Workers"},
+		{JobSpec{NX: 4, NY: 4, NZ: 8, Backend: "multiwafer", Workers: 1 << 20}, "MultiWafer.Workers"},
 		{JobSpec{NX: 4, NY: 4, NZ: 7, Backend: "wafer"}, "nz"},
 		{JobSpec{NX: 4, NY: 4, NZ: 7, Backend: "multiwafer"}, "nz"},
 		{JobSpec{NX: 4, NY: 4, NZ: 8, Backend: "gpu"}, "backend"},
@@ -119,9 +124,15 @@ func TestJobSpecValidate(t *testing.T) {
 			continue
 		}
 		var se *SpecError
-		if errors.As(err, &se) {
+		var oe *core.OptionError
+		switch {
+		case errors.As(err, &se):
 			if se.Field != tc.field {
 				t.Errorf("spec %+v rejected on field %q, want %q", tc.spec, se.Field, tc.field)
+			}
+		case errors.As(err, &oe):
+			if oe.Field != tc.field {
+				t.Errorf("spec %+v rejected on option %q, want %q", tc.spec, oe.Field, tc.field)
 			}
 		}
 	}
@@ -473,6 +484,8 @@ func TestServiceHTTPRejects(t *testing.T) {
 		{`{"nx":4,"ny":4,"nz":8,"backend":"wafer","ranks":4}`, "ranks"},
 		{`{"nx":4,"ny":4,"nz":8,"max_iter":-1}`, "MaxIter"},
 		{`{"nx":4,"ny":4,"nz":8,"frobnicate":true}`, "frobnicate"},
+		{`{"nx":4,"ny":4,"nz":8,"workers":1048576}`, "Wafer.Workers"},
+		{`{"nx":4194304,"ny":4194304,"nz":1048576}`, "nx"},
 		{`not json`, "bad job spec"},
 	} {
 		code, body := post(tc.body)

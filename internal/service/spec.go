@@ -54,9 +54,10 @@ type JobSpec struct {
 	// Precision is the local backend's arithmetic ("fp64", "fp32",
 	// "mixed"); rejected on any other backend.
 	Precision string `json:"precision,omitempty"`
-	// Workers is the per-machine simulation worker count (wafer and
-	// multiwafer backends only; a multiwafer cluster's fast-forward
-	// wafers step on one goroutine whatever it is).
+	// Workers is a wafer job's fast-forward shard count (0 or 1: one
+	// per host core, at most one per 64 tiles), at most core.MaxWorkers.
+	// A multiwafer job accepts it under the same bound but its wafers do
+	// not read it: each fast-forwards on the default shards.
 	Workers int `json:"workers,omitempty"`
 	// Ranks is the cluster backend's goroutine-rank count.
 	Ranks int `json:"ranks,omitempty"`
@@ -109,8 +110,9 @@ func (s JobSpec) Options() (core.Options, error) {
 	if s.NX <= 0 || s.NY <= 0 || s.NZ <= 0 {
 		return core.Options{}, &SpecError{"nx", fmt.Sprintf("mesh dimensions must be positive, got %dx%dx%d", s.NX, s.NY, s.NZ)}
 	}
-	if n := s.NX * s.NY * s.NZ; n > maxMeshCells {
-		return core.Options{}, &SpecError{"nx", fmt.Sprintf("mesh has %d cells; the service caps jobs at %d (one full wafer at depth 128)", n, maxMeshCells)}
+	// Divided, not multiplied: a product of outside ints can wrap.
+	if s.NY > maxMeshCells/s.NX || s.NZ > maxMeshCells/(s.NX*s.NY) {
+		return core.Options{}, &SpecError{"nx", fmt.Sprintf("mesh %dx%dx%d has more than %d cells, the service's cap (one full wafer at depth 128)", s.NX, s.NY, s.NZ, maxMeshCells)}
 	}
 	if err := core.CheckProblemName(s.Problem); err != nil {
 		return core.Options{}, &SpecError{"problem", err.Error()}

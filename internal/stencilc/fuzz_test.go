@@ -13,12 +13,12 @@ import (
 
 // FuzzStencilcEquivalence drives the whole compiler contract from random
 // specs: a fuzzed (dimensionality, fabric, block/column depth, widths,
-// reduction) tuple is compiled and run on the sequential, fast-forward
-// and sharded engines, and every machine's output must equal the
-// functional reference bit for bit — plus the engines must agree on
-// cycles, and the cycle count must equal the exact perfmodel replay
-// entry. Seed corpus in testdata/fuzz/FuzzStencilcEquivalence; CI runs
-// this in fuzz-smoke.
+// reduction) tuple is compiled and run on the sequential engine and on
+// fast-forward, on one shard and several, and every machine's output
+// must equal the functional reference bit for bit — plus the engines
+// must agree on cycles, and the cycle count must equal the exact
+// perfmodel replay entry. Seed corpus in
+// testdata/fuzz/FuzzStencilcEquivalence; CI runs this in fuzz-smoke.
 func FuzzStencilcEquivalence(f *testing.F) {
 	f.Add(int64(1), uint64(0x020202), uint64(0))
 	f.Add(int64(7), uint64(0x010303), uint64(1))
@@ -41,11 +41,11 @@ func FuzzStencilcEquivalence(f *testing.F) {
 }
 
 // runEngines compiles and runs a program under the sequential reference
-// interpreter, the fast-forward engine (which replays the exchange) on
-// its default shards and on three with the parallel path forced, and
-// the sharded engine, requiring identical cycles, and returns the
-// sequential cycle count. Each engine is named: EngineAuto with one
-// worker would be fast-forward, not the reference.
+// interpreter and the fast-forward engine (which replays the exchange),
+// on its default shards and on workers with the parallel path forced,
+// requiring identical cycles, and returns the sequential cycle count.
+// Each engine is named: EngineAuto would be fast-forward, not the
+// reference.
 func runEngines(t *testing.T, workers int, build func(*wse.Machine) interface {
 	Run(int64) (int64, error)
 }, fw, fh int) int64 {
@@ -54,11 +54,11 @@ func runEngines(t *testing.T, workers int, build func(*wse.Machine) interface {
 	for i, leg := range []struct {
 		e       wse.Engine
 		workers int
-	}{{wse.EngineSequential, 0}, {wse.EngineFastForward, 0}, {wse.EngineFastForward, 3}, {wse.EngineSharded, workers}} {
+	}{{wse.EngineSequential, 0}, {wse.EngineFastForward, 0}, {wse.EngineFastForward, workers}} {
 		cfg := wse.CS1(fw, fh)
 		cfg.Engine, cfg.Workers = leg.e, leg.workers
 		mach := wse.New(cfg)
-		if leg.e == wse.EngineFastForward && leg.workers > 1 {
+		if leg.workers > 1 {
 			fabric.ForceParallel(mach.Fab)
 		}
 		t.Cleanup(mach.Close)

@@ -142,9 +142,9 @@ func TestStencilApplyModelExact(t *testing.T) {
 	}
 }
 
-// TestStencilApplyModelEngines pins the model against the sharded engine
-// too: the worklist scheduler must not change cycle counts, and the model
-// must match both.
+// TestStencilApplyModelEngines pins the model against a fabric of four
+// shards too: the worklist scheduler must not change cycle counts, and
+// the model must match both.
 func TestStencilApplyModelEngines(t *testing.T) {
 	for _, c := range []struct {
 		w, h, z    int

@@ -144,8 +144,8 @@ func (d *Descriptor) Next() int {
 // consumer may address its remaining elements as one slice
 // [Pos(), Pos()+Len()-Advanced()) and advance with SkipContig. This is
 // the Vec1D shape, the overwhelmingly common operand layout of the
-// compiled kernels, and what the batched stepping engine requires to
-// execute one decoded instruction across many tiles.
+// compiled kernels, and what the streaming instructions' slice step
+// requires.
 func (d *Descriptor) Contig() bool {
 	return d.Shape[0] == 1 && d.Shape[1] == 1 && d.Shape[2] == 1 && d.Stride[3] == 1
 }

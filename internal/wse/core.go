@@ -30,8 +30,8 @@ type Task struct {
 	// while their own core is being stepped and must direct scheduling
 	// calls (Activate/Block/Unblock/LaunchThread) only at that core —
 	// exactly the hardware's reach. Waking a *different* core from a
-	// handler would race with the other shard's worklist under the
-	// sharded engine; cross-core signalling goes through the fabric.
+	// handler would race with the other shard's worklist on a sharded
+	// fabric; cross-core signalling goes through the fabric.
 	OnComplete func(c *Core)
 
 	blocked   bool
@@ -222,8 +222,8 @@ type Core struct {
 	// restore (conservatively — words may already be waiting), cleared
 	// on the pop that empties the buffer or on finding it empty (a host
 	// Recv may have taken the word). A clear bit proves the buffer
-	// empty, so step, runnable, rxQuiet and the batched classifier look
-	// only at set bits. Host-side bookkeeping, never architectural state.
+	// empty, so step, runnable and rxQuiet look only at set bits.
+	// Host-side bookkeeping, never architectural state.
 	rxPending uint32
 
 	// streamed is set by every push into the core's stream buffers (a

@@ -1,6 +1,6 @@
 // Package difftest is the differential test layer over the wse
-// stepping engines. Every engine — sequential (the reference),
-// sharded, batched, and fast-forward — promises bit- and
+// stepping engines. Both engines — sequential (the reference) and
+// fast-forward, on one shard or several — promise bit- and
 // cycle-identical architectural state, and this package checks the
 // promise the strongest way the simulator allows: one machine per
 // engine runs the same workload and the complete architectural

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/fabric"
 	"repro/internal/fp16"
 	"repro/internal/kernels"
 	"repro/internal/stencil"
@@ -11,17 +12,25 @@ import (
 	"repro/internal/wse"
 )
 
-// config builds the standard CS1-derived configuration for engine e.
-// The sharded engine gets a fixed worker count so the shard partition —
-// and therefore the schedule it must prove equivalent under — is the
-// same on every run.
-func config(w, h int, e wse.Engine) wse.Config {
+// leg is one column of the engine matrix: an engine and its fabric's
+// shard count (Config.Workers; 0 is fast-forward's default).
+type leg struct {
+	e      wse.Engine
+	shards int
+}
+
+// machine builds l's CS1-derived w×h machine. A fixed shard count also
+// forces the parallel path, so the shard partition — and therefore the
+// schedule it must prove equivalent under — is the same on every run
+// and host.
+func (l leg) machine(w, h int) *wse.Machine {
 	cfg := wse.CS1(w, h)
-	cfg.Engine = e
-	if e == wse.EngineSharded {
-		cfg.Workers = 3
+	cfg.Engine, cfg.Workers = l.e, l.shards
+	m := wse.New(cfg)
+	if l.shards > 1 {
+		fabric.ForceParallel(m.Fab)
 	}
-	return cfg
+	return m
 }
 
 // halfVec returns a deterministic pseudo-random fp16 vector in (-1, 1).
@@ -40,9 +49,9 @@ func halfVec(n int, seed int64) []fp16.Float16 {
 // application. Driving the armed program cycle by cycle instead of
 // calling Run keeps the fast-forward engine on its stepping path — the
 // analytic jump is covered by TestRunEndState at its phase boundary.
-func program3D(t *testing.T, spec stencilc.Spec, op *stencil.OpStarHalf, src []fp16.Float16) func(e wse.Engine) *Instance {
-	return func(e wse.Engine) *Instance {
-		m := wse.New(config(op.M.NX, op.M.NY, e))
+func program3D(t *testing.T, spec stencilc.Spec, op *stencil.OpStarHalf, src []fp16.Float16) func(l leg) *Instance {
+	return func(l leg) *Instance {
+		m := l.machine(op.M.NX, op.M.NY)
 		p, err := stencilc.Compile3D(m, spec, op, 0, 0, 0)
 		if err != nil {
 			m.Close()
@@ -73,8 +82,8 @@ func TestLockstepAllReduce(t *testing.T) {
 		values[i] = float32(i%13)*0.25 - 1
 	}
 	var ars []*kernels.AllReduce
-	Lockstep(t, 1<<16, func(e wse.Engine) *Instance {
-		m := wse.New(config(w, h, e))
+	Lockstep(t, 1<<16, func(l leg) *Instance {
+		m := l.machine(w, h)
 		ar, err := kernels.NewAllReduce(m, 0)
 		if err != nil {
 			m.Close()
@@ -96,17 +105,16 @@ func TestLockstepAllReduce(t *testing.T) {
 	}
 }
 
-// TestLockstepSpec9Point locksteps the 2-D 9-point box program — the
-// block-interior MemOp streams are exactly the shape the batched
-// engine's equivalence classes target, and the column/row exchanges
-// provide mid-batch rx divergence.
+// TestLockstepSpec9Point locksteps the 2-D 9-point box program: the
+// block-interior MemOp streams take the slice step, and the column/row
+// exchanges interleave rx deliveries with them.
 func TestLockstepSpec9Point(t *testing.T) {
 	m2 := stencil.Mesh2D{NX: 12, NY: 8}
 	op, _ := stencil.Random9(m2, 1.4, rand.New(rand.NewSource(29))).Normalize9()
 	src := halfVec(m2.N(), 31)
 	const b = 4
-	Lockstep(t, 1<<18, func(e wse.Engine) *Instance {
-		m := wse.New(config(m2.NX/b, m2.NY/b, e))
+	Lockstep(t, 1<<18, func(l leg) *Instance {
+		m := l.machine(m2.NX/b, m2.NY/b)
 		p, err := stencilc.Compile2D(m, stencilc.Spec9Point(), op, b, 0)
 		if err != nil {
 			m.Close()
@@ -134,8 +142,8 @@ func TestLockstepSeismic25(t *testing.T) {
 }
 
 // TestLockstepHeat locksteps the heat program with the fused residual
-// reduction (ReduceSumSq), covering the DotMixed instruction — the
-// second batchable instruction class — alongside the MemOp streams.
+// reduction (ReduceSumSq), covering the DotMixed instruction alongside
+// the MemOp streams.
 func TestLockstepHeat(t *testing.T) {
 	m3 := stencil.Mesh{NX: 5, NY: 4, NZ: 6}
 	norm, _ := stencil.Heat3D(m3, 0.12, stencil.Dirichlet).Normalize()
@@ -181,7 +189,7 @@ func TestRunEndState(t *testing.T) {
 			op := stencil.NewOpStarHalf(norm)
 			src := halfVec(tc.mesh.N(), 47)
 			run := func(e wse.Engine) endState {
-				m := wse.New(config(tc.mesh.NX, tc.mesh.NY, e))
+				m := leg{e: e}.machine(tc.mesh.NX, tc.mesh.NY)
 				defer m.Close()
 				p, err := stencilc.Compile3D(m, tc.spec, op, 0, 0, 0)
 				if err != nil {
@@ -256,12 +264,14 @@ type Instance struct {
 	Tick func() bool
 }
 
-// engines is the full engine matrix the lockstep tables run.
-var engines = []wse.Engine{
-	wse.EngineSequential,
-	wse.EngineSharded,
-	wse.EngineBatched,
-	wse.EngineFastForward,
+// engines is the full engine matrix the lockstep tables run: the
+// reference, fast-forward on its default fabric, and fast-forward on
+// three forced shards. Lockstep drives Machine.Step, which takes no
+// jumps, so the last two check stepping on one and on several shards.
+var engines = []leg{
+	{e: wse.EngineSequential},
+	{e: wse.EngineFastForward},
+	{e: wse.EngineFastForward, shards: 3},
 }
 
 // Lockstep builds one Instance per engine and drives them all in
@@ -269,7 +279,7 @@ var engines = []wse.Engine{
 // completion on the same cycle. Any divergence — fingerprint,
 // completion cycle, or final idleness — fails the test at the first
 // cycle it shows.
-func Lockstep(t *testing.T, maxCycles int64, build func(e wse.Engine) *Instance) {
+func Lockstep(t *testing.T, maxCycles int64, build func(l leg) *Instance) {
 	t.Helper()
 	insts := make([]*Instance, len(engines))
 	for i, e := range engines {
@@ -280,7 +290,7 @@ func Lockstep(t *testing.T, maxCycles int64, build func(e wse.Engine) *Instance)
 		ref := insts[0].M.Fingerprint()
 		for i := 1; i < len(insts); i++ {
 			if fp := insts[i].M.Fingerprint(); fp != ref {
-				t.Fatalf("cycle %d (%s): %v fingerprint %#x, %v fingerprint %#x",
+				t.Fatalf("cycle %d (%s): %+v fingerprint %#x, %+v fingerprint %#x",
 					insts[0].M.Cycle(), when, engines[0], ref, engines[i], fp)
 			}
 		}
@@ -290,7 +300,7 @@ func Lockstep(t *testing.T, maxCycles int64, build func(e wse.Engine) *Instance)
 		done := insts[0].Tick()
 		for i := 1; i < len(insts); i++ {
 			if d := insts[i].Tick(); d != done {
-				t.Fatalf("cycle %d: completion diverges: %v done=%v, %v done=%v",
+				t.Fatalf("cycle %d: completion diverges: %+v done=%v, %+v done=%v",
 					insts[0].M.Cycle(), engines[0], done, engines[i], d)
 			}
 		}
@@ -311,7 +321,7 @@ func Lockstep(t *testing.T, maxCycles int64, build func(e wse.Engine) *Instance)
 	}
 	for i, in := range insts {
 		if !in.M.AllIdle() {
-			t.Errorf("%v machine not idle at completion", engines[i])
+			t.Errorf("%+v machine not idle at completion", engines[i])
 		}
 	}
 }

@@ -5,9 +5,10 @@ import (
 	"testing"
 )
 
-// TestResolveEngine holds the EngineAuto rule: fast-forward by default,
-// sharded when Workers > 1, the -wse.engine override in between, and an
-// explicit engine kept whatever Workers and the override say.
+// TestResolveEngine holds the EngineAuto rule: fast-forward by default
+// and whenever Workers > 1, the -wse.engine override otherwise, and an
+// explicit engine kept whatever Workers and the override say; "batched"
+// parses as sequential.
 func TestResolveEngine(t *testing.T) {
 	saved := *engineFlag
 	defer func() { *engineFlag = saved }()
@@ -19,17 +20,17 @@ func TestResolveEngine(t *testing.T) {
 	}{
 		{EngineAuto, 0, "", EngineFastForward},
 		{EngineAuto, 1, "", EngineFastForward},
-		{EngineAuto, 2, "", EngineSharded},
+		{EngineAuto, 2, "", EngineFastForward},
 		{EngineAuto, 0, "seq", EngineSequential},
 		{EngineAuto, 1, "seq", EngineSequential},
-		{EngineAuto, 1, "batched", EngineBatched},
+		{EngineAuto, 1, "batched", EngineSequential},
 		{EngineAuto, 1, "auto", EngineFastForward},
-		{EngineAuto, 2, "seq", EngineSharded},
+		{EngineAuto, 2, "seq", EngineFastForward},
 		{EngineSequential, 0, "", EngineSequential},
 		{EngineSequential, 0, "fastforward", EngineSequential},
-		{EngineBatched, 4, "", EngineBatched},
+		{EngineSequential, 4, "", EngineSequential},
 		{EngineFastForward, 0, "seq", EngineFastForward},
-		{EngineSharded, 2, "seq", EngineSharded},
+		{EngineFastForward, 2, "seq", EngineFastForward},
 	} {
 		*engineFlag = tc.override
 		if got := resolveEngine(Config{Engine: tc.engine, Workers: tc.workers}); got != tc.want {
@@ -40,9 +41,9 @@ func TestResolveEngine(t *testing.T) {
 }
 
 // TestEngineShards holds each engine's fabric shard count: fast-forward
-// and sharded one per P (or CPU, if fewer), but no more than one per 64
-// tiles — one, with no helper, at GOMAXPROCS=1 — or Workers when
-// Workers > 1; sequential and batched one.
+// one per P (or CPU, if fewer), but no more than one per 64 tiles — one,
+// with no helper, at GOMAXPROCS=1 — or Workers when Workers > 1, under
+// EngineAuto too (whatever -wse.engine says); sequential one.
 func TestEngineShards(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, gmp := range []int{1, 3, 8} {
@@ -58,10 +59,8 @@ func TestEngineShards(t *testing.T) {
 			{EngineFastForward, 16, 1, min(procs, 4)},
 			{EngineFastForward, 8, 0, 1},
 			{EngineFastForward, 4, 4, 4},
-			{EngineSharded, 4, 2, 2},
-			{EngineSharded, 16, 1, min(procs, 4)},
+			{EngineAuto, 4, 2, 2},
 			{EngineSequential, 16, 4, 1},
-			{EngineBatched, 16, 4, 1},
 		} {
 			cfg := CS1(tc.side, tc.side)
 			cfg.Engine, cfg.Workers = tc.engine, tc.workers

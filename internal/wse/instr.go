@@ -25,7 +25,7 @@ import (
 // launched and must not be swapped while it runs. Step must touch
 // only its own core and tile (Send/Recv on c, the tile arena, FIFOs and
 // stream buffers of that tile); scheduling calls into other cores would
-// race with their shard's worklist under the sharded engine.
+// race with their shard's worklist on a sharded fabric.
 type Instr interface {
 	Step(c *Core, lanes int) (used int)
 	Done() bool
@@ -147,7 +147,7 @@ func (k MemOpKind) readsB() bool {
 // per element — the order the descriptor walk has, so operands that
 // overlap in live arena memory (the accumulate-in-place patterns, a
 // destination shifted against its source) behave identically. It is the
-// one element kernel of the simulator: MemOp.Step, the batched engine
+// one element kernel of the simulator: MemOp.Step, VectorPhase's jump
 // and stencilc's fast-forward compute all land here. b is ignored by the
 // kinds that do not read it, s by those without a scalar.
 func (k MemOpKind) Apply(s fp16.Float16, d, a, b []fp16.Float16) {

@@ -12,7 +12,7 @@ import (
 
 // This file locksteps Core.step against the step it replaced.
 //
-// All four engines share Core.step, so engine-vs-engine fuzzing
+// Both engines share Core.step, so engine-vs-engine fuzzing
 // (FuzzMachineEquivalence, difftest) cannot see a bug in it. The
 // reference below is the core step as it stood before the pending-rx
 // mask, the cached issue list and the issue loop's skips: every
@@ -371,16 +371,13 @@ type lockShape struct {
 }
 
 // buildLockProgram builds the program drawn from seed on a machine with
-// the given engine. Every draw comes from one rng seeded the same way, so
+// the given engine and Workers. Every draw comes from one rng seeded the same way, so
 // two builds are identical.
 func buildLockProgram(seed int64, sh lockShape, e Engine, workers int) *lockProgram {
 	cfg := CS1(sh.w, sh.h)
 	cfg.SIMDWidth = sh.simd
 	cfg.QueueDepth, cfg.RxDepth = sh.qdepth, sh.rxdepth
-	cfg.Engine = e
-	if e == EngineSharded {
-		cfg.Workers = workers
-	}
+	cfg.Engine, cfg.Workers = e, workers
 	m := New(cfg)
 	p := &lockProgram{m: m}
 	r := rand.New(rand.NewSource(seed))
@@ -737,8 +734,8 @@ func runCoreStepLockstep(t *testing.T, seed int64, shape, cycles uint64) {
 	}
 	n := int(cycles%160) + 16
 	er := rand.New(rand.NewSource(seed ^ int64(shape)))
-	engine := []Engine{EngineSequential, EngineSharded, EngineBatched, EngineFastForward}[er.Intn(4)]
-	a := buildLockProgram(seed, sh, engine, er.Intn(3)+2)
+	engine := []Engine{EngineSequential, EngineFastForward}[er.Intn(2)]
+	a := buildLockProgram(seed, sh, engine, er.Intn(4)+1)
 	defer a.m.Close()
 	b := buildLockProgram(seed, sh, EngineSequential, 0)
 	useRefStep(b.m)

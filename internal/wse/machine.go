@@ -40,18 +40,16 @@ type Config struct {
 	SIMDWidth int
 	// QueueDepth / RxDepth size the fabric queues.
 	QueueDepth, RxDepth int
-	// Workers is the fabric's shard count (fabric.Sharded) under
-	// EngineFastForward and EngineSharded: > 1 that many, <= 1 one per P
-	// (or CPU, if fewer) but at most one per 64 tiles (fabric.Sharded(0);
-	// one at GOMAXPROCS=1). Under EngineAuto, > 1 selects
-	// EngineSharded. EngineSequential and EngineBatched step one shard.
-	// The simulated machine is bit-identical either way — see the fabric
-	// package's determinism contract — so this is purely a host-side
-	// throughput knob.
+	// Workers is fast-forward's shard count (fabric.Sharded): > 1 that
+	// many, <= 1 one per P (or CPU, if fewer) but at most one per 64
+	// tiles (fabric.Sharded(0); one at GOMAXPROCS=1). EngineSequential
+	// steps one shard whatever it says. The simulated machine is
+	// bit-identical either way — see the fabric package's determinism
+	// contract — so this is purely a host-side throughput knob.
 	Workers int
 	// Engine selects the core-stepping engine (see Engine). EngineAuto
-	// resolves from Workers and the -wse.engine flag override, to
-	// EngineFastForward by default.
+	// resolves to EngineFastForward unless the -wse.engine flag
+	// overrides it on a machine with Workers <= 1.
 	Engine Engine
 }
 
@@ -126,8 +124,8 @@ type Machine struct {
 	// the owner while the machine is not mid-Step).
 	runnable [][]*Core
 
-	// coreStep steps shard s's cores, built once so Step stays
-	// allocation-free on the hot path.
+	// coreStep is stepShard, bound once so Step stays allocation-free on
+	// the hot path.
 	coreStep func(s int)
 
 	// steps counts Machine.Step invocations — the denominator for core
@@ -138,9 +136,6 @@ type Machine struct {
 
 	// engine is the resolved stepping engine (see resolveEngine).
 	engine Engine
-	// batch is the per-shard class-grouping scratch of the batched
-	// engine, allocated once; see batch.go.
-	batch []batchState
 
 	// issue[s] is shard s's tally of what its cores' steps did; see
 	// IssueStats.
@@ -159,7 +154,7 @@ type Machine struct {
 }
 
 // shardIssue pads one shard's tally to its own cache lines, since shards
-// step concurrently under the sharded engine.
+// step concurrently on a sharded fabric.
 type shardIssue struct {
 	IssueStats
 	_ [72]byte
@@ -170,9 +165,8 @@ type shardIssue struct {
 // made and how many of those found nothing to do, and how the receive
 // side went. Host-side observation only — not architectural state, not
 // in the fingerprint — kept so that a core step that went back to
-// polling shows up as a count and not only as a slower run. (The batched
-// engine's class execution and the fast-forward paths bypass Core.step
-// and are not counted.)
+// polling shows up as a count and not only as a slower run. (Fast-forward's
+// jumps bypass Core.step and are not counted.)
 type IssueStats struct {
 	CoreSteps     int64 // Core.step invocations
 	InstrCalls    int64 // Instr.Step calls
@@ -188,7 +182,7 @@ func New(cfg Config) *Machine {
 	cfg = cfg.withDefaults()
 	engine := resolveEngine(cfg)
 	stepper := fabric.Sequential()
-	if engine == EngineSharded || engine == EngineFastForward {
+	if engine == EngineFastForward {
 		stepper = fabric.Sharded(cfg.Workers)
 		if cfg.Workers <= 1 {
 			stepper = fabric.Sharded(0) // one shard per P, per 64 tiles at most
@@ -219,10 +213,6 @@ func New(cfg Config) *Machine {
 		m.Tiles[i] = t
 	}
 	m.coreStep = m.stepShard
-	if m.engine == EngineBatched {
-		m.batch = make([]batchState, shards)
-		m.coreStep = m.stepShardBatched
-	}
 	// Words arriving at a tile's ramp wake its core; the callback runs
 	// on the owning shard (see fabric.Fabric.OnRxDelivery), so the
 	// worklist append is shard-local. Only deliveries on colors the

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/fabric"
 	"repro/internal/fp16"
 	"repro/internal/tensor"
 )
@@ -351,35 +352,37 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			t.Fatal("marshal/unmarshal/marshal is not byte-stable")
 		}
 
-		// Batched-engine leg: any decodable snapshot that fits the 2×1
+		// Sharded leg: any decodable snapshot that fits the 2×1
 		// reference shape must behave identically under the sequential
-		// and batched engines — Restore accepts or rejects it on both,
-		// and an accepted restore leaves equal fingerprints that stay
-		// equal under lockstep stepping.
+		// engine and under fast-forward on one forced shard per tile —
+		// Restore accepts or rejects it on both, and an accepted restore
+		// leaves equal fingerprints that stay equal under lockstep
+		// stepping.
 		if s.FabricW == 2 && s.FabricH == 1 {
-			mkRestored := func(e Engine) (*Machine, error) {
+			mkRestored := func(e Engine, shards int) (*Machine, error) {
 				cfg := CS1(2, 1)
-				cfg.Engine = e
+				cfg.Engine, cfg.Workers = e, shards
 				rm := New(cfg)
+				fabric.ForceParallel(rm.Fab)
 				buildSnapProg(rm)
 				return rm, rm.Restore(s)
 			}
-			mseq, errSeq := mkRestored(EngineSequential)
+			mseq, errSeq := mkRestored(EngineSequential, 0)
 			defer mseq.Close()
-			mbat, errBat := mkRestored(EngineBatched)
-			defer mbat.Close()
-			if (errSeq == nil) != (errBat == nil) {
-				t.Fatalf("Restore verdict diverges across engines: seq %v, batched %v", errSeq, errBat)
+			mshd, errShd := mkRestored(EngineFastForward, 2)
+			defer mshd.Close()
+			if (errSeq == nil) != (errShd == nil) {
+				t.Fatalf("Restore verdict diverges across engines: seq %v, sharded %v", errSeq, errShd)
 			}
 			if errSeq != nil {
 				return
 			}
 			for cyc := 0; cyc < 32; cyc++ {
-				if fa, fb := mseq.Fingerprint(), mbat.Fingerprint(); fa != fb {
-					t.Fatalf("restored fingerprints diverge at cycle %d: seq %#x, batched %#x", cyc, fa, fb)
+				if fa, fb := mseq.Fingerprint(), mshd.Fingerprint(); fa != fb {
+					t.Fatalf("restored fingerprints diverge at cycle %d: seq %#x, sharded %#x", cyc, fa, fb)
 				}
 				mseq.Step()
-				mbat.Step()
+				mshd.Step()
 			}
 		}
 	})

@@ -28,7 +28,7 @@ type VectorPhase struct {
 
 	// left counts the tasks of a stepped phase not yet complete: one
 	// counter for the whole phase, decremented by every task's shared
-	// OnComplete — concurrently under the sharded engine.
+	// OnComplete — concurrently on a sharded fabric.
 	left     atomic.Int64
 	finished func() bool
 
