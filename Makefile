@@ -22,11 +22,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# ci.yml's repeated race step: the fabric's shard handoff and the
-# fast-forward overlap that shares it, ten passes each.
+# ci.yml's repeated race step: the fabric's shard handoff, the
+# fast-forward overlap that shares it and Listing 1's sharded arming,
+# ten passes each.
 race-repeat:
 	$(GO) test -race -count=10 -run 'TestHandoff|TestConcurrentFabricsMatchSerial|TestPool' ./internal/fabric
 	$(GO) test -race -count=10 -run 'TestFastForwardOverBudgetMatchesSequential|TestFastForwardConcurrentMachines|TestFastForwardCloseBetweenApplications|TestFastForwardHelperReclaimedWithoutClose|TestRunAllocatesNothing' ./internal/stencilc
+	$(GO) test -race -count=10 -run 'TestSpMV3DShardedArming' ./internal/kernels
 
 # benchmark/ is a module of its own that compiles against internal/kernels
 # and internal/core, so check builds and tests it too.

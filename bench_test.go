@@ -33,11 +33,12 @@ import (
 
 // BenchmarkFabricStep measures one cycle of the router simulator at
 // saturation across fabric sizes, for the Sequential engine and the
-// Sharded engine (persistent worker pool) at 8 workers. The sharded/seq
-// ratio is the tentpole speedup; the pool's parallel gain requires a
-// multi-core host to materialize, while the claim fast path and arena
-// locality show up on any host. Sub-benchmark names are size/engine —
-// the bench-regression CI gate keys on them (see cmd/benchgate).
+// Sharded engine on 8 shards (its helpers share each cycle through the
+// shard handoff). The sharded/seq ratio is the tentpole speedup; the
+// parallel gain requires a multi-core host to materialize, while the
+// claim fast path and arena locality show up on any host. Sub-benchmark
+// names are size/engine — the bench-regression CI gate keys on them
+// (see cmd/benchgate).
 func BenchmarkFabricStep(b *testing.B) {
 	sizes := []int{16, 32, 64, 128}
 	if testing.Short() {
@@ -86,7 +87,12 @@ func (spinInstr) Step(c *wse.Core, lanes int) int {
 func (spinInstr) Done() bool { return false }
 
 // benchMachineStep runs one machine-cycle sub-benchmark per (size,
-// engine) pair. Sub-names must not end in "-<digits>": `go test`
+// shard count) pair, both on the default fast-forward engine (Step
+// never jumps, so these time stepped cycles): "seq" is Workers = 0,
+// fabric.Sharded(0) — one shard per P, at most one per 64 tiles, one at
+// GOMAXPROCS=1 — and "sharded" is eight shards. The names predate that
+// and stay, since the gate's baseline is keyed on them. Sub-names must
+// not end in "-<digits>": `go test`
 // appends a -GOMAXPROCS suffix only on multi-core hosts, and
 // cmd/benchgate strips one trailing -N to make baselines portable — a
 // literal "sharded-8" would be corrupted on one side of that
@@ -120,9 +126,10 @@ func benchMachineStep(b *testing.B, sizes [][2]int, setup func(*wse.Machine)) {
 }
 
 // BenchmarkMachineStep measures a full machine cycle (cores + routers)
-// with every core saturated (a live thread on each tile), seq vs
-// sharded — the per-active-core path every wafer kernel simulation pays
-// per cycle. The 602x595 entry is the paper's full wafer: ~358k active
+// with every core saturated (a live thread on each tile), on the
+// default shards ("seq") and on eight ("sharded"; see benchMachineStep)
+// — the per-active-core path every wafer kernel simulation pays per
+// cycle. The 602x595 entry is the paper's full wafer: ~358k active
 // cores per cycle, steppable since scheduling went event-driven.
 func BenchmarkMachineStep(b *testing.B) {
 	sizes := [][2]int{{32, 32}, {64, 64}, {128, 128}, {602, 595}}
@@ -337,7 +344,9 @@ func BenchmarkExchangeReplay(b *testing.B) {
 }
 
 // BenchmarkMachineStepIdle measures a machine cycle on a fully
-// quiescent fabric — no tasks, no threads, no in-flight words. With
+// quiescent fabric — no tasks, no threads, no in-flight words — on the
+// default shards ("seq") and on eight ("sharded"; see
+// benchMachineStep). With
 // event-driven core scheduling this is the "idle tiles are free" path:
 // cost is O(engine shards), not O(cores), which is what makes the
 // bursty phases of the paper's programs (AllReduce waits, scalar
@@ -801,8 +810,9 @@ func BenchmarkFigure1_MachineBalance(b *testing.B) {
 // under -short, which the regression gate runs): simulated cycles per
 // z-element (the performance model's 3.0 coefficient), host nanoseconds
 // per tile-cycle — what one core step plus its share of the fabric step
-// costs — and the Instr.Step calls per tile-cycle that found nothing to
-// do (wse.Machine.IssueStats; sends count, they never take lanes).
+// costs — and the Instr.Step calls per tile-cycle of lane-consuming
+// instructions that found nothing to do (wse.Machine.IssueStats: idle
+// calls less the sends', which never take lanes and so always return 0).
 func BenchmarkSpMV3D_WaferKernel(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	m := stencil.Mesh{NX: 16, NY: 16, NZ: 256}
@@ -821,7 +831,7 @@ func BenchmarkSpMV3D_WaferKernel(b *testing.B) {
 		v[i] = fp16.FromFloat64(rng.Float64())
 	}
 	var cycles int64
-	idle0 := mach.IssueStats().IdleCalls
+	s0 := mach.IssueStats()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.LoadVector(v)
@@ -834,7 +844,9 @@ func BenchmarkSpMV3D_WaferKernel(b *testing.B) {
 	tileCycles := float64(b.N) * float64(cycles) * float64(m.NX*m.NY)
 	b.ReportMetric(float64(cycles)/float64(m.NZ), "sim-cycles/z-elem")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/tileCycles, "ns/tile-cycle")
-	b.ReportMetric(float64(mach.IssueStats().IdleCalls-idle0)/tileCycles, "idle-calls/tile-cycle")
+	s := mach.IssueStats()
+	laneIdle := (s.IdleCalls - s0.IdleCalls) - (s.ZeroLaneCalls - s0.ZeroLaneCalls)
+	b.ReportMetric(float64(laneIdle)/tileCycles, "lane-idle-calls/tile-cycle")
 }
 
 // BenchmarkAblation_AllReduceVsTree compares the paper's row/column

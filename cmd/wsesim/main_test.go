@@ -59,8 +59,8 @@ func TestParseFlagsRejects(t *testing.T) {
 	}
 }
 
-// TestParseFlagsAccepts: what the flags derive — backend, engine versus
-// worker pool, boundary, checkpoint wiring.
+// TestParseFlagsAccepts: what the flags derive — backend, engine and
+// shard count, boundary, checkpoint wiring.
 func TestParseFlagsAccepts(t *testing.T) {
 	c, err := parseFlags(nil)
 	if err != nil {

@@ -2,7 +2,7 @@
 // iteration on the modelled Joule cluster for the paper's two mesh
 // sizes, plus a live rank-parallel run proving partition invariance, and
 // a host-side study of the simulator's own sharded stepping engine
-// (sequential vs worker-pool fabric stepping over growing fabrics).
+// (sequential vs sharded fabric stepping over growing fabrics).
 package main
 
 import (
@@ -20,7 +20,7 @@ import (
 )
 
 func main() {
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for the sharded simulator study")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "shards (fabric.Sharded) for the sharded simulator study")
 	simCycles := flag.Int("sim-cycles", 300, "cycles per simulator measurement")
 	flag.Parse()
 
@@ -59,7 +59,7 @@ func main() {
 	// fabric with the Sequential and Sharded engines. Simulated state is
 	// bit-identical (same words moved); only wall-clock changes, and only
 	// on a multi-core host.
-	fmt.Printf("\nsimulator engine scaling (GOMAXPROCS=%d, %d workers, %d cycles/point)\n",
+	fmt.Printf("\nsimulator engine scaling (GOMAXPROCS=%d, %d shards, %d cycles/point)\n",
 		runtime.GOMAXPROCS(0), *workers, *simCycles)
 	for _, size := range []int{16, 32, 64, 128} {
 		seqNS, seqMoves := timeEngine(size, *simCycles, fabric.Sequential())

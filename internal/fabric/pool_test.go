@@ -49,7 +49,7 @@ func TestPoolCloseIdempotentAndInlineAfter(t *testing.T) {
 }
 
 // settledGoroutines forces garbage collection until the goroutine count
-// stops changing, so pools left behind by earlier tests (reclaimed
+// stops changing, so handoffs left behind by earlier tests (reclaimed
 // asynchronously by their runtime cleanups) cannot skew a baseline.
 func settledGoroutines() int {
 	prev := -1

@@ -25,7 +25,13 @@ type SpMV3D struct {
 	M    *wse.Machine
 	Mesh stencil.Mesh
 
-	tiles []*spmvTile
+	tiles []spmvTile // fabric row-major, as M.Tiles
+
+	// Handlers every tile shares, each finding its tile from the core:
+	// tree[k] is tasks[taskX+k]'s, trig mul[0..4]'s and diag's, launch spmv's.
+	tree   [5]func(*wse.Core)
+	trig   [6]func(*wse.Core)
+	launch func(*wse.Core)
 }
 
 // direction indexes the four neighbour streams.
@@ -59,23 +65,16 @@ type spmvTile struct {
 	zpBf *wse.StreamBuf    // looped-back local stream, zp consumer
 	cBf  *wse.StreamBuf    // looped-back local stream, diagonal consumer
 
-	// The tasks, in registration order: sumtask, the completion tree of
-	// Listing 1 (xdone, ydone, cdone, xydone, xycdone), spmv. The named
-	// pointers below point into the array.
-	tasks                                [7]wse.Task
-	spmvTask                             *wse.Task
-	sumTask                              *wse.Task
-	xdone, ydone, cdone, xydone, xycdone *wse.Task
+	tasks [7]wse.Task // indexed taskSum..taskSpMV
 
 	// The instructions of one application, built once by buildTasks and
 	// rewound by armTile: the broadcast send, the zm initialization, the
-	// five multiplier threads, the diagonal add, the six consumers'
-	// completion triggers, and sumtask's five FIFO adds.
+	// five multiplier threads, the diagonal add and sumtask's five FIFO
+	// adds.
 	send    wse.SendMem
 	zmOp    wse.MemOp
 	mul     [5]wse.MulToFIFO
 	diag    wse.StreamAdd
-	trig    [6]func(*wse.Core) // mul[0..4], diag
 	sumAdds [5]wse.FIFOAdd
 	zeros   [4]tensor.Descriptor // boundary streams: Z reads of one zero word
 	// The two tasks' instruction lists: sumtask's adds, spmv's zmOp.
@@ -84,6 +83,10 @@ type spmvTile struct {
 
 	done bool
 }
+
+// The tasks of a tile, in registration order: sumtask, the completion
+// tree of Listing 1 (xdone, ydone, cdone, xydone, xycdone), spmv.
+const taskSum, taskX, taskY, taskC, taskXY, taskXYC, taskSpMV = 0, 1, 2, 3, 4, 5, 6
 
 // NewSpMV3D builds the program for mesh m on machine mach. The mesh's
 // X×Y extent must equal the fabric, and Z must be even (two fp16
@@ -99,6 +102,22 @@ func NewSpMV3D(mach *wse.Machine, op *stencil.Op7Half) (*SpMV3D, error) {
 	}
 	p := &SpMV3D{M: mach, Mesh: m}
 	z := m.NZ
+	p.tree = [5]func(*wse.Core){
+		func(c *wse.Core) { st := p.tileOf(c); c.Block(&st.tasks[taskX]); c.Unblock(&st.tasks[taskXY]) },
+		func(c *wse.Core) { st := p.tileOf(c); c.Block(&st.tasks[taskY]); c.Activate(&st.tasks[taskXY]) },
+		func(c *wse.Core) { st := p.tileOf(c); c.Block(&st.tasks[taskC]); c.Activate(&st.tasks[taskXYC]) },
+		func(c *wse.Core) { st := p.tileOf(c); c.Block(&st.tasks[taskXY]); c.Unblock(&st.tasks[taskXYC]) },
+		func(c *wse.Core) { st := p.tileOf(c); c.Block(&st.tasks[taskXYC]); st.done = true }, // activate(bicg)
+	}
+	p.trig = [6]func(*wse.Core){
+		dirXP: func(c *wse.Core) { c.Activate(&p.tileOf(c).tasks[taskX]) },
+		dirXM: func(c *wse.Core) { c.Unblock(&p.tileOf(c).tasks[taskX]) },
+		dirYP: func(c *wse.Core) { c.Activate(&p.tileOf(c).tasks[taskY]) },
+		dirYM: func(c *wse.Core) { c.Unblock(&p.tileOf(c).tasks[taskY]) },
+		4:     func(c *wse.Core) { c.Activate(&p.tileOf(c).tasks[taskC]) },
+		5:     func(c *wse.Core) { c.Unblock(&p.tileOf(c).tasks[taskC]) },
+	}
+	p.launch = func(c *wse.Core) { p.launchConsumers(p.tileOf(c)) }
 
 	// Static routing: every tile broadcasts its iterate on its own color
 	// to all existing neighbours and loops it back to itself; neighbour
@@ -126,13 +145,15 @@ func NewSpMV3D(mach *wse.Machine, op *stencil.Op7Half) (*SpMV3D, error) {
 		}
 	}
 
-	// Per-tile memory, FIFOs, stream buffers, tasks.
-	p.tiles = make([]*spmvTile, m.NX*m.NY)
+	// Per-tile memory, FIFOs, stream buffers, tasks, thread tables.
+	p.tiles = make([]spmvTile, m.NX*m.NY)
 	bufs := wse.NewStreamBufs(6*m.NX*m.NY, 4) // per tile: four neighbours, zp, diagonal
+	mach.ReserveThreads()
 	for y := 0; y < m.NY; y++ {
 		for x := 0; x < m.NX; x++ {
 			tl := mach.TileAt(fabric.Coord{X: x, Y: y})
-			st := &spmvTile{tile: tl, x: x, y: y}
+			st := &p.tiles[y*m.NX+x]
+			st.tile, st.x, st.y = tl, x, y
 			a := tl.Arena
 			var err error
 			alloc := func(name string, n int) int {
@@ -175,7 +196,6 @@ func NewSpMV3D(mach *wse.Machine, op *stencil.Op7Half) (*SpMV3D, error) {
 			}
 
 			p.buildTasks(st)
-			p.tiles[y*m.NX+x] = st
 		}
 	}
 	if err := p.loadCoeff(op); err != nil {
@@ -200,7 +220,8 @@ func (p *SpMV3D) loadCoeff(op *stencil.Op7Half) error {
 		return fmt.Errorf("kernels: operator mesh %v does not match program mesh %v", op.M, m)
 	}
 	z := m.NZ
-	for _, st := range p.tiles {
+	for i := range p.tiles {
+		st := &p.tiles[i]
 		a := st.tile.Arena
 		for zz := 0; zz < z; zz++ {
 			i := m.Index(st.x, st.y, zz)
@@ -222,6 +243,9 @@ func (p *SpMV3D) loadCoeff(op *stencil.Op7Half) error {
 	return nil
 }
 
+// tileOf returns the tile a shared handler runs for.
+func (p *SpMV3D) tileOf(c *wse.Core) *spmvTile { return &p.tiles[c.Index()] }
+
 // portToward returns the output port facing the neighbour at offset
 // (dx, dy).
 func portToward(dx, dy int) fabric.Port {
@@ -238,45 +262,35 @@ func portToward(dx, dy int) fabric.Port {
 }
 
 // buildTasks registers the task structure of Listing 1 on the tile's
-// core and builds the instructions, closures and instruction lists of an
+// core and builds the instructions and instruction lists of an
 // application once; armTile only rewinds them.
 func (p *SpMV3D) buildTasks(st *spmvTile) {
 	z := p.Mesh.NZ
 	a := st.tile.Arena
 	core := st.tile.Core
 
-	add := func(i int, t wse.Task) *wse.Task {
+	add := func(i int, t wse.Task) {
 		st.tasks[i] = t
-		return core.AddTask(&st.tasks[i])
+		core.AddTask(&st.tasks[i])
 	}
 
 	// Summation task: five FIFO-draining adds aliasing u, higher priority
 	// "to avoid a race condition with the synchronization task tree".
 	// Accumulator bases follow the listing: xp/xm/yp/ym at u+1, zp at u+2.
-	st.sumTask = add(0, wse.Task{Name: "sumtask", Priority: true, Instrs: st.sumInstrs[:]})
+	add(taskSum, wse.Task{Name: "sumtask", Priority: true, Instrs: st.sumInstrs[:]})
 	accBase := [5]int{st.offU + 1, st.offU + 1, st.offU + 1, st.offU + 1, st.offU + 2}
-	activateSum := func() { core.Activate(st.sumTask) }
 	for k := range st.sumAdds {
 		st.sumAdds[k] = wse.FIFOAdd{FIFO: &st.fifos[k], Acc: tensor.Vec1D(accBase[k], z), Arena: a, Total: z}
 		st.sumInstrs[k] = &st.sumAdds[k]
-		st.fifos[k].OnPush = activateSum
+		st.fifos[k].OnPush = &st.tasks[taskSum]
 	}
 
 	// Completion tree. All tree tasks start blocked (sched_block in the
 	// listing); each re-blocks itself when it fires.
-	st.xdone = add(1, wse.Task{Name: "xdone"})
-	st.ydone = add(2, wse.Task{Name: "ydone"})
-	st.cdone = add(3, wse.Task{Name: "cdone"})
-	st.xydone = add(4, wse.Task{Name: "xydone"})
-	st.xycdone = add(5, wse.Task{Name: "xycdone"})
-	for _, t := range []*wse.Task{st.xdone, st.ydone, st.cdone, st.xydone, st.xycdone} {
-		core.Block(t)
+	for i, name := range [5]string{"xdone", "ydone", "cdone", "xydone", "xycdone"} {
+		add(taskX+i, wse.Task{Name: name, OnComplete: p.tree[i]})
+		core.Block(&st.tasks[taskX+i])
 	}
-	st.xdone.OnComplete = func(c *wse.Core) { c.Block(st.xdone); c.Unblock(st.xydone) }
-	st.ydone.OnComplete = func(c *wse.Core) { c.Block(st.ydone); c.Activate(st.xydone) }
-	st.xydone.OnComplete = func(c *wse.Core) { c.Block(st.xydone); c.Unblock(st.xycdone) }
-	st.cdone.OnComplete = func(c *wse.Core) { c.Block(st.cdone); c.Activate(st.xycdone) }
-	st.xycdone.OnComplete = func(c *wse.Core) { c.Block(st.xycdone); st.done = true } // activate(bicg)
 
 	// The spmv task body: the zm initialization runs synchronously in the
 	// main thread ("completes before any subsequent lines are executed"),
@@ -289,11 +303,7 @@ func (p *SpMV3D) buildTasks(st *spmvTile) {
 		B:     tensor.Vec1D(st.offZM, z+1),
 	}
 	st.spmvInstrs[0] = &st.zmOp
-	st.spmvTask = add(6, wse.Task{
-		Name:       "spmv",
-		Instrs:     st.spmvInstrs[:],
-		OnComplete: func(*wse.Core) { p.launchConsumers(st) },
-	})
+	add(taskSpMV, wse.Task{Name: "spmv", Instrs: st.spmvInstrs[:], OnComplete: p.launch})
 
 	// The broadcast thread (c_tx[] = v1[]).
 	st.send = wse.SendMem{Color: BroadcastColor(st.x, st.y), Src: tensor.Vec1D(st.offV, z), Arena: a, Total: z}
@@ -318,18 +328,11 @@ func (p *SpMV3D) buildTasks(st *spmvTile) {
 	}
 	// The main diagonal, no multiply (c_acc[] = c_acc[] + c_rx[]).
 	st.diag = wse.StreamAdd{Src: wse.StreamSource{B: st.cBf}, Acc: tensor.Vec1D(st.offU+1, z), Arena: a, Total: z}
-	st.trig = [6]func(*wse.Core){
-		dirXP: func(c *wse.Core) { c.Activate(st.xdone) },
-		dirXM: func(c *wse.Core) { c.Unblock(st.xdone) },
-		dirYP: func(c *wse.Core) { c.Activate(st.ydone) },
-		dirYM: func(c *wse.Core) { c.Unblock(st.ydone) },
-		4:     func(c *wse.Core) { c.Activate(st.cdone) },
-		5:     func(c *wse.Core) { c.Unblock(st.cdone) },
-	}
 }
 
 // armTile prepares one application: zeroes u, rewinds the instructions,
-// launches the broadcast thread and activates the spmv task.
+// launches the broadcast thread and activates the spmv task. It touches
+// only its own tile, so the shards arm concurrently.
 func (p *SpMV3D) armTile(st *spmvTile) {
 	z := p.Mesh.NZ
 	a := st.tile.Arena
@@ -349,7 +352,7 @@ func (p *SpMV3D) armTile(st *spmvTile) {
 	// Thread slot 5: c_tx[] = v1[].
 	core.LaunchThread(5, "c_tx", &st.send, nil)
 	st.done = false
-	core.Activate(st.spmvTask)
+	core.Activate(&st.tasks[taskSpMV])
 }
 
 var mulNames = [5]string{"xp_rx", "xm_rx", "yp_rx", "ym_rx", "zp_rx"}
@@ -359,9 +362,9 @@ var mulNames = [5]string{"xp_rx", "xm_rx", "yp_rx", "ym_rx", "zp_rx"}
 func (p *SpMV3D) launchConsumers(st *spmvTile) {
 	core := st.tile.Core
 	for d := range st.mul {
-		core.LaunchThread(d, mulNames[d], &st.mul[d], st.trig[d])
+		core.LaunchThread(d, mulNames[d], &st.mul[d], p.trig[d])
 	}
-	core.LaunchThread(6, "c_rx", &st.diag, st.trig[5])
+	core.LaunchThread(6, "c_rx", &st.diag, p.trig[5])
 }
 
 // Iterate returns tile i's live iterate column (Z elements of arena
@@ -379,8 +382,8 @@ func (p *SpMV3D) CopyResult(i int, dst []fp16.Float16) {
 // LoadVector scatters the global iterate v (mesh-indexed) into the tiles.
 func (p *SpMV3D) LoadVector(v []fp16.Float16) {
 	m := p.Mesh
-	for i, st := range p.tiles {
-		copy(p.Iterate(i), v[m.Index(st.x, st.y, 0):])
+	for i := range p.tiles {
+		copy(p.Iterate(i), v[m.Index(p.tiles[i].x, p.tiles[i].y, 0):])
 	}
 }
 
@@ -389,11 +392,15 @@ func (p *SpMV3D) LoadVector(v []fp16.Float16) {
 // accumulated all Z elements (the priority summation task drains before
 // control returns to the solver, as in the paper).
 func (p *SpMV3D) Run(maxCycles int64) (int64, error) {
-	for _, st := range p.tiles {
-		p.armTile(st)
-	}
+	shards := p.M.Fab.ShardRanges()
+	p.M.Fab.RunSharded(len(p.tiles)/len(shards), func(s int) {
+		for i := shards[s][0]; i < shards[s][1]; i++ {
+			p.armTile(&p.tiles[i])
+		}
+	})
 	return p.M.RunUntil(func() bool {
-		for _, st := range p.tiles {
+		for i := range p.tiles {
+			st := &p.tiles[i]
 			if !st.done {
 				return false
 			}

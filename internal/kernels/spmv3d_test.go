@@ -242,12 +242,57 @@ func TestSpMV3DIssueCounters(t *testing.T) {
 	}
 }
 
+// TestListing1BuildAllocsPerTile bounds what building the Listing 1
+// solver and capturing its pristine state allocate per tile: the tiles,
+// their tasks and thread tables, the shared handlers and the snapshot
+// all come from slabs, so an added tile costs only its arena's growth
+// (once for the program, once for the solver vectors) and a share of
+// the AllReduce's line paths.
+func TestListing1BuildAllocsPerTile(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations")
+	}
+	allocs := func(nx, ny int) float64 {
+		mesh := stencil.Mesh{NX: nx, NY: ny, NZ: 8}
+		norm, _ := stencil.RandomDiagDominant(mesh, 1.5, rand.New(rand.NewSource(1))).Normalize()
+		h := stencil.NewOp7Half(norm)
+		const runs = 3
+		ms := make([]*wse.Machine, runs+1) // AllocsPerRun warms up with one more call
+		for i := range ms {
+			ms[i] = wse.New(wse.CS1(nx, ny))
+			t.Cleanup(ms[i].Close)
+		}
+		var err error
+		n := testing.AllocsPerRun(runs, func() {
+			m := ms[0]
+			ms = ms[1:]
+			s, e := NewBiCGStabWSE(m, h)
+			if e == nil {
+				_, e = s.Pristine()
+			}
+			if e != nil {
+				err = e
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	small, large := allocs(16, 16), allocs(32, 32)
+	slope := (large - small) / (32*32 - 16*16)
+	t.Logf("allocations: %.0f at 16×16×8, %.0f at 32×32×8 (%.2f per added tile)", small, large, slope)
+	if slope > 3 {
+		t.Errorf("%.2f allocations per added tile, want at most 3", slope)
+	}
+}
+
 // Result gathers the global result u.
 func (p *SpMV3D) Result() []fp16.Float16 {
 	m := p.Mesh
 	out := make([]fp16.Float16, m.N())
-	for i, st := range p.tiles {
-		p.CopyResult(i, out[m.Index(st.x, st.y, 0):][:m.NZ])
+	for i := range p.tiles {
+		p.CopyResult(i, out[m.Index(p.tiles[i].x, p.tiles[i].y, 0):][:m.NZ])
 	}
 	return out
 }

@@ -117,6 +117,8 @@ func Compile2D(mach *wse.Machine, spec Spec, op *stencil.Op9, b int, base fabric
 	w, h := mach.Cfg.FabricW, mach.Cfg.FabricH
 	p.tiles = make([]*tile2D, w*h)
 	bufs := wse.NewStreamBufs(NumExchangeColors*w*h, 4)
+	launch := func(c *wse.Core) { p.launchRound(p.tiles[c.Index()], c) }
+	finish := func(c *wse.Core) { p.done[c.Index()] = true }
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			tl := mach.TileAt(fabric.Coord{X: x, Y: y})
@@ -143,11 +145,9 @@ func Compile2D(mach *wse.Machine, spec Spec, op *stencil.Op9, b int, base fabric
 			sub(ColSouth, y > 0)
 			sub(ColNorth, y < h-1)
 
-			st.localTask = tl.Core.AddTask(&wse.Task{Name: "spmv2d"})
-			st.localTask.OnComplete = func(c *wse.Core) { p.launchRound(st, c) }
+			st.localTask = tl.Core.AddTask(&wse.Task{Name: "spmv2d", OnComplete: launch})
 			if spec.Reduce == ReduceSumSq {
-				st.dotTask = tl.Core.AddTask(&wse.Task{Name: "sumsq"})
-				st.dotTask.OnComplete = func(c *wse.Core) { p.done[st.ti] = true }
+				st.dotTask = tl.Core.AddTask(&wse.Task{Name: "sumsq", OnComplete: finish})
 			}
 			p.buildInstrs(st)
 			p.tiles[st.ti] = st

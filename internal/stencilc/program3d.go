@@ -176,6 +176,8 @@ func Compile3D(mach *wse.Machine, spec Spec, op *stencil.OpStarHalf, x0, y0 int,
 	bufs := wse.NewStreamBufs(int(NumHaloDirs)*n, 4)
 	tasks := make([]wse.Task, 2*n) // per tile: the compute task, the fused dot's
 	p.tiles = make([]*tile3D, n)
+	finish := func(c *wse.Core) { p.done[c.Index()] = true }
+	toDot := func(c *wse.Core) { c.Activate(p.tiles[c.Index()].dotTask) }
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			tl := mach.TileAt(fabric.Coord{X: x, Y: y})
@@ -223,10 +225,10 @@ func Compile3D(mach *wse.Machine, spec Spec, op *stencil.OpStarHalf, x0, y0 int,
 			if spec.Reduce == ReduceSumSq {
 				tk[1].Name = "sumsq"
 				st.dotTask = tl.Core.AddTask(&tk[1])
-				st.dotTask.OnComplete = func(c *wse.Core) { p.done[st.ti] = true }
-				st.compute.OnComplete = func(c *wse.Core) { c.Activate(st.dotTask) }
+				st.dotTask.OnComplete = finish
+				st.compute.OnComplete = toDot
 			} else {
-				st.compute.OnComplete = func(c *wse.Core) { p.done[st.ti] = true }
+				st.compute.OnComplete = finish
 			}
 			p.tiles[st.ti] = st
 		}

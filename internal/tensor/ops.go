@@ -12,7 +12,7 @@ type FIFO struct {
 	capWords   int
 	head, tail int
 	count      int
-	OnPush     func() // task activation hook, set by the kernel
+	OnPush     interface{ Activate() } // the task a push activates, set by the kernel
 }
 
 // NewFIFO creates a FIFO over words elements of the arena starting at base.
@@ -43,7 +43,7 @@ func (f *FIFO) Push(ar *Arena, v fp16.Float16) bool {
 	}
 	f.count++
 	if f.OnPush != nil {
-		f.OnPush()
+		f.OnPush.Activate()
 	}
 	return true
 }

@@ -202,12 +202,17 @@ func TestShiftedDescriptorsForZStencil(t *testing.T) {
 	}
 }
 
+// pushCount counts the activations a FIFO fires.
+type pushCount int
+
+func (c *pushCount) Activate() { *c++ }
+
 func TestFIFO(t *testing.T) {
 	a := &NewArenas(1, 1024)[0]
 	base := a.MustAlloc("fifo", 4)
 	f := NewFIFO(base, 4)
-	activations := 0
-	f.OnPush = func() { activations++ }
+	var activations pushCount
+	f.OnPush = &activations
 
 	if _, ok := f.Pop(a); ok {
 		t.Error("pop of empty FIFO should fail")

@@ -52,9 +52,9 @@ type thread struct {
 }
 
 // threadTable is a core's nine thread slots and the issue list gathered
-// from them. It is allocated on the core's first LaunchThread — the
-// compute-only cores of a wafer never pay for it — and the slots are
-// stored by value, so launching a thread allocates nothing.
+// from them, from a machine slab (ReserveThreads) or the core's first
+// LaunchThread — the compute-only cores of a wafer never pay for it —
+// with the slots stored by value, so launching a thread allocates nothing.
 type threadTable struct {
 	slots [MaxThreads]thread
 	// live has bit s set while slots[s] runs an instruction.
@@ -201,7 +201,7 @@ type Core struct {
 	// is not rescanned every cycle.
 	ready bool
 
-	thr      *threadTable // nil until the first LaunchThread
+	thr      *threadTable // nil until ReserveThreads or the first LaunchThread
 	nthreads int
 
 	// rx stream fanout: a fabric color's arriving words are distributed to
@@ -263,14 +263,15 @@ func (c *Core) wake() {
 	}
 }
 
-// A core's task and subscription lists start with room for this many
-// entries, carved from per-machine slabs: the compiled programs register
-// two or three tasks (the solver's phase task included) and subscribe
-// up to four colors per tile, each with one stream buffer (a subscribed
-// color's buffer list starts with room for one).
+// A core's task and subscription lists, and each subscribed color's
+// buffer list, start with room for this many entries, carved from
+// per-machine slabs. Listing 1 needs the most: seven tasks plus the
+// solver's phase task, its own color and four neighbours', and two
+// consumers of its own color.
 const (
-	coreTasks = 4
-	coreSubs  = 4
+	coreTasks = 8
+	coreSubs  = 5
+	colorBufs = 2
 )
 
 // carve returns an empty list with capacity k cut from *slab, refilling
@@ -282,10 +283,18 @@ func carve[T any](slab *[]T, n, k int) []T {
 	if len(*slab) < k {
 		*slab = make([]T, n*k)
 	}
-	s := (*slab)[:0:k]
-	*slab = (*slab)[k:]
+	return cut(slab, k)[:0]
+}
+
+// cut returns the first n entries of *slab (capacity n) and moves past them.
+func cut[T any](slab *[]T, n int) []T {
+	s := (*slab)[:n:n]
+	*slab = (*slab)[n:]
 	return s
 }
+
+// Index returns the fabric index of the core's tile, for shared handlers.
+func (c *Core) Index() int { return c.tile.index }
 
 // AddTask registers a task with the scheduler. Tasks start deactivated;
 // use Activate (or Task.activated via TaskState) to make them runnable.
@@ -313,6 +322,9 @@ func (c *Core) Activate(t *Task) {
 	}
 }
 
+// Activate activates t on its core: the hook a FIFO push fires.
+func (t *Task) Activate() { t.core.Activate(t) }
+
 // Block prevents t from being scheduled until unblocked.
 func (c *Core) Block(t *Task) { t.blocked = true }
 
@@ -334,7 +346,7 @@ func (c *Core) LaunchThread(slot int, name string, instr Instr, onDone func(*Cor
 	}
 	tt := c.thr
 	if tt == nil {
-		tt = new(threadTable)
+		tt = new(threadTable) // this core's own: no other shard touches it
 		c.thr = tt
 	}
 	if tt.live&(1<<slot) != 0 {
@@ -357,7 +369,7 @@ func (c *Core) Subscribe(col fabric.Color, b *StreamBuf) {
 		}
 		c.subMask |= 1 << col
 		c.subPos[col] = uint8(len(c.subs))
-		c.subs = append(c.subs, rxSub{col: col, bufs: carve(&c.m.bufSlab, coreSubs*len(c.m.Tiles), 1)})
+		c.subs = append(c.subs, rxSub{col: col, bufs: carve(&c.m.bufSlab, coreSubs*len(c.m.Tiles), colorBufs)})
 	}
 	i := c.subPos[col]
 	c.subs[i].bufs = append(c.subs[i].bufs, b)

@@ -441,8 +441,7 @@ func buildLockProgram(seed int64, sh lockShape, e Engine, workers int) *lockProg
 		depth := r.Intn(7) + 2
 		f := tensor.NewFIFO(tl.Arena.MustAlloc("fifo", depth), depth)
 		p.fifos = append(p.fifos, f)
-		core := tl.Core
-		f.OnPush = func() { core.Activate(st.task) }
+		f.OnPush = st.task
 		add := &FIFOAdd{FIFO: f, Acc: tensor.Vec1D(st.acc, min(total, 64)), Arena: tl.Arena, Total: min(total, 64)}
 		st.task.Instrs = append(st.task.Instrs, add)
 		arms = append(arms, add.Reset)

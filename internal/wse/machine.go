@@ -19,6 +19,7 @@
 package wse
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/fabric"
@@ -265,6 +266,16 @@ func (m *Machine) anyRunnable() bool {
 		}
 	}
 	return false
+}
+
+// ReserveThreads gives every core without a thread table one from a
+// single slab: a program that launches threads on every tile calls it
+// while it is built, before any arming.
+func (m *Machine) ReserveThreads() {
+	slab := make([]threadTable, len(m.Tiles))
+	for i, t := range m.Tiles {
+		t.Core.thr = cmp.Or(t.Core.thr, &slab[i])
+	}
 }
 
 // TileAt returns the tile at coordinate c.

@@ -71,24 +71,36 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 	if !m.AllIdle() {
 		return nil, fmt.Errorf("wse: cannot snapshot a busy machine (cores runnable or fabric words in flight)")
 	}
+	// Every core's slices are cut from machine slabs sized by a first pass.
+	var words, tasks, streams, elems int
+	for _, tl := range m.Tiles {
+		c := tl.Core
+		if c.current != nil || c.nthreads > 0 {
+			return nil, fmt.Errorf("wse: tile %v has in-flight work; snapshot requires quiescence", tl.Coord)
+		}
+		words, tasks = words+tl.Arena.Used()/tensor.BytesPerWord, tasks+len(c.tasks)
+		for si := range c.subs {
+			for _, b := range c.subs[si].bufs {
+				streams, elems = streams+1, elems+b.size
+			}
+		}
+	}
 	s := &Snapshot{
 		FabricW: m.Cfg.FabricW, FabricH: m.Cfg.FabricH,
 		Steps: m.steps,
 		Fab:   m.Fab.CaptureState(),
 		Cores: make([]CoreSnap, len(m.Tiles)),
 	}
+	arenas, taskSnaps := make([]uint16, words), make([]TaskSnap, tasks)
+	bufSnaps, elemSnaps := make([][]uint16, streams), make([]uint16, elems)
 	for i, tl := range m.Tiles {
 		c := tl.Core
-		if c.current != nil || c.nthreads > 0 {
-			return nil, fmt.Errorf("wse: tile %v has in-flight work; snapshot requires quiescence", tl.Coord)
-		}
 		cs := &s.Cores[i]
-		words := tl.Arena.Used() / tensor.BytesPerWord
-		cs.Arena = make([]uint16, words)
-		for k, v := range tl.Arena.Slice(0, words) {
+		cs.Arena = cut(&arenas, tl.Arena.Used()/tensor.BytesPerWord)
+		for k, v := range tl.Arena.Slice(0, len(cs.Arena)) {
 			cs.Arena[k] = v.Bits()
 		}
-		cs.Tasks = make([]TaskSnap, len(c.tasks))
+		cs.Tasks = cut(&taskSnaps, len(c.tasks))
 		for k, t := range c.tasks {
 			var fl byte
 			if t.activated {
@@ -104,22 +116,17 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 		}
 		cs.Sent = c.sentThisCycle
 		cs.Busy, cs.Lanes = c.busyCycles, c.lanesUsed
-		nb := 0
-		for si := range c.subs {
-			nb += len(c.subs[si].bufs)
-		}
-		if nb > 0 {
-			cs.Streams = make([][]uint16, 0, nb)
-		}
+		cs.Streams = bufSnaps[:0]
 		for si := range c.subs {
 			for _, b := range c.subs[si].bufs {
-				el := make([]uint16, b.size)
-				for k := 0; k < b.size; k++ {
+				el := cut(&elemSnaps, b.size)
+				for k := range el {
 					el[k] = b.buf[(b.head+k)%len(b.buf)].Bits()
 				}
 				cs.Streams = append(cs.Streams, el)
 			}
 		}
+		cs.Streams = cut(&bufSnaps, len(cs.Streams))
 	}
 	return s, nil
 }
