@@ -71,12 +71,10 @@ bench-gate:
 fuzz:
 	$(GO) test ./internal/fp16 -run '^$$' -fuzz FuzzFloat16RoundTrip -fuzztime 30s
 	$(GO) test ./internal/fp16 -run '^$$' -fuzz FuzzArithMatchesReference -fuzztime 30s
-	$(GO) test ./internal/fabric -run '^$$' -fuzz FuzzRouterDelivery -fuzztime 90s
-	$(GO) test ./internal/wse -run '^$$' -fuzz FuzzMachineEquivalence -fuzztime 90s
 	$(GO) test ./internal/kernels -run '^$$' -fuzz FuzzSpMV2DEquivalence -fuzztime 90s
 	$(GO) test ./internal/wse -run '^$$' -fuzz FuzzSnapshotRoundTrip -fuzztime 60s
-	$(GO) test ./internal/wse -run '^$$' -fuzz FuzzCoreStep -fuzztime 60s
-	$(GO) test ./internal/fabric -run '^$$' -fuzz FuzzClaim -fuzztime 30s
+	$(GO) test ./internal/wse -run '^$$' -fuzz FuzzCoreStep -fuzztime 150s
+	$(GO) test ./internal/fabric -run '^$$' -fuzz FuzzClaim -fuzztime 120s
 	$(GO) test ./internal/stencilc -run '^$$' -fuzz FuzzStencilcEquivalence -fuzztime 90s
 	$(GO) test ./internal/perfmodel -run '^$$' -fuzz FuzzExchangeReplay -fuzztime 60s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzExactAccMatchesBig -fuzztime 30s

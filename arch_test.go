@@ -14,6 +14,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"sort"
 	"strings"
 	"sync"
@@ -814,6 +815,65 @@ func unreached(tree *archTree) []string {
 // it stays.
 func TestArchReachable(t *testing.T) {
 	checkAllowed(t, "unreached", unreached(loadArch(t)))
+}
+
+// TestArchFuzzLists holds `make fuzz` and CI's fuzz-smoke job to one
+// list of (package, target, -fuzztime) runs, and that list to the Fuzz
+// functions in the tree, so a fuzzer added, renamed or deleted cannot
+// drift out of either.
+func TestArchFuzzLists(t *testing.T) {
+	var tree []string
+	loadArch(t).files(func(p *archPkg, f *ast.File, test bool) {
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && test && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Fuzz") {
+				tree = append(tree, "./"+p.dir+" "+fn.Name.Name)
+			}
+		}
+	})
+	sort.Strings(tree)
+	mk := fuzzRuns(t, "Makefile", "fuzz:", "\t")
+	ci := fuzzRuns(t, filepath.Join(".github", "workflows", "ci.yml"), "  fuzz-smoke:", "    ")
+	if !reflect.DeepEqual(mk, ci) {
+		t.Errorf("make fuzz runs %q,\nCI's fuzz-smoke runs %q", mk, ci)
+	}
+	var targets []string
+	for _, r := range mk {
+		targets = append(targets, r[:strings.LastIndexByte(r, ' ')])
+	}
+	if !reflect.DeepEqual(targets, tree) {
+		t.Errorf("make fuzz runs %q,\nthe tree has %q", targets, tree)
+	}
+}
+
+var fuzzRun = regexp.MustCompile(`test (\./\S+) -run '\^\$+' -fuzz (\w+) -fuzztime (\w+)`)
+
+// fuzzRuns returns, sorted, the "package target fuzztime" of every fuzz
+// run in file's block that starts at the line head and goes on through
+// blank lines and lines that start with indent.
+func fuzzRuns(t *testing.T, file, head, indent string) []string {
+	t.Helper()
+	b, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, block, ok := strings.Cut(string(b), "\n"+head+"\n")
+	if !ok {
+		t.Fatalf("%s has no line %q", file, head)
+	}
+	var runs []string
+	for _, line := range strings.Split(block, "\n") {
+		if line != "" && !strings.HasPrefix(line, indent) {
+			break
+		}
+		if m := fuzzRun.FindStringSubmatch(line); m != nil {
+			runs = append(runs, strings.Join(m[1:], " "))
+		}
+	}
+	if len(runs) == 0 {
+		t.Fatalf("%s: no fuzz runs under %q", file, head)
+	}
+	sort.Strings(runs)
+	return runs
 }
 
 // TestArchWalkerFixture pins the walker's findings on a fixture tree

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"math/rand"
@@ -8,20 +9,25 @@ import (
 	"testing"
 )
 
-// This file locksteps the claim phase against the one it replaced.
+// This file is the fabric's specification check: it locksteps both
+// engines against the claim phase they replaced.
 //
-// The sequential and sharded engines share claimMulticast, so the
-// engine-equivalence tests cannot see a bug in it. refClaim below is the
-// claim phase as it stood before multicast entries cached their
-// fan-out — claim and claimEntry verbatim, so that the walk reaches
-// refClaimMulticast, which redoes CoordOf/In/Index and the (port,
-// color) lookup per port per word. TestClaimLockstep and FuzzClaim drive
-// random multicast trees on a fabric stepped by the engine and on one
-// stepped by refStep, and require the same Send admissions, the same
-// rx-delivery wake sequence, the same hot list (order included: it is
-// what a staged push order shows up in) and the same Fingerprint every
-// cycle. Mutations seen to fail: pushes staged in descending port order;
-// the all-or-nothing rule dropped (claim with one destination full); an
+// refClaim below is the claim phase as it stood before multicast entries
+// cached their fan-out — claim and claimEntry verbatim, so that the walk
+// reaches refClaimMulticast, which redoes CoordOf/In/Index and the (port,
+// color) lookup per port per word — and refStep runs it on one shard.
+// Sequential and Sharded share claimMulticast, so comparing the two
+// engines with each other cannot see a bug in it.
+// TestShardedMatchesSequential, TestShardedDrain, TestClaimLockstep and
+// FuzzClaim drive random multicast trees on a fabric stepped by
+// Sequential, one stepped by Sharded with the parallel path forced and
+// one stepped by refStep, through a drain to Quiescent. Every cycle they
+// require the same Send admissions, Recv results, moves and Fingerprint,
+// and the same rx-delivery wakes and hot list: in order for Sequential
+// (the order is what a staged push order shows up in), as sets for
+// Sharded, whose shards walk lists of their own. Mutations seen to fail
+// TestClaimLockstep and TestShardedMatchesSequential: pushes staged in descending port order; the
+// all-or-nothing rule dropped (claim with one destination full); an
 // output link claimed twice in a cycle (outClaimed test dropped); a
 // stale fan-out kept across SetRoute.
 
@@ -199,14 +205,28 @@ func (e *Stepper) refClaimMulticast(s, ti int, en *routeEntry, outClaimed *PortM
 // full reports whether queue qi has no room.
 func full(f *Fabric, qi int32) bool { return f.qs[qi].size == f.qs[qi].cap }
 
-// runClaimLockstep builds the seed's routes on two fabrics and steps them
-// side by side.
-func runClaimLockstep(t *testing.T, seed int64, dims, cycles uint64) {
-	w := int(dims&0xff)%5 + 2
-	h := int(dims>>8&0xff)%5 + 2
-	depth := int(dims>>16&0xff)%4 + 1
-	n := int(cycles%128) + 16
+// claimCase is one lockstep run: a w×h fabric with router queues and
+// receive buffers depth deep, the sharded leg on shards shards, and
+// cycles cycles of injection before the drain.
+type claimCase struct{ w, h, depth, shards, cycles int }
 
+// claimCaseOf decodes a fuzz input: fabrics 2–13 × 2–13, depths 1–4,
+// 2–9 shards and 16–143 injection cycles.
+func claimCaseOf(dims, cycles uint64) claimCase {
+	return claimCase{
+		w: int(dims&0xff)%12 + 2, h: int(dims>>8&0xff)%12 + 2,
+		depth: int(dims>>16&0xff)%4 + 1, shards: int(dims>>24&0xff)%8 + 2,
+		cycles: int(cycles%128) + 16,
+	}
+}
+
+// runClaimLockstep builds the seed's routes on three fabrics — stepped
+// by Sequential, by Sharded(c.shards) with the parallel path forced, and
+// by refStep — and steps them side by side: c.cycles cycles of random
+// injection and random draining, then every ramp drained each cycle
+// until all three are Quiescent.
+func runClaimLockstep(t *testing.T, seed int64, c claimCase) {
+	w, h := c.w, c.h
 	type flow struct {
 		src Coord
 		c   Color
@@ -261,72 +281,151 @@ func runClaimLockstep(t *testing.T, seed int64, dims, cycles uint64) {
 		tile int
 		c    Color
 	}
-	var wa, wb []wake
-	a := New(Config{W: w, H: h, QueueDepth: depth, RxDepth: depth})
-	build(a)
-	a.OnRxDelivery(func(tile int, c Color) { wa = append(wa, wake{tile, c}) })
-	b := New(Config{W: w, H: h, QueueDepth: depth, RxDepth: depth})
-	build(b)
-	b.OnRxDelivery(func(tile int, c Color) { wb = append(wb, wake{tile, c}) })
+	seq := New(Config{W: w, H: h, QueueDepth: c.depth, RxDepth: c.depth})
+	shd := New(Config{W: w, H: h, QueueDepth: c.depth, RxDepth: c.depth, Stepper: Sharded(c.shards)})
+	ForceParallel(shd)
+	defer shd.Close()
+	ref := New(Config{W: w, H: h, QueueDepth: c.depth, RxDepth: c.depth})
+	// fabs[0:2] are the engines, each checked against fabs[2]. wakes[i][s]
+	// holds fabric i's rx deliveries of the cycle on shard s: the sharded
+	// fabric fires them from its shards' goroutines.
+	fabs := [3]*Fabric{seq, shd, ref}
+	name := [2]string{"sequential", fmt.Sprintf("%d shards", len(shd.ShardRanges()))}
+	var wakes [3][][]wake
+	for i, f := range fabs {
+		build(f)
+		wakes[i] = make([][]wake, len(f.ShardRanges()))
+		f.OnRxDelivery(func(tile int, c Color) {
+			s := f.ShardOf(tile)
+			wakes[i][s] = append(wakes[i][s], wake{tile, c})
+		})
+	}
+	byTile := func(a, b wake) int { return cmp.Or(cmp.Compare(a.tile, b.tile), cmp.Compare(a.c, b.c)) }
 
 	r := rand.New(rand.NewSource(seed + 1))
-	for cyc := 0; cyc < n; cyc++ {
+	for cyc := 0; ; cyc++ {
+		drain := cyc >= c.cycles
+		if drain && seq.Quiescent() && shd.Quiescent() && ref.Quiescent() {
+			return
+		}
+		if cyc == c.cycles+4096 {
+			t.Fatalf("%+v: not drained 4096 cycles after the last injection", c)
+		}
 		for _, fl := range flows {
-			if r.Intn(3) > 0 {
+			if !drain && r.Intn(3) > 0 {
 				wd := Word{Color: fl.c, Bits: r.Uint32()}
-				if sa, sb := a.Send(fl.src, wd), b.Send(fl.src, wd); sa != sb {
-					t.Fatalf("cycle %d: Send admission diverges: %v, reference claim %v", cyc, sa, sb)
+				want := ref.Send(fl.src, wd)
+				for i := range name {
+					if got := fabs[i].Send(fl.src, wd); got != want {
+						t.Fatalf("cycle %d (%+v): %s Send admission %v, reference claim %v", cyc, c, name[i], got, want)
+					}
 				}
 			}
 		}
-		if cyc == n/2 && len(flows) > 0 {
+		if cyc == c.cycles/2 && len(flows) > 0 {
 			// Reroute a claimed entry mid-run: the source of the first tree
 			// now also (or no longer) delivers to its own core.
 			fl := flows[0]
-			outs := a.Route(fl.src, Ramp, fl.c) ^ Mask(Ramp)
-			if outs != 0 {
-				a.SetRoute(fl.src, Ramp, fl.c, outs)
-				b.SetRoute(fl.src, Ramp, fl.c, outs)
+			if outs := ref.Route(fl.src, Ramp, fl.c) ^ Mask(Ramp); outs != 0 {
+				for _, f := range fabs {
+					f.SetRoute(fl.src, Ramp, fl.c, outs)
+				}
+				if outs.Has(Ramp) {
+					rxs = append(rxs, [2]int{ref.Index(fl.src), int(fl.c)})
+				}
 			}
 		}
-		wa, wb = wa[:0], wb[:0]
-		a.Step()
-		refStep(b)
-		if !slices.Equal(wa, wb) {
-			t.Fatalf("cycle %d: rx deliveries %v, reference claim %v", cyc, wa, wb)
+		for i := range wakes {
+			for s := range wakes[i] {
+				wakes[i][s] = wakes[i][s][:0]
+			}
 		}
-		if ha, hb := a.HotTiles(), b.HotTiles(); !slices.Equal(ha, hb) {
-			t.Fatalf("cycle %d: hot list %v, reference claim %v", cyc, ha, hb)
+		seq.Step()
+		shd.Step()
+		refStep(ref)
+		// Sequential claims in the reference's order, so its wakes and hot
+		// list must match in order; each shard walks its own list, so the
+		// sharded fabric's must match as sets.
+		wantWakes, wantHot := wakes[2][0], ref.HotTiles()
+		if !slices.Equal(wakes[0][0], wantWakes) {
+			t.Fatalf("cycle %d (%+v): sequential rx deliveries %v, reference claim %v", cyc, c, wakes[0][0], wantWakes)
 		}
-		if fa, fb := a.Fingerprint(), b.Fingerprint(); fa != fb {
-			t.Fatalf("cycle %d (%dx%d depth %d): fingerprint %#x, reference claim %#x", cyc, w, h, depth, fa, fb)
+		if got := seq.HotTiles(); !slices.Equal(got, wantHot) {
+			t.Fatalf("cycle %d (%+v): sequential hot list %v, reference claim %v", cyc, c, got, wantHot)
 		}
-		// Cores drain some ramps and leave others to back up.
+		slices.SortFunc(wantWakes, byTile)
+		if got := slices.SortedFunc(slices.Values(slices.Concat(wakes[1]...)), byTile); !slices.Equal(got, wantWakes) {
+			t.Fatalf("cycle %d (%+v): %s rx deliveries %v, reference claim %v", cyc, c, name[1], got, wantWakes)
+		}
+		if got, want := slices.Sorted(slices.Values(shd.HotTiles())), slices.Sorted(slices.Values(wantHot)); !slices.Equal(got, want) {
+			t.Fatalf("cycle %d (%+v): %s hot set %v, reference claim %v", cyc, c, name[1], got, want)
+		}
+		for i := range name {
+			if got, want := fabs[i].Fingerprint(), ref.Fingerprint(); got != want {
+				t.Fatalf("cycle %d (%+v): %s fingerprint %#x, reference claim %#x", cyc, c, name[i], got, want)
+			}
+			if got, want := fabs[i].Moves(), ref.Moves(); got != want {
+				t.Fatalf("cycle %d (%+v): %s moves %d, reference claim %d", cyc, c, name[i], got, want)
+			}
+		}
+		// Cores drain some ramps and leave others to back up; the drain
+		// empties every ramp every cycle.
 		for _, rx := range rxs {
-			if r.Intn(3) == 0 {
-				at, c := a.CoordOf(rx[0]), Color(rx[1])
-				ra, oka := a.Recv(at, c)
-				rb, okb := b.Recv(at, c)
-				if ra != rb || oka != okb {
-					t.Fatalf("cycle %d: Recv diverges at %v color %d", cyc, at, c)
+			if drain || r.Intn(3) == 0 {
+				at, col := ref.CoordOf(rx[0]), Color(rx[1])
+				want, wantOK := ref.Recv(at, col)
+				for i := range name {
+					if got, ok := fabs[i].Recv(at, col); got != want || ok != wantOK {
+						t.Fatalf("cycle %d (%+v): %s Recv at %v color %d: %v %v, reference claim %v %v",
+							cyc, c, name[i], at, col, got, ok, want, wantOK)
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestClaimLockstep runs the claim lockstep over a spread of seeds,
-// fabric shapes (2–6 × 2–6) and queue depths (1–4).
-func TestClaimLockstep(t *testing.T) {
-	r := rand.New(rand.NewSource(20))
-	for i := 0; i < 300; i++ {
-		runClaimLockstep(t, int64(i+1), r.Uint64(), r.Uint64())
+// TestShardedMatchesSequential runs the claim lockstep on the shapes
+// that matter to the sharded engine: both engines meet the reference
+// claim every cycle, and so each other. Each shape carries five trees
+// and injects for 400 cycles: shards of four rows and of one (8×8 on 2
+// and on 8), uneven shards (16×16 on 7, where shards 0 and 2 lie outside
+// each other's near window), a shard count that does not divide the rows
+// (5×9 on 3) and more shards than rows (12×4 on 16).
+func TestShardedMatchesSequential(t *testing.T) {
+	for _, c := range []claimCase{
+		{8, 8, 4, 2, 400}, {8, 8, 4, 8, 400}, {16, 16, 4, 4, 400},
+		{16, 16, 4, 7, 400}, {5, 9, 4, 3, 400}, {12, 4, 4, 16, 400},
+	} {
+		t.Run(fmt.Sprintf("%dx%d-w%d", c.w, c.h, c.shards), func(t *testing.T) { runClaimLockstep(t, 4, c) })
 	}
 }
 
-// FuzzClaim is the open-ended form of TestClaimLockstep.
+// TestShardedDrain injects on 16×16 over 8 shards for 64 cycles and then
+// drains (75 cycles) until all three fabrics are Quiescent.
+func TestShardedDrain(t *testing.T) {
+	runClaimLockstep(t, 10, claimCase{16, 16, 4, 8, 64})
+}
+
+// TestClaimLockstep runs the claim lockstep over a spread of seeds and
+// fuzz-decoded shapes.
+func TestClaimLockstep(t *testing.T) {
+	r := rand.New(rand.NewSource(20))
+	for i := 0; i < 150; i++ {
+		runClaimLockstep(t, int64(i+1), claimCaseOf(r.Uint64(), r.Uint64()))
+	}
+}
+
+// FuzzClaim is the open-ended form of TestClaimLockstep (make fuzz, CI
+// fuzz-smoke); testdata/fuzz/FuzzClaim holds more seeds.
 func FuzzClaim(f *testing.F) {
 	f.Add(int64(1), uint64(0x020303), uint64(40))
 	f.Add(int64(-9), uint64(0x000504), uint64(100))
-	f.Fuzz(runClaimLockstep)
+	f.Add(int64(1), uint64(0x0808), uint64(24))
+	f.Add(int64(42), uint64(0x0c05), uint64(64))
+	f.Add(int64(-7), uint64(0x0310), uint64(40))
+	f.Add(int64(1<<40), uint64(0x0202), uint64(8))
+	f.Fuzz(func(t *testing.T, seed int64, dims, cycles uint64) {
+		runClaimLockstep(t, seed, claimCaseOf(dims, cycles))
+	})
 }

@@ -26,7 +26,7 @@
 // and Moves, cycle for cycle — because the claim phase reads only
 // pre-cycle state, each queue takes at most one push and one pop per
 // cycle, and the shard owning a queue's tile commits it, pops before
-// pushes, in the sequential order (equiv_test.go, FuzzRouterDelivery).
+// pushes, in the sequential order (TestClaimLockstep, FuzzClaim).
 // The claim phase takes a specialized fast path for single-output,
 // non-multicast routes — the overwhelmingly common case in the paper's
 // communication patterns.

@@ -10,6 +10,72 @@ import (
 	"time"
 )
 
+// trafficFabric builds a fabric saturated with the canonical
+// BuildFlows pattern (four directional flows on colors 0–3), plus
+// multicast on color 4: row 0 forwards east while also delivering to
+// each core's ramp.
+func trafficFabric(w, h int, st *Stepper) *Fabric {
+	f := New(Config{W: w, H: h, Stepper: st})
+	BuildFlows(f)
+	// Multicast row: forward east and deliver locally at every hop.
+	f.SetRoute(Coord{0, 0}, Ramp, 4, Mask(East, Ramp))
+	for x := 1; x < w-1; x++ {
+		f.SetRoute(Coord{x, 0}, West, 4, Mask(East, Ramp))
+	}
+	f.SetRoute(Coord{w - 1, 0}, West, 4, Mask(Ramp))
+	return f
+}
+
+// driveCycle injects pseudo-random traffic at the flow sources and
+// drains the sinks, returning the drained words in deterministic order.
+// Both fabrics of an equivalence pair run this with identically seeded
+// generators; because Send/Recv outcomes depend only on fabric state,
+// the generators stay in lockstep as long as the fabrics agree.
+func driveCycle(f *Fabric, rng *rand.Rand) []Word {
+	w, h := f.W, f.H
+	for y := 0; y < h; y++ {
+		if rng.Intn(3) > 0 {
+			f.Send(Coord{0, y}, Word{Color: 0, Bits: rng.Uint32()})
+		}
+		if rng.Intn(3) > 0 {
+			f.Send(Coord{w - 1, y}, Word{Color: 1, Bits: rng.Uint32()})
+		}
+	}
+	for x := 0; x < w; x++ {
+		if rng.Intn(3) > 0 {
+			f.Send(Coord{x, 0}, Word{Color: 2, Bits: rng.Uint32()})
+		}
+		if rng.Intn(3) > 0 {
+			f.Send(Coord{x, h - 1}, Word{Color: 3, Bits: rng.Uint32()})
+		}
+	}
+	if rng.Intn(2) == 0 {
+		f.Send(Coord{0, 0}, Word{Color: 4, Bits: rng.Uint32()})
+	}
+	f.Step()
+	var got []Word
+	for y := 0; y < h; y++ {
+		if wd, ok := f.Recv(Coord{w - 1, y}, 0); ok {
+			got = append(got, wd)
+		}
+		if wd, ok := f.Recv(Coord{0, y}, 1); ok {
+			got = append(got, wd)
+		}
+	}
+	for x := 0; x < w; x++ {
+		if wd, ok := f.Recv(Coord{x, h - 1}, 2); ok {
+			got = append(got, wd)
+		}
+		if wd, ok := f.Recv(Coord{x, 0}, 3); ok {
+			got = append(got, wd)
+		}
+		if wd, ok := f.Recv(Coord{x, 0}, 4); ok {
+			got = append(got, wd)
+		}
+	}
+	return got
+}
+
 // TestPoolCloseIdempotentAndInlineAfter checks the Close contract:
 // Close is idempotent (any number of calls, via the Fabric or the
 // Stepper), and a closed engine keeps stepping with bit-identical

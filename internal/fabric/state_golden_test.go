@@ -218,9 +218,9 @@ func TestFabricStateGoldenExchangeAllReduce(t *testing.T) {
 // TestFabricStateGoldenMulticast drives random multicast trees — each
 // color grown from a source ramp, going on in one to three directions at
 // every tile and sometimes dropping to the core — with random injection
-// and random draining over depth-2 queues, the traffic FuzzRouterDelivery
-// drives but fanned out. One tile also carries more than 64 entries,
-// which the claim phase walks without an occupancy mask.
+// and random draining over depth-2 queues, the traffic TestClaimLockstep
+// drives. One tile also carries more than 64 entries, which the claim
+// phase walks without an occupancy mask.
 func TestFabricStateGoldenMulticast(t *testing.T) {
 	const w, h = 9, 7
 	f := fabric.New(fabric.Config{W: w, H: h, QueueDepth: 2, RxDepth: 2})

@@ -334,60 +334,6 @@ func TestProgram3DSubExtentFastForward(t *testing.T) {
 	}
 }
 
-// TestProgram3DEngineEquivalence pins the relay exchange under
-// fast-forward on four shards: same cycles, same results, same machine
-// fingerprint as the sequential engine.
-func TestProgram3DEngineEquivalence(t *testing.T) {
-	m := stencil.Mesh{NX: 6, NY: 4, NZ: 6}
-	norm, _ := stencil.Seismic25(m, 0.07).Normalize()
-	op := stencil.NewOpStarHalf(norm)
-	src := randomHalfVec(m.N(), rand.New(rand.NewSource(23)))
-
-	build := func(workers int) (*wse.Machine, *Program3D) {
-		cfg := wse.CS1(6, 4)
-		cfg.Workers = workers
-		if workers <= 1 {
-			cfg.Engine = wse.EngineSequential // EngineAuto would fast-forward
-		}
-		mach := wse.New(cfg)
-		p, err := Compile3D(mach, SpecSeismic25(), op, 0, 0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fillWafer(p, src)
-		return mach, p
-	}
-	mseq, pseq := build(1)
-	defer mseq.Close()
-	mshd, pshd := build(4)
-	defer mshd.Close()
-	if n := len(mshd.Fab.ShardRanges()); n == len(mseq.Fab.ShardRanges()) {
-		t.Skipf("engine selection unavailable: both on %d shards", n)
-	}
-	c1, err := pseq.Run(1 << 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := pshd.Run(1 << 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1 != c2 {
-		t.Fatalf("cycles diverge: seq %d, sharded %d", c1, c2)
-	}
-	for i := 0; i < pseq.Tiles(); i++ {
-		a, b := pseq.Result(i), pshd.Result(i)
-		for z := range a {
-			if a[z] != b[z] {
-				t.Fatalf("tile %d z=%d: %v vs %v", i, z, a[z], b[z])
-			}
-		}
-	}
-	if f1, f2 := mseq.Fingerprint(), mshd.Fingerprint(); f1 != f2 {
-		t.Fatalf("fingerprints diverge: %#x vs %#x", f1, f2)
-	}
-}
-
 // SumSqReference replays the fused ReduceSumSq dot for one tile: the
 // hardware inner-product instruction's mixed-precision fold (exact fp16
 // products into a float32 accumulator) over the tile's output elements

@@ -105,17 +105,12 @@ func TestLockstepAllReduce(t *testing.T) {
 	}
 }
 
-// TestLockstepSpec9Point locksteps the 2-D 9-point box program: the
-// block-interior MemOp streams take the slice step, and the column/row
-// exchanges interleave rx deliveries with them.
-func TestLockstepSpec9Point(t *testing.T) {
-	m2 := stencil.Mesh2D{NX: 12, NY: 8}
-	op, _ := stencil.Random9(m2, 1.4, rand.New(rand.NewSource(29))).Normalize9()
-	src := halfVec(m2.N(), 31)
-	const b = 4
-	Lockstep(t, 1<<18, func(l leg) *Instance {
-		m := l.machine(m2.NX/b, m2.NY/b)
-		p, err := stencilc.Compile2D(m, stencilc.Spec9Point(), op, b, 0)
+// program2D compiles spec for op on a wafer of b×b blocks exactly
+// covering the mesh, loads src and arms one application.
+func program2D(t *testing.T, spec stencilc.Spec, op *stencil.Op9, b int, src []fp16.Float16) func(l leg) *Instance {
+	return func(l leg) *Instance {
+		m := l.machine(op.M.NX/b, op.M.NY/b)
+		p, err := stencilc.Compile2D(m, spec, op, b, 0)
 		if err != nil {
 			m.Close()
 			t.Fatal(err)
@@ -123,6 +118,63 @@ func TestLockstepSpec9Point(t *testing.T) {
 		p.LoadVector(src)
 		p.Arm()
 		return &Instance{M: m, Tick: p.Done}
+	}
+}
+
+// TestLockstepSpec9Point locksteps the 2-D 9-point box program: the
+// block-interior MemOp streams take the slice step, and the column/row
+// exchanges interleave rx deliveries with them.
+func TestLockstepSpec9Point(t *testing.T) {
+	m2 := stencil.Mesh2D{NX: 12, NY: 8}
+	op, _ := stencil.Random9(m2, 1.4, rand.New(rand.NewSource(29))).Normalize9()
+	Lockstep(t, 1<<18, program2D(t, stencilc.Spec9Point(), op, 4, halfVec(m2.N(), 31)))
+}
+
+// TestLockstepSpec9PointShards locksteps the 2-D cavity's program on an
+// 8×6 fabric with a fourth leg: fast-forward on five forced shards, of
+// which shard 0 trades pushes only with shard 1 (its near window), so
+// the shards of one cycle do not all neighbour each other.
+func TestLockstepSpec9PointShards(t *testing.T) {
+	m2 := stencil.Mesh2D{NX: 32, NY: 24}
+	op, _ := stencil.Random9(m2, 1.4, rand.New(rand.NewSource(61))).Normalize9()
+	Lockstep(t, 1<<18, program2D(t, stencilc.Spec9Point(), op, 4, halfVec(m2.N(), 67)),
+		leg{e: wse.EngineFastForward, shards: 5})
+}
+
+// TestLockstepListing1 locksteps the paper's kernel, Listing 1
+// (kernels.NewSpMV3D): the Figure 5 broadcast, five multiplier threads
+// into depth-20 FIFOs, a sum task that adds in arrival order and the
+// two-way-barrier completion tree. Run with a zero-cycle budget arms the
+// tiles, each shard's on that shard's goroutine, and returns before its
+// first step; the harness then steps two applications, the second from
+// the state the first leaves.
+func TestLockstepListing1(t *testing.T) {
+	m3 := stencil.Mesh{NX: 6, NY: 5, NZ: 32}
+	norm, _ := stencil.RandomDiagDominant(m3, 1.5, rand.New(rand.NewSource(53))).Normalize()
+	op := stencil.NewOp7Half(norm)
+	src := halfVec(m3.N(), 59)
+	Lockstep(t, 1<<18, func(l leg) *Instance {
+		m := l.machine(m3.NX, m3.NY)
+		p, err := kernels.NewSpMV3D(m, op)
+		if err != nil {
+			m.Close()
+			t.Fatal(err)
+		}
+		p.LoadVector(src)
+		apps := 0
+		return &Instance{M: m, Tick: func() bool {
+			if !m.AllIdle() {
+				return false
+			}
+			if apps == 2 {
+				return true
+			}
+			apps++
+			if _, err := p.Run(0); err == nil {
+				t.Fatal("Listing 1 completed an application in zero cycles")
+			}
+			return false
+		}}
 	})
 }
 
@@ -274,13 +326,14 @@ var engines = []leg{
 	{e: wse.EngineFastForward, shards: 3},
 }
 
-// Lockstep builds one Instance per engine and drives them all in
-// per-cycle fingerprint lockstep until every workload reports
-// completion on the same cycle. Any divergence — fingerprint,
-// completion cycle, or final idleness — fails the test at the first
-// cycle it shows.
-func Lockstep(t *testing.T, maxCycles int64, build func(l leg) *Instance) {
+// Lockstep builds one Instance per engine, and one per extra leg, and
+// drives them all in per-cycle fingerprint lockstep until every
+// workload reports completion on the same cycle. Any divergence —
+// fingerprint, completion cycle, or final idleness — fails the test at
+// the first cycle it shows.
+func Lockstep(t *testing.T, maxCycles int64, build func(l leg) *Instance, extra ...leg) {
 	t.Helper()
+	engines := append(engines[:len(engines):len(engines)], extra...)
 	insts := make([]*Instance, len(engines))
 	for i, e := range engines {
 		insts[i] = build(e)

@@ -8,7 +8,7 @@ import (
 // Engine selects how a Machine steps its cores each cycle. Both engines
 // are bit- and cycle-identical — same Fingerprint every cycle, same
 // counters, same results — so the choice is purely a host-side
-// throughput knob; the difftest package and FuzzMachineEquivalence pin
+// throughput knob; TestCoreStepLockstep and the difftest package pin
 // the contract.
 type Engine int
 

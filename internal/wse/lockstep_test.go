@@ -10,36 +10,38 @@ import (
 	"repro/internal/tensor"
 )
 
-// This file locksteps Core.step against the step it replaced.
+// This file is the core step's specification check: it locksteps both
+// engines against the step Core.step replaced.
 //
-// Both engines share Core.step, so engine-vs-engine fuzzing
-// (FuzzMachineEquivalence, difftest) cannot see a bug in it. The
-// reference below is the core step as it stood before the pending-rx
-// mask, the cached issue list and the issue loop's skips: every
-// subscribed color probed with Fab.Recv every cycle, the nine thread
-// slots and the task list scanned every cycle, every unit called in
-// both passes, every live thread's Done looked at every cycle, and the
-// four streaming instructions as per-element loops over the ElemSource
-// interface. The logic is verbatim; only the spelling of the state it
-// walks (c.subs, c.thr) follows the new layout.
+// Both engines share Core.step, so comparing them with each other cannot
+// see a bug in it. The reference below is the core step as it stood
+// before the pending-rx mask, the cached issue list and the issue loop's
+// skips: every subscribed color probed with Fab.Recv every cycle, the
+// nine thread slots and the task list scanned every cycle, every unit
+// called in both passes, every live thread's Done looked at every cycle,
+// and the four streaming instructions as per-element loops over the
+// ElemSource interface. The logic is verbatim; only the spelling of the
+// state it walks (c.subs, c.thr) follows the new layout.
 //
-// TestCoreStepLockstep and FuzzCoreStep build one random program twice —
-// on a machine stepped by Core.step under a random engine, and on a
-// sequential machine whose cores run refStep — and require equal
-// Machine.Fingerprint and AllIdle every cycle, then equal arenas, FIFOs
-// and unknown-instruction call counts. The programs mix streaming
-// threads with FIFO chains into a priority summation task, a hub ramp
-// contended by up to five colors, multicast taps, backpressured sends,
-// boundary MemSource streams, subscribers that fill and stall, two
-// subscribers per color, one buffer on two colors (colors drawn out of
-// order, so registration order is not color order), zero-lane and
-// lane-consuming and unknown instructions, empty operands behind a lane
-// hog, threads launched from completion handlers above and below the
-// retiring slot, tasks unblocked by a thread's completion, SIMDWidth
-// 1–4 and queue depths 1–4, a consumer subscribed mid-run to words
-// already waiting, a host Recv stealing subscribed words, and two
-// restores of a mid-run snapshot. Each of these mutations of the new
-// code was applied and seen to fail TestCoreStepLockstep:
+// TestCoreStepLockstep and FuzzCoreStep build one random program four
+// times — on the sequential engine, on fast-forward on its default
+// shards, on fast-forward on 2–7 shards with the parallel path forced,
+// and on a sequential machine whose cores run refStep — and require each
+// engine leg to match the reference's Machine.Fingerprint and AllIdle
+// every cycle, then its arenas, FIFOs and unknown-instruction call
+// counts. The programs mix streaming threads with FIFO chains into a
+// priority summation task, a hub ramp contended by up to five colors,
+// multicast taps, backpressured sends, boundary MemSource streams,
+// subscribers that fill and stall, two subscribers per color, one buffer
+// on two colors (colors drawn out of order, so registration order is not
+// color order), zero-lane and lane-consuming and unknown instructions,
+// empty operands behind a lane hog, threads launched from completion
+// handlers above and below the retiring slot, tasks unblocked by a
+// thread's completion, SIMDWidth 1–4 and queue depths 1–4, a consumer
+// subscribed mid-run to words already waiting, a host Recv stealing
+// subscribed words, and two restores of a mid-run snapshot. Each of
+// these mutations of the new code was applied and seen to fail
+// TestCoreStepLockstep:
 //
 //   - rxArrived does not set the pending bit (delivery lost);
 //   - Subscribe does not set it (words that were already waiting);
@@ -724,65 +726,83 @@ func buildLockProgram(seed int64, sh lockShape, e Engine, workers int) *lockProg
 	return p
 }
 
-// runCoreStepLockstep builds the seed's program on a new-step machine
-// and on a reference-step machine and steps them side by side.
+// runCoreStepLockstep builds the seed's program on three engine legs —
+// sequential, fast-forward on its default shards and fast-forward on 2–7
+// shards with the parallel path forced — and on a reference-step machine,
+// and steps all four side by side. Machine.Step takes no jumps, so the
+// fast-forward legs check stepping on one shard and on several.
 func runCoreStepLockstep(t *testing.T, seed int64, shape, cycles uint64) {
 	sh := lockShape{
-		w: int(shape&0xff)%3 + 2, h: int(shape>>8&0xff)%3 + 2,
+		w: int(shape&0xff)%5 + 2, h: int(shape>>8&0xff)%5 + 2,
 		simd: int(shape>>16&0xff)%4 + 1, qdepth: int(shape>>24&0xff)%4 + 1, rxdepth: int(shape>>32&0xff)%4 + 1,
 	}
 	n := int(cycles%160) + 16
-	er := rand.New(rand.NewSource(seed ^ int64(shape)))
-	engine := []Engine{EngineSequential, EngineFastForward}[er.Intn(2)]
-	a := buildLockProgram(seed, sh, engine, er.Intn(4)+1)
-	defer a.m.Close()
+	shards := rand.New(rand.NewSource(seed^int64(shape))).Intn(6) + 2
+	legs := []*lockProgram{
+		buildLockProgram(seed, sh, EngineSequential, 0),
+		buildLockProgram(seed, sh, EngineFastForward, 0),
+		buildLockProgram(seed, sh, EngineFastForward, shards),
+	}
+	fabric.ForceParallel(legs[2].m.Fab)
+	name := make([]string, len(legs))
+	for i, l := range legs {
+		defer l.m.Close()
+		name[i] = fmt.Sprintf("%s/%d", l.m.EngineName(), len(l.m.Fab.ShardRanges()))
+	}
 	b := buildLockProgram(seed, sh, EngineSequential, 0)
 	useRefStep(b.m)
+	all := append(legs[:len(legs):len(legs)], b)
 	steal := rand.New(rand.NewSource(seed + 99))
 
 	cyc := 0
 	step := func() {
-		if len(a.rx) > 0 && steal.Intn(12) == 0 {
+		if len(b.rx) > 0 && steal.Intn(12) == 0 {
 			// The host takes a word a core has subscribed to.
-			at := a.rx[steal.Intn(len(a.rx))]
-			co, col := a.m.Fab.CoordOf(at[0]), fabric.Color(at[1])
-			wa, oka := a.m.Fab.Recv(co, col)
+			at := b.rx[steal.Intn(len(b.rx))]
+			co, col := b.m.Fab.CoordOf(at[0]), fabric.Color(at[1])
 			wb, okb := b.m.Fab.Recv(co, col)
-			if wa != wb || oka != okb {
-				t.Fatalf("cycle %d: host Recv diverges: %v %v vs %v %v", cyc, wa, oka, wb, okb)
-			}
-		}
-		a.m.Step()
-		b.m.Step()
-		cyc++
-		if fa, fb := a.m.Fingerprint(), b.m.Fingerprint(); fa != fb {
-			t.Fatalf("cycle %d (%s, %+v): fingerprint %#x, reference step %#x", cyc, a.m.EngineName(), sh, fa, fb)
-		}
-		if ia, ib := a.m.AllIdle(), b.m.AllIdle(); ia != ib {
-			t.Fatalf("cycle %d (%s, %+v): AllIdle %v, reference step %v", cyc, a.m.EngineName(), sh, ia, ib)
-		}
-	}
-	compare := func() {
-		for i := range a.m.Tiles {
-			wa := a.m.Tiles[i].Arena.Used() / tensor.BytesPerWord
-			ma, mb := a.m.Tiles[i].Arena.Slice(0, wa), b.m.Tiles[i].Arena.Slice(0, wa)
-			for k := range ma {
-				if ma[k] != mb[k] {
-					t.Fatalf("after %d cycles (%s, %+v): tile %d arena[%d] = %v, reference step %v",
-						cyc, a.m.EngineName(), sh, i, k, ma[k], mb[k])
+			for i, a := range legs {
+				if wa, oka := a.m.Fab.Recv(co, col); wa != wb || oka != okb {
+					t.Fatalf("cycle %d (%s): host Recv diverges: %v %v vs %v %v", cyc, name[i], wa, oka, wb, okb)
 				}
 			}
 		}
-		for i := range a.fifos {
-			if a.fifos[i].Len() != b.fifos[i].Len() {
-				t.Fatalf("after %d cycles: FIFO %d holds %d, reference step %d", cyc, i, a.fifos[i].Len(), b.fifos[i].Len())
+		for _, l := range all {
+			l.m.Step()
+		}
+		cyc++
+		for i, a := range legs {
+			if fa, fb := a.m.Fingerprint(), b.m.Fingerprint(); fa != fb {
+				t.Fatalf("cycle %d (%s, %+v): fingerprint %#x, reference step %#x", cyc, name[i], sh, fa, fb)
+			}
+			if ia, ib := a.m.AllIdle(), b.m.AllIdle(); ia != ib {
+				t.Fatalf("cycle %d (%s, %+v): AllIdle %v, reference step %v", cyc, name[i], sh, ia, ib)
 			}
 		}
-		ca, cb := a.calls(), b.calls()
-		for i := range ca {
-			if ca[i] != cb[i] {
-				t.Fatalf("after %d cycles (%s, %+v): unknown instruction %d called %d times, reference step %d",
-					cyc, a.m.EngineName(), sh, i, ca[i], cb[i])
+	}
+	compare := func() {
+		for li, a := range legs {
+			for i := range a.m.Tiles {
+				wa := a.m.Tiles[i].Arena.Used() / tensor.BytesPerWord
+				ma, mb := a.m.Tiles[i].Arena.Slice(0, wa), b.m.Tiles[i].Arena.Slice(0, wa)
+				for k := range ma {
+					if ma[k] != mb[k] {
+						t.Fatalf("after %d cycles (%s, %+v): tile %d arena[%d] = %v, reference step %v",
+							cyc, name[li], sh, i, k, ma[k], mb[k])
+					}
+				}
+			}
+			for i := range a.fifos {
+				if a.fifos[i].Len() != b.fifos[i].Len() {
+					t.Fatalf("after %d cycles (%s): FIFO %d holds %d, reference step %d", cyc, name[li], i, a.fifos[i].Len(), b.fifos[i].Len())
+				}
+			}
+			ca, cb := a.calls(), b.calls()
+			for i := range ca {
+				if ca[i] != cb[i] {
+					t.Fatalf("after %d cycles (%s, %+v): unknown instruction %d called %d times, reference step %d",
+						cyc, name[li], sh, i, ca[i], cb[i])
+				}
 			}
 		}
 	}
@@ -790,52 +810,57 @@ func runCoreStepLockstep(t *testing.T, seed int64, shape, cycles uint64) {
 	// settle steps until the machines are idle; false means a wedged send
 	// keeps its thread alive and there is nothing to capture.
 	settle := func() bool {
-		for i := 0; i < 400 && !a.m.AllIdle(); i++ {
+		for i := 0; i < 400 && !b.m.AllIdle(); i++ {
 			step()
 		}
 		compare()
-		return a.m.AllIdle()
+		return b.m.AllIdle()
 	}
 	restore := func(snap *Snapshot) {
-		if err := a.m.Restore(snap); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.m.Restore(snap); err != nil {
-			t.Fatal(err)
+		for _, l := range all {
+			if err := l.m.Restore(snap); err != nil {
+				t.Fatal(err)
+			}
 		}
 		refRequeue(b.m)
-		if fa, fb := a.m.Fingerprint(), b.m.Fingerprint(); fa != fb {
-			t.Fatalf("after restore: fingerprint %#x, reference step %#x", fa, fb)
+		for i, a := range legs {
+			if fa, fb := a.m.Fingerprint(), b.m.Fingerprint(); fa != fb {
+				t.Fatalf("after restore (%s): fingerprint %#x, reference step %#x", name[i], fa, fb)
+			}
+		}
+	}
+	arm := func() {
+		for _, l := range all {
+			l.arm()
 		}
 	}
 
-	a.arm()
-	b.arm()
+	arm()
 	for i := 0; i < n; i++ {
-		if i == n/3 && a.subscribeLate != nil {
-			a.subscribeLate()
-			b.subscribeLate()
+		if i == n/3 && b.subscribeLate != nil {
+			for _, l := range all {
+				l.subscribeLate()
+			}
 		}
 		step()
 	}
 	compare()
 
 	// Mid-run snapshot/restore: let the program settle (stalled colors
-	// leave undelivered words at the ramps), capture the new-step machine,
-	// load the capture into both and run the program again; then go back
-	// to the same capture once more, now on machines whose receive
-	// buffers the second run has drained.
+	// leave undelivered words at the ramps), capture the sharded leg's
+	// machine, load the capture into every machine and run the program
+	// again; then go back to the same capture once more, now on machines
+	// whose receive buffers the second run has drained.
 	if !settle() {
 		return
 	}
-	snap, err := a.m.Snapshot()
+	snap, err := legs[2].m.Snapshot()
 	if err != nil {
 		t.Fatalf("snapshot of an idle machine: %v", err)
 	}
 	for round := 0; round < 2; round++ {
 		restore(snap)
-		a.arm()
-		b.arm()
+		arm()
 		for i := 0; i < n; i++ {
 			step()
 		}
@@ -846,11 +871,11 @@ func runCoreStepLockstep(t *testing.T, seed int64, shape, cycles uint64) {
 }
 
 // TestCoreStepLockstep runs the lockstep over a spread of seeds, shapes
-// (fabric 2–4 × 2–4, SIMDWidth 1–4, queue depths 1–4) and run lengths.
+// (fabric 2–6 × 2–6, SIMDWidth 1–4, queue depths 1–4) and run lengths.
 func TestCoreStepLockstep(t *testing.T) {
-	seeds := 400
+	seeds := 200
 	if testing.Short() {
-		seeds = 80
+		seeds = 40
 	}
 	r := rand.New(rand.NewSource(20))
 	for i := 0; i < seeds; i++ {
@@ -859,12 +884,20 @@ func TestCoreStepLockstep(t *testing.T) {
 }
 
 // FuzzCoreStep is the open-ended form of TestCoreStepLockstep (make
-// fuzz, CI fuzz-smoke).
+// fuzz, CI fuzz-smoke); testdata/fuzz/FuzzCoreStep holds more seeds.
 func FuzzCoreStep(f *testing.F) {
 	f.Add(int64(1), uint64(0x0101030303), uint64(40))
 	f.Add(int64(7), uint64(0x0402000201), uint64(120))
 	f.Add(int64(-3), uint64(0x0000010002), uint64(64))
 	f.Add(int64(2025), uint64(0x0303020100), uint64(96))
+	f.Add(int64(1), uint64(0x0303), uint64(40))
+	f.Add(int64(7), uint64(0x0204), uint64(24))
+	f.Add(int64(-3), uint64(0x0602), uint64(64))
+	f.Add(int64(99), uint64(0x0505), uint64(96))
+	f.Add(int64(11), uint64(0x0404), uint64(48))
+	f.Add(int64(-57), uint64(0x0306), uint64(80))
+	f.Add(int64(2025), uint64(0x0503), uint64(56))
+	f.Add(int64(-1048576), uint64(0x0205), uint64(112))
 	f.Fuzz(runCoreStepLockstep)
 }
 

@@ -112,9 +112,9 @@ type Tile struct {
 // task activation, and rx-delivery wakes from the fabric) and leave it
 // the first stepped cycle they have no runnable work. The simulated
 // machine state is identical to stepping every core every cycle,
-// because stepping an idle core is a no-op; the machine-level
-// equivalence fuzz target (FuzzMachineEquivalence) pins this against
-// the sequential engine cycle for cycle.
+// because stepping an idle core is a no-op; TestCoreStepLockstep pins
+// this, on one shard and on several, against the polling core step
+// cycle for cycle.
 type Machine struct {
 	Cfg   Config
 	Fab   *fabric.Fabric
@@ -342,8 +342,8 @@ func (m *Machine) RunUntil(done func() bool, maxCycles int64) (int64, error) {
 // occupancy, stream-buffer contents, send-gate state, and the datapath
 // counters. Two machines that evolved identically have equal
 // fingerprints every cycle regardless of stepping engine or worklist
-// order; FuzzMachineEquivalence and the engine-equivalence tests pin
-// the contract. FNV-1a, matching fabric.Fingerprint.
+// order; TestCoreStepLockstep and the difftest package pin the
+// contract. FNV-1a, matching fabric.Fingerprint.
 func (m *Machine) Fingerprint() uint64 {
 	const prime64 = 1099511628211
 	h := m.Fab.Fingerprint()
