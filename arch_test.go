@@ -37,7 +37,6 @@ var archAllow = map[string]string{
 	"export internal/faultinject.OpReadDir":                "a fault rule names its operation by this string; the Op set covers every filesystem call the injector wraps",
 	"export internal/faultinject.OpRemove":                 "a fault rule names its operation by this string; the Op set covers every filesystem call the injector wraps",
 	"export internal/kernels.BroadcastColor":               "Figure 5's color tessellation, documented beside the exported NumStencilColors it is taken modulo",
-	"export internal/kernels.CheckpointVersion":            "the checkpoint format version, the documented compatibility contract of a checkpoint file",
 	"export internal/kernels.FIFODepth":                    "Listing 1's product FIFO depth, the paper's constant 20",
 	"export internal/perfmodel.TileVectorWords":            "§IV's 10·Z-words-per-tile accounting that TileVectorBytes and MaxZ are stated in",
 	"export internal/perfmodel.WordBytes":                  "the fp16 word width every §IV memory formula is stated in",

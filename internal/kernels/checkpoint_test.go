@@ -1,10 +1,16 @@
 package kernels
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/fabric"
@@ -263,4 +269,92 @@ func flipCkpt(b []byte) []byte {
 	c := append([]byte{}, b...)
 	c[len(c)/2] ^= 0xff
 	return c
+}
+
+// TestCheckpointGoldenFormat pins the checkpoint's on-disk encoding. A
+// spooled checkpoint outlives the daemon that wrote it, so the committed
+// v1 blob must decode, re-encode byte for byte and resume to the
+// uninterrupted solve's bits under every later revision, and each kind
+// of damage must be refused for its own reason. If the format must
+// change, bump CheckpointVersion, keep a decoder for v1 and add a
+// golden for the new version beside this one.
+func TestCheckpointGoldenFormat(t *testing.T) {
+	m := stencil.Mesh{NX: 2, NY: 2, NZ: 4}
+	op := stencil.MomentumLike(m, 0.02, [3]float64{1, 0.2, -0.1}, 0.1, 1.0, 0.05)
+	norm, diag := op.Normalize()
+	b64 := make([]float64, m.N())
+	for i := range b64 {
+		b64[i] = 1 + float64(i%3)/4
+	}
+	b16 := fp16.FromFloat64Slice(stencil.ScaleRHS(b64, diag))
+	h := stencil.NewOp7Half(norm)
+	solve := func(opts WSEOptions) ([]fp16.Float16, WSEStats) {
+		t.Helper()
+		mach := wse.New(wse.CS1(m.NX, m.NY))
+		defer mach.Close()
+		w, err := NewBiCGStabWSE(mach, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, st, err := w.Solve(b16, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return x, st
+	}
+	var blobs [][]byte
+	xRef, stRef := solve(WSEOptions{MaxIter: 6, CheckpointEvery: 2, Checkpoint: func(b []byte) error {
+		blobs = append(blobs, append([]byte{}, b...))
+		return nil
+	}})
+
+	path := filepath.Join("testdata", "checkpoint_golden_v1.bin")
+	if _, err := os.Stat(path); os.IsNotExist(err) {
+		if err := os.WriteFile(path, blobs[0], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("bootstrapped %s (%d bytes); commit it", path, len(blobs[0]))
+	}
+	golden, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := DecodeWSECheckpoint(golden)
+	if err != nil {
+		t.Fatalf("committed golden no longer decodes: %v", err)
+	}
+	if re, err := cp.encode(); err != nil || !bytes.Equal(re, golden) {
+		t.Fatalf("re-encoding the golden drifted from %s (err %v): bump CheckpointVersion instead of silently changing v%d",
+			path, err, CheckpointVersion)
+	}
+	x, st := solve(WSEOptions{MaxIter: 6, Resume: golden})
+	compareRuns(t, "resumed from the golden", x, st, xRef, stRef)
+
+	// reseal re-frames a damaged body under a valid checksum, so that
+	// only the check under test can refuse it.
+	body := golden[:len(golden)-8]
+	reseal := func(b []byte) []byte {
+		h := fnv.New64a()
+		h.Write(b)
+		return binary.LittleEndian.AppendUint64(append([]byte{}, b...), h.Sum64())
+	}
+	patch := func(i int, v byte) []byte {
+		c := append([]byte{}, golden...)
+		c[i] = v
+		return c
+	}
+	for _, c := range []struct {
+		name, data, want string
+	}{
+		{"truncated", string(reseal(body[:20])), "truncated"},
+		{"bad magic", string(patch(0, 'X')), "magic"},
+		{"bad version", string(patch(7, CheckpointVersion+1)), "version"},
+		{"bad checksum", string(patch(len(golden)-1, golden[len(golden)-1]^1)), "checksum"},
+		{"trailing byte", string(reseal(append(append([]byte{}, body...), 0))), "trailing"},
+	} {
+		_, err := DecodeWSECheckpoint([]byte(c.data))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: DecodeWSECheckpoint error %v, want one naming %q", c.name, err, c.want)
+		}
+	}
 }
