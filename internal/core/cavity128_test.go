@@ -37,9 +37,12 @@ func TestCavity2DFabric128(t *testing.T) {
 	t.Logf("measured %.4f cycles/meshpoint per solver iteration (allreduce %d of %d cycles)",
 		run.CyclesPerPoint(), run.Cycles.AllReduce, run.Cycles.Total())
 
-	// The sequential engine's bits, recorded before SIMPLE became one
-	// cavity over D ∈ {2, 3}.
-	const wantFP = 0x7e607dd242d237ec
+	// Recorded under both engines, which agree; it includes the routers'
+	// rotation counters, which each pressure solve's reload restarts
+	// (fabric.RestartArbitration). The residual bits below are the
+	// sequential engine's, recorded before SIMPLE became one cavity over
+	// D ∈ {2, 3}.
+	const wantFP = 0xbaa13a9524fb9f23
 	if run.Fingerprint != wantFP {
 		t.Errorf("fingerprint %#x, want %#x", run.Fingerprint, uint64(wantFP))
 	}

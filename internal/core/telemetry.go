@@ -43,9 +43,8 @@ type Telemetry struct {
 	SetupCycles int64 `json:"setup_cycles,omitempty"`
 	// MaxARDrift is the largest observed |fabric AllReduce − exact sum|
 	// on any wafer, as a fraction of the paper's AllReduce error-model
-	// bound (see kernels.WSEStats.MaxARDrift). A diagnostic of the
-	// machine's history, not of the job: a warm machine may report a
-	// different value than a cold one for bit-equal X, History and cycles.
+	// bound (see kernels.WSEStats.MaxARDrift). Every reload restarts the
+	// fabric's arbitration, so a warm machine reports a cold one's value.
 	MaxARDrift float64 `json:"max_allreduce_drift,omitempty"`
 }
 

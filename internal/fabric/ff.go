@@ -4,12 +4,14 @@ import "fmt"
 
 // This file is the fabric's fast-forward support surface: the
 // introspection the analytic phase replays need (entry layouts,
-// arbitration counters, the hot set) and the two ways a replayed phase
-// is applied back — dead-cycle advancement (AdvanceIdle) and full
-// replay application (ApplyReplay). All of it is host-tooling around
-// the same architectural state the steppers maintain; none of it can
-// express a state a cycle-by-cycle run could not reach, and the
-// preconditions panic rather than silently diverge.
+// arbitration counters, the hot set), the two ways a replayed phase is
+// applied back — dead-cycle advancement (AdvanceIdle) and full replay
+// application (ApplyReplay) — and the arbitration restart of a
+// coefficient reload (RestartArbitration). All of it is host-tooling
+// around the same architectural state the steppers maintain; none of it
+// can express a state that a cycle-by-cycle run, or a freshly built
+// fabric, does not reach, and the preconditions panic rather than
+// silently diverge.
 
 // RouteKey identifies one configured route entry of a router: the
 // input port and color it matches.
@@ -83,17 +85,34 @@ func (f *Fabric) AdvanceIdle(n int64) {
 // responsible for the replay being exact; the equivalence tests pin
 // that end to end.
 func (f *Fabric) ApplyReplay(cycles, moves int64, rr []int64, hot []int) {
-	if !f.Quiescent() {
-		panic("fabric: ApplyReplay on a non-quiescent fabric")
-	}
 	if len(rr) != len(f.routers) {
 		panic(fmt.Sprintf("fabric: ApplyReplay rr length %d, want %d", len(rr), len(f.routers)))
 	}
+	f.setArbitration(rr, hot)
 	f.cycle += cycles
 	f.moves += moves
+}
+
+// RestartArbitration returns the fabric's arbitration to its power-on
+// state — every router's rotation counter zero, no tile hot — which is
+// what a newly built fabric holds whatever its routes. A machine that
+// reloads a program's coefficients calls it, so its next run arbitrates
+// as a cold machine's would. The fabric must be quiescent.
+func (f *Fabric) RestartArbitration() { f.setArbitration(nil, nil) }
+
+// setArbitration sets every router's rotation counter to rr[tile] (zero
+// for a nil rr) and replaces the hot set with hot, on a quiescent
+// fabric.
+func (f *Fabric) setArbitration(rr []int64, hot []int) {
+	if !f.Quiescent() {
+		panic("fabric: arbitration set on a non-quiescent fabric")
+	}
 	for i := range f.routers {
 		r := &f.routers[i]
-		r.rr = rr[i]
+		r.rr, r.rrIdx = 0, 0
+		if rr != nil {
+			r.rr = rr[i]
+		}
 		if r.n > 0 {
 			r.rrIdx = uint8(r.rr % int64(r.n))
 		}

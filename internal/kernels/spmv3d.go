@@ -387,29 +387,41 @@ func (p *SpMV3D) LoadVector(v []fp16.Float16) {
 	}
 }
 
-// Run executes one SpMV application and returns the cycles it took.
-// Completion means every tile's barrier tree fired and every FIFO add
-// accumulated all Z elements (the priority summation task drains before
-// control returns to the solver, as in the paper).
-func (p *SpMV3D) Run(maxCycles int64) (int64, error) {
+// Arm prepares every tile for one application without stepping the
+// machine, each shard's tiles on that shard's goroutine (armTile
+// touches only its own tile) — for lock-step engine-equivalence tests
+// that drive Step themselves. Run calls it.
+func (p *SpMV3D) Arm() {
 	shards := p.M.Fab.ShardRanges()
 	p.M.Fab.RunSharded(len(p.tiles)/len(shards), func(s int) {
 		for i := shards[s][0]; i < shards[s][1]; i++ {
 			p.armTile(&p.tiles[i])
 		}
 	})
-	return p.M.RunUntil(func() bool {
-		for i := range p.tiles {
-			st := &p.tiles[i]
-			if !st.done {
+}
+
+// Done reports whether the armed application has completed: every
+// tile's barrier tree fired and every FIFO add accumulated all Z
+// elements (the predicate Run waits on).
+func (p *SpMV3D) Done() bool {
+	for i := range p.tiles {
+		st := &p.tiles[i]
+		if !st.done {
+			return false
+		}
+		for k := range st.sumAdds {
+			if !st.sumAdds[k].Complete() {
 				return false
 			}
-			for k := range st.sumAdds {
-				if !st.sumAdds[k].Complete() {
-					return false
-				}
-			}
 		}
-		return true
-	}, maxCycles)
+	}
+	return true
+}
+
+// Run executes one SpMV application and returns the cycles it took.
+// Completion is Done: the priority summation task drains before control
+// returns to the solver, as in the paper.
+func (p *SpMV3D) Run(maxCycles int64) (int64, error) {
+	p.Arm()
+	return p.M.RunUntil(p.Done, maxCycles)
 }

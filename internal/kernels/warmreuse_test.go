@@ -1,7 +1,6 @@
 package kernels
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -12,12 +11,16 @@ import (
 
 // TestWarmSolverReuseBitIdentical pins the contract the service layer's
 // machine cache rests on: a solver that already ran one solve, handed a
-// new operator via LoadCoeff, produces exactly the bits a freshly built
-// machine produces — for both the Listing 1 FIFO pipeline and the
-// halo-exchange variant (the star solver at the 7-point spec) — and that
-// an operator LoadCoeff refuses (another mesh; for the halo variant also
-// other widths) is an error that leaves the solver serving the next
-// reload to the same bits.
+// new operator via LoadCoeff, produces exactly what a freshly built
+// machine produces — solution and history bits, every cycle count and
+// the AllReduce drift — for both the Listing 1 FIFO pipeline and the
+// halo-exchange variant (the star solver at the 7-point spec). LoadCoeff
+// restarts the fabric's arbitration, so a warm machine arbitrates as a
+// cold one; the Listing 1 pipeline's accumulation order and the halo
+// variant's drift both follow the rotation counters. An operator
+// LoadCoeff refuses (another mesh; for the halo variant also other
+// widths) is an error that leaves the solver serving the next reload to
+// the same bits.
 func TestWarmSolverReuseBitIdentical(t *testing.T) {
 	m := stencil.Mesh{NX: 4, NY: 4, NZ: 8}
 	opA := stencil.NewOp7Half(normalized(t, stencil.Poisson(m, 1)))
@@ -25,31 +28,20 @@ func TestWarmSolverReuseBitIdentical(t *testing.T) {
 	bvec := testRHS(m, 11)
 	const iters = 4
 
-	// build returns the solver and its warm-reuse step: what the caller
-	// does between solves to swap in a new operator.
+	// build returns the solver and its reload: LoadCoeff, in the
+	// operator form the solver takes.
 	type build func(*wse.Machine, *stencil.Op7Half) (wseSolver, func(*stencil.Op7Half) error, error)
 	for _, tc := range []struct {
 		name  string
 		build build
 	}{
-		// The Listing 1 pipeline's FIFO accumulation order is
-		// timing-dependent, so warm reuse must rewind the machine to its
-		// pristine capture between solves.
 		{"listing1", func(m *wse.Machine, op *stencil.Op7Half) (wseSolver, func(*stencil.Op7Half) error, error) {
 			sv, err := NewBiCGStabWSE(m, op)
 			if err != nil {
 				return nil, nil, err
 			}
-			pristine, err := sv.Pristine()
-			return sv, func(op *stencil.Op7Half) error {
-				if err := sv.Reset(pristine); err != nil {
-					return err
-				}
-				return sv.LoadCoeff(op)
-			}, err
+			return sv, sv.LoadCoeff, nil
 		}},
-		// The halo variant's fixed program order is reuse-stable with
-		// LoadCoeff alone.
 		{"halo", func(m *wse.Machine, op *stencil.Op7Half) (wseSolver, func(*stencil.Op7Half) error, error) {
 			sv, err := newHaloSolver(m, op)
 			return sv, func(op *stencil.Op7Half) error {
@@ -96,20 +88,7 @@ func TestWarmSolverReuseBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(gotSt.History) != len(refSt.History) {
-					t.Fatalf("%s: %d history entries, cold has %d", when, len(gotSt.History), len(refSt.History))
-				}
-				for i := range refSt.History {
-					if math.Float64bits(gotSt.History[i]) != math.Float64bits(refSt.History[i]) {
-						t.Fatalf("%s: history[%d] = %.17g, cold machine has %.17g",
-							when, i, gotSt.History[i], refSt.History[i])
-					}
-				}
-				for i := range refX {
-					if gotX[i] != refX[i] {
-						t.Fatalf("%s: x[%d] = %v, cold machine has %v", when, i, gotX[i], refX[i])
-					}
-				}
+				compareRuns(t, when, gotX, gotSt, refX, refSt)
 			}
 			solveAsCold("after reuse")
 

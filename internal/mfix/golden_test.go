@@ -120,13 +120,13 @@ func (r *historyRecorder) Solve(a stencil.Operator, b, x0 []float64, opts solver
 }
 
 // TestCavity2DWaferGolden pins four sweeps of the 8² cavity with its
-// pressure solve on a sequential 4×4 wafer in 2×2 blocks: residuals,
-// each pressure solve's history, the machine fingerprint and the
-// simulated cycle total.
+// pressure solve on a 4×4 wafer in 2×2 blocks: residuals, each pressure
+// solve's history, the machine fingerprint and the simulated cycle
+// total. Its machine is built on EngineAuto, so a plain run holds
+// fast-forward to the pins and -wse.engine=seq holds the sequential
+// engine to the same ones.
 func TestCavity2DWaferGolden(t *testing.T) {
-	cfg := wse.CS1(4, 4)
-	cfg.Engine = wse.EngineSequential
-	mach := wse.New(cfg)
+	mach := wse.New(wse.CS1(4, 4))
 	defer mach.Close()
 	be := kernels.NewWafer2DBackend(mach, 2)
 	rec := &historyRecorder{Backend: be}
@@ -152,7 +152,9 @@ func TestCavity2DWaferGolden(t *testing.T) {
 			t.Errorf("solve %d: history hash %#x, want %#x", s, got, wantHist[s])
 		}
 	}
-	const wantFP, wantCycles = 0xd48df78345196427, 8320
+	// The fingerprint includes the routers' rotation counters, which each
+	// pressure solve's reload restarts (fabric.RestartArbitration).
+	const wantFP, wantCycles = 0xc43237b74b6f8bc3, 8320
 	if fp := mach.Fingerprint(); fp != wantFP {
 		t.Errorf("fingerprint %#x, want %#x", fp, uint64(wantFP))
 	}

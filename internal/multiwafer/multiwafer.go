@@ -282,10 +282,13 @@ func (c *Cluster) substrate() kernels.Substrate {
 // LoadCoeff swaps the cluster's stencil operator without rebuilding the
 // wafer machines: each wafer's halo SpMV rewrites its coefficient
 // sub-extent in place, everything else (routing, tasks, solver vectors,
-// adjacency, reduction order) is reused. Solve re-initializes the
-// vectors on every call, so a warm cluster serves an arbitrary sequence
-// of solves on the same mesh and grid — the service layer's
-// machine-cache contract. The operator's mesh must match the cluster's.
+// adjacency, reduction order) is reused, and every wafer's fabric
+// restarts its arbitration from the power-on state, as
+// kernels.WaferSolver.LoadCoeff does. Solve re-initializes the vectors
+// on every call, so a warm cluster serves an arbitrary sequence of
+// solves on the same mesh and grid, each as a freshly built cluster
+// would run it — the service layer's machine-cache contract. The
+// operator's mesh must match the cluster's.
 func (c *Cluster) LoadCoeff(op *stencil.Op7Half) error {
 	if op.M != c.Mesh {
 		return fmt.Errorf("multiwafer: operator mesh %v does not match cluster mesh %v", op.M, c.Mesh)
@@ -295,6 +298,7 @@ func (c *Cluster) LoadCoeff(op *stencil.Op7Half) error {
 		if err := wf.spmv.LoadCoeff(star); err != nil {
 			return err
 		}
+		wf.mach.Fab.RestartArbitration()
 	}
 	return nil
 }

@@ -9,10 +9,13 @@ import (
 
 // TestClusterWarmReuseBitIdentical pins the machine-cache contract for
 // the multiwafer backend: a cluster that already ran one solve, handed
-// a new operator via LoadCoeff, produces exactly the bits a freshly
-// built cluster produces. The halo SpMV's fixed program order and the
-// exact two-level combine make this hold with no machine reset; an
-// operator on another mesh is refused and costs the cluster nothing.
+// a new operator via LoadCoeff, produces exactly what a freshly built
+// cluster produces — solution and history bits, every cycle count and
+// the AllReduce drift. The halo SpMV's fixed program order and the
+// exact two-level combine keep x and the history; LoadCoeff's
+// arbitration restart on every wafer keeps the drift, which follows the
+// rotation counters. An operator on another mesh is refused and costs
+// the cluster nothing.
 func TestClusterWarmReuseBitIdentical(t *testing.T) {
 	opA, _, b, _ := testProblem(t, 6, 6, 8, 3)
 	opB, _, _, _ := testProblem(t, 6, 6, 8, 17)
@@ -51,6 +54,13 @@ func TestClusterWarmReuseBitIdentical(t *testing.T) {
 			if gotX[i] != refX[i] {
 				t.Fatalf("%s: x[%d] = %v, cold cluster has %v", when, i, gotX[i], refX[i])
 			}
+		}
+		if gotSt.Cycles != refSt.Cycles || gotSt.SetupCycles != refSt.SetupCycles {
+			t.Errorf("%s: cycles %+v + setup %d, cold cluster %+v + setup %d",
+				when, gotSt.Cycles, gotSt.SetupCycles, refSt.Cycles, refSt.SetupCycles)
+		}
+		if math.Float64bits(gotSt.MaxARDrift) != math.Float64bits(refSt.MaxARDrift) {
+			t.Errorf("%s: max AllReduce drift %g, cold cluster %g", when, gotSt.MaxARDrift, refSt.MaxARDrift)
 		}
 	}
 	solveAsCold("after reuse")

@@ -66,12 +66,15 @@ import (
 //     queue and buffer occupancies are bytes; a round's legs live inline
 //     in the tile while it runs, so stages are read-only after build.
 //
-// Hot order is part of the contract: routers are visited in hot-list
-// order, pushes mark their destination hot in visit order, and routers
-// that still hold words re-mark themselves after all pushes. The final
-// list is handed to fabric.ApplyReplay, whose hot-list order decides the
-// next phase's visit order in turn, so the replay reproduces it exactly
-// rather than as a set.
+// Hot order is not state: every hot router claims against pre-cycle
+// occupancies and the claims commit together, so the order routers are
+// visited in moves nothing but the order of the final hot list
+// (TestExchangeReplayHotOrderFree), and fabric.HotTiles may hand Run its
+// hot set in any shard-dependent order. The replay still keeps the
+// reference walk's order — routers visited in hot-list order, pushes
+// marking their destination hot in visit order, routers that still hold
+// words re-marking themselves after all pushes — so the lockstep test
+// compares Hot as a list.
 
 // ReplayEntryKind classifies one configured route entry of a router for
 // the replay.

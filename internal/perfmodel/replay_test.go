@@ -546,6 +546,38 @@ func asleepWithPendingRx() xrCase {
 	return c
 }
 
+// TestExchangeReplayHotOrderFree pins that the order of the starting
+// hot list is not state: fabric.HotTiles joins its per-shard lists, so
+// the order stencilc hands to Run depends on the shard count. Every
+// router claims against pre-cycle occupancies and the claims commit
+// together, so a permuted hot0 must give the same cycles, moves, busy
+// and lane tallies, rotations and final hot set (in whatever order).
+func TestExchangeReplayHotOrderFree(t *testing.T) {
+	cases := 200
+	if testing.Short() {
+		cases = 40
+	}
+	rng := rand.New(rand.NewSource(45))
+	for i := 0; i < cases; i++ {
+		c := genCase(rng)
+		spec := func(ti int) ReplayTileSpec { return c.specs[ti] }
+		a, b := NewExchangeReplay(c.w, c.h, spec), NewExchangeReplay(c.w, c.h, spec)
+		for run := range c.rr0 {
+			rr0 := func(ti int) int64 { return c.rr0[run][ti] }
+			perm := slices.Clone(c.hot0[run])
+			rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+			want, got := a.Run(rr0, c.hot0[run]), b.Run(rr0, perm)
+			if got.Cycles != want.Cycles || got.Moves != want.Moves ||
+				!slices.Equal(got.Busy, want.Busy) || !slices.Equal(got.RxLanes, want.RxLanes) || !slices.Equal(got.RR, want.RR) {
+				t.Fatalf("%s run %d: a permuted hot list changed the replay", c.desc, run)
+			}
+			if g, w := slices.Sorted(slices.Values(got.Hot)), slices.Sorted(slices.Values(want.Hot)); !slices.Equal(g, w) {
+				t.Fatalf("%s run %d: final hot set %v, unpermuted %v", c.desc, run, g, w)
+			}
+		}
+	}
+}
+
 // FuzzExchangeReplay drives the same generator from a fuzzed seed.
 func FuzzExchangeReplay(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {

@@ -144,10 +144,10 @@ func TestLockstepSpec9PointShards(t *testing.T) {
 // TestLockstepListing1 locksteps the paper's kernel, Listing 1
 // (kernels.NewSpMV3D): the Figure 5 broadcast, five multiplier threads
 // into depth-20 FIFOs, a sum task that adds in arrival order and the
-// two-way-barrier completion tree. Run with a zero-cycle budget arms the
-// tiles, each shard's on that shard's goroutine, and returns before its
-// first step; the harness then steps two applications, the second from
-// the state the first leaves.
+// two-way-barrier completion tree. Arm arms the tiles, each shard's on
+// that shard's goroutine; the harness steps two applications, the
+// second from the state the first leaves, and each must be Done by the
+// time the machine goes idle.
 func TestLockstepListing1(t *testing.T) {
 	m3 := stencil.Mesh{NX: 6, NY: 5, NZ: 32}
 	norm, _ := stencil.RandomDiagDominant(m3, 1.5, rand.New(rand.NewSource(53))).Normalize()
@@ -166,13 +166,14 @@ func TestLockstepListing1(t *testing.T) {
 			if !m.AllIdle() {
 				return false
 			}
+			if apps > 0 && !p.Done() {
+				t.Fatalf("Listing 1 went idle before application %d completed", apps)
+			}
 			if apps == 2 {
 				return true
 			}
 			apps++
-			if _, err := p.Run(0); err == nil {
-				t.Fatal("Listing 1 completed an application in zero cycles")
-			}
+			p.Arm()
 			return false
 		}}
 	})

@@ -1,10 +1,9 @@
 package wse
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 
+	"repro/internal/codec"
 	"repro/internal/fabric"
 	"repro/internal/fp16"
 	"repro/internal/tensor"
@@ -24,7 +23,9 @@ import (
 // routes, subscriptions and instruction objects are host closures and
 // must be rebuilt by re-running the same program construction before
 // Restore. Restore validates the shape (task counts, arena sizes,
-// stream-buffer capacities) and rejects mismatches.
+// stream-buffer capacities) and rejects mismatches. Snapshots serve
+// checkpoint and resume: a warm machine is reused by reloading its
+// program's coefficients (LoadCoeff), not by rewinding to a snapshot.
 
 // SnapshotVersion is the current binary format version. Decoders accept
 // only this version; the magic and version lead the encoding so future
@@ -233,225 +234,120 @@ func (m *Machine) Restore(s *Snapshot) error {
 
 // ------------------------------------------------------------ encoding
 
-// MarshalBinary encodes the snapshot in the versioned little-endian
-// binary format: magic+version header, fabric section, core section,
-// and a trailing FNV-1a checksum of everything before it.
+// MarshalBinary encodes the snapshot in the versioned codec frame
+// (magic+version header, fabric section, core section, checksum).
 func (s *Snapshot) MarshalBinary() ([]byte, error) {
-	e := &enc{}
-	e.bytes(snapshotMagic[:])
-	e.u32(uint32(s.FabricW))
-	e.u32(uint32(s.FabricH))
-	e.i64(s.Steps)
+	e := codec.NewEncoder(snapshotMagic)
+	e.U32(uint32(s.FabricW))
+	e.U32(uint32(s.FabricH))
+	e.I64(s.Steps)
 
-	e.i64(s.Fab.Cycle)
-	e.i64(s.Fab.Moves)
-	e.u32(uint32(len(s.Fab.RR)))
+	e.I64(s.Fab.Cycle)
+	e.I64(s.Fab.Moves)
+	e.U32(uint32(len(s.Fab.RR)))
 	for _, v := range s.Fab.RR {
-		e.i64(v)
+		e.I64(v)
 	}
-	e.u32(uint32(len(s.Fab.Queues)))
+	e.U32(uint32(len(s.Fab.Queues)))
 	for _, q := range s.Fab.Queues {
-		e.u32(uint32(q.Tile))
-		e.byte(q.In)
-		e.byte(q.Color)
-		e.u32(uint32(len(q.Words)))
+		e.U32(uint32(q.Tile))
+		e.Byte(q.In)
+		e.Byte(q.Color)
+		e.U32(uint32(len(q.Words)))
 		for _, w := range q.Words {
-			e.u32(w)
+			e.U32(w)
 		}
 	}
-	e.u32(uint32(len(s.Fab.Hot)))
+	e.U32(uint32(len(s.Fab.Hot)))
 	for _, t := range s.Fab.Hot {
-		e.u32(uint32(t))
+		e.U32(uint32(t))
 	}
 
-	e.u32(uint32(len(s.Cores)))
+	e.U32(uint32(len(s.Cores)))
 	for i := range s.Cores {
 		c := &s.Cores[i]
-		e.u32(uint32(len(c.Arena)))
+		e.U32(uint32(len(c.Arena)))
 		for _, w := range c.Arena {
-			e.u16(w)
+			e.U16(w)
 		}
-		e.u32(uint32(len(c.Tasks)))
+		e.U32(uint32(len(c.Tasks)))
 		for _, t := range c.Tasks {
-			e.byte(t.Flags)
-			e.u32(uint32(t.PC))
+			e.Byte(t.Flags)
+			e.U32(uint32(t.PC))
 		}
-		e.bool(c.Sent)
-		e.i64(c.Busy)
-		e.i64(c.Lanes)
-		e.u32(uint32(len(c.Streams)))
+		e.Bool(c.Sent)
+		e.I64(c.Busy)
+		e.I64(c.Lanes)
+		e.U32(uint32(len(c.Streams)))
 		for _, el := range c.Streams {
-			e.u32(uint32(len(el)))
+			e.U32(uint32(len(el)))
 			for _, w := range el {
-				e.u16(w)
+				e.U16(w)
 			}
 		}
 	}
-	h := fnv.New64a()
-	h.Write(e.b)
-	e.u64(h.Sum64())
-	return e.b, nil
+	return e.Seal(), nil
 }
 
 // UnmarshalSnapshot decodes data produced by MarshalBinary, verifying
 // magic, version and checksum. It never panics on corrupt input (the
 // FuzzSnapshotRoundTrip target pins this).
 func UnmarshalSnapshot(data []byte) (*Snapshot, error) {
-	if len(data) < len(snapshotMagic)+8 {
-		return nil, fmt.Errorf("wse: snapshot truncated (%d bytes)", len(data))
+	d, err := codec.Open(data, snapshotMagic, "wse: snapshot")
+	if err != nil {
+		return nil, err
 	}
-	for i := 0; i < 7; i++ {
-		if data[i] != snapshotMagic[i] {
-			return nil, fmt.Errorf("wse: not a machine snapshot (bad magic)")
-		}
-	}
-	if v := data[7]; v != SnapshotVersion {
-		return nil, fmt.Errorf("wse: unsupported snapshot version %d (have %d)", v, SnapshotVersion)
-	}
-	body, sumBytes := data[:len(data)-8], data[len(data)-8:]
-	h := fnv.New64a()
-	h.Write(body)
-	if h.Sum64() != binary.LittleEndian.Uint64(sumBytes) {
-		return nil, fmt.Errorf("wse: snapshot checksum mismatch")
-	}
-	d := &dec{b: body[len(snapshotMagic):]}
 	s := &Snapshot{Fab: &fabric.State{}}
-	s.FabricW = int(d.u32())
-	s.FabricH = int(d.u32())
-	s.Steps = d.i64()
+	s.FabricW = int(d.U32())
+	s.FabricH = int(d.U32())
+	s.Steps = d.I64()
 	s.Fab.W, s.Fab.H = s.FabricW, s.FabricH
-	s.Fab.Cycle = d.i64()
-	s.Fab.Moves = d.i64()
-	s.Fab.RR = make([]int64, d.count(8))
+	s.Fab.Cycle = d.I64()
+	s.Fab.Moves = d.I64()
+	s.Fab.RR = make([]int64, d.Count(8))
 	for i := range s.Fab.RR {
-		s.Fab.RR[i] = d.i64()
+		s.Fab.RR[i] = d.I64()
 	}
-	s.Fab.Queues = make([]fabric.QueueSnap, d.count(10))
+	s.Fab.Queues = make([]fabric.QueueSnap, d.Count(10))
 	for i := range s.Fab.Queues {
 		q := &s.Fab.Queues[i]
-		q.Tile = int32(d.u32())
-		q.In = d.byte()
-		q.Color = d.byte()
-		q.Words = make([]uint32, d.count(4))
+		q.Tile = int32(d.U32())
+		q.In = d.Byte()
+		q.Color = d.Byte()
+		q.Words = make([]uint32, d.Count(4))
 		for k := range q.Words {
-			q.Words[k] = d.u32()
+			q.Words[k] = d.U32()
 		}
 	}
-	s.Fab.Hot = make([]int32, d.count(4))
+	s.Fab.Hot = make([]int32, d.Count(4))
 	for i := range s.Fab.Hot {
-		s.Fab.Hot[i] = int32(d.u32())
+		s.Fab.Hot[i] = int32(d.U32())
 	}
-	s.Cores = make([]CoreSnap, d.count(22))
+	s.Cores = make([]CoreSnap, d.Count(22))
 	for i := range s.Cores {
 		c := &s.Cores[i]
-		c.Arena = make([]uint16, d.count(2))
+		c.Arena = make([]uint16, d.Count(2))
 		for k := range c.Arena {
-			c.Arena[k] = d.u16()
+			c.Arena[k] = d.U16()
 		}
-		c.Tasks = make([]TaskSnap, d.count(5))
+		c.Tasks = make([]TaskSnap, d.Count(5))
 		for k := range c.Tasks {
-			c.Tasks[k] = TaskSnap{Flags: d.byte(), PC: int32(d.u32())}
+			c.Tasks[k] = TaskSnap{Flags: d.Byte(), PC: int32(d.U32())}
 		}
-		c.Sent = d.bool()
-		c.Busy = d.i64()
-		c.Lanes = d.i64()
-		c.Streams = make([][]uint16, d.count(4))
+		c.Sent = d.Bool()
+		c.Busy = d.I64()
+		c.Lanes = d.I64()
+		c.Streams = make([][]uint16, d.Count(4))
 		for k := range c.Streams {
-			el := make([]uint16, d.count(2))
+			el := make([]uint16, d.Count(2))
 			for j := range el {
-				el[j] = d.u16()
+				el[j] = d.U16()
 			}
 			c.Streams[k] = el
 		}
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.b) != d.off {
-		return nil, fmt.Errorf("wse: snapshot has %d trailing bytes", len(d.b)-d.off)
+	if err := d.End(); err != nil {
+		return nil, err
 	}
 	return s, nil
-}
-
-// enc is a little-endian append-only encoder.
-type enc struct{ b []byte }
-
-func (e *enc) bytes(p []byte) { e.b = append(e.b, p...) }
-func (e *enc) byte(v byte)    { e.b = append(e.b, v) }
-func (e *enc) bool(v bool) {
-	if v {
-		e.byte(1)
-	} else {
-		e.byte(0)
-	}
-}
-func (e *enc) u16(v uint16) { e.b = binary.LittleEndian.AppendUint16(e.b, v) }
-func (e *enc) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
-func (e *enc) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *enc) i64(v int64)  { e.u64(uint64(v)) }
-
-// dec is the matching bounds-checked decoder; the first short read
-// latches err and zeroes every subsequent read.
-type dec struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *dec) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if d.off+n > len(d.b) {
-		d.err = fmt.Errorf("wse: snapshot truncated at byte %d", d.off)
-		return nil
-	}
-	p := d.b[d.off : d.off+n]
-	d.off += n
-	return p
-}
-
-func (d *dec) byte() byte {
-	p := d.take(1)
-	if p == nil {
-		return 0
-	}
-	return p[0]
-}
-func (d *dec) bool() bool { return d.byte() != 0 }
-func (d *dec) u16() uint16 {
-	p := d.take(2)
-	if p == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(p)
-}
-func (d *dec) u32() uint32 {
-	p := d.take(4)
-	if p == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(p)
-}
-func (d *dec) i64() int64 {
-	p := d.take(8)
-	if p == nil {
-		return 0
-	}
-	return int64(binary.LittleEndian.Uint64(p))
-}
-
-// count reads a u32 element count and bounds it by the bytes remaining
-// (each element needs at least minBytes), so corrupt input cannot force
-// huge allocations.
-func (d *dec) count(minBytes int) int {
-	n := int(d.u32())
-	if d.err != nil {
-		return 0
-	}
-	if n < 0 || n*minBytes > len(d.b)-d.off {
-		d.err = fmt.Errorf("wse: snapshot count %d at byte %d exceeds remaining input", n, d.off)
-		return 0
-	}
-	return n
 }
