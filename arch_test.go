@@ -329,6 +329,16 @@ func (tr *archTree) uses(n ast.Node, fn func(id *ast.Ident, obj types.Object)) {
 	})
 }
 
+// archGone are names declared nowhere, tests included: per-shape solve
+// seams (solver.Backend is the one seam), the Figure 6 AllReduce's
+// hand-written role flags, receive counts and route chains
+// (NewAllReduce's lines and parent tree are the one author of its
+// schedule), and a 2D-only copy of SIMPLE's index helpers (one
+// mfix.Cavity covers D = 2 and 3).
+var archGone = setOf(`Backend2D Backend3D BackendStar Solve2D Solve3D
+	isRowCtr isColCtr rowExpect colExpect quadExpect quadCol sentRow sentQuad routeChain
+	unit2 addIdx2 coef9`)
+
 // TestArchLayering states the repository's layering rules on resolved
 // objects: who may import a package, who may use a function, and which
 // names must not be declared again.
@@ -352,17 +362,8 @@ func TestArchLayering(t *testing.T) {
 		"internal/perfmodel.NewExchangeReplay": {"internal/stencilc.", "internal/perfmodel."},
 		"internal/service.spool.removeCkpt":    {"internal/service.New", "internal/service.Server.finish"},
 	}
-	// Names declared nowhere, tests included: per-shape solve seams
-	// (solver.Backend is the one seam), the Figure 6 AllReduce's
-	// hand-written role flags, receive counts and route chains
-	// (NewAllReduce's lines and parent tree are the one author of its
-	// schedule), and a 2D-only copy of SIMPLE's index helpers (one
-	// mfix.Cavity covers D = 2 and 3).
-	gone := setOf(`Backend2D Backend3D BackendStar Solve2D Solve3D
-		isRowCtr isColCtr rowExpect colExpect quadExpect quadCol sentRow sentQuad routeChain
-		unit2 addIdx2 coef9`)
 	for id := range tree.info.Defs {
-		if gone[id.Name] {
+		if archGone[id.Name] {
 			t.Errorf("%s: %s is declared again; TestArchLayering says why it went", tree.fset.Position(id.Pos()), id.Name)
 		}
 	}
