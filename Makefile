@@ -77,7 +77,7 @@ fuzz:
 	$(GO) test ./internal/fabric -run '^$$' -fuzz FuzzClaim -fuzztime 120s
 	$(GO) test ./internal/stencilc -run '^$$' -fuzz FuzzStencilcEquivalence -fuzztime 90s
 	$(GO) test ./internal/perfmodel -run '^$$' -fuzz FuzzExchangeReplay -fuzztime 60s
-	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzExactAccMatchesBig -fuzztime 30s
+	$(GO) test ./internal/exact -run '^$$' -fuzz FuzzExactAccMatchesBig -fuzztime 30s
 	$(GO) test ./internal/wse/difftest -run '^$$' -fuzz FuzzJumpMatchesStep -fuzztime 60s
 	$(GO) test ./internal/service -run '^$$' -fuzz FuzzJobSpec -fuzztime 30s
 

@@ -345,14 +345,21 @@ var archGone = setOf(`Backend2D Backend3D BackendStar Solve2D Solve3D
 func TestArchLayering(t *testing.T) {
 	tree := loadArch(t)
 
-	// Imports of non-test files: internal/cluster is a leaf solver
-	// imports for the exact sum (a rank-parallel solve is a
-	// solver.Parallel context, not a cluster one), and the daemon runs
+	// Imports of non-test files (an entry ending in "/" bans every
+	// path under it): the exact sum behind every wafer dot is a leaf;
+	// internal/cluster is the CPU baseline's timing model, which no
+	// solve path, machine model or the daemon needs; and the daemon runs
 	// core's pipeline on backends it holds by interface, never the
 	// machine or the fp16 crossing itself.
+	const joule = "repro/internal/cluster"
 	banned := map[string][]string{
-		"internal/cluster": {"repro/internal/solver"},
-		"internal/service": {"repro/internal/wse", "repro/internal/fp16"},
+		"internal/exact":      {"repro/"},
+		"internal/kernels":    {joule},
+		"internal/multiwafer": {joule},
+		"internal/perfmodel":  {joule},
+		"internal/solver":     {joule},
+		"internal/stencilc":   {joule},
+		"internal/service":    {joule, "repro/internal/wse", "repro/internal/fp16"},
 	}
 	// Users, in non-test files, of an object: only stencilc turns a
 	// compiled program into an exchange replay (perfmodel states its own
@@ -383,8 +390,9 @@ func TestArchLayering(t *testing.T) {
 			return
 		}
 		for _, im := range f.Imports {
+			path := strings.Trim(im.Path.Value, `"`)
 			for _, b := range banned[p.dir] {
-				if strings.Trim(im.Path.Value, `"`) == b {
+				if path == b || strings.HasSuffix(b, "/") && strings.HasPrefix(path, b) {
 					t.Errorf("%s: %s must not import %s", tree.fset.Position(im.Pos()), p.dir, b)
 				}
 			}

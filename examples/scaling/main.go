@@ -1,20 +1,17 @@
 // Scaling study (Figures 7 and 8): strong scaling of the BiCGStab
 // iteration on the modelled Joule cluster for the paper's two mesh
-// sizes, plus a live rank-parallel run proving partition invariance, and
-// a host-side study of the simulator's own sharded stepping engine
-// (sequential vs sharded fabric stepping over growing fabrics).
+// sizes, and a host-side study of the simulator's own sharded stepping
+// engine (sequential vs sharded fabric stepping over growing fabrics).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"math/rand"
 	"runtime"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/stencil"
 )
@@ -38,28 +35,11 @@ func main() {
 	fmt.Printf("CS-1 measured 28.1 µs/iteration => %.0f× the 16K-core cluster (paper: ~214×)\n\n",
 		cfg.IterationTime(cluster.Fig8Mesh, 16384).Total()/28.1e-6)
 
-	// Functional check: the Cluster backend (the host solver on
-	// goroutine-ranks, solver.Parallel) is partition invariant.
-	m := stencil.Mesh{NX: 16, NY: 16, NZ: 16}
-	rng := rand.New(rand.NewSource(2))
-	p := core.Problem{Op: stencil.ConvectionDiffusion(m, 0.2, [3]float64{1, -0.3, 0.2}, 0.25), B: make([]float64, m.N())}
-	for i := range p.B {
-		p.B[i] = rng.NormFloat64()
-	}
-	for _, ranks := range []int{1, 8, 64} {
-		res, err := core.Solve(p, core.Options{Backend: core.Cluster, Cluster: core.ClusterOptions{Ranks: ranks}, MaxIter: 30, Tol: 1e-8})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("ranks=%2d: %2d iterations, final residual %.2e, x[0]=%.12f\n",
-			ranks, res.Iterations, res.History[len(res.History)-1], res.X[0])
-	}
-
 	// Host-side scaling of the cycle simulator itself: step a saturated
 	// fabric with the Sequential and Sharded engines. Simulated state is
 	// bit-identical (same words moved); only wall-clock changes, and only
 	// on a multi-core host.
-	fmt.Printf("\nsimulator engine scaling (GOMAXPROCS=%d, %d shards, %d cycles/point)\n",
+	fmt.Printf("simulator engine scaling (GOMAXPROCS=%d, %d shards, %d cycles/point)\n",
 		runtime.GOMAXPROCS(0), *workers, *simCycles)
 	for _, size := range []int{16, 32, 64, 128} {
 		seqNS, seqMoves := timeEngine(size, *simCycles, fabric.Sequential())

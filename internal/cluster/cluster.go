@@ -1,22 +1,15 @@
 // Package cluster models the paper's CPU baseline: the NETL Joule 2.0
 // supercomputer (HPE ProLiant nodes, dual Intel Xeon Gold 6148, Intel
-// Omni-Path) running the BiCGStab solve inside MFIX in 64-bit arithmetic.
-// It provides two things:
-//
-//   - a *timing model* for strong scaling (Figures 7 and 8): per-rank
-//     memory-bandwidth-bound SpMV sweeps, per-message halo latency, and a
-//     collective/jitter term that grows with rank count. The constants
-//     are calibrated to the two published anchors — 75 ms/iteration at
-//     1,024 cores and ~6 ms at 16,384 cores on the 600³ mesh — and then
-//     reproduce the published *shape*: the 370³ mesh stops strong-scaling
-//     beyond 8K cores, and the CS-1 outruns the 16K-core cluster by ~214×.
-//
-//   - the *exact reduction* that makes any decomposed solve partition
-//     invariant (ExactAcc, ExactSum32) and the decomposition helpers
-//     (Decompose3D, SplitExtent). The functional rank-parallel solve
-//     itself is not here: it is the one host BiCGStab over
-//     solver.Parallel, which merges one ExactAcc per goroutine-rank —
-//     this package holds no recurrence and does not import solver.
+// Omni-Path) running the BiCGStab solve inside MFIX in 64-bit arithmetic,
+// as a *timing model* for strong scaling (Figures 7 and 8): per-rank
+// memory-bandwidth-bound SpMV sweeps, per-message halo latency, and a
+// collective/jitter term that grows with rank count. The constants are
+// calibrated to the two published anchors — 75 ms/iteration at 1,024
+// cores and ~6 ms at 16,384 cores on the 600³ mesh — and then reproduce
+// the published *shape*: the 370³ mesh stops strong-scaling beyond 8K
+// cores, and the CS-1 outruns the 16K-core cluster by ~214×. The
+// package runs no solve; the exact sum the wafer backends combine their
+// dots with is internal/exact.
 package cluster
 
 import (

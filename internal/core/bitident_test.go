@@ -16,10 +16,9 @@ import (
 )
 
 // TestAllBackendsBitIdentical is the cross-backend determinism golden:
-// the host chunked-mixed context, the same context rank-parallel under
-// solver.Parallel (several rank counts), the single-wafer halo solver
-// (one shard and four) and the multi-wafer backend (1×1 and
-// 2×1) must produce bit-identical residual histories AND solutions on a
+// the host chunked-mixed context, the single-wafer halo solver (one
+// shard and four) and the multi-wafer backend (1×1 and 2×1) must
+// produce bit-identical residual histories AND solutions on a
 // shared problem. This is what the exact-combine fix buys: every backend
 // performs the same fp16 element operations in the same order and sums
 // the same per-tile-column float32 dot partials with one rounding.
@@ -57,20 +56,6 @@ func TestAllBackendsBitIdentical(t *testing.T) {
 		t.Fatalf("host solve broke down (%q); pick a problem that runs all %d iterations", hst.Breakdown, iters)
 	}
 	runs = append(runs, run{"host/" + solver.NewMixedChunked(m.NZ).Name(), hst.History, hx})
-
-	// The same context on goroutine-ranks, several rank counts (5 does
-	// not divide the 16 columns).
-	for _, ranks := range []int{1, 2, 5} {
-		ctx, err := solver.Parallel(solver.NewMixedChunked(m.NZ), ranks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x, st, err := solver.Host{Context: ctx}.Solve(norm, sb, zeros, solver.Options{MaxIter: iters, RecordHistory: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		runs = append(runs, run{"host/" + ctx.Name(), st.History, x})
-	}
 
 	// Single-wafer halo solver, on one shard and on four.
 	for _, workers := range []int{1, 4} {

@@ -22,7 +22,6 @@ func TestSolveContextPreCanceled(t *testing.T) {
 	}{
 		{"local", Options{Backend: Local, MaxIter: 10}},
 		{"wafer", Options{Backend: Wafer, MaxIter: 10}},
-		{"cluster", Options{Backend: Cluster, Cluster: ClusterOptions{Ranks: 8}, MaxIter: 10}},
 		{"multiwafer", Options{Backend: MultiWafer, MultiWafer: MultiWaferOptions{Grid: multiwafer.Topology{W: 2, H: 1}}, MaxIter: 10}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -62,7 +61,6 @@ func TestSolveContextNoCancelBitIdentical(t *testing.T) {
 		opts Options
 	}{
 		{"local", Options{Backend: Local, MaxIter: 12}},
-		{"cluster", Options{Backend: Cluster, Cluster: ClusterOptions{Ranks: 8}, MaxIter: 12}},
 		{"wafer", Options{Backend: Wafer, MaxIter: 12}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

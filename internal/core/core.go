@@ -1,12 +1,10 @@
 // Package core is the public façade of the reproduction: it ties a
-// stencil problem to one of four execution backends —
+// stencil problem to one of three execution backends —
 //
 //   - Local: the sequential reference solver in a chosen precision
 //     (float64, float32, or the CS-1's mixed fp16/fp32);
 //   - Wafer: the cycle-level CS-1 simulator (fabric + cores + kernels),
 //     returning per-phase cycle counts alongside the solution;
-//   - Cluster: the rank-parallel Joule-style solve — the host solver in
-//     exact-dot float64 on goroutine-ranks (solver.Parallel);
 //   - MultiWafer: a grid of cycle-simulated wafers coupled by the
 //     edge-I/O interconnect model.
 //
@@ -21,7 +19,9 @@
 // the solution plus a uniformly serializable Telemetry — the same
 // request/response shapes the wsesimd service layer puts on the wire.
 // The experiment runners in experiments.go regenerate every table and
-// figure of the paper from these backends plus the calibrated models.
+// figure of the paper from these backends plus the calibrated models;
+// the CPU baseline of Figures 7–8 is internal/cluster's Joule timing
+// model, not a solve.
 package core
 
 import (
@@ -157,9 +157,7 @@ func release(be solver.Backend) {
 // o.Backend and the operator's type: the host solver in the selected
 // precision, a single-wafer adapter (Listing 1 for the 7-point
 // operator, a stencil-compiled program for a star) on a machine of the
-// mesh's X×Y extent, the multi-wafer grid, or the rank-parallel
-// cluster (the host solver over solver.Parallel; 0 ranks means 8, or
-// one per column on a mesh with fewer). It validates o first. The
+// mesh's X×Y extent, or the multi-wafer grid. It validates o first. The
 // simulated backends build their machines on the first Solve and hold
 // them until Close — a caller that keeps one warm (the daemon's cache)
 // feeds it any number of systems on the same mesh through SolveOn. The
@@ -191,21 +189,6 @@ func NewBackend(o Options, a stencil.Operator) (solver.Backend, error) {
 				grid = multiwafer.Topology{W: 1, H: 1}
 			}
 			return multiwafer.NewBackend(grid), nil
-		}
-	case Cluster:
-		if a, ok := a.(*stencil.Op7); ok {
-			ranks := o.Cluster.Ranks
-			if ranks == 0 {
-				ranks = min(8, a.M.NX*a.M.NY)
-			}
-			ctx, err := solver.Parallel(solver.NewF64Exact(), ranks)
-			if err == nil {
-				err = ctx.CheckMesh(a.M)
-			}
-			if err != nil {
-				return nil, &OptionError{"Cluster.Ranks", err.Error()}
-			}
-			return solver.Host{Context: ctx}, nil
 		}
 	}
 	return nil, &OptionError{"Backend", fmt.Sprintf("the %s backend does not run %T systems", o.Backend, a)}

@@ -36,7 +36,6 @@ func TestSolveAllBackendsAgree(t *testing.T) {
 		{"local/f32", Options{Backend: Local, Local: LocalOptions{Precision: F32}, MaxIter: 60, Tol: 1e-6}, 1e-4},
 		{"local/mixed", Options{Backend: Local, Local: LocalOptions{Precision: Mixed}, MaxIter: 30, Tol: 1e-3}, 0.05},
 		{"wafer", Options{Backend: Wafer, MaxIter: 30, Tol: 1e-3}, 0.05},
-		{"cluster", Options{Backend: Cluster, Cluster: ClusterOptions{Ranks: 8}, MaxIter: 60, Tol: 1e-10}, 1e-7},
 	} {
 		res, err := Solve(p, tc.opts)
 		if err != nil {

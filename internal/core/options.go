@@ -65,7 +65,6 @@ type Backend int
 const (
 	Local Backend = iota
 	Wafer
-	Cluster
 	// MultiWafer runs the mixed-precision solve across a grid of
 	// cycle-simulated wafers coupled through the edge-I/O interconnect
 	// model (internal/multiwafer). Residual histories are bit-identical
@@ -81,8 +80,6 @@ func (b Backend) String() string {
 		return "local"
 	case Wafer:
 		return "wafer"
-	case Cluster:
-		return "cluster"
 	case MultiWafer:
 		return "multiwafer"
 	default:
@@ -97,16 +94,14 @@ func ParseBackend(s string) (Backend, error) {
 		return Local, nil
 	case "wafer":
 		return Wafer, nil
-	case "cluster":
-		return Cluster, nil
 	case "multiwafer":
 		return MultiWafer, nil
 	}
-	return 0, fmt.Errorf("core: unknown backend %q (want local, wafer, cluster or multiwafer)", s)
+	return 0, fmt.Errorf("core: unknown backend %q (want local, wafer or multiwafer)", s)
 }
 
 // OptionError reports a single invalid or misplaced Options field.
-// Field is the dotted path into Options (e.g. "Cluster.Ranks"), so
+// Field is the dotted path into Options (e.g. "Wafer.Workers"), so
 // callers — the CLIs mapping it back to a flag, the daemon mapping it
 // to a request field — can point at exactly what to fix.
 type OptionError struct {
@@ -170,13 +165,6 @@ func (w WaferOptions) isZero() bool {
 	return w.Workers == 0 && w.Engine == "" && w.CheckpointEvery == 0 && w.Checkpoint == nil && w.Resume == nil
 }
 
-// ClusterOptions configures the Cluster backend (the rank-parallel
-// goroutines-as-MPI Joule-style solve).
-type ClusterOptions struct {
-	// Ranks is the number of goroutine-ranks; 0 means 8.
-	Ranks int
-}
-
 // MultiWaferOptions configures the MultiWafer backend.
 type MultiWaferOptions struct {
 	// Grid is the wafer grid; the zero value means a single wafer.
@@ -194,7 +182,7 @@ func (m MultiWaferOptions) isZero() bool {
 // Options configures a solve. The backend-specific knobs live in
 // per-backend sections; only the section matching Backend may be set.
 // Validate (called by Solve) rejects a section supplied for a backend
-// that is not selected, so a misrouted request — Cluster ranks on a
+// that is not selected, so a misrouted request — a wafer grid on a
 // Wafer solve, a checkpoint on a Local solve — fails loudly instead of
 // being silently ignored.
 type Options struct {
@@ -207,7 +195,6 @@ type Options struct {
 
 	Local      LocalOptions      // Local backend only
 	Wafer      WaferOptions      // Wafer backend only
-	Cluster    ClusterOptions    // Cluster backend only
 	MultiWafer MultiWaferOptions // MultiWafer backend only
 }
 
@@ -217,7 +204,7 @@ type Options struct {
 // the offending field.
 func (o Options) Validate() error {
 	switch o.Backend {
-	case Local, Wafer, Cluster, MultiWafer:
+	case Local, Wafer, MultiWafer:
 	default:
 		return &OptionError{"Backend", fmt.Sprintf("unknown backend %d", int(o.Backend))}
 	}
@@ -234,9 +221,6 @@ func (o Options) Validate() error {
 	}
 	if o.Backend != Wafer && !o.Wafer.isZero() {
 		return &OptionError{"Wafer", fmt.Sprintf("%s backend does not take Wafer options (simulation workers and checkpoint/resume are single-wafer only)", o.Backend)}
-	}
-	if o.Backend != Cluster && o.Cluster != (ClusterOptions{}) {
-		return &OptionError{"Cluster.Ranks", fmt.Sprintf("%s backend does not take goroutine-ranks", o.Backend)}
 	}
 	if o.Backend != MultiWafer && !o.MultiWafer.isZero() {
 		return &OptionError{"MultiWafer", fmt.Sprintf("%s backend does not take a wafer grid", o.Backend)}
@@ -271,10 +255,6 @@ func (o Options) Validate() error {
 		}
 		if o.Wafer.Checkpoint != nil && o.Wafer.CheckpointEvery == 0 {
 			return &OptionError{"Wafer.CheckpointEvery", "a Checkpoint callback without CheckpointEvery > 0 would never fire"}
-		}
-	case Cluster:
-		if o.Cluster.Ranks < 0 {
-			return &OptionError{"Cluster.Ranks", fmt.Sprintf("must be >= 0 (0 means 8), got %d", o.Cluster.Ranks)}
 		}
 	case MultiWafer:
 		g := o.MultiWafer.Grid

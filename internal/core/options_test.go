@@ -24,19 +24,16 @@ func TestOptionsValidate(t *testing.T) {
 		{"local full", Options{Backend: Local, Local: LocalOptions{Precision: Mixed}, MaxIter: 10, Tol: 1e-3}, ""},
 		{"wafer workers", Options{Backend: Wafer, Wafer: WaferOptions{Workers: 4}}, ""},
 		{"wafer checkpoint", Options{Backend: Wafer, Wafer: WaferOptions{CheckpointEvery: 5, Checkpoint: noop}}, ""},
-		{"cluster ranks", Options{Backend: Cluster, Cluster: ClusterOptions{Ranks: 8}}, ""},
 		{"multiwafer grid", Options{Backend: MultiWafer, MultiWafer: MultiWaferOptions{Grid: multiwafer.Topology{W: 2, H: 1}}}, ""},
 
 		{"unknown backend", Options{Backend: Backend(42)}, "Backend"},
 		{"negative MaxIter", Options{MaxIter: -1}, "MaxIter"},
 		{"negative Tol", Options{Tol: -1e-3}, "Tol"},
-		{"ranks with wafer", Options{Backend: Wafer, Cluster: ClusterOptions{Ranks: 8}}, "Cluster.Ranks"},
 		{"grid with local", Options{Backend: Local, MultiWafer: MultiWaferOptions{Grid: multiwafer.Topology{W: 2, H: 2}}}, "MultiWafer"},
-		{"precision with cluster", Options{Backend: Cluster, Local: LocalOptions{Precision: Mixed}}, "Local"},
+		{"precision with multiwafer", Options{Backend: MultiWafer, Local: LocalOptions{Precision: Mixed}}, "Local"},
 		{"checkpoint with local", Options{Backend: Local, Wafer: WaferOptions{CheckpointEvery: 5, Checkpoint: noop}}, "Wafer"},
 		{"resume with multiwafer", Options{Backend: MultiWafer, Wafer: WaferOptions{Resume: []byte{1}}}, "Wafer"},
 		{"bad precision", Options{Backend: Local, Local: LocalOptions{Precision: Precision(9)}}, "Local.Precision"},
-		{"negative ranks", Options{Backend: Cluster, Cluster: ClusterOptions{Ranks: -2}}, "Cluster.Ranks"},
 		{"negative workers", Options{Backend: Wafer, Wafer: WaferOptions{Workers: -1}}, "Wafer.Workers"},
 		{"workers at the cap", Options{Backend: Wafer, Wafer: WaferOptions{Workers: MaxWorkers}}, ""},
 		{"workers over the cap", Options{Backend: Wafer, Wafer: WaferOptions{Workers: MaxWorkers + 1}}, "Wafer.Workers"},
@@ -70,7 +67,7 @@ func TestOptionsValidate(t *testing.T) {
 	// Solve itself must refuse invalid options with the same typed error.
 	p, _ := testProblem(3)
 	var oe *OptionError
-	if _, err := Solve(p, Options{Backend: Local, Cluster: ClusterOptions{Ranks: 4}}); !errors.As(err, &oe) {
+	if _, err := Solve(p, Options{Backend: Local, MultiWafer: MultiWaferOptions{Grid: multiwafer.Topology{W: 2, H: 1}}}); !errors.As(err, &oe) {
 		t.Errorf("Solve with misrouted section: want *OptionError, got %v", err)
 	}
 }

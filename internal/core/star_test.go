@@ -57,8 +57,8 @@ func TestSolveStarRejections(t *testing.T) {
 	m := stencil.Mesh{NX: 2, NY: 2, NZ: 4}
 	p, _ := seismicProblem(t, m, 0.05, 7)
 	var oe *OptionError
-	if _, err := SolveStar(p, Options{Backend: Cluster}); !errors.As(err, &oe) {
-		t.Fatalf("cluster star solve: %v, want *OptionError", err)
+	if _, err := SolveStar(p, Options{Backend: MultiWafer}); !errors.As(err, &oe) {
+		t.Fatalf("multiwafer star solve: %v, want *OptionError", err)
 	}
 	if _, err := SolveStar(p, Options{Backend: Local, Local: LocalOptions{Precision: Mixed}}); !errors.As(err, &oe) {
 		t.Fatalf("mixed-precision host star solve: %v, want *OptionError", err)

@@ -18,8 +18,7 @@ type Phases = kernels.PhaseCycles
 // serialize the whole thing) instead of probing backend-specific
 // pointers for nil. It is the shape the wsesimd job API returns.
 type Telemetry struct {
-	// Backend is the substrate name ("local", "wafer", "cluster",
-	// "multiwafer").
+	// Backend is the substrate name ("local", "wafer", "multiwafer").
 	Backend string `json:"backend"`
 	// Precision names the Local backend's arithmetic; empty elsewhere
 	// (the wafer substrates are always mixed fp16/fp32).
@@ -30,8 +29,6 @@ type Telemetry struct {
 	// Wafers is the number of simulated wafers (1 for the Wafer
 	// backend); 0 for host substrates.
 	Wafers int `json:"wafers,omitempty"`
-	// Ranks is the Cluster backend's goroutine-rank count; 0 elsewhere.
-	Ranks int `json:"ranks,omitempty"`
 	// Cycles accumulates the per-phase account across all iterations;
 	// PerIteration is the mean per iteration. The setup ‖b‖² dot is
 	// excluded (see SetupCycles), matching the paper's steady-state
@@ -72,9 +69,6 @@ func telemetryOf(be solver.Backend, kind Backend) Telemetry {
 	case *kernels.WaferBackend:
 		return telemetryFrom(kind, be.LastStats())
 	case solver.Host:
-		if p, ok := be.Context.(*solver.ParallelContext); ok {
-			return Telemetry{Backend: Cluster.String(), Ranks: p.Ranks()}
-		}
 		if be.Context != nil {
 			return Telemetry{Backend: Local.String(), Precision: be.Context.Name()}
 		}

@@ -1,16 +1,19 @@
-package cluster
+// Package exact holds the exactly rounded reduction every backend's
+// determinism promise rests on. A dot whose partials are summed exactly
+// and rounded once cannot depend on how the mesh was cut into wafers or
+// tiles: the wafer solve loop (internal/kernels), the multi-wafer
+// substrate (internal/multiwafer), the compiled programs' global
+// reductions (internal/stencilc) and the chunked mixed-precision host
+// context (solver.NewMixedChunked) all combine their float32 partials
+// with ExactSum32 or an ExactAcc. SplitExtent is the 1D block cut the
+// multi-wafer mapping uses. The package imports nothing of the
+// repository.
+package exact
 
 import (
 	"math"
 	"math/bits"
 )
-
-// This file holds the exactly-rounded reduction every backend's
-// determinism promise rests on. A dot whose partials are summed exactly
-// and rounded once cannot depend on how the mesh was cut: into wafers
-// (internal/multiwafer and the wafer solve loop combine per-tile float32
-// partials with ExactSum32), or into goroutine-ranks (solver.Parallel
-// merges one ExactAcc per rank).
 
 // The accumulator is one fixed-point integer over the full span of
 // float64: every finite float64 is an integer multiple of 2^-1074, its
@@ -32,11 +35,11 @@ const (
 
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
-// ExactAcc is an order-independent sum of float64 terms: Add and Merge
-// never round, Float64 rounds once. If any term is non-finite the exact
-// sum does not exist and Float64 degrades to the float64 sum in Add and
-// Merge order, which still propagates Inf/NaN deterministically for a
-// fixed order (order-invariance holds only while every term is finite).
+// ExactAcc is an order-independent sum of float64 terms: Add never
+// rounds, Float64 rounds once. If any term is non-finite the exact sum
+// does not exist and Float64 degrades to the float64 sum in Add order,
+// which still propagates Inf/NaN deterministically for a fixed order
+// (order-invariance holds only while every term is finite).
 type ExactAcc struct {
 	limb      [exactLimbs]int64
 	pending   int // terms added since the last carry propagation
@@ -46,9 +49,6 @@ type ExactAcc struct {
 
 // NewExactAcc returns an empty accumulator.
 func NewExactAcc() *ExactAcc { return &ExactAcc{} }
-
-// Reset empties the accumulator for reuse.
-func (a *ExactAcc) Reset() { *a = ExactAcc{} }
 
 // Add adds one term.
 func (a *ExactAcc) Add(v float64) {
@@ -77,22 +77,6 @@ func (a *ExactAcc) Add(v float64) {
 	if a.pending++; a.pending >= carryEvery {
 		a.carry()
 	}
-}
-
-// Merge adds everything b holds; b is unchanged.
-func (a *ExactAcc) Merge(b *ExactAcc) {
-	a.naive += b.naive
-	if a.nonFinite || b.nonFinite {
-		a.nonFinite = true
-		return
-	}
-	if a.pending+b.pending > carryEvery {
-		a.carry()
-	}
-	for i := range a.limb {
-		a.limb[i] += b.limb[i]
-	}
-	a.pending += b.pending
 }
 
 // carry propagates every limb's excess into the limb above, leaving
@@ -184,18 +168,15 @@ func ExactSum32(values []float32) float64 {
 
 // SplitExtent cuts an extent of n points into p contiguous blocks as
 // evenly as possible (the first n mod p blocks get one extra point) and
-// returns the block sizes. This is the 1D piece of the block
-// decomposition Decompose3D assumes; the multiwafer backend reuses it
-// to cut a mesh's X and Y extents across a wafer grid (uneven blocks
-// are fine: each wafer's fabric is sized to its block), and
-// solver.Parallel to cut the NX·NY columns across goroutine-ranks.
-// SplitExtent panics if p < 1 or n < p (an empty wafer has no fabric).
+// returns the block sizes. The multiwafer backend cuts a mesh's X and Y
+// extents across a wafer grid with it (uneven blocks are fine: each
+// wafer's fabric is sized to its block). SplitExtent panics if p < 1 or n < p (an empty wafer has no fabric).
 func SplitExtent(n, p int) []int {
 	if p < 1 {
-		panic("cluster: SplitExtent needs at least one block")
+		panic("exact: SplitExtent needs at least one block")
 	}
 	if n < p {
-		panic("cluster: SplitExtent cannot give every block at least one point")
+		panic("exact: SplitExtent cannot give every block at least one point")
 	}
 	sizes := make([]int, p)
 	base, extra := n/p, n%p

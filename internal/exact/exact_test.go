@@ -1,4 +1,4 @@
-package cluster
+package exact
 
 import (
 	"encoding/binary"
@@ -6,8 +6,6 @@ import (
 	"math/big"
 	"math/rand"
 	"testing"
-
-	"repro/internal/stencil"
 )
 
 // TestExactSum32OrderInvariant is the property the multiwafer combine
@@ -57,46 +55,6 @@ func TestExactSum32NonFinite(t *testing.T) {
 	}
 }
 
-// TestExactAccMergeIsPartitionInvariant is what solver.Parallel leans
-// on: float64 terms over the full exponent range, cut into any number
-// of contiguous parts and merged, round to the same float64 as one
-// accumulator over all of them; a reused accumulator starts empty; a
-// non-finite term degrades every merge it reaches.
-func TestExactAccMergeIsPartitionInvariant(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	vals := make([]float64, 1000)
-	for i := range vals {
-		vals[i] = rng.NormFloat64() * math.Pow(2, float64(rng.Intn(1800)-900))
-	}
-	whole := NewExactAcc()
-	for _, v := range vals {
-		whole.Add(v)
-	}
-	want := whole.Float64()
-	total, part := NewExactAcc(), NewExactAcc()
-	for _, parts := range []int{1, 3, 7, 64} {
-		total.Reset()
-		at := 0
-		for _, sz := range SplitExtent(len(vals), parts) {
-			part.Reset()
-			for _, v := range vals[at : at+sz] {
-				part.Add(v)
-			}
-			total.Merge(part)
-			at += sz
-		}
-		if got := total.Float64(); got != want {
-			t.Errorf("%d parts: %.17g, one accumulator %.17g", parts, got, want)
-		}
-	}
-	part.Reset()
-	part.Add(math.Inf(1))
-	total.Merge(part)
-	if got := total.Float64(); !math.IsInf(got, 1) {
-		t.Errorf("merge of an Inf part = %g", got)
-	}
-}
-
 // bigExactAcc is the big.Float accumulator ExactAcc replaced, kept
 // verbatim as the oracle its limbs are fuzzed against.
 type bigExactAcc struct {
@@ -124,15 +82,6 @@ func (a *bigExactAcc) Add(v float64) {
 	}
 	a.term.SetFloat64(v)
 	a.sum.Add(&a.sum, &a.term)
-}
-
-func (a *bigExactAcc) Merge(b *bigExactAcc) {
-	a.naive += b.naive
-	if a.nonFinite || b.nonFinite {
-		a.nonFinite = true
-		return
-	}
-	a.sum.Add(&a.sum, &b.sum)
 }
 
 func (a *bigExactAcc) Float64() float64 {
@@ -173,7 +122,7 @@ func exactFuzzTerms(data []byte) (terms []float64, carryAfter []bool) {
 // FuzzExactAccMatchesBig holds the limb accumulator to the big.Float
 // one it replaced, bit for bit: over float32 and float64 terms,
 // subnormals, exact cancellation to zero, sums that overflow to ±Inf,
-// non-finite terms, and any cut of the terms into merged parts.
+// non-finite terms, and carries propagated mid-stream.
 func FuzzExactAccMatchesBig(f *testing.F) {
 	rec := func(kind byte, v uint64) []byte {
 		b := []byte{kind, 0, 0, 0, 0, 0, 0, 0, 0}
@@ -188,44 +137,28 @@ func FuzzExactAccMatchesBig(f *testing.F) {
 		return out
 	}
 	f64 := func(v float64) []byte { return rec(0, math.Float64bits(v)) }
-	f.Add(cat(f64(1), f64(1e-300), f64(-1)), uint64(0b10))
-	f.Add(cat(f64(math.MaxFloat64), f64(math.MaxFloat64), f64(-1)), uint64(0))
-	f.Add(cat(f64(-math.MaxFloat64), f64(-math.MaxFloat64/2)), uint64(1))
-	f.Add(cat(f64(5e-324), rec(2, 0x000fffffffffffff), rec(3, 0), f64(-5e-324)), uint64(0b101))
-	f.Add(cat(rec(1, uint64(math.Float32bits(3.5))), rec(3, 0), rec(129, 0x80000001)), uint64(0b1))
-	f.Add(cat(f64(1), f64(math.Inf(1)), f64(2)), uint64(0b11))
-	f.Add(cat(f64(math.Inf(-1)), f64(math.Inf(1)), f64(math.NaN())), uint64(0))
-	f.Add(cat(f64(math.Copysign(0, -1)), f64(math.Copysign(0, -1))), uint64(0))
-	f.Add(cat(f64(0x1p1023), rec(128, math.Float64bits(0x1p1023)), rec(3, 0), f64(0x1p-1074)), uint64(0b1010))
-	f.Fuzz(func(t *testing.T, data []byte, cuts uint64) {
+	f.Add(cat(f64(1), f64(1e-300), f64(-1)))
+	f.Add(cat(f64(math.MaxFloat64), f64(math.MaxFloat64), f64(-1)))
+	f.Add(cat(f64(-math.MaxFloat64), f64(-math.MaxFloat64/2)))
+	f.Add(cat(f64(5e-324), rec(2, 0x000fffffffffffff), rec(3, 0), f64(-5e-324)))
+	f.Add(cat(rec(1, uint64(math.Float32bits(3.5))), rec(3, 0), rec(129, 0x80000001)))
+	f.Add(cat(f64(1), f64(math.Inf(1)), f64(2)))
+	f.Add(cat(f64(math.Inf(-1)), f64(math.Inf(1)), f64(math.NaN())))
+	f.Add(cat(f64(math.Copysign(0, -1)), f64(math.Copysign(0, -1))))
+	f.Add(cat(f64(0x1p1023), rec(128, math.Float64bits(0x1p1023)), rec(3, 0), f64(0x1p-1074)))
+	f.Fuzz(func(t *testing.T, data []byte) {
 		terms, carryAfter := exactFuzzTerms(data)
-		whole, oracle := NewExactAcc(), newBigExactAcc()
-		// Bit i of cuts ends a part after term i; parts merge in order.
-		merged, mergedOracle := NewExactAcc(), newBigExactAcc()
-		part, partOracle := NewExactAcc(), newBigExactAcc()
+		acc, oracle := NewExactAcc(), newBigExactAcc()
 		for i, v := range terms {
-			whole.Add(v)
+			acc.Add(v)
 			oracle.Add(v)
-			part.Add(v)
-			partOracle.Add(v)
 			if carryAfter[i] {
-				whole.carry()
-				part.carry()
-			}
-			if cuts>>(i%64)&1 != 0 || i == len(terms)-1 {
-				merged.Merge(part)
-				mergedOracle.Merge(partOracle)
-				part.Reset()
-				partOracle = newBigExactAcc()
+				acc.carry()
 			}
 		}
 		want := math.Float64bits(oracle.Float64())
-		if got := math.Float64bits(whole.Float64()); got != want {
-			t.Fatalf("%v: one accumulator %#x (%g), big.Float %#x (%g)", terms, got, whole.Float64(), want, oracle.Float64())
-		}
-		want = math.Float64bits(mergedOracle.Float64())
-		if got := math.Float64bits(merged.Float64()); got != want {
-			t.Fatalf("%v cut %#b: merged %#x (%g), big.Float %#x (%g)", terms, cuts, got, merged.Float64(), want, mergedOracle.Float64())
+		if got := math.Float64bits(acc.Float64()); got != want {
+			t.Fatalf("%v: limbs %#x (%g), big.Float %#x (%g)", terms, got, acc.Float64(), want, oracle.Float64())
 		}
 	})
 }
@@ -297,58 +230,5 @@ func TestSplitExtent(t *testing.T) {
 			}()
 			SplitExtent(bad[0], bad[1])
 		}()
-	}
-}
-
-// TestValidateErrorBranches exercises both published-anchor checks of
-// Config.Validate: a config that misses the 1,024-core anchor, one
-// that hits it but misses the 16K-core anchor, and the calibrated
-// config passing both.
-func TestValidateErrorBranches(t *testing.T) {
-	good := Joule()
-	if err := good.Validate(0.15); err != nil {
-		t.Fatalf("calibrated config rejected: %v", err)
-	}
-
-	// Halving memory bandwidth blows the 1,024-core anchor (memory
-	// bound there).
-	slowMem := Joule()
-	slowMem.MemBWPerNode /= 2
-	if err := slowMem.Validate(0.15); err == nil {
-		t.Error("halved memory bandwidth passed validation")
-	}
-
-	// Inflating only the per-rank collective cost leaves 1,024 cores
-	// within tolerance but wrecks 16K cores, hitting the second branch.
-	slowColl := Joule()
-	slowColl.CollPerRank *= 10
-	t1024 := slowColl.IterationTime(Fig8Mesh, 1024).Total()
-	if math.Abs(t1024-75e-3)/75e-3 > 0.15 {
-		t.Fatalf("test premise broken: 1024-core time %v drifted out of tolerance", t1024)
-	}
-	if err := slowColl.Validate(0.15); err == nil {
-		t.Error("10× collective jitter passed validation")
-	}
-}
-
-// TestDecompose3DEdgeCases covers the degenerate decompositions the
-// multiwafer mapping meets: one rank, prime rank counts on non-dividing
-// meshes, and ranks exceeding a mesh dimension.
-func TestDecompose3DEdgeCases(t *testing.T) {
-	m := stencil.Mesh{NX: 8, NY: 8, NZ: 8}
-	if px, py, pz := Decompose3D(m, 1); px != 1 || py != 1 || pz != 1 {
-		t.Errorf("1 rank: %d×%d×%d", px, py, pz)
-	}
-	// A prime count on a non-dividing mesh still factors (7 = 7×1×1)
-	// even though no axis divides evenly (the timing model only needs
-	// the factors; solver.Parallel splits whole columns, evenly or not).
-	px, py, pz := Decompose3D(stencil.Mesh{NX: 10, NY: 10, NZ: 10}, 7)
-	if px*py*pz != 7 {
-		t.Errorf("7 ranks: %d×%d×%d does not multiply to 7", px, py, pz)
-	}
-	// More ranks than any single axis: must spread across axes.
-	px, py, pz = Decompose3D(m, 64)
-	if px*py*pz != 64 || px > 8 || py > 8 || pz > 8 {
-		t.Errorf("64 ranks on 8³: %d×%d×%d", px, py, pz)
 	}
 }

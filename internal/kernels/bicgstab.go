@@ -134,7 +134,7 @@ func (s *WaferSolver[Op]) Reset(snap *wse.Snapshot) error { return s.M.Restore(s
 // bits, and every vector update runs as a SIMD tensor instruction. The
 // deterministic halo-exchange rendering of the same 7-point operator is
 // the star solver at stencilc.Spec7Point (BiCGStabStarWSE over
-// stencil.HalfFromOp7) — bit-identical to the host, rank-parallel and
+// stencil.HalfFromOp7) — bit-identical to the host chunked-mixed and
 // multi-wafer backends, where this pipeline's accumulation order is
 // timing-dependent.
 type BiCGStabWSE = WaferSolver[*stencil.Op7Half]

@@ -5,7 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/cluster"
+	"repro/internal/exact"
 	"repro/internal/fp16"
 	"repro/internal/solver"
 	"repro/internal/stencil"
@@ -159,7 +159,7 @@ func TestBiCGStabWSEMemoryAtPaperScale(t *testing.T) {
 
 // TestExactCombineMatchesExactSum cross-checks the engine's two-level
 // dot on a hand-built two-machine substrate against
-// cluster.ExactSum32 directly: (b, b) must equal the exactly rounded
+// exact.ExactSum32 directly: (b, b) must equal the exactly rounded
 // sum of the per-tile DotMixed partials computed on the host in global
 // order, whatever the cut — and each dot is charged the substrate's
 // combine cycles once.
@@ -178,7 +178,7 @@ func TestExactCombineMatchesExactSum(t *testing.T) {
 			partials = append(partials, acc)
 		}
 	}
-	want := cluster.ExactSum32(partials)
+	want := exact.ExactSum32(partials)
 
 	// Two 2×4 machines side by side in x; the operator is the identity
 	// (dst = src), which is all a dot needs from the SpMV.

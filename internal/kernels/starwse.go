@@ -16,8 +16,8 @@ import (
 // stencilc.Spec7Point over stencil.HalfFromOp7 it is the deterministic
 // halo-exchange rendering of the 7-point solve — the same program each
 // multiwafer part runs — whose residual history is bit-identical to the
-// host mixed-precision solver, the rank-parallel cluster solver and the
-// multi-wafer backend (core.TestAllBackendsBitIdentical).
+// host chunked mixed-precision solver and the multi-wafer backend
+// (core.TestAllBackendsBitIdentical).
 type BiCGStabStarWSE = WaferSolver[*stencil.OpStarHalf]
 
 // NewBiCGStabStarWSE builds the solver for a unit-diagonal star

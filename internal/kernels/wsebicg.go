@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/cluster"
+	"repro/internal/exact"
 	"repro/internal/fabric"
 	"repro/internal/fp16"
 	"repro/internal/wse"
@@ -80,9 +80,9 @@ type part struct {
 // inner-product instruction on every tile; the Figure 6 AllReduce still
 // combines each machine's partials on its fabric and is cycle-accounted,
 // but the scalar the solver consumes is the exactly rounded combine
-// (cluster.ExactSum32 over every tile's partial in canonical order), so
-// every substrate is bit-comparable to the host and rank-parallel
-// backends and to every other decomposition of the same mesh. Each
+// (exact.ExactSum32 over every tile's partial in canonical order), so
+// every substrate is bit-comparable to the chunked host context and to
+// every other decomposition of the same mesh. Each
 // machine's fabric tree-order value is cross-checked against the exact
 // sum of its own partials within the paper's AllReduce error model on
 // every dot; every vector update runs as a SIMD tensor instruction.
@@ -356,15 +356,15 @@ func (w *BiCGStabEngine) dot(acc *PhaseCycles, a, b vec) (float64, error) {
 	for p, pt := range w.parts {
 		dotCyc = max(dotCyc, pt.phase.Dot(w.off[a][p], w.off[b][p], w.sub.PerTile, pt.partial))
 	}
-	var exact float64
+	var sum float64
 	for _, pt := range w.parts {
 		res, err := pt.ar.Run(pt.partial, 1<<20)
 		if err != nil {
 			return 0, err
 		}
 		arCyc = max(arCyc, res.Cycles)
-		exact = cluster.ExactSum32(pt.partial)
-		if err := w.checkDrift(res.Sum, exact, pt.partial); err != nil {
+		sum = exact.ExactSum32(pt.partial)
+		if err := w.checkDrift(res.Sum, sum, pt.partial); err != nil {
 			return 0, err
 		}
 	}
@@ -372,12 +372,12 @@ func (w *BiCGStabEngine) dot(acc *PhaseCycles, a, b vec) (float64, error) {
 		for k, o := range w.order {
 			w.vals[k] = w.parts[o[0]].partial[o[1]]
 		}
-		exact = cluster.ExactSum32(w.vals)
+		sum = exact.ExactSum32(w.vals)
 	}
 	acc.Dot += dotCyc
 	acc.AllReduce += arCyc
 	acc.Combine += w.sub.CombineCycles
-	return exact, nil
+	return sum, nil
 }
 
 // checkDrift cross-checks one machine's fabric AllReduce value against

@@ -23,9 +23,8 @@
 //     mixed-precision dot partials with the on-wafer Figure 6 AllReduce
 //     (cycle-simulated, cross-checked per wafer) and combines the
 //     partials of all wafers into one exactly rounded float64
-//     (cluster.ExactSum32 — the wide accumulator solver.Parallel's
-//     goroutine-ranks merge too) in the canonical global (y, x) order
-//     this package supplies;
+//     (exact.ExactSum32) in the canonical global (y, x) order this
+//     package supplies;
 //   - the scalar result is re-broadcast, charged with the combine as
 //     two scalar hops per grid axis (combineCycles, the substrate's
 //     per-dot charge).
@@ -50,9 +49,8 @@
 // A 1×1 cluster is the one-part substrate the single-wafer star solver
 // at stencilc.Spec7Point also is, so the two return the same account
 // field for field (TestOneWaferClusterIsTheStarSolver) — and the same
-// bits as the host chunked-mixed context, sequential or rank-parallel
-// (solver.Parallel); internal/core's TestAllBackendsBitIdentical pins
-// all four.
+// bits as the host chunked-mixed context; internal/core's
+// TestAllBackendsBitIdentical pins all three.
 package multiwafer
 
 import (
@@ -60,7 +58,7 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/cluster"
+	"repro/internal/exact"
 	"repro/internal/fabric"
 	"repro/internal/kernels"
 	"repro/internal/stencil"
@@ -178,7 +176,7 @@ type Cluster struct {
 
 // New builds a cluster for the normalized operator op. The mesh's X and
 // Y extents are cut as evenly as possible across the grid
-// (cluster.SplitExtent); Z must be even and the per-tile footprint —
+// (exact.SplitExtent); Z must be even and the per-tile footprint —
 // twelve SpMV columns plus seven solver vectors, 19·Z words — must fit
 // the 48 KB tile memory. Every wafer runs wse.EngineFastForward.
 func New(cfg Config, op *stencil.Op7Half) (*Cluster, error) {
@@ -194,8 +192,8 @@ func build(cfg Config, op *stencil.Op7Half, engine wse.Engine) (*Cluster, error)
 		return nil, fmt.Errorf("multiwafer: grid %v needs at least %d×%d mesh columns, have %d×%d",
 			cfg.Grid, cfg.Grid.W, cfg.Grid.H, m.NX, m.NY)
 	}
-	xs := cluster.SplitExtent(m.NX, cfg.Grid.W)
-	ys := cluster.SplitExtent(m.NY, cfg.Grid.H)
+	xs := exact.SplitExtent(m.NX, cfg.Grid.W)
+	ys := exact.SplitExtent(m.NY, cfg.Grid.H)
 
 	c := &Cluster{Cfg: cfg, Mesh: m}
 	star := stencil.HalfFromOp7(op)

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/faultinject"
 )
 
 // TestServiceCancelQueued cancels a job no worker has touched: DELETE
@@ -355,7 +357,7 @@ func TestBreakerHalfOpen(t *testing.T) {
 	if b.allow("wafer") {
 		t.Fatal("open breaker admitted an attempt")
 	}
-	if b.allow("cluster") != true {
+	if b.allow("multiwafer") != true {
 		t.Fatal("breaker state leaked across backends")
 	}
 
@@ -464,6 +466,57 @@ func TestServiceCancelSurvivesRestart(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	if final := s2.getJob(v.ID).view(false); final.State != StateCanceled || final.Attempts != 0 {
 		t.Errorf("after restart: state %s attempts %d, want canceled with 0 attempts", final.State, final.Attempts)
+	}
+}
+
+// retiredClusterRecords are two spool records written by a daemon that
+// still ran the rank-parallel "cluster" backend, byte for byte: a
+// finished job whose spec and telemetry carry "ranks", and a queued one.
+var retiredClusterRecords = map[string]string{
+	"j000001": `{"id":"j000001","spec":{"problem":"poisson","nx":2,"ny":2,"nz":2,"seed":7,"backend":"cluster","max_iter":2,"ranks":2},"state":"done","attempts":1,"submitted_at":"2026-10-22T07:29:31.007850628Z","iter":2,"rel":0.014906678953256846,"result":{"iterations":2,"converged":false,"true_residual":0.014906678953256916,"history":[0.16889121245086955,0.014906678953256846],"telemetry":{"backend":"cluster","simulated":false,"ranks":2,"cycles":{"spmv":0,"dot":0,"allreduce":0,"axpy":0},"per_iteration":{"spmv":0,"dot":0,"allreduce":0,"axpy":0}},"x":[0.9091998652374,0.22171794930332164,0.23345116617703243,0.8987786213879511,0.687356843240534,0.13125837973593077,0.34103565408470526,0.32894807251547953]}}`,
+	"j000002": `{"id":"j000002","spec":{"problem":"poisson","nx":2,"ny":2,"nz":2,"seed":7,"backend":"cluster","max_iter":2,"ranks":2},"state":"queued","submitted_at":"2026-10-22T07:29:31.009609815Z"}`,
+}
+
+// TestSpoolFromRetiredBackendRecovers: a spool written before the
+// cluster backend was retired still recovers. Nothing is quarantined;
+// the finished job is served as it was recorded, less the "ranks"
+// fields no type carries any more and the live progress (iter, rel)
+// that recovery restores for no job; the queued job fails on its first
+// attempt with the backend refusal instead of burning retries.
+func TestSpoolFromRetiredBackendRecovers(t *testing.T) {
+	spoolDir := t.TempDir()
+	sp := spool{dir: spoolDir, fs: faultinject.OS}
+	for id, rec := range retiredClusterRecords {
+		if err := sp.writeFile(sp.jobPath(id), []byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := New(Config{Workers: 1, SpoolDir: spoolDir, MaxRetries: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	defer shutdown(t, s)
+
+	done := waitTerminal(t, s, "j000001", 10*time.Second)
+	got, err := json.Marshal(done)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.NewReplacer(`,"ranks":2`, "", `"iter":2,"rel":0.014906678953256846,`, "").Replace(retiredClusterRecords["j000001"])
+	if string(got) != want {
+		t.Errorf("finished cluster job served as\n%s\nwant\n%s", got, want)
+	}
+
+	queued := waitTerminal(t, s, "j000002", 10*time.Second)
+	if queued.State != StateFailed || queued.Attempts != 1 {
+		t.Errorf("queued cluster job: state %s after %d attempts, want failed after 1", queued.State, queued.Attempts)
+	}
+	if !strings.Contains(queued.Error, `unknown backend "cluster"`) || !strings.Contains(queued.Error, "local") {
+		t.Errorf("queued cluster job error %q, want the backend refusal naming local", queued.Error)
+	}
+	if _, err := os.Stat(filepath.Join(spoolDir, quarantineDir)); !os.IsNotExist(err) {
+		t.Errorf("recovery quarantined something (stat %s: %v)", quarantineDir, err)
 	}
 }
 

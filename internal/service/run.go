@@ -18,8 +18,8 @@ var errSuspended = errors.New("service: job suspended for shutdown")
 
 // runSolve executes one job through core's one solve pipeline — so a
 // job returns the bits core.Solve returns by construction
-// (TestServiceParallelMixedBackends). Host backends (local,
-// cluster) hold no machine state and are built per job; a simulated
+// (TestServiceParallelMixedBackends). The host backend (local) holds
+// no machine state and is built per job; a simulated
 // backend is checked out of the warm cache, or asked of core on a miss,
 // and put back afterwards: it reloads the next job's coefficients
 // itself (the solver.Backend contract of internal/kernels and
@@ -64,7 +64,7 @@ func (s *Server) runSolve(ctx context.Context, p core.Problem, o core.Options, p
 // job whose backend's circuit breaker is open runs the same pipeline on
 // the host in chunked-mixed precision instead. The chunk size NZ makes
 // the host reduction order match the per-tile wafer dots combined by
-// cluster.ExactSum32, so for the multiwafer backend (and the halo
+// exact.ExactSum32, so for the multiwafer backend (and the halo
 // wafer engine) the residual history and solution are bit-identical to
 // the simulated solve — core.TestAllBackendsBitIdentical pins the
 // equivalence, and TestServiceBreakerFallback pins it end to end. The default

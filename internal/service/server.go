@@ -460,10 +460,10 @@ func (s *Server) runJob(j *job) {
 
 	state, msg := s.outcome(j, err, attempt)
 	// The breaker hears only of attempts its backend ran: a fallback
-	// solve ran on the host, and an open breaker refused the attempt
-	// without exercising anything.
+	// solve ran on the host, and an open breaker or a refused spec
+	// ended the attempt without exercising anything.
 	switch {
-	case (state == StateQueued || state == StateFailed) && !fellBack && !errors.Is(err, errBreakerOpen):
+	case (state == StateQueued || state == StateFailed) && !fellBack && !errors.Is(err, errBreakerOpen) && !refusedSpec(err):
 		if s.breaker.failure(spec.Backend) {
 			s.metrics.count(spec.Backend, famBreakerTrips)
 		}
@@ -523,10 +523,23 @@ func (s *Server) outcome(j *job, err error, attempt int) (JobState, string) {
 		return StateExpired, err.Error()
 	case errors.Is(err, context.Canceled) || j.cancelRequested():
 		return StateCanceled, "canceled by client"
+	case refusedSpec(err):
+		return StateFailed, err.Error()
 	case attempt <= s.cfg.MaxRetries:
 		return StateQueued, err.Error()
 	}
 	return StateFailed, err.Error()
+}
+
+// refusedSpec reports whether err is the spec's own refusal, a
+// *SpecError or *core.OptionError. Submit refuses such a spec up front;
+// one that reaches a worker was spooled by an older daemon (a job for a
+// backend since retired), fails the same way on every attempt, and ran
+// no backend.
+func refusedSpec(err error) bool {
+	var specErr *SpecError
+	var optErr *core.OptionError
+	return errors.As(err, &specErr) || errors.As(err, &optErr)
 }
 
 // solveAttempt builds the problem and runs one solve under the
@@ -646,14 +659,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	v, err := s.Submit(spec)
-	var specErr *SpecError
-	var optErr *core.OptionError
 	switch {
 	case err == nil:
 		writeJSON(w, http.StatusAccepted, v)
 	case errors.Is(err, errDraining) || errors.Is(err, errQueueFull):
 		writeError(w, http.StatusServiceUnavailable, err)
-	case errors.As(err, &specErr) || errors.As(err, &optErr):
+	case refusedSpec(err):
 		writeError(w, http.StatusBadRequest, err)
 	default:
 		// The spec was fine; the server failed it (a spool write).

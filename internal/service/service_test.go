@@ -87,7 +87,6 @@ func TestJobSpecValidate(t *testing.T) {
 		{NX: 4, NY: 4, NZ: 8}, // defaults: momentum on the wafer
 		{Problem: "random", NX: 4, NY: 4, NZ: 3, Backend: "local", Precision: "fp32"},
 		{Problem: "momentum", NX: 6, NY: 6, NZ: 8, Backend: "multiwafer", Grid: "2x1", Workers: 2},
-		{Problem: "momentum", NX: 4, NY: 4, NZ: 6, Backend: "cluster", Ranks: 4},
 		{NX: 4, NY: 4, NZ: 8, Workers: core.MaxWorkers},
 	}
 	for i, spec := range valid {
@@ -110,10 +109,10 @@ func TestJobSpecValidate(t *testing.T) {
 		{JobSpec{NX: 4, NY: 4, NZ: 7, Backend: "wafer"}, "nz"},
 		{JobSpec{NX: 4, NY: 4, NZ: 7, Backend: "multiwafer"}, "nz"},
 		{JobSpec{NX: 4, NY: 4, NZ: 8, Backend: "gpu"}, "backend"},
+		{JobSpec{NX: 4, NY: 4, NZ: 6, Backend: "cluster"}, "backend"},
 		{JobSpec{NX: 4, NY: 4, NZ: 8, Backend: "local", Precision: "fp8"}, "precision"},
 		{JobSpec{NX: 4, NY: 4, NZ: 8, Backend: "wafer", Precision: "fp64"}, "precision"},
 		{JobSpec{NX: 4, NY: 4, NZ: 8, Backend: "local", Workers: 2}, "workers"},
-		{JobSpec{NX: 4, NY: 4, NZ: 8, Backend: "wafer", Ranks: 4}, "ranks"},
 		{JobSpec{NX: 4, NY: 4, NZ: 8, Backend: "wafer", Grid: "2x1"}, "grid"},
 		{JobSpec{NX: 4, NY: 4, NZ: 8, Backend: "multiwafer", Grid: "2x"}, "grid"},
 	}
@@ -137,6 +136,12 @@ func TestJobSpecValidate(t *testing.T) {
 		}
 	}
 
+	// The rank-parallel cluster backend is gone; its refusal points the
+	// client at the host backend that remains.
+	if err := (JobSpec{NX: 4, NY: 4, NZ: 6, Backend: "cluster"}).Validate(); err == nil || !strings.Contains(err.Error(), "local") {
+		t.Errorf("cluster backend: got %v, want a refusal naming local", err)
+	}
+
 	// Negative MaxIter flows through to core.Options.Validate.
 	err := JobSpec{NX: 4, NY: 4, NZ: 8, MaxIter: -1}.Validate()
 	var oe *core.OptionError
@@ -146,7 +151,7 @@ func TestJobSpecValidate(t *testing.T) {
 }
 
 // TestServiceParallelMixedBackends is the tentpole acceptance test: a
-// dozen jobs across all four backends run concurrently (under -race in
+// dozen jobs across all three backends run concurrently (under -race in
 // CI), every result is bit-identical to a direct core.Solve of the same
 // spec, and the machine cache reuses warm machines across the
 // same-shape wafer jobs.
@@ -174,7 +179,7 @@ func TestServiceParallelMixedBackends(t *testing.T) {
 	}
 	specs = append(specs,
 		JobSpec{Problem: "poisson", NX: 4, NY: 4, NZ: 6, Backend: "local", Precision: "mixed", MaxIter: 8},
-		JobSpec{Problem: "poisson", NX: 4, NY: 4, NZ: 6, Backend: "cluster", Ranks: 4, MaxIter: 8},
+		JobSpec{Problem: "poisson", NX: 4, NY: 4, NZ: 6, Backend: "local", MaxIter: 8},
 		JobSpec{Problem: "momentum", NX: 6, NY: 6, NZ: 8, Seed: 3, Backend: "multiwafer", Grid: "2x1", MaxIter: 4},
 		JobSpec{Problem: "momentum", NX: 6, NY: 6, NZ: 8, Seed: 5, Backend: "multiwafer", Grid: "2x1", MaxIter: 4},
 	)
@@ -389,9 +394,8 @@ func TestServiceRetry(t *testing.T) {
 
 // TestServiceStream reads the NDJSON residual stream of a finished job:
 // one line per history entry, then the terminal state line — for a
-// simulated backend and for the cluster backend, whose host BiCGStab
-// under solver.Parallel reports progress like any host solve (the SPMD
-// solve it replaced streamed nothing).
+// simulated backend and for the host backend, whose BiCGStab reports
+// progress through the same hook.
 func TestServiceStream(t *testing.T) {
 	s, err := New(Config{Workers: 1})
 	if err != nil {
@@ -408,7 +412,7 @@ func TestServiceStream(t *testing.T) {
 
 	for _, spec := range []JobSpec{
 		{Problem: "momentum", NX: 4, NY: 4, NZ: 8, Backend: "wafer", MaxIter: 4},
-		{Problem: "momentum", NX: 4, NY: 4, NZ: 8, Backend: "cluster", Ranks: 3, MaxIter: 4},
+		{Problem: "momentum", NX: 4, NY: 4, NZ: 8, Backend: "local", MaxIter: 4},
 	} {
 		t.Run(spec.Backend, func(t *testing.T) {
 			v, err := s.Submit(spec)
@@ -482,6 +486,8 @@ func TestServiceHTTPRejects(t *testing.T) {
 		{`{"nx":4,"ny":4,"nz":8,"backend":"gpu"}`, "backend"},
 		{`{"nx":4,"ny":4,"nz":7,"backend":"wafer"}`, "nz"},
 		{`{"nx":4,"ny":4,"nz":8,"backend":"wafer","ranks":4}`, "ranks"},
+		{`{"nx":4,"ny":4,"nz":6,"backend":"cluster"}`, "local"},
+		{`{"nx":4,"ny":4,"nz":6,"backend":"cluster","ranks":4}`, `unknown field \"ranks\"`},
 		{`{"nx":4,"ny":4,"nz":8,"max_iter":-1}`, "MaxIter"},
 		{`{"nx":4,"ny":4,"nz":8,"frobnicate":true}`, "frobnicate"},
 		{`{"nx":4,"ny":4,"nz":8,"workers":1048576}`, "Wafer.Workers"},

@@ -28,8 +28,8 @@ type JobSpec struct {
 	// core.DefaultSeed, the seed every CLI uses.
 	Seed int64 `json:"seed,omitempty"`
 
-	// Backend is "local", "wafer", "cluster" or "multiwafer". Empty
-	// means "wafer" — this is a wafer-simulation service.
+	// Backend is "local", "wafer" or "multiwafer". Empty means
+	// "wafer" — this is a wafer-simulation service.
 	Backend string `json:"backend,omitempty"`
 	// MaxIter bounds the iterations; 0 means 200 (core.Solve's default).
 	MaxIter int `json:"max_iter,omitempty"`
@@ -59,8 +59,6 @@ type JobSpec struct {
 	// A multiwafer job accepts it under the same bound but its wafers do
 	// not read it: each fast-forwards on the default shards.
 	Workers int `json:"workers,omitempty"`
-	// Ranks is the cluster backend's goroutine-rank count.
-	Ranks int `json:"ranks,omitempty"`
 	// Grid is the multiwafer backend's wafer grid, "WxH".
 	Grid string `json:"grid,omitempty"`
 }
@@ -98,7 +96,7 @@ func (s JobSpec) withDefaults() JobSpec {
 }
 
 // Options maps the spec to validated core.Options. Misrouted fields —
-// ranks on a wafer job, a grid on a local job — fail here with a
+// workers on a local job, a grid on a wafer job — fail here with a
 // *SpecError, before core.Options.Validate runs the backend-level
 // checks; together the two validators reject every malformed request
 // with a field-precise error.
@@ -122,9 +120,6 @@ func (s JobSpec) Options() (core.Options, error) {
 	}
 	if s.Workers != 0 && be != core.Wafer && be != core.MultiWafer {
 		return core.Options{}, &SpecError{"workers", "simulation workers apply to the wafer and multiwafer backends only"}
-	}
-	if s.Ranks != 0 && be != core.Cluster {
-		return core.Options{}, &SpecError{"ranks", "goroutine-ranks apply to the cluster backend only"}
 	}
 	if s.Grid != "" && be != core.MultiWafer {
 		return core.Options{}, &SpecError{"grid", "a wafer grid applies to the multiwafer backend only"}
@@ -153,8 +148,6 @@ func (s JobSpec) Options() (core.Options, error) {
 		}
 	case core.Wafer:
 		o.Wafer.Workers = s.Workers
-	case core.Cluster:
-		o.Cluster.Ranks = s.Ranks
 	case core.MultiWafer:
 		if s.Grid != "" {
 			g, err := multiwafer.ParseTopology(s.Grid)

@@ -34,14 +34,10 @@ func NewOp7Half(o *Op7) *Op7Half {
 // diagonal. The accumulation order is fixed (zm, zp, xp, xm, yp, ym, c);
 // the wafer's order is nondeterministic, so cross-checks use error bounds,
 // not bit equality.
-func (o *Op7Half) Apply(dst, src []fp16.Float16) { o.ApplyColumns(dst, src, 0, o.M.NX*o.M.NY) }
-
-// ApplyColumns is Apply restricted to the Z-columns [c0, c1) in mesh
-// order, as Op7.ApplyColumns.
-func (o *Op7Half) ApplyColumns(dst, src []fp16.Float16, c0, c1 int) {
+func (o *Op7Half) Apply(dst, src []fp16.Float16) {
 	m := o.M
 	nz := m.NZ
-	for c := c0; c < c1; c++ {
+	for c := 0; c < m.NX*m.NY; c++ {
 		x, y := c%m.NX, c/m.NX
 		base := c * nz
 		for z := 0; z < nz; z++ {

@@ -93,16 +93,10 @@ func (o *Op7) Normalized() (Operator, []float64) { return o.Normalize() }
 
 // Apply computes dst = A·src in float64, the reference arithmetic for all
 // correctness tests. Out-of-mesh neighbours contribute zero.
-func (o *Op7) Apply(dst, src []float64) { o.ApplyColumns(dst, src, 0, o.M.NX*o.M.NY) }
-
-// ApplyColumns is Apply restricted to the Z-columns [c0, c1) in mesh
-// order (column c is x = c mod NX, y = c / NX): it writes those columns
-// of dst and reads src wherever the stencil reaches, so disjoint ranges
-// may run concurrently (solver.Parallel).
-func (o *Op7) ApplyColumns(dst, src []float64, c0, c1 int) {
+func (o *Op7) Apply(dst, src []float64) {
 	m := o.M
 	nz := m.NZ
-	for c := c0; c < c1; c++ {
+	for c := 0; c < m.NX*m.NY; c++ {
 		x, y := c%m.NX, c/m.NX
 		base := c * nz
 		for z := 0; z < nz; z++ {

@@ -43,7 +43,7 @@ func (p *program) Tiles() int { return len(p.done) }
 
 // Partials returns the per-tile Σy² partials of the last Run (fabric
 // row-major), valid only for ReduceSumSq specs. Combine them with
-// cluster.ExactSum32 for a bit-stable global reduction.
+// exact.ExactSum32 for a bit-stable global reduction.
 func (p *program) Partials() []float32 { return p.partials }
 
 // Arm prepares every tile for one application without stepping the

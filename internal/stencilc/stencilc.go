@@ -98,7 +98,7 @@ const (
 	// ReduceSumSq appends a per-tile mixed-precision dot of the output
 	// with itself (fp32 accumulation, the CS-1 dot instruction). The
 	// per-tile partials are read with Partials(); combine them with
-	// cluster.ExactSum32 for a bit-stable global Σy². The heat driver
+	// exact.ExactSum32 for a bit-stable global Σy². The heat driver
 	// uses it to report field energy without a second pass.
 	ReduceSumSq
 )
