@@ -4,7 +4,6 @@ import (
 	"go/token"
 	"os"
 	"regexp"
-	"sort"
 	"strings"
 	"testing"
 )
@@ -32,10 +31,10 @@ var docIdent = regexp.MustCompile("`\\*?((?:[A-Za-z_][A-Za-z0-9_]*\\.)*[A-Za-z_]
 // deletion cannot leave the docs naming code that is gone. The last
 // part of the name must be declared somewhere: as a Go name, as a
 // benchmark's name without its Benchmark prefix, or as a
-// standard-library name the source uses.
-// Names TestArchLayering keeps undeclared may be named, to say so.
-// Fenced code blocks hold commands and are skipped; docs/RESULTS.md and
-// CHANGES.md are history and are not scanned.
+// standard-library name the source uses. Names TestArchLayering keeps
+// undeclared may be named, to say so. Fenced code blocks hold commands
+// and are skipped; docs/RESULTS.md and CHANGES.md are history and are
+// not scanned.
 func TestArchDocNames(t *testing.T) {
 	tree := loadArch(t)
 	declared := map[string]bool{}
@@ -48,7 +47,7 @@ func TestArchDocNames(t *testing.T) {
 			declared[obj.Name()] = true // a standard-library object the source uses
 		}
 	}
-	var found []string
+	found := map[string]bool{}
 	for _, doc := range []string{"README.md", "docs/ARCHITECTURE.md", "CONTRIBUTING.md", "cmd/README.md"} {
 		b, err := os.ReadFile(doc)
 		if err != nil {
@@ -63,13 +62,12 @@ func TestArchDocNames(t *testing.T) {
 				continue
 			}
 			for _, m := range docIdent.FindAllStringSubmatch(line, -1) {
-				parts := strings.Split(m[1], ".")
-				last := parts[len(parts)-1]
+				last := m[1][strings.LastIndexByte(m[1], '.')+1:]
 				if !token.IsExported(last) || archGone[last] {
 					continue
 				}
 				if !declared[last] {
-					found = append(found, m[1])
+					found[m[1]] = true
 					if _, allowed := docAllow[m[1]]; !allowed {
 						t.Errorf("%s:%d: `%s` names code that no Go source declares", doc, i+1, m[1])
 					}
@@ -77,9 +75,8 @@ func TestArchDocNames(t *testing.T) {
 			}
 		}
 	}
-	sort.Strings(found)
 	for k := range docAllow {
-		if i := sort.SearchStrings(found, k); i == len(found) || found[i] != k {
+		if !found[k] {
 			t.Errorf("docAllow entry %s is no longer found; remove it", k)
 		}
 	}

@@ -136,8 +136,8 @@ func TestJobSpecValidate(t *testing.T) {
 		}
 	}
 
-	// The rank-parallel cluster backend is gone; its refusal points the
-	// client at the host backend that remains.
+	// A "cluster" job is refused with an error that points the client
+	// at the host backend.
 	if err := (JobSpec{NX: 4, NY: 4, NZ: 6, Backend: "cluster"}).Validate(); err == nil || !strings.Contains(err.Error(), "local") {
 		t.Errorf("cluster backend: got %v, want a refusal naming local", err)
 	}
